@@ -6,6 +6,11 @@ row/segment softmax, leaky ReLU, dropout-mask application, and
 cross-entropy. Everything is float64 and any op that produces NaN/Inf
 raises NonFiniteError.
 
+The segment ops take a per-row segment index plus a segment count (the
+row -> target-node map of the edges), so every row belongs to exactly one
+segment by construction; an index of the wrong length, out of range, or
+leaving a segment empty is a ContractError.
+
 Reductions whose operand order depends on node/edge ordering (segment
 aggregation, per-segment softmax denominators, column means) use exactly
 rounded summation via math.fsum, so their results are independent of row
@@ -392,33 +397,33 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
 # segment ops (attention over incoming edges, per-target aggregation)
 # ---------------------------------------------------------------------------
 
-def _check_partition(segments: Sequence[Array], n_rows: int, op: str) -> list[Array]:
-    segs = [np.asarray(s, dtype=np.intp) for s in segments]
-    total = sum(len(s) for s in segs)
-    if total != n_rows:
-        raise ContractError(f"{op}: segments cover {total} rows, tensor has {n_rows}")
-    if n_rows:
-        seen = np.zeros(n_rows, dtype=bool)
-        for s in segs:
-            seen[s] = True
-        if not seen.all():
-            raise ContractError(f"{op}: segments do not partition the rows")
-    return segs
+def _segments(index, n_rows: int, n_segments: int, op: str) -> list[Array]:
+    """Row indices of each segment, ascending, from a per-row segment index."""
+    idx = np.asarray(index, dtype=np.intp)
+    if idx.shape != (n_rows,):
+        raise ContractError(f"{op}: index has shape {idx.shape}, tensor has {n_rows} rows")
+    if n_rows and (idx.min() < 0 or idx.max() >= n_segments):
+        raise ContractError(f"{op}: index out of range for {n_segments} segments")
+    counts = np.bincount(idx, minlength=n_segments)
+    if not counts.all():
+        raise ContractError(f"{op}: segment {int(np.argmin(counts))} is empty "
+                            "(node without incoming edges)")
+    order = np.argsort(idx, kind="stable")
+    ends = np.cumsum(counts).tolist()
+    return [order[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
-def segment_softmax(x: Tensor, segments: Sequence[Array]) -> Tensor:
-    """Per-column softmax within each row segment of a 2-D tensor.
+def segment_softmax(x: Tensor, index, n_segments: int) -> Tensor:
+    """Per-column softmax over the rows of a 2-D tensor that share a segment.
 
-    Segments must partition the rows; an empty segment is a contract
-    violation (a target node with no incoming edges).
+    ``index[r]`` is the segment of row r; every segment must be nonempty
+    (a target node with no incoming edges is a contract violation).
     """
     if x.data.ndim != 2:
         raise ShapeError(f"segment_softmax expects a 2-D tensor, got {x.data.shape}")
-    segs = _check_partition(segments, x.data.shape[0], "segment_softmax")
+    segs = _segments(index, x.data.shape[0], n_segments, "segment_softmax")
     out = np.empty_like(x.data)
     for seg in segs:
-        if len(seg) == 0:
-            raise ContractError("segment_softmax: empty segment (node without incoming edges)")
         block = x.data[seg]
         ex = np.exp(block - block.max(axis=0))
         for c in range(ex.shape[1]):
@@ -437,18 +442,16 @@ def segment_softmax(x: Tensor, segments: Sequence[Array]) -> Tensor:
     return _make(out, (x,), vjp, "segment_softmax")
 
 
-def segment_reduce(x: Tensor, segments: Sequence[Array], mode: str = "mean") -> Tensor:
-    """Aggregate row segments of a 2-D tensor to one output row per segment."""
+def segment_reduce(x: Tensor, index, n_segments: int, mode: str = "mean") -> Tensor:
+    """Aggregate the rows of each segment of a 2-D tensor to one output row."""
     if x.data.ndim != 2:
         raise ShapeError(f"segment_reduce expects a 2-D tensor, got {x.data.shape}")
     if mode not in ("mean", "sum"):
         raise ConfigError(f"unknown segment_reduce mode {mode!r}")
-    segs = _check_partition(segments, x.data.shape[0], "segment_reduce")
+    segs = _segments(index, x.data.shape[0], n_segments, "segment_reduce")
     d = x.data.shape[1]
-    out = np.empty((len(segs), d))
+    out = np.empty((n_segments, d))
     for i, seg in enumerate(segs):
-        if len(seg) == 0:
-            raise ContractError("segment_reduce: empty segment (node without incoming edges)")
         cols = x.data[seg].T.tolist()
         row = [math.fsum(col) for col in cols]
         out[i] = row

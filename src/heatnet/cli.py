@@ -131,7 +131,10 @@ def _load_dataset(data_dir: str):
             manifest = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read dataset manifest: {exc}") from exc
-    graphs = [load_graph(os.path.join(data_dir, name)) for name in manifest["files"]]
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not (isinstance(files, list) and all(isinstance(name, str) for name in files)):
+        raise ConfigError(f"dataset manifest {manifest_path} needs a 'files' list of strings")
+    graphs = [load_graph(os.path.join(data_dir, name)) for name in files]
     return graphs, manifest
 
 

@@ -2,8 +2,11 @@
 
 A graph holds typed nodes with float64 feature vectors and directed edges
 with float64 attribute vectors. Graphs are immutable after construction;
-mutation-style operations return new graphs. The JSON file format is
-versioned and round-trips floats exactly.
+mutation-style operations return new graphs. Edges name their endpoints by
+node id; ``HeteroGraph.edge_pos`` maps them to node positions once per
+graph, and that cached pair of arrays is what the layers index with. The
+JSON file format is versioned and round-trips floats exactly; ``validate``
+is the one checker of graph-wide invariants, the parser included.
 """
 
 from __future__ import annotations
@@ -141,6 +144,29 @@ class HeteroGraph:
         except KeyError:
             raise GraphLookupError(f"unknown node id {node_id}") from None
 
+    @cached_property
+    def edge_pos(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge endpoints as node positions (src_pos, dst_pos), read-only.
+
+        Built once per graph by sorting the node ids; an endpoint that is
+        not a node raises GraphLookupError.
+        """
+        ids = np.asarray(self.node_ids, dtype=np.intp)
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+
+        def lookup(end: np.ndarray) -> np.ndarray:
+            at = np.searchsorted(sorted_ids, end)
+            hit = at < len(ids)
+            hit[hit] = sorted_ids[at[hit]] == end[hit]
+            if not hit.all():
+                raise GraphLookupError(f"unknown node id {int(end[np.argmin(hit)])}")
+            pos = order[at]
+            pos.setflags(write=False)
+            return pos
+
+        return lookup(self.edge_src), lookup(self.edge_dst)
+
     def has_node(self, node_id: int) -> bool:
         return node_id in self._id_to_pos
 
@@ -233,21 +259,27 @@ def validate(g: HeteroGraph) -> Violation | None:
         return Violation("shape", "edge endpoint arrays malformed")
     if g.edge_attrs.ndim != 2 or g.edge_attrs.shape[0] != g.n_edges:
         return Violation("shape", f"edge attrs must be (E, d_e), got {g.edge_attrs.shape}")
-    known = g._id_to_pos
-    for s, t in zip(g.edge_src.tolist(), g.edge_dst.tolist()):
-        if s not in known:
+    ids = np.asarray(g.node_ids, dtype=np.intp)
+    src_ok, dst_ok = np.isin(g.edge_src, ids), np.isin(g.edge_dst, ids)
+    if not (src_ok.all() and dst_ok.all()):
+        bad = int(np.argmin(src_ok & dst_ok))
+        s, t = int(g.edge_src[bad]), int(g.edge_dst[bad])
+        if not src_ok[bad]:
             return Violation("missing-endpoint", f"edge source {s} is not a node", edge=(s, t))
-        if t not in known:
-            return Violation("missing-endpoint", f"edge target {t} is not a node", edge=(s, t))
+        return Violation("missing-endpoint", f"edge target {t} is not a node", edge=(s, t))
     if not np.all(np.isfinite(g.edge_attrs)):
         bad = int(np.nonzero(~np.isfinite(g.edge_attrs).all(axis=1))[0][0])
         s, t = int(g.edge_src[bad]), int(g.edge_dst[bad])
         return Violation("non-finite", "edge attribute contains NaN/Inf", edge=(s, t))
-    pairs = set()
-    for s, t in zip(g.edge_src.tolist(), g.edge_dst.tolist()):
-        if (s, t) in pairs:
-            return Violation("duplicate-edge", f"edge ({s}, {t}) appears twice", edge=(s, t))
-        pairs.add((s, t))
+    # lexsort is stable: each pair's first occurrence sorts first, so the
+    # lowest-indexed flagged row is the first edge that repeats an earlier one.
+    order = np.lexsort((g.edge_dst, g.edge_src))
+    s_sorted, t_sorted = g.edge_src[order], g.edge_dst[order]
+    repeat = (s_sorted[1:] == s_sorted[:-1]) & (t_sorted[1:] == t_sorted[:-1])
+    if repeat.any():
+        bad = int(order[1:][repeat].min())
+        s, t = int(g.edge_src[bad]), int(g.edge_dst[bad])
+        return Violation("duplicate-edge", f"edge ({s}, {t}) appears twice", edge=(s, t))
     if g.label is not None and g.label < 0:
         return Violation("label", f"label must be a nonnegative class index, got {g.label}")
     return None
@@ -279,27 +311,6 @@ def incoming(g: HeteroGraph, node_id: int) -> list[tuple[int, int, np.ndarray]]:
     rows = np.nonzero(g.edge_dst == node_id)[0]
     order = rows[np.argsort(g.edge_src[rows], kind="stable")]
     return [(int(g.edge_src[i]), int(g.edge_dst[i]), g.edge_attrs[i].copy()) for i in order]
-
-
-def incoming_segments(g: HeteroGraph) -> list[np.ndarray]:
-    """Edge-row indices grouped by target node, one group per node position.
-
-    Raises nothing here; empty groups are legal at this level (the layer
-    enforces the nonempty-neighborhood contract).
-    """
-    pos_dst = np.fromiter((g.pos(int(t)) for t in g.edge_dst), dtype=np.intp,
-                          count=g.n_edges)
-    segs: list[list[int]] = [[] for _ in range(g.n_nodes)]
-    for e, p in enumerate(pos_dst.tolist()):
-        segs[p].append(e)
-    return [np.asarray(s, dtype=np.intp) for s in segs]
-
-
-def edge_positions(g: HeteroGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Edge endpoints as node positions (not ids): (src_pos, dst_pos)."""
-    src = np.fromiter((g.pos(int(s)) for s in g.edge_src), dtype=np.intp, count=g.n_edges)
-    dst = np.fromiter((g.pos(int(t)) for t in g.edge_dst), dtype=np.intp, count=g.n_edges)
-    return src, dst
 
 
 def with_label(g: HeteroGraph, label: int | None) -> HeteroGraph:
@@ -337,8 +348,11 @@ def to_json_dict(g: HeteroGraph) -> dict:
 def from_json_dict(d: dict) -> HeteroGraph:
     """Parse the graph format; unknown top-level keys are ignored.
 
-    Structural problems (mixed feature dimensions, edges to missing nodes,
-    duplicate ids) raise GraphValidationError carrying the violation.
+    Record-level problems (malformed records, unknown types, mixed feature
+    or attribute dimensions, partial coordinates) are reported here; the
+    graph-wide ones (duplicate ids, edges to missing nodes, duplicate
+    edges) by ``validate``. Either raises GraphValidationError carrying the
+    violation.
     """
     if not isinstance(d, dict):
         raise GraphValidationError(Violation("format", "graph document must be a JSON object"))
@@ -365,8 +379,6 @@ def from_json_dict(d: dict) -> HeteroGraph:
             raise GraphValidationError(Violation("format", f"malformed node record: {exc}")) from exc
         if tname not in types:
             raise GraphValidationError(Violation("unknown-type", f"node type {tname!r} not in type set", node_id=nid))
-        if nid in ids:
-            raise GraphValidationError(Violation("duplicate-node-id", f"node id {nid} appears twice", node_id=nid))
         if feat_dim is None:
             feat_dim = len(feat)
         elif len(feat) != feat_dim:
@@ -384,30 +396,21 @@ def from_json_dict(d: dict) -> HeteroGraph:
         bad = ids[has_coords.index(False)]
         raise GraphValidationError(Violation("coords", "either all nodes carry (x, y) or none", node_id=bad))
 
-    known = set(ids)
     srcs: list[int] = []
     dsts: list[int] = []
     attrs: list[list[float]] = []
     attr_dim: int | None = None
-    pairs: set[tuple[int, int]] = set()
     for ed in raw_edges:
         try:
             s, t = int(ed["src"]), int(ed["dst"])
             attr = [float(v) for v in ed["attr"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphValidationError(Violation("format", f"malformed edge record: {exc}")) from exc
-        if s not in known:
-            raise GraphValidationError(Violation("missing-endpoint", f"edge source {s} is not a node", edge=(s, t)))
-        if t not in known:
-            raise GraphValidationError(Violation("missing-endpoint", f"edge target {t} is not a node", edge=(s, t)))
-        if (s, t) in pairs:
-            raise GraphValidationError(Violation("duplicate-edge", f"edge ({s}, {t}) appears twice", edge=(s, t)))
         if attr_dim is None:
             attr_dim = len(attr)
         elif len(attr) != attr_dim:
             raise GraphValidationError(Violation(
                 "mixed-attr-dim", f"edge attribute has dimension {len(attr)}, expected {attr_dim}", edge=(s, t)))
-        pairs.add((s, t))
         srcs.append(s)
         dsts.append(t)
         attrs.append(attr)

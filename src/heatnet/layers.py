@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, ShapeError
-from .hetgraph import HeteroGraph, TypeSet, edge_positions, incoming_segments
+from .hetgraph import HeteroGraph, TypeSet
 
 SHARED_TYPE_KEY = "__shared__"
 
@@ -183,12 +183,11 @@ def layer_forward(g: HeteroGraph, params: HeatLayerParams,
     if not params.shared_projection and g.types.names != params.types.names:
         raise ConfigError("graph type set does not match layer parameters")
 
-    pos_src, pos_dst = edge_positions(g)
-    segments = incoming_segments(g)
-    for p, seg in enumerate(segments):
-        if len(seg) == 0:
-            raise ContractError(
-                f"node {g.node_ids[p]} has no incoming edges; self-loops are required")
+    pos_src, pos_dst = g.edge_pos
+    in_degree = np.bincount(pos_dst, minlength=n)
+    if not in_degree.all():
+        raise ContractError(f"node {g.node_ids[int(np.argmin(in_degree))]} has no incoming "
+                            "edges; self-loops are required")
 
     # Per-node, per-head projection P_i[v] = W_{type(v)}^i @ H_v, computed
     # blockwise per type and reassembled in node order.
@@ -232,7 +231,7 @@ def layer_forward(g: HeteroGraph, params: HeatLayerParams,
         s = ad.reduce_sum(ad.mul(ad.mul(k, eproj), q), axis=1, keepdims=True)
         head_scores.append(ad.scale(s, inv_sqrt))
     scores = head_scores[0] if params.heads == 1 else ad.concat(head_scores, axis=1)
-    att = ad.segment_softmax(scores, segments)
+    att = ad.segment_softmax(scores, pos_dst, n)
 
     weighted = []
     for i in range(params.heads):
@@ -242,7 +241,7 @@ def layer_forward(g: HeteroGraph, params: HeatLayerParams,
             v = ad.gather_rows(vproj[i], pos_src)
         weighted.append(ad.mul(v, ad.slice_cols(att, i, i + 1)))
     per_edge = weighted[0] if params.heads == 1 else ad.concat(weighted, axis=1)
-    h_out = ad.segment_reduce(per_edge, segments, params.aggregation)
+    h_out = ad.segment_reduce(per_edge, pos_dst, n, params.aggregation)
 
     return LayerOutput(
         node_features=h_out,

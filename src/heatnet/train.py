@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -267,23 +267,7 @@ def checkpoint_dict(model: Model, provenance: dict | None, epoch: int,
     cfg = model.config
     return {
         "version": CHECKPOINT_VERSION,
-        "model_config": {
-            "feature_dim": cfg.feature_dim,
-            "types": list(cfg.types),
-            "hidden_dim": cfg.hidden_dim,
-            "heads": cfg.heads,
-            "n_layers": cfg.n_layers,
-            "n_classes": cfg.n_classes,
-            "edge_attr_dim": cfg.edge_attr_dim,
-            "dropout": cfg.dropout,
-            "leaky_slope": cfg.leaky_slope,
-            "aggregation": cfg.aggregation,
-            "pooling": cfg.pooling,
-            "type_blind": cfg.type_blind,
-            "decouple_key_value": cfg.decouple_key_value,
-            "trainable_readout": cfg.trainable_readout,
-            "final_readout": cfg.final_readout,
-        },
+        "model_config": {**asdict(cfg), "types": list(cfg.types)},
         "params": {
             name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
             for name, arr in sorted(model.state_arrays().items())
@@ -306,31 +290,32 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     """Rebuild a model from a checkpoint; eval logits are bit-identical."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError("checkpoint must be a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {doc.get('version')!r}")
-    mc = doc["model_config"]
-    config = ModelConfig(
-        feature_dim=mc["feature_dim"],
-        types=tuple(mc["types"]),
-        hidden_dim=mc["hidden_dim"],
-        heads=mc["heads"],
-        n_layers=mc["n_layers"],
-        n_classes=mc["n_classes"],
-        edge_attr_dim=mc["edge_attr_dim"],
-        dropout=mc["dropout"],
-        leaky_slope=mc["leaky_slope"],
-        aggregation=mc["aggregation"],
-        pooling=mc["pooling"],
-        type_blind=mc["type_blind"],
-        decouple_key_value=mc["decouple_key_value"],
-        trainable_readout=mc["trainable_readout"],
-        final_readout=mc["final_readout"],
-    )
+    mc = doc.get("model_config")
+    if not isinstance(mc, dict):
+        raise ConfigError("checkpoint has no model_config object")
+    names = {f.name for f in fields(ModelConfig)}
+    if set(mc) != names:
+        raise ConfigError(f"checkpoint model_config keys mismatch (missing={sorted(names - set(mc))}, "
+                          f"unknown={sorted(set(mc) - names)})")
+    try:
+        config = ModelConfig(**{**mc, "types": tuple(mc["types"])})
+    except TypeError as exc:
+        raise ConfigError(f"checkpoint model_config is malformed: {exc}") from exc
     model = Model.init(config, rng=np.random.default_rng(0))
-    state = {
-        name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in doc["params"].items()
-    }
+    if not isinstance(doc.get("params"), dict):
+        raise ConfigError("checkpoint has no params object")
+    state = {}
+    for name, entry in doc["params"].items():
+        if not (isinstance(entry, dict) and "shape" in entry and "data" in entry):
+            raise ConfigError(f"checkpoint parameter {name!r} needs shape and data")
+        try:
+            state[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"checkpoint parameter {name!r} data does not fit its shape: {exc}") from exc
     model.load_state(state)
     return model, doc
 

@@ -2,7 +2,9 @@
 
 These recompute the layer, pooling, and full-model forward passes with
 plain Python loops over raw numpy parameter arrays, independently of the
-autodiff path they are checked against.
+autodiff path they are checked against. The slow paths that the package
+replaced (per-edge id lookups, list-of-segments segment ops, the per-edge
+validation loops) are kept here as oracles for the fast ones.
 """
 
 import math
@@ -147,3 +149,70 @@ def ref_plain_attention(feats, w, edges, aggregation="sum"):
             agg /= len(srcs)
         out[t] = agg
     return out
+
+
+def incoming_segments(g):
+    """Edge-row indices grouped by target node, one group per node position.
+
+    Empty groups are legal at this level (the layer enforces the
+    nonempty-neighborhood contract).
+    """
+    segs = [[] for _ in range(g.n_nodes)]
+    for e, t in enumerate(g.edge_dst.tolist()):
+        segs[g.pos(t)].append(e)
+    return [np.asarray(s, dtype=np.intp) for s in segs]
+
+
+def ref_segment_softmax(x, segments, grad=None):
+    """List-of-segments softmax of an (rows, c) array, per column.
+
+    Returns the weights, or with ``grad`` the input gradient as well.
+    """
+    out = np.empty_like(x)
+    for seg in segments:
+        ex = np.exp(x[seg] - x[seg].max(axis=0))
+        for c in range(ex.shape[1]):
+            out[seg, c] = ex[:, c] / math.fsum(ex[:, c].tolist())
+    if grad is None:
+        return out
+    dx = np.empty_like(x)
+    for seg in segments:
+        w, gb = out[seg], grad[seg]
+        for c in range(w.shape[1]):
+            dx[seg, c] = w[:, c] * (gb[:, c] - math.fsum((gb[:, c] * w[:, c]).tolist()))
+    return out, dx
+
+
+def ref_segment_reduce(x, segments, mode="mean", grad=None):
+    """List-of-segments row sums or means; with ``grad`` also the input gradient."""
+    out = np.empty((len(segments), x.shape[1]))
+    for i, seg in enumerate(segments):
+        out[i] = [math.fsum(col) for col in x[seg].T.tolist()]
+        if mode == "mean":
+            out[i] /= len(seg)
+    if grad is None:
+        return out
+    dx = np.zeros_like(x)
+    for i, seg in enumerate(segments):
+        dx[seg] = grad[i] / len(seg) if mode == "mean" else grad[i]
+    return out, dx
+
+
+def ref_edge_violation(g):
+    """First missing-endpoint or duplicate-edge fault, found edge by edge.
+
+    Returns (kind, message, edge) or None; endpoints are checked over all
+    edges before duplicates, as ``validate`` does.
+    """
+    known = set(g.node_ids)
+    for s, t in zip(g.edge_src.tolist(), g.edge_dst.tolist()):
+        if s not in known:
+            return ("missing-endpoint", f"edge source {s} is not a node", (s, t))
+        if t not in known:
+            return ("missing-endpoint", f"edge target {t} is not a node", (s, t))
+    pairs = set()
+    for s, t in zip(g.edge_src.tolist(), g.edge_dst.tolist()):
+        if (s, t) in pairs:
+            return ("duplicate-edge", f"edge ({s}, {t}) appears twice", (s, t))
+        pairs.add((s, t))
+    return None

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from _reference import ref_model_forward, ref_plain_attention
+from _reference import incoming_segments, ref_model_forward, ref_plain_attention
 from heatnet.builder import AugmentConfig, BuildConfig
 from heatnet.cli import EXIT_OK, main
 from heatnet.explain import explain_graph, top_k_ids
-from heatnet.hetgraph import DEFAULT_TYPES, TypeSet, incoming_segments
+from heatnet.hetgraph import DEFAULT_TYPES, TypeSet
 from heatnet.layers import HeatLayerParams, layer_forward
 from heatnet.metrics import metric_auc, metric_macro_f1, welch_ttest
 from heatnet.model import Model, ModelConfig, baseline_config

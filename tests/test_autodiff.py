@@ -176,28 +176,38 @@ class TestOps:
 class TestSegmentOps:
     def test_segment_softmax_normalizes_per_segment(self):
         x = Tensor(np.array([[0.0, 1.0], [0.0, 2.0], [5.0, 0.0]]))
-        segs = [np.array([0, 1]), np.array([2])]
-        w = ad.segment_softmax(x, segs).data
+        w = ad.segment_softmax(x, np.array([0, 0, 1]), 2).data
         np.testing.assert_allclose(w[:2].sum(axis=0), [1.0, 1.0], atol=1e-15)
         np.testing.assert_allclose(w[2], [1.0, 1.0])
 
     def test_segment_softmax_empty_segment_rejected(self):
         x = Tensor(np.zeros((2, 1)))
         with pytest.raises(ContractError):
-            ad.segment_softmax(x, [np.array([0, 1]), np.array([], dtype=int)])
+            ad.segment_softmax(x, np.array([0, 0]), 2)
 
     def test_segment_reduce_mean_and_sum(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [10.0, 20.0]]))
-        segs = [np.array([0, 1]), np.array([2])]
-        np.testing.assert_allclose(ad.segment_reduce(x, segs, "mean").data,
+        index = np.array([0, 0, 1])
+        np.testing.assert_allclose(ad.segment_reduce(x, index, 2, "mean").data,
                                    [[2.0, 3.0], [10.0, 20.0]])
-        np.testing.assert_allclose(ad.segment_reduce(x, segs, "sum").data,
+        np.testing.assert_allclose(ad.segment_reduce(x, index, 2, "sum").data,
                                    [[4.0, 6.0], [10.0, 20.0]])
 
     def test_partition_required(self):
+        # the index must give every row exactly one segment
         x = Tensor(np.zeros((3, 1)))
         with pytest.raises(ContractError):
-            ad.segment_reduce(x, [np.array([0, 1])])  # row 2 uncovered
+            ad.segment_reduce(x, np.array([0, 1]), 2)  # row 2 has no segment
+        with pytest.raises(ContractError):
+            ad.segment_softmax(x, np.array([0, 1, 1, 0]), 2)
+
+    def test_index_out_of_range(self):
+        x = Tensor(np.zeros((3, 1)))
+        for index in ([0, 1, 2], [0, -1, 1]):
+            with pytest.raises(ContractError):
+                ad.segment_reduce(x, np.array(index), 2)
+            with pytest.raises(ContractError):
+                ad.segment_softmax(x, np.array(index), 2)
 
 
 class TestDeterminism:
@@ -233,13 +243,15 @@ class TestGradCheck:
         a = Tensor(rng.standard_normal((m, k)), requires_grad=True)
         b = Tensor(rng.standard_normal((k, n)), requires_grad=True)
         c = Tensor(rng.standard_normal((1, n)), requires_grad=True)
-        segs = [np.array([i]) for i in range(int(m))] if m < 3 else [
-            np.arange(m - 2), np.array([m - 2, m - 1])]
+        if m < 3:
+            index, n_segs = np.arange(m), int(m)
+        else:
+            index, n_segs = np.array([0] * (m - 2) + [1, 1]), 2
 
         def f():
             h = ad.leaky_relu(ad.add(ad.matmul(a, b), c), 0.01)
-            w = ad.segment_softmax(h, segs)
-            pooled = ad.segment_reduce(ad.mul(h, w), segs, "mean")
+            w = ad.segment_softmax(h, index, n_segs)
+            pooled = ad.segment_reduce(ad.mul(h, w), index, n_segs, "mean")
             return ad.cross_entropy(ad.reshape(ad.mean_rows(pooled), (int(n),)), 0)
 
         assert ad.grad_check(f, [a, b, c]) < 1e-5

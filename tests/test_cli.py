@@ -2,10 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from heatnet.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
-from heatnet.hetgraph import load_graph, validate
+from heatnet.hetgraph import TypeSet, load_graph, save_graph, validate
+from heatnet.model import Model, ModelConfig
+from heatnet.testing import random_labeled_graph
+from heatnet.train import checkpoint_dict
 
 
 PATCHES = (
@@ -187,6 +191,59 @@ class TestTrainEvalExplain:
     def test_missing_dataset_exits_2(self, tmp_path):
         rc = main(["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
+
+
+def _drop_config_key(doc):
+    del doc["model_config"]["heads"]
+
+
+def _add_config_key(doc):
+    doc["model_config"]["temperature"] = 1.0
+
+
+def _drop_param_data(doc):
+    del next(iter(doc["params"].values()))["data"]
+
+
+def _misfit_param_data(doc):
+    next(iter(doc["params"].values()))["data"].append(0.0)
+
+
+class TestMalformedInputFiles:
+    """Bad checkpoint and manifest documents exit 2 with one line, no traceback."""
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: [1],
+        lambda doc: {"version": 1},
+        _drop_config_key,
+        _add_config_key,
+        _drop_param_data,
+        _misfit_param_data,
+    ], ids=["not-object", "no-model-config", "missing-key", "unknown-key",
+            "param-without-data", "data-misfits-shape"])
+    def test_bad_checkpoint_exits_2(self, tmp_path, capsys, corrupt):
+        types = TypeSet(("a", "b"))
+        g = random_labeled_graph(np.random.default_rng(0), types, n_nodes=4, feature_dim=3)
+        save_graph(g, tmp_path / "g.json")
+        model = Model.init(ModelConfig(feature_dim=3, types=types.names, hidden_dim=4), 0)
+        doc = checkpoint_dict(model, None, 0, 0.0)
+        doc = corrupt(doc) or doc
+        (tmp_path / "ckpt.json").write_text(json.dumps(doc))
+        rc = main(["explain", "--graph", str(tmp_path / "g.json"),
+                   "--checkpoint", str(tmp_path / "ckpt.json"), "--out", str(tmp_path / "x")])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("heatnet: error: input:")
+
+    @pytest.mark.parametrize("manifest", [{"version": 1}, {"files": ["a.json", 3]}, [1]])
+    def test_bad_manifest_exits_2(self, tmp_path, capsys, manifest):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        rc = main(["eval", "--data", str(data), "--cv", "--out", str(tmp_path / "m.json")])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "files" in err[0]
 
 
 class TestGradcheck:

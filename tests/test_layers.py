@@ -126,7 +126,7 @@ class TestLayerForward:
         g = HeteroGraph.from_lists(TYPES3,
                                    nodes=[(0, "no-label", [1.0]), (1, "no-label", [2.0])],
                                    edges=[(0, 1, [0.2])])
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="node 0 has no incoming edges"):
             layer_forward(g, make_params(d_in=1, d_out=2))
 
     def test_attention_rows_sum_to_one(self):
@@ -254,5 +254,5 @@ class TestLayerForward:
 
 
 def _segments(g):
-    from heatnet.hetgraph import incoming_segments
+    from _reference import incoming_segments
     return incoming_segments(g)

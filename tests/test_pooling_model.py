@@ -204,7 +204,7 @@ class TestBaseline:
         np.testing.assert_allclose(out_heat, out_base, atol=1e-10)
 
     def test_baseline_attention_still_normalized(self):
-        from heatnet.hetgraph import incoming_segments
+        from _reference import incoming_segments
         from heatnet.layers import layer_forward
         rng = np.random.default_rng(12)
         g = random_labeled_graph(rng, TYPES3, n_nodes=6, feature_dim=4)
