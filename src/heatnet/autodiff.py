@@ -12,9 +12,15 @@ segment by construction; an index of the wrong length, out of range, or
 leaving a segment empty is a ContractError.
 
 Reductions whose operand order depends on node/edge ordering (segment
-aggregation, per-segment softmax denominators, column means) use exactly
-rounded summation via math.fsum, so their results are independent of row
-permutation. This is what makes node-relabeling equivariance bit-exact.
+aggregation, per-segment softmax denominators and their gradients, column
+means) are exactly rounded, so their results are independent of row
+permutation; this is what makes node-relabeling equivariance bit-exact.
+The segment ops sort rows by segment once and work on whole arrays:
+``np.maximum.reduceat`` for maxima, ``np.repeat`` to broadcast back, and
+one kernel, ``_segment_fsum``, for per-segment column sums. It splits the
+values by error-free extraction into parts that numpy sums exactly,
+certifies that the result is correctly rounded, and sums any cell it
+cannot certify with math.fsum, so every sum equals math.fsum's bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ def no_grad():
 
 
 def _check_finite(arr: Array, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
@@ -311,16 +317,15 @@ def reduce_mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> T
 def mean_rows(a: Tensor) -> Tensor:
     """Column means of a 2-D tensor as a (1, d) row, exactly rounded.
 
-    Using fsum per column makes the result independent of row order, which
-    the pooling layers rely on for permutation equivariance.
+    Exactly rounded column sums make the result independent of row order,
+    which the pooling layers rely on for permutation equivariance.
     """
     if a.data.ndim != 2:
         raise ShapeError(f"mean_rows expects a 2-D tensor, got {a.data.shape}")
-    n, d = a.data.shape
+    n = a.data.shape[0]
     if n == 0:
         raise ShapeError("mean_rows of an empty tensor")
-    cols = a.data.T.tolist()
-    out = np.array([[math.fsum(col) / n for col in cols]])
+    out = _segment_fsum(a.data, np.zeros(1, dtype=np.intp), np.array([n])) / n
 
     def vjp(g):
         return (np.broadcast_to(g / n, a.data.shape).copy(),)
@@ -397,8 +402,11 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
 # segment ops (attention over incoming edges, per-target aggregation)
 # ---------------------------------------------------------------------------
 
-def _segments(index, n_rows: int, n_segments: int, op: str) -> list[Array]:
-    """Row indices of each segment, ascending, from a per-row segment index."""
+def _segments(index, n_rows: int, n_segments: int, op: str) -> tuple[Array, Array, Array]:
+    """Rows sorted by segment from a per-row segment index: (order, starts, counts).
+
+    Segment s is ``order[starts[s]:starts[s] + counts[s]]``, rows ascending.
+    """
     idx = np.asarray(index, dtype=np.intp)
     if idx.shape != (n_rows,):
         raise ContractError(f"{op}: index has shape {idx.shape}, tensor has {n_rows} rows")
@@ -408,9 +416,46 @@ def _segments(index, n_rows: int, n_segments: int, op: str) -> list[Array]:
     if not counts.all():
         raise ContractError(f"{op}: segment {int(np.argmin(counts))} is empty "
                             "(node without incoming edges)")
-    order = np.argsort(idx, kind="stable")
-    ends = np.cumsum(counts).tolist()
-    return [order[start:end] for start, end in zip([0] + ends[:-1], ends)]
+    return np.argsort(idx, kind="stable"), np.cumsum(counts) - counts, counts
+
+
+def _segment_fsum(xs: Array, starts: Array, counts: Array) -> Array:
+    """Exactly rounded column sums of the row segments of ``xs``, as math.fsum.
+
+    Segment s is rows ``starts[s]:starts[s] + counts[s]``. Two error-free
+    extraction passes (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 2008) split
+    every value into a part on a grid fixed per segment and column, whose sum
+    is exact in any order, and a remainder. TwoSum turns the two exact sums
+    into hi + lo. hi is the correctly rounded total when the remainders are
+    all zero, or when |lo| plus a bound on the remainders' total stays below
+    half the gap at hi. Any cell without that certificate (extreme dynamic
+    range, overflow) is summed by math.fsum, so the result is fsum's byte for
+    byte.
+    """
+    scale = int(counts.max(initial=0) + 1).bit_length()  # 2**scale >= every count + 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        rest, tau = xs, []
+        for _ in range(2):
+            mu = np.maximum.reduceat(np.abs(rest), starts, axis=0)
+            sigma = np.repeat(np.ldexp(2.0 ** scale, np.frexp(mu)[1]), counts, axis=0)
+            q = (sigma + rest) - sigma
+            rest = rest - q
+            tau.append(np.add.reduceat(q, starts, axis=0))
+        hi = tau[0] + tau[1]
+        z = hi - tau[0]
+        lo = (tau[0] - (hi - z)) + (tau[1] - z)
+        # r_abs * (1 + 2**(scale - 51)), rounded, is at least the exact sum of |rest|.
+        r_abs = np.add.reduceat(np.abs(rest), starts, axis=0)
+        bound = np.abs(lo) + r_abs * (1.0 + 2.0 ** (scale - 51))
+        # The gap toward zero is the smaller one; shrinking its half by a
+        # factor 1 - 2**-50 absorbs the rounding in ``bound``.
+        mag = np.abs(hi)
+        gap = mag - np.nextafter(mag, 0.0)
+        ok = np.isfinite(hi) & ((r_abs == 0.0) | (bound < gap * (0.5 - 2.0 ** -51)))
+    if not ok.all():
+        for s, c in zip(*np.nonzero(~ok)):
+            hi[s, c] = math.fsum(xs[starts[s]:starts[s] + counts[s], c].tolist())
+    return hi
 
 
 def segment_softmax(x: Tensor, index, n_segments: int) -> Tensor:
@@ -421,22 +466,18 @@ def segment_softmax(x: Tensor, index, n_segments: int) -> Tensor:
     """
     if x.data.ndim != 2:
         raise ShapeError(f"segment_softmax expects a 2-D tensor, got {x.data.shape}")
-    segs = _segments(index, x.data.shape[0], n_segments, "segment_softmax")
+    order, starts, counts = _segments(index, x.data.shape[0], n_segments, "segment_softmax")
+    xs = x.data[order]
+    ex = np.exp(xs - np.repeat(np.maximum.reduceat(xs, starts, axis=0), counts, axis=0))
+    ws = ex / np.repeat(_segment_fsum(ex, starts, counts), counts, axis=0)
     out = np.empty_like(x.data)
-    for seg in segs:
-        block = x.data[seg]
-        ex = np.exp(block - block.max(axis=0))
-        for c in range(ex.shape[1]):
-            out[seg, c] = ex[:, c] / math.fsum(ex[:, c].tolist())
+    out[order] = ws
 
     def vjp(g):
+        gs = g[order]
+        dots = np.repeat(_segment_fsum(gs * ws, starts, counts), counts, axis=0)
         dx = np.empty_like(x.data)
-        for seg in segs:
-            w = out[seg]
-            gb = g[seg]
-            for c in range(w.shape[1]):
-                dot = math.fsum((gb[:, c] * w[:, c]).tolist())
-                dx[seg, c] = w[:, c] * (gb[:, c] - dot)
+        dx[order] = ws * (gs - dots)
         return (dx,)
 
     return _make(out, (x,), vjp, "segment_softmax")
@@ -448,22 +489,15 @@ def segment_reduce(x: Tensor, index, n_segments: int, mode: str = "mean") -> Ten
         raise ShapeError(f"segment_reduce expects a 2-D tensor, got {x.data.shape}")
     if mode not in ("mean", "sum"):
         raise ConfigError(f"unknown segment_reduce mode {mode!r}")
-    segs = _segments(index, x.data.shape[0], n_segments, "segment_reduce")
-    d = x.data.shape[1]
-    out = np.empty((n_segments, d))
-    for i, seg in enumerate(segs):
-        cols = x.data[seg].T.tolist()
-        row = [math.fsum(col) for col in cols]
-        out[i] = row
-        if mode == "mean":
-            out[i] /= len(seg)
+    idx = np.asarray(index, dtype=np.intp)
+    order, starts, counts = _segments(idx, x.data.shape[0], n_segments, "segment_reduce")
+    out = _segment_fsum(x.data[order], starts, counts)
+    if mode == "mean":
+        out /= counts[:, None]
 
     def vjp(g):
-        dx = np.zeros_like(x.data)
-        for i, seg in enumerate(segs):
-            gi = g[i] / len(seg) if mode == "mean" else g[i]
-            dx[seg] = gi
-        return (dx,)
+        gi = g / counts[:, None] if mode == "mean" else g
+        return (gi[idx],)
 
     return _make(out, (x,), vjp, "segment_reduce")
 

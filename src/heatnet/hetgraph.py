@@ -345,6 +345,14 @@ def to_json_dict(g: HeteroGraph) -> dict:
     }
 
 
+def _integral(v) -> int:
+    """A JSON number with an int64 integer value as int; else ValueError/TypeError/OverflowError."""
+    n = int(v)
+    if n != v or not -2**63 <= n < 2**63:
+        raise ValueError(f"{v!r} is not a 64-bit integer")
+    return n
+
+
 def from_json_dict(d: dict) -> HeteroGraph:
     """Parse the graph format; unknown top-level keys are ignored.
 
@@ -362,8 +370,12 @@ def from_json_dict(d: dict) -> HeteroGraph:
         types = TypeSet(tuple(str(t) for t in d["types"]))
         raw_nodes = d["nodes"]
         raw_edges = d["edges"]
-    except (KeyError, ConfigError, TypeError) as exc:
+        label = d.get("label")
+        label = None if label is None else _integral(label)
+    except (KeyError, ConfigError, TypeError, ValueError, OverflowError) as exc:
         raise GraphValidationError(Violation("format", f"malformed graph document: {exc}")) from exc
+    if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
+        raise GraphValidationError(Violation("format", "graph nodes and edges must be JSON lists"))
 
     ids: list[int] = []
     type_idx: list[int] = []
@@ -372,10 +384,12 @@ def from_json_dict(d: dict) -> HeteroGraph:
     feat_dim: int | None = None
     for nd in raw_nodes:
         try:
-            nid = int(nd["id"])
+            nid = _integral(nd["id"])
             tname = nd["type"]
             feat = [float(v) for v in nd["feat"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            x, y = nd.get("x"), nd.get("y")
+            xy = (_integral(x), _integral(y)) if x is not None and y is not None else None
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GraphValidationError(Violation("format", f"malformed node record: {exc}")) from exc
         if tname not in types:
             raise GraphValidationError(Violation("unknown-type", f"node type {tname!r} not in type set", node_id=nid))
@@ -386,8 +400,7 @@ def from_json_dict(d: dict) -> HeteroGraph:
                 "mixed-feature-dim",
                 f"node feature has dimension {len(feat)}, expected {feat_dim}",
                 node_id=nid))
-        x, y = nd.get("x"), nd.get("y")
-        coords.append((int(x), int(y)) if x is not None and y is not None else None)
+        coords.append(xy)
         ids.append(nid)
         type_idx.append(types.index(tname))
         feats.append(feat)
@@ -402,9 +415,9 @@ def from_json_dict(d: dict) -> HeteroGraph:
     attr_dim: int | None = None
     for ed in raw_edges:
         try:
-            s, t = int(ed["src"]), int(ed["dst"])
+            s, t = _integral(ed["src"]), _integral(ed["dst"])
             attr = [float(v) for v in ed["attr"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GraphValidationError(Violation("format", f"malformed edge record: {exc}")) from exc
         if attr_dim is None:
             attr_dim = len(attr)
@@ -415,7 +428,6 @@ def from_json_dict(d: dict) -> HeteroGraph:
         dsts.append(t)
         attrs.append(attr)
 
-    label = d.get("label")
     n = len(ids)
     g = HeteroGraph(
         types=types,
@@ -425,7 +437,7 @@ def from_json_dict(d: dict) -> HeteroGraph:
         edge_src=np.asarray(srcs, dtype=np.intp),
         edge_dst=np.asarray(dsts, dtype=np.intp),
         edge_attrs=np.asarray(attrs, dtype=np.float64).reshape(len(srcs), attr_dim or 0),
-        label=None if label is None else int(label),
+        label=label,
         coords=np.asarray(coords, dtype=np.int64) if n and all(has_coords) else None,
     )
     v = validate(g)

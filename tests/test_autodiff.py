@@ -1,6 +1,7 @@
 """Tensor engine: op semantics, backward correctness, gradient checking."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from heatnet import autodiff as ad
 from heatnet.autodiff import Tensor
 from heatnet.errors import ConfigError, ContractError, NonFiniteError, ShapeError
+from heatnet.testing import random_labeled_graph
 
 
 class TestMatmul:
@@ -208,6 +210,49 @@ class TestSegmentOps:
                 ad.segment_reduce(x, np.array(index), 2)
             with pytest.raises(ContractError):
                 ad.segment_softmax(x, np.array(index), 2)
+
+
+class TestExactSums:
+    """The certified segment sums equal math.fsum and rarely need it."""
+
+    def test_ordinary_data_never_falls_back_to_fsum(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        g = random_labeled_graph(rng, n_nodes=1000, feature_dim=1, extra_edge_prob=0.005)
+        index = g.edge_pos[1]
+        x = Tensor(rng.standard_normal((g.n_edges, 4)), requires_grad=True)
+        head = Tensor(rng.standard_normal((4, 1)))
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda values: calls.append(1) or fsum(values))
+        w = ad.segment_softmax(x, index, g.n_nodes)
+        mean = ad.segment_reduce(ad.mul(w, x), index, g.n_nodes, "mean")
+        total = ad.segment_reduce(x, index, g.n_nodes, "sum")
+        pooled = ad.mean_rows(ad.add(mean, total))
+        ad.backward(ad.matmul(pooled, head))
+        assert x.grad is not None
+        assert calls == []
+
+    @pytest.mark.parametrize("values, expected", [
+        # 1 + 2**-53 is a tie that rounds to 1, but the 2**-1000 remainder
+        # lifts the exact sum above it.
+        ([1.0, 2.0**-53, 2.0**-1000], 1.0 + 2.0**-52),
+        # The extracted parts sum to just above the midpoint below 1; five
+        # remainders of -2**-105 together pull the exact sum under it.
+        ([1.0, -2.0**-54 + 2.0**-103] + [-2.0**-105] * 5, 1.0 - 2.0**-53),
+    ], ids=["tie-broken-by-remainder", "remainders-cross-midpoint"])
+    def test_uncertified_cell_is_summed_by_fsum(self, values, expected):
+        x = Tensor(np.array(values)[:, None])
+        out = ad.segment_reduce(x, np.zeros(len(values), dtype=np.intp), 1, "sum").data
+        assert out[0, 0] == expected == math.fsum(values)
+
+    def test_overflow_matches_fsum_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                ad.segment_reduce(Tensor([[1e308], [1e308]]), np.array([0, 0]), 1, "sum")
+            out = ad.segment_reduce(Tensor(np.full((12, 1), 1e307)),
+                                    np.zeros(12, dtype=np.intp), 1, "sum")
+        assert out.data[0, 0] == 1.2e308
 
 
 class TestDeterminism:

@@ -209,8 +209,50 @@ def _misfit_param_data(doc):
     next(iter(doc["params"].values()))["data"].append(0.0)
 
 
+def _set_node_field(key, value):
+    def corrupt(doc):
+        doc["nodes"][1].update({"x": 0, "y": 0, key: value})
+    return corrupt
+
+
+def _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_graph=None, corrupt_ckpt=None):
+    types = TypeSet(("a", "b"))
+    g = random_labeled_graph(np.random.default_rng(0), types, n_nodes=4, feature_dim=3)
+    save_graph(g, tmp_path / "g.json")
+    if corrupt_graph is not None:
+        doc = json.loads((tmp_path / "g.json").read_text())
+        corrupt_graph(doc)
+        (tmp_path / "g.json").write_text(json.dumps(doc))
+    model = Model.init(ModelConfig(feature_dim=3, types=types.names, hidden_dim=4), 0)
+    doc = checkpoint_dict(model, None, 0, 0.0)
+    if corrupt_ckpt is not None:
+        doc = corrupt_ckpt(doc) or doc
+    (tmp_path / "ckpt.json").write_text(json.dumps(doc))
+    rc = main(["explain", "--graph", str(tmp_path / "g.json"),
+               "--checkpoint", str(tmp_path / "ckpt.json"), "--out", str(tmp_path / "x")])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("heatnet: error: input:")
+
+
 class TestMalformedInputFiles:
-    """Bad checkpoint and manifest documents exit 2 with one line, no traceback."""
+    """Bad graph, checkpoint and manifest documents exit 2 with one line, no traceback."""
+
+    @pytest.mark.parametrize("corrupt", [
+        _set_node_field("x", "a"),
+        lambda doc: doc.update(label="z"),
+        lambda doc: doc.update(label=[1]),
+        lambda doc: doc.update(nodes=5),
+        lambda doc: doc.update(edges=None),
+        lambda doc: doc["nodes"][1].update(id=doc["nodes"][1]["id"] + 0.5),
+        _set_node_field("y", 0.5),
+        lambda doc: doc["edges"][0].update(dst=1.5),
+        lambda doc: doc.update(label=1.5),
+        lambda doc: doc["nodes"][1].update(id=2**63),
+    ], ids=["x-not-number", "label-string", "label-list", "nodes-not-list", "edges-null",
+            "id-fraction", "y-fraction", "dst-fraction", "label-fraction", "id-beyond-int64"])
+    def test_bad_graph_exits_2(self, tmp_path, capsys, corrupt):
+        _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_graph=corrupt)
 
     @pytest.mark.parametrize("corrupt", [
         lambda doc: [1],
@@ -222,18 +264,7 @@ class TestMalformedInputFiles:
     ], ids=["not-object", "no-model-config", "missing-key", "unknown-key",
             "param-without-data", "data-misfits-shape"])
     def test_bad_checkpoint_exits_2(self, tmp_path, capsys, corrupt):
-        types = TypeSet(("a", "b"))
-        g = random_labeled_graph(np.random.default_rng(0), types, n_nodes=4, feature_dim=3)
-        save_graph(g, tmp_path / "g.json")
-        model = Model.init(ModelConfig(feature_dim=3, types=types.names, hidden_dim=4), 0)
-        doc = checkpoint_dict(model, None, 0, 0.0)
-        doc = corrupt(doc) or doc
-        (tmp_path / "ckpt.json").write_text(json.dumps(doc))
-        rc = main(["explain", "--graph", str(tmp_path / "g.json"),
-                   "--checkpoint", str(tmp_path / "ckpt.json"), "--out", str(tmp_path / "x")])
-        assert rc == EXIT_INPUT
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("heatnet: error: input:")
+        _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_ckpt=corrupt)
 
     @pytest.mark.parametrize("manifest", [{"version": 1}, {"files": ["a.json", 3]}, [1]])
     def test_bad_manifest_exits_2(self, tmp_path, capsys, manifest):

@@ -75,28 +75,65 @@ def test_unknown_endpoint_raises_lookup_error(g, data):
         bad.edge_pos
 
 
+VALUE_KINDS = ["normal", "binade", "pairs", "subnormal", "wide", "ties"]
+
+
+def _values(kind, rng, shape):
+    """Adversarial float64 inputs for the exactly rounded segment sums.
+
+    binade: one binade, so every rounding error is exactly half an ulp;
+    pairs: x/-x pairs and signed zeros; subnormal: multiples of 2**-1074
+    below 2**-1054; wide: magnitudes from 2**-1000 to 2**1000; ties: ones,
+    half-ulps of 1 and 2**-1000, whose sums are often a tie broken by the
+    tiny remainder, which the summation kernel cannot certify and hands to
+    math.fsum.
+    """
+    if kind == "normal":
+        return rng.standard_normal(shape) * 4.0
+    if kind == "binade":
+        return rng.choice([-1.0, 1.0], shape) * (1.0 + rng.integers(0, 2**52, shape) * 2.0**-52)
+    if kind == "pairs":
+        return rng.choice([1.5, -1.5, 2.0**-30, -2.0**-30, 0.0, -0.0], shape)
+    if kind == "subnormal":
+        return rng.integers(-2**20, 2**20, shape) * 2.0**-1074
+    if kind == "wide":
+        return (rng.choice([-1.0, 1.0], shape)
+                * np.ldexp(rng.random(shape) + 0.5, rng.integers(-1000, 1000, shape)))
+    return rng.choice([1.0, 2.0**-53, 2.0**-1000], shape)
+
+
 @PROPERTY
-@given(graphs(), st.integers(1, 3), st.sampled_from(["mean", "sum"]), st.integers(0, 2**32 - 1))
-def test_segment_ops_match_list_form_bitwise(g, cols, mode, seed):
+@given(graphs(), st.integers(1, 3), st.sampled_from(["mean", "sum"]),
+       st.sampled_from(VALUE_KINDS), st.sampled_from([0, 200, 257]), st.integers(0, 2**32 - 1))
+def test_segment_ops_match_list_form_bitwise(g, cols, mode, kind, extra, seed):
+    """Values and gradients equal the fsum loops byte for byte (so -0.0 != 0.0).
+
+    ``extra`` rows all join one target's segment; without them every
+    segment is a node's in-edges, often a single self-loop.
+    """
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((g.n_edges, cols)) * 4.0
-    upstream = rng.standard_normal((g.n_edges, cols))
     index, segs = g.edge_pos[1], incoming_segments(g)
+    if extra:
+        big = int(rng.integers(g.n_nodes))
+        index = np.concatenate([index, np.full(extra, big)])
+        segs[big] = np.concatenate([segs[big], np.arange(g.n_edges, g.n_edges + extra)])
+    x = _values(kind, rng, (len(index), cols))
+    upstream = _values(kind, rng, (len(index), cols))
 
     xt = Tensor(x.copy(), requires_grad=True)
     w = ad.segment_softmax(xt, index, g.n_nodes)
     ad.backward(ad.reduce_sum(ad.mul(w, Tensor(upstream))))
     ref_w, ref_dx = ref_segment_softmax(x, segs, grad=upstream)
-    assert np.array_equal(w.data, ref_w)
-    assert np.array_equal(xt.grad, ref_dx)
+    assert w.data.tobytes() == ref_w.tobytes()
+    assert xt.grad.tobytes() == ref_dx.tobytes()
 
     upstream = rng.standard_normal((g.n_nodes, cols))
     xt = Tensor(x.copy(), requires_grad=True)
     out = ad.segment_reduce(xt, index, g.n_nodes, mode)
     ad.backward(ad.reduce_sum(ad.mul(out, Tensor(upstream))))
     ref_out, ref_dx = ref_segment_reduce(x, segs, mode, grad=upstream)
-    assert np.array_equal(out.data, ref_out)
-    assert np.array_equal(xt.grad, ref_dx)
+    assert out.data.tobytes() == ref_out.tobytes()
+    assert xt.grad.tobytes() == ref_dx.tobytes()
 
 
 def _inject_faults(g, data, kinds):
