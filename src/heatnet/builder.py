@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -123,32 +122,71 @@ def majority_vote_type(counts: dict[str, int] | None, types: TypeSet = DEFAULT_T
     return best_name
 
 
-def _similarity_matrix(feats: np.ndarray, metric: str) -> np.ndarray:
+# Byte budget of one row tile of the similarity matrix: knn_edges holds a
+# few tiles at a time, so its memory is O(tile * n) instead of O(n^2).
+_TILE_BYTES = 8 * 2**20
+
+
+def _row_tiles(n: int) -> list[tuple[int, int]]:
+    """Row ranges [a, b) of at least three rows, covering 0..n-1 in order.
+
+    A matrix that fits the budget is one tile. BLAS computes a one-row
+    product with gemv, which rounds differently from the matrix kernels of
+    taller tiles, so a last tile of one or two rows is folded into the
+    previous one.
+    """
+    rows = max(3, _TILE_BYTES // (8 * n))
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] < 3:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _similarity_tiles(feats: np.ndarray, metric: str):
+    """Yield (a, b, sims) with sims the rows a..b-1 of the n x n similarity matrix.
+
+    Cosine similarity of unit vectors, with zero vectors at similarity 0 to
+    everything; "euclidean" is the negative Euclidean distance. Each tile
+    is the dense expression restricted to its rows.
+    """
     if metric == "cosine":
         norms = np.linalg.norm(feats, axis=1)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        unit = feats / safe[:, None]
-        sims = unit @ unit.T
-        # zero vectors are defined to have similarity 0 with everything
         zero = norms == 0.0
-        sims[zero, :] = 0.0
-        sims[:, zero] = 0.0
-        return sims
-    # negative Euclidean distance
+        unit = feats / np.where(zero, 1.0, norms)[:, None]
+        for a, b in _row_tiles(len(feats)):
+            sims = unit[a:b] @ unit.T
+            sims[zero[a:b], :] = 0.0
+            sims[:, zero] = 0.0
+            yield a, b, sims
+        return
     sq = np.sum(feats ** 2, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (feats @ feats.T), 0.0)
-    return -np.sqrt(d2)
+    for a, b in _row_tiles(len(feats)):
+        prod = feats[a:b] @ feats.T
+        prod *= 2.0
+        d2 = sq[a:b, None] + sq[None, :]
+        d2 -= prod
+        del prod
+        np.maximum(d2, 0.0, out=d2)
+        np.sqrt(d2, out=d2)
+        yield a, b, np.negative(d2, out=d2)
 
 
 def knn_edges(features: Sequence[np.ndarray] | np.ndarray, k: int,
               metric: str = "cosine", symmetric: bool = True) -> list[tuple[int, int]]:
-    """Directed k-NN edges over node positions 0..n-1.
+    """Directed k-NN edges over node positions 0..n-1, by exact brute force.
 
     For each node v the k most similar other nodes u are selected (ties
-    broken by lower node index) and an edge u -> v is added, so v
-    aggregates from the neighbors it chose. With ``symmetric`` both
-    directions are inserted and duplicates collapsed. The edge list is
-    sorted by (src, dst).
+    broken by lower node index, also at the k-th place) and an edge u -> v
+    is added, so v aggregates from the neighbors it chose. With
+    ``symmetric`` both directions are inserted and duplicates collapsed.
+    The edge list is sorted by (src, dst).
+
+    Similarities are computed one row tile at a time (``_TILE_BYTES`` per
+    tile) and each row's k-th largest value is found with a partition, so
+    memory is O(tile * n) rather than the dense n x n matrix. Up to 1024
+    nodes the matrix is one tile, the dense product itself; with several
+    tiles BLAS may round some entries differently in the last bits, so an
+    exact tie there can be broken differently than the dense product would.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
@@ -156,19 +194,50 @@ def knn_edges(features: Sequence[np.ndarray] | np.ndarray, k: int,
     n = feats.shape[0]
     if k >= n:
         raise ConfigError(f"k={k} must be smaller than the node count {n}")
-    sims = _similarity_matrix(feats, metric)
-    idx = np.arange(n)
-    pairs: set[tuple[int, int]] = set()
-    for v in range(n):
-        row = sims[v].copy()
-        row[v] = -np.inf
-        # highest similarity first, ties by lower node index
-        order = np.lexsort((idx, -row))
-        for u in order[:k]:
-            pairs.add((int(u), v))
-            if symmetric:
-                pairs.add((v, int(u)))
-    return sorted(pairs)
+    keys = []
+    for a, b, sims in _similarity_tiles(feats, metric):
+        diag = np.arange(b - a)
+        sims[diag, a + diag] = -np.inf
+        kth = np.partition(sims, n - k, axis=1)[:, n - k, None]
+        take = sims > kth
+        tied = sims == kth
+        # the tied values fill the places left after the strictly larger ones
+        need = k - take.sum(axis=1)
+        over = np.nonzero(tied.sum(axis=1) > need)[0]
+        if len(over):
+            tied[over] &= np.cumsum(tied[over], axis=1) <= need[over, None]
+        take |= tied
+        rows, cols = np.nonzero(take)
+        keys.append(cols * n + (a + rows))
+    keys = np.concatenate(keys)
+    if symmetric:
+        keys = np.concatenate([keys, (keys % n) * n + keys // n])
+    keys = np.unique(keys)
+    return list(zip((keys // n).tolist(), (keys % n).tolist()))
+
+
+def _pearson(feats: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Sample Pearson correlation of rows ``src[i]`` and ``dst[i]`` of ``feats``, per i.
+
+    A constant row has undefined correlation and maps to 0; rows whose
+    centred values are equal (or negated) give exactly 1 (or -1); every
+    other value is clamped to [-1, 1]. Edges go in chunks of
+    ``_TILE_BYTES`` per gathered row block.
+    """
+    centred = feats - feats.mean(axis=1, keepdims=True)
+    norms = np.sqrt(np.sum(centred * centred, axis=1))
+    r = np.empty(len(src))
+    step = max(1, _TILE_BYTES // (8 * feats.shape[1]))
+    for i in range(0, len(src), step):
+        s, t = src[i:i + step], dst[i:i + step]
+        a, b = centred[s], centred[t]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.clip(np.sum(a * b, axis=1) / (norms[s] * norms[t]), -1.0, 1.0)
+        c[(a == b).all(axis=1)] = 1.0
+        c[(a == -b).all(axis=1)] = -1.0
+        c[(norms[s] == 0.0) | (norms[t] == 0.0)] = 0.0
+        r[i:i + step] = c
+    return r
 
 
 def pearson_edge_attr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -183,19 +252,7 @@ def pearson_edge_attr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ShapeError(f"dimension mismatch: {x.shape} vs {y.shape}")
     if x.ndim != 1 or x.shape[0] < 2:
         raise ShapeError(f"pearson needs 1-D vectors with at least 2 entries, got {x.shape}")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = math.sqrt(float(dx @ dx))
-    sy = math.sqrt(float(dy @ dy))
-    if sx == 0.0 or sy == 0.0:
-        return np.array([0.0])
-    # exact +-1 for (anti)proportional centered vectors, sidestepping sqrt ulps
-    if np.array_equal(dx, dy):
-        return np.array([1.0])
-    if np.array_equal(dx, -dy):
-        return np.array([-1.0])
-    r = float(dx @ dy) / (sx * sy)
-    return np.array([min(1.0, max(-1.0, r))])
+    return _pearson(np.stack([x, y]), np.array([0]), np.array([1]))
 
 
 def build_graph(patches: Sequence[PatchRecord], cfg: BuildConfig,
@@ -204,12 +261,21 @@ def build_graph(patches: Sequence[PatchRecord], cfg: BuildConfig,
 
     Node ids are 0..n-1 in patch order. Self-loops (when enabled) carry the
     attribute [1.0], the correlation of a non-constant vector with itself.
+    Features must be finite and of one shape (ConfigError, ShapeError).
     """
     if not patches:
         raise ConfigError("cannot build a graph from zero patches")
+    shape = patches[0].feature.shape
+    if len(shape) != 1:
+        raise ShapeError(f"patch {patches[0].id}: feature must be a vector, got shape {shape}")
+    for p in patches:
+        if p.feature.shape != shape:
+            raise ShapeError(f"patch {p.id}: feature shape {p.feature.shape} differs from "
+                             f"{shape} of patch {patches[0].id}")
     feats = np.asarray([p.feature for p in patches], dtype=np.float64)
-    if feats.ndim != 2:
-        raise ShapeError("patch features do not share a common dimension")
+    finite = np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"patch {patches[int(np.argmin(finite))].id}: feature is not finite")
 
     if cfg.typing == "kmeans":
         labels = kmeans_typing(feats, cfg.kmeans_k, cfg.seed)
@@ -226,31 +292,27 @@ def build_graph(patches: Sequence[PatchRecord], cfg: BuildConfig,
         type_idx = np.asarray([types.index(nm) for nm in names], dtype=np.intp)
 
     n = len(patches)
-    if n == 1:
-        pairs: list[tuple[int, int]] = []
-    else:
-        pairs = knn_edges(feats, cfg.k, cfg.metric, cfg.symmetric_edges)
+    pairs = np.array(knn_edges(feats, cfg.k, cfg.metric, cfg.symmetric_edges) if n > 1 else [],
+                     dtype=np.int64).reshape(-1, 2)
+    keys = pairs[:, 0] * n + pairs[:, 1]
     if cfg.add_self_loops:
-        pairs = sorted(set(pairs) | {(i, i) for i in range(n)})
+        keys = np.union1d(keys, np.arange(n) * (n + 1))
+    src, dst = keys // n, keys % n
 
-    attr_cache: dict[tuple[int, int], float] = {}
-    attrs = np.empty((len(pairs), 1), dtype=np.float64)
-    for i, (s, t) in enumerate(pairs):
-        if s == t:
-            attrs[i, 0] = 1.0
-            continue
-        key = (min(s, t), max(s, t))
-        if key not in attr_cache:
-            attr_cache[key] = float(pearson_edge_attr(feats[s], feats[t])[0])
-        attrs[i, 0] = attr_cache[key]
+    attrs = np.ones((len(keys), 1), dtype=np.float64)
+    off = src != dst
+    if off.any():
+        if feats.shape[1] < 2:
+            raise ShapeError(f"pearson needs at least 2 feature entries, got {feats.shape[1]}")
+        attrs[off, 0] = _pearson(feats, src[off], dst[off])
 
     g = HeteroGraph(
         types=types,
         node_ids=tuple(range(n)),
         node_types=type_idx,
         features=feats,
-        edge_src=np.asarray([p[0] for p in pairs], dtype=np.intp),
-        edge_dst=np.asarray([p[1] for p in pairs], dtype=np.intp),
+        edge_src=src.astype(np.intp),
+        edge_dst=dst.astype(np.intp),
         edge_attrs=attrs,
         label=None,
         coords=np.asarray([(p.x, p.y) for p in patches], dtype=np.int64),

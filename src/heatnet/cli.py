@@ -32,7 +32,7 @@ from .errors import (
     TrainingError,
 )
 from .explain import explain_graph, export_heatmap
-from .hetgraph import DEFAULT_TYPES, TypeSet, load_graph, save_graph
+from .hetgraph import DEFAULT_TYPES, TypeSet, _write_json, load_graph, save_graph
 from .model import Model, ModelConfig
 from .seeding import rng_for
 from .synth import synth_generate
@@ -181,9 +181,7 @@ def cmd_synth(args, cfg: RunConfig) -> int:
         "critical": [list(r.critical) for r in dataset.records],
         "provenance": prov,
     }
-    with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    _write_json(os.path.join(out, "manifest.json"), manifest)
     print(f"wrote {len(files)} graphs to {out}")
     return EXIT_OK
 
@@ -240,9 +238,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             "per_fold": [{"fold": args.fold, **metrics}],
         }
     report["provenance"] = prov
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    _write_json(out, report)
     print(f"auc={report['auc']:.4f} accuracy={report['accuracy']:.4f} "
           f"macro_f1={report['macro_f1']:.4f}")
     print(f"wrote {out}")

@@ -11,12 +11,11 @@ Ranking uses |delta|.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 from . import autodiff as ad
 from .errors import AttributionError, ExportError
-from .hetgraph import HeteroGraph, remove_node
+from .hetgraph import HeteroGraph, _write_json, remove_node
 from .model import Model
 
 
@@ -128,9 +127,7 @@ def export_heatmap(attr: Attribution, csv_path, json_path=None, *,
                    for e in attr.entries if e.error is not None],
         "provenance": provenance or {},
     }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    _write_json(json_path, summary)
 
 
 def parse_heatmap_csv(path) -> list[tuple[int, int, int, float]]:

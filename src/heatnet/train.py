@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .builder import AugmentConfig, augment
 from .errors import ConfigError, NonFiniteError, TrainingError
-from .hetgraph import HeteroGraph
+from .hetgraph import HeteroGraph, _write_json
 from .metrics import accuracy, metric_auc_macro, metric_macro_f1
 from .model import Model, ModelConfig
 from .seeding import rng_for
@@ -281,9 +281,7 @@ def checkpoint_dict(model: Model, provenance: dict | None, epoch: int,
 def save_checkpoint(path, model: Model, provenance: dict | None = None,
                     epoch: int = 0, val_loss: float = float("nan")) -> None:
     doc = checkpoint_dict(model, provenance, epoch, val_loss)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:

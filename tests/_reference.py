@@ -4,12 +4,16 @@ These recompute the layer, pooling, and full-model forward passes with
 plain Python loops over raw numpy parameter arrays, independently of the
 autodiff path they are checked against. The slow paths that the package
 replaced (per-edge id lookups, list-of-segments segment ops, the per-edge
-validation loops) are kept here as oracles for the fast ones.
+validation loops, the dense k-NN and the per-edge Pearson loop of graph
+construction) are kept here as oracles for the fast ones.
 """
 
 import math
+from typing import Sequence
 
 import numpy as np
+
+from heatnet.errors import ConfigError, ShapeError
 
 
 def ref_layer_forward(feats, type_idx, edges, attrs, w_node, w_edge, heads,
@@ -216,3 +220,93 @@ def ref_edge_violation(g):
             return ("duplicate-edge", f"edge ({s}, {t}) appears twice", (s, t))
         pairs.add((s, t))
     return None
+
+
+def _similarity_matrix(feats: np.ndarray, metric: str) -> np.ndarray:
+    if metric == "cosine":
+        norms = np.linalg.norm(feats, axis=1)
+        safe = np.where(norms == 0.0, 1.0, norms)
+        unit = feats / safe[:, None]
+        sims = unit @ unit.T
+        # zero vectors are defined to have similarity 0 with everything
+        zero = norms == 0.0
+        sims[zero, :] = 0.0
+        sims[:, zero] = 0.0
+        return sims
+    # negative Euclidean distance
+    sq = np.sum(feats ** 2, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (feats @ feats.T), 0.0)
+    return -np.sqrt(d2)
+
+
+def ref_knn_edges(features: Sequence[np.ndarray] | np.ndarray, k: int,
+                  metric: str = "cosine", symmetric: bool = True) -> list[tuple[int, int]]:
+    """Directed k-NN edges over node positions 0..n-1.
+
+    For each node v the k most similar other nodes u are selected (ties
+    broken by lower node index) and an edge u -> v is added, so v
+    aggregates from the neighbors it chose. With ``symmetric`` both
+    directions are inserted and duplicates collapsed. The edge list is
+    sorted by (src, dst).
+    """
+    feats = np.asarray(features, dtype=np.float64)
+    if feats.ndim != 2:
+        raise ShapeError(f"features must be (n, d), got {feats.shape}")
+    n = feats.shape[0]
+    if k >= n:
+        raise ConfigError(f"k={k} must be smaller than the node count {n}")
+    sims = _similarity_matrix(feats, metric)
+    idx = np.arange(n)
+    pairs: set[tuple[int, int]] = set()
+    for v in range(n):
+        row = sims[v].copy()
+        row[v] = -np.inf
+        # highest similarity first, ties by lower node index
+        order = np.lexsort((idx, -row))
+        for u in order[:k]:
+            pairs.add((int(u), v))
+            if symmetric:
+                pairs.add((v, int(u)))
+    return sorted(pairs)
+
+
+def ref_pearson_edge_attr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sample Pearson correlation of two feature vectors as a length-1 attr.
+
+    The coordinates are treated as paired samples. Constant vectors have
+    undefined correlation and map to 0; the result is clamped to [-1, 1].
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ShapeError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    if x.ndim != 1 or x.shape[0] < 2:
+        raise ShapeError(f"pearson needs 1-D vectors with at least 2 entries, got {x.shape}")
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sx = math.sqrt(float(dx @ dx))
+    sy = math.sqrt(float(dy @ dy))
+    if sx == 0.0 or sy == 0.0:
+        return np.array([0.0])
+    # exact +-1 for (anti)proportional centered vectors, sidestepping sqrt ulps
+    if np.array_equal(dx, dy):
+        return np.array([1.0])
+    if np.array_equal(dx, -dy):
+        return np.array([-1.0])
+    r = float(dx @ dy) / (sx * sy)
+    return np.array([min(1.0, max(-1.0, r))])
+
+
+def ref_edge_attrs(feats, pairs):
+    """Pearson attribute of each (s, t) pair, edge by edge; self-loops carry 1.0."""
+    attr_cache: dict[tuple[int, int], float] = {}
+    attrs = np.empty((len(pairs), 1), dtype=np.float64)
+    for i, (s, t) in enumerate(pairs):
+        if s == t:
+            attrs[i, 0] = 1.0
+            continue
+        key = (min(s, t), max(s, t))
+        if key not in attr_cache:
+            attr_cache[key] = float(ref_pearson_edge_attr(feats[s], feats[t])[0])
+        attrs[i, 0] = attr_cache[key]
+    return attrs

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,33 @@ class TestBuildGraph:
         assert g.node_types[0] == g.node_types[1]
         assert g.node_types[2] == g.node_types[3]
         assert g.node_types[0] != g.node_types[2]
+
+    def test_mixed_feature_shapes_name_the_patch(self):
+        patches = [PatchRecord("a", 0, 0, np.array([1.0, 2.0])),
+                   PatchRecord("b", 1, 0, np.array([1.0, 2.0, 3.0]))]
+        with pytest.raises(ShapeError, match="patch b"):
+            build_graph(patches, BuildConfig(k=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_name_the_patch(self, bad):
+        patches = [PatchRecord(f"p{i}", i, 0, np.array([1.0, float(i)])) for i in range(3)]
+        patches[1] = PatchRecord("p1", 1, 0, np.array([bad, 1.0]))
+        with pytest.raises(ConfigError, match="patch p1"):
+            build_graph(patches, BuildConfig(k=1))
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_degenerate_features_raise_no_warnings(self, metric):
+        # zero vectors, constant rows (Pearson 0) and duplicate rows
+        feats = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.0, 2.0, 2.0], [1.0, 2.0, 3.0],
+                 [1.0, 2.0, 3.0], [3.0, 2.0, 1.0], [-1.0, -1.0, -1.0]]
+        patches = [PatchRecord(f"p{i}", i, 0, np.array(f), type_label="dead")
+                   for i, f in enumerate(feats)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = build_graph(patches, BuildConfig(k=3, metric=metric))
+        assert validate(g) is None
+        attrs = dict(zip(zip(g.edge_src.tolist(), g.edge_dst.tolist()), g.edge_attrs[:, 0]))
+        assert all(attrs[(s, t)] == 0.0 for s, t in attrs if s != t and {s, t} & {0, 1, 2, 6})
 
 
 class TestAugment:

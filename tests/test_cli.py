@@ -68,6 +68,21 @@ class TestBuildGraph:
         assert rc == EXIT_INPUT
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name, text", [
+        ("patches.jsonl", PATCHES.replace('"feat": [0.9, 0.1, 0.2]', '"feat": [0.9, 0.1]')),
+        ("patches.jsonl", PATCHES.replace('"feat": [0.9, 0.1, 0.2]', '"feat": [NaN, 0.1, 0.2]')),
+        ("patches.csv", "id,x,y,type,feat_0,feat_1\na,0,0,dead,1.0,2.0\nb,1,0,dead,inf,1.0\n"),
+    ], ids=["mixed-feature-dim", "jsonl-nan", "csv-inf"])
+    def test_bad_features_exit_2_with_one_line(self, tmp_path, capsys, name, text):
+        patches = tmp_path / name
+        patches.write_text(text)
+        rc = main(["build-graph", "--patches", str(patches), "--out", str(tmp_path / "g.json"),
+                   "--set", "build.k=1"])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("heatnet: error: input: patch b:")
+
     def test_rerun_same_seed_identical_bytes(self, tmp_path):
         patches = tmp_path / "patches.jsonl"
         patches.write_text(PATCHES)

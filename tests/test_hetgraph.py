@@ -10,6 +10,7 @@ from heatnet.hetgraph import (
     DEFAULT_TYPES,
     HeteroGraph,
     TypeSet,
+    _write_json,
     from_json_dict,
     incoming,
     load_graph,
@@ -189,6 +190,15 @@ class TestSerialization:
         assert load_graph(path) == g
         doc = json.loads(path.read_text())
         assert doc["provenance"] == {"seed": 3}
+
+    def test_writer_bytes_equal_json_dump(self, tmp_path):
+        doc = {"z": [-0.0, 5e-324, 1e16, [[1.5, -2], {"b": None, "a": True}]],
+               "a": {"y": "\u00e9", "x": [float("nan"), 0.1]}, "m": 2**63}
+        _write_json(tmp_path / "new.json", doc)
+        with open(tmp_path / "old.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
     def test_bad_version_rejected(self):
         with pytest.raises(GraphValidationError):
