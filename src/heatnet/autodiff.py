@@ -1,10 +1,10 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Only the operations the graph model needs are implemented: matmul,
-elementwise arithmetic, concatenation, row gathering, reductions,
-row/segment softmax, leaky ReLU, dropout-mask application, and
-cross-entropy. Everything is float64 and any op that produces NaN/Inf
-raises NonFiniteError.
+Only the operations the graph model needs are implemented: matmul and
+its per-row-type form ``typed_matmul``, elementwise arithmetic,
+concatenation, row gathering, reductions, row/segment softmax, leaky
+ReLU, dropout-mask application, and cross-entropy. Everything is float64
+and any op that produces NaN/Inf raises NonFiniteError.
 
 The segment ops take a per-row segment index plus a segment count (the
 row -> target-node map of the edges), so every row belongs to exactly one
@@ -253,9 +253,10 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows of a 2-D tensor; duplicate indices are allowed."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"gather_rows expects a 2-D tensor, got {a.data.shape}")
+    """Select rows (entries of the first axis) of a tensor of two or more
+    dimensions; duplicate indices are allowed."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"gather_rows expects a tensor of at least 2-D, got {a.data.shape}")
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("gather_rows expects a 1-D index array")
@@ -272,16 +273,43 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return _make(out, (a,), vjp, "gather_rows")
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"slice_cols expects a 2-D tensor, got {a.data.shape}")
+def typed_matmul(x: Tensor, w: Tensor, type_idx) -> Tensor:
+    """Row r of the result is ``w[type_idx[r]] @ x[r]``: one weight per row type.
+
+    ``x`` is (n, d_in), ``w`` is (T, d_out, d_in) and ``type_idx`` is (n,)
+    with values in [0, T). Each type present costs one matmul; the weight
+    of a type no row has gets a zero gradient.
+    """
+    x, w = _lift(x), _lift(w)
+    idx = np.asarray(type_idx, dtype=np.intp)
+    if x.data.ndim != 2 or w.data.ndim != 3 or w.data.shape[2] != x.data.shape[1]:
+        raise ShapeError(f"typed_matmul expects x (n, d_in) and w (T, d_out, d_in), "
+                         f"got {x.data.shape} and {w.data.shape}")
+    n, n_types = x.data.shape[0], w.data.shape[0]
+    if idx.shape != (n,):
+        raise ShapeError(f"typed_matmul: type index has shape {idx.shape}, x has {n} rows")
+    if n and (idx.min() < 0 or idx.max() >= n_types):
+        raise ShapeError(f"typed_matmul: type index out of range for {n_types} types")
+    bounds = np.cumsum(np.bincount(idx, minlength=n_types))[:-1]
+    groups = [(t, rows) for t, rows in enumerate(np.split(np.argsort(idx, kind="stable"), bounds))
+              if rows.size]
+    out = np.empty((n, w.data.shape[1]))
+    for t, rows in groups:
+        # A C-ordered transpose keeps numpy's matrix-vector path, and with it
+        # the rounding, the same as matmul(x_rows, transpose(w_t)).
+        out[rows] = x.data[rows] @ w.data[t].T.copy()
 
     def vjp(g):
-        da = np.zeros_like(a.data)
-        da[:, start:stop] = g
-        return (da,)
+        dx = np.empty_like(x.data) if x.on_tape() else None
+        dw = np.zeros_like(w.data) if w.on_tape() else None
+        for t, rows in groups:
+            if dx is not None:
+                dx[rows] = g[rows] @ w.data[t]
+            if dw is not None:
+                dw[t] = g[rows].T @ x.data[rows]
+        return (dx, dw)
 
-    return _make(a.data[:, start:stop].copy(), (a,), vjp, "slice_cols")
+    return _make(out, (x, w), vjp, "typed_matmul")
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ EXIT_NUMERIC = 3
 EXIT_USAGE = 64
 
 _INPUT_ERRORS = (ConfigError, PatchTableError, GraphValidationError, GraphLookupError,
-                 ShapeError, ExportError, FileNotFoundError, json.JSONDecodeError)
+                 ShapeError, ExportError, OSError, UnicodeDecodeError, json.JSONDecodeError)
 _NUMERIC_ERRORS = (NonFiniteError, TrainingError, GenerationError, ContractError,
                    AttributionError)
 

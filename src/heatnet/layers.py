@@ -8,7 +8,9 @@ inner product sum_j key_j * e'_j * query_j / sqrt(d_k); scores are
 normalized per head across each target's incoming edges; the per-edge
 output concatenates the attention-scaled value vectors over heads, and
 edges are aggregated per target (mean by default). The projected edge
-attribute e' becomes the edge's attribute for the next layer.
+attribute e' becomes the edge's attribute for the next layer. One
+``typed_matmul`` projects all nodes with all heads; heads are then the
+middle axis of (E, heads, d_k) blocks, so no op loops over types or heads.
 """
 
 from __future__ import annotations
@@ -22,21 +24,21 @@ from .autodiff import Tensor
 from .errors import ConfigError, ContractError, ShapeError
 from .hetgraph import HeteroGraph, TypeSet
 
-SHARED_TYPE_KEY = "__shared__"
-
 
 @dataclass
 class HeatLayerParams:
-    """Per-type, per-head projections plus the shared edge map of one layer.
+    """Stacked per-type projections plus the shared edge map of one layer.
 
-    ``w_node[type][head]`` has shape (d_k, d_in) with d_k = d_out / heads.
+    ``w_node`` has shape (T, heads * d_k, d_in) with d_k = d_out / heads:
+    ``w_node[a]`` projects the nodes of type a, and its row block i (rows
+    i * d_k up to (i + 1) * d_k) is head i. ``shared_projection`` makes all
+    node types use one projection (the type-blind baseline); T is then 1.
     ``w_edge`` has shape (d_k, d_e) and is shared across heads; None means
     the edge modulation is identically all-ones (score degrades to plain
-    scaled dot product). ``w_value`` optionally decouples the value
-    projection from the key projection (an ablation; by default key and
-    value share one matrix, as the update rule is written).
-    ``shared_projection`` makes all node types use one projection (the
-    type-blind baseline).
+    scaled dot product). ``w_value``, shaped like ``w_node``, optionally
+    decouples the value projection from the key projection (an ablation;
+    by default key and value share one matrix, as the update rule is
+    written).
     """
 
     types: TypeSet
@@ -44,9 +46,9 @@ class HeatLayerParams:
     d_in: int
     d_out: int
     d_edge: int
-    w_node: dict[str, list[Tensor]]
+    w_node: Tensor
     w_edge: Tensor | None
-    w_value: dict[str, list[Tensor]] | None = None
+    w_value: Tensor | None = None
     aggregation: str = "mean"
     shared_projection: bool = False
 
@@ -55,47 +57,34 @@ class HeatLayerParams:
             raise ConfigError(f"d_out={self.d_out} not divisible by heads={self.heads}")
         if self.aggregation not in ("mean", "sum"):
             raise ConfigError(f"unknown aggregation {self.aggregation!r}")
-        keys = {SHARED_TYPE_KEY} if self.shared_projection else set(self.types.names)
-        if set(self.w_node) != keys:
-            raise ConfigError("w_node must hold exactly one projection list per node type")
+        shape = (1 if self.shared_projection else len(self.types), self.d_out, self.d_in)
+        for w in (self.w_node, self.w_value):
+            if w is not None and w.shape != shape:
+                raise ShapeError(f"node projection has shape {w.shape}, expected {shape}")
 
     @property
     def d_k(self) -> int:
         return self.d_out // self.heads
-
-    def projection_for(self, type_name: str, head: int) -> Tensor:
-        key = SHARED_TYPE_KEY if self.shared_projection else type_name
-        try:
-            return self.w_node[key][head]
-        except KeyError:
-            raise ConfigError(f"no projection registered for node type {type_name!r}") from None
-
-    def value_projection_for(self, type_name: str, head: int) -> Tensor:
-        if self.w_value is None:
-            return self.projection_for(type_name, head)
-        key = SHARED_TYPE_KEY if self.shared_projection else type_name
-        return self.w_value[key][head]
 
     @classmethod
     def init(cls, types: TypeSet, d_in: int, d_out: int, heads: int, d_edge: int,
              rng: np.random.Generator, *, aggregation: str = "mean",
              edge_identity: bool = False, shared_projection: bool = False,
              decouple_key_value: bool = False) -> "HeatLayerParams":
-        """Glorot-normal initialization in a fixed parameter order."""
+        """Glorot-normal initialization in a fixed order: type, head, row."""
         if d_out % heads != 0:
             raise ConfigError(f"d_out={d_out} not divisible by heads={heads}")
         d_k = d_out // heads
+        n_types = 1 if shared_projection else len(types)
 
-        def glorot(rows, cols):
+        def glorot(rows, cols, shape):
             std = math.sqrt(2.0 / (rows + cols))
-            return Tensor(rng.normal(0.0, std, size=(rows, cols)), requires_grad=True)
+            return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
 
-        names = (SHARED_TYPE_KEY,) if shared_projection else types.names
-        w_node = {name: [glorot(d_k, d_in) for _ in range(heads)] for name in names}
-        w_value = None
-        if decouple_key_value:
-            w_value = {name: [glorot(d_k, d_in) for _ in range(heads)] for name in names}
-        w_edge = None if edge_identity else glorot(d_k, d_edge)
+        stacked = (n_types, d_out, d_in)
+        w_node = glorot(d_k, d_in, stacked)
+        w_value = glorot(d_k, d_in, stacked) if decouple_key_value else None
+        w_edge = None if edge_identity else glorot(d_k, d_edge, (d_k, d_edge))
         return cls(types=types, heads=heads, d_in=d_in, d_out=d_out, d_edge=d_edge,
                    w_node=w_node, w_edge=w_edge, w_value=w_value,
                    aggregation=aggregation, shared_projection=shared_projection)
@@ -123,16 +112,17 @@ def project(params: HeatLayerParams, src_feat: np.ndarray, dst_feat: np.ndarray,
     """Project one edge's endpoints and attribute (inspection/reference API).
 
     Key and value both use the source type's projection; the query uses the
-    target type's. The edge map is shared across heads.
+    target type's. The edge map is shared across heads. An unknown type
+    name is a ConfigError.
     """
-    keys, queries, values = [], [], []
-    for i in range(params.heads):
-        wk = params.projection_for(src_type, i).data
-        wq = params.projection_for(dst_type, i).data
-        wv = params.value_projection_for(src_type, i).data
-        keys.append(wk @ src_feat)
-        queries.append(wq @ dst_feat)
-        values.append(wv @ src_feat)
+    if params.shared_projection:
+        src = dst = 0
+    else:
+        src, dst = params.types.index(src_type), params.types.index(dst_type)
+    w_value = params.w_node if params.w_value is None else params.w_value
+    keys = np.split(params.w_node.data[src] @ src_feat, params.heads)
+    queries = np.split(params.w_node.data[dst] @ dst_feat, params.heads)
+    values = np.split(w_value.data[src] @ src_feat, params.heads)
     if params.w_edge is None:
         eproj = np.ones(params.d_k)
     else:
@@ -189,59 +179,33 @@ def layer_forward(g: HeteroGraph, params: HeatLayerParams,
         raise ContractError(f"node {g.node_ids[int(np.argmin(in_degree))]} has no incoming "
                             "edges; self-loops are required")
 
-    # Per-node, per-head projection P_i[v] = W_{type(v)}^i @ H_v, computed
-    # blockwise per type and reassembled in node order.
-    type_idx = g.node_types
-    if params.shared_projection:
-        groups = [(SHARED_TYPE_KEY, np.arange(n, dtype=np.intp))]
+    # Node v's projection W[type(v)] @ H_v, split into an (n, heads, d_k)
+    # block, so that heads are the middle axis of every per-edge block.
+    heads, d_k = params.heads, params.d_k
+    type_idx = np.zeros(n, dtype=np.intp) if params.shared_projection else g.node_types
+
+    def project_nodes(w: Tensor) -> Tensor:
+        return ad.reshape(ad.typed_matmul(feats, w, type_idx), (n, heads, d_k))
+
+    proj = project_nodes(params.w_node)
+    keys = ad.gather_rows(proj, pos_src)
+    queries = ad.gather_rows(proj, pos_dst)
+    if params.w_value is None:
+        values = keys
     else:
-        groups = []
-        for a, name in enumerate(params.types.names):
-            rows = np.nonzero(type_idx == a)[0]
-            if len(rows):
-                groups.append((name, rows))
-    order = np.concatenate([rows for _, rows in groups])
-    inv = np.empty(n, dtype=np.intp)
-    inv[order] = np.arange(n, dtype=np.intp)
-
-    def per_node(projection_of):
-        out = []
-        for i in range(params.heads):
-            blocks = [ad.matmul(ad.gather_rows(feats, rows), ad.transpose(projection_of(name, i)))
-                      for name, rows in groups]
-            stacked = blocks[0] if len(blocks) == 1 else ad.concat(blocks, axis=0)
-            out.append(ad.gather_rows(stacked, inv))
-        return out
-
-    proj = per_node(params.projection_for)
-    vproj = proj if params.w_value is None else per_node(params.value_projection_for)
+        values = ad.gather_rows(project_nodes(params.w_value), pos_src)
 
     if params.w_edge is None:
-        eproj = Tensor(np.ones((g.n_edges, params.d_k)))
+        eproj = Tensor(np.ones((g.n_edges, d_k)))
     else:
         eproj = ad.matmul(attrs, ad.transpose(params.w_edge))
 
-    inv_sqrt = 1.0 / math.sqrt(params.d_k)
-    head_scores = []
-    keys_per_head = []
-    for i in range(params.heads):
-        k = ad.gather_rows(proj[i], pos_src)
-        q = ad.gather_rows(proj[i], pos_dst)
-        keys_per_head.append(k)
-        s = ad.reduce_sum(ad.mul(ad.mul(k, eproj), q), axis=1, keepdims=True)
-        head_scores.append(ad.scale(s, inv_sqrt))
-    scores = head_scores[0] if params.heads == 1 else ad.concat(head_scores, axis=1)
+    modulated = ad.mul(ad.mul(keys, ad.reshape(eproj, (-1, 1, d_k))), queries)
+    scores = ad.scale(ad.reduce_sum(modulated, axis=2), 1.0 / math.sqrt(d_k))
     att = ad.segment_softmax(scores, pos_dst, n)
-
-    weighted = []
-    for i in range(params.heads):
-        if params.w_value is None:
-            v = keys_per_head[i]
-        else:
-            v = ad.gather_rows(vproj[i], pos_src)
-        weighted.append(ad.mul(v, ad.slice_cols(att, i, i + 1)))
-    per_edge = weighted[0] if params.heads == 1 else ad.concat(weighted, axis=1)
-    h_out = ad.segment_reduce(per_edge, pos_dst, n, params.aggregation)
+    weighted = ad.mul(values, ad.reshape(att, (-1, heads, 1)))
+    h_out = ad.segment_reduce(ad.reshape(weighted, (-1, params.d_out)), pos_dst, n,
+                              params.aggregation)
 
     return LayerOutput(
         node_features=h_out,
@@ -252,14 +216,9 @@ def layer_forward(g: HeteroGraph, params: HeatLayerParams,
 
 def layer_parameters(params: HeatLayerParams, prefix: str) -> dict[str, Tensor]:
     """Flat name -> tensor registry for one layer, in a stable order."""
-    out: dict[str, Tensor] = {}
-    for name in sorted(params.w_node):
-        for i, w in enumerate(params.w_node[name]):
-            out[f"{prefix}.node.{name}.head{i}"] = w
+    out = {f"{prefix}.node": params.w_node}
     if params.w_value is not None:
-        for name in sorted(params.w_value):
-            for i, w in enumerate(params.w_value[name]):
-                out[f"{prefix}.value.{name}.head{i}"] = w
+        out[f"{prefix}.value"] = params.w_value
     if params.w_edge is not None:
         out[f"{prefix}.edge"] = params.w_edge
     return out

@@ -2,7 +2,8 @@
 
 Node features are pooled within each node type (mean over that type's
 rows, then an optional trainable per-type linear map) into a fixed
-(|types| x d) matrix S; types with no nodes contribute a zero row. The
+(|types| x d) matrix S, by one segment mean over the node-type index and
+one ``typed_matmul``; types with no nodes contribute a zero row. The
 graph feature is the mean (or sum) over S's rows, followed by a linear
 classifier. A plain mean-over-all-nodes pooling is kept as the ablation
 baseline.
@@ -22,14 +23,15 @@ from .hetgraph import TypeSet
 
 @dataclass
 class PoolParams:
-    """Per-type readout maps plus the classifier.
+    """Stacked per-type readout maps plus the classifier.
 
-    ``readout[type]`` has shape (d, d); None disables the trainable maps
-    (pure mean readout). ``classifier_w`` is (C, d), ``classifier_b`` is (C,).
+    ``readout`` has shape (T, d, d) and ``readout[a]`` maps the mean of the
+    type-a nodes; None disables the trainable maps (pure mean readout).
+    ``classifier_w`` is (C, d), ``classifier_b`` is (C,).
     """
 
     types: TypeSet
-    readout: dict[str, Tensor] | None
+    readout: Tensor | None
     classifier_w: Tensor
     classifier_b: Tensor
     final: str = "mean"
@@ -37,10 +39,11 @@ class PoolParams:
     def __post_init__(self):
         if self.final not in ("mean", "sum"):
             raise ConfigError(f"unknown final readout {self.final!r}")
-        if self.readout is not None and set(self.readout) != set(self.types.names):
-            raise ConfigError("readout must hold exactly one map per node type")
         if self.classifier_w.ndim != 2:
             raise ShapeError("classifier weight must be (C, d)")
+        shape = (len(self.types), self.dim, self.dim)
+        if self.readout is not None and self.readout.shape != shape:
+            raise ShapeError(f"readout has shape {self.readout.shape}, expected {shape}")
         if self.classifier_b.shape != (self.classifier_w.shape[0],):
             raise ShapeError("classifier bias length must equal the class count")
 
@@ -60,7 +63,7 @@ class PoolParams:
             raise ConfigError(f"need at least 2 classes, got {n_classes}")
         readout = None
         if trainable_readout:
-            readout = {name: Tensor(np.eye(dim), requires_grad=True) for name in types.names}
+            readout = Tensor(np.tile(np.eye(dim), (len(types), 1, 1)), requires_grad=True)
         std = float(np.sqrt(2.0 / (dim + n_classes)))
         return cls(
             types=types,
@@ -76,17 +79,14 @@ def pl_pool(features: Tensor, type_idx: np.ndarray, params: PoolParams) -> Tenso
     n, d = features.shape
     if d != params.dim:
         raise ShapeError(f"features dim {d} does not match pool dim {params.dim}")
-    rows = []
-    for a, name in enumerate(params.types.names):
-        members = np.nonzero(type_idx == a)[0]
-        if len(members) == 0:
-            rows.append(Tensor(np.zeros((1, d))))
-            continue
-        h = ad.mean_rows(ad.gather_rows(features, members))
-        if params.readout is not None:
-            h = ad.matmul(h, ad.transpose(params.readout[name]))
-        rows.append(h)
-    return ad.concat(rows, axis=0)
+    present, segment = np.unique(type_idx, return_inverse=True)
+    pooled = ad.segment_reduce(features, segment, len(present), "mean")
+    if params.readout is not None:
+        pooled = ad.typed_matmul(pooled, params.readout, present)
+    # Absent types read the zero row appended after the present ones.
+    rows = np.full(len(params.types), len(present), dtype=np.intp)
+    rows[present] = np.arange(len(present))
+    return ad.gather_rows(ad.concat([pooled, Tensor(np.zeros((1, d)))], axis=0), rows)
 
 
 def graph_logits(pooled: Tensor, params: PoolParams) -> Tensor:
@@ -111,8 +111,7 @@ def mean_pool_logits(features: Tensor, params: PoolParams) -> Tensor:
 def pool_parameters(params: PoolParams, prefix: str = "pool") -> dict[str, Tensor]:
     out: dict[str, Tensor] = {}
     if params.readout is not None:
-        for name in sorted(params.readout):
-            out[f"{prefix}.readout.{name}"] = params.readout[name]
+        out[f"{prefix}.readout"] = params.readout
     out["classifier.weight"] = params.classifier_w
     out["classifier.bias"] = params.classifier_b
     return out

@@ -24,7 +24,7 @@ from .metrics import accuracy, metric_auc_macro, metric_macro_f1
 from .model import Model, ModelConfig
 from .seeding import rng_for
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -362,7 +362,11 @@ def _run_fold(args) -> dict:
 def run_cv(dataset: Sequence[HeteroGraph], model_cfg: ModelConfig, cfg: TrainConfig,
            deterministic: bool = True, jobs: int = 1,
            fold_hook: Callable[[dict], None] | None = None) -> dict:
-    """K-fold cross-validation; returns mean metrics plus per-fold detail."""
+    """K-fold cross-validation; returns mean metrics plus per-fold detail.
+
+    ``auc`` averages the folds with a defined AUC (a single-class test set
+    has none); ``auc_folds`` counts them.
+    """
     if model_cfg.feature_dim is None:
         model_cfg = replace(model_cfg, feature_dim=dataset[0].feature_dim)
     args = [(fold, list(dataset), model_cfg, cfg, deterministic) for fold in range(cfg.folds)]
@@ -374,8 +378,10 @@ def run_cv(dataset: Sequence[HeteroGraph], model_cfg: ModelConfig, cfg: TrainCon
     if fold_hook:
         for fr in fold_results:
             fold_hook(fr)
+    aucs = [f["auc"] for f in fold_results if not np.isnan(f["auc"])]
     return {
-        "auc": float(np.mean([f["auc"] for f in fold_results])),
+        "auc": float(np.mean(aucs)) if aucs else float("nan"),
+        "auc_folds": len(aucs),
         "accuracy": float(np.mean([f["accuracy"] for f in fold_results])),
         "macro_f1": float(np.mean([f["macro_f1"] for f in fold_results])),
         "per_fold": fold_results,

@@ -16,6 +16,16 @@ import numpy as np
 from heatnet.errors import ConfigError, ShapeError
 
 
+def head_blocks(w, names, heads):
+    """Split a stacked (T, heads * d_k, d_in) projection into per-head blocks.
+
+    Returns {names[a]: [head 0 block, head 1 block, ...]}, each block a
+    (d_k, d_in) view into the tensor's data, so writing into it edits the
+    parameter.
+    """
+    return {name: np.split(w.data[a], heads) for a, name in enumerate(names)}
+
+
 def ref_layer_forward(feats, type_idx, edges, attrs, w_node, w_edge, heads,
                       aggregation="mean", type_names=None):
     """One attention layer, edge by edge and target by target.
@@ -109,10 +119,8 @@ def ref_model_forward(g, model):
     feats = g.features.copy()
     attrs = g.edge_attrs.copy()
     for li, layer in enumerate(model.layers):
-        if cfg.type_blind:
-            w_node = {"shared": [w.data for w in next(iter(layer.w_node.values()))]}
-        else:
-            w_node = {name: [w.data for w in layer.w_node[name]] for name in g.types.names}
+        names = ("shared",) if cfg.type_blind else g.types.names
+        w_node = head_blocks(layer.w_node, names, layer.heads)
         w_edge = None if layer.w_edge is None else layer.w_edge.data
         feats, attrs = ref_layer_forward(feats, g.node_types, edges, attrs,
                                          w_node, w_edge, layer.heads,
@@ -124,7 +132,7 @@ def ref_model_forward(g, model):
     if cfg.pooling == "pl":
         readout = None
         if pool.readout is not None:
-            readout = [pool.readout[name].data for name in g.types.names]
+            readout = list(pool.readout.data)
         pooled = ref_pl_pool(feats, g.node_types, len(g.types), readout)
         return ref_graph_logits(pooled, pool.classifier_w.data, pool.classifier_b.data,
                                 final=pool.final)

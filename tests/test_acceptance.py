@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from _reference import incoming_segments, ref_model_forward, ref_plain_attention
+from _reference import head_blocks, incoming_segments, ref_model_forward, ref_plain_attention
 from heatnet.builder import AugmentConfig, BuildConfig
 from heatnet.cli import EXIT_OK, main
 from heatnet.explain import explain_graph, top_k_ids
@@ -137,7 +137,7 @@ def test_c03_oracle_equivalence():
             pos = {nid: i for i, nid in enumerate(g.node_ids)}
             edges = [(pos[int(s)], pos[int(t)]) for s, t in zip(g.edge_src, g.edge_dst)]
             from _reference import ref_layer_forward
-            w_node = {nm: [w.data for w in layer.w_node[nm]] for nm in TYPES3.names}
+            w_node = head_blocks(layer.w_node, TYPES3.names, layer.heads)
             ref_h, ref_e = ref_layer_forward(g.features, g.node_types, edges, g.edge_attrs,
                                              w_node, layer.w_edge.data, layer.heads,
                                              type_names=TYPES3.names)
@@ -158,8 +158,8 @@ def test_c04_degeneracy_to_plain_attention():
             got = layer_forward(g, params).node_features.data
             pos = {nid: i for i, nid in enumerate(g.node_ids)}
             edges = [(pos[int(s)], pos[int(t)]) for s, t in zip(g.edge_src, g.edge_dst)]
-            ref = ref_plain_attention(g.features, params.w_node["only"][0].data, edges,
-                                      aggregation=agg)
+            w = head_blocks(params.w_node, single.names, 1)["only"][0]
+            ref = ref_plain_attention(g.features, w, edges, aggregation=agg)
             np.testing.assert_allclose(got, ref, atol=1e-10)
 
 

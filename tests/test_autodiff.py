@@ -121,11 +121,11 @@ class TestBackward:
 
 
 class TestOps:
-    def test_concat_and_slice_grads(self):
+    def test_concat_grads(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         b = Tensor(np.ones((2, 3)), requires_grad=True)
         cat = ad.concat([a, b], axis=1)
-        loss = ad.reduce_sum(ad.slice_cols(cat, 1, 4))
+        loss = ad.reduce_sum(ad.mul(cat, Tensor([0.0, 1.0, 1.0, 1.0, 0.0])))
         grads = ad.backward(loss)
         np.testing.assert_array_equal(grads[a], [[0, 1], [0, 1]])
         np.testing.assert_array_equal(grads[b], [[1, 1, 0], [1, 1, 0]])
@@ -173,6 +173,49 @@ class TestOps:
         big = Tensor([[1e308]])
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             ad.mul(big, big)
+
+
+class TestTypedMatmul:
+    def setup_method(self):
+        rng = np.random.default_rng(3)
+        self.x = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+        self.w = Tensor(rng.standard_normal((3, 4, 3)), requires_grad=True)
+        self.idx = np.array([2, 0, 2, 0, 0, 2])  # type 1 has no rows
+
+    def test_rows_use_their_types_weight(self):
+        out = ad.typed_matmul(self.x, self.w, self.idx).data
+        for r, t in enumerate(self.idx):
+            np.testing.assert_allclose(out[r], self.w.data[t] @ self.x.data[r], atol=1e-15)
+
+    def test_gradients_pass_grad_check(self):
+        def f():
+            y = ad.typed_matmul(self.x, self.w, self.idx)
+            return ad.reduce_sum(ad.mul(y, y))
+
+        assert ad.grad_check(f, [self.x, self.w], eps=1e-4) < 1e-5
+
+    def test_absent_type_gets_zero_gradient(self):
+        grads = ad.backward(ad.reduce_sum(ad.typed_matmul(self.x, self.w, self.idx)))
+        assert (grads[self.w][1] == 0.0).all()
+        assert (grads[self.w][[0, 2]] != 0.0).all()
+
+    def test_one_type_is_plain_matmul(self):
+        w = Tensor(self.w.data[:1], requires_grad=True)
+        typed = ad.typed_matmul(self.x, w, np.zeros(6, dtype=np.intp))
+        plain = ad.matmul(self.x, ad.transpose(Tensor(w.data[0])))
+        np.testing.assert_array_equal(typed.data, plain.data)
+
+    @pytest.mark.parametrize("x_shape,w_shape,idx", [
+        ((6, 3), (3, 4, 3), [0, 1, 2, 3, 0, 0]),   # type index beyond T
+        ((6, 3), (3, 4, 3), [0, 1, 2, -1, 0, 0]),  # negative type index
+        ((6, 3), (3, 4, 3), [0, 1, 2]),            # index shorter than x
+        ((6, 3), (4, 3), [0] * 6),                 # 2-D weight
+        ((6, 3), (3, 4, 2), [0] * 6),              # d_in mismatch
+        ((6,), (3, 4, 3), [0] * 6),                # 1-D x
+    ])
+    def test_bad_shape_or_index_rejected(self, x_shape, w_shape, idx):
+        with pytest.raises(ShapeError):
+            ad.typed_matmul(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), idx)
 
 
 class TestSegmentOps:

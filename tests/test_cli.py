@@ -248,6 +248,29 @@ def _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_graph=None, corrupt
     assert rc == EXIT_INPUT
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("heatnet: error: input:")
+    return err[0]
+
+
+def _version_1_checkpoint(doc):
+    """The per-type, per-head parameter layout of checkpoint version 1."""
+    types, heads = doc["model_config"]["types"], doc["model_config"]["heads"]
+    params = {}
+    for name, entry in doc["params"].items():
+        arr = np.asarray(entry["data"]).reshape(entry["shape"])
+        if name.endswith((".node", ".value")):
+            for a, type_name in enumerate(types):
+                for i, block in enumerate(np.split(arr[a], heads)):
+                    params[f"{name}.{type_name}.head{i}"] = block
+        elif name == "pool.readout":
+            params.update({f"pool.readout.{t}": arr[a] for a, t in enumerate(types)})
+        else:
+            params[name] = arr
+    doc["params"] = {k: {"shape": list(v.shape), "data": v.reshape(-1).tolist()}
+                     for k, v in params.items()}
+    doc["version"] = 1
+
+
+BAD_UTF8 = b'{"id": "\xff\xfe"}\n'
 
 
 class TestMalformedInputFiles:
@@ -280,6 +303,46 @@ class TestMalformedInputFiles:
             "param-without-data", "data-misfits-shape"])
     def test_bad_checkpoint_exits_2(self, tmp_path, capsys, corrupt):
         _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_ckpt=corrupt)
+
+    def test_version_1_checkpoint_exits_2(self, tmp_path, capsys):
+        line = _explain_exits_2_with_one_line(tmp_path, capsys,
+                                              corrupt_ckpt=_version_1_checkpoint)
+        assert "unsupported checkpoint version 1" in line
+        doc = json.loads((tmp_path / "ckpt.json").read_text())
+        assert "layer0.node.a.head1" in doc["params"] and "pool.readout.b" in doc["params"]
+
+    @pytest.mark.parametrize("kind,argv", [
+        ("directory", "explain --graph {bad} --checkpoint {ckpt}"),
+        ("invalid-utf8", "explain --graph {bad} --checkpoint {ckpt}"),
+        ("directory", "explain --graph {graph} --checkpoint {bad}"),
+        ("invalid-utf8", "explain --graph {graph} --checkpoint {bad}"),
+        ("directory", "build-graph --patches {bad}"),
+        ("invalid-utf8", "build-graph --patches {bad}"),
+        ("invalid-utf8", "build-graph --patches {patches} --config {bad}"),
+        ("invalid-utf8", "eval --cv --data {data}"),
+    ], ids=["graph-directory", "graph-invalid-utf8", "checkpoint-directory",
+            "checkpoint-invalid-utf8", "patches-directory", "patches-invalid-utf8",
+            "config-invalid-utf8", "manifest-invalid-utf8"])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, kind, argv):
+        types = TypeSet(("a", "b"))
+        g = random_labeled_graph(np.random.default_rng(0), types, n_nodes=4, feature_dim=3)
+        save_graph(g, tmp_path / "g.json")
+        model = Model.init(ModelConfig(feature_dim=3, types=types.names, hidden_dim=4), 0)
+        (tmp_path / "ckpt.json").write_text(json.dumps(checkpoint_dict(model, None, 0, 0.0)))
+        (tmp_path / "patches.jsonl").write_text(PATCHES)
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "manifest.json").write_bytes(BAD_UTF8)
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(BAD_UTF8)
+        paths = {"bad": bad, "graph": tmp_path / "g.json", "ckpt": tmp_path / "ckpt.json",
+                 "patches": tmp_path / "patches.jsonl", "data": tmp_path / "data"}
+        rc = main([tok.format(**paths) for tok in argv.split()] + ["--out", str(tmp_path / "o")])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("heatnet: error: input:")
 
     @pytest.mark.parametrize("manifest", [{"version": 1}, {"files": ["a.json", 3]}, [1]])
     def test_bad_manifest_exits_2(self, tmp_path, capsys, manifest):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from _reference import ref_layer_forward, ref_plain_attention
+from _reference import head_blocks, ref_layer_forward, ref_plain_attention
 from heatnet import autodiff as ad
 from heatnet.errors import ConfigError, ContractError, ShapeError
 from heatnet.hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet
@@ -49,17 +49,19 @@ class TestProject:
         ht = rng.standard_normal(4)
         attr = rng.standard_normal(1)
         out = project(params, hs, ht, "neoplastic", "inflammatory", attr)
+        w_node = head_blocks(params.w_node, TYPES3.names, params.heads)
         for i in range(params.heads):
-            np.testing.assert_allclose(out.keys[i], params.w_node["neoplastic"][i].data @ hs,
+            np.testing.assert_allclose(out.keys[i], w_node["neoplastic"][i] @ hs,
                                        atol=1e-15)
             np.testing.assert_allclose(out.queries[i],
-                                       params.w_node["inflammatory"][i].data @ ht, atol=1e-15)
+                                       w_node["inflammatory"][i] @ ht, atol=1e-15)
         np.testing.assert_allclose(out.edge, params.w_edge.data @ attr, atol=1e-15)
 
     def test_unregistered_type(self):
         params = make_params()
         with pytest.raises(ConfigError):
-            params.projection_for("non-neoplastic-epithelial", 0)
+            project(params, np.ones(4), np.ones(4), "non-neoplastic-epithelial", "no-label",
+                    np.array([0.3]))
 
 
 class TestAttScore:
@@ -102,8 +104,8 @@ class TestAttentionSoftmax:
 def identity_params(d, types=TYPES3):
     """Single-head layer whose projections are the identity."""
     params = make_params(types=types, d_in=d, d_out=d, heads=1, d_edge=1)
-    for name in params.w_node:
-        params.w_node[name][0].data = np.eye(d)
+    for blocks in head_blocks(params.w_node, types.names, 1).values():
+        blocks[0][...] = np.eye(d)
     return params
 
 
@@ -152,7 +154,7 @@ class TestLayerForward:
             out = layer_forward(g, params)
             pos = {nid: i for i, nid in enumerate(g.node_ids)}
             edges = [(pos[int(s)], pos[int(t)]) for s, t in zip(g.edge_src, g.edge_dst)]
-            w_node = {name: [w.data for w in params.w_node[name]] for name in TYPES3.names}
+            w_node = head_blocks(params.w_node, TYPES3.names, heads)
             ref_h, ref_e = ref_layer_forward(g.features, g.node_types, edges, g.edge_attrs,
                                              w_node, params.w_edge.data, heads,
                                              type_names=TYPES3.names)
@@ -199,7 +201,8 @@ class TestLayerForward:
                 out = layer_forward(g, params).node_features.data
                 pos = {nid: i for i, nid in enumerate(g.node_ids)}
                 edges = [(pos[int(s)], pos[int(t)]) for s, t in zip(g.edge_src, g.edge_dst)]
-                ref = ref_plain_attention(g.features, params.w_node["only"][0].data,
+                ref = ref_plain_attention(g.features,
+                                          head_blocks(params.w_node, single.names, 1)["only"][0],
                                           edges, aggregation=agg)
                 np.testing.assert_allclose(out, ref, atol=1e-10)
 
@@ -211,8 +214,8 @@ class TestLayerForward:
         out = layer_forward(g, params).node_features.data
 
         a, b = "no-label", "inflammatory"
-        params.w_node[a], params.w_node[b] = params.w_node[b], params.w_node[a]
         ia, ib = TYPES3.index(a), TYPES3.index(b)
+        params.w_node.data[[ia, ib]] = params.w_node.data[[ib, ia]]
         swapped = g.node_types.copy()
         swapped[g.node_types == ia] = ib
         swapped[g.node_types == ib] = ia
@@ -226,7 +229,7 @@ class TestLayerForward:
         rng = np.random.default_rng(10)
         g = random_labeled_graph(rng, TYPES3, n_nodes=5, feature_dim=3)
         params = make_params(d_in=3, d_out=4, heads=2, seed=400)
-        tensors = [w for ws in params.w_node.values() for w in ws] + [params.w_edge]
+        tensors = [params.w_node, params.w_edge]
 
         def f():
             out = layer_forward(g, params)
@@ -241,13 +244,9 @@ class TestLayerForward:
         out = layer_forward(g, params)
         assert out.node_features.shape == (4, 4)
         # with w_value == w_node it must reduce to the shared-projection layer
-        for name in params.w_node:
-            for i in range(params.heads):
-                params.w_value[name][i].data = params.w_node[name][i].data.copy()
+        params.w_value.data = params.w_node.data.copy()
         coupled = make_params(d_in=3, d_out=4, heads=2, seed=500)
-        for name in coupled.w_node:
-            for i in range(coupled.heads):
-                coupled.w_node[name][i].data = params.w_node[name][i].data.copy()
+        coupled.w_node.data = params.w_node.data.copy()
         coupled.w_edge.data = params.w_edge.data.copy()
         np.testing.assert_allclose(layer_forward(g, params).node_features.data,
                                    layer_forward(g, coupled).node_features.data, atol=1e-12)

@@ -43,10 +43,9 @@ class TestPlPool:
         feats = rng.standard_normal((4, 3))
         type_idx = np.array([0, 1, 0, 1])
         params = make_pool(dim=3, seed=1)
-        for name in params.readout:
-            params.readout[name].data = rng.standard_normal((3, 3))
+        params.readout.data = rng.standard_normal((3, 3, 3))
         s = pl_pool(Tensor(feats), type_idx, params)
-        readout = [params.readout[name].data for name in TYPES3.names]
+        readout = list(params.readout.data)
         ref = ref_pl_pool(feats, type_idx, 3, readout)
         np.testing.assert_allclose(s.data, ref, atol=1e-12)
 
@@ -153,6 +152,24 @@ class TestModelForward:
 
         assert ad.grad_check(f, list(model.parameters().values()), eps=1e-4) < 1e-5
 
+    def test_training_forward_records_at_most_50_ops(self, monkeypatch):
+        # one typed projection per layer and one segment sum for pooling,
+        # so the tape does not grow with the number of types or heads
+        ops = []
+        make = ad._make
+
+        def counting_make(data, parents, vjp, op):
+            ops.append(op)
+            return make(data, parents, vjp, op)
+
+        g = random_labeled_graph(np.random.default_rng(0), DEFAULT_TYPES, n_nodes=13,
+                                 feature_dim=8)
+        assert len(set(g.node_types.tolist())) == len(DEFAULT_TYPES)
+        model = Model.init(ModelConfig(feature_dim=8), rng_for(0, "init"))
+        monkeypatch.setattr(ad, "_make", counting_make)
+        model.forward(g, training=True, rng=rng_for(0, "dropout"))
+        assert len(ops) <= 50, sorted(ops)
+
     def test_dropout_only_active_in_training(self):
         rng = np.random.default_rng(9)
         g = random_labeled_graph(rng, TYPES3, n_nodes=6, feature_dim=4)
@@ -194,7 +211,7 @@ class TestBaseline:
                                       heads=1, n_layers=2, dropout=0.0, pooling="pl"),
                           rng_for(16, "init"))
         for bl, hl in zip(baseline.layers, heat.layers):
-            hl.w_node["only"][0].data = bl.w_node["__shared__"][0].data.copy()
+            hl.w_node.data = bl.w_node.data.copy()
         heat.layers[0].w_edge.data = np.ones_like(heat.layers[0].w_edge.data)  # attr 1 -> ones
         heat.layers[1].w_edge.data = np.eye(4)                                 # ones -> ones
         heat.pool.classifier_w.data = baseline.pool.classifier_w.data.copy()

@@ -219,6 +219,25 @@ class TestRunCV:
         assert {"auc", "accuracy", "macro_f1", "per_fold"} <= set(report)
         assert [f["fold"] for f in report["per_fold"]] == list(range(5))
 
+    def test_single_class_fold_is_left_out_of_auc(self):
+        from dataclasses import replace
+
+        from heatnet.train import run_cv
+        graphs = tiny_dataset(n=12, seed=12)
+        cfg = quiet_cfg(max_epochs=1, folds=3)
+        # fold 0 tests on label-0 graphs only; the other test folds hold both classes
+        test_sets = [test for _, _, test in kfold_split(list(range(12)), 3, cfg.seed)]
+        labels = {i: 0 for i in test_sets[0]}
+        for test in test_sets[1:]:
+            labels.update({i: j % 2 for j, i in enumerate(test)})
+        graphs = [replace(g, label=labels[i]) for i, g in enumerate(graphs)]
+        model_cfg = ModelConfig(feature_dim=6, hidden_dim=4, heads=2, n_layers=2, dropout=0.0)
+        report = run_cv(graphs, model_cfg, cfg)
+        fold_aucs = [f["auc"] for f in report["per_fold"]]
+        assert np.isnan(fold_aucs[0]) and not np.isnan(fold_aucs[1:]).any()
+        assert report["auc_folds"] == 2
+        assert report["auc"] == np.mean(fold_aucs[1:])
+
 
 class TestCheckpoint:
     def test_round_trip_bit_identical_logits(self, tmp_path):
