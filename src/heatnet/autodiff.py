@@ -92,39 +92,9 @@ class Tensor:
     def on_tape(self) -> bool:
         return self.requires_grad or self._vjp is not None
 
-    def backward(self) -> dict["Tensor", Array]:
-        return backward(self)
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag})"
-
-    # Operator sugar; scalars are lifted to constant tensors.
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_lift(other)))
-
-    def __rsub__(self, other):
-        return add(_lift(other), neg(self))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
 
 
 def _lift(x) -> Tensor:
@@ -171,13 +141,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
 
     return _make(out, (a, b), vjp, "add")
-
-
-def neg(a: Tensor) -> Tensor:
-    def vjp(g):
-        return (-g,)
-
-    return _make(-a.data, (a,), vjp, "neg")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -335,13 +298,6 @@ def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
     return _make(out, (a,), vjp_axis, "sum")
 
 
-def reduce_mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    if n == 0:
-        raise ShapeError("mean over an empty axis")
-    return scale(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 def mean_rows(a: Tensor) -> Tensor:
     """Column means of a 2-D tensor as a (1, d) row, exactly rounded.
 
@@ -413,7 +369,7 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
     n = d.shape[0]
     label = int(label)
     if not 0 <= label < n:
-        raise IndexError(f"label {label} out of range for {n} classes")
+        raise ConfigError(f"label {label} out of range for {n} classes")
     m = d.max()
     lse = m + math.log(math.fsum(np.exp(d - m).tolist()))
     out = np.asarray(lse - d[label])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,7 +60,6 @@ class BuildConfig:
     symmetric_edges: bool = True
     typing: str = "counts"          # "counts" | "kmeans"
     kmeans_k: int = 4
-    augmentation: AugmentConfig = field(default_factory=AugmentConfig)
     seed: int = 0
 
     def __post_init__(self):
@@ -340,13 +339,8 @@ def augment(g: HeteroGraph, cfg: AugmentConfig, rng: np.random.Generator) -> Het
     keep = u_nodes >= cfg.node_drop_prob
     if not keep.any():
         keep[int(np.argmax(u_nodes))] = True
-    kept_ids = {nid for nid, k in zip(g.node_ids, keep) if k}
-
-    edge_alive = np.array(
-        [s in kept_ids and t in kept_ids for s, t in zip(g.edge_src.tolist(), g.edge_dst.tolist())],
-        dtype=bool,
-    )
-    alive_idx = np.nonzero(edge_alive)[0]
+    src_pos, dst_pos = g.edge_pos
+    alive_idx = np.nonzero(keep[src_pos] & keep[dst_pos])[0]
     is_self = g.edge_src[alive_idx] == g.edge_dst[alive_idx]
     u_edges = rng.random(len(alive_idx))
     drop = (~is_self) & (u_edges < cfg.edge_drop_prob)

@@ -265,6 +265,10 @@ def cmd_gradcheck(args, cfg: RunConfig) -> int:
     from .autodiff import cross_entropy, grad_check
     from .testing import random_labeled_graph
 
+    if args.nodes < 1 or args.dim < 1:
+        raise ConfigError("--nodes and --dim must be >= 1")
+    if not 1 <= args.type_count <= len(DEFAULT_TYPES):
+        raise ConfigError(f"--type-count must be in [1, {len(DEFAULT_TYPES)}]")
     types = TypeSet(tuple(DEFAULT_TYPES.names[:args.type_count]))
     g = random_labeled_graph(rng_for(cfg.seed, "gradcheck-graph"), types,
                              n_nodes=args.nodes, feature_dim=args.dim,

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from . import __version__
-from .builder import AugmentConfig, BuildConfig
+from .builder import BuildConfig
 from .errors import ConfigError
 from .model import ModelConfig
+from .schema import build_dataclass
 from .synth import SyntheticSpec
 from .train import TrainConfig
 
@@ -45,31 +46,6 @@ def _to_jsonable(obj: Any) -> Any:
 
 def config_dict(cfg: RunConfig) -> dict:
     return _to_jsonable(cfg)
-
-
-def _build_dataclass(cls, data: dict, path: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} under {path!r}")
-    kwargs = {}
-    nested = {
-        "build": BuildConfig, "train": TrainConfig, "model": ModelConfig,
-        "synth": SyntheticSpec, "augmentation": AugmentConfig,
-    }
-    for name, value in data.items():
-        if name in nested and isinstance(value, dict):
-            kwargs[name] = _build_dataclass(nested[name], value, f"{path}.{name}")
-        elif name in ("types",) and isinstance(value, list):
-            kwargs[name] = tuple(value)
-        elif name in ("n_nodes",) and isinstance(value, list):
-            kwargs[name] = tuple(value)
-        else:
-            kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad config under {path!r}: {exc}") from exc
 
 
 def _deep_merge(base: dict, update: dict) -> dict:
@@ -123,7 +99,7 @@ def load_run_config(config_path: str | None = None,
     if seed is not None:
         merged["seed"] = seed
     # the experiment seed also seeds the components unless they override it
-    cfg = _build_dataclass(RunConfig, merged, "config")
+    cfg = build_dataclass(RunConfig, merged, "config")
     updates = {}
     if "build" not in merged or "seed" not in merged.get("build", {}):
         updates["build"] = dataclasses.replace(cfg.build, seed=cfg.seed)

@@ -128,16 +128,3 @@ def export_heatmap(attr: Attribution, csv_path, json_path=None, *,
         "provenance": provenance or {},
     }
     _write_json(json_path, summary)
-
-
-def parse_heatmap_csv(path) -> list[tuple[int, int, int, float]]:
-    """Read back (node_id, x, y, delta) rows; the format is lossless."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["node_id", "x", "y", "delta"]:
-            raise ExportError(f"unexpected heatmap header: {header}")
-        for row in reader:
-            rows.append((int(row[0]), int(row[1]), int(row[2]), float(row[3])))
-    return rows

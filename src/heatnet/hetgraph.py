@@ -2,19 +2,19 @@
 
 A graph holds typed nodes with float64 feature vectors and directed edges
 with float64 attribute vectors. Graphs are immutable after construction;
-mutation-style operations return new graphs. Edges name their endpoints by
-node id; ``HeteroGraph.edge_pos`` maps them to node positions once per
-graph, and that cached pair of arrays is what the layers index with. The
-JSON file format is versioned and round-trips floats exactly; ``validate``
-is the one checker of graph-wide invariants, the parser included.
+``remove_node``, the one mutation-style operation, returns a new graph.
+Edges name their endpoints by node id; ``HeteroGraph.edge_pos`` maps them
+to node positions once per graph, and that cached pair of arrays is what
+the layers index with. The JSON file format is versioned and round-trips
+floats exactly; ``validate`` is the one checker of graph-wide invariants,
+the parser included.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -167,16 +167,6 @@ class HeteroGraph:
 
         return lookup(self.edge_src), lookup(self.edge_dst)
 
-    def has_node(self, node_id: int) -> bool:
-        return node_id in self._id_to_pos
-
-    def type_name(self, node_id: int) -> str:
-        return self.types.names[self.node_types[self.pos(node_id)]]
-
-    def nodes(self) -> Iterator[tuple[int, str, np.ndarray]]:
-        for i, nid in enumerate(self.node_ids):
-            yield nid, self.types.names[self.node_types[i]], self.features[i]
-
     def __eq__(self, other) -> bool:
         """Structural equality with bit-identical floats."""
         if not isinstance(other, HeteroGraph):
@@ -201,38 +191,6 @@ class HeteroGraph:
         return same
 
     __hash__ = None  # type: ignore[assignment]
-
-    @classmethod
-    def from_lists(cls, types: TypeSet,
-                   nodes: Sequence[tuple],
-                   edges: Sequence[tuple],
-                   label: int | None = None) -> "HeteroGraph":
-        """Build a graph from per-node/per-edge tuples (test/demo helper).
-
-        nodes: (id, type_name, feature[, (x, y)]); edges: (src, dst, attr).
-        """
-        ids = [n[0] for n in nodes]
-        type_idx = [types.index(n[1]) for n in nodes]
-        feats = np.asarray([n[2] for n in nodes], dtype=np.float64)
-        if feats.ndim == 1 and len(nodes):
-            feats = feats.reshape(len(nodes), -1)
-        coords = None
-        if nodes and len(nodes[0]) > 3 and nodes[0][3] is not None:
-            coords = np.asarray([n[3] for n in nodes], dtype=np.int64)
-        src = np.asarray([e[0] for e in edges], dtype=np.intp)
-        dst = np.asarray([e[1] for e in edges], dtype=np.intp)
-        attrs = np.asarray([e[2] for e in edges], dtype=np.float64)
-        if attrs.ndim == 1 and len(edges):
-            attrs = attrs.reshape(len(edges), -1)
-        if len(edges) == 0:
-            src = np.zeros(0, dtype=np.intp)
-            dst = np.zeros(0, dtype=np.intp)
-            attrs = np.zeros((0, 1), dtype=np.float64)
-        if len(nodes) == 0:
-            feats = np.zeros((0, 0), dtype=np.float64)
-            type_idx = np.zeros(0, dtype=np.intp)
-        return cls(types, tuple(ids), np.asarray(type_idx, dtype=np.intp), feats,
-                   src, dst, attrs, label=label, coords=coords)
 
 
 def validate(g: HeteroGraph) -> Violation | None:
@@ -303,18 +261,6 @@ def remove_node(g: HeteroGraph, node_id: int) -> HeteroGraph:
         label=g.label,
         coords=None if g.coords is None else g.coords[keep_nodes],
     )
-
-
-def incoming(g: HeteroGraph, node_id: int) -> list[tuple[int, int, np.ndarray]]:
-    """All edges (s, t, attr) with t == node_id, in ascending source id."""
-    g.pos(node_id)  # raises on unknown id
-    rows = np.nonzero(g.edge_dst == node_id)[0]
-    order = rows[np.argsort(g.edge_src[rows], kind="stable")]
-    return [(int(g.edge_src[i]), int(g.edge_dst[i]), g.edge_attrs[i].copy()) for i in order]
-
-
-def with_label(g: HeteroGraph, label: int | None) -> HeteroGraph:
-    return replace(g, label=label)
 
 
 # ---------------------------------------------------------------------------

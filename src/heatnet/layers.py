@@ -8,9 +8,11 @@ inner product sum_j key_j * e'_j * query_j / sqrt(d_k); scores are
 normalized per head across each target's incoming edges; the per-edge
 output concatenates the attention-scaled value vectors over heads, and
 edges are aggregated per target (mean by default). The projected edge
-attribute e' becomes the edge's attribute for the next layer. One
-``typed_matmul`` projects all nodes with all heads; heads are then the
-middle axis of (E, heads, d_k) blocks, so no op loops over types or heads.
+attribute e' becomes the edge's attribute for the next layer.
+``layer_forward`` computes this for all edges at once: one
+``typed_matmul`` projects all nodes with all heads, and heads are the
+middle axis of (E, heads, d_k) blocks, so no op loops over types, heads
+or edges.
 """
 
 from __future__ import annotations
@@ -91,64 +93,10 @@ class HeatLayerParams:
 
 
 @dataclass(frozen=True)
-class EdgeProjection:
-    """Per-head key/query/value vectors and the projected edge attribute."""
-
-    keys: tuple[np.ndarray, ...]
-    queries: tuple[np.ndarray, ...]
-    values: tuple[np.ndarray, ...]
-    edge: np.ndarray
-
-
-@dataclass(frozen=True)
 class LayerOutput:
     node_features: Tensor          # (n, d_out)
     edge_attrs: Tensor             # (E, d_k), input attrs for the next layer
     attention: np.ndarray | None   # (E, heads) normalized weights, if requested
-
-
-def project(params: HeatLayerParams, src_feat: np.ndarray, dst_feat: np.ndarray,
-            src_type: str, dst_type: str, edge_attr: np.ndarray) -> EdgeProjection:
-    """Project one edge's endpoints and attribute (inspection/reference API).
-
-    Key and value both use the source type's projection; the query uses the
-    target type's. The edge map is shared across heads. An unknown type
-    name is a ConfigError.
-    """
-    if params.shared_projection:
-        src = dst = 0
-    else:
-        src, dst = params.types.index(src_type), params.types.index(dst_type)
-    w_value = params.w_node if params.w_value is None else params.w_value
-    keys = np.split(params.w_node.data[src] @ src_feat, params.heads)
-    queries = np.split(params.w_node.data[dst] @ dst_feat, params.heads)
-    values = np.split(w_value.data[src] @ src_feat, params.heads)
-    if params.w_edge is None:
-        eproj = np.ones(params.d_k)
-    else:
-        eproj = params.w_edge.data @ np.asarray(edge_attr, dtype=np.float64)
-    return EdgeProjection(tuple(keys), tuple(queries), tuple(values), eproj)
-
-
-def att_score(key: np.ndarray, edge_mod: np.ndarray, query: np.ndarray) -> float:
-    """Edge-modulated scaled dot product: sum(key * e' * query) / sqrt(d_k)."""
-    key = np.asarray(key, dtype=np.float64)
-    query = np.asarray(query, dtype=np.float64)
-    edge_mod = np.asarray(edge_mod, dtype=np.float64)
-    if not (key.shape == query.shape == edge_mod.shape) or key.ndim != 1:
-        raise ShapeError(
-            f"key/edge/query must share a 1-D shape, got {key.shape}/{edge_mod.shape}/{query.shape}")
-    return float(np.sum(key * edge_mod * query) / math.sqrt(key.shape[0]))
-
-
-def attention_softmax(scores: np.ndarray) -> np.ndarray:
-    """Normalize an (m, heads) score block per head across the m edges."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[0] == 0:
-        raise ContractError("attention requires a nonempty incoming-edge set "
-                            "(the builder must add self-loops)")
-    ex = np.exp(scores - scores.max(axis=0))
-    return ex / ex.sum(axis=0)
 
 
 def layer_forward(g: HeteroGraph, params: HeatLayerParams,

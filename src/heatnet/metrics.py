@@ -15,28 +15,21 @@ def metric_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Probability that a random positive outranks a random negative.
 
     Mann-Whitney formulation with ties counted 0.5, computed via average
-    ranks. Requires both classes to be present.
+    ranks. Requires both classes to be present and no NaN score.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise ConfigError("scores and labels must be 1-D and equally long")
+    if np.isnan(s).any():
+        raise ConfigError("scores must not be NaN")
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos + n_neg != len(y):
         raise ConfigError("labels must be 0/1")
     if n_pos == 0 or n_neg == 0:
         raise ConfigError("AUC is undefined with a single class")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s), dtype=np.float64)
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[order[j + 1]] == s[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
-    rank_sum = float(ranks[y == 1].sum())
+    rank_sum = float(stats.rankdata(s)[y == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

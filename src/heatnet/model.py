@@ -151,15 +151,3 @@ class Model:
             if arr.shape != t.data.shape:
                 raise ShapeError(f"parameter {name} has shape {arr.shape}, expected {t.data.shape}")
             t.data = arr.copy()
-
-
-def model_forward(g: HeteroGraph, model: Model) -> Tensor:
-    """Evaluation-mode logits for a graph."""
-    return model.forward(g, training=False)
-
-
-def baseline_forward(g: HeteroGraph, model: Model) -> Tensor:
-    """Forward pass of the type-blind ablation; the model must be one."""
-    if not model.config.type_blind or model.config.pooling != "mean":
-        raise ConfigError("baseline_forward expects a type-blind, mean-pooled model")
-    return model.forward(g, training=False)

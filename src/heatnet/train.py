@@ -1,9 +1,10 @@
 """Optimization, cross-validation, checkpoints, and evaluation.
 
-Training follows the fixed recipe: Adam (decoupled weight decay by
-default), minibatches of graphs with ordered gradient accumulation,
-per-epoch augmentation of training graphs, early stopping on validation
-loss, and the best-validation parameters returned as the checkpoint.
+Training follows the fixed recipe: Adam with decoupled weight decay and
+fixed moment constants (``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``),
+minibatches of graphs with ordered gradient accumulation, per-epoch
+augmentation of training graphs, early stopping on validation loss, and
+the best-validation parameters returned as the checkpoint.
 """
 
 from __future__ import annotations
@@ -22,9 +23,14 @@ from .errors import ConfigError, NonFiniteError, TrainingError
 from .hetgraph import HeteroGraph, _write_json
 from .metrics import accuracy, metric_auc_macro, metric_macro_f1
 from .model import Model, ModelConfig
+from .schema import build_dataclass
 from .seeding import rng_for
 
 CHECKPOINT_VERSION = 2
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -40,10 +46,6 @@ class TrainConfig:
     dropout: float = 0.2
     folds: int = 5
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    decoupled_weight_decay: bool = True
     augmentation: AugmentConfig = field(default_factory=lambda: AugmentConfig(
         edge_drop_prob=0.1, node_drop_prob=0.05,
         feature_noise_sigma=0.01, edge_noise_sigma=0.01))
@@ -76,31 +78,27 @@ class AdamState:
 
 def adam_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray],
               state: AdamState, cfg: TrainConfig) -> None:
-    """One Adam update in place (beta1=0.9, beta2=0.999, bias-corrected).
+    """One bias-corrected Adam update in place.
 
-    Decoupled weight decay shrinks parameters before the moment update;
-    the coupled alternative adds wd * theta to the gradient instead.
+    Decoupled weight decay shrinks parameters before the moment update.
     """
     bad = [k for k, g in grads.items() if not np.all(np.isfinite(g))]
     if bad:
         raise TrainingError(f"non-finite gradients for parameters: {sorted(bad)}")
     state.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     lr, wd = cfg.learning_rate, cfg.weight_decay
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(p.data)
         if wd:
-            if cfg.decoupled_weight_decay:
-                p.data = p.data * (1.0 - lr * wd)
-            else:
-                g = g + wd * p.data
+            p.data = p.data * (1.0 - lr * wd)
         m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
         v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1 ** state.t)
         v_hat = v / (1.0 - b2 ** state.t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def kfold_split(ids: Sequence, folds: int = 5, seed: int = 0) -> list[tuple[list, list, list]]:
@@ -168,6 +166,8 @@ def evaluate(graphs: Sequence[HeteroGraph], model: Model) -> dict:
     for i, g in enumerate(graphs):
         if g.label is None:
             raise ConfigError("evaluation graphs must carry labels")
+        if not 0 <= g.label < n_classes:
+            raise ConfigError(f"label {g.label} out of range for {n_classes} classes")
         probs[i] = model.predict_proba(g)
         labels[i] = g.label
         losses.append(-float(np.log(max(probs[i][g.label], 1e-300))))
@@ -299,10 +299,7 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     if set(mc) != names:
         raise ConfigError(f"checkpoint model_config keys mismatch (missing={sorted(names - set(mc))}, "
                           f"unknown={sorted(set(mc) - names)})")
-    try:
-        config = ModelConfig(**{**mc, "types": tuple(mc["types"])})
-    except TypeError as exc:
-        raise ConfigError(f"checkpoint model_config is malformed: {exc}") from exc
+    config = build_dataclass(ModelConfig, mc, "model_config")
     model = Model.init(config, rng=np.random.default_rng(0))
     if not isinstance(doc.get("params"), dict):
         raise ConfigError("checkpoint has no params object")

@@ -5,7 +5,9 @@ plain Python loops over raw numpy parameter arrays, independently of the
 autodiff path they are checked against. The slow paths that the package
 replaced (per-edge id lookups, list-of-segments segment ops, the per-edge
 validation loops, the dense k-NN and the per-edge Pearson loop of graph
-construction) are kept here as oracles for the fast ones.
+construction) are kept here as oracles for the fast ones. ``from_lists``
+builds the small hand-written graphs of the tests from per-node and
+per-edge tuples.
 """
 
 import math
@@ -14,6 +16,36 @@ from typing import Sequence
 import numpy as np
 
 from heatnet.errors import ConfigError, ShapeError
+from heatnet.hetgraph import HeteroGraph
+
+
+def from_lists(types, nodes, edges, label=None):
+    """Build a graph from per-node/per-edge tuples.
+
+    nodes: (id, type_name, feature[, (x, y)]); edges: (src, dst, attr).
+    """
+    ids = [n[0] for n in nodes]
+    type_idx = [types.index(n[1]) for n in nodes]
+    feats = np.asarray([n[2] for n in nodes], dtype=np.float64)
+    if feats.ndim == 1 and len(nodes):
+        feats = feats.reshape(len(nodes), -1)
+    coords = None
+    if nodes and len(nodes[0]) > 3 and nodes[0][3] is not None:
+        coords = np.asarray([n[3] for n in nodes], dtype=np.int64)
+    src = np.asarray([e[0] for e in edges], dtype=np.intp)
+    dst = np.asarray([e[1] for e in edges], dtype=np.intp)
+    attrs = np.asarray([e[2] for e in edges], dtype=np.float64)
+    if attrs.ndim == 1 and len(edges):
+        attrs = attrs.reshape(len(edges), -1)
+    if len(edges) == 0:
+        src = np.zeros(0, dtype=np.intp)
+        dst = np.zeros(0, dtype=np.intp)
+        attrs = np.zeros((0, 1), dtype=np.float64)
+    if len(nodes) == 0:
+        feats = np.zeros((0, 0), dtype=np.float64)
+        type_idx = np.zeros(0, dtype=np.intp)
+    return HeteroGraph(types, tuple(ids), np.asarray(type_idx, dtype=np.intp), feats,
+                       src, dst, attrs, label=label, coords=coords)
 
 
 def head_blocks(w, names, heads):

@@ -118,7 +118,7 @@ def test_c02_attention_normalization():
 
 
 def test_c03_oracle_equivalence():
-    # layer_forward and model_forward vs straight-line reference on all
+    # layer_forward and Model.forward vs straight-line reference on all
     # graph sizes <= 5 nodes over randomized parameters, within 1e-10
     rng = np.random.default_rng(2)
     for n in range(1, 6):

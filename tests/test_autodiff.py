@@ -79,7 +79,7 @@ class TestCrossEntropy:
         assert loss.item() == pytest.approx(math.log(1.0 + math.exp(-1.0)), abs=1e-12)
 
     def test_label_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ConfigError):
             ad.cross_entropy(Tensor([0.0, 0.0]), 2)
 
     def test_gradient_analytic(self):

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -230,7 +231,14 @@ def _set_node_field(key, value):
     return corrupt
 
 
-def _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_graph=None, corrupt_ckpt=None):
+def _one_input_error_line(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("heatnet: error: input:"), err
+    return err[0]
+
+
+def _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_graph=None, corrupt_ckpt=None,
+                                   argv=()):
     types = TypeSet(("a", "b"))
     g = random_labeled_graph(np.random.default_rng(0), types, n_nodes=4, feature_dim=3)
     save_graph(g, tmp_path / "g.json")
@@ -243,12 +251,10 @@ def _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_graph=None, corrupt
     if corrupt_ckpt is not None:
         doc = corrupt_ckpt(doc) or doc
     (tmp_path / "ckpt.json").write_text(json.dumps(doc))
-    rc = main(["explain", "--graph", str(tmp_path / "g.json"),
+    rc = main(["explain", "--graph", str(tmp_path / "g.json"), *argv,
                "--checkpoint", str(tmp_path / "ckpt.json"), "--out", str(tmp_path / "x")])
     assert rc == EXIT_INPUT
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("heatnet: error: input:")
-    return err[0]
+    return _one_input_error_line(capsys)
 
 
 def _version_1_checkpoint(doc):
@@ -299,8 +305,9 @@ class TestMalformedInputFiles:
         _add_config_key,
         _drop_param_data,
         _misfit_param_data,
+        lambda doc: doc["model_config"].update(n_layers=1.5),
     ], ids=["not-object", "no-model-config", "missing-key", "unknown-key",
-            "param-without-data", "data-misfits-shape"])
+            "param-without-data", "data-misfits-shape", "n-layers-fraction"])
     def test_bad_checkpoint_exits_2(self, tmp_path, capsys, corrupt):
         _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_ckpt=corrupt)
 
@@ -341,8 +348,7 @@ class TestMalformedInputFiles:
                  "patches": tmp_path / "patches.jsonl", "data": tmp_path / "data"}
         rc = main([tok.format(**paths) for tok in argv.split()] + ["--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("heatnet: error: input:")
+        _one_input_error_line(capsys)
 
     @pytest.mark.parametrize("manifest", [{"version": 1}, {"files": ["a.json", 3]}, [1]])
     def test_bad_manifest_exits_2(self, tmp_path, capsys, manifest):
@@ -355,12 +361,93 @@ class TestMalformedInputFiles:
         assert len(err) == 1 and "files" in err[0]
 
 
+def _labeled_dataset(tmp_path, label):
+    """Five default-typed graphs that all carry ``label``, with a manifest."""
+    rng = np.random.default_rng(0)
+    data = tmp_path / "data"
+    data.mkdir()
+    files = []
+    for i in range(5):
+        g = random_labeled_graph(rng, n_nodes=4, feature_dim=3)
+        save_graph(dataclasses.replace(g, label=label), data / f"g{i}.json")
+        files.append(f"g{i}.json")
+    (data / "manifest.json").write_text(json.dumps({"files": files}))
+    return data
+
+
+class TestLabelOutsideClasses:
+    """A label outside the 2-class model's [0, 2) exits 2 with one line."""
+
+    @pytest.mark.parametrize("argv, corrupt", [(["--label", "5"], None),
+                                               (["--label", "-1"], None),
+                                               ([], lambda doc: doc.update(label=7))],
+                             ids=["flag-5", "flag-minus-1", "graph-file-7"])
+    def test_explain(self, tmp_path, capsys, argv, corrupt):
+        line = _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_graph=corrupt, argv=argv)
+        assert "out of range for 2 classes" in line
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_dataset(self, tmp_path, capsys, command):
+        data = _labeled_dataset(tmp_path, label=2)
+        model = Model.init(ModelConfig(feature_dim=3, hidden_dim=4), 0)
+        (tmp_path / "ckpt.json").write_text(json.dumps(checkpoint_dict(model, None, 0, 0.0)))
+        extra = ["--checkpoint", str(tmp_path / "ckpt.json")] if command == "eval" else []
+        rc = main([command, "--data", str(data), "--out", str(tmp_path / "o"), *extra,
+                   "--set", "train.max_epochs=1", "--set", "train.patience=1",
+                   "--set", "model.hidden_dim=4"])
+        assert rc == EXIT_INPUT
+        assert "out of range for 2 classes" in _one_input_error_line(capsys)
+
+
+class TestConfigValueTypes:
+    """A config value of the wrong JSON type exits 2 with one line naming the key."""
+
+    @pytest.mark.parametrize("override, key", [
+        ("model.n_layers=1.5", "config.model.n_layers"),
+        ("train.max_epochs=2.5", "config.train.max_epochs"),
+        ("train.batch_size=1.5", "config.train.batch_size"),
+        ("model.heads=4.0", "config.model.heads"),
+        ("build=3", "config.build"),
+        ("train.augmentation=5", "config.train.augmentation"),
+        ("synth.n_nodes=[3]", "config.synth.n_nodes"),
+    ])
+    def test_train_override(self, tmp_path, capsys, override, key):
+        data = _labeled_dataset(tmp_path, label=1)
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "o"),
+                   "--set", "train.patience=1", "--set", "model.hidden_dim=4",
+                   "--set", override])
+        assert rc == EXIT_INPUT
+        assert key in _one_input_error_line(capsys)
+
+    @pytest.mark.parametrize("override", [
+        'build.augmentation={"edge_drop_prob":0.1}', "train.beta1=0.9", "train.beta2=0.999",
+        "train.eps=1e-8", "train.decoupled_weight_decay=true"])
+    def test_removed_keys_are_unknown(self, capsys, override):
+        rc = main(["gradcheck", "--nodes", "2", "--dim", "2", "--set", override])
+        assert rc == EXIT_INPUT
+        assert "unknown key" in _one_input_error_line(capsys)
+
+    def test_build_graph_override(self, tmp_path, capsys):
+        patches = tmp_path / "patches.jsonl"
+        patches.write_text(PATCHES)
+        rc = main(["build-graph", "--patches", str(patches), "--out", str(tmp_path / "g.json"),
+                   "--set", "build.k=2.5"])
+        assert rc == EXIT_INPUT
+        assert "config.build.k" in _one_input_error_line(capsys)
+
+
 class TestGradcheck:
     def test_default_model_passes(self, capsys):
         rc = main(["gradcheck", "--nodes", "6", "--dim", "4", "--seed", "0"])
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "max relative error" in out
+
+    @pytest.mark.parametrize("flags", [["--nodes", "-1"], ["--dim", "0"], ["--dim", "-4"],
+                                       ["--type-count", "-2"], ["--type-count", "7"]])
+    def test_out_of_range_flags_exit_2(self, capsys, flags):
+        assert main(["gradcheck", *flags]) == EXIT_INPUT
+        _one_input_error_line(capsys)
 
     def test_default_recipe_visible_in_provenance(self, tmp_path):
         data = make_dataset(tmp_path, n=8, seed=4)

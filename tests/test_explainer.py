@@ -1,17 +1,18 @@
 """Leave-one-node-out attribution and heatmap export."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from _reference import from_lists
 from heatnet.errors import AttributionError, ExportError
 from heatnet.hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet
 from heatnet.explain import (
     causal_contribution,
     explain_graph,
     export_heatmap,
-    parse_heatmap_csv,
     top_k_ids,
 )
 from heatnet.model import Model, ModelConfig
@@ -19,6 +20,14 @@ from heatnet.seeding import rng_for
 from heatnet.testing import random_labeled_graph
 
 TYPES3 = TypeSet(DEFAULT_TYPES.names[:3])
+
+
+def parse_heatmap_csv(path):
+    """Read back (node_id, x, y, delta) rows; the format is lossless."""
+    with open(path, "r", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["node_id", "x", "y", "delta"]
+        return [(int(r[0]), int(r[1]), int(r[2]), float(r[3])) for r in reader]
 
 
 def make_model(seed=0, feature_dim=4):
@@ -41,7 +50,7 @@ class TestCausalContribution:
         # exchangeable under mean aggregation
         feat = [1.0, -0.5, 2.0, 0.3]
         other = [0.2, 0.1, -1.0, 0.8]
-        g = HeteroGraph.from_lists(
+        g = from_lists(
             TYPES3,
             nodes=[(0, "neoplastic", feat), (1, "neoplastic", feat),
                    (2, "inflammatory", other)],
@@ -55,16 +64,16 @@ class TestCausalContribution:
         assert d0 == pytest.approx(d1, abs=1e-12)
 
     def test_single_node_graph_rejected(self):
-        g = HeteroGraph.from_lists(TYPES3, nodes=[(0, "neoplastic", [1.0, 0.0, 0.0, 0.0])],
-                                   edges=[(0, 0, [1.0])], label=0)
+        g = from_lists(TYPES3, nodes=[(0, "neoplastic", [1.0, 0.0, 0.0, 0.0])],
+                       edges=[(0, 0, [1.0])], label=0)
         with pytest.raises(AttributionError):
             causal_contribution(make_model(), g, 0, 0)
 
 
 class TestExplainGraph:
     def test_single_node_graph_yields_error_entry(self):
-        g = HeteroGraph.from_lists(TYPES3, nodes=[(0, "neoplastic", [1.0, 0.0, 0.0, 0.0])],
-                                   edges=[(0, 0, [1.0])], label=0)
+        g = from_lists(TYPES3, nodes=[(0, "neoplastic", [1.0, 0.0, 0.0, 0.0])],
+                       edges=[(0, 0, [1.0])], label=0)
         attr = explain_graph(make_model(), g)
         assert len(attr.entries) == 1
         assert attr.entries[0].error is not None

@@ -1,10 +1,11 @@
-"""Graph structure: validation, node removal, incoming edges, serialization."""
+"""Graph structure: validation, node removal, serialization."""
 
 import json
 
 import numpy as np
 import pytest
 
+from _reference import from_lists
 from heatnet.errors import ConfigError, GraphLookupError, GraphValidationError
 from heatnet.hetgraph import (
     DEFAULT_TYPES,
@@ -12,7 +13,6 @@ from heatnet.hetgraph import (
     TypeSet,
     _write_json,
     from_json_dict,
-    incoming,
     load_graph,
     remove_node,
     save_graph,
@@ -22,7 +22,7 @@ from heatnet.hetgraph import (
 
 
 def tiny_graph(label=None):
-    return HeteroGraph.from_lists(
+    return from_lists(
         DEFAULT_TYPES,
         nodes=[
             (0, "neoplastic", [1.0, 2.0], (0, 0)),
@@ -49,7 +49,7 @@ class TestTypeSet:
 
 class TestValidate:
     def test_empty_graph_ok(self):
-        g = HeteroGraph.from_lists(DEFAULT_TYPES, nodes=[], edges=[])
+        g = from_lists(DEFAULT_TYPES, nodes=[], edges=[])
         assert validate(g) is None
 
     def test_valid_graph_ok(self):
@@ -92,13 +92,13 @@ class TestValidate:
 
 class TestRemoveNode:
     def test_remove_only_node_gives_empty_graph(self):
-        g = HeteroGraph.from_lists(DEFAULT_TYPES, nodes=[(0, "dead", [1.0, 2.0])],
-                                   edges=[(0, 0, [1.0])])
+        g = from_lists(DEFAULT_TYPES, nodes=[(0, "dead", [1.0, 2.0])],
+                       edges=[(0, 0, [1.0])])
         out = remove_node(g, 0)
         assert out.n_nodes == 0 and out.n_edges == 0
 
     def test_triangle_keeps_survivor_edges(self):
-        g = HeteroGraph.from_lists(
+        g = from_lists(
             DEFAULT_TYPES,
             nodes=[(0, "dead", [1.0]), (1, "dead", [2.0]), (2, "dead", [3.0])],
             edges=[(0, 1, [0.1]), (1, 2, [0.2]), (2, 0, [0.3])])
@@ -129,41 +129,6 @@ class TestRemoveNode:
             g = random_labeled_graph(rng, n_nodes=int(rng.integers(2, 9)), feature_dim=3)
             victim = int(rng.choice(g.node_ids))
             assert validate(remove_node(g, victim)) is None
-
-
-class TestIncoming:
-    def test_isolated_node(self):
-        g = HeteroGraph.from_lists(DEFAULT_TYPES,
-                                   nodes=[(0, "dead", [1.0]), (1, "dead", [2.0])],
-                                   edges=[(0, 0, [1.0])])
-        assert incoming(g, 1) == []
-
-    def test_self_loop_only(self):
-        g = HeteroGraph.from_lists(DEFAULT_TYPES, nodes=[(7, "dead", [1.0])],
-                                   edges=[(7, 7, [1.0])])
-        [(s, t, attr)] = incoming(g, 7)
-        assert (s, t) == (7, 7)
-        np.testing.assert_array_equal(attr, [1.0])
-
-    def test_ascending_source_order(self):
-        g = HeteroGraph.from_lists(
-            DEFAULT_TYPES,
-            nodes=[(2, "dead", [1.0]), (5, "dead", [2.0]), (7, "dead", [3.0]),
-                   (9, "dead", [4.0])],
-            edges=[(7, 9, [0.1]), (2, 9, [0.2]), (5, 9, [0.3])])
-        assert [s for s, _, _ in incoming(g, 9)] == [2, 5, 7]
-
-    def test_unknown_id(self):
-        with pytest.raises(GraphLookupError):
-            incoming(tiny_graph(), 42)
-
-    def test_incoming_counts_sum_to_edge_count(self):
-        from heatnet.testing import random_labeled_graph
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            g = random_labeled_graph(rng, n_nodes=int(rng.integers(2, 9)), feature_dim=3)
-            total = sum(len(incoming(g, nid)) for nid in g.node_ids)
-            assert total == g.n_edges
 
 
 class TestSerialization:

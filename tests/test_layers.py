@@ -1,21 +1,13 @@
 """Attention layer: projections, scores, normalization, full forward."""
 
-import math
-
 import numpy as np
 import pytest
 
-from _reference import head_blocks, ref_layer_forward, ref_plain_attention
+from _reference import from_lists, head_blocks, ref_layer_forward, ref_plain_attention
 from heatnet import autodiff as ad
-from heatnet.errors import ConfigError, ContractError, ShapeError
+from heatnet.errors import ConfigError, ContractError
 from heatnet.hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet
-from heatnet.layers import (
-    HeatLayerParams,
-    att_score,
-    attention_softmax,
-    layer_forward,
-    project,
-)
+from heatnet.layers import HeatLayerParams, layer_forward
 from heatnet.seeding import rng_for
 from heatnet.testing import random_labeled_graph
 
@@ -25,80 +17,6 @@ TYPES3 = TypeSet(DEFAULT_TYPES.names[:3])
 def make_params(types=TYPES3, d_in=4, d_out=4, heads=2, d_edge=1, seed=0, **kw):
     return HeatLayerParams.init(types, d_in, d_out, heads, d_edge,
                                 rng_for(seed, "layer"), **kw)
-
-
-class TestProject:
-    def test_same_features_same_type_give_key_equals_query(self):
-        params = make_params()
-        h = np.array([1.0, -1.0, 2.0, 0.5])
-        out = project(params, h, h, "no-label", "no-label", np.array([0.3]))
-        for i in range(params.heads):
-            np.testing.assert_array_equal(out.keys[i], out.queries[i])
-            np.testing.assert_array_equal(out.keys[i], out.values[i])
-
-    def test_zero_edge_projection(self):
-        params = make_params()
-        params.w_edge.data = np.zeros_like(params.w_edge.data)
-        out = project(params, np.ones(4), np.ones(4), "no-label", "inflammatory", np.array([0.7]))
-        np.testing.assert_array_equal(out.edge, np.zeros(params.d_k))
-
-    def test_matches_dense_algebra(self):
-        rng = np.random.default_rng(4)
-        params = make_params(seed=4)
-        hs = rng.standard_normal(4)
-        ht = rng.standard_normal(4)
-        attr = rng.standard_normal(1)
-        out = project(params, hs, ht, "neoplastic", "inflammatory", attr)
-        w_node = head_blocks(params.w_node, TYPES3.names, params.heads)
-        for i in range(params.heads):
-            np.testing.assert_allclose(out.keys[i], w_node["neoplastic"][i] @ hs,
-                                       atol=1e-15)
-            np.testing.assert_allclose(out.queries[i],
-                                       w_node["inflammatory"][i] @ ht, atol=1e-15)
-        np.testing.assert_allclose(out.edge, params.w_edge.data @ attr, atol=1e-15)
-
-    def test_unregistered_type(self):
-        params = make_params()
-        with pytest.raises(ConfigError):
-            project(params, np.ones(4), np.ones(4), "non-neoplastic-epithelial", "no-label",
-                    np.array([0.3]))
-
-
-class TestAttScore:
-    def test_all_ones_modulation_reduces_to_dot_product(self):
-        key = np.array([1.0, 2.0])
-        query = np.array([3.0, 4.0])
-        assert att_score(key, np.ones(2), query) == pytest.approx(
-            float(key @ query) / math.sqrt(2))
-
-    def test_zero_modulation_gives_zero(self):
-        assert att_score(np.ones(3), np.zeros(3), np.ones(3)) == 0.0
-
-    def test_known_value(self):
-        got = att_score(np.array([1.0, 2.0]), np.array([1.0, 1.0]), np.array([3.0, 4.0]))
-        assert got == pytest.approx(11.0 / math.sqrt(2.0), abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            att_score(np.ones(2), np.ones(3), np.ones(2))
-
-
-class TestAttentionSoftmax:
-    def test_single_edge_gets_weight_one(self):
-        w = attention_softmax(np.array([[3.7, -2.0]]))
-        np.testing.assert_allclose(w, [[1.0, 1.0]])
-
-    def test_equal_scores_split_evenly(self):
-        w = attention_softmax(np.zeros((2, 3)))
-        np.testing.assert_allclose(w, np.full((2, 3), 0.5))
-
-    def test_known_values(self):
-        w = attention_softmax(np.array([[0.0], [math.log(3.0)]]))
-        np.testing.assert_allclose(w, [[0.25], [0.75]], atol=1e-15)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractError):
-            attention_softmax(np.zeros((0, 2)))
 
 
 def identity_params(d, types=TYPES3):
@@ -111,13 +29,13 @@ def identity_params(d, types=TYPES3):
 
 class TestLayerForward:
     def test_self_loop_fixed_point(self):
-        g = HeteroGraph.from_lists(TYPES3, nodes=[(0, "neoplastic", [1.0, -2.0, 0.5])],
-                                   edges=[(0, 0, [1.0])])
+        g = from_lists(TYPES3, nodes=[(0, "neoplastic", [1.0, -2.0, 0.5])],
+                       edges=[(0, 0, [1.0])])
         out = layer_forward(g, identity_params(3))
         np.testing.assert_allclose(out.node_features.data, g.features, atol=1e-15)
 
     def test_zero_features_give_zero_outputs(self):
-        g = HeteroGraph.from_lists(
+        g = from_lists(
             TYPES3,
             nodes=[(0, "neoplastic", [0.0, 0.0]), (1, "inflammatory", [0.0, 0.0])],
             edges=[(0, 0, [1.0]), (1, 1, [1.0]), (0, 1, [0.4]), (1, 0, [0.4])])
@@ -125,11 +43,36 @@ class TestLayerForward:
         np.testing.assert_array_equal(out.node_features.data, np.zeros((2, 4)))
 
     def test_missing_incoming_edges_rejected(self):
-        g = HeteroGraph.from_lists(TYPES3,
-                                   nodes=[(0, "no-label", [1.0]), (1, "no-label", [2.0])],
-                                   edges=[(0, 1, [0.2])])
+        g = from_lists(TYPES3,
+                       nodes=[(0, "no-label", [1.0]), (1, "no-label", [2.0])],
+                       edges=[(0, 1, [0.2])])
         with pytest.raises(ContractError, match="node 0 has no incoming edges"):
             layer_forward(g, make_params(d_in=1, d_out=2))
+
+    def test_lone_incoming_edge_gets_weight_one(self):
+        g = from_lists(TYPES3,
+                       nodes=[(0, "neoplastic", [1.0, 2.0]), (1, "inflammatory", [-3.0, 0.5])],
+                       edges=[(0, 0, [1.0]), (0, 1, [0.7]), (1, 1, [1.0])])
+        att = layer_forward(g, make_params(d_in=2, d_out=4), return_attention=True).attention
+        assert (att[0] == 1.0).all()
+        assert not (att[1:] == 1.0).any()
+
+    def test_equal_scores_split_evenly(self):
+        # a zero edge map zeroes every score and the next layer's edge attributes
+        rng = np.random.default_rng(4)
+        g = random_labeled_graph(rng, TYPES3, n_nodes=6, feature_dim=4)
+        params = make_params()
+        params.w_edge.data[...] = 0.0
+        out = layer_forward(g, params, return_attention=True)
+        in_degree = np.bincount(g.edge_pos[1], minlength=g.n_nodes)
+        expected = np.repeat((1.0 / in_degree[g.edge_pos[1]])[:, None], params.heads, axis=1)
+        np.testing.assert_allclose(out.attention, expected, rtol=1e-15)
+        assert (out.edge_attrs.data == 0.0).all()
+
+    def test_graph_type_set_must_match(self):
+        g = random_labeled_graph(np.random.default_rng(3), DEFAULT_TYPES, n_nodes=3, feature_dim=4)
+        with pytest.raises(ConfigError, match="type set"):
+            layer_forward(g, make_params())
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(5)

@@ -44,6 +44,11 @@ class TestAuc:
         with pytest.raises(ConfigError):
             metric_auc([0.1, 0.9], [1, 1])
 
+    def test_nan_score_rejected_infinities_rank(self):
+        with pytest.raises(ConfigError, match="NaN"):
+            metric_auc([1.0, np.nan, 0.5, 1.0], [1, 0, 0, 1])
+        assert metric_auc([np.inf, -np.inf, 0.0], [1, 0, 1]) == 1.0
+
     def test_matches_pair_counting_on_random_inputs(self):
         rng = np.random.default_rng(0)
         for _ in range(300):

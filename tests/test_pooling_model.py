@@ -1,13 +1,12 @@
 """Per-type pooling, classification head, and full model forward."""
 
 import numpy as np
-import pytest
 
-from _reference import ref_model_forward, ref_pl_pool
+from _reference import from_lists, ref_model_forward, ref_pl_pool
 from heatnet import autodiff as ad
 from heatnet.autodiff import Tensor
 from heatnet.hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet
-from heatnet.model import Model, ModelConfig, baseline_config, baseline_forward, model_forward
+from heatnet.model import Model, ModelConfig, baseline_config
 from heatnet.pooling import PoolParams, graph_logits, pl_pool
 from heatnet.seeding import rng_for
 from heatnet.testing import random_labeled_graph
@@ -116,14 +115,14 @@ class TestModelForward:
         rng = np.random.default_rng(5)
         g = random_labeled_graph(rng, TYPES3, n_nodes=7, feature_dim=4)
         model = make_model()
-        a = model_forward(g, model).data
-        b = model_forward(g, model).data
+        a = model.forward(g).data
+        b = model.forward(g).data
         assert (a == b).all()
 
     def test_single_node_graph_is_well_defined(self):
-        g = HeteroGraph.from_lists(TYPES3, nodes=[(0, "neoplastic", [1.0, 0.0, 2.0, 1.0])],
-                                   edges=[(0, 0, [1.0])], label=0)
-        logits = model_forward(g, make_model())
+        g = from_lists(TYPES3, nodes=[(0, "neoplastic", [1.0, 0.0, 2.0, 1.0])],
+                       edges=[(0, 0, [1.0])], label=0)
+        logits = make_model().forward(g)
         assert logits.shape == (2,)
         assert np.isfinite(logits.data).all()
 
@@ -132,14 +131,14 @@ class TestModelForward:
         for trial in range(10):
             g = random_labeled_graph(rng, TYPES3, n_nodes=10, feature_dim=4)
             model = make_model(seed=trial)
-            np.testing.assert_allclose(model_forward(g, model).data,
+            np.testing.assert_allclose(model.forward(g).data,
                                        ref_model_forward(g, model), atol=1e-10)
 
     def test_mean_pooling_variant_matches_oracle(self):
         rng = np.random.default_rng(7)
         g = random_labeled_graph(rng, TYPES3, n_nodes=8, feature_dim=4)
         model = make_model(seed=11, pooling="mean")
-        np.testing.assert_allclose(model_forward(g, model).data,
+        np.testing.assert_allclose(model.forward(g).data,
                                    ref_model_forward(g, model), atol=1e-10)
 
     def test_end_to_end_grad_check(self):
@@ -185,11 +184,11 @@ class TestModelForward:
         rng = np.random.default_rng(10)
         g = random_labeled_graph(rng, TYPES3, n_nodes=5, feature_dim=4)
         model = make_model(seed=14)
-        logits = model_forward(g, model).data
+        logits = model.forward(g).data
         state = model.state_arrays()
         other = make_model(seed=999)
         other.load_state(state)
-        assert (model_forward(g, other).data == logits).all()
+        assert (other.forward(g).data == logits).all()
 
 
 class TestBaseline:
@@ -216,8 +215,8 @@ class TestBaseline:
         heat.layers[1].w_edge.data = np.eye(4)                                 # ones -> ones
         heat.pool.classifier_w.data = baseline.pool.classifier_w.data.copy()
         heat.pool.classifier_b.data = baseline.pool.classifier_b.data.copy()
-        out_heat = model_forward(g, heat).data
-        out_base = baseline_forward(g, baseline).data
+        out_heat = heat.forward(g).data
+        out_base = baseline.forward(g).data
         np.testing.assert_allclose(out_heat, out_base, atol=1e-10)
 
     def test_baseline_attention_still_normalized(self):
@@ -231,10 +230,3 @@ class TestBaseline:
         out = layer_forward(g, baseline.layers[0], return_attention=True)
         for seg in incoming_segments(g):
             np.testing.assert_allclose(out.attention[seg].sum(axis=0), np.ones(2), atol=1e-9)
-
-    def test_baseline_forward_requires_baseline_model(self):
-        from heatnet.errors import ConfigError
-        rng = np.random.default_rng(13)
-        g = random_labeled_graph(rng, TYPES3, n_nodes=4, feature_dim=4)
-        with pytest.raises(ConfigError):
-            baseline_forward(g, make_model())

@@ -7,7 +7,7 @@ from heatnet.autodiff import Tensor
 from heatnet.builder import AugmentConfig, BuildConfig
 from heatnet.errors import ConfigError, GenerationError, TrainingError
 from heatnet.hetgraph import DEFAULT_TYPES
-from heatnet.model import Model, ModelConfig, model_forward
+from heatnet.model import Model, ModelConfig
 from heatnet.seeding import rng_for
 from heatnet.synth import SyntheticSpec, planted_label, synth_generate
 from heatnet.train import (
@@ -250,8 +250,8 @@ class TestCheckpoint:
         loaded, doc = load_checkpoint(path)
         assert doc["provenance"] == {"seed": 5}
         held_out = tiny_dataset(n=4, seed=6)[0]
-        a = model_forward(held_out, result.model).data
-        b = model_forward(held_out, loaded).data
+        a = result.model.forward(held_out).data
+        b = loaded.forward(held_out).data
         assert (a == b).all()
 
 
