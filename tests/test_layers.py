@@ -27,6 +27,45 @@ def identity_params(d, types=TYPES3):
     return params
 
 
+class TestAttScore:
+    def test_zero_modulation_gives_zero(self):
+        # zero edge attributes zero every edge's modulation, so every score
+        # is zero and each node's attention splits evenly over its in-edges
+        rng = np.random.default_rng(8)
+        g = random_labeled_graph(rng, TYPES3, n_nodes=6, feature_dim=4)
+        params = make_params()
+        zero_attrs = ad.Tensor(np.zeros_like(g.edge_attrs))
+        out = layer_forward(g, params, edge_attrs=zero_attrs, return_attention=True)
+        in_degree = np.bincount(g.edge_pos[1], minlength=g.n_nodes)
+        expected = np.repeat((1.0 / in_degree[g.edge_pos[1]])[:, None], params.heads, axis=1)
+        np.testing.assert_allclose(out.attention, expected, rtol=1e-15)
+
+
+class TestAttentionSoftmax:
+    def test_equal_scores_split_evenly(self):
+        # a zero edge map zeroes every score
+        rng = np.random.default_rng(4)
+        g = random_labeled_graph(rng, TYPES3, n_nodes=6, feature_dim=4)
+        params = make_params()
+        params.w_edge.data[...] = 0.0
+        out = layer_forward(g, params, return_attention=True)
+        in_degree = np.bincount(g.edge_pos[1], minlength=g.n_nodes)
+        expected = np.repeat((1.0 / in_degree[g.edge_pos[1]])[:, None], params.heads, axis=1)
+        np.testing.assert_allclose(out.attention, expected, rtol=1e-15)
+
+
+class TestProject:
+    def test_zero_edge_projection(self):
+        # a zero edge map gives zero next-layer edge attributes
+        rng = np.random.default_rng(4)
+        g = random_labeled_graph(rng, TYPES3, n_nodes=6, feature_dim=4)
+        params = make_params()
+        params.w_edge.data[...] = 0.0
+        out = layer_forward(g, params)
+        assert out.edge_attrs.shape == (g.n_edges, params.d_k)
+        assert (out.edge_attrs.data == 0.0).all()
+
+
 class TestLayerForward:
     def test_self_loop_fixed_point(self):
         g = from_lists(TYPES3, nodes=[(0, "neoplastic", [1.0, -2.0, 0.5])],
@@ -56,18 +95,6 @@ class TestLayerForward:
         att = layer_forward(g, make_params(d_in=2, d_out=4), return_attention=True).attention
         assert (att[0] == 1.0).all()
         assert not (att[1:] == 1.0).any()
-
-    def test_equal_scores_split_evenly(self):
-        # a zero edge map zeroes every score and the next layer's edge attributes
-        rng = np.random.default_rng(4)
-        g = random_labeled_graph(rng, TYPES3, n_nodes=6, feature_dim=4)
-        params = make_params()
-        params.w_edge.data[...] = 0.0
-        out = layer_forward(g, params, return_attention=True)
-        in_degree = np.bincount(g.edge_pos[1], minlength=g.n_nodes)
-        expected = np.repeat((1.0 / in_degree[g.edge_pos[1]])[:, None], params.heads, axis=1)
-        np.testing.assert_allclose(out.attention, expected, rtol=1e-15)
-        assert (out.edge_attrs.data == 0.0).all()
 
     def test_graph_type_set_must_match(self):
         g = random_labeled_graph(np.random.default_rng(3), DEFAULT_TYPES, n_nodes=3, feature_dim=4)
