@@ -12,8 +12,8 @@ segment by construction; an index of the wrong length, out of range, or
 leaving a segment empty is a ContractError.
 
 Reductions whose operand order depends on node/edge ordering (segment
-aggregation, per-segment softmax denominators and their gradients, column
-means) are exactly rounded, so their results are independent of row
+aggregation and pooling, per-segment softmax denominators and their
+gradients) are exactly rounded, so their results are independent of row
 permutation; this is what makes node-relabeling equivariance bit-exact.
 The segment ops sort rows by segment once and work on whole arrays:
 ``np.maximum.reduceat`` for maxima, ``np.repeat`` to broadcast back, and
@@ -21,6 +21,17 @@ one kernel, ``_segment_fsum``, for per-segment column sums. It splits the
 values by error-free extraction into parts that numpy sums exactly,
 certifies that the result is correctly rounded, and sums any cell it
 cannot certify with math.fsum, so every sum equals math.fsum's bit for bit.
+
+Products are row-invariant by construction: ``matmul`` and ``typed_matmul``
+build each output row from its own input row only (a broadcast product
+summed along its last axis), so a row's bits never depend on which other
+rows share the call. BLAS gives no such promise. With OpenBLAS 0.3.31
+(Haswell kernels) a 1-row operand (gemv) rounds differently from the same
+row inside a larger product at every width with d_in >= 4, and with d_out
+of 1 or 2 about a quarter of row subsets change bits; attention layers with
+d_k <= 2 have such edge maps. Row invariance is what lets a cached forward
+stand in for the rows a graph edit leaves unchanged (``explain``). Backward
+products still go through BLAS.
 """
 
 from __future__ import annotations
@@ -164,14 +175,25 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make(a.data * s, (a,), vjp, "scale")
 
 
+def _rowwise_product(x: Array, w: Array) -> Array:
+    """``out[r, o] = sum_i x[r, i] * w[..., o, i]``, each row from its own input row only.
+
+    ``w`` is (d_out, d_in), or (n, d_out, d_in) for one weight per row. A
+    broadcast product summed along its contiguous last axis rounds every
+    output row the same whatever other rows share the call, which BLAS does
+    not promise (see the module docstring).
+    """
+    return np.multiply(x[:, None, :], w, order="C").sum(axis=-1)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Standard 2-D matrix product, recorded on tape when grad mode is on."""
+    """2-D matrix product, recorded on tape when grad mode is on."""
     a, b = _lift(a), _lift(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
-    out = a.data @ b.data
+    out = _rowwise_product(a.data, b.data.T)
 
     def vjp(g):
         ga = g @ b.data.T if a.on_tape() else None
@@ -240,8 +262,8 @@ def typed_matmul(x: Tensor, w: Tensor, type_idx) -> Tensor:
     """Row r of the result is ``w[type_idx[r]] @ x[r]``: one weight per row type.
 
     ``x`` is (n, d_in), ``w`` is (T, d_out, d_in) and ``type_idx`` is (n,)
-    with values in [0, T). Each type present costs one matmul; the weight
-    of a type no row has gets a zero gradient.
+    with values in [0, T). Row r equals ``matmul`` of x[r] with the transposed
+    weight bit for bit; the weight of a type no row has gets a zero gradient.
     """
     x, w = _lift(x), _lift(w)
     idx = np.asarray(type_idx, dtype=np.intp)
@@ -253,16 +275,12 @@ def typed_matmul(x: Tensor, w: Tensor, type_idx) -> Tensor:
         raise ShapeError(f"typed_matmul: type index has shape {idx.shape}, x has {n} rows")
     if n and (idx.min() < 0 or idx.max() >= n_types):
         raise ShapeError(f"typed_matmul: type index out of range for {n_types} types")
-    bounds = np.cumsum(np.bincount(idx, minlength=n_types))[:-1]
-    groups = [(t, rows) for t, rows in enumerate(np.split(np.argsort(idx, kind="stable"), bounds))
-              if rows.size]
-    out = np.empty((n, w.data.shape[1]))
-    for t, rows in groups:
-        # A C-ordered transpose keeps numpy's matrix-vector path, and with it
-        # the rounding, the same as matmul(x_rows, transpose(w_t)).
-        out[rows] = x.data[rows] @ w.data[t].T.copy()
+    out = _rowwise_product(x.data, w.data[idx])
 
     def vjp(g):
+        bounds = np.cumsum(np.bincount(idx, minlength=n_types))[:-1]
+        groups = [(t, rows) for t, rows in enumerate(np.split(np.argsort(idx, kind="stable"), bounds))
+                  if rows.size]
         dx = np.empty_like(x.data) if x.on_tape() else None
         dw = np.zeros_like(w.data) if w.on_tape() else None
         for t, rows in groups:
@@ -296,25 +314,6 @@ def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
         return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return _make(out, (a,), vjp_axis, "sum")
-
-
-def mean_rows(a: Tensor) -> Tensor:
-    """Column means of a 2-D tensor as a (1, d) row, exactly rounded.
-
-    Exactly rounded column sums make the result independent of row order,
-    which the pooling layers rely on for permutation equivariance.
-    """
-    if a.data.ndim != 2:
-        raise ShapeError(f"mean_rows expects a 2-D tensor, got {a.data.shape}")
-    n = a.data.shape[0]
-    if n == 0:
-        raise ShapeError("mean_rows of an empty tensor")
-    out = _segment_fsum(a.data, np.zeros(1, dtype=np.intp), np.array([n])) / n
-
-    def vjp(g):
-        return (np.broadcast_to(g / n, a.data.shape).copy(),)
-
-    return _make(out, (a,), vjp, "mean_rows")
 
 
 # ---------------------------------------------------------------------------

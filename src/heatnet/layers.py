@@ -10,9 +10,12 @@ output concatenates the attention-scaled value vectors over heads, and
 edges are aggregated per target (mean by default). The projected edge
 attribute e' becomes the edge's attribute for the next layer.
 ``layer_forward`` computes this for all edges at once: one
-``typed_matmul`` projects all nodes with all heads, and heads are the
-middle axis of (E, heads, d_k) blocks, so no op loops over types, heads
-or edges.
+``typed_matmul`` projects all nodes with all heads (``project_nodes``), and
+``attend`` scores, normalizes and aggregates edge rows given as index
+arrays into the projection table, with heads the middle axis of
+(E, heads, d_k) blocks, so no op loops over types, heads or edges. The
+leave-one-out attribution calls ``attend`` directly on the edges around
+each removed node.
 """
 
 from __future__ import annotations
@@ -95,8 +98,56 @@ class HeatLayerParams:
 @dataclass(frozen=True)
 class LayerOutput:
     node_features: Tensor          # (n, d_out)
-    edge_attrs: Tensor             # (E, d_k), input attrs for the next layer
+    edge_attrs: Tensor             # (E, d_k) edge projections, input attrs for the next layer
+    node_proj: Tensor              # (n, heads, d_k) key and query projections
+    value_proj: Tensor | None      # (n, heads, d_k) value projections, if decoupled
     attention: np.ndarray | None   # (E, heads) normalized weights, if requested
+
+
+def check_incoming(node_ids, in_degree: np.ndarray) -> None:
+    """Every node needs an incoming edge: attention normalizes over them."""
+    if not in_degree.all():
+        raise ContractError(f"node {node_ids[int(np.argmin(in_degree))]} has no incoming "
+                            "edges; self-loops are required")
+
+
+def project_nodes(params: HeatLayerParams, feats: Tensor,
+                  node_types: np.ndarray) -> tuple[Tensor, Tensor | None]:
+    """Row v is W[type(v)] @ feats[v] split into an (m, heads, d_k) block, so
+    that heads are the middle axis of every per-edge block; the second
+    projection is the decoupled value one, or None."""
+    m, heads, d_k = feats.shape[0], params.heads, params.d_k
+    type_idx = np.zeros(m, dtype=np.intp) if params.shared_projection else node_types
+
+    def project(w: Tensor) -> Tensor:
+        return ad.reshape(ad.typed_matmul(feats, w, type_idx), (m, heads, d_k))
+
+    return project(params.w_node), None if params.w_value is None else project(params.w_value)
+
+
+def attend(params: HeatLayerParams, node_proj: Tensor, value_proj: Tensor | None,
+           eproj: Tensor, src: np.ndarray, dst: np.ndarray, segment: np.ndarray,
+           n_segments: int) -> tuple[Tensor, Tensor]:
+    """Score, normalize and aggregate edge rows into one output row per segment.
+
+    Edge row r takes its key (and value) from projection row ``src[r]``, its
+    query from row ``dst[r]`` and its modulation from ``eproj`` row r, and
+    belongs to segment ``segment[r]``. Returns the (n_segments, d_out)
+    outputs and the (rows, heads) attention weights. Every row is computed
+    from its own inputs and every segment sum is exactly rounded, so an
+    output row depends only on the set of its segment's edge rows.
+    """
+    heads, d_k = params.heads, params.d_k
+    keys = ad.gather_rows(node_proj, src)
+    queries = ad.gather_rows(node_proj, dst)
+    values = keys if value_proj is None else ad.gather_rows(value_proj, src)
+    modulated = ad.mul(ad.mul(keys, ad.reshape(eproj, (-1, 1, d_k))), queries)
+    scores = ad.scale(ad.reduce_sum(modulated, axis=2), 1.0 / math.sqrt(d_k))
+    att = ad.segment_softmax(scores, segment, n_segments)
+    weighted = ad.mul(values, ad.reshape(att, (-1, heads, 1)))
+    out = ad.segment_reduce(ad.reshape(weighted, (-1, params.d_out)), segment, n_segments,
+                            params.aggregation)
+    return out, att
 
 
 def layer_forward(g: HeteroGraph, params: HeatLayerParams,
@@ -122,42 +173,18 @@ def layer_forward(g: HeteroGraph, params: HeatLayerParams,
         raise ConfigError("graph type set does not match layer parameters")
 
     pos_src, pos_dst = g.edge_pos
-    in_degree = np.bincount(pos_dst, minlength=n)
-    if not in_degree.all():
-        raise ContractError(f"node {g.node_ids[int(np.argmin(in_degree))]} has no incoming "
-                            "edges; self-loops are required")
-
-    # Node v's projection W[type(v)] @ H_v, split into an (n, heads, d_k)
-    # block, so that heads are the middle axis of every per-edge block.
-    heads, d_k = params.heads, params.d_k
-    type_idx = np.zeros(n, dtype=np.intp) if params.shared_projection else g.node_types
-
-    def project_nodes(w: Tensor) -> Tensor:
-        return ad.reshape(ad.typed_matmul(feats, w, type_idx), (n, heads, d_k))
-
-    proj = project_nodes(params.w_node)
-    keys = ad.gather_rows(proj, pos_src)
-    queries = ad.gather_rows(proj, pos_dst)
-    if params.w_value is None:
-        values = keys
-    else:
-        values = ad.gather_rows(project_nodes(params.w_value), pos_src)
-
+    check_incoming(g.node_ids, np.bincount(pos_dst, minlength=n))
+    node_proj, value_proj = project_nodes(params, feats, g.node_types)
     if params.w_edge is None:
-        eproj = Tensor(np.ones((g.n_edges, d_k)))
+        eproj = Tensor(np.ones((g.n_edges, params.d_k)))
     else:
         eproj = ad.matmul(attrs, ad.transpose(params.w_edge))
-
-    modulated = ad.mul(ad.mul(keys, ad.reshape(eproj, (-1, 1, d_k))), queries)
-    scores = ad.scale(ad.reduce_sum(modulated, axis=2), 1.0 / math.sqrt(d_k))
-    att = ad.segment_softmax(scores, pos_dst, n)
-    weighted = ad.mul(values, ad.reshape(att, (-1, heads, 1)))
-    h_out = ad.segment_reduce(ad.reshape(weighted, (-1, params.d_out)), pos_dst, n,
-                              params.aggregation)
-
+    h_out, att = attend(params, node_proj, value_proj, eproj, pos_src, pos_dst, pos_dst, n)
     return LayerOutput(
         node_features=h_out,
         edge_attrs=eproj,
+        node_proj=node_proj,
+        value_proj=value_proj,
         attention=att.data.copy() if return_attention else None,
     )
 

@@ -41,6 +41,11 @@ class ModelConfig:
     final_readout: str = "mean"
 
     def __post_init__(self):
+        for name, low in (("hidden_dim", 1), ("heads", 1), ("n_classes", 2), ("edge_attr_dim", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if self.feature_dim is not None and self.feature_dim < 1:
+            raise ConfigError(f"feature_dim must be at least 1, got {self.feature_dim}")
         if self.hidden_dim % self.heads != 0:
             raise ConfigError(f"hidden_dim={self.hidden_dim} not divisible by heads={self.heads}")
         if self.n_layers < 1:
@@ -101,8 +106,13 @@ class Model:
         return out
 
     def forward(self, g: HeteroGraph, training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-        """Graph -> logits (C,). Dropout is active only in training mode."""
+                rng: np.random.Generator | None = None,
+                layer_outputs: list[LayerOutput] | None = None) -> Tensor:
+        """Graph -> logits (C,). Dropout is active only in training mode.
+
+        ``layer_outputs``, if given, receives each layer's output with its
+        node and edge projections (what ``explain`` reuses).
+        """
         if g.n_nodes == 0:
             raise ShapeError("cannot run the model on an empty graph")
         if g.feature_dim != self.config.feature_dim:
@@ -113,15 +123,27 @@ class Model:
         h: Tensor = Tensor(g.features)
         attrs: Tensor = Tensor(g.edge_attrs)
         for i, layer in enumerate(self.layers):
-            out: LayerOutput = layer_forward(g, layer, features=h, edge_attrs=attrs)
+            out = layer_forward(g, layer, features=h, edge_attrs=attrs)
+            if layer_outputs is not None:
+                layer_outputs.append(out)
             h, attrs = out.node_features, out.edge_attrs
             if i < len(self.layers) - 1:
-                h = ad.leaky_relu(h, self.config.leaky_slope)
-                h = ad.dropout(h, self.config.dropout, rng, training)
+                h = self.activate(h, training, rng)
+        return self.readout(h, g.node_types)
+
+    def activate(self, h: Tensor, training: bool = False,
+                 rng: np.random.Generator | None = None) -> Tensor:
+        """The leaky ReLU and dropout between two attention layers."""
+        h = ad.leaky_relu(h, self.config.leaky_slope)
+        return ad.dropout(h, self.config.dropout, rng, training)
+
+    def readout(self, h: Tensor, node_types: np.ndarray,
+                graph: np.ndarray | None = None) -> Tensor:
+        """Final node features -> logits: (C,) for one graph, or (B, C) for
+        the rows of B graphs stacked with ``graph`` naming each row's graph."""
         if self.config.pooling == "pl":
-            pooled = pl_pool(h, g.node_types, self.pool)
-            return graph_logits(pooled, self.pool)
-        return mean_pool_logits(h, self.pool)
+            return graph_logits(pl_pool(h, node_types, self.pool, graph), self.pool)
+        return mean_pool_logits(h, self.pool, graph)
 
     def loss(self, g: HeteroGraph, label: int | None = None, training: bool = False,
              rng: np.random.Generator | None = None) -> Tensor:

@@ -6,7 +6,9 @@ rows, then an optional trainable per-type linear map) into a fixed
 one ``typed_matmul``; types with no nodes contribute a zero row. The
 graph feature is the mean (or sum) over S's rows, followed by a linear
 classifier. A plain mean-over-all-nodes pooling is kept as the ablation
-baseline.
+baseline. Every reduction is an exactly rounded segment sum and every
+product is row-invariant, so the rows of several graphs stacked into one
+call give each graph the logits it gets alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -74,38 +76,65 @@ class PoolParams:
         )
 
 
-def pl_pool(features: Tensor, type_idx: np.ndarray, params: PoolParams) -> Tensor:
-    """Pool node features into one row per type; empty types give zeros."""
+def pl_pool(features: Tensor, type_idx: np.ndarray, params: PoolParams,
+            graph: np.ndarray | None = None) -> Tensor:
+    """Pool node features into one row per type; empty types give zeros.
+
+    Returns (T, d) for one graph. ``graph[r]`` names the graph of row r when
+    the rows of several graphs are stacked; the result is then (B, T, d)
+    for B = max(graph) + 1 graphs, each pooled exactly as on its own.
+    """
     n, d = features.shape
     if d != params.dim:
         raise ShapeError(f"features dim {d} does not match pool dim {params.dim}")
-    present, segment = np.unique(type_idx, return_inverse=True)
+    n_types = len(params.types)
+    cells = type_idx if graph is None else graph * n_types + type_idx
+    present, segment = np.unique(cells, return_inverse=True)
     pooled = ad.segment_reduce(features, segment, len(present), "mean")
     if params.readout is not None:
-        pooled = ad.typed_matmul(pooled, params.readout, present)
-    # Absent types read the zero row appended after the present ones.
-    rows = np.full(len(params.types), len(present), dtype=np.intp)
+        pooled = ad.typed_matmul(pooled, params.readout, present % n_types)
+    # Absent cells read the zero row appended after the present ones.
+    n_graphs = 1 if graph is None else int(graph.max()) + 1
+    rows = np.full(n_graphs * n_types, len(present), dtype=np.intp)
     rows[present] = np.arange(len(present))
-    return ad.gather_rows(ad.concat([pooled, Tensor(np.zeros((1, d)))], axis=0), rows)
+    out = ad.gather_rows(ad.concat([pooled, Tensor(np.zeros((1, d)))], axis=0), rows)
+    return out if graph is None else ad.reshape(out, (n_graphs, n_types, d))
+
+
+def _logits(rows: Tensor, graph: np.ndarray, n_graphs: int, mode: str,
+            params: PoolParams) -> Tensor:
+    """Reduce the rows of each graph to one vector (mean or sum) and apply
+    the linear head: logits (n_graphs, C)."""
+    z = ad.segment_reduce(rows, graph, n_graphs, mode)
+    return ad.add(ad.matmul(z, ad.transpose(params.classifier_w)), params.classifier_b)
 
 
 def graph_logits(pooled: Tensor, params: PoolParams) -> Tensor:
-    """Collapse the per-type matrix to a graph vector and classify it."""
-    if pooled.ndim != 2 or pooled.shape[1] != params.dim:
+    """Collapse per-type matrices to graph vectors and classify them.
+
+    A (T, d) matrix gives logits (C,); a (B, T, d) stack gives (B, C).
+    """
+    if pooled.ndim not in (2, 3) or pooled.shape[-1] != params.dim:
         raise ShapeError(f"pooled matrix {pooled.shape} does not match pool dim {params.dim}")
-    if params.final == "mean":
-        z = ad.mean_rows(pooled)
-    else:
-        z = ad.reduce_sum(pooled, axis=0, keepdims=True)
-    logits = ad.add(ad.matmul(z, ad.transpose(params.classifier_w)), params.classifier_b)
-    return ad.reshape(logits, (params.n_classes,))
+    if pooled.ndim == 2:
+        one = np.zeros(pooled.shape[0], dtype=np.intp)
+        return ad.reshape(_logits(pooled, one, 1, params.final, params), (params.n_classes,))
+    n_graphs, n_rows, d = pooled.shape
+    return _logits(ad.reshape(pooled, (n_graphs * n_rows, d)),
+                   np.repeat(np.arange(n_graphs), n_rows), n_graphs, params.final, params)
 
 
-def mean_pool_logits(features: Tensor, params: PoolParams) -> Tensor:
-    """Plain mean pooling over all nodes (type-blind ablation head)."""
-    z = ad.mean_rows(features)
-    logits = ad.add(ad.matmul(z, ad.transpose(params.classifier_w)), params.classifier_b)
-    return ad.reshape(logits, (params.n_classes,))
+def mean_pool_logits(features: Tensor, params: PoolParams,
+                     graph: np.ndarray | None = None) -> Tensor:
+    """Plain mean pooling over all nodes (type-blind ablation head).
+
+    Logits are (C,) for one graph, or (B, C) when ``graph`` stacks B graphs
+    as in ``pl_pool``.
+    """
+    if graph is None:
+        one = np.zeros(features.shape[0], dtype=np.intp)
+        return ad.reshape(_logits(features, one, 1, "mean", params), (params.n_classes,))
+    return _logits(features, graph, int(graph.max()) + 1, "mean", params)
 
 
 def pool_parameters(params: PoolParams, prefix: str = "pool") -> dict[str, Tensor]:

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatnet import autodiff as ad
 from heatnet.autodiff import Tensor
@@ -136,17 +138,18 @@ class TestOps:
         grads = ad.backward(ad.reduce_sum(out))
         np.testing.assert_array_equal(grads[a], [[2, 2], [0, 0], [1, 1]])
 
-    def test_mean_rows_matches_numpy(self):
+    def test_one_segment_mean_matches_numpy(self):
         x = np.random.default_rng(1).standard_normal((5, 3))
-        np.testing.assert_allclose(ad.mean_rows(Tensor(x)).data, x.mean(axis=0, keepdims=True),
-                                   atol=1e-15)
+        out = ad.segment_reduce(Tensor(x), np.zeros(5, dtype=np.intp), 1, "mean").data
+        np.testing.assert_allclose(out, x.mean(axis=0, keepdims=True), atol=1e-15)
 
-    def test_mean_rows_order_independent_bitwise(self):
+    def test_one_segment_mean_order_independent_bitwise(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((7, 4))
         perm = rng.permutation(7)
-        a = ad.mean_rows(Tensor(x)).data
-        b = ad.mean_rows(Tensor(x[perm])).data
+        zeros = np.zeros(7, dtype=np.intp)
+        a = ad.segment_reduce(Tensor(x), zeros, 1, "mean").data
+        b = ad.segment_reduce(Tensor(x[perm]), zeros, 1, "mean").data
         assert (a == b).all()
 
     def test_leaky_relu(self):
@@ -218,6 +221,54 @@ class TestTypedMatmul:
             ad.typed_matmul(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), idx)
 
 
+class TestRowInvariance:
+    """A product row never depends on which other rows share the product."""
+
+    @staticmethod
+    def check_rows(x, w, rows):
+        full = ad.matmul(Tensor(x), Tensor(w)).data
+        sub = ad.matmul(Tensor(x[rows]), Tensor(w)).data
+        assert sub.tobytes() == full[rows].tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 64), d_in=st.integers(1, 32), d_out=st.integers(1, 16),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_matmul_row_subsets(self, n, d_in, d_out, seed, data):
+        rng = np.random.default_rng(seed)
+        rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        self.check_rows(rng.standard_normal((n, d_in)), rng.standard_normal((d_in, d_out)),
+                        np.asarray(rows))
+
+    # Shapes where OpenBLAS gemm/gemv gives a row different bits in a
+    # different product: d_out of 1 or 2, and a 1-row operand with d_in >= 4.
+    @pytest.mark.parametrize("n, d_in, d_out, rows", [
+        (40, 16, 1, [3, 17, 30]),
+        (40, 16, 2, sorted(set(range(40)) - {5, 8, 16, 31, 32, 36})),
+        (16, 4, 8, [5]),
+        (64, 32, 16, [63]),
+    ])
+    def test_matmul_shapes_blas_rounds_differently(self, n, d_in, d_out, rows):
+        rng = np.random.default_rng(n * d_in * d_out)
+        self.check_rows(rng.standard_normal((n, d_in)), rng.standard_normal((d_in, d_out)),
+                        np.asarray(rows))
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 48), d_in=st.integers(1, 32), d_out=st.integers(1, 16),
+           seed=st.integers(0, 2**32 - 1))
+    def test_typed_matmul_one_row_type_equals_its_row_in_a_block(self, n, d_in, d_out, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d_in))
+        w = rng.standard_normal((2, d_out, d_in))
+        block = ad.typed_matmul(Tensor(x), Tensor(w), np.zeros(n, dtype=np.intp)).data
+        r = int(rng.integers(n))
+        lone = np.ones(n, dtype=np.intp)
+        lone[r] = 0     # row r is the only row of type 0
+        alone = ad.typed_matmul(Tensor(x), Tensor(w), lone).data
+        assert alone[r].tobytes() == block[r].tobytes()
+        one_row = ad.typed_matmul(Tensor(x[r:r + 1]), Tensor(w), np.zeros(1, dtype=np.intp)).data
+        assert one_row[0].tobytes() == block[r].tobytes()
+
+
 class TestSegmentOps:
     def test_segment_softmax_normalizes_per_segment(self):
         x = Tensor(np.array([[0.0, 1.0], [0.0, 2.0], [5.0, 0.0]]))
@@ -270,7 +321,7 @@ class TestExactSums:
         w = ad.segment_softmax(x, index, g.n_nodes)
         mean = ad.segment_reduce(ad.mul(w, x), index, g.n_nodes, "mean")
         total = ad.segment_reduce(x, index, g.n_nodes, "sum")
-        pooled = ad.mean_rows(ad.add(mean, total))
+        pooled = ad.segment_reduce(ad.add(mean, total), np.zeros(g.n_nodes, dtype=np.intp), 1)
         ad.backward(ad.matmul(pooled, head))
         assert x.grad is not None
         assert calls == []
@@ -340,6 +391,7 @@ class TestGradCheck:
             h = ad.leaky_relu(ad.add(ad.matmul(a, b), c), 0.01)
             w = ad.segment_softmax(h, index, n_segs)
             pooled = ad.segment_reduce(ad.mul(h, w), index, n_segs, "mean")
-            return ad.cross_entropy(ad.reshape(ad.mean_rows(pooled), (int(n),)), 0)
+            z = ad.segment_reduce(pooled, np.zeros(n_segs, dtype=np.intp), 1)
+            return ad.cross_entropy(ad.reshape(z, (int(n),)), 0)
 
         assert ad.grad_check(f, [a, b, c]) < 1e-5

@@ -449,6 +449,16 @@ class TestGradcheck:
         assert main(["gradcheck", *flags]) == EXIT_INPUT
         _one_input_error_line(capsys)
 
+    @pytest.mark.parametrize("override, message", [
+        ("model.heads=0", "heads must be at least 1"),
+        ("model.heads=-2", "heads must be at least 1"),
+        ("model.n_classes=0", "n_classes must be at least 2"),
+        ("model.hidden_dim=0", "hidden_dim must be at least 1"),
+    ])
+    def test_out_of_range_model_values_exit_2(self, capsys, override, message):
+        assert main(["gradcheck", "--set", override]) == EXIT_INPUT
+        assert message in _one_input_error_line(capsys)
+
     def test_default_recipe_visible_in_provenance(self, tmp_path):
         data = make_dataset(tmp_path, n=8, seed=4)
         run = tmp_path / "run"

@@ -5,9 +5,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _reference import from_lists
-from heatnet.errors import AttributionError, ExportError
+from heatnet import explain, hetgraph
+from heatnet.errors import AttributionError, ContractError, ExportError
 from heatnet.hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet
 from heatnet.explain import (
     causal_contribution,
@@ -132,6 +135,111 @@ class TestExplainGraph:
         shifted = {e.node_id: e.delta for e in explain_graph(model, relabeled).entries}
         for nid, delta in base.items():
             assert shifted[nid + offset] == delta
+
+
+@st.composite
+def explain_graphs(draw, self_loops=True):
+    """Graphs with scattered, unsorted ids, shuffled edges and one-node types.
+
+    Node 0's type has no other node, so removing node 0 removes the last
+    node of a type. Without self-loops, a cycle gives every node an incoming
+    edge and node 0 keeps only its cycle edge, so some removal strips a node
+    of its last incoming edge.
+    """
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    types = rng.integers(1, len(DEFAULT_TYPES), size=n)
+    types[0] = 0
+    if self_loops:
+        pairs = {(i, i) for i in range(n)}
+    else:
+        cycle = rng.permutation(n)
+        pairs = {(int(cycle[i - 1]), int(cycle[i])) for i in range(n)}
+    density = draw(st.sampled_from([0.0, 0.2, 0.6]))
+    pairs |= {(s, t) for s in range(n) for t in range(1, n)
+              if s != t and rng.random() < density}
+    pairs = sorted(pairs)
+    perm = rng.permutation(len(pairs))
+    ids = np.asarray(draw(st.lists(st.integers(-500, 500), min_size=n, max_size=n,
+                                   unique=True)), dtype=np.intp)
+    return HeteroGraph(
+        types=DEFAULT_TYPES, node_ids=tuple(ids.tolist()), node_types=types,
+        features=rng.standard_normal((n, 4)),
+        edge_src=ids[[pairs[i][0] for i in perm]], edge_dst=ids[[pairs[i][1] for i in perm]],
+        edge_attrs=rng.uniform(-1.0, 1.0, size=(len(pairs), 2)),
+        label=int(rng.integers(2)))
+
+
+EXPLAIN_CONFIGS = {
+    "default": {},
+    "sum-aggregation": {"aggregation": "sum"},
+    "decoupled-values-dk2": {"decouple_key_value": True, "heads": 4},
+    "type-blind": {"type_blind": True, "pooling": "mean"},   # baseline_config
+    "fixed-readout": {"trainable_readout": False},
+    "sum-final-readout": {"final_readout": "sum"},
+    "one-layer": {"n_layers": 1},
+    "three-layers": {"n_layers": 3},
+}
+
+
+class TestBitEqualToLeaveOneOut:
+    """explain_graph's cached, local recompute equals causal_contribution bit for bit."""
+
+    @staticmethod
+    def model(name, seed):
+        cfg = ModelConfig(feature_dim=4, edge_attr_dim=2, hidden_dim=8, dropout=0.0,
+                          **EXPLAIN_CONFIGS[name])
+        return Model.init(cfg, rng_for(seed, "init"))
+
+    @pytest.mark.parametrize("name", EXPLAIN_CONFIGS)
+    @settings(max_examples=25, deadline=None)
+    @given(g=explain_graphs(), seed=st.integers(0, 1000))
+    def test_every_delta(self, name, g, seed):
+        model = self.model(name, seed)
+        attr = explain_graph(model, g)
+        assert attr.n_forward_evals == g.n_nodes + 1
+        deltas = {e.node_id: e.delta for e in attr.entries}
+        for nid in g.node_ids:
+            assert deltas[nid] == causal_contribution(model, g, g.label, nid), nid
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=explain_graphs(self_loops=False), seed=st.integers(0, 1000))
+    def test_stranding_removal_fails_like_leave_one_out(self, g, seed):
+        model = self.model("default", seed)
+        first_error = None
+        for nid in g.node_ids:
+            try:
+                causal_contribution(model, g, g.label, nid)
+            except ContractError as exc:
+                first_error = str(exc)
+                break
+        assert first_error is not None
+        with pytest.raises(ContractError) as exc:
+            explain_graph(model, g)
+        assert str(exc.value) == first_error
+
+
+def test_one_forward_and_no_graph_copies(monkeypatch):
+    rng = np.random.default_rng(11)
+    g = random_labeled_graph(rng, TYPES3, n_nodes=64, feature_dim=4, extra_edge_prob=0.05)
+    model = make_model(seed=12)
+    calls = {"forward": 0, "remove_node": 0}
+    forward, remove = Model.forward, hetgraph.remove_node
+
+    def counting_forward(self, *args, **kwargs):
+        calls["forward"] += 1
+        return forward(self, *args, **kwargs)
+
+    def counting_remove(*args, **kwargs):
+        calls["remove_node"] += 1
+        return remove(*args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward", counting_forward)
+    monkeypatch.setattr(hetgraph, "remove_node", counting_remove)
+    monkeypatch.setattr(explain, "remove_node", counting_remove)
+    attr = explain_graph(model, g)
+    assert calls == {"forward": 1, "remove_node": 0}
+    assert attr.n_forward_evals == 65
 
 
 class TestExport:
