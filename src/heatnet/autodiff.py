@@ -347,36 +347,60 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
 
 
 def dropout(x: Tensor, drop_prob: float, rng: np.random.Generator | None,
-            training: bool) -> Tensor:
-    """Inverted dropout: scales kept entries by 1/keep; identity in eval."""
+            training: bool, blocks: Sequence[int] | None = None) -> Tensor:
+    """Inverted dropout: scales kept entries by 1/keep; identity in eval.
+
+    ``rng`` draws the mask of all rows; with ``blocks`` it is a sequence of
+    generators instead, and ``rng[i]`` draws the mask of the ``blocks[i]``
+    rows that follow block i - 1 (one stream per graph of a batch).
+    """
     if not training or drop_prob == 0.0:
         return x
     if not 0.0 <= drop_prob < 1.0:
         raise ConfigError(f"drop_prob must be in [0, 1), got {drop_prob}")
     if rng is None:
         raise ConfigError("dropout in training mode requires an rng")
+    if blocks is None:
+        draws = rng.random(x.data.shape)
+    else:
+        if len(rng) != len(blocks):
+            raise ConfigError(f"dropout: {len(rng)} generators for {len(blocks)} row blocks")
+        draws = np.concatenate([r.random((n, *x.data.shape[1:])) for r, n in zip(rng, blocks)])
     keep = 1.0 - drop_prob
-    mask = (rng.random(x.data.shape) < keep).astype(np.float64) / keep
+    mask = (draws < keep).astype(np.float64) / keep
     return mul(x, Tensor(mask))
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """-log softmax(logits)[label] for a 1-D logits tensor, stabilized."""
+def cross_entropy(logits: Tensor, labels: int | Sequence[int] | Array) -> Tensor:
+    """-log softmax(logits)[label], stabilized.
+
+    1-D logits (C,) with one label give a scalar; (B, C) logits with one
+    label per row give the B row losses, each row byte-equal to its own
+    1-D loss. Row sums are exactly rounded (as math.fsum) and the log is
+    ``math.log``, which numpy's vectorized log does not match bit for bit.
+    """
     d = logits.data
-    if d.ndim != 1:
-        raise ShapeError(f"cross_entropy expects 1-D logits, got {d.shape}")
-    n = d.shape[0]
-    label = int(label)
-    if not 0 <= label < n:
-        raise ConfigError(f"label {label} out of range for {n} classes")
-    m = d.max()
-    lse = m + math.log(math.fsum(np.exp(d - m).tolist()))
-    out = np.asarray(lse - d[label])
+    if d.ndim not in (1, 2):
+        raise ShapeError(f"cross_entropy expects 1-D or 2-D logits, got {d.shape}")
+    rows = d.reshape(1, -1) if d.ndim == 1 else d
+    b, n = rows.shape
+    y = np.asarray(labels, dtype=np.intp).reshape(-1)
+    if y.shape != (b,):
+        raise ShapeError(f"cross_entropy: {y.size} labels for {b} rows of logits")
+    bad = (y < 0) | (y >= n)
+    if bad.any():
+        raise ConfigError(f"label {int(y[bad][0])} out of range for {n} classes")
+    m = rows.max(axis=1)
+    sums = _segment_fsum(np.exp(rows - m[:, None]).T, np.zeros(1, dtype=np.intp),
+                         np.array([n]))[0]
+    lse = m + np.array([math.log(s) for s in sums.tolist()])
+    at = np.arange(b)
+    out = (lse - rows[at, y]).reshape(d.shape[:-1])
 
     def vjp(g):
-        p = np.exp(d - lse)
-        p[label] -= 1.0
-        return (p * float(g),)
+        p = np.exp(rows - lse[:, None])
+        p[at, y] -= 1.0
+        return ((p * np.reshape(g, (-1, 1))).reshape(d.shape),)
 
     return _make(out, (logits,), vjp, "cross_entropy")
 

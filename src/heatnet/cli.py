@@ -73,7 +73,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="experiment seed (wins over config)")
     p.add_argument("--jobs", type=int, default=1, help="max parallel workers")
     p.add_argument("--deterministic", action="store_true",
-                   help="single-threaded, byte-reproducible artifacts")
+                   help="byte-reproducible artifacts (timings written as 0)")
     p.add_argument("--out", metavar="PATH", help="output file or directory")
 
 
@@ -219,9 +219,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     prov = provenance_block(cfg, "eval", args.deterministic)
     if args.cv:
         model_cfg = _resolve_model_config(cfg, graphs[0].feature_dim)
-        jobs = 1 if args.deterministic else max(1, args.jobs)
         report = run_cv(graphs, model_cfg, cfg.train,
-                        deterministic=args.deterministic, jobs=jobs)
+                        deterministic=args.deterministic, jobs=args.jobs)
     else:
         if not args.checkpoint:
             raise ConfigError("eval needs --checkpoint or --cv")
@@ -262,7 +261,7 @@ def cmd_explain(args, cfg: RunConfig) -> int:
 
 
 def cmd_gradcheck(args, cfg: RunConfig) -> int:
-    from .autodiff import cross_entropy, grad_check
+    from .autodiff import grad_check
     from .testing import random_labeled_graph
 
     if args.nodes < 1 or args.dim < 1:
@@ -279,7 +278,7 @@ def cmd_gradcheck(args, cfg: RunConfig) -> int:
     model = Model.init(model_cfg, rng_for(cfg.seed, "init"))
 
     def objective():
-        return cross_entropy(model.forward(g, training=False), g.label)
+        return model.loss([g])
 
     err = grad_check(objective, list(model.parameters().values()), eps=args.eps)
     print(f"gradcheck max relative error: {err:.3e} (tolerance {args.tolerance:.1e})")
@@ -308,6 +307,8 @@ def main(argv: list[str] | None = None) -> int:
         print("heatnet: usage error: a command is required", file=sys.stderr)
         return EXIT_USAGE
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = load_run_config(args.config, args.overrides, args.seed)
         return _COMMANDS[args.command](args, cfg)
     except _INPUT_ERRORS as exc:

@@ -77,7 +77,7 @@ class Attribution:
 
 def _eval_loss(model: Model, g: HeteroGraph, label: int) -> float:
     with ad.no_grad():
-        return ad.cross_entropy(model.forward(g, training=False), label).item()
+        return ad.cross_entropy(model.forward([g]), [label]).item()
 
 
 def causal_contribution(model: Model, g: HeteroGraph, label: int, node_id: int) -> float:
@@ -177,8 +177,8 @@ def _removal_losses(model: Model, g: HeteroGraph, layer_outputs: list[LayerOutpu
         feats = h_full[pos]
         cv, ct = np.divmod(changed, n)
         feats[(cv - start) * (n - 1) + ct - (ct > cv)] = h_changed.data
-        logits = model.readout(Tensor(feats), g.node_types[pos], graph).data
-        losses.extend(ad.cross_entropy(Tensor(row), label).item() for row in logits)
+        logits = model.readout(Tensor(feats), g.node_types[pos], graph)
+        losses.extend(ad.cross_entropy(logits, np.full(len(removed), label)).data.tolist())
     return losses
 
 
@@ -192,7 +192,7 @@ def explain_graph(model: Model, g: HeteroGraph, label: int | None = None,
     y = int(y)
     layer_outputs: list[LayerOutput] = []
     with ad.no_grad():
-        full = ad.cross_entropy(model.forward(g, layer_outputs=layer_outputs), y).item()
+        full = ad.cross_entropy(model.forward([g], layer_outputs=layer_outputs), [y]).item()
         reduced = _removal_losses(model, g, layer_outputs, y) if g.n_nodes > 1 else None
     scored: list[NodeAttribution] = []
     failed: list[NodeAttribution] = []

@@ -5,9 +5,10 @@ with float64 attribute vectors. Graphs are immutable after construction;
 ``remove_node``, the one mutation-style operation, returns a new graph.
 Edges name their endpoints by node id; ``HeteroGraph.edge_pos`` maps them
 to node positions once per graph, and that cached pair of arrays is what
-the layers index with. The JSON file format is versioned and round-trips
-floats exactly; ``validate`` is the one checker of graph-wide invariants,
-the parser included.
+the layers index with. ``batch_graphs`` stacks graphs into one disjoint
+union (``GraphBatch``), which the model runs on. The JSON file format is
+versioned and round-trips floats exactly; ``validate`` is the one checker
+of graph-wide invariants, the parser included.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -191,6 +193,54 @@ class HeteroGraph:
         return same
 
     __hash__ = None  # type: ignore[assignment]
+
+
+@dataclass(frozen=True, eq=False)
+class GraphBatch:
+    """Graphs stacked as one disjoint union, the graph the model runs on.
+
+    Node and edge rows follow graph order, ``edge_pos`` is offset by each
+    graph's first node position, and ``graph`` names each node's graph. It
+    has the fields the layers read from a HeteroGraph, so a batch passes
+    through them as one graph whose components exchange no messages.
+    ``node_ids`` keeps every graph's own ids, so an error names a node as
+    its graph does.
+    """
+
+    types: TypeSet
+    node_ids: tuple[int, ...]
+    node_types: np.ndarray                      # (N,) intp
+    features: np.ndarray                        # (N, d) float64
+    edge_attrs: np.ndarray                      # (E, d_e) float64
+    edge_pos: tuple[np.ndarray, np.ndarray]     # (E,) each, union positions
+    graph: np.ndarray                           # (N,) graph index of each node
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.node_ids)
+
+    @property
+    def n_edges(self) -> int:
+        return int(self.edge_attrs.shape[0])
+
+
+def batch_graphs(graphs: Sequence[HeteroGraph]) -> GraphBatch:
+    """The disjoint union of a nonempty sequence of graphs (types from the
+    first; the caller checks that the graphs agree on dimensions)."""
+    if not graphs:
+        raise ConfigError("cannot batch an empty sequence of graphs")
+    sizes = [g.n_nodes for g in graphs]
+    offsets = np.cumsum(sizes) - sizes
+    return GraphBatch(
+        types=graphs[0].types,
+        node_ids=tuple(nid for g in graphs for nid in g.node_ids),
+        node_types=np.concatenate([g.node_types for g in graphs]),
+        features=np.concatenate([g.features for g in graphs]),
+        edge_attrs=np.concatenate([g.edge_attrs for g in graphs]),
+        edge_pos=tuple(np.concatenate([g.edge_pos[end] + off for g, off in zip(graphs, offsets)])
+                       for end in (0, 1)),
+        graph=np.repeat(np.arange(len(graphs)), sizes),
+    )
 
 
 def validate(g: HeteroGraph) -> Violation | None:

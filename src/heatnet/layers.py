@@ -9,7 +9,8 @@ normalized per head across each target's incoming edges; the per-edge
 output concatenates the attention-scaled value vectors over heads, and
 edges are aggregated per target (mean by default). The projected edge
 attribute e' becomes the edge's attribute for the next layer.
-``layer_forward`` computes this for all edges at once: one
+``layer_forward`` computes this for all edges of a graph, or of a batch of
+graphs stacked as one disjoint union, at once: one
 ``typed_matmul`` projects all nodes with all heads (``project_nodes``), and
 ``attend`` scores, normalizes and aggregates edge rows given as index
 arrays into the projection table, with heads the middle axis of
@@ -27,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, ShapeError
-from .hetgraph import HeteroGraph, TypeSet
+from .hetgraph import GraphBatch, HeteroGraph, TypeSet
 
 
 @dataclass
@@ -150,11 +151,11 @@ def attend(params: HeatLayerParams, node_proj: Tensor, value_proj: Tensor | None
     return out, att
 
 
-def layer_forward(g: HeteroGraph, params: HeatLayerParams,
+def layer_forward(g: HeteroGraph | GraphBatch, params: HeatLayerParams,
                   features: Tensor | None = None,
                   edge_attrs: Tensor | None = None,
                   return_attention: bool = False) -> LayerOutput:
-    """Run the attention layer over a graph, differentiably.
+    """Run the attention layer over a graph or a batch of graphs, differentiably.
 
     ``features``/``edge_attrs`` default to the graph's own arrays (as
     constants); pass tensors to chain layers. Every node must have at

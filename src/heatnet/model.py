@@ -5,18 +5,27 @@ dropout between them, followed by per-type pooling (or plain mean pooling)
 and a linear head. The type-blind baseline variant shares one projection
 across all node types, forces the edge modulation to all-ones, and uses
 plain mean pooling — isolating exactly what node/edge heterogeneity adds.
+
+``Model.forward`` takes a sequence of graphs and runs them as one disjoint
+union (``hetgraph.GraphBatch``): stacked rows, offset edge positions, and a
+per-node graph index that the readout pools by, giving (B, C) logits. A
+single graph is a batch of one; there is no other path. Every product is
+row-invariant and every sum exactly rounded, so each graph's logits are
+bit-equal to those of its own one-graph batch, and in training each
+graph's dropout mask comes from its own generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-from .hetgraph import DEFAULT_TYPE_NAMES, HeteroGraph, TypeSet
+from .hetgraph import DEFAULT_TYPE_NAMES, HeteroGraph, TypeSet, batch_graphs
 from .layers import HeatLayerParams, LayerOutput, layer_forward, layer_parameters
 from .pooling import PoolParams, graph_logits, mean_pool_logits, pl_pool, pool_parameters
 from .seeding import rng_for
@@ -105,59 +114,68 @@ class Model:
         out.update(pool_parameters(self.pool))
         return out
 
-    def forward(self, g: HeteroGraph, training: bool = False,
-                rng: np.random.Generator | None = None,
+    def forward(self, graphs: Sequence[HeteroGraph], training: bool = False,
+                rngs: Sequence[np.random.Generator] | None = None,
                 layer_outputs: list[LayerOutput] | None = None) -> Tensor:
-        """Graph -> logits (C,). Dropout is active only in training mode.
+        """Graphs -> logits (B, C), all B graphs run as one disjoint union.
 
-        ``layer_outputs``, if given, receives each layer's output with its
-        node and edge projections (what ``explain`` reuses).
+        Graph b's logits equal those of a batch of graph b alone, bit for
+        bit. Dropout is active only in training mode, where ``rngs[b]``
+        draws graph b's mask. ``layer_outputs``, if given, receives each
+        layer's output over the union with its node and edge projections
+        (what ``explain`` reuses).
         """
-        if g.n_nodes == 0:
-            raise ShapeError("cannot run the model on an empty graph")
-        if g.feature_dim != self.config.feature_dim:
-            raise ShapeError(
-                f"graph feature dim {g.feature_dim} does not match model {self.config.feature_dim}")
-        if not self.config.type_blind and g.types.names != self.types.names:
-            raise ConfigError("graph type set does not match the model's")
-        h: Tensor = Tensor(g.features)
-        attrs: Tensor = Tensor(g.edge_attrs)
+        for g in graphs:
+            if g.n_nodes == 0:
+                raise ShapeError("cannot run the model on an empty graph")
+            if g.feature_dim != self.config.feature_dim:
+                raise ShapeError(
+                    f"graph feature dim {g.feature_dim} does not match model {self.config.feature_dim}")
+            if g.edge_dim != self.config.edge_attr_dim:
+                raise ShapeError(
+                    f"graph edge attr dim {g.edge_dim} does not match model {self.config.edge_attr_dim}")
+            if not self.config.type_blind and g.types.names != self.types.names:
+                raise ConfigError("graph type set does not match the model's")
+        batch = batch_graphs(graphs)
+        blocks = [g.n_nodes for g in graphs]
+        h: Tensor = Tensor(batch.features)
+        attrs: Tensor = Tensor(batch.edge_attrs)
         for i, layer in enumerate(self.layers):
-            out = layer_forward(g, layer, features=h, edge_attrs=attrs)
+            out = layer_forward(batch, layer, features=h, edge_attrs=attrs)
             if layer_outputs is not None:
                 layer_outputs.append(out)
             h, attrs = out.node_features, out.edge_attrs
             if i < len(self.layers) - 1:
-                h = self.activate(h, training, rng)
-        return self.readout(h, g.node_types)
+                h = self.activate(h, training, rngs, blocks)
+        return self.readout(h, batch.node_types, batch.graph)
 
     def activate(self, h: Tensor, training: bool = False,
-                 rng: np.random.Generator | None = None) -> Tensor:
-        """The leaky ReLU and dropout between two attention layers."""
+                 rngs: Sequence[np.random.Generator] | None = None,
+                 blocks: Sequence[int] | None = None) -> Tensor:
+        """The leaky ReLU and dropout between two attention layers; in
+        training, ``rngs[i]`` draws the mask of row block ``blocks[i]``."""
         h = ad.leaky_relu(h, self.config.leaky_slope)
-        return ad.dropout(h, self.config.dropout, rng, training)
+        return ad.dropout(h, self.config.dropout, rngs, training, blocks)
 
-    def readout(self, h: Tensor, node_types: np.ndarray,
-                graph: np.ndarray | None = None) -> Tensor:
-        """Final node features -> logits: (C,) for one graph, or (B, C) for
-        the rows of B graphs stacked with ``graph`` naming each row's graph."""
+    def readout(self, h: Tensor, node_types: np.ndarray, graph: np.ndarray) -> Tensor:
+        """Final node features of B stacked graphs -> logits (B, C);
+        ``graph`` names each row's graph."""
         if self.config.pooling == "pl":
             return graph_logits(pl_pool(h, node_types, self.pool, graph), self.pool)
         return mean_pool_logits(h, self.pool, graph)
 
-    def loss(self, g: HeteroGraph, label: int | None = None, training: bool = False,
-             rng: np.random.Generator | None = None) -> Tensor:
-        y = g.label if label is None else label
-        if y is None:
-            raise ConfigError("graph has no label and none was given")
-        return ad.cross_entropy(self.forward(g, training=training, rng=rng), int(y))
+    def loss(self, graphs: Sequence[HeteroGraph], training: bool = False,
+             rngs: Sequence[np.random.Generator] | None = None) -> Tensor:
+        """Per-graph cross-entropy on the graphs' own labels: (B,)."""
+        if any(g.label is None for g in graphs):
+            raise ConfigError("graph has no label")
+        return ad.cross_entropy(self.forward(graphs, training=training, rngs=rngs),
+                                [g.label for g in graphs])
 
-    def predict_proba(self, g: HeteroGraph) -> np.ndarray:
-        """Class probabilities in eval mode (no tape, no dropout)."""
+    def predict_proba(self, graphs: Sequence[HeteroGraph]) -> np.ndarray:
+        """Class probabilities (B, C) in eval mode (no tape, no dropout)."""
         with ad.no_grad():
-            logits = self.forward(g, training=False)
-            probs = ad.softmax_rows(ad.reshape(logits, (1, -1)))
-        return probs.data[0].copy()
+            return ad.softmax_rows(self.forward(graphs)).data
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.parameters().items()}

@@ -6,9 +6,10 @@ rows, then an optional trainable per-type linear map) into a fixed
 one ``typed_matmul``; types with no nodes contribute a zero row. The
 graph feature is the mean (or sum) over S's rows, followed by a linear
 classifier. A plain mean-over-all-nodes pooling is kept as the ablation
-baseline. Every reduction is an exactly rounded segment sum and every
-product is row-invariant, so the rows of several graphs stacked into one
-call give each graph the logits it gets alone, bit for bit.
+baseline. Every function takes the rows of B graphs stacked with a
+per-row graph index, one graph being a stack of one. Every reduction is
+an exactly rounded segment sum and every product is row-invariant, so
+each graph of a stack gets the logits it gets alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -77,28 +78,26 @@ class PoolParams:
 
 
 def pl_pool(features: Tensor, type_idx: np.ndarray, params: PoolParams,
-            graph: np.ndarray | None = None) -> Tensor:
-    """Pool node features into one row per type; empty types give zeros.
+            graph: np.ndarray) -> Tensor:
+    """Pool the rows of B stacked graphs into one row per (graph, type): (B, T, d).
 
-    Returns (T, d) for one graph. ``graph[r]`` names the graph of row r when
-    the rows of several graphs are stacked; the result is then (B, T, d)
-    for B = max(graph) + 1 graphs, each pooled exactly as on its own.
+    ``graph[r]`` names the graph of row r, and B = max(graph) + 1. Each
+    graph is pooled exactly as on its own; its empty types give zero rows.
     """
     n, d = features.shape
     if d != params.dim:
         raise ShapeError(f"features dim {d} does not match pool dim {params.dim}")
     n_types = len(params.types)
-    cells = type_idx if graph is None else graph * n_types + type_idx
-    present, segment = np.unique(cells, return_inverse=True)
+    n_graphs = int(graph.max()) + 1
+    present, segment = np.unique(graph * n_types + type_idx, return_inverse=True)
     pooled = ad.segment_reduce(features, segment, len(present), "mean")
     if params.readout is not None:
         pooled = ad.typed_matmul(pooled, params.readout, present % n_types)
     # Absent cells read the zero row appended after the present ones.
-    n_graphs = 1 if graph is None else int(graph.max()) + 1
     rows = np.full(n_graphs * n_types, len(present), dtype=np.intp)
     rows[present] = np.arange(len(present))
     out = ad.gather_rows(ad.concat([pooled, Tensor(np.zeros((1, d)))], axis=0), rows)
-    return out if graph is None else ad.reshape(out, (n_graphs, n_types, d))
+    return ad.reshape(out, (n_graphs, n_types, d))
 
 
 def _logits(rows: Tensor, graph: np.ndarray, n_graphs: int, mode: str,
@@ -110,30 +109,18 @@ def _logits(rows: Tensor, graph: np.ndarray, n_graphs: int, mode: str,
 
 
 def graph_logits(pooled: Tensor, params: PoolParams) -> Tensor:
-    """Collapse per-type matrices to graph vectors and classify them.
-
-    A (T, d) matrix gives logits (C,); a (B, T, d) stack gives (B, C).
-    """
-    if pooled.ndim not in (2, 3) or pooled.shape[-1] != params.dim:
-        raise ShapeError(f"pooled matrix {pooled.shape} does not match pool dim {params.dim}")
-    if pooled.ndim == 2:
-        one = np.zeros(pooled.shape[0], dtype=np.intp)
-        return ad.reshape(_logits(pooled, one, 1, params.final, params), (params.n_classes,))
+    """Collapse a (B, T, d) stack of per-type matrices to graph vectors and
+    classify them: logits (B, C)."""
+    if pooled.ndim != 3 or pooled.shape[-1] != params.dim:
+        raise ShapeError(f"pooled stack {pooled.shape} does not match pool dim {params.dim}")
     n_graphs, n_rows, d = pooled.shape
     return _logits(ad.reshape(pooled, (n_graphs * n_rows, d)),
                    np.repeat(np.arange(n_graphs), n_rows), n_graphs, params.final, params)
 
 
-def mean_pool_logits(features: Tensor, params: PoolParams,
-                     graph: np.ndarray | None = None) -> Tensor:
-    """Plain mean pooling over all nodes (type-blind ablation head).
-
-    Logits are (C,) for one graph, or (B, C) when ``graph`` stacks B graphs
-    as in ``pl_pool``.
-    """
-    if graph is None:
-        one = np.zeros(features.shape[0], dtype=np.intp)
-        return ad.reshape(_logits(features, one, 1, "mean", params), (params.n_classes,))
+def mean_pool_logits(features: Tensor, params: PoolParams, graph: np.ndarray) -> Tensor:
+    """Plain mean pooling over all nodes (type-blind ablation head): logits
+    (B, C) for the rows of B graphs stacked as in ``pl_pool``."""
     return _logits(features, graph, int(graph.max()) + 1, "mean", params)
 
 

@@ -2,9 +2,11 @@
 
 Training follows the fixed recipe: Adam with decoupled weight decay and
 fixed moment constants (``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``),
-minibatches of graphs with ordered gradient accumulation, per-epoch
-augmentation of training graphs, early stopping on validation loss, and
-the best-validation parameters returned as the checkpoint.
+minibatches of graphs, each run as one disjoint union with one forward,
+one mean loss and one backward, per-epoch augmentation of training
+graphs, early stopping on validation loss, and the best-validation
+parameters returned as the checkpoint. Evaluation batches its graphs the
+same way, in chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ CHECKPOINT_VERSION = 2
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Evaluation runs one forward per chunk of graphs; a chunk's node and edge
+# rows, one hidden_dim-wide float64 row each, fill at most this many bytes,
+# so the forward's temporaries stay bounded however large the slides are.
+_EVAL_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -145,32 +152,36 @@ class TrainResult:
     aborted: bool
 
 
-def _named_grads(loss: ad.Tensor, registry: dict[str, ad.Tensor]) -> dict[str, np.ndarray]:
-    by_id = {id(t): name for name, t in registry.items()}
-    out: dict[str, np.ndarray] = {}
-    for tensor, grad in ad.backward(loss).items():
-        name = by_id.get(id(tensor))
-        if name is not None:
-            out[name] = grad
-    return out
+def _eval_chunks(graphs: Sequence[HeteroGraph], width: int) -> list[list[HeteroGraph]]:
+    """Consecutive runs of graphs within ``_EVAL_CHUNK_BYTES`` at ``width``
+    values per row; a graph larger than that runs alone."""
+    chunks: list[list[HeteroGraph]] = [[]]
+    size = 0
+    for g in graphs:
+        cost = (g.n_nodes + g.n_edges) * width * 8
+        if chunks[-1] and size + cost > _EVAL_CHUNK_BYTES:
+            chunks.append([])
+            size = 0
+        chunks[-1].append(g)
+        size += cost
+    return chunks
 
 
 def evaluate(graphs: Sequence[HeteroGraph], model: Model) -> dict:
-    """Loss and metrics over labeled graphs (eval mode, no augmentation)."""
+    """Loss and metrics over labeled graphs (eval mode, no augmentation):
+    one batched forward per chunk of graphs."""
     if not graphs:
         raise ConfigError("cannot evaluate on an empty set")
     n_classes = model.config.n_classes
-    probs = np.empty((len(graphs), n_classes))
-    labels = np.empty(len(graphs), dtype=np.intp)
-    losses = []
-    for i, g in enumerate(graphs):
+    for g in graphs:
         if g.label is None:
             raise ConfigError("evaluation graphs must carry labels")
         if not 0 <= g.label < n_classes:
             raise ConfigError(f"label {g.label} out of range for {n_classes} classes")
-        probs[i] = model.predict_proba(g)
-        labels[i] = g.label
-        losses.append(-float(np.log(max(probs[i][g.label], 1e-300))))
+    labels = np.array([g.label for g in graphs], dtype=np.intp)
+    probs = np.concatenate([model.predict_proba(chunk)
+                            for chunk in _eval_chunks(graphs, model.config.hidden_dim)])
+    losses = -np.log(np.maximum(probs[np.arange(len(graphs)), labels], 1e-300))
     preds = probs.argmax(axis=1)
     metrics = {
         "loss": float(np.mean(losses)),
@@ -213,21 +224,17 @@ def train(train_graphs: Sequence[HeteroGraph], val_graphs: Sequence[HeteroGraph]
         epoch_losses: list[float] = []
         try:
             for start in range(0, len(order), cfg.batch_size):
-                batch = order[start:start + cfg.batch_size]
-                merged: dict[str, np.ndarray] = {}
-                for idx in batch:
-                    g = train_graphs[int(idx)]
-                    if not cfg.augmentation.is_identity:
-                        g = augment(g, cfg.augmentation, rng_for(cfg.seed, "augment", epoch, int(idx)))
-                    loss = model.loss(g, training=True,
-                                      rng=rng_for(cfg.seed, "dropout", epoch, int(idx)))
-                    epoch_losses.append(loss.item())
-                    for name, grad in _named_grads(loss, params).items():
-                        acc = merged.get(name)
-                        merged[name] = grad if acc is None else acc + grad
-                scale = 1.0 / len(batch)
-                merged = {name: g * scale for name, g in merged.items()}
-                adam_step(params, merged, state, cfg)
+                batch = order[start:start + cfg.batch_size].tolist()
+                graphs = [train_graphs[i] for i in batch]
+                if not cfg.augmentation.is_identity:
+                    graphs = [augment(g, cfg.augmentation, rng_for(cfg.seed, "augment", epoch, i))
+                              for g, i in zip(graphs, batch)]
+                losses = model.loss(graphs, training=True,
+                                    rngs=[rng_for(cfg.seed, "dropout", epoch, i) for i in batch])
+                epoch_losses.extend(losses.data.tolist())
+                grads = ad.backward(ad.scale(ad.reduce_sum(losses), 1.0 / len(batch)))
+                adam_step(params, {name: grads[p] for name, p in params.items() if p in grads},
+                          state, cfg)
             val = evaluate(val_graphs, model)
         except (NonFiniteError, TrainingError):
             aborted = True
@@ -367,7 +374,9 @@ def run_cv(dataset: Sequence[HeteroGraph], model_cfg: ModelConfig, cfg: TrainCon
     if model_cfg.feature_dim is None:
         model_cfg = replace(model_cfg, feature_dim=dataset[0].feature_dim)
     args = [(fold, list(dataset), model_cfg, cfg, deterministic) for fold in range(cfg.folds)]
-    if jobs > 1 and not deterministic:
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             fold_results = list(pool.map(_run_fold, args))
     else:

@@ -128,7 +128,7 @@ def test_c03_oracle_equivalence():
                 ModelConfig(feature_dim=4, types=TYPES3.names, hidden_dim=4, heads=2,
                             n_layers=2, dropout=0.0),
                 rng_for(n * 100 + trial, "init"))
-            got = model.forward(g).data
+            got = model.forward([g]).data[0]
             ref = ref_model_forward(g, model)
             np.testing.assert_allclose(got, ref, atol=1e-10)
 

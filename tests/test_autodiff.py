@@ -92,6 +92,51 @@ class TestCrossEntropy:
         # d/dw of -log softmax_0 = softmax_0 - 1 = -0.5 at w=0
         assert grads[w][0] == pytest.approx(-0.5, abs=1e-12)
 
+    def test_rows_byte_equal_to_one_row_formula(self):
+        # the 1-D loss as first written: max shift, math.fsum, math.log
+        def one_row(d, label):
+            m = d.max()
+            return m + math.log(math.fsum(np.exp(d - m).tolist())) - d[label]
+
+        # numpy's vectorized log differs from math.log in the last bit on
+        # about 1 in 20 sums just above 1 (one dominant logit)
+        rng = np.random.default_rng(4)
+        for _ in range(1000):
+            b, c = rng.integers(1, 9), rng.integers(2, 7)
+            logits = rng.standard_normal((b, c)) * rng.choice([0.01, 1.0, 5.0, 30.0])
+            labels = rng.integers(0, c, size=b)
+            rows = ad.cross_entropy(Tensor(logits), labels).data
+            assert rows.shape == (b,)
+            for r in range(b):
+                assert rows[r] == one_row(logits[r], labels[r])
+                assert ad.cross_entropy(Tensor(logits[r]), labels[r]).item() == rows[r]
+
+    def test_row_gradients_match_one_dimensional(self):
+        rng = np.random.default_rng(5)
+        logits = rng.standard_normal((4, 3))
+        labels = np.array([0, 2, 1, 2])
+        x = Tensor(logits, requires_grad=True)
+        grad = ad.backward(ad.reduce_sum(ad.cross_entropy(x, labels)))[x]
+        for r in range(4):
+            xr = Tensor(logits[r], requires_grad=True)
+            assert (ad.backward(ad.cross_entropy(xr, labels[r]))[xr] == grad[r]).all()
+
+    def test_row_wise_grad_check(self):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+        labels = rng.integers(0, 4, size=5)
+
+        def f():
+            return ad.scale(ad.reduce_sum(ad.cross_entropy(x, labels)), 1.0 / 5)
+
+        assert ad.grad_check(f, [x]) < 1e-5
+
+    def test_row_labels_checked(self):
+        with pytest.raises(ShapeError):
+            ad.cross_entropy(Tensor(np.zeros((3, 2))), [0, 1])
+        with pytest.raises(ConfigError):
+            ad.cross_entropy(Tensor(np.zeros((2, 2))), [0, 2])
+
 
 class TestBackward:
     def test_linear(self):

@@ -199,6 +199,27 @@ class TestTrainEvalExplain:
         report = json.loads(metrics_path.read_text())
         assert [f["fold"] for f in report["per_fold"]] == [0, 1, 2, 3, 4]
 
+    def test_eval_cv_parallel_deterministic_report_equals_sequential(self, tmp_path):
+        data = make_dataset(tmp_path, n=15, seed=6)
+        reports = []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"cv{jobs}.json"
+            rc = main(["eval", "--data", str(data), "--cv", "--out", str(path), "--seed", "0",
+                       "--deterministic", "--jobs", jobs, *SMALL_SYNTH, *FAST_TRAIN])
+            assert rc == EXIT_OK
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2_with_one_line(self, tmp_path, capsys, jobs):
+        data = make_dataset(tmp_path, n=8, seed=2)
+        capsys.readouterr()
+        rc = main(["eval", "--data", str(data), "--cv", "--jobs", jobs,
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == EXIT_INPUT
+        assert "--jobs must be at least 1" in _one_input_error_line(capsys)
+        assert not (tmp_path / "m.json").exists()
+
     def test_eval_without_checkpoint_or_cv_exits_2(self, tmp_path):
         data = make_dataset(tmp_path, n=8, seed=2)
         rc = main(["eval", "--data", str(data), "--out", str(tmp_path / "m.json")])

@@ -19,11 +19,23 @@ def make_pool(types=TYPES3, dim=4, n_classes=2, seed=0, trainable=True):
                            trainable_readout=trainable)
 
 
+def pool_one(feats, type_idx, params):
+    """pl_pool of one graph: its (T, d) matrix."""
+    s = pl_pool(feats, type_idx, params, np.zeros(len(type_idx), dtype=np.intp))
+    assert s.shape[0] == 1
+    return ad.reshape(s, s.shape[1:])
+
+
+def logits_one(pooled, params):
+    """graph_logits of one (T, d) matrix: its (C,) logits."""
+    return graph_logits(ad.reshape(pooled, (1, *pooled.shape)), params).data[0]
+
+
 class TestPlPool:
     def test_single_type_identity_readout(self):
         feats = Tensor(np.array([[1.0, 3.0], [3.0, 5.0]]))
         params = make_pool(dim=2)  # readout starts at identity
-        s = pl_pool(feats, np.array([1, 1]), params)
+        s = pool_one(feats, np.array([1, 1]), params)
         assert s.shape == (3, 2)
         np.testing.assert_allclose(s.data[1], [2.0, 4.0], atol=1e-15)
         np.testing.assert_array_equal(s.data[0], [0.0, 0.0])
@@ -33,7 +45,7 @@ class TestPlPool:
         types = DEFAULT_TYPES
         params = make_pool(types=types, dim=3)
         feats = Tensor(np.ones((4, 3)))
-        s = pl_pool(feats, np.zeros(4, dtype=np.intp), params)
+        s = pool_one(feats, np.zeros(4, dtype=np.intp), params)
         assert s.shape == (6, 3)
         assert (s.data[1:] == 0.0).all()
 
@@ -43,7 +55,7 @@ class TestPlPool:
         type_idx = np.array([0, 1, 0, 1])
         params = make_pool(dim=3, seed=1)
         params.readout.data = rng.standard_normal((3, 3, 3))
-        s = pl_pool(Tensor(feats), type_idx, params)
+        s = pool_one(Tensor(feats), type_idx, params)
         readout = list(params.readout.data)
         ref = ref_pl_pool(feats, type_idx, 3, readout)
         np.testing.assert_allclose(s.data, ref, atol=1e-12)
@@ -53,9 +65,9 @@ class TestPlPool:
         feats = rng.standard_normal((6, 4))
         type_idx = np.array([0, 1, 1, 2, 1, 0])
         params = make_pool(dim=4, seed=2)
-        s1 = pl_pool(Tensor(feats), type_idx, params).data
+        s1 = pool_one(Tensor(feats), type_idx, params).data
         perm = np.array([5, 2, 4, 3, 1, 0])  # permutes within types only
-        s2 = pl_pool(Tensor(feats[perm]), type_idx[perm], params).data
+        s2 = pool_one(Tensor(feats[perm]), type_idx[perm], params).data
         assert (s1 == s2).all()
 
     def test_row_depends_only_on_own_type(self):
@@ -63,10 +75,10 @@ class TestPlPool:
         feats = rng.standard_normal((5, 3))
         type_idx = np.array([0, 1, 1, 2, 2])
         params = make_pool(dim=3, seed=3)
-        s1 = pl_pool(Tensor(feats), type_idx, params).data
+        s1 = pool_one(Tensor(feats), type_idx, params).data
         zeroed = feats.copy()
         zeroed[type_idx != 1] = 0.0
-        s2 = pl_pool(Tensor(zeroed), type_idx, params).data
+        s2 = pool_one(Tensor(zeroed), type_idx, params).data
         np.testing.assert_array_equal(s1[1], s2[1])
 
     def test_duplicating_a_type_leaves_s_unchanged(self):
@@ -74,9 +86,9 @@ class TestPlPool:
         feats = rng.standard_normal((3, 4))
         type_idx = np.array([0, 1, 2])
         params = make_pool(dim=4, seed=4)
-        s1 = pl_pool(Tensor(feats), type_idx, params).data
+        s1 = pool_one(Tensor(feats), type_idx, params).data
         dup = np.vstack([feats, feats[1:2]])
-        s2 = pl_pool(Tensor(dup), np.array([0, 1, 2, 1]), params).data
+        s2 = pool_one(Tensor(dup), np.array([0, 1, 2, 1]), params).data
         np.testing.assert_allclose(s2, s1, atol=1e-12)
 
 
@@ -84,15 +96,15 @@ class TestGraphLogits:
     def test_zero_s_gives_bias(self):
         params = make_pool(dim=3)
         params.classifier_b.data = np.array([0.5, -1.5])
-        logits = graph_logits(Tensor(np.zeros((3, 3))), params)
-        np.testing.assert_allclose(logits.data, [0.5, -1.5])
+        logits = logits_one(Tensor(np.zeros((3, 3))), params)
+        np.testing.assert_allclose(logits, [0.5, -1.5])
 
     def test_zero_classifier_gives_bias(self):
         params = make_pool(dim=3)
         params.classifier_w.data = np.zeros_like(params.classifier_w.data)
         params.classifier_b.data = np.array([1.0, 2.0])
         s = Tensor(np.random.default_rng(4).standard_normal((3, 3)))
-        np.testing.assert_allclose(graph_logits(s, params).data, [1.0, 2.0])
+        np.testing.assert_allclose(logits_one(s, params), [1.0, 2.0])
 
     def test_hand_computed_logits(self):
         params = make_pool(dim=2)
@@ -100,7 +112,7 @@ class TestGraphLogits:
         params.classifier_b.data = np.array([0.1, -0.1])
         s = Tensor(np.array([[2.0, 4.0], [0.0, 2.0], [4.0, 0.0]]))
         z = np.array([2.0, 2.0])  # mean over rows
-        np.testing.assert_allclose(graph_logits(s, params).data,
+        np.testing.assert_allclose(logits_one(s, params),
                                    [z[0] + 0.1, 2 * z[1] - 0.1], atol=1e-12)
 
 
@@ -115,15 +127,15 @@ class TestModelForward:
         rng = np.random.default_rng(5)
         g = random_labeled_graph(rng, TYPES3, n_nodes=7, feature_dim=4)
         model = make_model()
-        a = model.forward(g).data
-        b = model.forward(g).data
+        a = model.forward([g]).data
+        b = model.forward([g]).data
         assert (a == b).all()
 
     def test_single_node_graph_is_well_defined(self):
         g = from_lists(TYPES3, nodes=[(0, "neoplastic", [1.0, 0.0, 2.0, 1.0])],
                        edges=[(0, 0, [1.0])], label=0)
-        logits = make_model().forward(g)
-        assert logits.shape == (2,)
+        logits = make_model().forward([g])
+        assert logits.shape == (1, 2)
         assert np.isfinite(logits.data).all()
 
     def test_matches_reference_oracle(self):
@@ -131,14 +143,14 @@ class TestModelForward:
         for trial in range(10):
             g = random_labeled_graph(rng, TYPES3, n_nodes=10, feature_dim=4)
             model = make_model(seed=trial)
-            np.testing.assert_allclose(model.forward(g).data,
+            np.testing.assert_allclose(model.forward([g]).data[0],
                                        ref_model_forward(g, model), atol=1e-10)
 
     def test_mean_pooling_variant_matches_oracle(self):
         rng = np.random.default_rng(7)
         g = random_labeled_graph(rng, TYPES3, n_nodes=8, feature_dim=4)
         model = make_model(seed=11, pooling="mean")
-        np.testing.assert_allclose(model.forward(g).data,
+        np.testing.assert_allclose(model.forward([g]).data[0],
                                    ref_model_forward(g, model), atol=1e-10)
 
     def test_end_to_end_grad_check(self):
@@ -147,7 +159,7 @@ class TestModelForward:
         model = make_model(seed=12)
 
         def f():
-            return ad.cross_entropy(model.forward(g), g.label)
+            return ad.cross_entropy(model.forward([g]), [g.label])
 
         assert ad.grad_check(f, list(model.parameters().values()), eps=1e-4) < 1e-5
 
@@ -166,7 +178,7 @@ class TestModelForward:
         assert len(set(g.node_types.tolist())) == len(DEFAULT_TYPES)
         model = Model.init(ModelConfig(feature_dim=8), rng_for(0, "init"))
         monkeypatch.setattr(ad, "_make", counting_make)
-        model.forward(g, training=True, rng=rng_for(0, "dropout"))
+        model.forward([g], training=True, rngs=[rng_for(0, "dropout")])
         assert len(ops) <= 50, sorted(ops)
 
     def test_dropout_only_active_in_training(self):
@@ -175,20 +187,20 @@ class TestModelForward:
         cfg = ModelConfig(feature_dim=4, types=TYPES3.names, hidden_dim=4, heads=2,
                           n_layers=2, dropout=0.5)
         model = Model.init(cfg, rng_for(13, "init"))
-        eval_logits = model.forward(g).data
-        train_logits = model.forward(g, training=True, rng=rng_for(0, "drop")).data
-        assert (model.forward(g).data == eval_logits).all()
+        eval_logits = model.forward([g]).data
+        train_logits = model.forward([g], training=True, rngs=[rng_for(0, "drop")]).data
+        assert (model.forward([g]).data == eval_logits).all()
         assert not np.allclose(train_logits, eval_logits)
 
     def test_checkpointable_state_roundtrip(self):
         rng = np.random.default_rng(10)
         g = random_labeled_graph(rng, TYPES3, n_nodes=5, feature_dim=4)
         model = make_model(seed=14)
-        logits = model.forward(g).data
+        logits = model.forward([g]).data
         state = model.state_arrays()
         other = make_model(seed=999)
         other.load_state(state)
-        assert (other.forward(g).data == logits).all()
+        assert (other.forward([g]).data == logits).all()
 
 
 class TestBaseline:
@@ -215,8 +227,8 @@ class TestBaseline:
         heat.layers[1].w_edge.data = np.eye(4)                                 # ones -> ones
         heat.pool.classifier_w.data = baseline.pool.classifier_w.data.copy()
         heat.pool.classifier_b.data = baseline.pool.classifier_b.data.copy()
-        out_heat = heat.forward(g).data
-        out_base = baseline.forward(g).data
+        out_heat = heat.forward([g]).data
+        out_base = baseline.forward([g]).data
         np.testing.assert_allclose(out_heat, out_base, atol=1e-10)
 
     def test_baseline_attention_still_normalized(self):

@@ -1,5 +1,7 @@
 """Optimizer, k-fold splits, training behavior, checkpoints, synthetic data."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,12 @@ class TestRunCV:
         par = run_cv(graphs, model_cfg, cfg, deterministic=False, jobs=2)
         np.testing.assert_equal(par, seq)  # NaN-tolerant deep equality
 
+    def test_jobs_below_one_rejected(self):
+        from heatnet.train import run_cv
+        model_cfg = ModelConfig(feature_dim=6, hidden_dim=4, heads=2, n_layers=2, dropout=0.0)
+        with pytest.raises(ConfigError, match="jobs"):
+            run_cv(tiny_dataset(n=10, seed=10), model_cfg, quiet_cfg(max_epochs=1), jobs=0)
+
     def test_report_shape(self):
         from heatnet.train import run_cv
         graphs = tiny_dataset(n=10, seed=11)
@@ -250,8 +258,8 @@ class TestCheckpoint:
         loaded, doc = load_checkpoint(path)
         assert doc["provenance"] == {"seed": 5}
         held_out = tiny_dataset(n=4, seed=6)[0]
-        a = result.model.forward(held_out).data
-        b = loaded.forward(held_out).data
+        a = result.model.forward([held_out]).data
+        b = loaded.forward([held_out]).data
         assert (a == b).all()
 
 
@@ -263,6 +271,24 @@ class TestEvaluate:
         assert set(out) == {"loss", "accuracy", "macro_f1", "n", "auc"}
         assert out["n"] == 10
         assert 0.0 <= out["accuracy"] <= 1.0
+
+    def test_chunk_budget_changes_calls_not_metrics(self, monkeypatch):
+        train_module = sys.modules["heatnet.train"]   # the package exports train()
+        graphs = tiny_dataset(n=10, seed=7)
+        model = tiny_model(seed=7)
+        calls = []
+        predict = Model.predict_proba
+
+        def counting_predict(self, chunk):
+            calls.append(len(chunk))
+            return predict(self, chunk)
+
+        monkeypatch.setattr(Model, "predict_proba", counting_predict)
+        whole = evaluate(graphs, model)
+        monkeypatch.setattr(train_module, "_EVAL_CHUNK_BYTES", 1)
+        alone = evaluate(graphs, model)
+        assert calls == [10] + [1] * 10
+        assert alone == whole
 
 
 class TestSynthGenerate:
