@@ -572,8 +572,8 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],
     tensor. Returns the maximum over all parameter coordinates of
     ``|g_a - g_n| / max(1e-8, |g_a| + |g_n|)``.
     """
-    if not eps > 0.0:
-        raise ConfigError(f"grad_check eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ConfigError(f"grad_check eps must be finite and positive, got {eps}")
     out = f()
     if out.size != 1:
         raise ContractError("grad_check objective must be scalar")

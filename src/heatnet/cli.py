@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -268,6 +269,8 @@ def cmd_gradcheck(args, cfg: RunConfig) -> int:
         raise ConfigError("--nodes and --dim must be >= 1")
     if not 1 <= args.type_count <= len(DEFAULT_TYPES):
         raise ConfigError(f"--type-count must be in [1, {len(DEFAULT_TYPES)}]")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):
+        raise ConfigError(f"--tolerance must be finite and positive, got {args.tolerance}")
     types = TypeSet(tuple(DEFAULT_TYPES.names[:args.type_count]))
     g = random_labeled_graph(rng_for(cfg.seed, "gradcheck-graph"), types,
                              n_nodes=args.nodes, feature_dim=args.dim,

@@ -6,7 +6,6 @@ import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigError
 
@@ -29,8 +28,23 @@ def metric_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
         raise ConfigError("labels must be 0/1")
     if n_pos == 0 or n_neg == 0:
         raise ConfigError("AUC is undefined with a single class")
-    rank_sum = float(stats.rankdata(s)[y == 1].sum())
+    rank_sum = float(_average_ranks(s)[y == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _average_ranks(s: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties given their mean rank, as ``rankdata``.
+
+    A run of equal values (``==``, so -0.0 ties 0.0) at sorted positions
+    first..last gets ``(first + last + 1) / 2``; half-integers are exact.
+    """
+    order = np.argsort(s, kind="stable")
+    v = s[order]
+    starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+    ends = np.r_[starts[1:], len(v)]
+    ranks = np.empty(len(v))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def metric_auc_macro(probs: np.ndarray, labels: Sequence[int]) -> float:
@@ -98,10 +112,13 @@ def welch_ttest(a: Sequence[float], b: Sequence[float]) -> WelchResult:
     """Welch's unequal-variance two-sample t-test, two-sided.
 
     The p-value uses the Student-t distribution with Welch-Satterthwaite
-    degrees of freedom. At least one sample must have nonzero variance.
+    degrees of freedom. Samples must be finite, and at least one must have
+    nonzero variance.
     """
     xa = np.asarray(a, dtype=np.float64)
     xb = np.asarray(b, dtype=np.float64)
+    if not (np.isfinite(xa).all() and np.isfinite(xb).all()):
+        raise ConfigError("samples must be finite")
     if len(xa) < 2 or len(xb) < 2:
         raise ConfigError("both samples need at least 2 observations")
     va = float(xa.var(ddof=1))
@@ -112,5 +129,8 @@ def welch_ttest(a: Sequence[float], b: Sequence[float]) -> WelchResult:
     se2 = va / na + vb / nb
     t = (float(xa.mean()) - float(xb.mean())) / math.sqrt(se2)
     df = se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-    p = 2.0 * float(stats.t.sf(abs(t), df))
+    # Loaded here so that importing heatnet does not load scipy.
+    from scipy.special import stdtr
+
+    p = 2.0 * float(stdtr(df, -abs(t)))
     return WelchResult(t=t, p=p)

@@ -465,7 +465,10 @@ class TestGradcheck:
         assert "max relative error" in out
 
     @pytest.mark.parametrize("flags", [["--nodes", "-1"], ["--dim", "0"], ["--dim", "-4"],
-                                       ["--type-count", "-2"], ["--type-count", "7"]])
+                                       ["--type-count", "-2"], ["--type-count", "7"],
+                                       ["--tolerance", "nan"], ["--tolerance", "inf"],
+                                       ["--tolerance", "0"], ["--tolerance=-1e-5"],
+                                       ["--eps", "inf"], ["--eps", "nan"], ["--eps", "0"]])
     def test_out_of_range_flags_exit_2(self, capsys, flags):
         assert main(["gradcheck", *flags]) == EXIT_INPUT
         _one_input_error_line(capsys)

@@ -1,9 +1,12 @@
-"""Metrics: AUC vs pair counting, macro-F1, Welch's t-test vs scipy."""
+"""Metrics: AUC vs pair counting and bit-equal to scipy's rankdata form,
+macro-F1, Welch's t-test vs scipy (its p-value byte-equal to ``t.sf``)."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from heatnet.errors import ConfigError
@@ -25,6 +28,25 @@ def pair_counting_auc(scores, labels):
         for n in neg:
             total += 1.0 if p > n else (0.5 if p == n else 0.0)
     return total / (len(pos) * len(neg))
+
+
+def rankdata_auc(scores, labels):
+    """The average-rank formula with scipy's ``rankdata`` as the ranker."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    n_pos = int((y == 1).sum())
+    n_neg = len(y) - n_pos
+    return (float(stats.rankdata(s)[y == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+# Coarse tied grids, signed zeros and infinities, plus arbitrary finite floats.
+AUC_SCORE = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.inf, -np.inf]),
+    st.integers(-3, 3).map(float),
+    st.floats(allow_nan=False),
+)
+SCORED_LABELS = st.lists(st.tuples(AUC_SCORE, st.integers(0, 1)), min_size=2, max_size=40).filter(
+    lambda rows: 0 < sum(y for _, y in rows) < len(rows))
 
 
 class TestAuc:
@@ -69,6 +91,18 @@ class TestAuc:
                 if 0 < sum(labels) < n:
                     assert metric_auc(scores, list(labels)) == pytest.approx(
                         pair_counting_auc(scores, labels), abs=1e-12)
+
+    @settings(max_examples=400, deadline=None)
+    @given(SCORED_LABELS)
+    @example([(0.0, 1), (-0.0, 0)])
+    @example([(-0.0, 1), (0.0, 0), (0.0, 0), (1.0, 1)])
+    @example([(np.inf, 1), (np.inf, 0), (-np.inf, 0), (-np.inf, 1), (0.0, 0)])
+    @example([(0.5, 1)] + [(s, 0) for s in (0.0, 0.5, 0.5, 1.0)])
+    @example([(0.5, 0)] + [(s, 1) for s in (-np.inf, 0.5, 0.5, 1.0)])
+    def test_bit_equal_to_rankdata_formula(self, rows):
+        scores = [s for s, _ in rows]
+        labels = [y for _, y in rows]
+        assert metric_auc(scores, labels) == rankdata_auc(scores, labels)
 
     def test_macro_ovr_multiclass(self):
         rng = np.random.default_rng(2)
@@ -144,6 +178,25 @@ class TestWelch:
     def test_too_small_rejected(self):
         with pytest.raises(ConfigError):
             welch_ttest([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            welch_ttest([1.0, bad, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ConfigError, match="finite"):
+            welch_ttest([1.0, 2.0, 3.0], [bad, 2.0])
+
+    def test_p_value_byte_equal_to_t_sf(self):
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            na, nb = int(rng.integers(2, 30)), int(rng.integers(2, 30))
+            a = rng.normal(0.0, rng.uniform(0.1, 3.0), size=na)
+            b = rng.normal(rng.uniform(-3, 3), rng.uniform(0.1, 3.0), size=nb)
+            va, vb = float(a.var(ddof=1)), float(b.var(ddof=1))
+            se2 = va / na + vb / nb
+            df = se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
+            res = welch_ttest(a, b)
+            assert res.p == 2.0 * float(stats.t.sf(abs(res.t), df))
 
     def test_matches_scipy_on_random_cases(self):
         rng = np.random.default_rng(5)
