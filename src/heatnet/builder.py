@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, PatchTableError, ShapeError
-from .hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet, validate
+from .hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet, _integral, validate
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,17 @@ def _row_tiles(n: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
+def _pow2_scaled(feats: np.ndarray) -> np.ndarray:
+    """Each row times the power of two that brings its largest |x| into [0.5, 1).
+
+    The scaling is exact, so norms and centred rows of the scaled rows do
+    not overflow, and are the unscaled ones times that power of two
+    wherever those did not overflow or underflow.
+    """
+    _, exp = np.frexp(np.max(np.abs(feats), axis=1, keepdims=True, initial=0.0))
+    return np.ldexp(feats, -exp)
+
+
 def _similarity_tiles(feats: np.ndarray, metric: str):
     """Yield (a, b, sims) with sims the rows a..b-1 of the n x n similarity matrix.
 
@@ -149,6 +160,7 @@ def _similarity_tiles(feats: np.ndarray, metric: str):
     is the dense expression restricted to its rows.
     """
     if metric == "cosine":
+        feats = _pow2_scaled(feats)
         norms = np.linalg.norm(feats, axis=1)
         zero = norms == 0.0
         unit = feats / np.where(zero, 1.0, norms)[:, None]
@@ -219,11 +231,14 @@ def _pearson(feats: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Sample Pearson correlation of rows ``src[i]`` and ``dst[i]`` of ``feats``, per i.
 
     A constant row has undefined correlation and maps to 0; rows whose
-    centred values are equal (or negated) give exactly 1 (or -1); every
-    other value is clamped to [-1, 1]. Edges go in chunks of
-    ``_TILE_BYTES`` per gathered row block.
+    centred values are equal (or negated) up to a power-of-two factor give
+    exactly 1 (or -1); every other value is clamped to [-1, 1]. Edges go
+    in chunks of ``_TILE_BYTES`` per gathered row block.
     """
-    centred = feats - feats.mean(axis=1, keepdims=True)
+    # Scaled before centring, so the mean cannot overflow, and after it, so
+    # the norms cannot overflow and equal centred rows stay equal.
+    feats = _pow2_scaled(feats)
+    centred = _pow2_scaled(feats - feats.mean(axis=1, keepdims=True))
     norms = np.sqrt(np.sum(centred * centred, axis=1))
     r = np.empty(len(src))
     step = max(1, _TILE_BYTES // (8 * feats.shape[1]))
@@ -420,10 +435,10 @@ def kmeans_typing(features: Sequence[np.ndarray] | np.ndarray, k: int, seed: int
 def _record_from_json(obj: dict, line: int) -> PatchRecord:
     try:
         rid = str(obj["id"])
-        x = int(obj["x"])
-        y = int(obj["y"])
+        x = _integral(obj["x"])
+        y = _integral(obj["y"])
         feat = [float(v) for v in obj["feat"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PatchTableError(line, f"bad patch record: {exc}") from exc
     counts = obj.get("type_counts")
     label = obj.get("type")
@@ -444,7 +459,8 @@ def _record_from_json(obj: dict, line: int) -> PatchRecord:
 def load_patch_table(path) -> list[PatchRecord]:
     """Read a patch table: JSON Lines, or CSV with header id,x,y,type,feat_0..
 
-    Parse failures raise PatchTableError citing the 1-based line number.
+    Parse failures raise PatchTableError citing the 1-based line number;
+    coordinates must be integers in the int64 range, as in graph files.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -487,8 +503,8 @@ def _load_patch_csv(text: str) -> list[PatchRecord]:
             raise PatchTableError(lineno, f"expected {4 + len(feat_cols)} fields, got {len(row)}")
         try:
             feat = np.asarray([float(v) for v in row[4:]])
-            records.append(PatchRecord(row[0], int(row[1]), int(row[2]), feat,
-                                       type_label=row[3]))
+            records.append(PatchRecord(row[0], _integral(int(row[1])), _integral(int(row[2])),
+                                       feat, type_label=row[3]))
         except ValueError as exc:
             raise PatchTableError(lineno, f"bad value: {exc}") from exc
     if not records:

@@ -7,8 +7,9 @@ Edges name their endpoints by node id; ``HeteroGraph.edge_pos`` maps them
 to node positions once per graph, and that cached pair of arrays is what
 the layers index with. ``batch_graphs`` stacks graphs into one disjoint
 union (``GraphBatch``), which the model runs on. The JSON file format is
-versioned and round-trips floats exactly; ``validate`` is the one checker
-of graph-wide invariants, the parser included.
+versioned, stores one list per node or edge field and round-trips floats
+exactly; ``validate`` is the one checker of graph-wide invariants, the
+parser included.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, GraphLookupError, GraphValidationError
 
-GRAPH_FORMAT_VERSION = 1
+GRAPH_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -318,26 +319,23 @@ def remove_node(g: HeteroGraph, node_id: int) -> HeteroGraph:
 # ---------------------------------------------------------------------------
 
 def to_json_dict(g: HeteroGraph) -> dict:
-    nodes = []
-    for i, nid in enumerate(g.node_ids):
-        x, y = (int(g.coords[i][0]), int(g.coords[i][1])) if g.coords is not None else (None, None)
-        nodes.append({
-            "id": nid,
-            "type": g.types.names[g.node_types[i]],
-            "x": x,
-            "y": y,
-            "feat": g.features[i].tolist(),
-        })
-    edges = [
-        {"src": s, "dst": t, "attr": a}
-        for s, t, a in zip(g.edge_src.tolist(), g.edge_dst.tolist(), g.edge_attrs.tolist())
-    ]
+    """The graph as one JSON column per node and edge field (format version 2)."""
+    x, y = (None, None) if g.coords is None else g.coords.T.tolist()
     return {
         "version": GRAPH_FORMAT_VERSION,
         "types": list(g.types.names),
-        "nodes": nodes,
-        "edges": edges,
         "label": g.label,
+        "feature_dim": g.feature_dim,
+        "edge_dim": g.edge_dim,
+        "nodes": {
+            "id": list(g.node_ids),
+            "type": [g.types.names[t] for t in g.node_types.tolist()],
+            "x": x,
+            "y": y,
+            "feat": g.features.tolist(),
+        },
+        "edges": {"src": g.edge_src.tolist(), "dst": g.edge_dst.tolist(),
+                  "attr": g.edge_attrs.tolist()},
     }
 
 
@@ -349,92 +347,112 @@ def _integral(v) -> int:
     return n
 
 
+def _format(message: str) -> GraphValidationError:
+    return GraphValidationError(Violation("format", message))
+
+
+def _column(table, name: str, key: str, length: int | None) -> list:
+    """``table[key]`` as a list of ``length`` entries (any length if None)."""
+    if not isinstance(table, dict):
+        raise _format(f"graph {name} must be a JSON object of columns")
+    col = table.get(key)
+    if not isinstance(col, list):
+        raise _format(f"{name}.{key} must be a JSON list")
+    if length is not None and len(col) != length:
+        raise _format(f"{name}.{key} has {len(col)} entries, expected {length}")
+    return col
+
+
+def _int_column(col: list, name: str) -> np.ndarray:
+    """The column as int64; an entry that is not a 64-bit integer is a format violation."""
+    ints = set(map(type, col)) <= {int}
+    try:
+        return np.asarray(col if ints else [_integral(v) for v in col], dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _format(f"{name}: {exc}") from exc
+
+
+def _float_rows(col: list, width: int, name: str, mixed) -> np.ndarray:
+    """The column as a (len(col), width) float64 array; ``mixed(i, w)`` is the
+    violation of a row i of length w != width."""
+    if not col:
+        return np.zeros((0, width))
+    try:
+        arr = np.asarray(col, dtype=np.float64)
+        if arr.shape == (len(col), width):
+            return arr
+    except (TypeError, ValueError, OverflowError):
+        pass
+    for i, row in enumerate(col):
+        if isinstance(row, list) and len(row) != width:
+            raise GraphValidationError(mixed(i, len(row)))
+    raise _format(f"{name} must be a list of rows of {width} numbers")
+
+
 def from_json_dict(d: dict) -> HeteroGraph:
     """Parse the graph format; unknown top-level keys are ignored.
 
-    Record-level problems (malformed records, unknown types, mixed feature
-    or attribute dimensions, partial coordinates) are reported here; the
-    graph-wide ones (duplicate ids, edges to missing nodes, duplicate
-    edges) by ``validate``. Either raises GraphValidationError carrying the
-    violation.
+    Column-level problems (malformed or misaligned columns, unknown types,
+    mixed feature or attribute dimensions, partial coordinates) are
+    reported here; the graph-wide ones (duplicate ids, edges to missing
+    nodes, duplicate edges) by ``validate``. Either raises
+    GraphValidationError carrying the violation.
     """
     if not isinstance(d, dict):
-        raise GraphValidationError(Violation("format", "graph document must be a JSON object"))
+        raise _format("graph document must be a JSON object")
     if d.get("version") != GRAPH_FORMAT_VERSION:
-        raise GraphValidationError(Violation("format", f"unsupported graph format version {d.get('version')!r}"))
+        raise _format(f"unsupported graph format version {d.get('version')!r}, "
+                      f"expected {GRAPH_FORMAT_VERSION}")
     try:
         types = TypeSet(tuple(str(t) for t in d["types"]))
-        raw_nodes = d["nodes"]
-        raw_edges = d["edges"]
         label = d.get("label")
         label = None if label is None else _integral(label)
+        feature_dim, edge_dim = _integral(d["feature_dim"]), _integral(d["edge_dim"])
+        if feature_dim < 0 or edge_dim < 0:
+            raise ValueError(f"negative dimension {min(feature_dim, edge_dim)}")
     except (KeyError, ConfigError, TypeError, ValueError, OverflowError) as exc:
-        raise GraphValidationError(Violation("format", f"malformed graph document: {exc}")) from exc
-    if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
-        raise GraphValidationError(Violation("format", "graph nodes and edges must be JSON lists"))
+        raise _format(f"malformed graph document: {exc}") from exc
+    nodes, edges = d.get("nodes"), d.get("edges")
 
-    ids: list[int] = []
-    type_idx: list[int] = []
-    feats: list[list[float]] = []
-    coords: list[tuple[int, int] | None] = []
-    feat_dim: int | None = None
-    for nd in raw_nodes:
-        try:
-            nid = _integral(nd["id"])
-            tname = nd["type"]
-            feat = [float(v) for v in nd["feat"]]
-            x, y = nd.get("x"), nd.get("y")
-            xy = (_integral(x), _integral(y)) if x is not None and y is not None else None
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise GraphValidationError(Violation("format", f"malformed node record: {exc}")) from exc
-        if tname not in types:
-            raise GraphValidationError(Violation("unknown-type", f"node type {tname!r} not in type set", node_id=nid))
-        if feat_dim is None:
-            feat_dim = len(feat)
-        elif len(feat) != feat_dim:
-            raise GraphValidationError(Violation(
-                "mixed-feature-dim",
-                f"node feature has dimension {len(feat)}, expected {feat_dim}",
-                node_id=nid))
-        coords.append(xy)
-        ids.append(nid)
-        type_idx.append(types.index(tname))
-        feats.append(feat)
-    has_coords = [c is not None for c in coords]
-    if any(has_coords) and not all(has_coords):
-        bad = ids[has_coords.index(False)]
-        raise GraphValidationError(Violation("coords", "either all nodes carry (x, y) or none", node_id=bad))
-
-    srcs: list[int] = []
-    dsts: list[int] = []
-    attrs: list[list[float]] = []
-    attr_dim: int | None = None
-    for ed in raw_edges:
-        try:
-            s, t = _integral(ed["src"]), _integral(ed["dst"])
-            attr = [float(v) for v in ed["attr"]]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise GraphValidationError(Violation("format", f"malformed edge record: {exc}")) from exc
-        if attr_dim is None:
-            attr_dim = len(attr)
-        elif len(attr) != attr_dim:
-            raise GraphValidationError(Violation(
-                "mixed-attr-dim", f"edge attribute has dimension {len(attr)}, expected {attr_dim}", edge=(s, t)))
-        srcs.append(s)
-        dsts.append(t)
-        attrs.append(attr)
-
+    ids = _int_column(_column(nodes, "nodes", "id", None), "nodes.id")
     n = len(ids)
+    names = _column(nodes, "nodes", "type", n)
+    try:
+        type_idx = np.asarray([types._index[t] for t in names], dtype=np.intp)
+    except (KeyError, TypeError):
+        bad = next(i for i, t in enumerate(names) if not isinstance(t, str) or t not in types)
+        raise GraphValidationError(Violation(
+            "unknown-type", f"node type {names[bad]!r} not in type set", node_id=int(ids[bad]))) from None
+    feats = _float_rows(
+        _column(nodes, "nodes", "feat", n), feature_dim, "nodes.feat",
+        lambda i, w: Violation("mixed-feature-dim", f"node feature has dimension {w}, expected "
+                               f"{feature_dim}", node_id=int(ids[i])))
+    coords = None
+    if nodes.get("x") is not None or nodes.get("y") is not None:
+        x, y = _column(nodes, "nodes", "x", n), _column(nodes, "nodes", "y", n)
+        if None in x or None in y:
+            bad = next(i for i in range(n) if x[i] is None or y[i] is None)
+            raise GraphValidationError(Violation(
+                "coords", "either all nodes carry (x, y) or none", node_id=int(ids[bad])))
+        coords = np.stack([_int_column(x, "nodes.x"), _int_column(y, "nodes.y")], axis=1)
+
+    src = _int_column(_column(edges, "edges", "src", None), "edges.src")
+    dst = _int_column(_column(edges, "edges", "dst", len(src)), "edges.dst")
+    attrs = _float_rows(
+        _column(edges, "edges", "attr", len(src)), edge_dim, "edges.attr",
+        lambda i, w: Violation("mixed-attr-dim", f"edge attribute has dimension {w}, expected "
+                               f"{edge_dim}", edge=(int(src[i]), int(dst[i]))))
+
     g = HeteroGraph(
         types=types,
-        node_ids=tuple(ids),
-        node_types=np.asarray(type_idx, dtype=np.intp),
-        features=np.asarray(feats, dtype=np.float64).reshape(n, feat_dim or 0),
-        edge_src=np.asarray(srcs, dtype=np.intp),
-        edge_dst=np.asarray(dsts, dtype=np.intp),
-        edge_attrs=np.asarray(attrs, dtype=np.float64).reshape(len(srcs), attr_dim or 0),
+        node_ids=tuple(ids.tolist()),
+        node_types=type_idx,
+        features=feats,
+        edge_src=src,
+        edge_dst=dst,
+        edge_attrs=attrs,
         label=label,
-        coords=np.asarray(coords, dtype=np.int64) if n and all(has_coords) else None,
+        coords=coords,
     )
     v = validate(g)
     if v is not None:

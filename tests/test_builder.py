@@ -207,6 +207,23 @@ class TestBuildGraph:
         attrs = dict(zip(zip(g.edge_src.tolist(), g.edge_dst.tolist()), g.edge_attrs[:, 0]))
         assert all(attrs[(s, t)] == 0.0 for s, t in attrs if s != t and {s, t} & {0, 1, 2, 6})
 
+    @pytest.mark.parametrize("shift", [600, 1000, -600])
+    def test_row_scaled_by_power_of_two_gives_same_graph(self, shift):
+        # 2**600 and 2**1000 overflow the squared norms, 2**-600 underflows them
+        feats = np.random.default_rng(5).standard_normal((9, 4))
+        scaled = feats.copy()
+        scaled[2] = np.ldexp(feats[2], shift)
+        graphs = []
+        for f in (feats, scaled):
+            patches = [PatchRecord(f"p{i}", i, 0, r, type_label="dead") for i, r in enumerate(f)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                graphs.append(build_graph(patches, BuildConfig(k=3)))
+        g, h = graphs
+        assert g.edge_src.tolist() == h.edge_src.tolist()
+        assert g.edge_dst.tolist() == h.edge_dst.tolist()
+        assert g.edge_attrs.tobytes() == h.edge_attrs.tobytes()
+
 
 class TestAugment:
     def graph(self):

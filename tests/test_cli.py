@@ -84,6 +84,22 @@ class TestBuildGraph:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("heatnet: error: input: patch b:")
 
+    @pytest.mark.parametrize("name, text", [
+        ("patches.jsonl", PATCHES.replace('"x": 1,', '"x": 0.5,')),
+        ("patches.jsonl", PATCHES.replace('"x": 1,', '"x": Infinity,')),
+        ("patches.jsonl", PATCHES.replace('"x": 1,', '"x": 1e30,')),
+        ("patches.jsonl", PATCHES.replace('"x": 1, "y": 0', '"x": 1, "y": "0"')),
+        ("patches.csv", "id,x,y,type,feat_0,feat_1\nb,99999999999999999999,0,dead,2.0,1.0\n"),
+    ], ids=["jsonl-x-fraction", "jsonl-x-infinity", "jsonl-x-beyond-int64", "jsonl-y-string",
+            "csv-x-beyond-int64"])
+    def test_bad_coordinates_exit_2_with_one_line(self, tmp_path, capsys, name, text):
+        patches = tmp_path / name
+        patches.write_text(text)
+        rc = main(["build-graph", "--patches", str(patches), "--out", str(tmp_path / "g.json"),
+                   "--set", "build.k=1"])
+        assert rc == EXIT_INPUT
+        assert "line 2: bad" in _one_input_error_line(capsys)
+
     def test_rerun_same_seed_identical_bytes(self, tmp_path):
         patches = tmp_path / "patches.jsonl"
         patches.write_text(PATCHES)
@@ -248,7 +264,7 @@ def _misfit_param_data(doc):
 
 def _set_node_field(key, value):
     def corrupt(doc):
-        doc["nodes"][1].update({"x": 0, "y": 0, key: value})
+        doc["nodes"][key][1] = value
     return corrupt
 
 
@@ -297,27 +313,46 @@ def _version_1_checkpoint(doc):
     doc["version"] = 1
 
 
+def _version_1_graph(doc):
+    """The per-record layout of graph format version 1."""
+    nodes, edges = doc.pop("nodes"), doc.pop("edges")
+    del doc["feature_dim"], doc["edge_dim"]
+    doc["nodes"] = [dict(zip(nodes, rec)) for rec in zip(*nodes.values())]
+    doc["edges"] = [dict(zip(edges, rec)) for rec in zip(*edges.values())]
+    doc["version"] = 1
+
+
 BAD_UTF8 = b'{"id": "\xff\xfe"}\n'
 
 
 class TestMalformedInputFiles:
     """Bad graph, checkpoint and manifest documents exit 2 with one line, no traceback."""
 
-    @pytest.mark.parametrize("corrupt", [
-        _set_node_field("x", "a"),
-        lambda doc: doc.update(label="z"),
-        lambda doc: doc.update(label=[1]),
-        lambda doc: doc.update(nodes=5),
-        lambda doc: doc.update(edges=None),
-        lambda doc: doc["nodes"][1].update(id=doc["nodes"][1]["id"] + 0.5),
-        _set_node_field("y", 0.5),
-        lambda doc: doc["edges"][0].update(dst=1.5),
-        lambda doc: doc.update(label=1.5),
-        lambda doc: doc["nodes"][1].update(id=2**63),
+    @pytest.mark.parametrize("corrupt, fault", [
+        (_set_node_field("x", "a"), "format: nodes.x: invalid literal"),
+        (lambda doc: doc.update(label="z"), "format: malformed graph document"),
+        (lambda doc: doc.update(label=[1]), "format: malformed graph document"),
+        (lambda doc: doc["nodes"].update(id=5), "format: nodes.id must be a JSON list"),
+        (lambda doc: doc["edges"].update(src=None), "format: edges.src must be a JSON list"),
+        (_set_node_field("id", 1.5), "format: nodes.id: 1.5 is not"),
+        (_set_node_field("y", 0.5), "format: nodes.y: 0.5 is not"),
+        (lambda doc: doc["edges"]["dst"].__setitem__(0, 1.5), "format: edges.dst: 1.5 is not"),
+        (lambda doc: doc.update(label=1.5), "format: malformed graph document"),
+        (_set_node_field("id", 2**63), "format: nodes.id: Python int too large"),
+        (lambda doc: doc.update(nodes=[1]), "format: graph nodes must be a JSON object"),
+        (lambda doc: doc.update(edges=None), "format: graph edges must be a JSON object"),
     ], ids=["x-not-number", "label-string", "label-list", "nodes-not-list", "edges-null",
-            "id-fraction", "y-fraction", "dst-fraction", "label-fraction", "id-beyond-int64"])
-    def test_bad_graph_exits_2(self, tmp_path, capsys, corrupt):
-        _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_graph=corrupt)
+            "id-fraction", "y-fraction", "dst-fraction", "label-fraction", "id-beyond-int64",
+            "nodes-not-object", "edges-not-object"])
+    def test_bad_graph_exits_2(self, tmp_path, capsys, corrupt, fault):
+        line = _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_graph=corrupt)
+        assert fault in line
+
+    def test_version_1_graph_exits_2(self, tmp_path, capsys):
+        line = _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_graph=_version_1_graph)
+        assert "unsupported graph format version 1" in line
+        doc = json.loads((tmp_path / "g.json").read_text())
+        assert set(doc["nodes"][0]) == {"id", "type", "x", "y", "feat"}
 
     @pytest.mark.parametrize("corrupt", [
         lambda doc: [1],

@@ -1,5 +1,8 @@
 """Property tests: the position map, index-form segment ops and numpy validation
-agree with their per-edge reference implementations on random graphs."""
+agree with their per-edge reference implementations on random graphs, and
+the graph file format round-trips every graph bit for bit."""
+
+import json
 
 import numpy as np
 import pytest
@@ -181,3 +184,30 @@ def test_validate_reports_first_duplicate_like_edge_loop(g, data):
 def test_valid_graphs_pass_validate(g):
     assert validate(g) is None
     assert ref_edge_violation(g) is None
+
+
+# Signed zeros, the smallest and largest subnormals, and extremes of the normal range.
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+                  -2.2250738585072014e-308, 0.1, -1.5]
+
+
+@PROPERTY
+@given(graphs(), st.integers(0, 3), st.integers(0, 3), st.sampled_from(["all", "some", "none"]),
+       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_json_round_trip_is_bit_exact(g, feature_dim, edge_dim, edges, coords, label, seed):
+    rng = np.random.default_rng(seed)
+
+    def values(shape):
+        return np.where(rng.random(shape) < 0.5, rng.choice(SPECIAL_FLOATS, shape),
+                        rng.standard_normal(shape))
+
+    keep = {"all": np.ones(g.n_edges, bool), "none": np.zeros(g.n_edges, bool),
+            "some": rng.random(g.n_edges) < 0.5}[edges]
+    h = HeteroGraph(types=g.types, node_ids=g.node_ids, node_types=g.node_types,
+                    features=values((g.n_nodes, feature_dim)), edge_src=g.edge_src[keep],
+                    edge_dst=g.edge_dst[keep], edge_attrs=values((int(keep.sum()), edge_dim)),
+                    label=g.label if label else None, coords=g.coords if coords else None)
+    back = from_json_dict(json.loads(json.dumps(to_json_dict(h))))
+    assert back == h
+    assert back.features.tobytes() == h.features.tobytes()
+    assert back.edge_attrs.tobytes() == h.edge_attrs.tobytes()

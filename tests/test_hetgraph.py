@@ -75,14 +75,14 @@ class TestValidate:
 
     def test_mixed_feature_dimensions_reported_on_parse(self):
         doc = {
-            "version": 1,
+            "version": 2,
             "types": list(DEFAULT_TYPES.names),
-            "nodes": [
-                {"id": 0, "type": "dead", "x": None, "y": None, "feat": [1.0] * 4},
-                {"id": 1, "type": "dead", "x": None, "y": None, "feat": [1.0] * 5},
-            ],
-            "edges": [],
             "label": None,
+            "feature_dim": 4,
+            "edge_dim": 1,
+            "nodes": {"id": [0, 1], "type": ["dead", "dead"], "x": None, "y": None,
+                      "feat": [[1.0] * 4, [1.0] * 5]},
+            "edges": {"src": [], "dst": [], "attr": []},
         }
         with pytest.raises(GraphValidationError) as exc:
             from_json_dict(doc)
@@ -171,8 +171,58 @@ class TestSerialization:
 
     def test_coords_all_or_none(self):
         doc = to_json_dict(tiny_graph())
-        doc["nodes"][1]["x"] = None
-        doc["nodes"][1]["y"] = None
+        doc["nodes"]["x"][1] = None
+        doc["nodes"]["y"][1] = None
         with pytest.raises(GraphValidationError) as exc:
             from_json_dict(doc)
         assert exc.value.violation.kind == "coords"
+        assert exc.value.violation.node_id == 1
+
+    def test_file_bytes_are_fixed(self, tmp_path):
+        save_graph(tiny_graph(label=1), tmp_path / "g.json")
+        assert (tmp_path / "g.json").read_bytes() == TINY_GRAPH_FILE
+
+    @pytest.mark.parametrize("table, key", [
+        ("nodes", "type"), ("nodes", "feat"), ("nodes", "x"), ("nodes", "y"),
+        ("edges", "dst"), ("edges", "attr")])
+    def test_column_length_mismatch_is_format_violation(self, table, key):
+        doc = to_json_dict(tiny_graph())
+        doc[table][key].pop()
+        with pytest.raises(GraphValidationError) as exc:
+            from_json_dict(doc)
+        v = exc.value.violation
+        assert v.kind == "format" and f"{table}.{key} has" in v.message
+
+    @pytest.mark.parametrize("table, key, row, value, kind, node_id, edge", [
+        ("nodes", "type", 2, "stromal", "unknown-type", 2, None),
+        ("nodes", "type", 0, ["dead"], "unknown-type", 0, None),
+        ("edges", "attr", 3, [0.5, 0.5], "mixed-attr-dim", None, (0, 1)),
+    ])
+    def test_column_entry_faults_name_the_node_or_edge(self, table, key, row, value, kind,
+                                                       node_id, edge):
+        doc = to_json_dict(tiny_graph())
+        doc[table][key][row] = value
+        with pytest.raises(GraphValidationError) as exc:
+            from_json_dict(doc)
+        v = exc.value.violation
+        assert (v.kind, v.node_id, v.edge) == (kind, node_id, edge)
+
+    def test_zero_row_tables_keep_their_width(self, tmp_path):
+        g = from_lists(DEFAULT_TYPES, nodes=[(0, "dead", [1.0, 2.0], (0, 0))], edges=[])
+        empty = remove_node(g, 0)
+        for h in (g, empty):
+            save_graph(h, tmp_path / "g.json")
+            assert load_graph(tmp_path / "g.json") == h
+        assert empty.features.shape == (0, 2) and empty.edge_attrs.shape == (0, 1)
+        assert empty.coords.shape == (0, 2)
+
+
+# save_graph(tiny_graph(label=1)): a layout change must update this on purpose.
+TINY_GRAPH_FILE = (
+    b'{"edge_dim":1,"edges":{"attr":[[1.0],[1.0],[1.0],[0.5],[0.5],[-0.25]],'
+    b'"dst":[0,1,2,1,0,1],"src":[0,1,2,0,1,2]},"feature_dim":2,"label":1,'
+    b'"nodes":{"feat":[[1.0,2.0],[3.0,4.0],[5.0,6.0]],"id":[0,1,2],'
+    b'"type":["neoplastic","inflammatory","connective"],"x":[0,1,0],"y":[0,0,1]},'
+    b'"types":["no-label","neoplastic","inflammatory","connective","dead",'
+    b'"non-neoplastic-epithelial"],"version":2}\n'
+)
