@@ -21,7 +21,6 @@ from .builder import (  # noqa: F401
     knn_edges,
     load_patch_table,
     majority_vote_type,
-    pearson_edge_attr,
 )
 from .explain import Attribution, causal_contribution, explain_graph, export_heatmap  # noqa: F401
 from .hetgraph import (  # noqa: F401

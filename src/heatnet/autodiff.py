@@ -6,18 +6,18 @@ concatenation, row gathering, reductions, row/segment softmax, leaky
 ReLU, dropout-mask application, and cross-entropy. Everything is float64
 and any op that produces NaN/Inf raises NonFiniteError.
 
-The segment ops take a per-row segment index plus a segment count (the
-row -> target-node map of the edges), so every row belongs to exactly one
-segment by construction; an index of the wrong length, out of range, or
-leaving a segment empty is a ContractError.
+The segment ops take runs of consecutive rows, the CSR layout in which
+``hetgraph.batch_graphs`` sorts edges by target: segment s is the
+``counts[s]`` rows that follow segment s - 1. A count that is not positive,
+or counts that do not sum to the row count, is a ContractError.
 
 Reductions whose operand order depends on node/edge ordering (segment
 aggregation and pooling, per-segment softmax denominators and their
 gradients) are exactly rounded, so their results are independent of row
 permutation; this is what makes node-relabeling equivariance bit-exact.
-The segment ops sort rows by segment once and work on whole arrays:
-``np.maximum.reduceat`` for maxima, ``np.repeat`` to broadcast back, and
-one kernel, ``_segment_fsum``, for per-segment column sums. It splits the
+The segment ops work on whole arrays: ``np.maximum.reduceat`` for maxima,
+``np.repeat`` to broadcast back (the VJPs too), and one kernel,
+``_segment_fsum``, for per-segment column sums. It splits the
 values by error-free extraction into parts that numpy sums exactly,
 certifies that the result is correctly rounded, and sums any cell it
 cannot certify with math.fsum, so every sum equals math.fsum's bit for bit.
@@ -409,21 +409,16 @@ def cross_entropy(logits: Tensor, labels: int | Sequence[int] | Array) -> Tensor
 # segment ops (attention over incoming edges, per-target aggregation)
 # ---------------------------------------------------------------------------
 
-def _segments(index, n_rows: int, n_segments: int, op: str) -> tuple[Array, Array, Array]:
-    """Rows sorted by segment from a per-row segment index: (order, starts, counts).
-
-    Segment s is ``order[starts[s]:starts[s] + counts[s]]``, rows ascending.
-    """
-    idx = np.asarray(index, dtype=np.intp)
-    if idx.shape != (n_rows,):
-        raise ContractError(f"{op}: index has shape {idx.shape}, tensor has {n_rows} rows")
-    if n_rows and (idx.min() < 0 or idx.max() >= n_segments):
-        raise ContractError(f"{op}: index out of range for {n_segments} segments")
-    counts = np.bincount(idx, minlength=n_segments)
-    if not counts.all():
+def _runs(counts, n_rows: int, op: str) -> tuple[Array, Array]:
+    """(starts, counts) of segments given as runs of consecutive rows."""
+    counts = np.asarray(counts, dtype=np.intp)
+    if counts.ndim != 1 or int(counts.sum()) != n_rows:
+        raise ContractError(f"{op}: segment counts {counts.shape} sum to {int(counts.sum())}, "
+                            f"tensor has {n_rows} rows")
+    if not (counts > 0).all():
         raise ContractError(f"{op}: segment {int(np.argmin(counts))} is empty "
                             "(node without incoming edges)")
-    return np.argsort(idx, kind="stable"), np.cumsum(counts) - counts, counts
+    return np.cumsum(counts) - counts, counts
 
 
 def _segment_fsum(xs: Array, starts: Array, counts: Array) -> Array:
@@ -465,46 +460,38 @@ def _segment_fsum(xs: Array, starts: Array, counts: Array) -> Array:
     return hi
 
 
-def segment_softmax(x: Tensor, index, n_segments: int) -> Tensor:
-    """Per-column softmax over the rows of a 2-D tensor that share a segment.
+def segment_softmax(x: Tensor, counts) -> Tensor:
+    """Per-column softmax over each segment of a 2-D tensor's rows.
 
-    ``index[r]`` is the segment of row r; every segment must be nonempty
-    (a target node with no incoming edges is a contract violation).
+    Segment s is the ``counts[s]`` rows that follow segment s - 1; every
+    count must be positive (a target node with no incoming edges is a
+    contract violation).
     """
     if x.data.ndim != 2:
         raise ShapeError(f"segment_softmax expects a 2-D tensor, got {x.data.shape}")
-    order, starts, counts = _segments(index, x.data.shape[0], n_segments, "segment_softmax")
-    xs = x.data[order]
-    ex = np.exp(xs - np.repeat(np.maximum.reduceat(xs, starts, axis=0), counts, axis=0))
-    ws = ex / np.repeat(_segment_fsum(ex, starts, counts), counts, axis=0)
-    out = np.empty_like(x.data)
-    out[order] = ws
+    starts, counts = _runs(counts, x.data.shape[0], "segment_softmax")
+    ex = np.exp(x.data - np.repeat(np.maximum.reduceat(x.data, starts, axis=0), counts, axis=0))
+    w = ex / np.repeat(_segment_fsum(ex, starts, counts), counts, axis=0)
 
     def vjp(g):
-        gs = g[order]
-        dots = np.repeat(_segment_fsum(gs * ws, starts, counts), counts, axis=0)
-        dx = np.empty_like(x.data)
-        dx[order] = ws * (gs - dots)
-        return (dx,)
+        return (w * (g - np.repeat(_segment_fsum(g * w, starts, counts), counts, axis=0)),)
 
-    return _make(out, (x,), vjp, "segment_softmax")
+    return _make(w, (x,), vjp, "segment_softmax")
 
 
-def segment_reduce(x: Tensor, index, n_segments: int, mode: str = "mean") -> Tensor:
-    """Aggregate the rows of each segment of a 2-D tensor to one output row."""
+def segment_reduce(x: Tensor, counts, mode: str = "mean") -> Tensor:
+    """Aggregate each segment (as in ``segment_softmax``) to one output row."""
     if x.data.ndim != 2:
         raise ShapeError(f"segment_reduce expects a 2-D tensor, got {x.data.shape}")
     if mode not in ("mean", "sum"):
         raise ConfigError(f"unknown segment_reduce mode {mode!r}")
-    idx = np.asarray(index, dtype=np.intp)
-    order, starts, counts = _segments(idx, x.data.shape[0], n_segments, "segment_reduce")
-    out = _segment_fsum(x.data[order], starts, counts)
+    starts, counts = _runs(counts, x.data.shape[0], "segment_reduce")
+    out = _segment_fsum(x.data, starts, counts)
     if mode == "mean":
         out /= counts[:, None]
 
     def vjp(g):
-        gi = g / counts[:, None] if mode == "mean" else g
-        return (gi[idx],)
+        return (np.repeat(g / counts[:, None] if mode == "mean" else g, counts, axis=0),)
 
     return _make(out, (x,), vjp, "segment_reduce")
 

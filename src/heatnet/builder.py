@@ -157,7 +157,9 @@ def _similarity_tiles(feats: np.ndarray, metric: str):
 
     Cosine similarity of unit vectors, with zero vectors at similarity 0 to
     everything; "euclidean" is the negative Euclidean distance. Each tile
-    is the dense expression restricted to its rows.
+    is the dense expression restricted to its rows. Euclidean distances that
+    could overflow are taken of the matrix scaled down by one power of two,
+    which scales them all exactly, keeping their order and ties.
     """
     if metric == "cosine":
         feats = _pow2_scaled(feats)
@@ -170,7 +172,14 @@ def _similarity_tiles(feats: np.ndarray, metric: str):
             sims[:, zero] = 0.0
             yield a, b, sims
         return
-    sq = np.sum(feats ** 2, axis=1)
+    with np.errstate(over="ignore"):
+        sq = np.sum(feats ** 2, axis=1)
+        if not np.isfinite(8.0 * sq.max(initial=0.0)):
+            # The least shift that brings every |x| below 2**t, and so every
+            # squared norm below 2**1020.
+            t = (1020 - feats.shape[1].bit_length()) // 2
+            feats = np.ldexp(feats, t - np.frexp(np.max(np.abs(feats)))[1])
+            sq = np.sum(feats ** 2, axis=1)
     for a, b in _row_tiles(len(feats)):
         prod = feats[a:b] @ feats.T
         prod *= 2.0
@@ -252,21 +261,6 @@ def _pearson(feats: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         c[(norms[s] == 0.0) | (norms[t] == 0.0)] = 0.0
         r[i:i + step] = c
     return r
-
-
-def pearson_edge_attr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sample Pearson correlation of two feature vectors as a length-1 attr.
-
-    The coordinates are treated as paired samples. Constant vectors have
-    undefined correlation and map to 0; the result is clamped to [-1, 1].
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ShapeError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if x.ndim != 1 or x.shape[0] < 2:
-        raise ShapeError(f"pearson needs 1-D vectors with at least 2 entries, got {x.shape}")
-    return _pearson(np.stack([x, y]), np.array([0]), np.array([1]))
 
 
 def build_graph(patches: Sequence[PatchRecord], cfg: BuildConfig,
@@ -446,8 +440,8 @@ def _record_from_json(obj: dict, line: int) -> PatchRecord:
         raise PatchTableError(line, "record carries both type_counts and type")
     if counts is not None:
         try:
-            counts = {str(k): int(v) for k, v in counts.items()}
-        except (AttributeError, TypeError, ValueError) as exc:
+            counts = {str(k): _integral(v) for k, v in counts.items()}
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise PatchTableError(line, f"bad type_counts: {exc}") from exc
     try:
         return PatchRecord(rid, x, y, np.asarray(feat), type_counts=counts,
@@ -460,7 +454,7 @@ def load_patch_table(path) -> list[PatchRecord]:
     """Read a patch table: JSON Lines, or CSV with header id,x,y,type,feat_0..
 
     Parse failures raise PatchTableError citing the 1-based line number;
-    coordinates must be integers in the int64 range, as in graph files.
+    coordinates and type counts must be int64-range integers, as in graph files.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()

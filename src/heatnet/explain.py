@@ -12,10 +12,11 @@ changes layer l's output only at the nodes within l hops downstream of v
 (v excluded): they lose v's edges, or a source or their own query changed
 one layer earlier. So ``explain_graph`` runs one full forward that keeps
 each layer's node and edge projections. Then, for a chunk of removals at a
-time, it recomputes each layer with one ``layers.attend`` call over the
-chunk's (removed node, target) pairs: a pair's segment is the target's
-incoming edges minus v's, the rows changed one layer earlier are projected
-anew, and every other row is read from the cache. Each reduced graph's
+time, ``recompute_removals`` recomputes each layer with one
+``layers.attend`` call over the chunk's (removed node, target) pairs: a
+pair's segment is the target's incoming edges (a range of the forward's
+target-sorted edge rows) minus v's, the rows changed one layer earlier are
+projected anew, and every other row is read from the cache. Each reduced graph's
 final node features are the cached rows with the recomputed ones written
 over, and ``Model.readout`` pools and classifies the chunk's graphs as one
 stack. A chunk holds as many removals as fit ``_CHUNK_BYTES`` of stacked
@@ -40,7 +41,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import AttributionError, ExportError
-from .hetgraph import HeteroGraph, _write_json, remove_node
+from .hetgraph import GraphBatch, HeteroGraph, _write_json, batch_graphs, remove_node
 from .layers import LayerOutput, attend, check_incoming, project_nodes
 from .model import Model
 
@@ -89,20 +90,12 @@ def causal_contribution(model: Model, g: HeteroGraph, label: int, node_id: int) 
     return full - reduced
 
 
-def _grouped(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices grouped by key in [0, n): group k is order[starts[k]:starts[k + 1]]."""
-    starts = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(keys, minlength=n), out=starts[1:])
-    return starts, np.argsort(keys, kind="stable")
-
-
-def _members(starts: np.ndarray, order: np.ndarray,
-             groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (j, i) for every member i of group ``groups[j]``, j ascending."""
+def _members(starts: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (j, r) for every row r in ``starts[k]:starts[k + 1]``, k = ``groups[j]``,
+    j ascending."""
     counts = starts[groups + 1] - starts[groups]
     j = np.repeat(np.arange(len(groups)), counts)
-    offset = np.arange(j.size) - (np.cumsum(counts) - counts)[j]
-    return j, order[starts[groups][j] + offset]
+    return j, starts[groups][j] + np.arange(j.size) - (np.cumsum(counts) - counts)[j]
 
 
 def _table_rows(changed: np.ndarray, keys: np.ndarray, cached: np.ndarray, n: int) -> np.ndarray:
@@ -114,32 +107,38 @@ def _table_rows(changed: np.ndarray, keys: np.ndarray, cached: np.ndarray, n: in
     return np.where(hit, n + at, cached)
 
 
-def _recompute(model: Model, g: HeteroGraph, layer_outputs: list[LayerOutput],
-               removed: np.ndarray, out_groups: tuple[np.ndarray, np.ndarray],
-               in_groups: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, Tensor]:
+def recompute_removals(model: Model, batch: GraphBatch, layer_outputs: list[LayerOutput],
+                       removed: np.ndarray, by_source: np.ndarray, out_starts: np.ndarray,
+                       in_starts: np.ndarray) -> tuple[np.ndarray, Tensor]:
     """The final-layer rows that removing each node in ``removed`` changes:
-    their sorted (removal v, node t) keys v * n + t, and the rows."""
-    n = g.n_nodes
-    src, dst = g.edge_pos
+    their sorted (removal v, node t) keys v * n + t, and the rows.
+
+    ``layer_outputs`` ran on the one-graph ``batch``. Node t's outgoing edges
+    are rows ``by_source[out_starts[t]:out_starts[t + 1]]``, its incoming
+    ones rows ``in_starts[t]:in_starts[t + 1]``."""
+    n = batch.n_nodes
+    src, dst = batch.edge_pos
     changed = np.empty(0, dtype=np.intp)
     h_changed = Tensor(np.empty((0, model.layers[0].d_in)))
     for i, (layer, cached) in enumerate(zip(model.layers, layer_outputs)):
         # Targets: the nodes that v or a changed node feeds, v excluded.
         v, s = np.divmod(np.concatenate([removed * (n + 1), changed]), n)
-        j, e = _members(*out_groups, s)
+        j, r = _members(out_starts, s)
+        e = by_source[r]
         keep = dst[e] != v[j]
         targets = np.unique(v[j][keep] * n + dst[e][keep])
-        # Each target's segment: its incoming edges minus v's.
+        # Each target's segment: its incoming edge rows minus v's.
         tv, tt = np.divmod(targets, n)
-        seg, e = _members(*in_groups, tt)
+        seg, e = _members(in_starts, tt)
         keep = src[e] != tv[seg]
         seg, e = seg[keep], e[keep]
-        new_proj, new_value = project_nodes(layer, h_changed, g.node_types[changed % n])
+        new_proj, new_value = project_nodes(layer, h_changed, batch.node_types[changed % n])
         node_proj = ad.concat([cached.node_proj, new_proj])
         value_proj = None if new_value is None else ad.concat([cached.value_proj, new_value])
         h, _ = attend(layer, node_proj, value_proj, ad.gather_rows(cached.edge_attrs, e),
                       _table_rows(changed, tv[seg] * n + src[e], src[e], n),
-                      _table_rows(changed, targets, tt, n)[seg], seg, len(targets))
+                      _table_rows(changed, targets, tt, n)[seg],
+                      np.bincount(seg, minlength=len(targets)))
         if i < len(model.layers) - 1:
             h = model.activate(h)
         changed, h_changed = targets, h
@@ -151,8 +150,9 @@ def _removal_losses(model: Model, g: HeteroGraph, layer_outputs: list[LayerOutpu
     """loss(G without v) for every node position v, from the full forward's
     layer outputs, for chunks of removals at a time."""
     n = g.n_nodes
-    src, dst = g.edge_pos
-    in_degree = np.bincount(dst, minlength=n)
+    batch = batch_graphs([g])
+    src, dst = batch.edge_pos
+    in_degree = batch.in_degree
     pairs, count = np.unique(src * n + dst, return_counts=True)
     s, t = np.divmod(pairs, n)
     lone = (count == in_degree[t]) & (s != t)
@@ -162,13 +162,16 @@ def _removal_losses(model: Model, g: HeteroGraph, layer_outputs: list[LayerOutpu
         v = int(s[lone].min())
         left = in_degree - np.bincount(dst[src == v], minlength=n)
         check_incoming(g.node_ids[:v] + g.node_ids[v + 1:], np.delete(left, v))
-    out_groups, in_groups = _grouped(src, n), _grouped(dst, n)
+    by_source = np.argsort(src, kind="stable")
+    out_starts, in_starts = (np.concatenate([[0], np.cumsum(c)])
+                             for c in (np.bincount(src, minlength=n), in_degree))
     h_full = layer_outputs[-1].node_features.data
     per_chunk = max(1, _CHUNK_BYTES // h_full[:n - 1].nbytes)
     losses: list[float] = []
     for start in range(0, n, per_chunk):
         removed = np.arange(start, min(start + per_chunk, n))
-        changed, h_changed = _recompute(model, g, layer_outputs, removed, out_groups, in_groups)
+        changed, h_changed = recompute_removals(model, batch, layer_outputs, removed,
+                                                by_source, out_starts, in_starts)
         # Reduced graph b is every cached row but v = start + b, with the
         # changed rows written over.
         graph, pos = np.divmod(np.arange(len(removed) * n), n)

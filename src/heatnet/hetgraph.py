@@ -4,9 +4,10 @@ A graph holds typed nodes with float64 feature vectors and directed edges
 with float64 attribute vectors. Graphs are immutable after construction;
 ``remove_node``, the one mutation-style operation, returns a new graph.
 Edges name their endpoints by node id; ``HeteroGraph.edge_pos`` maps them
-to node positions once per graph, and that cached pair of arrays is what
-the layers index with. ``batch_graphs`` stacks graphs into one disjoint
-union (``GraphBatch``), which the model runs on. The JSON file format is
+to node positions once per graph. ``batch_graphs`` stacks graphs into one
+disjoint union (``GraphBatch``), which the model runs on, with its edge
+rows sorted by target once: the runs the layers' segment ops reduce. The
+JSON file format is
 versioned, stores one list per node or edge field and round-trips floats
 exactly; ``validate`` is the one checker of graph-wide invariants, the
 parser included.
@@ -200,21 +201,22 @@ class HeteroGraph:
 class GraphBatch:
     """Graphs stacked as one disjoint union, the graph the model runs on.
 
-    Node and edge rows follow graph order, ``edge_pos`` is offset by each
-    graph's first node position, and ``graph`` names each node's graph. It
-    has the fields the layers read from a HeteroGraph, so a batch passes
-    through them as one graph whose components exchange no messages.
-    ``node_ids`` keeps every graph's own ids, so an error names a node as
-    its graph does.
+    Node rows follow graph order and ``graph`` names each node's graph.
+    Edge rows (``edge_pos``, offset by each graph's first node position, and
+    ``edge_attrs``) are stably sorted by target: node t's incoming edges are
+    the ``in_degree[t]`` rows after node t - 1's, in their graph's order.
+    Components exchange no messages. ``node_ids`` keeps every graph's own
+    ids, so an error names a node as its graph does.
     """
 
     types: TypeSet
     node_ids: tuple[int, ...]
     node_types: np.ndarray                      # (N,) intp
     features: np.ndarray                        # (N, d) float64
-    edge_attrs: np.ndarray                      # (E, d_e) float64
-    edge_pos: tuple[np.ndarray, np.ndarray]     # (E,) each, union positions
+    edge_attrs: np.ndarray                      # (E, d_e) float64, target-sorted rows
+    edge_pos: tuple[np.ndarray, np.ndarray]     # (E,) each, union positions, targets nondecreasing
     graph: np.ndarray                           # (N,) graph index of each node
+    in_degree: np.ndarray                       # (N,) incoming edges of each node
 
     @property
     def n_nodes(self) -> int:
@@ -226,21 +228,26 @@ class GraphBatch:
 
 
 def batch_graphs(graphs: Sequence[HeteroGraph]) -> GraphBatch:
-    """The disjoint union of a nonempty sequence of graphs (types from the
-    first; the caller checks that the graphs agree on dimensions)."""
+    """The disjoint union of a nonempty sequence of graphs, edges sorted by
+    target (types from the first; the caller checks that the graphs agree
+    on dimensions)."""
     if not graphs:
         raise ConfigError("cannot batch an empty sequence of graphs")
     sizes = [g.n_nodes for g in graphs]
     offsets = np.cumsum(sizes) - sizes
+    src, dst = (np.concatenate([g.edge_pos[end] + off for g, off in zip(graphs, offsets)])
+                for end in (0, 1))
+    # Graphs hold increasing positions: the sort keeps each one's rows together.
+    order = np.argsort(dst, kind="stable")
     return GraphBatch(
         types=graphs[0].types,
         node_ids=tuple(nid for g in graphs for nid in g.node_ids),
         node_types=np.concatenate([g.node_types for g in graphs]),
         features=np.concatenate([g.features for g in graphs]),
-        edge_attrs=np.concatenate([g.edge_attrs for g in graphs]),
-        edge_pos=tuple(np.concatenate([g.edge_pos[end] + off for g, off in zip(graphs, offsets)])
-                       for end in (0, 1)),
+        edge_attrs=np.concatenate([g.edge_attrs for g in graphs])[order],
+        edge_pos=(src[order], dst[order]),
         graph=np.repeat(np.arange(len(graphs)), sizes),
+        in_degree=np.bincount(dst, minlength=sum(sizes)),
     )
 
 

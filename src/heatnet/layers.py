@@ -9,14 +9,14 @@ normalized per head across each target's incoming edges; the per-edge
 output concatenates the attention-scaled value vectors over heads, and
 edges are aggregated per target (mean by default). The projected edge
 attribute e' becomes the edge's attribute for the next layer.
-``layer_forward`` computes this for all edges of a graph, or of a batch of
-graphs stacked as one disjoint union, at once: one
+``layer_forward`` computes this for all edges of a ``GraphBatch`` (one
+graph, or several stacked as a disjoint union) at once: one
 ``typed_matmul`` projects all nodes with all heads (``project_nodes``), and
 ``attend`` scores, normalizes and aggregates edge rows given as index
 arrays into the projection table, with heads the middle axis of
-(E, heads, d_k) blocks, so no op loops over types, heads or edges. The
-leave-one-out attribution calls ``attend`` directly on the edges around
-each removed node.
+(E, heads, d_k) blocks, so no op loops over types, heads or edges; a
+target's incoming edges are one run of the batch's rows. The leave-one-out
+attribution calls ``attend`` directly on the edges around each removed node.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, ShapeError
-from .hetgraph import GraphBatch, HeteroGraph, TypeSet
+from .hetgraph import GraphBatch, TypeSet
 
 
 @dataclass
@@ -127,16 +127,17 @@ def project_nodes(params: HeatLayerParams, feats: Tensor,
 
 
 def attend(params: HeatLayerParams, node_proj: Tensor, value_proj: Tensor | None,
-           eproj: Tensor, src: np.ndarray, dst: np.ndarray, segment: np.ndarray,
-           n_segments: int) -> tuple[Tensor, Tensor]:
+           eproj: Tensor, src: np.ndarray, dst: np.ndarray,
+           counts: np.ndarray) -> tuple[Tensor, Tensor]:
     """Score, normalize and aggregate edge rows into one output row per segment.
 
     Edge row r takes its key (and value) from projection row ``src[r]``, its
-    query from row ``dst[r]`` and its modulation from ``eproj`` row r, and
-    belongs to segment ``segment[r]``. Returns the (n_segments, d_out)
-    outputs and the (rows, heads) attention weights. Every row is computed
-    from its own inputs and every segment sum is exactly rounded, so an
-    output row depends only on the set of its segment's edge rows.
+    query from row ``dst[r]`` and its modulation from ``eproj`` row r;
+    segment s is the ``counts[s]`` rows after segment s - 1's. Returns the
+    (len(counts), d_out) outputs and the (rows, heads) attention weights.
+    Every row is computed from its own inputs and every segment sum is
+    exactly rounded, so an output row depends only on the set of its
+    segment's edge rows.
     """
     heads, d_k = params.heads, params.d_k
     keys = ad.gather_rows(node_proj, src)
@@ -144,43 +145,45 @@ def attend(params: HeatLayerParams, node_proj: Tensor, value_proj: Tensor | None
     values = keys if value_proj is None else ad.gather_rows(value_proj, src)
     modulated = ad.mul(ad.mul(keys, ad.reshape(eproj, (-1, 1, d_k))), queries)
     scores = ad.scale(ad.reduce_sum(modulated, axis=2), 1.0 / math.sqrt(d_k))
-    att = ad.segment_softmax(scores, segment, n_segments)
+    att = ad.segment_softmax(scores, counts)
     weighted = ad.mul(values, ad.reshape(att, (-1, heads, 1)))
-    out = ad.segment_reduce(ad.reshape(weighted, (-1, params.d_out)), segment, n_segments,
+    out = ad.segment_reduce(ad.reshape(weighted, (-1, params.d_out)), counts,
                             params.aggregation)
     return out, att
 
 
-def layer_forward(g: HeteroGraph | GraphBatch, params: HeatLayerParams,
+def layer_forward(batch: GraphBatch, params: HeatLayerParams,
                   features: Tensor | None = None,
                   edge_attrs: Tensor | None = None,
                   return_attention: bool = False) -> LayerOutput:
-    """Run the attention layer over a graph or a batch of graphs, differentiably.
+    """Run the attention layer over a batch of graphs, differentiably.
 
-    ``features``/``edge_attrs`` default to the graph's own arrays (as
-    constants); pass tensors to chain layers. Every node must have at
+    A graph g runs as ``batch_graphs([g])``; edge rows are in the batch's
+    order. ``features``/``edge_attrs`` default to the batch's own arrays
+    (as constants); pass tensors to chain layers. Every node must have at
     least one incoming edge.
     """
-    n = g.n_nodes
+    if not isinstance(batch, GraphBatch):
+        raise ContractError(f"layer_forward takes a GraphBatch, got {type(batch).__name__}")
+    n = batch.n_nodes
     if n == 0:
         raise ContractError("layer_forward on an empty graph")
-    feats = features if features is not None else Tensor(g.features)
-    attrs = edge_attrs if edge_attrs is not None else Tensor(g.edge_attrs)
+    feats = features if features is not None else Tensor(batch.features)
+    attrs = edge_attrs if edge_attrs is not None else Tensor(batch.edge_attrs)
     if feats.shape != (n, params.d_in):
         raise ShapeError(f"features {feats.shape} do not match layer d_in={params.d_in}")
-    if attrs.shape != (g.n_edges, params.d_edge):
+    if attrs.shape != (batch.n_edges, params.d_edge):
         raise ShapeError(f"edge attrs {attrs.shape} do not match layer d_edge={params.d_edge}")
-    if not params.shared_projection and g.types.names != params.types.names:
+    if not params.shared_projection and batch.types.names != params.types.names:
         raise ConfigError("graph type set does not match layer parameters")
 
-    pos_src, pos_dst = g.edge_pos
-    check_incoming(g.node_ids, np.bincount(pos_dst, minlength=n))
-    node_proj, value_proj = project_nodes(params, feats, g.node_types)
+    check_incoming(batch.node_ids, batch.in_degree)
+    node_proj, value_proj = project_nodes(params, feats, batch.node_types)
     if params.w_edge is None:
-        eproj = Tensor(np.ones((g.n_edges, params.d_k)))
+        eproj = Tensor(np.ones((batch.n_edges, params.d_k)))
     else:
         eproj = ad.matmul(attrs, ad.transpose(params.w_edge))
-    h_out, att = attend(params, node_proj, value_proj, eproj, pos_src, pos_dst, pos_dst, n)
+    h_out, att = attend(params, node_proj, value_proj, eproj, *batch.edge_pos, batch.in_degree)
     return LayerOutput(
         node_features=h_out,
         edge_attrs=eproj,

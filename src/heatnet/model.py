@@ -159,7 +159,8 @@ class Model:
 
     def readout(self, h: Tensor, node_types: np.ndarray, graph: np.ndarray) -> Tensor:
         """Final node features of B stacked graphs -> logits (B, C);
-        ``graph`` names each row's graph."""
+        ``graph`` names each row's graph and must be nondecreasing (each
+        graph's rows one block, as ``batch_graphs`` stacks them)."""
         if self.config.pooling == "pl":
             return graph_logits(pl_pool(h, node_types, self.pool, graph), self.pool)
         return mean_pool_logits(h, self.pool, graph)

@@ -89,8 +89,11 @@ def pl_pool(features: Tensor, type_idx: np.ndarray, params: PoolParams,
         raise ShapeError(f"features dim {d} does not match pool dim {params.dim}")
     n_types = len(params.types)
     n_graphs = int(graph.max()) + 1
-    present, segment = np.unique(graph * n_types + type_idx, return_inverse=True)
-    pooled = ad.segment_reduce(features, segment, len(present), "mean")
+    # Rows gathered in (graph, type) order make each present cell one run.
+    cell = graph * n_types + type_idx
+    present, counts = np.unique(cell, return_counts=True)
+    pooled = ad.segment_reduce(ad.gather_rows(features, np.argsort(cell, kind="stable")),
+                               counts, "mean")
     if params.readout is not None:
         pooled = ad.typed_matmul(pooled, params.readout, present % n_types)
     # Absent cells read the zero row appended after the present ones.
@@ -103,8 +106,9 @@ def pl_pool(features: Tensor, type_idx: np.ndarray, params: PoolParams,
 def _logits(rows: Tensor, graph: np.ndarray, n_graphs: int, mode: str,
             params: PoolParams) -> Tensor:
     """Reduce the rows of each graph to one vector (mean or sum) and apply
-    the linear head: logits (n_graphs, C)."""
-    z = ad.segment_reduce(rows, graph, n_graphs, mode)
+    the linear head: logits (n_graphs, C). ``graph`` is nondecreasing, so
+    each graph's rows are one run."""
+    z = ad.segment_reduce(rows, np.bincount(graph, minlength=n_graphs), mode)
     return ad.add(ad.matmul(z, ad.transpose(params.classifier_w)), params.classifier_b)
 
 
@@ -120,7 +124,7 @@ def graph_logits(pooled: Tensor, params: PoolParams) -> Tensor:
 
 def mean_pool_logits(features: Tensor, params: PoolParams, graph: np.ndarray) -> Tensor:
     """Plain mean pooling over all nodes (type-blind ablation head): logits
-    (B, C) for the rows of B graphs stacked as in ``pl_pool``."""
+    (B, C) for the rows of B stacked graphs, ``graph`` nondecreasing."""
     return _logits(features, graph, int(graph.max()) + 1, "mean", params)
 
 

@@ -5,7 +5,9 @@ plain Python loops over raw numpy parameter arrays, independently of the
 autodiff path they are checked against. The slow paths that the package
 replaced (per-edge id lookups, list-of-segments segment ops, the per-edge
 validation loops, the dense k-NN and the per-edge Pearson loop of graph
-construction) are kept here as oracles for the fast ones. ``from_lists``
+construction) are kept here as oracles for the fast ones, and
+``pearson_pair`` applies the package's Pearson kernel to one pair of
+vectors. ``from_lists``
 builds the small hand-written graphs of the tests from per-node and
 per-edge tuples.
 """
@@ -15,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from heatnet.builder import _pearson
 from heatnet.errors import ConfigError, ShapeError
 from heatnet.hetgraph import HeteroGraph
 
@@ -195,16 +198,22 @@ def ref_plain_attention(feats, w, edges, aggregation="sum"):
     return out
 
 
-def incoming_segments(g):
-    """Edge-row indices grouped by target node, one group per node position.
+def incoming_segments(batch):
+    """Edge-row indices of a GraphBatch grouped by target position, edge by
+    edge, one group per node.
 
     Empty groups are legal at this level (the layer enforces the
     nonempty-neighborhood contract).
     """
-    segs = [[] for _ in range(g.n_nodes)]
-    for e, t in enumerate(g.edge_dst.tolist()):
-        segs[g.pos(t)].append(e)
+    segs = [[] for _ in range(batch.n_nodes)]
+    for e, t in enumerate(batch.edge_pos[1].tolist()):
+        segs[t].append(e)
     return [np.asarray(s, dtype=np.intp) for s in segs]
+
+
+def edge_list(batch):
+    """The batch's edges as (src_pos, dst_pos) pairs, in its row order."""
+    return list(zip(batch.edge_pos[0].tolist(), batch.edge_pos[1].tolist()))
 
 
 def ref_segment_softmax(x, segments, grad=None):
@@ -335,6 +344,11 @@ def ref_pearson_edge_attr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.array([-1.0])
     r = float(dx @ dy) / (sx * sy)
     return np.array([min(1.0, max(-1.0, r))])
+
+
+def pearson_pair(x, y) -> float:
+    """``builder._pearson`` of one pair of feature vectors."""
+    return float(_pearson(np.stack([x, y]), np.array([0]), np.array([1]))[0])
 
 
 def ref_edge_attrs(feats, pairs):

@@ -15,11 +15,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from _reference import head_blocks, incoming_segments, ref_model_forward, ref_plain_attention
+from _reference import (
+    edge_list,
+    head_blocks,
+    incoming_segments,
+    ref_layer_forward,
+    ref_model_forward,
+    ref_plain_attention,
+)
 from heatnet.builder import AugmentConfig, BuildConfig
 from heatnet.cli import EXIT_OK, main
 from heatnet.explain import explain_graph, top_k_ids
-from heatnet.hetgraph import DEFAULT_TYPES, TypeSet
+from heatnet.hetgraph import DEFAULT_TYPES, TypeSet, batch_graphs
 from heatnet.layers import HeatLayerParams, layer_forward
 from heatnet.metrics import metric_auc, metric_macro_f1, welch_ttest
 from heatnet.model import Model, ModelConfig, baseline_config
@@ -111,8 +118,9 @@ def test_c02_attention_normalization():
         g = random_labeled_graph(rng, DEFAULT_TYPES, n_nodes=n, feature_dim=5)
         params = HeatLayerParams.init(DEFAULT_TYPES, 5, 8, int(rng.choice([1, 2, 4])), 1,
                                       rng_for(trial, "params"))
-        out = layer_forward(g, params, return_attention=True)
-        for seg in incoming_segments(g):
+        b = batch_graphs([g])
+        out = layer_forward(b, params, return_attention=True)
+        for seg in incoming_segments(b):
             sums = out.attention[seg].sum(axis=0)
             np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
@@ -133,12 +141,10 @@ def test_c03_oracle_equivalence():
             np.testing.assert_allclose(got, ref, atol=1e-10)
 
             layer = model.layers[0]
-            out = layer_forward(g, layer)
-            pos = {nid: i for i, nid in enumerate(g.node_ids)}
-            edges = [(pos[int(s)], pos[int(t)]) for s, t in zip(g.edge_src, g.edge_dst)]
-            from _reference import ref_layer_forward
+            b = batch_graphs([g])
+            out = layer_forward(b, layer)
             w_node = head_blocks(layer.w_node, TYPES3.names, layer.heads)
-            ref_h, ref_e = ref_layer_forward(g.features, g.node_types, edges, g.edge_attrs,
+            ref_h, ref_e = ref_layer_forward(g.features, g.node_types, edge_list(b), b.edge_attrs,
                                              w_node, layer.w_edge.data, layer.heads,
                                              type_names=TYPES3.names)
             np.testing.assert_allclose(out.node_features.data, ref_h, atol=1e-10)
@@ -155,11 +161,10 @@ def test_c04_degeneracy_to_plain_attention():
             g = random_labeled_graph(rng, single, n_nodes=n, feature_dim=4)
             params = HeatLayerParams.init(single, 4, 4, 1, 1, rng_for(trial, "deg"),
                                           aggregation=agg, edge_identity=True)
-            got = layer_forward(g, params).node_features.data
-            pos = {nid: i for i, nid in enumerate(g.node_ids)}
-            edges = [(pos[int(s)], pos[int(t)]) for s, t in zip(g.edge_src, g.edge_dst)]
+            b = batch_graphs([g])
+            got = layer_forward(b, params).node_features.data
             w = head_blocks(params.w_node, single.names, 1)["only"][0]
-            ref = ref_plain_attention(g.features, w, edges, aggregation=agg)
+            ref = ref_plain_attention(g.features, w, edge_list(b), aggregation=agg)
             np.testing.assert_allclose(got, ref, atol=1e-10)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from heatnet import autodiff as ad
 from heatnet.autodiff import Tensor
 from heatnet.errors import ConfigError, ContractError, NonFiniteError, ShapeError
+from heatnet.hetgraph import batch_graphs
 from heatnet.testing import random_labeled_graph
 
 
@@ -185,16 +186,15 @@ class TestOps:
 
     def test_one_segment_mean_matches_numpy(self):
         x = np.random.default_rng(1).standard_normal((5, 3))
-        out = ad.segment_reduce(Tensor(x), np.zeros(5, dtype=np.intp), 1, "mean").data
+        out = ad.segment_reduce(Tensor(x), [5], "mean").data
         np.testing.assert_allclose(out, x.mean(axis=0, keepdims=True), atol=1e-15)
 
     def test_one_segment_mean_order_independent_bitwise(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((7, 4))
         perm = rng.permutation(7)
-        zeros = np.zeros(7, dtype=np.intp)
-        a = ad.segment_reduce(Tensor(x), zeros, 1, "mean").data
-        b = ad.segment_reduce(Tensor(x[perm]), zeros, 1, "mean").data
+        a = ad.segment_reduce(Tensor(x), [7], "mean").data
+        b = ad.segment_reduce(Tensor(x[perm]), [7], "mean").data
         assert (a == b).all()
 
     def test_leaky_relu(self):
@@ -317,38 +317,39 @@ class TestRowInvariance:
 class TestSegmentOps:
     def test_segment_softmax_normalizes_per_segment(self):
         x = Tensor(np.array([[0.0, 1.0], [0.0, 2.0], [5.0, 0.0]]))
-        w = ad.segment_softmax(x, np.array([0, 0, 1]), 2).data
+        w = ad.segment_softmax(x, [2, 1]).data
         np.testing.assert_allclose(w[:2].sum(axis=0), [1.0, 1.0], atol=1e-15)
         np.testing.assert_allclose(w[2], [1.0, 1.0])
 
     def test_segment_softmax_empty_segment_rejected(self):
         x = Tensor(np.zeros((2, 1)))
         with pytest.raises(ContractError):
-            ad.segment_softmax(x, np.array([0, 0]), 2)
+            ad.segment_softmax(x, [2, 0])
 
     def test_segment_reduce_mean_and_sum(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [10.0, 20.0]]))
-        index = np.array([0, 0, 1])
-        np.testing.assert_allclose(ad.segment_reduce(x, index, 2, "mean").data,
+        np.testing.assert_allclose(ad.segment_reduce(x, [2, 1], "mean").data,
                                    [[2.0, 3.0], [10.0, 20.0]])
-        np.testing.assert_allclose(ad.segment_reduce(x, index, 2, "sum").data,
+        np.testing.assert_allclose(ad.segment_reduce(x, [2, 1], "sum").data,
                                    [[4.0, 6.0], [10.0, 20.0]])
 
-    def test_partition_required(self):
-        # the index must give every row exactly one segment
+    def test_counts_must_sum_to_row_count(self):
+        # the runs must give every row exactly one segment
         x = Tensor(np.zeros((3, 1)))
-        with pytest.raises(ContractError):
-            ad.segment_reduce(x, np.array([0, 1]), 2)  # row 2 has no segment
-        with pytest.raises(ContractError):
-            ad.segment_softmax(x, np.array([0, 1, 1, 0]), 2)
+        for counts in ([1, 1], [2, 2], [3, 1], [[3]]):
+            with pytest.raises(ContractError, match="sum to"):
+                ad.segment_reduce(x, counts)
+            with pytest.raises(ContractError, match="sum to"):
+                ad.segment_softmax(x, counts)
 
-    def test_index_out_of_range(self):
+    def test_nonpositive_count_rejected(self):
+        # an empty run (or a negative count that the others make up for)
         x = Tensor(np.zeros((3, 1)))
-        for index in ([0, 1, 2], [0, -1, 1]):
-            with pytest.raises(ContractError):
-                ad.segment_reduce(x, np.array(index), 2)
-            with pytest.raises(ContractError):
-                ad.segment_softmax(x, np.array(index), 2)
+        for counts in ([0, 3], [3, 0], [1, 0, 2], [4, -1]):
+            with pytest.raises(ContractError, match="is empty"):
+                ad.segment_reduce(x, counts)
+            with pytest.raises(ContractError, match="is empty"):
+                ad.segment_softmax(x, counts)
 
 
 class TestExactSums:
@@ -357,16 +358,16 @@ class TestExactSums:
     def test_ordinary_data_never_falls_back_to_fsum(self, monkeypatch):
         rng = np.random.default_rng(0)
         g = random_labeled_graph(rng, n_nodes=1000, feature_dim=1, extra_edge_prob=0.005)
-        index = g.edge_pos[1]
+        counts = batch_graphs([g]).in_degree
         x = Tensor(rng.standard_normal((g.n_edges, 4)), requires_grad=True)
         head = Tensor(rng.standard_normal((4, 1)))
         calls = []
         fsum = math.fsum
         monkeypatch.setattr(math, "fsum", lambda values: calls.append(1) or fsum(values))
-        w = ad.segment_softmax(x, index, g.n_nodes)
-        mean = ad.segment_reduce(ad.mul(w, x), index, g.n_nodes, "mean")
-        total = ad.segment_reduce(x, index, g.n_nodes, "sum")
-        pooled = ad.segment_reduce(ad.add(mean, total), np.zeros(g.n_nodes, dtype=np.intp), 1)
+        w = ad.segment_softmax(x, counts)
+        mean = ad.segment_reduce(ad.mul(w, x), counts, "mean")
+        total = ad.segment_reduce(x, counts, "sum")
+        pooled = ad.segment_reduce(ad.add(mean, total), [g.n_nodes])
         ad.backward(ad.matmul(pooled, head))
         assert x.grad is not None
         assert calls == []
@@ -381,16 +382,15 @@ class TestExactSums:
     ], ids=["tie-broken-by-remainder", "remainders-cross-midpoint"])
     def test_uncertified_cell_is_summed_by_fsum(self, values, expected):
         x = Tensor(np.array(values)[:, None])
-        out = ad.segment_reduce(x, np.zeros(len(values), dtype=np.intp), 1, "sum").data
+        out = ad.segment_reduce(x, [len(values)], "sum").data
         assert out[0, 0] == expected == math.fsum(values)
 
     def test_overflow_matches_fsum_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError):
-                ad.segment_reduce(Tensor([[1e308], [1e308]]), np.array([0, 0]), 1, "sum")
-            out = ad.segment_reduce(Tensor(np.full((12, 1), 1e307)),
-                                    np.zeros(12, dtype=np.intp), 1, "sum")
+                ad.segment_reduce(Tensor([[1e308], [1e308]]), [2], "sum")
+            out = ad.segment_reduce(Tensor(np.full((12, 1), 1e307)), [12], "sum")
         assert out.data[0, 0] == 1.2e308
 
 
@@ -427,16 +427,13 @@ class TestGradCheck:
         a = Tensor(rng.standard_normal((m, k)), requires_grad=True)
         b = Tensor(rng.standard_normal((k, n)), requires_grad=True)
         c = Tensor(rng.standard_normal((1, n)), requires_grad=True)
-        if m < 3:
-            index, n_segs = np.arange(m), int(m)
-        else:
-            index, n_segs = np.array([0] * (m - 2) + [1, 1]), 2
+        counts = np.ones(m, dtype=np.intp) if m < 3 else np.array([m - 2, 2])
 
         def f():
             h = ad.leaky_relu(ad.add(ad.matmul(a, b), c), 0.01)
-            w = ad.segment_softmax(h, index, n_segs)
-            pooled = ad.segment_reduce(ad.mul(h, w), index, n_segs, "mean")
-            z = ad.segment_reduce(pooled, np.zeros(n_segs, dtype=np.intp), 1)
+            w = ad.segment_softmax(h, counts)
+            pooled = ad.segment_reduce(ad.mul(h, w), counts, "mean")
+            z = ad.segment_reduce(pooled, [len(counts)])
             return ad.cross_entropy(ad.reshape(z, (int(n),)), 0)
 
         assert ad.grad_check(f, [a, b, c]) < 1e-5

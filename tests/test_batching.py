@@ -1,5 +1,6 @@
-"""Disjoint-union batching: a batch of graphs runs as one forward and equals
-one-graph batches bit for bit; its boundaries fail as one graph does."""
+"""Disjoint-union batching: a batch lays out its edges target-sorted, runs
+as one forward and equals one-graph batches bit for bit; its boundaries fail
+as one graph does."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from _reference import from_lists
 from heatnet import autodiff as ad
 from heatnet.builder import AugmentConfig
 from heatnet.errors import ConfigError, ContractError, ShapeError
-from heatnet.hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet
+from heatnet.hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet, batch_graphs
 from heatnet.model import Model, ModelConfig
 from heatnet.seeding import rng_for
 from heatnet.testing import random_labeled_graph
@@ -84,6 +85,40 @@ class TestBatchEqualsOneGraphBatches:
         for pname, grad in batched.items():
             ref = sum(p[pname] for p in per_graph) / len(graphs)
             assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max(), pname
+
+
+def shuffled_edges(g, rng):
+    """The graph with its edge rows in random order."""
+    perm = rng.permutation(g.n_edges)
+    return HeteroGraph(types=g.types, node_ids=g.node_ids, node_types=g.node_types,
+                       features=g.features, edge_src=g.edge_src[perm], edge_dst=g.edge_dst[perm],
+                       edge_attrs=g.edge_attrs[perm], label=g.label)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs=st.lists(batch_member(), min_size=1, max_size=5), seed=st.integers(0, 2**32 - 1),
+       shuffle=st.booleans())
+def test_batch_edges_are_target_sorted_per_graph(graphs, seed, shuffle):
+    """Edge rows are each graph's own edges, offset, grouped by target
+    position in order and in the graph's own order within a target, with
+    their attributes; ``in_degree`` counts each node's rows."""
+    rng = np.random.default_rng(seed)
+    if shuffle:
+        graphs = [shuffled_edges(g, rng) for g in graphs]
+    batch = batch_graphs(graphs)
+    expected, offset = [], 0
+    for g in graphs:
+        src, dst = g.edge_pos
+        for t in range(g.n_nodes):
+            expected += [(int(src[e]) + offset, t + offset, g.edge_attrs[e].tobytes())
+                         for e in range(g.n_edges) if dst[e] == t]
+        offset += g.n_nodes
+    got = list(zip(batch.edge_pos[0].tolist(), batch.edge_pos[1].tolist(),
+                   [row.tobytes() for row in batch.edge_attrs]))
+    assert got == expected
+    in_degree = np.concatenate([np.bincount(g.edge_pos[1], minlength=g.n_nodes) for g in graphs])
+    assert batch.in_degree.tolist() == in_degree.tolist()
+    assert batch.in_degree.tolist() == np.bincount(batch.edge_pos[1]).tolist()
 
 
 TYPES2 = TypeSet(DEFAULT_TYPES.names[:2])

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from _reference import pearson_pair
 from heatnet.builder import (
     AugmentConfig,
     BuildConfig,
@@ -17,7 +18,6 @@ from heatnet.builder import (
     knn_edges,
     load_patch_table,
     majority_vote_type,
-    pearson_edge_attr,
 )
 from heatnet.errors import ConfigError, PatchTableError, ShapeError
 from heatnet.hetgraph import validate
@@ -95,32 +95,28 @@ class TestKnnEdges:
 
 class TestPearson:
     def test_identical_vectors(self):
-        assert pearson_edge_attr(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]))[0] == 1.0
+        assert pearson_pair(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0])) == 1.0
 
     def test_reversed_vectors(self):
-        assert pearson_edge_attr(np.array([1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.0]))[0] == -1.0
+        assert pearson_pair(np.array([1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.0])) == -1.0
 
     def test_known_value(self):
-        r = pearson_edge_attr(np.array([1.0, 2.0, 3.0]), np.array([1.0, 3.0, 2.0]))
-        assert r[0] == pytest.approx(0.5, abs=1e-15)
+        r = pearson_pair(np.array([1.0, 2.0, 3.0]), np.array([1.0, 3.0, 2.0]))
+        assert r == pytest.approx(0.5, abs=1e-15)
 
     def test_constant_vector_maps_to_zero(self):
-        assert pearson_edge_attr(np.array([2.0, 2.0, 2.0]), np.array([1.0, 2.0, 3.0]))[0] == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            pearson_edge_attr(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+        assert pearson_pair(np.array([2.0, 2.0, 2.0]), np.array([1.0, 2.0, 3.0])) == 0.0
 
     def test_symmetry_and_affine_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             x = rng.standard_normal(6)
             y = rng.standard_normal(6)
-            rxy = pearson_edge_attr(x, y)[0]
-            ryx = pearson_edge_attr(y, x)[0]
+            rxy = pearson_pair(x, y)
+            ryx = pearson_pair(y, x)
             assert rxy == ryx
             a, b = float(rng.uniform(0.1, 5.0)), float(rng.uniform(-3.0, 3.0))
-            assert pearson_edge_attr(a * x + b, y)[0] == pytest.approx(rxy, abs=1e-12)
+            assert pearson_pair(a * x + b, y) == pytest.approx(rxy, abs=1e-12)
 
 
 class TestBuildGraph:
@@ -148,7 +144,7 @@ class TestBuildGraph:
             if s == t:
                 assert g.edge_attrs[i, 0] == 1.0
             else:
-                assert g.edge_attrs[i, 0] == pearson_edge_attr(feats[s], feats[t])[0]
+                assert g.edge_attrs[i, 0] == pearson_pair(feats[s], feats[t])
 
     def test_zero_counts_type_all_no_label(self):
         patches = [PatchRecord(f"p{i}", i, 0, np.array([float(i), 1.0]), type_counts={})
@@ -223,6 +219,22 @@ class TestBuildGraph:
         assert g.edge_src.tolist() == h.edge_src.tolist()
         assert g.edge_dst.tolist() == h.edge_dst.tolist()
         assert g.edge_attrs.tobytes() == h.edge_attrs.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_euclidean_table_scaled_by_power_of_two_gives_same_edges(self, k):
+        # 2**600 overflows the squared norms and distances unless scaled back
+        rng = np.random.default_rng(6)
+        feats = np.vstack([rng.standard_normal((7, 4)), rng.integers(-2, 3, (5, 4))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = knn_edges(np.ldexp(feats, 600), k, metric="euclidean")
+            far = knn_edges(np.vstack([feats, np.full(4, 1e200)]), k, metric="euclidean",
+                            symmetric=False)
+        assert scaled == knn_edges(feats, k, metric="euclidean")
+        # the far row is no other row's neighbour, and the least shift keeps the
+        # small rows' squares from underflowing
+        assert [e for e in far if e[1] < len(feats)] == knn_edges(feats, k, metric="euclidean",
+                                                                 symmetric=False)
 
 
 class TestAugment:

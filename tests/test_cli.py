@@ -100,6 +100,15 @@ class TestBuildGraph:
         assert rc == EXIT_INPUT
         assert "line 2: bad" in _one_input_error_line(capsys)
 
+    @pytest.mark.parametrize("count", ["Infinity", "2.5"], ids=["infinity", "fraction"])
+    def test_bad_type_count_exits_2_with_one_line(self, tmp_path, capsys, count):
+        patches = tmp_path / "patches.jsonl"
+        patches.write_text(PATCHES.replace('{"inflammatory": 2}', f'{{"inflammatory": {count}}}'))
+        rc = main(["build-graph", "--patches", str(patches), "--out", str(tmp_path / "g.json"),
+                   "--set", "build.k=1"])
+        assert rc == EXIT_INPUT
+        assert "line 2: bad type_counts" in _one_input_error_line(capsys)
+
     def test_rerun_same_seed_identical_bytes(self, tmp_path):
         patches = tmp_path / "patches.jsonl"
         patches.write_text(PATCHES)

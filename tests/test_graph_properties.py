@@ -1,6 +1,6 @@
-"""Property tests: the position map, index-form segment ops and numpy validation
-agree with their per-edge reference implementations on random graphs, and
-the graph file format round-trips every graph bit for bit."""
+"""Property tests: the position map, run-form segment ops on the batch layout
+and numpy validation agree with their per-edge reference implementations on
+random graphs, and the graph file format round-trips every graph bit for bit."""
 
 import json
 
@@ -18,7 +18,14 @@ from _reference import (
 from heatnet import autodiff as ad
 from heatnet.autodiff import Tensor
 from heatnet.errors import GraphLookupError, GraphValidationError
-from heatnet.hetgraph import HeteroGraph, from_json_dict, remove_node, to_json_dict, validate
+from heatnet.hetgraph import (
+    HeteroGraph,
+    batch_graphs,
+    from_json_dict,
+    remove_node,
+    to_json_dict,
+    validate,
+)
 from heatnet.testing import random_labeled_graph
 
 PROPERTY = settings(max_examples=80, deadline=None)
@@ -111,20 +118,24 @@ def _values(kind, rng, shape):
 def test_segment_ops_match_list_form_bitwise(g, cols, mode, kind, extra, seed):
     """Values and gradients equal the fsum loops byte for byte (so -0.0 != 0.0).
 
-    ``extra`` rows all join one target's segment; without them every
-    segment is a node's in-edges, often a single self-loop.
+    Segments are the runs of a one-graph batch's target-sorted edge rows;
+    ``extra`` rows all join one target's run, after its edges. Without them
+    every segment is a node's in-edges, often a single self-loop.
     """
     rng = np.random.default_rng(seed)
-    index, segs = g.edge_pos[1], incoming_segments(g)
+    batch = batch_graphs([g])
+    counts, segs = batch.in_degree.copy(), incoming_segments(batch)
     if extra:
         big = int(rng.integers(g.n_nodes))
-        index = np.concatenate([index, np.full(extra, big)])
-        segs[big] = np.concatenate([segs[big], np.arange(g.n_edges, g.n_edges + extra)])
-    x = _values(kind, rng, (len(index), cols))
-    upstream = _values(kind, rng, (len(index), cols))
+        end = int(segs[big][-1]) + 1
+        counts[big] += extra
+        segs = [np.where(seg >= end, seg + extra, seg) for seg in segs]
+        segs[big] = np.concatenate([segs[big], np.arange(end, end + extra)])
+    x = _values(kind, rng, (int(counts.sum()), cols))
+    upstream = _values(kind, rng, x.shape)
 
     xt = Tensor(x.copy(), requires_grad=True)
-    w = ad.segment_softmax(xt, index, g.n_nodes)
+    w = ad.segment_softmax(xt, counts)
     ad.backward(ad.reduce_sum(ad.mul(w, Tensor(upstream))))
     ref_w, ref_dx = ref_segment_softmax(x, segs, grad=upstream)
     assert w.data.tobytes() == ref_w.tobytes()
@@ -132,7 +143,7 @@ def test_segment_ops_match_list_form_bitwise(g, cols, mode, kind, extra, seed):
 
     upstream = rng.standard_normal((g.n_nodes, cols))
     xt = Tensor(x.copy(), requires_grad=True)
-    out = ad.segment_reduce(xt, index, g.n_nodes, mode)
+    out = ad.segment_reduce(xt, counts, mode)
     ad.backward(ad.reduce_sum(ad.mul(out, Tensor(upstream))))
     ref_out, ref_dx = ref_segment_reduce(x, segs, mode, grad=upstream)
     assert out.data.tobytes() == ref_out.tobytes()

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from _reference import from_lists, head_blocks, ref_layer_forward, ref_plain_attention
+from _reference import (
+    edge_list,
+    from_lists,
+    head_blocks,
+    incoming_segments,
+    ref_layer_forward,
+    ref_plain_attention,
+)
 from heatnet import autodiff as ad
 from heatnet.errors import ConfigError, ContractError
-from heatnet.hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet
+from heatnet.hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet, batch_graphs
 from heatnet.layers import HeatLayerParams, layer_forward
 from heatnet.seeding import rng_for
 from heatnet.testing import random_labeled_graph
@@ -34,10 +41,11 @@ class TestAttScore:
         rng = np.random.default_rng(8)
         g = random_labeled_graph(rng, TYPES3, n_nodes=6, feature_dim=4)
         params = make_params()
-        zero_attrs = ad.Tensor(np.zeros_like(g.edge_attrs))
-        out = layer_forward(g, params, edge_attrs=zero_attrs, return_attention=True)
-        in_degree = np.bincount(g.edge_pos[1], minlength=g.n_nodes)
-        expected = np.repeat((1.0 / in_degree[g.edge_pos[1]])[:, None], params.heads, axis=1)
+        b = batch_graphs([g])
+        zero_attrs = ad.Tensor(np.zeros_like(b.edge_attrs))
+        out = layer_forward(b, params, edge_attrs=zero_attrs, return_attention=True)
+        in_degree = np.bincount(b.edge_pos[1], minlength=g.n_nodes)
+        expected = np.repeat((1.0 / in_degree[b.edge_pos[1]])[:, None], params.heads, axis=1)
         np.testing.assert_allclose(out.attention, expected, rtol=1e-15)
 
 
@@ -48,9 +56,10 @@ class TestAttentionSoftmax:
         g = random_labeled_graph(rng, TYPES3, n_nodes=6, feature_dim=4)
         params = make_params()
         params.w_edge.data[...] = 0.0
-        out = layer_forward(g, params, return_attention=True)
-        in_degree = np.bincount(g.edge_pos[1], minlength=g.n_nodes)
-        expected = np.repeat((1.0 / in_degree[g.edge_pos[1]])[:, None], params.heads, axis=1)
+        b = batch_graphs([g])
+        out = layer_forward(b, params, return_attention=True)
+        in_degree = np.bincount(b.edge_pos[1], minlength=g.n_nodes)
+        expected = np.repeat((1.0 / in_degree[b.edge_pos[1]])[:, None], params.heads, axis=1)
         np.testing.assert_allclose(out.attention, expected, rtol=1e-15)
 
 
@@ -61,7 +70,7 @@ class TestProject:
         g = random_labeled_graph(rng, TYPES3, n_nodes=6, feature_dim=4)
         params = make_params()
         params.w_edge.data[...] = 0.0
-        out = layer_forward(g, params)
+        out = layer_forward(batch_graphs([g]), params)
         assert out.edge_attrs.shape == (g.n_edges, params.d_k)
         assert (out.edge_attrs.data == 0.0).all()
 
@@ -70,7 +79,7 @@ class TestLayerForward:
     def test_self_loop_fixed_point(self):
         g = from_lists(TYPES3, nodes=[(0, "neoplastic", [1.0, -2.0, 0.5])],
                        edges=[(0, 0, [1.0])])
-        out = layer_forward(g, identity_params(3))
+        out = layer_forward(batch_graphs([g]), identity_params(3))
         np.testing.assert_allclose(out.node_features.data, g.features, atol=1e-15)
 
     def test_zero_features_give_zero_outputs(self):
@@ -78,7 +87,7 @@ class TestLayerForward:
             TYPES3,
             nodes=[(0, "neoplastic", [0.0, 0.0]), (1, "inflammatory", [0.0, 0.0])],
             edges=[(0, 0, [1.0]), (1, 1, [1.0]), (0, 1, [0.4]), (1, 0, [0.4])])
-        out = layer_forward(g, make_params(d_in=2, d_out=4))
+        out = layer_forward(batch_graphs([g]), make_params(d_in=2, d_out=4))
         np.testing.assert_array_equal(out.node_features.data, np.zeros((2, 4)))
 
     def test_missing_incoming_edges_rejected(self):
@@ -86,20 +95,30 @@ class TestLayerForward:
                        nodes=[(0, "no-label", [1.0]), (1, "no-label", [2.0])],
                        edges=[(0, 1, [0.2])])
         with pytest.raises(ContractError, match="node 0 has no incoming edges"):
-            layer_forward(g, make_params(d_in=1, d_out=2))
+            layer_forward(batch_graphs([g]), make_params(d_in=1, d_out=2))
 
     def test_lone_incoming_edge_gets_weight_one(self):
         g = from_lists(TYPES3,
                        nodes=[(0, "neoplastic", [1.0, 2.0]), (1, "inflammatory", [-3.0, 0.5])],
                        edges=[(0, 0, [1.0]), (0, 1, [0.7]), (1, 1, [1.0])])
-        att = layer_forward(g, make_params(d_in=2, d_out=4), return_attention=True).attention
+        att = layer_forward(batch_graphs([g]), make_params(d_in=2, d_out=4),
+                            return_attention=True).attention
         assert (att[0] == 1.0).all()
         assert not (att[1:] == 1.0).any()
+
+    def test_hetero_graph_rejected(self):
+        # a graph's own edge rows are not target-sorted, so it must not pass
+        # for a batch and be segmented by their order
+        g = from_lists(TYPES3,
+                       nodes=[(0, "no-label", [1.0]), (1, "no-label", [2.0])],
+                       edges=[(0, 1, [0.2]), (1, 0, [0.5]), (0, 0, [1.0]), (1, 1, [1.0])])
+        with pytest.raises(ContractError, match="takes a GraphBatch.*got HeteroGraph"):
+            layer_forward(g, make_params(d_in=1, d_out=2))
 
     def test_graph_type_set_must_match(self):
         g = random_labeled_graph(np.random.default_rng(3), DEFAULT_TYPES, n_nodes=3, feature_dim=4)
         with pytest.raises(ConfigError, match="type set"):
-            layer_forward(g, make_params())
+            layer_forward(batch_graphs([g]), make_params())
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
@@ -107,9 +126,9 @@ class TestLayerForward:
             g = random_labeled_graph(rng, TYPES3, n_nodes=int(rng.integers(2, 8)),
                                      feature_dim=4)
             params = make_params(seed=trial)
-            out = layer_forward(g, params, return_attention=True)
-            att = out.attention
-            for seg in _segments(g):
+            b = batch_graphs([g])
+            att = layer_forward(b, params, return_attention=True).attention
+            for seg in incoming_segments(b):
                 np.testing.assert_allclose(att[seg].sum(axis=0), np.ones(params.heads),
                                            atol=1e-9)
 
@@ -121,11 +140,10 @@ class TestLayerForward:
             heads = int(rng.choice([1, 2]))
             params = make_params(d_in=3, d_out=4 * heads // heads * heads, heads=heads,
                                  seed=100 + trial)
-            out = layer_forward(g, params)
-            pos = {nid: i for i, nid in enumerate(g.node_ids)}
-            edges = [(pos[int(s)], pos[int(t)]) for s, t in zip(g.edge_src, g.edge_dst)]
+            b = batch_graphs([g])
+            out = layer_forward(b, params)
             w_node = head_blocks(params.w_node, TYPES3.names, heads)
-            ref_h, ref_e = ref_layer_forward(g.features, g.node_types, edges, g.edge_attrs,
+            ref_h, ref_e = ref_layer_forward(g.features, g.node_types, edge_list(b), b.edge_attrs,
                                              w_node, params.w_edge.data, heads,
                                              type_names=TYPES3.names)
             np.testing.assert_allclose(out.node_features.data, ref_h, atol=1e-10)
@@ -137,7 +155,7 @@ class TestLayerForward:
             n = int(rng.integers(2, 9))
             g = random_labeled_graph(rng, TYPES3, n_nodes=n, feature_dim=4)
             params = make_params(seed=200 + trial)
-            out = layer_forward(g, params).node_features.data
+            out = layer_forward(batch_graphs([g]), params).node_features.data
 
             perm = rng.permutation(n)
             new_ids = {int(old): int(perm[i]) for i, old in enumerate(g.node_ids)}
@@ -154,7 +172,7 @@ class TestLayerForward:
                 edge_dst=np.array([p[1] for p in pairs], dtype=np.intp),
                 edge_attrs=g.edge_attrs[[p[2] for p in pairs]],
                 label=g.label)
-            out_p = layer_forward(gp, params).node_features.data
+            out_p = layer_forward(batch_graphs([gp]), params).node_features.data
             # row for new id j must equal the original node's row, bitwise
             assert (out_p == out[order]).all()
 
@@ -168,12 +186,11 @@ class TestLayerForward:
                 g = random_labeled_graph(rng, single, n_nodes=n, feature_dim=4)
                 params = HeatLayerParams.init(single, 4, 4, 1, 1, rng_for(trial, "w"),
                                               aggregation=agg, edge_identity=True)
-                out = layer_forward(g, params).node_features.data
-                pos = {nid: i for i, nid in enumerate(g.node_ids)}
-                edges = [(pos[int(s)], pos[int(t)]) for s, t in zip(g.edge_src, g.edge_dst)]
+                b = batch_graphs([g])
+                out = layer_forward(b, params).node_features.data
                 ref = ref_plain_attention(g.features,
                                           head_blocks(params.w_node, single.names, 1)["only"][0],
-                                          edges, aggregation=agg)
+                                          edge_list(b), aggregation=agg)
                 np.testing.assert_allclose(out, ref, atol=1e-10)
 
     def test_type_swap_invariance(self):
@@ -181,7 +198,7 @@ class TestLayerForward:
         rng = np.random.default_rng(9)
         g = random_labeled_graph(rng, TYPES3, n_nodes=6, feature_dim=4)
         params = make_params(seed=300)
-        out = layer_forward(g, params).node_features.data
+        out = layer_forward(batch_graphs([g]), params).node_features.data
 
         a, b = "no-label", "inflammatory"
         ia, ib = TYPES3.index(a), TYPES3.index(b)
@@ -192,7 +209,7 @@ class TestLayerForward:
         g2 = HeteroGraph(types=g.types, node_ids=g.node_ids, node_types=swapped,
                          features=g.features, edge_src=g.edge_src, edge_dst=g.edge_dst,
                          edge_attrs=g.edge_attrs, label=g.label)
-        out2 = layer_forward(g2, params).node_features.data
+        out2 = layer_forward(batch_graphs([g2]), params).node_features.data
         np.testing.assert_allclose(out2, out, atol=1e-12)
 
     def test_layer_gradients_pass_grad_check(self):
@@ -202,7 +219,7 @@ class TestLayerForward:
         tensors = [params.w_node, params.w_edge]
 
         def f():
-            out = layer_forward(g, params)
+            out = layer_forward(batch_graphs([g]), params)
             return ad.reduce_sum(ad.mul(out.node_features, out.node_features))
 
         assert ad.grad_check(f, tensors, eps=1e-4) < 1e-5
@@ -211,17 +228,14 @@ class TestLayerForward:
         rng = np.random.default_rng(11)
         g = random_labeled_graph(rng, TYPES3, n_nodes=4, feature_dim=3)
         params = make_params(d_in=3, d_out=4, heads=2, seed=500, decouple_key_value=True)
-        out = layer_forward(g, params)
+        out = layer_forward(batch_graphs([g]), params)
         assert out.node_features.shape == (4, 4)
         # with w_value == w_node it must reduce to the shared-projection layer
         params.w_value.data = params.w_node.data.copy()
         coupled = make_params(d_in=3, d_out=4, heads=2, seed=500)
         coupled.w_node.data = params.w_node.data.copy()
         coupled.w_edge.data = params.w_edge.data.copy()
-        np.testing.assert_allclose(layer_forward(g, params).node_features.data,
-                                   layer_forward(g, coupled).node_features.data, atol=1e-12)
+        b = batch_graphs([g])
+        np.testing.assert_allclose(layer_forward(b, params).node_features.data,
+                                   layer_forward(b, coupled).node_features.data, atol=1e-12)
 
-
-def _segments(g):
-    from _reference import incoming_segments
-    return incoming_segments(g)

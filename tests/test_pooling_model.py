@@ -233,12 +233,14 @@ class TestBaseline:
 
     def test_baseline_attention_still_normalized(self):
         from _reference import incoming_segments
+        from heatnet.hetgraph import batch_graphs
         from heatnet.layers import layer_forward
         rng = np.random.default_rng(12)
         g = random_labeled_graph(rng, TYPES3, n_nodes=6, feature_dim=4)
         baseline = Model.init(baseline_config(ModelConfig(
             feature_dim=4, types=TYPES3.names, hidden_dim=4, heads=2, n_layers=2,
             dropout=0.0)), rng_for(17, "init"))
-        out = layer_forward(g, baseline.layers[0], return_attention=True)
-        for seg in incoming_segments(g):
+        b = batch_graphs([g])
+        out = layer_forward(b, baseline.layers[0], return_attention=True)
+        for seg in incoming_segments(b):
             np.testing.assert_allclose(out.attention[seg].sum(axis=0), np.ones(2), atol=1e-9)
