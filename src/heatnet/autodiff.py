@@ -2,9 +2,22 @@
 
 Only the operations the graph model needs are implemented: matmul and
 its per-row-type form ``typed_matmul``, elementwise arithmetic,
-concatenation, row gathering, reductions, row/segment softmax, leaky
+concatenation, row gathering, reductions, row/segment softmax, segment
+aggregation, the fused attention layer core ``edge_attention``, leaky
 ReLU, dropout-mask application, and cross-entropy. Everything is float64
 and any op that produces NaN/Inf raises NonFiniteError.
+
+``typed_matmul``'s VJP spreads row r's gradient into column block
+``type_idx[r]`` of an (n, T * d_out) array, so both gradients are one BLAS
+product each, with no sort or loop over types. ``edge_attention`` gathers
+key, query and value rows per edge, scores, normalizes and aggregates
+them in one op whose forward performs the float operations of the
+composition of gathers, products, ``segment_softmax`` and
+``segment_reduce`` in the same order, so its outputs and weights are
+bit-equal to that composition's. Its tape entry keeps only the (E, heads)
+weights and the index arrays; the VJP gathers the rows again from the
+parents (a recompute, as in FlashAttention's backward) and scatters their
+gradients with ``np.add.at``.
 
 The segment ops take runs of consecutive rows, the CSR layout in which
 ``hetgraph.batch_graphs`` sorts edges by target: segment s is the
@@ -278,16 +291,13 @@ def typed_matmul(x: Tensor, w: Tensor, type_idx) -> Tensor:
     out = _rowwise_product(x.data, w.data[idx])
 
     def vjp(g):
-        bounds = np.cumsum(np.bincount(idx, minlength=n_types))[:-1]
-        groups = [(t, rows) for t, rows in enumerate(np.split(np.argsort(idx, kind="stable"), bounds))
-                  if rows.size]
-        dx = np.empty_like(x.data) if x.on_tape() else None
-        dw = np.zeros_like(w.data) if w.on_tape() else None
-        for t, rows in groups:
-            if dx is not None:
-                dx[rows] = g[rows] @ w.data[t]
-            if dw is not None:
-                dw[t] = g[rows].T @ x.data[rows]
+        # Row r's gradient sits in column block type_idx[r] of ``spread``, so
+        # the per-type products are two BLAS calls over all rows at once.
+        spread = np.zeros((n, n_types, g.shape[1]))
+        spread[np.arange(n), idx] = g
+        spread = spread.reshape(n, -1)
+        dx = spread @ w.data.reshape(spread.shape[1], -1) if x.on_tape() else None
+        dw = (spread.T @ x.data).reshape(w.data.shape) if w.on_tape() else None
         return (dx, dw)
 
     return _make(out, (x, w), vjp, "typed_matmul")
@@ -470,13 +480,21 @@ def segment_softmax(x: Tensor, counts) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"segment_softmax expects a 2-D tensor, got {x.data.shape}")
     starts, counts = _runs(counts, x.data.shape[0], "segment_softmax")
-    ex = np.exp(x.data - np.repeat(np.maximum.reduceat(x.data, starts, axis=0), counts, axis=0))
-    w = ex / np.repeat(_segment_fsum(ex, starts, counts), counts, axis=0)
+    w = _softmax_runs(x.data, starts, counts)
 
     def vjp(g):
-        return (w * (g - np.repeat(_segment_fsum(g * w, starts, counts), counts, axis=0)),)
+        return (_softmax_runs_vjp(g, w, starts, counts),)
 
     return _make(w, (x,), vjp, "segment_softmax")
+
+
+def _softmax_runs(x: Array, starts: Array, counts: Array) -> Array:
+    ex = np.exp(x - np.repeat(np.maximum.reduceat(x, starts, axis=0), counts, axis=0))
+    return ex / np.repeat(_segment_fsum(ex, starts, counts), counts, axis=0)
+
+
+def _softmax_runs_vjp(g: Array, w: Array, starts: Array, counts: Array) -> Array:
+    return w * (g - np.repeat(_segment_fsum(g * w, starts, counts), counts, axis=0))
 
 
 def segment_reduce(x: Tensor, counts, mode: str = "mean") -> Tensor:
@@ -494,6 +512,82 @@ def segment_reduce(x: Tensor, counts, mode: str = "mean") -> Tensor:
         return (np.repeat(g / counts[:, None] if mode == "mean" else g, counts, axis=0),)
 
     return _make(out, (x,), vjp, "segment_reduce")
+
+
+def edge_attention(table: Tensor, values: Tensor | None, modulation: Tensor, src, dst,
+                   counts, heads: int, mode: str = "mean") -> tuple[Tensor, Array]:
+    """Edge-modulated attention over runs of edge rows, as one tape op.
+
+    ``table`` is (m, heads * d_k). Edge row r takes its key from table row
+    ``src[r]``, its query from row ``dst[r]``, its value from row ``src[r]`` of
+    ``values`` (of ``table`` if None) and its modulation from row r of the
+    (E, d_k) ``modulation``. Per head, the score is
+    sum_j key_j * mod_j * query_j / sqrt(d_k), softmax-normalized over each
+    segment (as in ``segment_softmax``); a segment's output row is the
+    ``mode`` aggregate (as in ``segment_reduce``) of its rows' weighted
+    values. Returns the (len(counts), heads * d_k) output and the (E, heads)
+    weights.
+
+    The forward is the same float operations, in the same order, as that
+    composition of gathers, products and segment ops. The tape keeps only
+    the weights and the index arrays: the VJP gathers keys, queries and
+    values again from the parents and scatters their gradients back with
+    one ``np.add.at`` per table.
+    """
+    table, modulation = _lift(table), _lift(modulation)
+    src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+    m, width = table.data.shape
+    d_k = width // heads
+    n_edges = src.shape[0]
+    if width != heads * d_k or modulation.data.shape != (n_edges, d_k) or dst.shape != src.shape:
+        raise ShapeError(f"edge_attention: table {table.data.shape} with {heads} heads, "
+                         f"modulation {modulation.data.shape}, {n_edges} sources, "
+                         f"{dst.shape[0]} targets")
+    if values is not None and values.data.shape != table.data.shape:
+        raise ShapeError(f"edge_attention: values {values.data.shape}, table {table.data.shape}")
+    if n_edges and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= m):
+        raise ShapeError(f"edge_attention index out of range for {m} rows")
+    if mode not in ("mean", "sum"):
+        raise ConfigError(f"unknown aggregation mode {mode!r}")
+    starts, counts = _runs(counts, n_edges, "edge_attention")
+    s = 1.0 / math.sqrt(d_k)
+    mod = modulation.data.reshape(-1, 1, d_k)
+
+    def gathered():
+        keys = table.data[src].reshape(-1, heads, d_k)
+        vals = keys if values is None else values.data[src].reshape(-1, heads, d_k)
+        return keys, table.data[dst].reshape(-1, heads, d_k), vals
+
+    keys, queries, vals = gathered()
+    w = _softmax_runs(((keys * mod) * queries).sum(axis=2) * s, starts, counts)
+    out = _segment_fsum((vals * w[:, :, None]).reshape(-1, width), starts, counts)
+    if mode == "mean":
+        out /= counts[:, None]
+
+    def vjp(g):
+        keys, queries, vals = gathered()
+        g_vals = np.repeat(g / counts[:, None] if mode == "mean" else g, counts,
+                           axis=0).reshape(-1, heads, d_k)
+        g_scores = _softmax_runs_vjp((g_vals * vals).sum(axis=2), w, starts, counts) * s
+        g_vals *= w[:, :, None]
+        g_keymod = g_scores[:, :, None] * queries
+        g_queries = g_scores[:, :, None] * (keys * mod)
+        g_mod = (g_keymod * keys).sum(axis=1) if modulation.on_tape() else None
+        g_keys = g_keymod * mod
+        if values is None:
+            g_keys += g_vals
+        d_table = d_values = None
+        if table.on_tape():
+            d_table = np.zeros_like(table.data)
+            np.add.at(d_table, np.concatenate([src, dst]),
+                      np.concatenate([g_keys, g_queries]).reshape(-1, width))
+        if values is not None and values.on_tape():
+            d_values = np.zeros_like(values.data)
+            np.add.at(d_values, src, g_vals.reshape(-1, width))
+        return (d_table, g_mod, d_values)
+
+    parents = (table, modulation) if values is None else (table, modulation, values)
+    return _make(out, parents, vjp, "edge_attention"), w
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import AttributionError, ExportError
-from .hetgraph import GraphBatch, HeteroGraph, _write_json, batch_graphs, remove_node
+from .hetgraph import GraphBatch, HeteroGraph, _write_json, remove_node
 from .layers import LayerOutput, attend, check_incoming, project_nodes
 from .model import Model
 
@@ -145,12 +145,11 @@ def recompute_removals(model: Model, batch: GraphBatch, layer_outputs: list[Laye
     return changed, h_changed
 
 
-def _removal_losses(model: Model, g: HeteroGraph, layer_outputs: list[LayerOutput],
-                    label: int) -> list[float]:
+def _removal_losses(model: Model, g: HeteroGraph, batch: GraphBatch,
+                    layer_outputs: list[LayerOutput], label: int) -> list[float]:
     """loss(G without v) for every node position v, from the full forward's
-    layer outputs, for chunks of removals at a time."""
+    layer outputs on the one-graph ``batch``, for chunks of removals at a time."""
     n = g.n_nodes
-    batch = batch_graphs([g])
     src, dst = batch.edge_pos
     in_degree = batch.in_degree
     pairs, count = np.unique(src * n + dst, return_counts=True)
@@ -194,9 +193,10 @@ def explain_graph(model: Model, g: HeteroGraph, label: int | None = None,
         raise AttributionError("graph has no label and none was given")
     y = int(y)
     layer_outputs: list[LayerOutput] = []
+    batch = model.batch([g])
     with ad.no_grad():
-        full = ad.cross_entropy(model.forward([g], layer_outputs=layer_outputs), [y]).item()
-        reduced = _removal_losses(model, g, layer_outputs, y) if g.n_nodes > 1 else None
+        full = ad.cross_entropy(model.forward(batch, layer_outputs=layer_outputs), [y]).item()
+        reduced = _removal_losses(model, g, batch, layer_outputs, y) if g.n_nodes > 1 else None
     scored: list[NodeAttribution] = []
     failed: list[NodeAttribution] = []
     for i, nid in enumerate(g.node_ids):

@@ -348,6 +348,8 @@ def to_json_dict(g: HeteroGraph) -> dict:
 
 def _integral(v) -> int:
     """A JSON number with an int64 integer value as int; else ValueError/TypeError/OverflowError."""
+    if isinstance(v, bool):
+        raise TypeError(f"{str(v).lower()} is not a 64-bit integer")
     n = int(v)
     if n != v or not -2**63 <= n < 2**63:
         raise ValueError(f"{v!r} is not a 64-bit integer")

@@ -11,12 +11,13 @@ edges are aggregated per target (mean by default). The projected edge
 attribute e' becomes the edge's attribute for the next layer.
 ``layer_forward`` computes this for all edges of a ``GraphBatch`` (one
 graph, or several stacked as a disjoint union) at once: one
-``typed_matmul`` projects all nodes with all heads (``project_nodes``), and
-``attend`` scores, normalizes and aggregates edge rows given as index
-arrays into the projection table, with heads the middle axis of
-(E, heads, d_k) blocks, so no op loops over types, heads or edges; a
-target's incoming edges are one run of the batch's rows. The leave-one-out
-attribution calls ``attend`` directly on the edges around each removed node.
+``typed_matmul`` projects all nodes with all heads into (n, heads * d_k)
+rows (``project_nodes``), and ``attend`` scores, normalizes and
+aggregates edge rows given as index arrays into that table as one tape op
+(``autodiff.edge_attention``), so no op loops over types, heads or edges
+and a layer records at most five tape ops; a target's incoming edges are
+one run of the batch's rows. The leave-one-out attribution calls
+``attend`` directly on the edges around each removed node.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ class HeatLayerParams:
 class LayerOutput:
     node_features: Tensor          # (n, d_out)
     edge_attrs: Tensor             # (E, d_k) edge projections, input attrs for the next layer
-    node_proj: Tensor              # (n, heads, d_k) key and query projections
-    value_proj: Tensor | None      # (n, heads, d_k) value projections, if decoupled
+    node_proj: Tensor              # (n, heads * d_k) key and query projections
+    value_proj: Tensor | None      # (n, heads * d_k) value projections, if decoupled
     attention: np.ndarray | None   # (E, heads) normalized weights, if requested
 
 
@@ -114,42 +115,29 @@ def check_incoming(node_ids, in_degree: np.ndarray) -> None:
 
 def project_nodes(params: HeatLayerParams, feats: Tensor,
                   node_types: np.ndarray) -> tuple[Tensor, Tensor | None]:
-    """Row v is W[type(v)] @ feats[v] split into an (m, heads, d_k) block, so
-    that heads are the middle axis of every per-edge block; the second
-    projection is the decoupled value one, or None."""
-    m, heads, d_k = feats.shape[0], params.heads, params.d_k
-    type_idx = np.zeros(m, dtype=np.intp) if params.shared_projection else node_types
-
-    def project(w: Tensor) -> Tensor:
-        return ad.reshape(ad.typed_matmul(feats, w, type_idx), (m, heads, d_k))
-
-    return project(params.w_node), None if params.w_value is None else project(params.w_value)
+    """Row v is W[type(v)] @ feats[v], (m, heads * d_k) with head i in
+    columns i * d_k up to (i + 1) * d_k; the second projection is the
+    decoupled value one, or None."""
+    type_idx = np.zeros(feats.shape[0], dtype=np.intp) if params.shared_projection else node_types
+    return (ad.typed_matmul(feats, params.w_node, type_idx),
+            None if params.w_value is None else ad.typed_matmul(feats, params.w_value, type_idx))
 
 
 def attend(params: HeatLayerParams, node_proj: Tensor, value_proj: Tensor | None,
            eproj: Tensor, src: np.ndarray, dst: np.ndarray,
-           counts: np.ndarray) -> tuple[Tensor, Tensor]:
+           counts: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Score, normalize and aggregate edge rows into one output row per segment.
 
     Edge row r takes its key (and value) from projection row ``src[r]``, its
     query from row ``dst[r]`` and its modulation from ``eproj`` row r;
     segment s is the ``counts[s]`` rows after segment s - 1's. Returns the
-    (len(counts), d_out) outputs and the (rows, heads) attention weights.
-    Every row is computed from its own inputs and every segment sum is
-    exactly rounded, so an output row depends only on the set of its
-    segment's edge rows.
+    (len(counts), d_out) outputs and the (rows, heads) attention weights,
+    from one ``autodiff.edge_attention`` op. Every row is computed from its
+    own inputs and every segment sum is exactly rounded, so an output row
+    depends only on the set of its segment's edge rows.
     """
-    heads, d_k = params.heads, params.d_k
-    keys = ad.gather_rows(node_proj, src)
-    queries = ad.gather_rows(node_proj, dst)
-    values = keys if value_proj is None else ad.gather_rows(value_proj, src)
-    modulated = ad.mul(ad.mul(keys, ad.reshape(eproj, (-1, 1, d_k))), queries)
-    scores = ad.scale(ad.reduce_sum(modulated, axis=2), 1.0 / math.sqrt(d_k))
-    att = ad.segment_softmax(scores, counts)
-    weighted = ad.mul(values, ad.reshape(att, (-1, heads, 1)))
-    out = ad.segment_reduce(ad.reshape(weighted, (-1, params.d_out)), counts,
-                            params.aggregation)
-    return out, att
+    return ad.edge_attention(node_proj, value_proj, eproj, src, dst, counts,
+                             params.heads, params.aggregation)
 
 
 def layer_forward(batch: GraphBatch, params: HeatLayerParams,
@@ -189,7 +177,7 @@ def layer_forward(batch: GraphBatch, params: HeatLayerParams,
         edge_attrs=eproj,
         node_proj=node_proj,
         value_proj=value_proj,
-        attention=att.data.copy() if return_attention else None,
+        attention=att.copy() if return_attention else None,
     )
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-from .hetgraph import DEFAULT_TYPE_NAMES, HeteroGraph, TypeSet, batch_graphs
+from .hetgraph import DEFAULT_TYPE_NAMES, GraphBatch, HeteroGraph, TypeSet, batch_graphs
 from .layers import HeatLayerParams, LayerOutput, layer_forward, layer_parameters
 from .pooling import PoolParams, graph_logits, mean_pool_logits, pl_pool, pool_parameters
 from .seeding import rng_for
@@ -114,17 +114,9 @@ class Model:
         out.update(pool_parameters(self.pool))
         return out
 
-    def forward(self, graphs: Sequence[HeteroGraph], training: bool = False,
-                rngs: Sequence[np.random.Generator] | None = None,
-                layer_outputs: list[LayerOutput] | None = None) -> Tensor:
-        """Graphs -> logits (B, C), all B graphs run as one disjoint union.
-
-        Graph b's logits equal those of a batch of graph b alone, bit for
-        bit. Dropout is active only in training mode, where ``rngs[b]``
-        draws graph b's mask. ``layer_outputs``, if given, receives each
-        layer's output over the union with its node and edge projections
-        (what ``explain`` reuses).
-        """
+    def batch(self, graphs: Sequence[HeteroGraph]) -> GraphBatch:
+        """The graphs as one disjoint union, after checking that each fits
+        the model (nonempty, feature and edge dimensions, type set)."""
         for g in graphs:
             if g.n_nodes == 0:
                 raise ShapeError("cannot run the model on an empty graph")
@@ -136,8 +128,22 @@ class Model:
                     f"graph edge attr dim {g.edge_dim} does not match model {self.config.edge_attr_dim}")
             if not self.config.type_blind and g.types.names != self.types.names:
                 raise ConfigError("graph type set does not match the model's")
-        batch = batch_graphs(graphs)
-        blocks = [g.n_nodes for g in graphs]
+        return batch_graphs(graphs)
+
+    def forward(self, graphs: Sequence[HeteroGraph] | GraphBatch, training: bool = False,
+                rngs: Sequence[np.random.Generator] | None = None,
+                layer_outputs: list[LayerOutput] | None = None) -> Tensor:
+        """Graphs -> logits (B, C), all B graphs run as one disjoint union.
+
+        ``graphs`` is a sequence of graphs or the ``batch`` made of them.
+        Graph b's logits equal those of a batch of graph b alone, bit for
+        bit. Dropout is active only in training mode, where ``rngs[b]``
+        draws graph b's mask. ``layer_outputs``, if given, receives each
+        layer's output over the union with its node and edge projections
+        (what ``explain`` reuses).
+        """
+        batch = graphs if isinstance(graphs, GraphBatch) else self.batch(graphs)
+        blocks = np.bincount(batch.graph).tolist()
         h: Tensor = Tensor(batch.features)
         attrs: Tensor = Tensor(batch.edge_attrs)
         for i, layer in enumerate(self.layers):

@@ -5,7 +5,8 @@ plain Python loops over raw numpy parameter arrays, independently of the
 autodiff path they are checked against. The slow paths that the package
 replaced (per-edge id lookups, list-of-segments segment ops, the per-edge
 validation loops, the dense k-NN and the per-edge Pearson loop of graph
-construction) are kept here as oracles for the fast ones, and
+construction, and the unfused attention composition ``ref_attend``) are
+kept here as oracles for the fast ones, and
 ``pearson_pair`` applies the package's Pearson kernel to one pair of
 vectors. ``from_lists``
 builds the small hand-written graphs of the tests from per-node and
@@ -17,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from heatnet import autodiff as ad
 from heatnet.builder import _pearson
 from heatnet.errors import ConfigError, ShapeError
 from heatnet.hetgraph import HeteroGraph
@@ -172,6 +174,32 @@ def ref_model_forward(g, model):
         return ref_graph_logits(pooled, pool.classifier_w.data, pool.classifier_b.data,
                                 final=pool.final)
     return ref_mean_pool_logits(feats, pool.classifier_w.data, pool.classifier_b.data)
+
+
+def ref_attend(params, node_proj, value_proj, eproj, src, dst, counts):
+    """``layers.attend`` as a composition of a dozen tape ops.
+
+    Gathers keys, queries and values into (E, heads, d_k) blocks, multiplies
+    in the modulation, sums, scales, runs ``segment_softmax`` and aggregates
+    the weighted values with ``segment_reduce``, where the package records
+    one op. Returns the output tensor and the weight tensor.
+    """
+    heads, d_k = params.heads, params.d_k
+
+    def blocks(t):
+        return ad.reshape(t, (-1, heads, d_k))
+
+    node_proj = blocks(node_proj)
+    keys = ad.gather_rows(node_proj, src)
+    queries = ad.gather_rows(node_proj, dst)
+    values = keys if value_proj is None else ad.gather_rows(blocks(value_proj), src)
+    modulated = ad.mul(ad.mul(keys, ad.reshape(eproj, (-1, 1, d_k))), queries)
+    scores = ad.scale(ad.reduce_sum(modulated, axis=2), 1.0 / math.sqrt(d_k))
+    att = ad.segment_softmax(scores, counts)
+    weighted = ad.mul(values, ad.reshape(att, (-1, heads, 1)))
+    out = ad.segment_reduce(ad.reshape(weighted, (-1, params.d_out)), counts,
+                            params.aggregation)
+    return out, att
 
 
 def ref_plain_attention(feats, w, edges, aggregation="sum"):

@@ -247,6 +247,18 @@ class TestTypedMatmul:
         assert (grads[self.w][1] == 0.0).all()
         assert (grads[self.w][[0, 2]] != 0.0).all()
 
+    def test_gradients_equal_per_row_products(self):
+        # the one-hot spread VJP against row-by-row products
+        g = np.random.default_rng(4).standard_normal((6, 4))
+        grads = ad.backward(ad.reduce_sum(ad.mul(ad.typed_matmul(self.x, self.w, self.idx),
+                                                 Tensor(g))))
+        dx = np.stack([self.w.data[t].T @ g[r] for r, t in enumerate(self.idx)])
+        dw = np.zeros_like(self.w.data)
+        for r, t in enumerate(self.idx):
+            dw[t] += np.outer(g[r], self.x.data[r])
+        np.testing.assert_allclose(grads[self.x], dx, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(grads[self.w], dw, rtol=1e-13, atol=1e-13)
+
     def test_one_type_is_plain_matmul(self):
         w = Tensor(self.w.data[:1], requires_grad=True)
         typed = ad.typed_matmul(self.x, w, np.zeros(6, dtype=np.intp))

@@ -90,8 +90,9 @@ class TestBuildGraph:
         ("patches.jsonl", PATCHES.replace('"x": 1,', '"x": 1e30,')),
         ("patches.jsonl", PATCHES.replace('"x": 1, "y": 0', '"x": 1, "y": "0"')),
         ("patches.csv", "id,x,y,type,feat_0,feat_1\nb,99999999999999999999,0,dead,2.0,1.0\n"),
+        ("patches.jsonl", PATCHES.replace('"x": 1,', '"x": true,')),
     ], ids=["jsonl-x-fraction", "jsonl-x-infinity", "jsonl-x-beyond-int64", "jsonl-y-string",
-            "csv-x-beyond-int64"])
+            "csv-x-beyond-int64", "jsonl-x-boolean"])
     def test_bad_coordinates_exit_2_with_one_line(self, tmp_path, capsys, name, text):
         patches = tmp_path / name
         patches.write_text(text)
@@ -100,7 +101,8 @@ class TestBuildGraph:
         assert rc == EXIT_INPUT
         assert "line 2: bad" in _one_input_error_line(capsys)
 
-    @pytest.mark.parametrize("count", ["Infinity", "2.5"], ids=["infinity", "fraction"])
+    @pytest.mark.parametrize("count", ["Infinity", "2.5", "true"],
+                             ids=["infinity", "fraction", "boolean"])
     def test_bad_type_count_exits_2_with_one_line(self, tmp_path, capsys, count):
         patches = tmp_path / "patches.jsonl"
         patches.write_text(PATCHES.replace('{"inflammatory": 2}', f'{{"inflammatory": {count}}}'))
@@ -350,9 +352,16 @@ class TestMalformedInputFiles:
         (_set_node_field("id", 2**63), "format: nodes.id: Python int too large"),
         (lambda doc: doc.update(nodes=[1]), "format: graph nodes must be a JSON object"),
         (lambda doc: doc.update(edges=None), "format: graph edges must be a JSON object"),
+        (_set_node_field("id", True), "format: nodes.id: true is not"),
+        (_set_node_field("x", True), "format: nodes.x: true is not"),
+        (_set_node_field("y", False), "format: nodes.y: false is not"),
+        (lambda doc: doc["edges"]["src"].__setitem__(0, True), "format: edges.src: true is not"),
+        (lambda doc: doc["edges"]["dst"].__setitem__(0, False), "format: edges.dst: false is not"),
+        (lambda doc: doc.update(label=True), "format: malformed graph document"),
     ], ids=["x-not-number", "label-string", "label-list", "nodes-not-list", "edges-null",
             "id-fraction", "y-fraction", "dst-fraction", "label-fraction", "id-beyond-int64",
-            "nodes-not-object", "edges-not-object"])
+            "nodes-not-object", "edges-not-object", "id-boolean", "x-boolean", "y-boolean",
+            "src-boolean", "dst-boolean", "label-boolean"])
     def test_bad_graph_exits_2(self, tmp_path, capsys, corrupt, fault):
         line = _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_graph=corrupt)
         assert fault in line

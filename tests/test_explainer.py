@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import from_lists
-from heatnet import explain, hetgraph
+from heatnet import explain, hetgraph, model as model_module
 from heatnet.errors import AttributionError, ContractError, ExportError
 from heatnet.hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet
 from heatnet.explain import (
@@ -240,6 +240,27 @@ def test_one_forward_and_no_graph_copies(monkeypatch):
     attr = explain_graph(model, g)
     assert calls == {"forward": 1, "remove_node": 0}
     assert attr.n_forward_evals == 65
+
+
+def test_one_batch_per_explain_graph(monkeypatch):
+    # the full forward and the removal recompute share one batch layout
+    rng = np.random.default_rng(13)
+    graphs = [random_labeled_graph(rng, TYPES3, n_nodes=n, feature_dim=4) for n in (1, 2, 9)]
+    model = make_model(seed=14)
+    calls = []
+    batch = hetgraph.batch_graphs
+
+    def counting_batch(graphs):
+        calls.append(len(graphs))
+        return batch(graphs)
+
+    for module in (hetgraph, model_module, explain):
+        if hasattr(module, "batch_graphs"):
+            monkeypatch.setattr(module, "batch_graphs", counting_batch)
+    for g in graphs:
+        calls.clear()
+        explain_graph(model, g)
+        assert calls == [1], g.n_nodes
 
 
 class TestExport:

@@ -2,19 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _reference import (
     edge_list,
     from_lists,
     head_blocks,
     incoming_segments,
+    ref_attend,
     ref_layer_forward,
     ref_plain_attention,
 )
 from heatnet import autodiff as ad
-from heatnet.errors import ConfigError, ContractError
+from heatnet.errors import ConfigError, ContractError, ShapeError
 from heatnet.hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet, batch_graphs
-from heatnet.layers import HeatLayerParams, layer_forward
+from heatnet.layers import HeatLayerParams, attend, layer_forward
 from heatnet.seeding import rng_for
 from heatnet.testing import random_labeled_graph
 
@@ -239,3 +242,104 @@ class TestLayerForward:
         np.testing.assert_allclose(layer_forward(b, params).node_features.data,
                                    layer_forward(b, coupled).node_features.data, atol=1e-12)
 
+
+ATTEND_CONFIGS = {
+    "mean": {},
+    "sum": {"aggregation": "sum"},
+    "decoupled-values": {"decouple_key_value": True},
+    "all-ones-modulation": {"edge_identity": True},
+}
+
+
+def attend_inputs(name, d_k, seed, m=5, heads=2, n_edges=None):
+    """Leaf tables, a modulation and random (src, dst, counts) runs for ``attend``:
+    any table row may feed any edge row, as in the explain recompute."""
+    rng = np.random.default_rng(seed)
+    params = make_params(d_in=3, d_out=heads * d_k, heads=heads, d_edge=2, seed=seed,
+                         **ATTEND_CONFIGS[name])
+    n_edges = int(rng.integers(1, 3 * m)) if n_edges is None else n_edges
+    cuts = np.sort(rng.choice(np.arange(1, n_edges), size=int(rng.integers(0, n_edges)),
+                              replace=False))
+    counts = np.diff(np.concatenate([[0], cuts, [n_edges]]))
+
+    def leaf(*shape):
+        return ad.Tensor(rng.normal(0.0, 1.5, size=shape), requires_grad=True)
+
+    table = leaf(m, params.d_out)
+    values = leaf(m, params.d_out) if params.w_value is not None else None
+    mod = ad.Tensor(np.ones((n_edges, d_k))) if params.w_edge is None else leaf(n_edges, d_k)
+    src, dst = rng.integers(0, m, size=(2, n_edges))
+    if n_edges >= m:
+        # every row feeds some edge, so no gradient entry is identically zero
+        src[rng.permutation(n_edges)[:m]] = np.arange(m)
+    return params, table, values, mod, src, dst, counts
+
+
+def weighted_sum(out, seed):
+    r = np.random.default_rng(seed + 1).normal(size=out.shape)
+    return ad.reduce_sum(ad.mul(out, ad.Tensor(r)))
+
+
+class TestFusedAttend:
+    """``attend`` is one tape op that equals the unfused composition."""
+
+    @pytest.mark.parametrize("name", ATTEND_CONFIGS)
+    @settings(max_examples=30, deadline=None)
+    @given(d_k=st.sampled_from([1, 2, 4]), seed=st.integers(0, 10_000))
+    def test_equals_unfused_composition(self, name, d_k, seed):
+        params, table, values, mod, src, dst, counts = attend_inputs(name, d_k, seed)
+        leaves = [t for t in (table, values, mod) if t is not None and t.requires_grad]
+        results = []
+        for op in (attend, ref_attend):
+            out, att = op(params, table, values, mod, src, dst, counts)
+            grads = ad.backward(weighted_sum(out, seed))
+            results.append((out.data, np.asarray(getattr(att, "data", att)),
+                            [grads[t] for t in leaves]))
+        (out, att, grads), (ref_out, ref_att, ref_grads) = results
+        assert out.tobytes() == ref_out.tobytes()
+        assert att.tobytes() == ref_att.tobytes()
+        for got, want in zip(grads, ref_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("d_k", [1, 2, 4])
+    @pytest.mark.parametrize("name", ATTEND_CONFIGS)
+    def test_gradients_pass_grad_check(self, name, d_k):
+        params, table, values, mod, src, dst, counts = attend_inputs(name, d_k, seed=d_k,
+                                                                     m=4, n_edges=7)
+        leaves = [t for t in (table, values, mod) if t is not None and t.requires_grad]
+
+        def f():
+            return weighted_sum(attend(params, table, values, mod, src, dst, counts)[0], d_k)
+
+        assert ad.grad_check(f, leaves, eps=1e-4) < 1e-5
+
+    def test_records_one_tape_op(self, monkeypatch):
+        params, table, values, mod, src, dst, counts = attend_inputs("decoupled-values", 2, 0)
+        ops = []
+        make = ad._make
+
+        def counting_make(data, parents, vjp, op):
+            ops.append(op)
+            return make(data, parents, vjp, op)
+
+        monkeypatch.setattr(ad, "_make", counting_make)
+        attend(params, table, values, mod, src, dst, counts)
+        assert ops == ["edge_attention"]
+
+    @pytest.mark.parametrize("change", ["src", "dst", "counts", "mod", "values"])
+    def test_bad_inputs_rejected(self, change):
+        params, table, values, mod, src, dst, counts = attend_inputs("decoupled-values", 2, 3)
+        if change == "src":
+            src = src.copy()
+            src[0] = table.shape[0]
+        elif change == "dst":
+            dst = dst.copy()
+            dst[-1] = -1
+        elif change == "counts":
+            counts = np.append(counts, 1)
+        elif change == "mod":
+            mod = ad.Tensor(np.ones((len(src), 3)))
+        else:
+            values = ad.Tensor(np.ones((1, params.d_out)))
+        with pytest.raises(ContractError if change == "counts" else ShapeError):
+            attend(params, table, values, mod, src, dst, counts)
