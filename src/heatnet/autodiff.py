@@ -1,18 +1,19 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Only the operations the graph model needs are implemented: matmul and
-its per-row-type form ``typed_matmul``, elementwise arithmetic,
-concatenation, row gathering, reductions, row/segment softmax, segment
-aggregation, the fused attention layer core ``edge_attention``, leaky
-ReLU, dropout-mask application, and cross-entropy. Everything is float64
-and any op that produces NaN/Inf raises NonFiniteError.
+Only the operations the graph model calls are implemented: the affine
+map ``linear`` and its per-row-type form ``typed_matmul``, elementwise
+product and scaling, concatenation, row gathering, the total sum, row
+softmax, segment aggregation, the fused attention layer core
+``edge_attention``, leaky ReLU, dropout-mask application, and
+cross-entropy. Everything is float64 and any op that produces NaN/Inf
+raises NonFiniteError.
 
 ``typed_matmul``'s VJP spreads row r's gradient into column block
 ``type_idx[r]`` of an (n, T * d_out) array, so both gradients are one BLAS
 product each, with no sort or loop over types. ``edge_attention`` gathers
 key, query and value rows per edge, scores, normalizes and aggregates
 them in one op whose forward performs the float operations of the
-composition of gathers, products, ``segment_softmax`` and
+composition of gathers, products, a per-segment softmax and
 ``segment_reduce`` in the same order, so its outputs and weights are
 bit-equal to that composition's. Its tape entry keeps only the (E, heads)
 weights and the index arrays; the VJP gathers the rows again from the
@@ -35,7 +36,7 @@ values by error-free extraction into parts that numpy sums exactly,
 certifies that the result is correctly rounded, and sums any cell it
 cannot certify with math.fsum, so every sum equals math.fsum's bit for bit.
 
-Products are row-invariant by construction: ``matmul`` and ``typed_matmul``
+Products are row-invariant by construction: ``linear`` and ``typed_matmul``
 build each output row from its own input row only (a broadcast product
 summed along its last axis), so a row's bits never depend on which other
 rows share the call. BLAS gives no such promise. With OpenBLAS 0.3.31
@@ -157,16 +158,6 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 # elementwise and linear-algebra ops
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    out = a.data + b.data
-
-    def vjp(g):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
-
-    return _make(out, (a, b), vjp, "add")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = a.data * b.data
@@ -199,40 +190,31 @@ def _rowwise_product(x: Array, w: Array) -> Array:
     return np.multiply(x[:, None, :], w, order="C").sum(axis=-1)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product, recorded on tape when grad mode is on."""
-    a, b = _lift(a), _lift(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
-    out = _rowwise_product(a.data, b.data.T)
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """The affine map ``x @ w.T (+ b)`` as one tape op.
+
+    ``x`` is (n, d_in), ``w`` is (d_out, d_in) and ``b``, if given, is
+    (d_out,). Each output row is built from its own input row only.
+    """
+    x, w = _lift(x), _lift(w)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
+        raise ShapeError(f"linear expects x (n, d_in) and w (d_out, d_in), "
+                         f"got {x.data.shape} and {w.data.shape}")
+    out = _rowwise_product(x.data, w.data)
+    parents = (x, w)
+    if b is not None:
+        b = _lift(b)
+        if b.data.shape != (w.data.shape[0],):
+            raise ShapeError(f"linear bias has shape {b.data.shape}, expected ({w.data.shape[0]},)")
+        out += b.data
+        parents = (x, w, b)
 
     def vjp(g):
-        ga = g @ b.data.T if a.on_tape() else None
-        gb = a.data.T @ g if b.on_tape() else None
-        return (ga, gb)
+        dx = g @ w.data if x.on_tape() else None
+        dw = (x.data.T @ g).T if w.on_tape() else None
+        return (dx, dw) if b is None else (dx, dw, g.sum(axis=0))
 
-    return _make(out, (a, b), vjp, "matmul")
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got {a.data.shape}")
-
-    def vjp(g):
-        return (g.T.copy(),)
-
-    return _make(a.data.T.copy(), (a,), vjp, "transpose")
-
-
-def reshape(a: Tensor, shape: tuple[int, ...] | list[int]) -> Tensor:
-    orig = a.data.shape
-
-    def vjp(g):
-        return (g.reshape(orig),)
-
-    return _make(a.data.reshape(shape).copy(), (a,), vjp, "reshape")
+    return _make(out, parents, vjp, "linear")
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -275,8 +257,9 @@ def typed_matmul(x: Tensor, w: Tensor, type_idx) -> Tensor:
     """Row r of the result is ``w[type_idx[r]] @ x[r]``: one weight per row type.
 
     ``x`` is (n, d_in), ``w`` is (T, d_out, d_in) and ``type_idx`` is (n,)
-    with values in [0, T). Row r equals ``matmul`` of x[r] with the transposed
-    weight bit for bit; the weight of a type no row has gets a zero gradient.
+    with values in [0, T). Row r equals ``linear`` of x[r] and
+    ``w[type_idx[r]]`` bit for bit; the weight of a type no row has gets a
+    zero gradient.
     """
     x, w = _lift(x), _lift(w)
     idx = np.asarray(type_idx, dtype=np.intp)
@@ -307,23 +290,14 @@ def typed_matmul(x: Tensor, w: Tensor, type_idx) -> Tensor:
 # reductions
 # ---------------------------------------------------------------------------
 
-def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        out = np.asarray(math.fsum(a.data.ravel().tolist()))
+def reduce_sum(a: Tensor) -> Tensor:
+    """The exactly rounded sum of all entries, as a 0-d tensor."""
+    out = np.asarray(math.fsum(a.data.ravel().tolist()))
 
-        def vjp(g):
-            return (np.full(a.data.shape, float(g)),)
+    def vjp(g):
+        return (np.full(a.data.shape, float(g)),)
 
-        return _make(out, (a,), vjp, "sum")
-
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp_axis(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return _make(out, (a,), vjp_axis, "sum")
+    return _make(out, (a,), vjp, "sum")
 
 
 # ---------------------------------------------------------------------------
@@ -470,24 +444,6 @@ def _segment_fsum(xs: Array, starts: Array, counts: Array) -> Array:
     return hi
 
 
-def segment_softmax(x: Tensor, counts) -> Tensor:
-    """Per-column softmax over each segment of a 2-D tensor's rows.
-
-    Segment s is the ``counts[s]`` rows that follow segment s - 1; every
-    count must be positive (a target node with no incoming edges is a
-    contract violation).
-    """
-    if x.data.ndim != 2:
-        raise ShapeError(f"segment_softmax expects a 2-D tensor, got {x.data.shape}")
-    starts, counts = _runs(counts, x.data.shape[0], "segment_softmax")
-    w = _softmax_runs(x.data, starts, counts)
-
-    def vjp(g):
-        return (_softmax_runs_vjp(g, w, starts, counts),)
-
-    return _make(w, (x,), vjp, "segment_softmax")
-
-
 def _softmax_runs(x: Array, starts: Array, counts: Array) -> Array:
     ex = np.exp(x - np.repeat(np.maximum.reduceat(x, starts, axis=0), counts, axis=0))
     return ex / np.repeat(_segment_fsum(ex, starts, counts), counts, axis=0)
@@ -498,7 +454,8 @@ def _softmax_runs_vjp(g: Array, w: Array, starts: Array, counts: Array) -> Array
 
 
 def segment_reduce(x: Tensor, counts, mode: str = "mean") -> Tensor:
-    """Aggregate each segment (as in ``segment_softmax``) to one output row."""
+    """Aggregate each segment to one output row: the ``mode`` (mean or sum)
+    of its rows, exactly rounded."""
     if x.data.ndim != 2:
         raise ShapeError(f"segment_reduce expects a 2-D tensor, got {x.data.shape}")
     if mode not in ("mean", "sum"):
@@ -522,8 +479,8 @@ def edge_attention(table: Tensor, values: Tensor | None, modulation: Tensor, src
     ``src[r]``, its query from row ``dst[r]``, its value from row ``src[r]`` of
     ``values`` (of ``table`` if None) and its modulation from row r of the
     (E, d_k) ``modulation``. Per head, the score is
-    sum_j key_j * mod_j * query_j / sqrt(d_k), softmax-normalized over each
-    segment (as in ``segment_softmax``); a segment's output row is the
+    sum_j key_j * mod_j * query_j / sqrt(d_k), softmax-normalized per column
+    over each segment; a segment's output row is the
     ``mode`` aggregate (as in ``segment_reduce``) of its rows' weighted
     values. Returns the (len(counts), heads * d_k) output and the (E, heads)
     weights.

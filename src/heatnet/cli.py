@@ -140,10 +140,9 @@ def _load_dataset(data_dir: str):
 
 
 def _resolve_model_config(cfg: RunConfig, feature_dim: int) -> ModelConfig:
-    model_cfg = cfg.model
-    if model_cfg.feature_dim is None:
-        model_cfg = dataclasses.replace(model_cfg, feature_dim=feature_dim)
-    return dataclasses.replace(model_cfg, dropout=cfg.train.dropout)
+    if cfg.model.feature_dim is None:
+        return dataclasses.replace(cfg.model, feature_dim=feature_dim)
+    return cfg.model
 
 
 def cmd_build_graph(args, cfg: RunConfig) -> int:

@@ -105,9 +105,12 @@ def load_run_config(config_path: str | None = None,
         updates["build"] = dataclasses.replace(cfg.build, seed=cfg.seed)
     if "train" not in merged or "seed" not in merged.get("train", {}):
         updates["train"] = dataclasses.replace(cfg.train, seed=cfg.seed)
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-    return cfg
+    # train.dropout is the one dropout setting; the model runs with it
+    if "dropout" in merged.get("model", {}) and cfg.model.dropout != cfg.train.dropout:
+        raise ConfigError(f"model.dropout={cfg.model.dropout} differs from train.dropout="
+                          f"{cfg.train.dropout}; set the dropout with train.dropout")
+    updates["model"] = dataclasses.replace(cfg.model, dropout=cfg.train.dropout)
+    return dataclasses.replace(cfg, **updates)
 
 
 def provenance_block(cfg: RunConfig, command: str, deterministic: bool) -> dict:

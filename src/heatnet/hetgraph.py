@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from .errors import ConfigError, GraphLookupError, GraphValidationError
 
 GRAPH_FORMAT_VERSION = 2
+_NUMBER_TYPES = {int, float}
 
 
 @dataclass(frozen=True)
@@ -381,20 +383,35 @@ def _int_column(col: list, name: str) -> np.ndarray:
         raise _format(f"{name}: {exc}") from exc
 
 
-def _float_rows(col: list, width: int, name: str, mixed) -> np.ndarray:
-    """The column as a (len(col), width) float64 array; ``mixed(i, w)`` is the
-    violation of a row i of length w != width."""
+def _non_number(values: list) -> str | None:
+    """JSON text of the first entry of ``values`` that is not a number (a
+    boolean, string, null or list), or None if every entry is an int or float."""
+    if set(map(type, values)) <= _NUMBER_TYPES:
+        return None
+    return json.dumps(next(v for v in values if type(v) not in _NUMBER_TYPES))
+
+
+def _float_rows(col: list, width: int, name: str, kind: str, noun: str, at) -> np.ndarray:
+    """The column as a (len(col), width) float64 array. ``at(i)`` gives the
+    Violation fields naming row i's node or edge: a row of another length
+    is a ``kind`` violation, an entry that is not a number a format one."""
     if not col:
         return np.zeros((0, width))
     try:
         arr = np.asarray(col, dtype=np.float64)
-        if arr.shape == (len(col), width):
-            return arr
     except (TypeError, ValueError, OverflowError):
-        pass
+        arr = None
+    if arr is not None and arr.shape == (len(col), width):
+        # numpy reads true/false as 1/0 and numeric strings as numbers
+        if set(map(type, chain.from_iterable(col))) <= _NUMBER_TYPES:
+            return arr
+        i, bad = next((i, b) for i, b in enumerate(map(_non_number, col)) if b is not None)
+        raise GraphValidationError(Violation("format", f"{name} entry {bad} is not a number",
+                                             **at(i)))
     for i, row in enumerate(col):
         if isinstance(row, list) and len(row) != width:
-            raise GraphValidationError(mixed(i, len(row)))
+            raise GraphValidationError(Violation(
+                kind, f"{noun} has dimension {len(row)}, expected {width}", **at(i)))
     raise _format(f"{name} must be a list of rows of {width} numbers")
 
 
@@ -432,10 +449,9 @@ def from_json_dict(d: dict) -> HeteroGraph:
         bad = next(i for i, t in enumerate(names) if not isinstance(t, str) or t not in types)
         raise GraphValidationError(Violation(
             "unknown-type", f"node type {names[bad]!r} not in type set", node_id=int(ids[bad]))) from None
-    feats = _float_rows(
-        _column(nodes, "nodes", "feat", n), feature_dim, "nodes.feat",
-        lambda i, w: Violation("mixed-feature-dim", f"node feature has dimension {w}, expected "
-                               f"{feature_dim}", node_id=int(ids[i])))
+    feats = _float_rows(_column(nodes, "nodes", "feat", n), feature_dim, "nodes.feat",
+                        "mixed-feature-dim", "node feature",
+                        lambda i: {"node_id": int(ids[i])})
     coords = None
     if nodes.get("x") is not None or nodes.get("y") is not None:
         x, y = _column(nodes, "nodes", "x", n), _column(nodes, "nodes", "y", n)
@@ -447,10 +463,9 @@ def from_json_dict(d: dict) -> HeteroGraph:
 
     src = _int_column(_column(edges, "edges", "src", None), "edges.src")
     dst = _int_column(_column(edges, "edges", "dst", len(src)), "edges.dst")
-    attrs = _float_rows(
-        _column(edges, "edges", "attr", len(src)), edge_dim, "edges.attr",
-        lambda i, w: Violation("mixed-attr-dim", f"edge attribute has dimension {w}, expected "
-                               f"{edge_dim}", edge=(int(src[i]), int(dst[i]))))
+    attrs = _float_rows(_column(edges, "edges", "attr", len(src)), edge_dim, "edges.attr",
+                        "mixed-attr-dim", "edge attribute",
+                        lambda i: {"edge": (int(src[i]), int(dst[i]))})
 
     g = HeteroGraph(
         types=types,

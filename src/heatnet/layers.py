@@ -14,9 +14,10 @@ graph, or several stacked as a disjoint union) at once: one
 ``typed_matmul`` projects all nodes with all heads into (n, heads * d_k)
 rows (``project_nodes``), and ``attend`` scores, normalizes and
 aggregates edge rows given as index arrays into that table as one tape op
-(``autodiff.edge_attention``), so no op loops over types, heads or edges
-and a layer records at most five tape ops; a target's incoming edges are
-one run of the batch's rows. The leave-one-out attribution calls
+(``autodiff.edge_attention``), so no op loops over types, heads or edges.
+A layer records at most four tape ops: the projection (two when values
+are decoupled), the edge map ``autodiff.linear`` and the attention op. A
+target's incoming edges are one run of the batch's rows. The leave-one-out attribution calls
 ``attend`` directly on the edges around each removed node.
 """
 
@@ -170,7 +171,7 @@ def layer_forward(batch: GraphBatch, params: HeatLayerParams,
     if params.w_edge is None:
         eproj = Tensor(np.ones((batch.n_edges, params.d_k)))
     else:
-        eproj = ad.matmul(attrs, ad.transpose(params.w_edge))
+        eproj = ad.linear(attrs, params.w_edge)
     h_out, att = attend(params, node_proj, value_proj, eproj, *batch.edge_pos, batch.in_degree)
     return LayerOutput(
         node_features=h_out,

@@ -5,8 +5,10 @@ rows, then an optional trainable per-type linear map) into a fixed
 (|types| x d) matrix S, by one segment mean over the node-type index and
 one ``typed_matmul``; types with no nodes contribute a zero row. The
 graph feature is the mean (or sum) over S's rows, followed by a linear
-classifier. A plain mean-over-all-nodes pooling is kept as the ablation
-baseline. Every function takes the rows of B graphs stacked with a
+classifier (one ``linear`` op). ``pl_pool`` returns the S of B graphs as
+their B * |types| rows stacked, the layout ``graph_logits`` reduces, so
+no op reshapes them. A plain mean-over-all-nodes pooling is kept as the
+ablation baseline. Every function takes the rows of B graphs stacked with a
 per-row graph index, one graph being a stack of one. Every reduction is
 an exactly rounded segment sum and every product is row-invariant, so
 each graph of a stack gets the logits it gets alone, bit for bit.
@@ -79,7 +81,8 @@ class PoolParams:
 
 def pl_pool(features: Tensor, type_idx: np.ndarray, params: PoolParams,
             graph: np.ndarray) -> Tensor:
-    """Pool the rows of B stacked graphs into one row per (graph, type): (B, T, d).
+    """Pool the rows of B stacked graphs into one row per (graph, type):
+    (B * T, d), graph b's T rows in type order after graph b - 1's.
 
     ``graph[r]`` names the graph of row r, and B = max(graph) + 1. Each
     graph is pooled exactly as on its own; its empty types give zero rows.
@@ -99,33 +102,30 @@ def pl_pool(features: Tensor, type_idx: np.ndarray, params: PoolParams,
     # Absent cells read the zero row appended after the present ones.
     rows = np.full(n_graphs * n_types, len(present), dtype=np.intp)
     rows[present] = np.arange(len(present))
-    out = ad.gather_rows(ad.concat([pooled, Tensor(np.zeros((1, d)))], axis=0), rows)
-    return ad.reshape(out, (n_graphs, n_types, d))
+    return ad.gather_rows(ad.concat([pooled, Tensor(np.zeros((1, d)))], axis=0), rows)
 
 
-def _logits(rows: Tensor, graph: np.ndarray, n_graphs: int, mode: str,
-            params: PoolParams) -> Tensor:
-    """Reduce the rows of each graph to one vector (mean or sum) and apply
-    the linear head: logits (n_graphs, C). ``graph`` is nondecreasing, so
-    each graph's rows are one run."""
-    z = ad.segment_reduce(rows, np.bincount(graph, minlength=n_graphs), mode)
-    return ad.add(ad.matmul(z, ad.transpose(params.classifier_w)), params.classifier_b)
+def _logits(rows: Tensor, counts: np.ndarray, mode: str, params: PoolParams) -> Tensor:
+    """Reduce each run of ``counts[b]`` rows to one vector (mean or sum) and
+    apply the linear head: logits (len(counts), C)."""
+    return ad.linear(ad.segment_reduce(rows, counts, mode),
+                     params.classifier_w, params.classifier_b)
 
 
 def graph_logits(pooled: Tensor, params: PoolParams) -> Tensor:
-    """Collapse a (B, T, d) stack of per-type matrices to graph vectors and
-    classify them: logits (B, C)."""
-    if pooled.ndim != 3 or pooled.shape[-1] != params.dim:
-        raise ShapeError(f"pooled stack {pooled.shape} does not match pool dim {params.dim}")
-    n_graphs, n_rows, d = pooled.shape
-    return _logits(ad.reshape(pooled, (n_graphs * n_rows, d)),
-                   np.repeat(np.arange(n_graphs), n_rows), n_graphs, params.final, params)
+    """Collapse the (B * T, d) rows of ``pl_pool``, T per graph, to graph
+    vectors and classify them: logits (B, C)."""
+    n_types = len(params.types)
+    if pooled.ndim != 2 or pooled.shape[1] != params.dim or pooled.shape[0] % n_types:
+        raise ShapeError(f"pooled rows {pooled.shape} are not {n_types} rows of dim "
+                         f"{params.dim} per graph")
+    return _logits(pooled, np.full(pooled.shape[0] // n_types, n_types), params.final, params)
 
 
 def mean_pool_logits(features: Tensor, params: PoolParams, graph: np.ndarray) -> Tensor:
     """Plain mean pooling over all nodes (type-blind ablation head): logits
     (B, C) for the rows of B stacked graphs, ``graph`` nondecreasing."""
-    return _logits(features, graph, int(graph.max()) + 1, "mean", params)
+    return _logits(features, np.bincount(graph), "mean", params)
 
 
 def pool_parameters(params: PoolParams, prefix: str = "pool") -> dict[str, Tensor]:

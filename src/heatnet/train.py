@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .builder import AugmentConfig, augment
 from .errors import ConfigError, NonFiniteError, TrainingError
-from .hetgraph import HeteroGraph, _write_json
+from .hetgraph import HeteroGraph, _non_number, _write_json
 from .metrics import accuracy, metric_auc_macro, metric_macro_f1
 from .model import Model, ModelConfig
 from .schema import build_dataclass
@@ -314,8 +314,13 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     for name, entry in doc["params"].items():
         if not (isinstance(entry, dict) and "shape" in entry and "data" in entry):
             raise ConfigError(f"checkpoint parameter {name!r} needs shape and data")
+        data = entry["data"]
+        bad = _non_number(data) if isinstance(data, list) else json.dumps(data)
+        if bad is not None:
+            raise ConfigError(f"checkpoint parameter {name!r} data must be a list of numbers, "
+                              f"found {bad}")
         try:
-            state[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            state[name] = np.asarray(data, dtype=np.float64).reshape(entry["shape"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"checkpoint parameter {name!r} data does not fit its shape: {exc}") from exc
     model.load_state(state)

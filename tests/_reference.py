@@ -6,7 +6,9 @@ autodiff path they are checked against. The slow paths that the package
 replaced (per-edge id lookups, list-of-segments segment ops, the per-edge
 validation loops, the dense k-NN and the per-edge Pearson loop of graph
 construction, and the unfused attention composition ``ref_attend``) are
-kept here as oracles for the fast ones, and
+kept here as oracles for the fast ones. The tape ops only those oracles
+and the tests use (``add``, ``reshape``, ``reduce_sum`` along an axis and
+``segment_softmax``) are built here on ``autodiff._make``, and
 ``pearson_pair`` applies the package's Pearson kernel to one pair of
 vectors. ``from_lists``
 builds the small hand-written graphs of the tests from per-node and
@@ -176,6 +178,49 @@ def ref_model_forward(g, model):
     return ref_mean_pool_logits(feats, pool.classifier_w.data, pool.classifier_b.data)
 
 
+def add(a, b):
+    """Broadcasting sum of two tensors, as a tape op."""
+    a, b = ad._lift(a), ad._lift(b)
+
+    def vjp(g):
+        return (ad._unbroadcast(g, a.data.shape), ad._unbroadcast(g, b.data.shape))
+
+    return ad._make(a.data + b.data, (a, b), vjp, "add")
+
+
+def reshape(a, shape):
+    """A tensor's entries in a new shape, as a tape op."""
+    orig = a.data.shape
+
+    def vjp(g):
+        return (g.reshape(orig),)
+
+    return ad._make(a.data.reshape(shape).copy(), (a,), vjp, "reshape")
+
+
+def reduce_sum(a, axis):
+    """numpy's sum of a tensor along ``axis``, as a tape op."""
+
+    def vjp(g):
+        return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(),)
+
+    return ad._make(a.data.sum(axis=axis), (a,), vjp, "sum")
+
+
+def segment_softmax(x, counts):
+    """Per-column softmax over each run of ``counts[s]`` rows of a 2-D tensor,
+    as a tape op, from the kernels ``ad.edge_attention`` normalizes with."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"segment_softmax expects a 2-D tensor, got {x.data.shape}")
+    starts, counts = ad._runs(counts, x.data.shape[0], "segment_softmax")
+    w = ad._softmax_runs(x.data, starts, counts)
+
+    def vjp(g):
+        return (ad._softmax_runs_vjp(g, w, starts, counts),)
+
+    return ad._make(w, (x,), vjp, "segment_softmax")
+
+
 def ref_attend(params, node_proj, value_proj, eproj, src, dst, counts):
     """``layers.attend`` as a composition of a dozen tape ops.
 
@@ -187,17 +232,17 @@ def ref_attend(params, node_proj, value_proj, eproj, src, dst, counts):
     heads, d_k = params.heads, params.d_k
 
     def blocks(t):
-        return ad.reshape(t, (-1, heads, d_k))
+        return reshape(t, (-1, heads, d_k))
 
     node_proj = blocks(node_proj)
     keys = ad.gather_rows(node_proj, src)
     queries = ad.gather_rows(node_proj, dst)
     values = keys if value_proj is None else ad.gather_rows(blocks(value_proj), src)
-    modulated = ad.mul(ad.mul(keys, ad.reshape(eproj, (-1, 1, d_k))), queries)
-    scores = ad.scale(ad.reduce_sum(modulated, axis=2), 1.0 / math.sqrt(d_k))
-    att = ad.segment_softmax(scores, counts)
-    weighted = ad.mul(values, ad.reshape(att, (-1, heads, 1)))
-    out = ad.segment_reduce(ad.reshape(weighted, (-1, params.d_out)), counts,
+    modulated = ad.mul(ad.mul(keys, reshape(eproj, (-1, 1, d_k))), queries)
+    scores = ad.scale(reduce_sum(modulated, axis=2), 1.0 / math.sqrt(d_k))
+    att = segment_softmax(scores, counts)
+    weighted = ad.mul(values, reshape(att, (-1, heads, 1)))
+    out = ad.segment_reduce(reshape(weighted, (-1, params.d_out)), counts,
                             params.aggregation)
     return out, att
 

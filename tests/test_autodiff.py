@@ -1,13 +1,17 @@
 """Tensor engine: op semantics, backward correctness, gradient checking."""
 
+import inspect
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import add, reshape, segment_softmax
 from heatnet import autodiff as ad
 from heatnet.autodiff import Tensor
 from heatnet.errors import ConfigError, ContractError, NonFiniteError, ShapeError
@@ -16,31 +20,55 @@ from heatnet.testing import random_labeled_graph
 
 
 class TestMatmul:
+    """``linear``: rows times a (d_out, d_in) weight, plus an optional bias."""
+
     def test_identity(self):
         a = Tensor(np.eye(2))
-        b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(ad.matmul(a, b).data, [[1, 2], [3, 4]])
+        w = Tensor([[1.0, 3.0], [2.0, 4.0]])
+        np.testing.assert_array_equal(ad.linear(a, w).data, [[1, 2], [3, 4]])
 
     def test_zero(self):
-        out = ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[0.0], [0.0]]))
+        out = ad.linear(Tensor([[1.0, 2.0]]), Tensor([[0.0, 0.0]]))
         np.testing.assert_array_equal(out.data, [[0.0]])
 
     def test_hand_product(self):
-        out = ad.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0], [6.0]]))
+        out = ad.linear(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0, 6.0]]))
         # hand multiplication: [1*5+2*6, 3*5+4*6]
         np.testing.assert_array_equal(out.data, [[17.0], [39.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0]]))
+            ad.linear(Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0, 3.0]]))
+        with pytest.raises(ShapeError):
+            ad.linear(Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0]]), Tensor([1.0, 2.0]))
+        with pytest.raises(ShapeError):
+            ad.linear(Tensor([1.0, 2.0]), Tensor([[1.0, 2.0]]))
 
     def test_gradients(self):
         a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        b = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-        loss = ad.reduce_sum(ad.matmul(a, b))
+        w = Tensor(np.arange(12.0).reshape(3, 4).T.copy(), requires_grad=True)
+        loss = ad.reduce_sum(ad.linear(a, w))
         grads = ad.backward(loss)
-        np.testing.assert_allclose(grads[a], np.ones((2, 4)) @ b.data.T)
-        np.testing.assert_allclose(grads[b], a.data.T @ np.ones((2, 4)))
+        np.testing.assert_allclose(grads[a], np.ones((2, 4)) @ w.data)
+        np.testing.assert_allclose(grads[w], (a.data.T @ np.ones((2, 4))).T)
+
+    def test_bias(self):
+        x = Tensor([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]], requires_grad=True)
+        w = Tensor([[5.0, 6.0], [-1.0, 0.5]], requires_grad=True)
+        b = Tensor([0.25, -2.0], requires_grad=True)
+        out = ad.linear(x, w, b)
+        np.testing.assert_array_equal(out.data, [[17.25, -2.0], [39.25, -3.0], [0.25, -2.0]])
+        g = np.array([[1.0, 2.0], [3.0, 4.0], [-1.0, 0.5]])
+        grads = ad.backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+        np.testing.assert_array_equal(grads[b], [3.0, 6.5])
+        np.testing.assert_array_equal(grads[x], g @ w.data)
+        np.testing.assert_array_equal(grads[w], g.T @ x.data)
+
+        def f():
+            y = ad.linear(x, w, b)
+            return ad.reduce_sum(ad.mul(y, y))
+
+        assert ad.grad_check(f, [x, w, b]) < 1e-5
 
 
 class TestSoftmaxRows:
@@ -87,8 +115,8 @@ class TestCrossEntropy:
 
     def test_gradient_analytic(self):
         w = Tensor([0.0], requires_grad=True)
-        logits = ad.concat([ad.reshape(w, (1, 1)), Tensor([[0.0]])], axis=1)
-        loss = ad.cross_entropy(ad.reshape(logits, (2,)), 0)
+        logits = ad.concat([reshape(w, (1, 1)), Tensor([[0.0]])], axis=1)
+        loss = ad.cross_entropy(reshape(logits, (2,)), 0)
         grads = ad.backward(loss)
         # d/dw of -log softmax_0 = softmax_0 - 1 = -0.5 at w=0
         assert grads[w][0] == pytest.approx(-0.5, abs=1e-12)
@@ -152,7 +180,7 @@ class TestBackward:
 
     def test_shared_subexpression_accumulates(self):
         w = Tensor([3.0], requires_grad=True)
-        y = ad.add(ad.mul(w, w), ad.scale(w, 2.0))  # w^2 + 2w -> 2w + 2 = 8
+        y = add(ad.mul(w, w), ad.scale(w, 2.0))  # w^2 + 2w -> 2w + 2 = 8
         grads = ad.backward(ad.reduce_sum(y))
         assert grads[w][0] == pytest.approx(8.0)
 
@@ -262,7 +290,7 @@ class TestTypedMatmul:
     def test_one_type_is_plain_matmul(self):
         w = Tensor(self.w.data[:1], requires_grad=True)
         typed = ad.typed_matmul(self.x, w, np.zeros(6, dtype=np.intp))
-        plain = ad.matmul(self.x, ad.transpose(Tensor(w.data[0])))
+        plain = ad.linear(self.x, Tensor(w.data[0]))
         np.testing.assert_array_equal(typed.data, plain.data)
 
     @pytest.mark.parametrize("x_shape,w_shape,idx", [
@@ -283,8 +311,10 @@ class TestRowInvariance:
 
     @staticmethod
     def check_rows(x, w, rows):
-        full = ad.matmul(Tensor(x), Tensor(w)).data
-        sub = ad.matmul(Tensor(x[rows]), Tensor(w)).data
+        """``linear`` of ``x`` and the (d_in, d_out) ``w``'s transpose: rows
+        ``rows`` alone equal those rows of the full product."""
+        full = ad.linear(Tensor(x), Tensor(w.T)).data
+        sub = ad.linear(Tensor(x[rows]), Tensor(w.T)).data
         assert sub.tobytes() == full[rows].tobytes()
 
     @settings(max_examples=150, deadline=None)
@@ -329,14 +359,14 @@ class TestRowInvariance:
 class TestSegmentOps:
     def test_segment_softmax_normalizes_per_segment(self):
         x = Tensor(np.array([[0.0, 1.0], [0.0, 2.0], [5.0, 0.0]]))
-        w = ad.segment_softmax(x, [2, 1]).data
+        w = segment_softmax(x, [2, 1]).data
         np.testing.assert_allclose(w[:2].sum(axis=0), [1.0, 1.0], atol=1e-15)
         np.testing.assert_allclose(w[2], [1.0, 1.0])
 
     def test_segment_softmax_empty_segment_rejected(self):
         x = Tensor(np.zeros((2, 1)))
         with pytest.raises(ContractError):
-            ad.segment_softmax(x, [2, 0])
+            segment_softmax(x, [2, 0])
 
     def test_segment_reduce_mean_and_sum(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [10.0, 20.0]]))
@@ -352,7 +382,7 @@ class TestSegmentOps:
             with pytest.raises(ContractError, match="sum to"):
                 ad.segment_reduce(x, counts)
             with pytest.raises(ContractError, match="sum to"):
-                ad.segment_softmax(x, counts)
+                segment_softmax(x, counts)
 
     def test_nonpositive_count_rejected(self):
         # an empty run (or a negative count that the others make up for)
@@ -361,7 +391,7 @@ class TestSegmentOps:
             with pytest.raises(ContractError, match="is empty"):
                 ad.segment_reduce(x, counts)
             with pytest.raises(ContractError, match="is empty"):
-                ad.segment_softmax(x, counts)
+                segment_softmax(x, counts)
 
 
 class TestExactSums:
@@ -372,15 +402,15 @@ class TestExactSums:
         g = random_labeled_graph(rng, n_nodes=1000, feature_dim=1, extra_edge_prob=0.005)
         counts = batch_graphs([g]).in_degree
         x = Tensor(rng.standard_normal((g.n_edges, 4)), requires_grad=True)
-        head = Tensor(rng.standard_normal((4, 1)))
+        head = Tensor(rng.standard_normal((1, 4)))
         calls = []
         fsum = math.fsum
         monkeypatch.setattr(math, "fsum", lambda values: calls.append(1) or fsum(values))
-        w = ad.segment_softmax(x, counts)
+        w = segment_softmax(x, counts)
         mean = ad.segment_reduce(ad.mul(w, x), counts, "mean")
         total = ad.segment_reduce(x, counts, "sum")
-        pooled = ad.segment_reduce(ad.add(mean, total), [g.n_nodes])
-        ad.backward(ad.matmul(pooled, head))
+        pooled = ad.segment_reduce(add(mean, total), [g.n_nodes])
+        ad.backward(ad.linear(pooled, head))
         assert x.grad is not None
         assert calls == []
 
@@ -410,8 +440,8 @@ class TestDeterminism:
     def test_ops_bit_identical_across_runs(self):
         def run():
             x = Tensor(np.linspace(-2, 2, 12).reshape(3, 4))
-            w = Tensor(np.linspace(0.5, 1.5, 8).reshape(4, 2))
-            out = ad.softmax_rows(ad.matmul(x, w))
+            w = Tensor(np.linspace(0.5, 1.5, 8).reshape(4, 2).T)
+            out = ad.softmax_rows(ad.linear(x, w))
             return ad.reduce_sum(out).item(), out.data.copy()
         (s1, d1), (s2, d2) = run(), run()
         assert s1 == s2
@@ -437,15 +467,26 @@ class TestGradCheck:
         rng = np.random.default_rng(seed)
         m, k, n = rng.integers(2, 5, size=3)
         a = Tensor(rng.standard_normal((m, k)), requires_grad=True)
-        b = Tensor(rng.standard_normal((k, n)), requires_grad=True)
-        c = Tensor(rng.standard_normal((1, n)), requires_grad=True)
+        b = Tensor(rng.standard_normal((k, n)).T.copy(), requires_grad=True)
+        c = Tensor(rng.standard_normal((1, n))[0], requires_grad=True)
         counts = np.ones(m, dtype=np.intp) if m < 3 else np.array([m - 2, 2])
 
         def f():
-            h = ad.leaky_relu(ad.add(ad.matmul(a, b), c), 0.01)
-            w = ad.segment_softmax(h, counts)
+            h = ad.leaky_relu(ad.linear(a, b, c), 0.01)
+            w = segment_softmax(h, counts)
             pooled = ad.segment_reduce(ad.mul(h, w), counts, "mean")
             z = ad.segment_reduce(pooled, [len(counts)])
-            return ad.cross_entropy(ad.reshape(z, (int(n),)), 0)
+            return ad.cross_entropy(reshape(z, (int(n),)), 0)
 
         assert ad.grad_check(f, [a, b, c]) < 1e-5
+
+
+def test_every_public_op_has_a_src_caller():
+    # ops that only tests and oracles use are built in tests/_reference.py
+    texts = [p.read_text() for p in Path(ad.__file__).parent.glob("*.py")]
+    public = [name for name, obj in vars(ad).items() if not name.startswith("_")
+              and inspect.isfunction(obj) and obj.__module__ == ad.__name__]
+    assert "linear" in public and "matmul" not in public
+    for name in public:
+        call = re.compile(rf"(?<!def )\b{name}\(")
+        assert any(call.search(t) for t in texts), f"autodiff.{name} has no caller in src/"

@@ -358,10 +358,17 @@ class TestMalformedInputFiles:
         (lambda doc: doc["edges"]["src"].__setitem__(0, True), "format: edges.src: true is not"),
         (lambda doc: doc["edges"]["dst"].__setitem__(0, False), "format: edges.dst: false is not"),
         (lambda doc: doc.update(label=True), "format: malformed graph document"),
+        (_set_node_field("feat", [0.5, True, 0.5]),
+         "format: nodes.feat entry true is not a number (node 1)"),
+        (_set_node_field("feat", [0.5, 0.5, "0.5"]),
+         'format: nodes.feat entry "0.5" is not a number (node 1)'),
+        (lambda doc: doc["edges"]["attr"].__setitem__(-1, [False]),
+         "format: edges.attr entry false is not a number (edge "),
     ], ids=["x-not-number", "label-string", "label-list", "nodes-not-list", "edges-null",
             "id-fraction", "y-fraction", "dst-fraction", "label-fraction", "id-beyond-int64",
             "nodes-not-object", "edges-not-object", "id-boolean", "x-boolean", "y-boolean",
-            "src-boolean", "dst-boolean", "label-boolean"])
+            "src-boolean", "dst-boolean", "label-boolean", "feat-boolean", "feat-string",
+            "attr-boolean"])
     def test_bad_graph_exits_2(self, tmp_path, capsys, corrupt, fault):
         line = _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_graph=corrupt)
         assert fault in line
@@ -384,6 +391,16 @@ class TestMalformedInputFiles:
             "param-without-data", "data-misfits-shape", "n-layers-fraction"])
     def test_bad_checkpoint_exits_2(self, tmp_path, capsys, corrupt):
         _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_ckpt=corrupt)
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", [0.5]],
+                             ids=["true", "false", "string", "list"])
+    def test_parameter_data_not_a_number_exits_2(self, tmp_path, capsys, value):
+        def corrupt(doc):
+            doc["params"]["classifier.bias"]["data"][1] = value
+
+        line = _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_ckpt=corrupt)
+        assert ("checkpoint parameter 'classifier.bias' data must be a list of numbers, "
+                f"found {json.dumps(value)}") in line
 
     def test_version_1_checkpoint_exits_2(self, tmp_path, capsys):
         line = _explain_exits_2_with_one_line(tmp_path, capsys,
@@ -550,3 +567,31 @@ class TestGradcheck:
         assert tr["dropout"] == 0.2
         assert tr["batch_size"] == 2
         assert tr["folds"] == 5
+
+
+class TestDropoutSetting:
+    """train.dropout is the one dropout setting; the model runs with it."""
+
+    @pytest.mark.parametrize("extra", [[], ["--set", "model.dropout=0.5"]],
+                             ids=["train-only", "model-equal"])
+    def test_train_dropout_reaches_the_model(self, tmp_path, extra):
+        data = make_dataset(tmp_path, n=8, seed=4)
+        run = tmp_path / "run"
+        rc = main(["train", "--data", str(data), "--out", str(run), "--deterministic",
+                   *FAST_TRAIN, "--set", "train.max_epochs=1", "--set", "train.patience=1",
+                   "--set", "train.dropout=0.5", *extra])
+        assert rc == EXIT_OK
+        doc = json.loads((run / "checkpoint.json").read_text())
+        config = doc["provenance"]["config"]
+        assert doc["model_config"]["dropout"] == 0.5
+        assert config["train"]["dropout"] == config["model"]["dropout"] == 0.5
+
+    @pytest.mark.parametrize("extra", [[], ["--set", "train.dropout=0.3"]],
+                             ids=["train-default", "train-set"])
+    def test_other_model_dropout_exits_2(self, tmp_path, capsys, extra):
+        data = make_dataset(tmp_path, n=8, seed=4)
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                   *FAST_TRAIN, "--set", "model.dropout=0.5", *extra])
+        assert rc == EXIT_INPUT
+        assert "train.dropout" in _one_input_error_line(capsys)
+        assert not (tmp_path / "run").exists()

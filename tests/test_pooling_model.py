@@ -1,10 +1,12 @@
 """Per-type pooling, classification head, and full model forward."""
 
 import numpy as np
+import pytest
 
 from _reference import from_lists, ref_model_forward, ref_pl_pool
 from heatnet import autodiff as ad
 from heatnet.autodiff import Tensor
+from heatnet.errors import ShapeError
 from heatnet.hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet
 from heatnet.model import Model, ModelConfig, baseline_config
 from heatnet.pooling import PoolParams, graph_logits, pl_pool
@@ -22,13 +24,13 @@ def make_pool(types=TYPES3, dim=4, n_classes=2, seed=0, trainable=True):
 def pool_one(feats, type_idx, params):
     """pl_pool of one graph: its (T, d) matrix."""
     s = pl_pool(feats, type_idx, params, np.zeros(len(type_idx), dtype=np.intp))
-    assert s.shape[0] == 1
-    return ad.reshape(s, s.shape[1:])
+    assert s.shape[0] == len(params.types)
+    return s
 
 
 def logits_one(pooled, params):
     """graph_logits of one (T, d) matrix: its (C,) logits."""
-    return graph_logits(ad.reshape(pooled, (1, *pooled.shape)), params).data[0]
+    return graph_logits(pooled, params).data[0]
 
 
 class TestPlPool:
@@ -93,6 +95,13 @@ class TestPlPool:
 
 
 class TestGraphLogits:
+    def test_rows_must_be_types_per_graph(self):
+        params = make_pool(dim=3)
+        for shape in ((4, 3), (3, 2), (3,)):
+            with pytest.raises(ShapeError):
+                graph_logits(Tensor(np.zeros(shape)), params)
+        assert graph_logits(Tensor(np.zeros((6, 3))), params).shape == (2, 2)
+
     def test_zero_s_gives_bias(self):
         params = make_pool(dim=3)
         params.classifier_b.data = np.array([0.5, -1.5])
@@ -163,10 +172,11 @@ class TestModelForward:
 
         assert ad.grad_check(f, list(model.parameters().values()), eps=1e-4) < 1e-5
 
-    def test_training_forward_records_at_most_21_ops(self, monkeypatch):
-        # one typed projection and one attention op per layer and one segment
-        # sum for pooling, so the tape does not grow with the number of
-        # types, heads or edges
+    def test_training_forward_records_at_most_15_ops(self, monkeypatch):
+        # per layer one typed projection, one edge map and one attention op;
+        # leaky ReLU and dropout between layers; five pooling ops and two for
+        # the head, so the tape does not grow with the number of types, heads
+        # or edges
         ops = []
         make = ad._make
 
@@ -180,7 +190,10 @@ class TestModelForward:
         model = Model.init(ModelConfig(feature_dim=8), rng_for(0, "init"))
         monkeypatch.setattr(ad, "_make", counting_make)
         model.forward([g], training=True, rngs=[rng_for(0, "dropout")])
-        assert len(ops) <= 21, sorted(ops)
+        assert len(ops) <= 15, sorted(ops)
+        ops.clear()
+        model.forward([g])
+        assert len(ops) <= 14, sorted(ops)
 
     def test_dropout_only_active_in_training(self):
         rng = np.random.default_rng(9)
