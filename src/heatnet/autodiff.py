@@ -6,7 +6,7 @@ product and scaling, concatenation, row gathering, the total sum, row
 softmax, segment aggregation, the fused attention layer core
 ``edge_attention``, leaky ReLU, dropout-mask application, and
 cross-entropy. Everything is float64 and any op that produces NaN/Inf
-raises NonFiniteError.
+raises NonFiniteError, without a numpy warning before it.
 
 ``typed_matmul``'s VJP spreads row r's gradient into column block
 ``type_idx[r]`` of an (n, T * d_out) array, so both gradients are one BLAS
@@ -50,6 +50,7 @@ products still go through BLAS.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from typing import Callable, Sequence
@@ -142,6 +143,16 @@ def _make(data: Array, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     return out
 
 
+def _op(f):
+    """An op whose float work runs with numpy's overflow and invalid-value
+    warnings off: ``_make`` raises NonFiniteError on a non-finite result."""
+    @functools.wraps(f)
+    def run(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return f(*args, **kwargs)
+    return run
+
+
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum out broadcast dimensions so grad matches the original shape."""
     if grad.shape == shape:
@@ -158,6 +169,7 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 # elementwise and linear-algebra ops
 # ---------------------------------------------------------------------------
 
+@_op
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = a.data * b.data
@@ -170,6 +182,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), vjp, "mul")
 
 
+@_op
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
 
@@ -190,6 +203,7 @@ def _rowwise_product(x: Array, w: Array) -> Array:
     return np.multiply(x[:, None, :], w, order="C").sum(axis=-1)
 
 
+@_op
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """The affine map ``x @ w.T (+ b)`` as one tape op.
 
@@ -253,6 +267,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return _make(out, (a,), vjp, "gather_rows")
 
 
+@_op
 def typed_matmul(x: Tensor, w: Tensor, type_idx) -> Tensor:
     """Row r of the result is ``w[type_idx[r]] @ x[r]``: one weight per row type.
 
@@ -304,6 +319,7 @@ def reduce_sum(a: Tensor) -> Tensor:
 # nonlinearities and losses
 # ---------------------------------------------------------------------------
 
+@_op
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax of a 2-D tensor, stabilized by max subtraction."""
     if x.data.ndim != 2:
@@ -321,6 +337,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _make(w, (x,), vjp, "softmax_rows")
 
 
+@_op
 def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     mask = np.where(x.data > 0.0, 1.0, negative_slope)
 
@@ -355,6 +372,7 @@ def dropout(x: Tensor, drop_prob: float, rng: np.random.Generator | None,
     return mul(x, Tensor(mask))
 
 
+@_op
 def cross_entropy(logits: Tensor, labels: int | Sequence[int] | Array) -> Tensor:
     """-log softmax(logits)[label], stabilized.
 
@@ -405,6 +423,51 @@ def _runs(counts, n_rows: int, op: str) -> tuple[Array, Array]:
     return np.cumsum(counts) - counts, counts
 
 
+def _grid_scale(counts: Array) -> int:
+    """The least ``scale`` with 2**scale >= every count + 2."""
+    return int(counts.max(initial=0) + 1).bit_length()
+
+
+def _extract(rest: Array, starts: Array, counts: Array, scale: int) -> tuple[Array, Array]:
+    """One error-free extraction pass over row segments: the exact column
+    sums of each segment's parts on its grid, and the remainders.
+
+    Each value is split into a part on a grid fixed per segment and column
+    (2**(scale - 52) times the power of two above the column's largest
+    magnitude), whose sum is exact in any order, and a remainder below that
+    grid. Call under ``np.errstate``: a column near overflow gives NaN.
+    """
+    mu = np.maximum.reduceat(np.abs(rest), starts, axis=0)
+    sigma = np.repeat(np.ldexp(2.0 ** scale, np.frexp(mu)[1]), counts, axis=0)
+    q = (sigma + rest) - sigma
+    return np.add.reduceat(q, starts, axis=0), rest - q
+
+
+def _segment_expansion(xs: Array, starts: Array, counts: Array) -> tuple[Array, Array]:
+    """Exact column sums of the row segments of ``xs`` as expansions.
+
+    Returns (K, S, d) terms whose sum over the first axis is, exactly in
+    real arithmetic, segment s's column sums, and an (S,) flag: the
+    segment's terms are all finite. Extraction passes repeat until every
+    remainder is zero; each pass lowers the grid by at least 52 - scale
+    bits, so the loop ends once the grid reaches the smallest subnormal, if
+    not before. A segment whose pass overflows is flagged and its
+    remainders dropped.
+    """
+    scale = _grid_scale(counts)
+    terms = []
+    finite = np.ones(len(starts), dtype=bool)
+    rest = xs
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            tau, rest = _extract(rest, starts, counts, scale)
+            terms.append(tau)
+            finite &= np.isfinite(tau).all(axis=1)
+            rest[np.repeat(~finite, counts)] = 0.0
+            if not rest.any():
+                return np.stack(terms), finite
+
+
 def _segment_fsum(xs: Array, starts: Array, counts: Array) -> Array:
     """Exactly rounded column sums of the row segments of ``xs``, as math.fsum.
 
@@ -418,15 +481,12 @@ def _segment_fsum(xs: Array, starts: Array, counts: Array) -> Array:
     range, overflow) is summed by math.fsum, so the result is fsum's byte for
     byte.
     """
-    scale = int(counts.max(initial=0) + 1).bit_length()  # 2**scale >= every count + 2
+    scale = _grid_scale(counts)
     with np.errstate(over="ignore", invalid="ignore"):
         rest, tau = xs, []
         for _ in range(2):
-            mu = np.maximum.reduceat(np.abs(rest), starts, axis=0)
-            sigma = np.repeat(np.ldexp(2.0 ** scale, np.frexp(mu)[1]), counts, axis=0)
-            q = (sigma + rest) - sigma
-            rest = rest - q
-            tau.append(np.add.reduceat(q, starts, axis=0))
+            t, rest = _extract(rest, starts, counts, scale)
+            tau.append(t)
         hi = tau[0] + tau[1]
         z = hi - tau[0]
         lo = (tau[0] - (hi - z)) + (tau[1] - z)
@@ -453,6 +513,7 @@ def _softmax_runs_vjp(g: Array, w: Array, starts: Array, counts: Array) -> Array
     return w * (g - np.repeat(_segment_fsum(g * w, starts, counts), counts, axis=0))
 
 
+@_op
 def segment_reduce(x: Tensor, counts, mode: str = "mean") -> Tensor:
     """Aggregate each segment to one output row: the ``mode`` (mean or sum)
     of its rows, exactly rounded."""
@@ -471,6 +532,7 @@ def segment_reduce(x: Tensor, counts, mode: str = "mean") -> Tensor:
     return _make(out, (x,), vjp, "segment_reduce")
 
 
+@_op
 def edge_attention(table: Tensor, values: Tensor | None, modulation: Tensor, src, dst,
                    counts, heads: int, mode: str = "mean") -> tuple[Tensor, Array]:
     """Edge-modulated attention over runs of edge rows, as one tape op.

@@ -16,19 +16,23 @@ time, ``recompute_removals`` recomputes each layer with one
 ``layers.attend`` call over the chunk's (removed node, target) pairs: a
 pair's segment is the target's incoming edges (a range of the forward's
 target-sorted edge rows) minus v's, the rows changed one layer earlier are
-projected anew, and every other row is read from the cache. Each reduced graph's
-final node features are the cached rows with the recomputed ones written
-over, and ``Model.readout`` pools and classifies the chunk's graphs as one
-stack. A chunk holds as many removals as fit ``_CHUNK_BYTES`` of stacked
-final features.
+projected anew, and every other row is read from the cache. Pooling never
+touches the unchanged rows: the full graph's column sums per pooling type
+are kept once as exact float expansions, and ``removal_logits`` sums, for
+each (removed node, type) cell, those terms, the negated old rows of v and
+of its changed nodes, and their new rows, in one exactly rounded segment
+sum for the chunk; ``Model.head`` then classifies the means. A chunk
+holds removals whose downstream regions are bounded by ``_CHUNK_ROWS``
+final rows in all.
 
 This equals a forward on G without v bit for bit: products are
 row-invariant, every other op is elementwise, and every segment sum is
-exactly rounded, so an output row depends only on the set of values it
-reduces, never on which other rows share the call. The cost is
-O(n * region) layer work, with region the mean downstream region (about
-20 nodes on kNN patch graphs with k = 4, whatever n), plus O(n^2 * d)
-chunked pooling, where n full forwards cost O(n * (n + E)) layer work.
+exactly rounded, so an output row depends only on the exact real sum of
+the values it reduces, never on which other rows share the call. The cost
+is O(n * region) layer and pooling work, with region the mean downstream
+region (about 20 nodes on kNN patch graphs with k = 4, whatever n), plus a
+copy of each layer's cached projections per chunk; n full forwards cost
+O(n * (n + E)).
 """
 
 from __future__ import annotations
@@ -40,15 +44,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import AttributionError, ExportError
+from .errors import AttributionError, ConfigError, ExportError
 from .hetgraph import GraphBatch, HeteroGraph, _write_json, remove_node
 from .layers import LayerOutput, attend, check_incoming, project_nodes
 from .model import Model
 
-# Bytes of stacked final node features per chunk of removals. On kNN graphs
-# a chunk's layer recompute is about as large, and the pooling temporaries
-# about five times that.
-_CHUNK_BYTES = 1 << 20
+# Bound on the final rows the removals of one chunk change (see ``reach``
+# in ``_removal_losses``); the layer recompute and the pooled segments of a
+# chunk grow with it, not with the graph.
+_CHUNK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -145,6 +149,97 @@ def recompute_removals(model: Model, batch: GraphBatch, layer_outputs: list[Laye
     return changed, h_changed
 
 
+@dataclass(frozen=True)
+class TypeSums:
+    """The full graph's final rows and each pooling type's exact column sums.
+
+    The pooling types are the node types under per-type pooling and one
+    type under mean pooling. ``terms[term_starts[a]:term_starts[a + 1]]``
+    sum, exactly, to type a's column sums; a type without nodes has no
+    terms, nor has a type whose expansion overflows (``fallback``).
+    ``by_type[type_starts[a]:type_starts[a + 1]]`` are type a's node
+    positions, ascending.
+    """
+
+    rows: np.ndarray
+    types: np.ndarray
+    count: np.ndarray
+    terms: np.ndarray
+    term_starts: np.ndarray
+    by_type: np.ndarray
+    type_starts: np.ndarray
+    fallback: np.ndarray
+
+
+def _type_sums(model: Model, rows: np.ndarray, node_types: np.ndarray) -> TypeSums:
+    per_type = model.config.pooling == "pl"
+    types = node_types if per_type else np.zeros(len(rows), dtype=np.intp)
+    count = np.bincount(types, minlength=len(model.pool.types) if per_type else 1)
+    by_type = np.argsort(types, kind="stable")
+    type_starts = np.concatenate([[0], np.cumsum(count)])
+    present = np.flatnonzero(count)
+    terms, finite = ad._segment_expansion(rows[by_type], type_starts[present], count[present])
+    # A type keeps its nonzero terms, and its first so that no segment is empty.
+    keep = terms.any(axis=2).T
+    keep[:, 0] = True
+    keep &= finite[:, None]
+    term_count = np.zeros_like(count)
+    term_count[present] = keep.sum(axis=1)
+    fallback = np.zeros(len(count), dtype=bool)
+    fallback[present] = ~finite
+    return TypeSums(rows, types, count, terms.transpose(1, 0, 2)[keep],
+                    np.concatenate([[0], np.cumsum(term_count)]), by_type, type_starts, fallback)
+
+
+def removal_logits(model: Model, full: TypeSums, removed: np.ndarray, changed: np.ndarray,
+                   h_changed: np.ndarray) -> Tensor:
+    """Logits (len(removed), C) of the graphs G without v, v in ``removed``
+    (ascending), from the full graph's ``TypeSums`` and the changed final
+    rows ``recompute_removals`` gives for them.
+
+    Cell (b, a) is type a of G without ``removed[b]``. Its segment holds
+    a's expansion terms, the negated old rows of the removed node and of
+    its changed nodes of type a, and those nodes' new rows: the reduced
+    graph's exact sum, so its correctly rounded value is what
+    ``segment_reduce`` gives over the reduced graph's rows. A ``fallback``
+    type's segment is the reduced graph's own rows in position order.
+    """
+    n, n_types = len(full.rows), len(full.count)
+    b, v_type = np.arange(len(removed)), full.types[removed]
+    left = np.tile(full.count, (len(removed), 1))
+    left[b, v_type] -= 1
+    cells = np.flatnonzero(left)
+    cell_b, cell_a = np.divmod(cells, n_types)
+    # Segment rows as (cell, row) pairs, added or negated; rows index the
+    # full graph's rows, then the changed rows, then the terms.
+    j, r = _members(full.term_starts, cell_a)
+    added = [(cells[j], n + len(changed) + r)]
+    ok = (left[b, v_type] > 0) & ~full.fallback[v_type]
+    negated = [(b[ok] * n_types + v_type[ok], removed[ok])]
+    cv, ct = np.divmod(changed, n)
+    c_cell = np.searchsorted(removed, cv) * n_types + full.types[ct]
+    ok = ~full.fallback[full.types[ct]]
+    added.append((c_cell[ok], n + np.flatnonzero(ok)))
+    negated.append((c_cell[ok], ct[ok]))
+    back = full.fallback[cell_a]
+    j, r = _members(full.type_starts, cell_a[back])
+    pos, v = full.by_type[r], removed[cell_b[back][j]]
+    own = pos != v
+    added.append((cells[back][j][own], _table_rows(changed, (v * n + pos)[own], pos[own], n)))
+    cell, row = (np.concatenate(p) for p in zip(*added, *negated))
+    flip = np.arange(len(row)) >= sum(len(c) for c, _ in added)
+    order = np.argsort(cell, kind="stable")
+    row, flip = row[order], flip[order]
+    vals = np.empty((len(row), full.rows.shape[1]))
+    old = row < n
+    vals[old] = full.rows[row[old]]
+    vals[~old] = np.concatenate([h_changed, full.terms])[row[~old] - n]
+    vals[flip] = -vals[flip]
+    counts = np.bincount(cell, minlength=left.size)[cells]
+    sums = ad._segment_fsum(vals, np.cumsum(counts) - counts, counts)
+    return model.head(Tensor(sums / left.ravel()[cells][:, None]), cells, len(removed))
+
+
 def _removal_losses(model: Model, g: HeteroGraph, batch: GraphBatch,
                     layer_outputs: list[LayerOutput], label: int) -> list[float]:
     """loss(G without v) for every node position v, from the full forward's
@@ -164,22 +259,19 @@ def _removal_losses(model: Model, g: HeteroGraph, batch: GraphBatch,
     by_source = np.argsort(src, kind="stable")
     out_starts, in_starts = (np.concatenate([[0], np.cumsum(c)])
                              for c in (np.bincount(src, minlength=n), in_degree))
-    h_full = layer_outputs[-1].node_features.data
-    per_chunk = max(1, _CHUNK_BYTES // h_full[:n - 1].nbytes)
+    # reach[v] bounds the final rows removing v changes: the nodes at the
+    # end of walks of up to n_layers edges from v.
+    reach = np.zeros(n)
+    for _ in model.layers:
+        reach = np.minimum(np.bincount(src, weights=1.0 + reach[dst], minlength=n), n - 1)
+    cost = 1.0 + reach
+    chunk = (np.cumsum(cost) - cost) // _CHUNK_ROWS
+    full = _type_sums(model, layer_outputs[-1].node_features.data, g.node_types)
     losses: list[float] = []
-    for start in range(0, n, per_chunk):
-        removed = np.arange(start, min(start + per_chunk, n))
+    for removed in np.split(np.arange(n), np.flatnonzero(np.diff(chunk)) + 1):
         changed, h_changed = recompute_removals(model, batch, layer_outputs, removed,
                                                 by_source, out_starts, in_starts)
-        # Reduced graph b is every cached row but v = start + b, with the
-        # changed rows written over.
-        graph, pos = np.divmod(np.arange(len(removed) * n), n)
-        keep = pos != removed[graph]
-        graph, pos = graph[keep], pos[keep]
-        feats = h_full[pos]
-        cv, ct = np.divmod(changed, n)
-        feats[(cv - start) * (n - 1) + ct - (ct > cv)] = h_changed.data
-        logits = model.readout(Tensor(feats), g.node_types[pos], graph)
+        logits = removal_logits(model, full, removed, changed, h_changed.data)
         losses.extend(ad.cross_entropy(logits, np.full(len(removed), label)).data.tolist())
     return losses
 
@@ -190,7 +282,7 @@ def explain_graph(model: Model, g: HeteroGraph, label: int | None = None,
     from one full forward (see the module docstring)."""
     y = g.label if label is None else label
     if y is None:
-        raise AttributionError("graph has no label and none was given")
+        raise ConfigError("graph has no label and none was given")
     y = int(y)
     layer_outputs: list[LayerOutput] = []
     batch = model.batch([g])

@@ -27,7 +27,8 @@ from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 from .hetgraph import DEFAULT_TYPE_NAMES, GraphBatch, HeteroGraph, TypeSet, batch_graphs
 from .layers import HeatLayerParams, LayerOutput, layer_forward, layer_parameters
-from .pooling import PoolParams, graph_logits, mean_pool_logits, pl_pool, pool_parameters
+from .pooling import (PoolParams, classify, graph_logits, mean_pool_logits, pl_pool,
+                      pool_parameters, type_rows)
 from .seeding import rng_for
 
 
@@ -170,6 +171,15 @@ class Model:
         if self.config.pooling == "pl":
             return graph_logits(pl_pool(h, node_types, self.pool, graph), self.pool)
         return mean_pool_logits(h, self.pool, graph)
+
+    def head(self, means: Tensor, cells: np.ndarray, n_graphs: int) -> Tensor:
+        """The classification head of ``readout`` on pooled node means:
+        logits (B, C). Row k of ``means`` is the mean of cell ``cells[k]``,
+        cells ascending: graph * T + type under per-type pooling (absent
+        cells give zero rows), the graph itself under mean pooling."""
+        if self.config.pooling == "pl":
+            return graph_logits(type_rows(means, cells, n_graphs, self.pool), self.pool)
+        return classify(means, self.pool)
 
     def loss(self, graphs: Sequence[HeteroGraph], training: bool = False,
              rngs: Sequence[np.random.Generator] | None = None) -> Tensor:

@@ -90,26 +90,36 @@ def pl_pool(features: Tensor, type_idx: np.ndarray, params: PoolParams,
     n, d = features.shape
     if d != params.dim:
         raise ShapeError(f"features dim {d} does not match pool dim {params.dim}")
-    n_types = len(params.types)
-    n_graphs = int(graph.max()) + 1
     # Rows gathered in (graph, type) order make each present cell one run.
-    cell = graph * n_types + type_idx
+    cell = graph * len(params.types) + type_idx
     present, counts = np.unique(cell, return_counts=True)
-    pooled = ad.segment_reduce(ad.gather_rows(features, np.argsort(cell, kind="stable")),
-                               counts, "mean")
+    means = ad.segment_reduce(ad.gather_rows(features, np.argsort(cell, kind="stable")),
+                              counts, "mean")
+    return type_rows(means, present, int(graph.max()) + 1, params)
+
+
+def type_rows(means: Tensor, cells: np.ndarray, n_graphs: int, params: PoolParams) -> Tensor:
+    """``pl_pool``'s (B * T, d) rows from the node means of the present
+    cells: row k of ``means`` is cell ``cells[k]`` = graph * T + type, cells
+    ascending. Applies the readout maps; absent cells give zero rows."""
+    n_types = len(params.types)
     if params.readout is not None:
-        pooled = ad.typed_matmul(pooled, params.readout, present % n_types)
+        means = ad.typed_matmul(means, params.readout, cells % n_types)
     # Absent cells read the zero row appended after the present ones.
-    rows = np.full(n_graphs * n_types, len(present), dtype=np.intp)
-    rows[present] = np.arange(len(present))
-    return ad.gather_rows(ad.concat([pooled, Tensor(np.zeros((1, d)))], axis=0), rows)
+    rows = np.full(n_graphs * n_types, len(cells), dtype=np.intp)
+    rows[cells] = np.arange(len(cells))
+    return ad.gather_rows(ad.concat([means, Tensor(np.zeros((1, params.dim)))], axis=0), rows)
+
+
+def classify(x: Tensor, params: PoolParams) -> Tensor:
+    """The linear head on graph vectors (B, d): logits (B, C)."""
+    return ad.linear(x, params.classifier_w, params.classifier_b)
 
 
 def _logits(rows: Tensor, counts: np.ndarray, mode: str, params: PoolParams) -> Tensor:
     """Reduce each run of ``counts[b]`` rows to one vector (mean or sum) and
     apply the linear head: logits (len(counts), C)."""
-    return ad.linear(ad.segment_reduce(rows, counts, mode),
-                     params.classifier_w, params.classifier_b)
+    return classify(ad.segment_reduce(rows, counts, mode), params)
 
 
 def graph_logits(pooled: Tensor, params: PoolParams) -> Tensor:

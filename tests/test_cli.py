@@ -2,11 +2,12 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from heatnet.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from heatnet.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from heatnet.hetgraph import TypeSet, load_graph, save_graph, validate
 from heatnet.model import Model, ModelConfig
 from heatnet.testing import random_labeled_graph
@@ -285,8 +286,9 @@ def _one_input_error_line(capsys):
     return err[0]
 
 
-def _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_graph=None, corrupt_ckpt=None,
-                                   argv=()):
+def _run_explain(tmp_path, corrupt_graph=None, corrupt_ckpt=None, argv=()):
+    """``heatnet explain`` on a 4-node graph with a fresh checkpoint, after
+    the given edits to their JSON documents; returns the exit code."""
     types = TypeSet(("a", "b"))
     g = random_labeled_graph(np.random.default_rng(0), types, n_nodes=4, feature_dim=3)
     save_graph(g, tmp_path / "g.json")
@@ -299,9 +301,13 @@ def _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_graph=None, corrupt
     if corrupt_ckpt is not None:
         doc = corrupt_ckpt(doc) or doc
     (tmp_path / "ckpt.json").write_text(json.dumps(doc))
-    rc = main(["explain", "--graph", str(tmp_path / "g.json"), *argv,
-               "--checkpoint", str(tmp_path / "ckpt.json"), "--out", str(tmp_path / "x")])
-    assert rc == EXIT_INPUT
+    return main(["explain", "--graph", str(tmp_path / "g.json"), *argv,
+                 "--checkpoint", str(tmp_path / "ckpt.json"), "--out", str(tmp_path / "x")])
+
+
+def _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_graph=None, corrupt_ckpt=None,
+                                   argv=()):
+    assert _run_explain(tmp_path, corrupt_graph, corrupt_ckpt, argv) == EXIT_INPUT
     return _one_input_error_line(capsys)
 
 
@@ -488,6 +494,27 @@ class TestLabelOutsideClasses:
                    "--set", "model.hidden_dim=4"])
         assert rc == EXIT_INPUT
         assert "out of range for 2 classes" in _one_input_error_line(capsys)
+
+
+class TestExplainFailures:
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc["nodes"]["feat"][1].__setitem__(0, -1e308),
+        lambda doc: [a.__setitem__(0, (-1) ** i * 1e308)
+                     for i, a in enumerate(doc["edges"]["attr"])],
+    ], ids=["feat", "attrs"])
+    def test_overflow_exits_3_with_one_line_and_no_warning(self, tmp_path, capsys, corrupt):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = _run_explain(tmp_path, corrupt_graph=corrupt)
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("heatnet: error: numeric:"), err
+        assert err[0].endswith("produced non-finite values")
+
+    def test_missing_label_is_an_input_error(self, tmp_path, capsys):
+        line = _explain_exits_2_with_one_line(tmp_path, capsys,
+                                              corrupt_graph=lambda doc: doc.update(label=None))
+        assert line == "heatnet: error: input: graph has no label and none was given"
 
 
 class TestConfigValueTypes:

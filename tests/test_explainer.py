@@ -1,7 +1,10 @@
 """Leave-one-node-out attribution and heatmap export."""
 
 import csv
+import dataclasses
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import from_lists
-from heatnet import explain, hetgraph, model as model_module
+from heatnet import autodiff as ad, explain, hetgraph, model as model_module
+from heatnet.builder import BuildConfig, PatchRecord, build_graph
 from heatnet.errors import AttributionError, ContractError, ExportError
 from heatnet.hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet
 from heatnet.explain import (
@@ -202,6 +206,25 @@ class TestBitEqualToLeaveOneOut:
         for nid in g.node_ids:
             assert deltas[nid] == causal_contribution(model, g, g.label, nid), nid
 
+    @pytest.mark.parametrize("name", EXPLAIN_CONFIGS)
+    @settings(max_examples=10, deadline=None)
+    @given(g=explain_graphs(), seed=st.integers(0, 1000))
+    def test_every_delta_through_the_fallback(self, name, g, seed):
+        # With every type's expansion reported as overflowing, each pooled
+        # cell sums the reduced graph's own rows.
+        expansion = ad._segment_expansion
+
+        def overflowing(xs, starts, counts):
+            terms, finite = expansion(xs, starts, counts)
+            return terms, np.zeros_like(finite)
+
+        model = self.model(name, seed)
+        with mock.patch.object(ad, "_segment_expansion", overflowing):
+            attr = explain_graph(model, g)
+        deltas = {e.node_id: e.delta for e in attr.entries}
+        for nid in g.node_ids:
+            assert deltas[nid] == causal_contribution(model, g, g.label, nid), nid
+
     @settings(max_examples=40, deadline=None)
     @given(g=explain_graphs(self_loops=False), seed=st.integers(0, 1000))
     def test_stranding_removal_fails_like_leave_one_out(self, g, seed):
@@ -240,6 +263,30 @@ def test_one_forward_and_no_graph_copies(monkeypatch):
     attr = explain_graph(model, g)
     assert calls == {"forward": 1, "remove_node": 0}
     assert attr.n_forward_evals == 65
+
+
+def test_explain_work_grows_linearly_with_the_graph(monkeypatch):
+    # Rows summed by the segment kernel over one explain_graph on kNN patch
+    # graphs (k = 4, 8-d features, six types): O(n * region), not O(n^2).
+    rows = []
+    fsum = ad._segment_fsum
+
+    def counting(xs, starts, counts):
+        rows[-1] += len(xs)
+        return fsum(xs, starts, counts)
+
+    monkeypatch.setattr(ad, "_segment_fsum", counting)
+    model = Model.init(ModelConfig(feature_dim=8), 1000)
+    for n in (256, 1024):
+        rng = np.random.default_rng([0, n])
+        width = math.isqrt(n - 1) + 1
+        patches = [PatchRecord(str(i), i % width, i // width, rng.standard_normal(8),
+                               type_label=DEFAULT_TYPES.names[int(rng.integers(6))])
+                   for i in range(n)]
+        g = dataclasses.replace(build_graph(patches, BuildConfig(k=4)), label=1)
+        rows.append(0)
+        explain_graph(model, g)
+    assert rows[1] <= 6 * rows[0], rows
 
 
 def test_one_batch_per_explain_graph(monkeypatch):
