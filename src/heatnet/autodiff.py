@@ -11,14 +11,14 @@ raises NonFiniteError, without a numpy warning before it.
 ``typed_matmul``'s VJP spreads row r's gradient into column block
 ``type_idx[r]`` of an (n, T * d_out) array, so both gradients are one BLAS
 product each, with no sort or loop over types. ``edge_attention`` gathers
-key, query and value rows per edge, scores, normalizes and aggregates
-them in one op whose forward performs the float operations of the
-composition of gathers, products, a per-segment softmax and
-``segment_reduce`` in the same order, so its outputs and weights are
-bit-equal to that composition's. Its tape entry keeps only the (E, heads)
-weights and the index arrays; the VJP gathers the rows again from the
-parents (a recompute, as in FlashAttention's backward) and scatters their
-gradients with ``np.add.at``.
+key (also the value) and query rows per edge, scores, normalizes and
+aggregates them in one op whose forward performs the float operations of
+the composition of gathers, products, a per-segment softmax and an exactly
+rounded segment mean or sum in the same order, so its outputs and weights
+are bit-equal to that composition's. Its tape entry keeps only the
+(E, heads) weights and the index arrays; the VJP gathers the rows again
+from the table (a recompute, as in FlashAttention's backward) and scatters
+their gradients with one ``np.add.at``.
 
 The segment ops take runs of consecutive rows, the CSR layout in which
 ``hetgraph.batch_graphs`` sorts edges by target: segment s is the
@@ -514,44 +514,38 @@ def _softmax_runs_vjp(g: Array, w: Array, starts: Array, counts: Array) -> Array
 
 
 @_op
-def segment_reduce(x: Tensor, counts, mode: str = "mean") -> Tensor:
-    """Aggregate each segment to one output row: the ``mode`` (mean or sum)
-    of its rows, exactly rounded."""
+def segment_reduce(x: Tensor, counts) -> Tensor:
+    """Aggregate each segment to one output row: the mean of its rows,
+    exactly rounded."""
     if x.data.ndim != 2:
         raise ShapeError(f"segment_reduce expects a 2-D tensor, got {x.data.shape}")
-    if mode not in ("mean", "sum"):
-        raise ConfigError(f"unknown segment_reduce mode {mode!r}")
     starts, counts = _runs(counts, x.data.shape[0], "segment_reduce")
-    out = _segment_fsum(x.data, starts, counts)
-    if mode == "mean":
-        out /= counts[:, None]
+    out = _segment_fsum(x.data, starts, counts) / counts[:, None]
 
     def vjp(g):
-        return (np.repeat(g / counts[:, None] if mode == "mean" else g, counts, axis=0),)
+        return (np.repeat(g / counts[:, None], counts, axis=0),)
 
     return _make(out, (x,), vjp, "segment_reduce")
 
 
 @_op
-def edge_attention(table: Tensor, values: Tensor | None, modulation: Tensor, src, dst,
-                   counts, heads: int, mode: str = "mean") -> tuple[Tensor, Array]:
+def edge_attention(table: Tensor, modulation: Tensor, src, dst, counts, heads: int,
+                   mode: str = "mean") -> tuple[Tensor, Array]:
     """Edge-modulated attention over runs of edge rows, as one tape op.
 
-    ``table`` is (m, heads * d_k). Edge row r takes its key from table row
-    ``src[r]``, its query from row ``dst[r]``, its value from row ``src[r]`` of
-    ``values`` (of ``table`` if None) and its modulation from row r of the
-    (E, d_k) ``modulation``. Per head, the score is
+    ``table`` is (m, heads * d_k). Edge row r takes its key and value from
+    table row ``src[r]``, its query from row ``dst[r]`` and its modulation
+    from row r of the (E, d_k) ``modulation``. Per head, the score is
     sum_j key_j * mod_j * query_j / sqrt(d_k), softmax-normalized per column
-    over each segment; a segment's output row is the
-    ``mode`` aggregate (as in ``segment_reduce``) of its rows' weighted
-    values. Returns the (len(counts), heads * d_k) output and the (E, heads)
-    weights.
+    over each segment; a segment's output row is the ``mode`` aggregate
+    (mean or sum, exactly rounded) of its rows' weighted values. Returns
+    the (len(counts), heads * d_k) output and the (E, heads) weights.
 
     The forward is the same float operations, in the same order, as that
     composition of gathers, products and segment ops. The tape keeps only
-    the weights and the index arrays: the VJP gathers keys, queries and
-    values again from the parents and scatters their gradients back with
-    one ``np.add.at`` per table.
+    the weights and the index arrays: the VJP gathers keys and queries
+    again from the table and scatters their gradients back with one
+    ``np.add.at``.
     """
     table, modulation = _lift(table), _lift(modulation)
     src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
@@ -562,8 +556,6 @@ def edge_attention(table: Tensor, values: Tensor | None, modulation: Tensor, src
         raise ShapeError(f"edge_attention: table {table.data.shape} with {heads} heads, "
                          f"modulation {modulation.data.shape}, {n_edges} sources, "
                          f"{dst.shape[0]} targets")
-    if values is not None and values.data.shape != table.data.shape:
-        raise ShapeError(f"edge_attention: values {values.data.shape}, table {table.data.shape}")
     if n_edges and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= m):
         raise ShapeError(f"edge_attention index out of range for {m} rows")
     if mode not in ("mean", "sum"):
@@ -573,40 +565,33 @@ def edge_attention(table: Tensor, values: Tensor | None, modulation: Tensor, src
     mod = modulation.data.reshape(-1, 1, d_k)
 
     def gathered():
-        keys = table.data[src].reshape(-1, heads, d_k)
-        vals = keys if values is None else values.data[src].reshape(-1, heads, d_k)
-        return keys, table.data[dst].reshape(-1, heads, d_k), vals
+        return (table.data[src].reshape(-1, heads, d_k),
+                table.data[dst].reshape(-1, heads, d_k))
 
-    keys, queries, vals = gathered()
+    keys, queries = gathered()
     w = _softmax_runs(((keys * mod) * queries).sum(axis=2) * s, starts, counts)
-    out = _segment_fsum((vals * w[:, :, None]).reshape(-1, width), starts, counts)
+    out = _segment_fsum((keys * w[:, :, None]).reshape(-1, width), starts, counts)
     if mode == "mean":
         out /= counts[:, None]
 
     def vjp(g):
-        keys, queries, vals = gathered()
+        keys, queries = gathered()
         g_vals = np.repeat(g / counts[:, None] if mode == "mean" else g, counts,
                            axis=0).reshape(-1, heads, d_k)
-        g_scores = _softmax_runs_vjp((g_vals * vals).sum(axis=2), w, starts, counts) * s
+        g_scores = _softmax_runs_vjp((g_vals * keys).sum(axis=2), w, starts, counts) * s
         g_vals *= w[:, :, None]
         g_keymod = g_scores[:, :, None] * queries
         g_queries = g_scores[:, :, None] * (keys * mod)
         g_mod = (g_keymod * keys).sum(axis=1) if modulation.on_tape() else None
-        g_keys = g_keymod * mod
-        if values is None:
-            g_keys += g_vals
-        d_table = d_values = None
+        g_keys = g_keymod * mod + g_vals
+        d_table = None
         if table.on_tape():
             d_table = np.zeros_like(table.data)
             np.add.at(d_table, np.concatenate([src, dst]),
                       np.concatenate([g_keys, g_queries]).reshape(-1, width))
-        if values is not None and values.on_tape():
-            d_values = np.zeros_like(values.data)
-            np.add.at(d_values, src, g_vals.reshape(-1, width))
-        return (d_table, g_mod, d_values)
+        return (d_table, g_mod)
 
-    parents = (table, modulation) if values is None else (table, modulation, values)
-    return _make(out, parents, vjp, "edge_attention"), w
+    return _make(out, (table, modulation), vjp, "edge_attention"), w
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, PatchTableError, ShapeError
-from .hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet, _integral, validate
+from .hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet, _integral, _non_number, validate
 
 
 @dataclass(frozen=True)
@@ -431,7 +431,11 @@ def _record_from_json(obj: dict, line: int) -> PatchRecord:
         rid = str(obj["id"])
         x = _integral(obj["x"])
         y = _integral(obj["y"])
-        feat = [float(v) for v in obj["feat"]]
+        feat = obj["feat"]
+        bad = _non_number(feat) if isinstance(feat, list) else json.dumps(feat)
+        if bad is not None:
+            raise ValueError(f"feat must be a list of numbers, found {bad}")
+        feat = [float(v) for v in feat]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PatchTableError(line, f"bad patch record: {exc}") from exc
     counts = obj.get("type_counts")

@@ -136,10 +136,9 @@ def recompute_removals(model: Model, batch: GraphBatch, layer_outputs: list[Laye
         seg, e = _members(in_starts, tt)
         keep = src[e] != tv[seg]
         seg, e = seg[keep], e[keep]
-        new_proj, new_value = project_nodes(layer, h_changed, batch.node_types[changed % n])
-        node_proj = ad.concat([cached.node_proj, new_proj])
-        value_proj = None if new_value is None else ad.concat([cached.value_proj, new_value])
-        h, _ = attend(layer, node_proj, value_proj, ad.gather_rows(cached.edge_attrs, e),
+        node_proj = ad.concat([cached.node_proj,
+                               project_nodes(layer, h_changed, batch.node_types[changed % n])])
+        h, _ = attend(layer, node_proj, ad.gather_rows(cached.edge_attrs, e),
                       _table_rows(changed, tv[seg] * n + src[e], src[e], n),
                       _table_rows(changed, targets, tt, n)[seg],
                       np.bincount(seg, minlength=len(targets)))

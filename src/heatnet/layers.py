@@ -1,10 +1,10 @@
 """Edge-attribute graph attention with per-node-type projections.
 
 For an edge (s, t) and head i, the source node is projected with its own
-type's matrix into key and value vectors, the target with its type's
-matrix into a query, and the edge attribute through a shared linear map
-into a modulation vector e'. The attention score is the edge-modulated
-inner product sum_j key_j * e'_j * query_j / sqrt(d_k); scores are
+type's matrix into a key vector, which is also the value, the target with
+its type's matrix into a query, and the edge attribute through a shared
+linear map into a modulation vector e'. The attention score is the
+edge-modulated inner product sum_j key_j * e'_j * query_j / sqrt(d_k); scores are
 normalized per head across each target's incoming edges; the per-edge
 output concatenates the attention-scaled value vectors over heads, and
 edges are aggregated per target (mean by default). The projected edge
@@ -15,9 +15,9 @@ graph, or several stacked as a disjoint union) at once: one
 rows (``project_nodes``), and ``attend`` scores, normalizes and
 aggregates edge rows given as index arrays into that table as one tape op
 (``autodiff.edge_attention``), so no op loops over types, heads or edges.
-A layer records at most four tape ops: the projection (two when values
-are decoupled), the edge map ``autodiff.linear`` and the attention op. A
-target's incoming edges are one run of the batch's rows. The leave-one-out attribution calls
+A layer records at most three tape ops: the projection, the edge map
+``autodiff.linear`` and the attention op. A target's incoming edges are
+one run of the batch's rows. The leave-one-out attribution calls
 ``attend`` directly on the edges around each removed node.
 """
 
@@ -43,10 +43,8 @@ class HeatLayerParams:
     node types use one projection (the type-blind baseline); T is then 1.
     ``w_edge`` has shape (d_k, d_e) and is shared across heads; None means
     the edge modulation is identically all-ones (score degrades to plain
-    scaled dot product). ``w_value``, shaped like ``w_node``, optionally
-    decouples the value projection from the key projection (an ablation;
-    by default key and value share one matrix, as the update rule is
-    written).
+    scaled dot product). Key, query and value share ``w_node``, as the
+    update rule is written.
     """
 
     types: TypeSet
@@ -56,7 +54,6 @@ class HeatLayerParams:
     d_edge: int
     w_node: Tensor
     w_edge: Tensor | None
-    w_value: Tensor | None = None
     aggregation: str = "mean"
     shared_projection: bool = False
 
@@ -66,9 +63,8 @@ class HeatLayerParams:
         if self.aggregation not in ("mean", "sum"):
             raise ConfigError(f"unknown aggregation {self.aggregation!r}")
         shape = (1 if self.shared_projection else len(self.types), self.d_out, self.d_in)
-        for w in (self.w_node, self.w_value):
-            if w is not None and w.shape != shape:
-                raise ShapeError(f"node projection has shape {w.shape}, expected {shape}")
+        if self.w_node.shape != shape:
+            raise ShapeError(f"node projection has shape {self.w_node.shape}, expected {shape}")
 
     @property
     def d_k(self) -> int:
@@ -77,8 +73,7 @@ class HeatLayerParams:
     @classmethod
     def init(cls, types: TypeSet, d_in: int, d_out: int, heads: int, d_edge: int,
              rng: np.random.Generator, *, aggregation: str = "mean",
-             edge_identity: bool = False, shared_projection: bool = False,
-             decouple_key_value: bool = False) -> "HeatLayerParams":
+             edge_identity: bool = False, shared_projection: bool = False) -> "HeatLayerParams":
         """Glorot-normal initialization in a fixed order: type, head, row."""
         if d_out % heads != 0:
             raise ConfigError(f"d_out={d_out} not divisible by heads={heads}")
@@ -89,12 +84,10 @@ class HeatLayerParams:
             std = math.sqrt(2.0 / (rows + cols))
             return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
 
-        stacked = (n_types, d_out, d_in)
-        w_node = glorot(d_k, d_in, stacked)
-        w_value = glorot(d_k, d_in, stacked) if decouple_key_value else None
+        w_node = glorot(d_k, d_in, (n_types, d_out, d_in))
         w_edge = None if edge_identity else glorot(d_k, d_edge, (d_k, d_edge))
         return cls(types=types, heads=heads, d_in=d_in, d_out=d_out, d_edge=d_edge,
-                   w_node=w_node, w_edge=w_edge, w_value=w_value,
+                   w_node=w_node, w_edge=w_edge,
                    aggregation=aggregation, shared_projection=shared_projection)
 
 
@@ -102,8 +95,7 @@ class HeatLayerParams:
 class LayerOutput:
     node_features: Tensor          # (n, d_out)
     edge_attrs: Tensor             # (E, d_k) edge projections, input attrs for the next layer
-    node_proj: Tensor              # (n, heads * d_k) key and query projections
-    value_proj: Tensor | None      # (n, heads * d_k) value projections, if decoupled
+    node_proj: Tensor              # (n, heads * d_k) key, query and value projections
     attention: np.ndarray | None   # (E, heads) normalized weights, if requested
 
 
@@ -114,22 +106,18 @@ def check_incoming(node_ids, in_degree: np.ndarray) -> None:
                             "edges; self-loops are required")
 
 
-def project_nodes(params: HeatLayerParams, feats: Tensor,
-                  node_types: np.ndarray) -> tuple[Tensor, Tensor | None]:
+def project_nodes(params: HeatLayerParams, feats: Tensor, node_types: np.ndarray) -> Tensor:
     """Row v is W[type(v)] @ feats[v], (m, heads * d_k) with head i in
-    columns i * d_k up to (i + 1) * d_k; the second projection is the
-    decoupled value one, or None."""
+    columns i * d_k up to (i + 1) * d_k."""
     type_idx = np.zeros(feats.shape[0], dtype=np.intp) if params.shared_projection else node_types
-    return (ad.typed_matmul(feats, params.w_node, type_idx),
-            None if params.w_value is None else ad.typed_matmul(feats, params.w_value, type_idx))
+    return ad.typed_matmul(feats, params.w_node, type_idx)
 
 
-def attend(params: HeatLayerParams, node_proj: Tensor, value_proj: Tensor | None,
-           eproj: Tensor, src: np.ndarray, dst: np.ndarray,
-           counts: np.ndarray) -> tuple[Tensor, np.ndarray]:
+def attend(params: HeatLayerParams, node_proj: Tensor, eproj: Tensor, src: np.ndarray,
+           dst: np.ndarray, counts: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Score, normalize and aggregate edge rows into one output row per segment.
 
-    Edge row r takes its key (and value) from projection row ``src[r]``, its
+    Edge row r takes its key and value from projection row ``src[r]``, its
     query from row ``dst[r]`` and its modulation from ``eproj`` row r;
     segment s is the ``counts[s]`` rows after segment s - 1's. Returns the
     (len(counts), d_out) outputs and the (rows, heads) attention weights,
@@ -137,8 +125,8 @@ def attend(params: HeatLayerParams, node_proj: Tensor, value_proj: Tensor | None
     own inputs and every segment sum is exactly rounded, so an output row
     depends only on the set of its segment's edge rows.
     """
-    return ad.edge_attention(node_proj, value_proj, eproj, src, dst, counts,
-                             params.heads, params.aggregation)
+    return ad.edge_attention(node_proj, eproj, src, dst, counts, params.heads,
+                             params.aggregation)
 
 
 def layer_forward(batch: GraphBatch, params: HeatLayerParams,
@@ -167,17 +155,16 @@ def layer_forward(batch: GraphBatch, params: HeatLayerParams,
         raise ConfigError("graph type set does not match layer parameters")
 
     check_incoming(batch.node_ids, batch.in_degree)
-    node_proj, value_proj = project_nodes(params, feats, batch.node_types)
+    node_proj = project_nodes(params, feats, batch.node_types)
     if params.w_edge is None:
         eproj = Tensor(np.ones((batch.n_edges, params.d_k)))
     else:
         eproj = ad.linear(attrs, params.w_edge)
-    h_out, att = attend(params, node_proj, value_proj, eproj, *batch.edge_pos, batch.in_degree)
+    h_out, att = attend(params, node_proj, eproj, *batch.edge_pos, batch.in_degree)
     return LayerOutput(
         node_features=h_out,
         edge_attrs=eproj,
         node_proj=node_proj,
-        value_proj=value_proj,
         attention=att.copy() if return_attention else None,
     )
 
@@ -185,8 +172,6 @@ def layer_forward(batch: GraphBatch, params: HeatLayerParams,
 def layer_parameters(params: HeatLayerParams, prefix: str) -> dict[str, Tensor]:
     """Flat name -> tensor registry for one layer, in a stable order."""
     out = {f"{prefix}.node": params.w_node}
-    if params.w_value is not None:
-        out[f"{prefix}.value"] = params.w_value
     if params.w_edge is not None:
         out[f"{prefix}.edge"] = params.w_edge
     return out

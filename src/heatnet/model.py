@@ -42,13 +42,9 @@ class ModelConfig:
     n_classes: int = 2
     edge_attr_dim: int = 1
     dropout: float = 0.2
-    leaky_slope: float = 0.01
     aggregation: str = "mean"
     pooling: str = "pl"             # "pl" | "mean"
     type_blind: bool = False
-    decouple_key_value: bool = False
-    trainable_readout: bool = True
-    final_readout: str = "mean"
 
     def __post_init__(self):
         for name, low in (("hidden_dim", 1), ("heads", 1), ("n_classes", 2), ("edge_attr_dim", 1)):
@@ -100,11 +96,9 @@ class Model:
                 aggregation=config.aggregation,
                 edge_identity=config.type_blind,
                 shared_projection=config.type_blind,
-                decouple_key_value=config.decouple_key_value,
             ))
         pool = PoolParams.init(types, config.hidden_dim, config.n_classes, rng,
-                               trainable_readout=config.trainable_readout and config.pooling == "pl",
-                               final=config.final_readout)
+                               readout_maps=config.pooling == "pl")
         return cls(config, layers, pool)
 
     def parameters(self) -> dict[str, Tensor]:
@@ -161,7 +155,7 @@ class Model:
                  blocks: Sequence[int] | None = None) -> Tensor:
         """The leaky ReLU and dropout between two attention layers; in
         training, ``rngs[i]`` draws the mask of row block ``blocks[i]``."""
-        h = ad.leaky_relu(h, self.config.leaky_slope)
+        h = ad.leaky_relu(h)
         return ad.dropout(h, self.config.dropout, rngs, training, blocks)
 
     def readout(self, h: Tensor, node_types: np.ndarray, graph: np.ndarray) -> Tensor:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 import types
 import typing
 
@@ -35,6 +36,9 @@ def _convert(value, tp, path: str):
     accepted = {bool: bool, int: int, float: (int, float), str: str}[tp]
     if not isinstance(value, accepted) or (tp is not bool and isinstance(value, bool)):
         raise ConfigError(f"{path} must be {tp.__name__}, got {value!r}")
+    # json reads NaN and Infinity; no float setting takes them.
+    if tp is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
     return value
 
 

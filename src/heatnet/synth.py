@@ -63,6 +63,11 @@ class SyntheticSpec:
             raise ConfigError(f"unknown planted rule {self.rule!r}")
         for name in self.type_probs:
             DEFAULT_TYPES.index(name)
+        if self.count_type not in DEFAULT_TYPES:
+            raise ConfigError(f"unknown count_type {self.count_type!r}; "
+                              f"known: {list(DEFAULT_TYPE_NAMES)}")
+        if any(not p >= 0.0 for p in self.type_probs.values()):
+            raise ConfigError(f"type probabilities must be nonnegative, got {self.type_probs}")
         total = sum(self.type_probs.values())
         if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
             raise ConfigError(f"type probabilities must sum to 1, got {total}")
@@ -70,6 +75,9 @@ class SyntheticSpec:
             raise ConfigError("label_noise must be in [0, 1]")
         if self.count_min < 1:
             raise ConfigError("count_min must be >= 1")
+        for name in ("base_scale", "noise_sigma"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .model import Model, ModelConfig
 from .schema import build_dataclass
 from .seeding import rng_for
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999

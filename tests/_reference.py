@@ -7,8 +7,9 @@ replaced (per-edge id lookups, list-of-segments segment ops, the per-edge
 validation loops, the dense k-NN and the per-edge Pearson loop of graph
 construction, and the unfused attention composition ``ref_attend``) are
 kept here as oracles for the fast ones. The tape ops only those oracles
-and the tests use (``add``, ``reshape``, ``reduce_sum`` along an axis and
-``segment_softmax``) are built here on ``autodiff._make``, and
+and the tests use (``add``, ``reshape``, ``reduce_sum`` along an axis,
+``segment_softmax`` and ``segment_sum``) are built here on
+``autodiff._make``, and
 ``pearson_pair`` applies the package's Pearson kernel to one pair of
 vectors. ``from_lists``
 builds the small hand-written graphs of the tests from per-node and
@@ -136,9 +137,8 @@ def ref_pl_pool(feats, type_idx, n_types, readout=None):
     return out
 
 
-def ref_graph_logits(pooled, classifier_w, classifier_b, final="mean"):
-    z = pooled.mean(axis=0) if final == "mean" else pooled.sum(axis=0)
-    return classifier_w @ z + classifier_b
+def ref_graph_logits(pooled, classifier_w, classifier_b):
+    return classifier_w @ pooled.mean(axis=0) + classifier_b
 
 
 def ref_mean_pool_logits(feats, classifier_w, classifier_b):
@@ -166,15 +166,14 @@ def ref_model_forward(g, model):
                                          aggregation=layer.aggregation,
                                          type_names=type_names)
         if li < len(model.layers) - 1:
-            feats = leaky(feats, cfg.leaky_slope)
+            feats = leaky(feats)
     pool = model.pool
     if cfg.pooling == "pl":
         readout = None
         if pool.readout is not None:
             readout = list(pool.readout.data)
         pooled = ref_pl_pool(feats, g.node_types, len(g.types), readout)
-        return ref_graph_logits(pooled, pool.classifier_w.data, pool.classifier_b.data,
-                                final=pool.final)
+        return ref_graph_logits(pooled, pool.classifier_w.data, pool.classifier_b.data)
     return ref_mean_pool_logits(feats, pool.classifier_w.data, pool.classifier_b.data)
 
 
@@ -221,13 +220,27 @@ def segment_softmax(x, counts):
     return ad._make(w, (x,), vjp, "segment_softmax")
 
 
-def ref_attend(params, node_proj, value_proj, eproj, src, dst, counts):
+def segment_sum(x, counts):
+    """Exactly rounded column sums of each run of ``counts[s]`` rows of a
+    2-D tensor, as a tape op, from the kernel ``ad.segment_reduce`` means with."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"segment_sum expects a 2-D tensor, got {x.data.shape}")
+    starts, counts = ad._runs(counts, x.data.shape[0], "segment_sum")
+
+    def vjp(g):
+        return (np.repeat(g, counts, axis=0),)
+
+    return ad._make(ad._segment_fsum(x.data, starts, counts), (x,), vjp, "segment_sum")
+
+
+def ref_attend(params, node_proj, eproj, src, dst, counts):
     """``layers.attend`` as a composition of a dozen tape ops.
 
-    Gathers keys, queries and values into (E, heads, d_k) blocks, multiplies
-    in the modulation, sums, scales, runs ``segment_softmax`` and aggregates
-    the weighted values with ``segment_reduce``, where the package records
-    one op. Returns the output tensor and the weight tensor.
+    Gathers keys (also the values) and queries into (E, heads, d_k) blocks,
+    multiplies in the modulation, sums, scales, runs ``segment_softmax`` and
+    aggregates the weighted values with ``segment_reduce`` (mean) or
+    ``segment_sum``, where the package records one op. Returns the output
+    tensor and the weight tensor.
     """
     heads, d_k = params.heads, params.d_k
 
@@ -237,14 +250,12 @@ def ref_attend(params, node_proj, value_proj, eproj, src, dst, counts):
     node_proj = blocks(node_proj)
     keys = ad.gather_rows(node_proj, src)
     queries = ad.gather_rows(node_proj, dst)
-    values = keys if value_proj is None else ad.gather_rows(blocks(value_proj), src)
     modulated = ad.mul(ad.mul(keys, reshape(eproj, (-1, 1, d_k))), queries)
     scores = ad.scale(reduce_sum(modulated, axis=2), 1.0 / math.sqrt(d_k))
     att = segment_softmax(scores, counts)
-    weighted = ad.mul(values, reshape(att, (-1, heads, 1)))
-    out = ad.segment_reduce(reshape(weighted, (-1, params.d_out)), counts,
-                            params.aggregation)
-    return out, att
+    weighted = reshape(ad.mul(keys, reshape(att, (-1, heads, 1))), (-1, params.d_out))
+    reduce = ad.segment_reduce if params.aggregation == "mean" else segment_sum
+    return reduce(weighted, counts), att
 
 
 def ref_plain_attention(feats, w, edges, aggregation="sum"):

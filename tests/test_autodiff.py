@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import add, reshape, segment_softmax
+from _reference import add, reshape, segment_softmax, segment_sum
 from heatnet import autodiff as ad
 from heatnet.autodiff import Tensor
 from heatnet.errors import ConfigError, ContractError, NonFiniteError, ShapeError
@@ -214,15 +214,15 @@ class TestOps:
 
     def test_one_segment_mean_matches_numpy(self):
         x = np.random.default_rng(1).standard_normal((5, 3))
-        out = ad.segment_reduce(Tensor(x), [5], "mean").data
+        out = ad.segment_reduce(Tensor(x), [5]).data
         np.testing.assert_allclose(out, x.mean(axis=0, keepdims=True), atol=1e-15)
 
     def test_one_segment_mean_order_independent_bitwise(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((7, 4))
         perm = rng.permutation(7)
-        a = ad.segment_reduce(Tensor(x), [7], "mean").data
-        b = ad.segment_reduce(Tensor(x[perm]), [7], "mean").data
+        a = ad.segment_reduce(Tensor(x), [7]).data
+        b = ad.segment_reduce(Tensor(x[perm]), [7]).data
         assert (a == b).all()
 
     def test_leaky_relu(self):
@@ -370,9 +370,9 @@ class TestSegmentOps:
 
     def test_segment_reduce_mean_and_sum(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [10.0, 20.0]]))
-        np.testing.assert_allclose(ad.segment_reduce(x, [2, 1], "mean").data,
+        np.testing.assert_allclose(ad.segment_reduce(x, [2, 1]).data,
                                    [[2.0, 3.0], [10.0, 20.0]])
-        np.testing.assert_allclose(ad.segment_reduce(x, [2, 1], "sum").data,
+        np.testing.assert_allclose(segment_sum(x, [2, 1]).data,
                                    [[4.0, 6.0], [10.0, 20.0]])
 
     def test_counts_must_sum_to_row_count(self):
@@ -407,8 +407,8 @@ class TestExactSums:
         fsum = math.fsum
         monkeypatch.setattr(math, "fsum", lambda values: calls.append(1) or fsum(values))
         w = segment_softmax(x, counts)
-        mean = ad.segment_reduce(ad.mul(w, x), counts, "mean")
-        total = ad.segment_reduce(x, counts, "sum")
+        mean = ad.segment_reduce(ad.mul(w, x), counts)
+        total = segment_sum(x, counts)
         pooled = ad.segment_reduce(add(mean, total), [g.n_nodes])
         ad.backward(ad.linear(pooled, head))
         assert x.grad is not None
@@ -424,15 +424,15 @@ class TestExactSums:
     ], ids=["tie-broken-by-remainder", "remainders-cross-midpoint"])
     def test_uncertified_cell_is_summed_by_fsum(self, values, expected):
         x = Tensor(np.array(values)[:, None])
-        out = ad.segment_reduce(x, [len(values)], "sum").data
+        out = segment_sum(x, [len(values)]).data
         assert out[0, 0] == expected == math.fsum(values)
 
     def test_overflow_matches_fsum_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError):
-                ad.segment_reduce(Tensor([[1e308], [1e308]]), [2], "sum")
-            out = ad.segment_reduce(Tensor(np.full((12, 1), 1e307)), [12], "sum")
+                segment_sum(Tensor([[1e308], [1e308]]), [2])
+            out = segment_sum(Tensor(np.full((12, 1), 1e307)), [12])
         assert out.data[0, 0] == 1.2e308
 
 
@@ -474,7 +474,7 @@ class TestGradCheck:
         def f():
             h = ad.leaky_relu(ad.linear(a, b, c), 0.01)
             w = segment_softmax(h, counts)
-            pooled = ad.segment_reduce(ad.mul(h, w), counts, "mean")
+            pooled = ad.segment_reduce(ad.mul(h, w), counts)
             z = ad.segment_reduce(pooled, [len(counts)])
             return ad.cross_entropy(reshape(z, (int(n),)), 0)
 

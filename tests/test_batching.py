@@ -20,7 +20,7 @@ from heatnet.train import TrainConfig, train
 BATCH_CONFIGS = {
     "default": {},
     "type-blind": {"type_blind": True, "pooling": "mean"},   # baseline_config
-    "decoupled-values-dk2": {"decouple_key_value": True, "heads": 4},
+    "heads4-dk2": {"heads": 4},
     "sum-aggregation": {"aggregation": "sum"},
 }
 

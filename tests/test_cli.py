@@ -112,6 +112,17 @@ class TestBuildGraph:
         assert rc == EXIT_INPUT
         assert "line 2: bad type_counts" in _one_input_error_line(capsys)
 
+    @pytest.mark.parametrize("feat, found", [('"123"', '"123"'), ('[true, "0.5", 2]', "true")],
+                             ids=["string", "boolean-and-string-entries"])
+    def test_feat_not_a_list_of_numbers_exits_2(self, tmp_path, capsys, feat, found):
+        patches = tmp_path / "patches.jsonl"
+        patches.write_text(PATCHES.replace('"feat": [0.9, 0.1, 0.2]', f'"feat": {feat}'))
+        rc = main(["build-graph", "--patches", str(patches), "--out", str(tmp_path / "g.json"),
+                   "--set", "build.k=1"])
+        assert rc == EXIT_INPUT
+        assert _one_input_error_line(capsys).endswith(
+            f"line 2: bad patch record: feat must be a list of numbers, found {found}")
+
     def test_rerun_same_seed_identical_bytes(self, tmp_path):
         patches = tmp_path / "patches.jsonl"
         patches.write_text(PATCHES)
@@ -165,6 +176,20 @@ class TestSynth:
         assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
         for name in json.loads((a / "manifest.json").read_text())["files"]:
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("overrides, message", [
+        (["synth.base_scale=-1"], "base_scale must be nonnegative"),
+        (["synth.noise_sigma=-0.5"], "noise_sigma must be nonnegative"),
+        (["synth.rule=type_count", "synth.count_type=foo"], "unknown count_type 'foo'"),
+        (['synth.type_probs={"neoplastic": 1.5, "dead": -0.5}'],
+         "type probabilities must be nonnegative"),
+    ], ids=["negative-base-scale", "negative-noise-sigma", "unknown-count-type",
+            "negative-probability"])
+    def test_bad_setting_exits_2_with_one_line(self, tmp_path, capsys, overrides, message):
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        rc = main(["synth", "--out", str(tmp_path / "d"), "--n", "4", *sets])
+        assert rc == EXIT_INPUT
+        assert message in _one_input_error_line(capsys)
 
 
 class TestTrainEvalExplain:
@@ -317,7 +342,7 @@ def _version_1_checkpoint(doc):
     params = {}
     for name, entry in doc["params"].items():
         arr = np.asarray(entry["data"]).reshape(entry["shape"])
-        if name.endswith((".node", ".value")):
+        if name.endswith(".node"):
             for a, type_name in enumerate(types):
                 for i, block in enumerate(np.split(arr[a], heads)):
                     params[f"{name}.{type_name}.head{i}"] = block
@@ -414,6 +439,16 @@ class TestMalformedInputFiles:
         assert "unsupported checkpoint version 1" in line
         doc = json.loads((tmp_path / "ckpt.json").read_text())
         assert "layer0.node.a.head1" in doc["params"] and "pool.readout.b" in doc["params"]
+
+    def test_version_2_checkpoint_exits_2(self, tmp_path, capsys):
+        def version_2(doc):
+            # Version 2 carried four more model switches.
+            doc["model_config"].update(leaky_slope=0.01, decouple_key_value=False,
+                                       trainable_readout=True, final_readout="mean")
+            doc["version"] = 2
+
+        line = _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_ckpt=version_2)
+        assert line == "heatnet: error: input: unsupported checkpoint version 2"
 
     @pytest.mark.parametrize("kind,argv", [
         ("directory", "explain --graph {bad} --checkpoint {ckpt}"),
@@ -528,6 +563,8 @@ class TestConfigValueTypes:
         ("build=3", "config.build"),
         ("train.augmentation=5", "config.train.augmentation"),
         ("synth.n_nodes=[3]", "config.synth.n_nodes"),
+        ("train.learning_rate=NaN", "config.train.learning_rate"),
+        ("train.weight_decay=Infinity", "config.train.weight_decay"),
     ])
     def test_train_override(self, tmp_path, capsys, override, key):
         data = _labeled_dataset(tmp_path, label=1)
@@ -539,7 +576,8 @@ class TestConfigValueTypes:
 
     @pytest.mark.parametrize("override", [
         'build.augmentation={"edge_drop_prob":0.1}', "train.beta1=0.9", "train.beta2=0.999",
-        "train.eps=1e-8", "train.decoupled_weight_decay=true"])
+        "train.eps=1e-8", "train.decoupled_weight_decay=true", "model.decouple_key_value=true",
+        "model.trainable_readout=false", 'model.final_readout="sum"', "model.leaky_slope=0.1"])
     def test_removed_keys_are_unknown(self, capsys, override):
         rc = main(["gradcheck", "--nodes", "2", "--dim", "2", "--set", override])
         assert rc == EXIT_INPUT

@@ -177,10 +177,8 @@ def explain_graphs(draw, self_loops=True):
 EXPLAIN_CONFIGS = {
     "default": {},
     "sum-aggregation": {"aggregation": "sum"},
-    "decoupled-values-dk2": {"decouple_key_value": True, "heads": 4},
+    "heads4-dk2": {"heads": 4},
     "type-blind": {"type_blind": True, "pooling": "mean"},   # baseline_config
-    "fixed-readout": {"trainable_readout": False},
-    "sum-final-readout": {"final_readout": "sum"},
     "one-layer": {"n_layers": 1},
     "three-layers": {"n_layers": 3},
 }

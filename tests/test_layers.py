@@ -227,26 +227,10 @@ class TestLayerForward:
 
         assert ad.grad_check(f, tensors, eps=1e-4) < 1e-5
 
-    def test_decoupled_value_projection(self):
-        rng = np.random.default_rng(11)
-        g = random_labeled_graph(rng, TYPES3, n_nodes=4, feature_dim=3)
-        params = make_params(d_in=3, d_out=4, heads=2, seed=500, decouple_key_value=True)
-        out = layer_forward(batch_graphs([g]), params)
-        assert out.node_features.shape == (4, 4)
-        # with w_value == w_node it must reduce to the shared-projection layer
-        params.w_value.data = params.w_node.data.copy()
-        coupled = make_params(d_in=3, d_out=4, heads=2, seed=500)
-        coupled.w_node.data = params.w_node.data.copy()
-        coupled.w_edge.data = params.w_edge.data.copy()
-        b = batch_graphs([g])
-        np.testing.assert_allclose(layer_forward(b, params).node_features.data,
-                                   layer_forward(b, coupled).node_features.data, atol=1e-12)
-
 
 ATTEND_CONFIGS = {
     "mean": {},
     "sum": {"aggregation": "sum"},
-    "decoupled-values": {"decouple_key_value": True},
     "all-ones-modulation": {"edge_identity": True},
 }
 
@@ -266,13 +250,12 @@ def attend_inputs(name, d_k, seed, m=5, heads=2, n_edges=None):
         return ad.Tensor(rng.normal(0.0, 1.5, size=shape), requires_grad=True)
 
     table = leaf(m, params.d_out)
-    values = leaf(m, params.d_out) if params.w_value is not None else None
     mod = ad.Tensor(np.ones((n_edges, d_k))) if params.w_edge is None else leaf(n_edges, d_k)
     src, dst = rng.integers(0, m, size=(2, n_edges))
     if n_edges >= m:
         # every row feeds some edge, so no gradient entry is identically zero
         src[rng.permutation(n_edges)[:m]] = np.arange(m)
-    return params, table, values, mod, src, dst, counts
+    return params, table, mod, src, dst, counts
 
 
 def weighted_sum(out, seed):
@@ -287,11 +270,11 @@ class TestFusedAttend:
     @settings(max_examples=30, deadline=None)
     @given(d_k=st.sampled_from([1, 2, 4]), seed=st.integers(0, 10_000))
     def test_equals_unfused_composition(self, name, d_k, seed):
-        params, table, values, mod, src, dst, counts = attend_inputs(name, d_k, seed)
-        leaves = [t for t in (table, values, mod) if t is not None and t.requires_grad]
+        params, table, mod, src, dst, counts = attend_inputs(name, d_k, seed)
+        leaves = [t for t in (table, mod) if t.requires_grad]
         results = []
         for op in (attend, ref_attend):
-            out, att = op(params, table, values, mod, src, dst, counts)
+            out, att = op(params, table, mod, src, dst, counts)
             grads = ad.backward(weighted_sum(out, seed))
             results.append((out.data, np.asarray(getattr(att, "data", att)),
                             [grads[t] for t in leaves]))
@@ -304,17 +287,16 @@ class TestFusedAttend:
     @pytest.mark.parametrize("d_k", [1, 2, 4])
     @pytest.mark.parametrize("name", ATTEND_CONFIGS)
     def test_gradients_pass_grad_check(self, name, d_k):
-        params, table, values, mod, src, dst, counts = attend_inputs(name, d_k, seed=d_k,
-                                                                     m=4, n_edges=7)
-        leaves = [t for t in (table, values, mod) if t is not None and t.requires_grad]
+        params, table, mod, src, dst, counts = attend_inputs(name, d_k, seed=d_k, m=4, n_edges=7)
+        leaves = [t for t in (table, mod) if t.requires_grad]
 
         def f():
-            return weighted_sum(attend(params, table, values, mod, src, dst, counts)[0], d_k)
+            return weighted_sum(attend(params, table, mod, src, dst, counts)[0], d_k)
 
         assert ad.grad_check(f, leaves, eps=1e-4) < 1e-5
 
     def test_records_one_tape_op(self, monkeypatch):
-        params, table, values, mod, src, dst, counts = attend_inputs("decoupled-values", 2, 0)
+        params, table, mod, src, dst, counts = attend_inputs("mean", 2, 0)
         ops = []
         make = ad._make
 
@@ -323,12 +305,12 @@ class TestFusedAttend:
             return make(data, parents, vjp, op)
 
         monkeypatch.setattr(ad, "_make", counting_make)
-        attend(params, table, values, mod, src, dst, counts)
+        attend(params, table, mod, src, dst, counts)
         assert ops == ["edge_attention"]
 
-    @pytest.mark.parametrize("change", ["src", "dst", "counts", "mod", "values"])
+    @pytest.mark.parametrize("change", ["src", "dst", "counts", "mod"])
     def test_bad_inputs_rejected(self, change):
-        params, table, values, mod, src, dst, counts = attend_inputs("decoupled-values", 2, 3)
+        params, table, mod, src, dst, counts = attend_inputs("mean", 2, 3)
         if change == "src":
             src = src.copy()
             src[0] = table.shape[0]
@@ -337,9 +319,7 @@ class TestFusedAttend:
             dst[-1] = -1
         elif change == "counts":
             counts = np.append(counts, 1)
-        elif change == "mod":
-            mod = ad.Tensor(np.ones((len(src), 3)))
         else:
-            values = ad.Tensor(np.ones((1, params.d_out)))
+            mod = ad.Tensor(np.ones((len(src), 3)))
         with pytest.raises(ContractError if change == "counts" else ShapeError):
-            attend(params, table, values, mod, src, dst, counts)
+            attend(params, table, mod, src, dst, counts)

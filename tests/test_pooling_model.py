@@ -16,9 +16,8 @@ from heatnet.testing import random_labeled_graph
 TYPES3 = TypeSet(DEFAULT_TYPES.names[:3])
 
 
-def make_pool(types=TYPES3, dim=4, n_classes=2, seed=0, trainable=True):
-    return PoolParams.init(types, dim, n_classes, rng_for(seed, "pool"),
-                           trainable_readout=trainable)
+def make_pool(types=TYPES3, dim=4, n_classes=2, seed=0):
+    return PoolParams.init(types, dim, n_classes, rng_for(seed, "pool"))
 
 
 def pool_one(feats, type_idx, params):
