@@ -31,10 +31,12 @@ gradients) are exactly rounded, so their results are independent of row
 permutation; this is what makes node-relabeling equivariance bit-exact.
 The segment ops work on whole arrays: ``np.maximum.reduceat`` for maxima,
 ``np.repeat`` to broadcast back (the VJPs too), and one kernel,
-``_segment_fsum``, for per-segment column sums. It splits the
-values by error-free extraction into parts that numpy sums exactly,
-certifies that the result is correctly rounded, and sums any cell it
-cannot certify with math.fsum, so every sum equals math.fsum's bit for bit.
+``_segment_fsum``, for per-segment column sums. It splits the values by two
+error-free extraction passes into parts that numpy sums exactly; the first
+grid comes from each segment column's largest magnitude and the second is
+derived from the first. When a remainder is left it certifies that the
+result is correctly rounded, and it sums any cell it cannot certify with
+math.fsum, so every sum equals math.fsum's bit for bit.
 
 Products are row-invariant by construction: ``linear`` and ``typed_matmul``
 build each output row from its own input row only (a broadcast product
@@ -53,7 +55,7 @@ from __future__ import annotations
 import functools
 import math
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -428,19 +430,46 @@ def _grid_scale(counts: Array) -> int:
     return int(counts.max(initial=0) + 1).bit_length()
 
 
-def _extract(rest: Array, starts: Array, counts: Array, scale: int) -> tuple[Array, Array]:
-    """One error-free extraction pass over row segments: the exact column
-    sums of each segment's parts on its grid, and the remainders.
+def _extractions(xs: Array, starts: Array, counts: Array,
+                 scale: int) -> Iterator[tuple[Array, Array]]:
+    """Error-free extraction passes over the row segments of ``xs``.
 
-    Each value is split into a part on a grid fixed per segment and column
-    (2**(scale - 52) times the power of two above the column's largest
-    magnitude), whose sum is exact in any order, and a remainder below that
-    grid. Call under ``np.errstate``: a column near overflow gives NaN.
+    Pass k yields the exact column sums of each segment's parts on its k-th
+    grid, and the remainder buffer, which the caller may edit before the
+    next pass. A grid is a power of two sigma per segment and column, and
+    a part is a value rounded to a multiple of 2**-53 * sigma. The first
+    sigma is 2**scale times the power of two above the column's largest
+    magnitude. Every later sigma is the one before times 2**(scale - 53).
+    Call under ``np.errstate``: a column near overflow gives NaN.
+
+    Why both grids are valid (Rump, Ogita & Oishi 2008, Lemma 3.3), for
+    values p with max|p| <= 2**-M * sigma, 2**M = 2**scale >= n + 2 and
+    2 <= M <= 52. Then sigma + p lies in [3 sigma / 4, 5 sigma / 4], so
+    q = fl(sigma + p) - sigma is exact (Sterbenz). q is a multiple of the
+    spacing g = max(2**-53 * sigma, 2**-1074) of [sigma / 2, sigma), and
+    p - q, a rounding error of one addition, is exact with
+    |p - q| <= 2**-53 * sigma. sigma +- 2**-M * sigma are floats, so
+    rounding keeps |q| <= 2**-M * sigma, and any partial sum of n parts is
+    a multiple of g below sigma in magnitude: a float, so every order of
+    summation is exact. Equality max|p| = 2**-M * sigma is allowed, which is
+    why the remainders, at most 2**-53 * sigma each and exactly that at a
+    rounding tie, make sigma * 2**(scale - 53) a valid next grid. The
+    product is exact while it is 2**-1074 or more. A remainder is nonzero
+    only if 2**-53 * sigma >= 2**-1074, so the next sigma is at least
+    2**(scale - 1074) whenever there is anything left to extract.
     """
-    mu = np.maximum.reduceat(np.abs(rest), starts, axis=0)
+    q = np.abs(xs)
+    # Nonnegative floats order as their int64 bit patterns, and an integer
+    # maximum is faster than a float one.
+    mu = np.maximum.reduceat(q.view(np.int64), starts, axis=0).view(np.float64)
     sigma = np.repeat(np.ldexp(2.0 ** scale, np.frexp(mu)[1]), counts, axis=0)
-    q = (sigma + rest) - sigma
-    return np.add.reduceat(q, starts, axis=0), rest - q
+    rest = xs.copy()
+    while True:
+        np.add(sigma, rest, out=q)
+        q -= sigma
+        rest -= q
+        yield np.add.reduceat(q, starts, axis=0), rest
+        sigma *= 2.0 ** (scale - 53)
 
 
 def _segment_expansion(xs: Array, starts: Array, counts: Array) -> tuple[Array, Array]:
@@ -449,18 +478,14 @@ def _segment_expansion(xs: Array, starts: Array, counts: Array) -> tuple[Array, 
     Returns (K, S, d) terms whose sum over the first axis is, exactly in
     real arithmetic, segment s's column sums, and an (S,) flag: the
     segment's terms are all finite. Extraction passes repeat until every
-    remainder is zero; each pass lowers the grid by at least 52 - scale
-    bits, so the loop ends once the grid reaches the smallest subnormal, if
-    not before. A segment whose pass overflows is flagged and its
-    remainders dropped.
+    remainder is zero; each pass lowers the grid by 53 - scale bits, so the
+    loop ends once the grid reaches the smallest subnormal, if not before.
+    A segment whose pass overflows is flagged and its remainders dropped.
     """
-    scale = _grid_scale(counts)
     terms = []
     finite = np.ones(len(starts), dtype=bool)
-    rest = xs
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            tau, rest = _extract(rest, starts, counts, scale)
+        for tau, rest in _extractions(xs, starts, counts, _grid_scale(counts)):
             terms.append(tau)
             finite &= np.isfinite(tau).all(axis=1)
             rest[np.repeat(~finite, counts)] = 0.0
@@ -472,32 +497,36 @@ def _segment_fsum(xs: Array, starts: Array, counts: Array) -> Array:
     """Exactly rounded column sums of the row segments of ``xs``, as math.fsum.
 
     Segment s is rows ``starts[s]:starts[s] + counts[s]``. Two error-free
-    extraction passes (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 2008) split
-    every value into a part on a grid fixed per segment and column, whose sum
-    is exact in any order, and a remainder. TwoSum turns the two exact sums
-    into hi + lo. hi is the correctly rounded total when the remainders are
-    all zero, or when |lo| plus a bound on the remainders' total stays below
-    half the gap at hi. Any cell without that certificate (extreme dynamic
-    range, overflow) is summed by math.fsum, so the result is fsum's byte for
-    byte.
+    extraction passes (``_extractions``; Rump, Ogita & Oishi, SIAM J. Sci.
+    Comput. 2008) split every value into a part on a grid fixed per segment
+    and column, whose sum is exact in any order, and a remainder; the second
+    grid is derived from the first. TwoSum turns the two exact sums into
+    hi + lo. hi is the correctly rounded total when the remainders are all
+    zero, as they are when the nonzero magnitudes of every segment column
+    span at most a factor 2**(53 - 2 * scale), or when |lo| plus a bound on
+    the remainders' total stays below half the gap below |hi|, which is
+    checked only when some remainder is left. Any cell without that
+    certificate (extreme dynamic range, overflow) is summed by math.fsum, so
+    the result is fsum's byte for byte.
     """
     scale = _grid_scale(counts)
     with np.errstate(over="ignore", invalid="ignore"):
-        rest, tau = xs, []
-        for _ in range(2):
-            t, rest = _extract(rest, starts, counts, scale)
-            tau.append(t)
-        hi = tau[0] + tau[1]
-        z = hi - tau[0]
-        lo = (tau[0] - (hi - z)) + (tau[1] - z)
-        # r_abs * (1 + 2**(scale - 51)), rounded, is at least the exact sum of |rest|.
-        r_abs = np.add.reduceat(np.abs(rest), starts, axis=0)
-        bound = np.abs(lo) + r_abs * (1.0 + 2.0 ** (scale - 51))
-        # The gap toward zero is the smaller one; shrinking its half by a
-        # factor 1 - 2**-50 absorbs the rounding in ``bound``.
-        mag = np.abs(hi)
-        gap = mag - np.nextafter(mag, 0.0)
-        ok = np.isfinite(hi) & ((r_abs == 0.0) | (bound < gap * (0.5 - 2.0 ** -51)))
+        passes = _extractions(xs, starts, counts, scale)
+        t0, _ = next(passes)
+        t1, rest = next(passes)
+        hi = t0 + t1
+        ok = np.isfinite(hi)
+        if rest.any():
+            z = hi - t0
+            lo = (t0 - (hi - z)) + (t1 - z)
+            # r_abs * (1 + 2**(scale - 51)), rounded, is at least the exact sum of |rest|.
+            r_abs = np.add.reduceat(np.abs(rest, out=rest), starts, axis=0)
+            bound = np.abs(lo) + r_abs * (1.0 + 2.0 ** (scale - 51))
+            # The gap toward zero is the smaller one; shrinking its half by a
+            # factor 1 - 2**-50 absorbs the rounding in ``bound``.
+            mag = np.abs(hi)
+            gap = mag - np.nextafter(mag, 0.0)
+            ok &= (r_abs == 0.0) | (bound < gap * (0.5 - 2.0 ** -51))
     if not ok.all():
         for s, c in zip(*np.nonzero(~ok)):
             hi[s, c] = math.fsum(xs[starts[s]:starts[s] + counts[s], c].tolist())

@@ -75,6 +75,8 @@ class SyntheticSpec:
             raise ConfigError("label_noise must be in [0, 1]")
         if self.count_min < 1:
             raise ConfigError("count_min must be >= 1")
+        if self.max_tries_factor < 1:
+            raise ConfigError(f"max_tries_factor must be >= 1, got {self.max_tries_factor}")
         for name in ("base_scale", "noise_sigma"):
             if not getattr(self, name) >= 0.0:
                 raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")

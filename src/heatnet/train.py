@@ -229,8 +229,10 @@ def train(train_graphs: Sequence[HeteroGraph], val_graphs: Sequence[HeteroGraph]
                 if not cfg.augmentation.is_identity:
                     graphs = [augment(g, cfg.augmentation, rng_for(cfg.seed, "augment", epoch, i))
                               for g, i in zip(graphs, batch)]
-                losses = model.loss(graphs, training=True,
-                                    rngs=[rng_for(cfg.seed, "dropout", epoch, i) for i in batch])
+                # At dropout 0 no mask is drawn, so no generator is built.
+                rngs = ([rng_for(cfg.seed, "dropout", epoch, i) for i in batch]
+                        if model.config.dropout > 0 else None)
+                losses = model.loss(graphs, training=True, rngs=rngs)
                 epoch_losses.extend(losses.data.tolist())
                 grads = ad.backward(ad.scale(ad.reduce_sum(losses), 1.0 / len(batch)))
                 adam_step(params, {name: grads[p] for name, p in params.items() if p in grads},

@@ -5,8 +5,9 @@ plain Python loops over raw numpy parameter arrays, independently of the
 autodiff path they are checked against. The slow paths that the package
 replaced (per-edge id lookups, list-of-segments segment ops, the per-edge
 validation loops, the dense k-NN and the per-edge Pearson loop of graph
-construction, and the unfused attention composition ``ref_attend``) are
-kept here as oracles for the fast ones. The tape ops only those oracles
+construction, the unfused attention composition ``ref_attend``, and the
+earlier exact-sum kernel ``ref_segment_fsum``) are kept here as oracles
+for the fast ones. The tape ops only those oracles
 and the tests use (``add``, ``reshape``, ``reduce_sum`` along an axis,
 ``segment_softmax`` and ``segment_sum``) are built here on
 ``autodiff._make``, and
@@ -333,6 +334,37 @@ def ref_segment_reduce(x, segments, mode="mean", grad=None):
     for i, seg in enumerate(segments):
         dx[seg] = grad[i] / len(seg) if mode == "mean" else grad[i]
     return out, dx
+
+
+def ref_segment_fsum(xs, starts, counts):
+    """Exactly rounded column sums of row segments, as math.fsum: the
+    two-pass extraction kernel that ``ad._segment_fsum`` replaced.
+
+    Each pass computes its own grid from the largest magnitude of the
+    values it extracts, and the certificate is always evaluated.
+    """
+    scale = ad._grid_scale(counts)
+
+    def extract(rest):
+        mu = np.maximum.reduceat(np.abs(rest), starts, axis=0)
+        sigma = np.repeat(np.ldexp(2.0 ** scale, np.frexp(mu)[1]), counts, axis=0)
+        q = (sigma + rest) - sigma
+        return np.add.reduceat(q, starts, axis=0), rest - q
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau0, rest = extract(xs)
+        tau1, rest = extract(rest)
+        hi = tau0 + tau1
+        z = hi - tau0
+        lo = (tau0 - (hi - z)) + (tau1 - z)
+        r_abs = np.add.reduceat(np.abs(rest), starts, axis=0)
+        bound = np.abs(lo) + r_abs * (1.0 + 2.0 ** (scale - 51))
+        mag = np.abs(hi)
+        gap = mag - np.nextafter(mag, 0.0)
+        ok = np.isfinite(hi) & ((r_abs == 0.0) | (bound < gap * (0.5 - 2.0 ** -51)))
+    for s, c in zip(*np.nonzero(~ok)):
+        hi[s, c] = math.fsum(xs[starts[s]:starts[s] + counts[s], c].tolist())
+    return hi
 
 
 def ref_edge_violation(g):

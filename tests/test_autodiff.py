@@ -1,5 +1,6 @@
 """Tensor engine: op semantics, backward correctness, gradient checking."""
 
+import dataclasses
 import inspect
 import math
 import re
@@ -11,12 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import add, reshape, segment_softmax, segment_sum
+from _reference import add, ref_segment_fsum, reshape, segment_softmax, segment_sum
 from heatnet import autodiff as ad
 from heatnet.autodiff import Tensor
+from heatnet.builder import BuildConfig, PatchRecord, build_graph
 from heatnet.errors import ConfigError, ContractError, NonFiniteError, ShapeError
-from heatnet.hetgraph import batch_graphs
+from heatnet.explain import explain_graph
+from heatnet.hetgraph import DEFAULT_TYPE_NAMES, batch_graphs
+from heatnet.model import Model, ModelConfig
+from heatnet.synth import SyntheticSpec, synth_generate
 from heatnet.testing import random_labeled_graph
+from heatnet.train import TrainConfig, train
 
 
 class TestMatmul:
@@ -394,6 +400,65 @@ class TestSegmentOps:
                 segment_softmax(x, counts)
 
 
+# Segment lengths at the grid-scale boundaries: 2**k - 2 is the largest
+# count of scale k and 2**k - 1 the smallest of scale k + 1.
+BOUNDARY_COUNTS = [n for k in range(2, 8) for n in (2**k - 2, 2**k - 1)]
+
+
+def _exact_sum_values(kind, rng, counts, cols):
+    """Adversarial (sum(counts), cols) inputs for the exact segment sums.
+
+    - normal: standard normal; wide: magnitudes over 2**-60 .. 2**60;
+    - cancel: rows that nearly cancel the row before them;
+    - subnormal: multiples of 2**-1074 up to 2**-1022 and cancelling pairs
+      near 2**-970, so totals are subnormal or just normal;
+    - remainders: per column, each segment's first row is +-1 and the others,
+      of the same sign, lie at or just below half the spacing of the first
+      grid above 1: the largest remainders the first pass can leave, exactly
+      that bound at a tie;
+    - huge: per column, magnitudes at which the first grid overflows, or half
+      of those, with finite totals;
+    - pow2: per segment 2**k, cancelling pairs and an offset of 0, a tie at
+      half the gap below 2**k or half the gap above, each plus or minus a
+      2**(k - 100) remainder.
+    """
+    n = int(counts.sum())
+    shape = (n, cols)
+    sign = rng.choice([-1.0, 1.0], shape)
+    if kind == "normal":
+        return rng.standard_normal(shape)
+    if kind == "wide":
+        return rng.standard_normal(shape) * 2.0 ** rng.integers(-60, 61, shape)
+    if kind == "cancel":
+        x = rng.standard_normal(shape) * 2.0 ** rng.integers(-30, 31, shape)
+        x[1:] = -x[:-1] * (1.0 + rng.integers(-3, 4, (n - 1, cols)) * 2.0 ** -52)
+        x[1::3] = rng.standard_normal(x[1::3].shape)
+        return x
+    if kind == "subnormal":
+        x = rng.integers(-2**52, 2**52, shape) * 2.0 ** -1074
+        pair = np.arange(0, n - 1, 3)
+        x[pair] = rng.standard_normal((len(pair), cols)) * 2.0 ** rng.integers(-1000, -940)
+        x[pair + 1] = -x[pair]
+        return x
+    scale = ad._grid_scale(counts)
+    if kind == "remainders":
+        below = rng.integers(0, 2**20, shape) * rng.integers(0, 2, shape)
+        x = sign[:1] * (2.0 ** (scale - 52) * (1.0 - below * 2.0 ** -53))
+        x[np.cumsum(counts) - counts] = sign[:1]
+        return x
+    if kind == "huge":
+        return sign * (1.0 + rng.random(shape)) * 2.0 ** (1023 - scale - rng.integers(0, 2, cols))
+    rows = []
+    for c in counts.tolist():
+        top = 2.0 ** rng.integers(-40, 41, cols) * rng.choice([-1.0, 1.0], cols)
+        offset = top * rng.choice([0.0, -2.0 ** -54, 2.0 ** -53], cols)
+        tiny = top * rng.choice([0.0, 2.0 ** -100, -2.0 ** -100], cols)
+        pairs = rng.standard_normal((max(c - 3, 0) // 2, cols)) * top * 2.0 ** rng.integers(-80, 1)
+        seg = np.vstack([top, offset, tiny, pairs, -pairs, np.zeros((1, cols))])[:c]
+        rows.append(rng.permutation(seg))
+    return np.vstack(rows)
+
+
 class TestExactSums:
     """The certified segment sums equal math.fsum and rarely need it."""
 
@@ -413,6 +478,73 @@ class TestExactSums:
         ad.backward(ad.linear(pooled, head))
         assert x.grad is not None
         assert calls == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(counts=st.lists(st.one_of(st.integers(1, 9), st.sampled_from(BOUNDARY_COUNTS)),
+                           min_size=1, max_size=6),
+           cols=st.integers(1, 3),
+           kind=st.sampled_from(["normal", "wide", "cancel", "subnormal", "remainders", "huge",
+                                 "pow2"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_kernel_bytes_equal_reference_and_fsum(self, counts, cols, kind, seed):
+        counts = np.asarray(counts, dtype=np.intp)
+        starts = np.cumsum(counts) - counts
+        xs = _exact_sum_values(kind, np.random.default_rng(seed), counts, cols)
+        before = xs.copy()
+        out = ad._segment_fsum(xs, starts, counts)
+        assert xs.tobytes() == before.tobytes()
+        cells = np.array([[math.fsum(xs[s:s + c, j].tolist()) for j in range(cols)]
+                          for s, c in zip(starts.tolist(), counts.tolist())])
+        assert out.tobytes() == cells.tobytes()
+        assert out.tobytes() == ref_segment_fsum(xs, starts, counts).tobytes()
+
+    @staticmethod
+    def explain_256_nodes():
+        # explain-large's input: a 256-node kNN patch graph (k = 4, 8-d
+        # features, six types) and a default model
+        rng = np.random.default_rng([0, 256])
+        patches = [PatchRecord(str(i), i % 16, i // 16, rng.standard_normal(8),
+                               type_label=DEFAULT_TYPE_NAMES[int(rng.integers(6))])
+                   for i in range(256)]
+        g = dataclasses.replace(build_graph(patches, BuildConfig(k=4)), label=1)
+        explain_graph(Model.init(ModelConfig(feature_dim=8), 1000), g)
+
+    @staticmethod
+    def train_small_epoch():
+        # train-small's recipe (10-16-node interaction graphs, k = 3, hidden
+        # 8, two heads, two layers, dropout 0.2), one epoch of two steps
+        spec = SyntheticSpec(n_nodes=(10, 16), feature_dim=8, rule="interaction", theta=0.8,
+                             build=BuildConfig(k=3))
+        graphs = synth_generate(spec, 6, 42).graphs
+        model = Model.init(ModelConfig(feature_dim=8, hidden_dim=8, heads=2, n_layers=2,
+                                       dropout=0.2), 0)
+        train(graphs[:4], graphs[4:], model,
+              TrainConfig(max_epochs=1, batch_size=2, patience=1, dropout=0.2))
+
+    @pytest.mark.parametrize("run", ["explain_256_nodes", "train_small_epoch"])
+    def test_benchmark_scale_runs_never_fall_back_to_fsum(self, monkeypatch, run):
+        # The math.fsum calls made inside the kernel are its fallback cells;
+        # reduce_sum calls math.fsum outside it.
+        kernel, fsum = ad._segment_fsum, math.fsum
+        seen = {"calls": 0, "fallback_cells": 0, "inside": False}
+
+        def counting_kernel(*args):
+            seen["calls"] += 1
+            seen["inside"] = True
+            try:
+                return kernel(*args)
+            finally:
+                seen["inside"] = False
+
+        def counting_fsum(values):
+            seen["fallback_cells"] += seen["inside"]
+            return fsum(values)
+
+        monkeypatch.setattr(ad, "_segment_fsum", counting_kernel)
+        monkeypatch.setattr(math, "fsum", counting_fsum)
+        getattr(self, run)()
+        assert seen["calls"] > 0
+        assert seen["fallback_cells"] == 0
 
     @pytest.mark.parametrize("values, expected", [
         # 1 + 2**-53 is a tie that rounds to 1, but the 2**-1000 remainder

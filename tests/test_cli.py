@@ -183,8 +183,10 @@ class TestSynth:
         (["synth.rule=type_count", "synth.count_type=foo"], "unknown count_type 'foo'"),
         (['synth.type_probs={"neoplastic": 1.5, "dead": -0.5}'],
          "type probabilities must be nonnegative"),
+        (["synth.max_tries_factor=0"], "max_tries_factor must be >= 1, got 0"),
+        (["synth.max_tries_factor=-5"], "max_tries_factor must be >= 1, got -5"),
     ], ids=["negative-base-scale", "negative-noise-sigma", "unknown-count-type",
-            "negative-probability"])
+            "negative-probability", "zero-max-tries-factor", "negative-max-tries-factor"])
     def test_bad_setting_exits_2_with_one_line(self, tmp_path, capsys, overrides, message):
         sets = [arg for o in overrides for arg in ("--set", o)]
         rc = main(["synth", "--out", str(tmp_path / "d"), "--n", "4", *sets])

@@ -119,9 +119,9 @@ def tiny_dataset(n=12, seed=0, shift=3.0):
     return synth_generate(spec, n, seed).graphs
 
 
-def tiny_model(feature_dim=6, seed=0, **kw):
+def tiny_model(feature_dim=6, seed=0, dropout=0.0, **kw):
     cfg = ModelConfig(feature_dim=feature_dim, hidden_dim=4, heads=2, n_layers=2,
-                      dropout=0.0, **kw)
+                      dropout=dropout, **kw)
     return Model.init(cfg, rng_for(seed, "init"))
 
 
@@ -174,6 +174,20 @@ class TestTrain:
         (s1, l1), (s2, l2) = run(), run()
         assert l1 == l2
         assert all((s1[k] == s2[k]).all() for k in s1)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_dropout_generators_only_when_masks_are_drawn(self, monkeypatch, dropout):
+        streams = []
+
+        def recording(seed, name, *indices):
+            streams.append(name)
+            return rng_for(seed, name, *indices)
+
+        monkeypatch.setattr(sys.modules["heatnet.train"], "rng_for", recording)
+        graphs = tiny_dataset(n=10, seed=5)
+        train(graphs[:6], graphs[6:], tiny_model(seed=5, dropout=dropout), quiet_cfg(max_epochs=2))
+        assert "shuffle" in streams
+        assert ("dropout" in streams) == (dropout > 0)
 
     def test_divergence_aborts_with_last_good_checkpoint(self):
         graphs = tiny_dataset(n=10, seed=8)
