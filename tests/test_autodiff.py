@@ -4,7 +4,9 @@ import dataclasses
 import inspect
 import math
 import re
+import signal
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -566,6 +568,27 @@ class TestExactSums:
                 segment_sum(Tensor([[1e308], [1e308]]), [2])
             out = segment_sum(Tensor(np.full((12, 1), 1e307)), [12])
         assert out.data[0, 0] == 1.2e308
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs signal.alarm")
+    def test_expansion_flags_an_overflowing_segment_and_ends(self):
+        # The first segment's grid overflows; the second needs more than one
+        # pass. The alarm turns a loop that never ends into a failure.
+        xs = np.array([[1.7e308], [1.7e308], [1.0], [0.1], [2.0**-60], [-3.0], [2.0**-200]])
+
+        def timeout(signum, frame):
+            raise TimeoutError("_segment_expansion did not end")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(10)
+        try:
+            terms, finite = ad._segment_expansion(xs, np.array([0, 3]), np.array([3, 4]))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert finite.tolist() == [False, True]
+        rows = xs[3:, 0].tolist()
+        assert sum(map(Fraction, terms[:, 1, 0].tolist())) == sum(map(Fraction, rows))
+        assert math.fsum(terms[:, 1, 0].tolist()) == math.fsum(rows)
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
-"""Property tests: row-tiled k-NN and the batched Pearson kernel agree with the
-dense k-NN and the per-edge Pearson loop they replaced."""
+"""Property tests: row-tiled k-NN, with its block-candidate selection, and the
+batched Pearson kernel agree with the dense k-NN and the per-edge Pearson loop
+they replaced."""
 
 import tracemalloc
 
@@ -38,6 +39,25 @@ def knn_inputs(draw):
     return feats, k
 
 
+@st.composite
+def large_knn_inputs(draw):
+    """Up to 600 nodes from small integer pools, with zero rows.
+
+    Duplicate rows and few distinct values tie block maxima as well as
+    similarities, so rows take both the candidate and the whole-row path.
+    """
+    n = draw(st.integers(2, 600))
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool_size = draw(st.integers(1, n))
+    span = draw(st.sampled_from([2, 5, 50]))
+    pool = rng.integers(-span, span + 1, (pool_size, d)).astype(np.float64)
+    feats = pool[rng.integers(0, pool_size, n)]
+    feats[rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.3]))] = 0.0
+    k = draw(st.integers(1, min(n - 1, 40)))
+    return feats, k
+
+
 def _stacked_tiles(feats, metric):
     return np.vstack([sims for _, _, sims in builder._similarity_tiles(feats, metric)])
 
@@ -64,6 +84,34 @@ def test_one_tile_is_the_dense_matrix(inputs, metric, symmetric):
     assert len(builder._row_tiles(len(feats))) == 1
     assert _stacked_tiles(feats, metric).tobytes() == _similarity_matrix(feats, metric).tobytes()
     assert knn_edges(feats, k, metric, symmetric) == ref_knn_edges(feats, k, metric, symmetric)
+
+
+def test_candidates_select_like_dense(monkeypatch):
+    """Rows narrowed to block candidates select what the dense per-row sort selects.
+
+    Up to 1024 nodes the matrix is one tile, the dense product itself. Each
+    ``_top_k`` call is recorded as candidates (fewer columns than nodes) or
+    whole rows, and both paths must have run.
+    """
+    taken = set()
+    top_k = builder._top_k
+
+    def recording_top_k(vals, k):
+        taken.add("candidates" if vals.shape[1] < recording_top_k.n else "whole rows")
+        return top_k(vals, k)
+
+    monkeypatch.setattr(builder, "_top_k", recording_top_k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(large_knn_inputs(), st.sampled_from(["cosine", "euclidean"]), st.booleans())
+    def check(inputs, metric, symmetric):
+        feats, k = inputs
+        assert len(builder._row_tiles(len(feats))) == 1
+        recording_top_k.n = len(feats)
+        assert knn_edges(feats, k, metric, symmetric) == ref_knn_edges(feats, k, metric, symmetric)
+
+    check()
+    assert taken == {"candidates", "whole rows"}
 
 
 @PROPERTY
@@ -110,8 +158,9 @@ def test_knn_memory_is_tiled():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the dense similarity matrix alone would take 8000^2 * 8 bytes = 488 MiB
-    assert peak < 64 * 2**20
+    # the dense similarity matrix alone would take 8000^2 * 8 bytes = 488 MiB;
+    # two 8 MiB tiles, and no whole-tile copy for the selection, fit in 24
+    assert peak < 24 * 2**20
 
 
 @PROPERTY

@@ -87,6 +87,15 @@ class TestKnnEdges:
         with pytest.raises(ConfigError):
             knn_edges(np.ones((3, 2)), 3)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        with pytest.raises(ConfigError):
+            knn_edges(np.ones((3, 2)), k)
+
+    def test_unknown_metric(self):
+        with pytest.raises(ConfigError, match="manhattan"):
+            knn_edges(np.eye(3), 1, metric="manhattan")
+
     def test_euclidean_metric(self):
         feats = np.array([[0.0], [1.0], [10.0]])
         pairs = knn_edges(feats, 1, metric="euclidean")
