@@ -19,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, PatchTableError, ShapeError
-from .hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet, _integral, _non_number, validate
+from .hetgraph import (DEFAULT_TYPES, HeteroGraph, TypeSet, _integral, _non_number, _subgraph,
+                       validate)
 
 
 @dataclass(frozen=True)
@@ -416,17 +417,7 @@ def augment(g: HeteroGraph, cfg: AugmentConfig, rng: np.random.Generator) -> Het
     if cfg.edge_noise_sigma > 0.0:
         attrs += cfg.edge_noise_sigma * rng.standard_normal(attrs.shape)
 
-    return HeteroGraph(
-        types=g.types,
-        node_ids=tuple(nid for nid, k in zip(g.node_ids, keep) if k),
-        node_types=g.node_types[keep],
-        features=feats,
-        edge_src=g.edge_src[final_edges],
-        edge_dst=g.edge_dst[final_edges],
-        edge_attrs=attrs,
-        label=g.label,
-        coords=None if g.coords is None else g.coords[keep],
-    )
+    return _subgraph(g, keep, final_edges, feats, attrs)
 
 
 def kmeans_typing(features: Sequence[np.ndarray] | np.ndarray, k: int, seed: int,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import Sequence
 
 import numpy as np
@@ -305,22 +305,38 @@ def validate(g: HeteroGraph) -> Violation | None:
 
 def remove_node(g: HeteroGraph, node_id: int) -> HeteroGraph:
     """Return a new graph without the node and all its incident edges."""
-    p = g.pos(node_id)
-    keep_nodes = np.ones(g.n_nodes, dtype=bool)
-    keep_nodes[p] = False
-    keep_edges = (g.edge_src != node_id) & (g.edge_dst != node_id)
-    ids = tuple(nid for nid in g.node_ids if nid != node_id)
-    return HeteroGraph(
+    keep = np.ones(g.n_nodes, dtype=bool)
+    keep[g.pos(node_id)] = False
+    edges = np.nonzero((g.edge_src != node_id) & (g.edge_dst != node_id))[0]
+    return _subgraph(g, keep, edges, g.features[keep], g.edge_attrs[edges])
+
+
+def _subgraph(g: HeteroGraph, keep: np.ndarray, edges: np.ndarray,
+              features: np.ndarray, edge_attrs: np.ndarray) -> HeteroGraph:
+    """The graph of ``g``'s nodes where the mask ``keep`` holds, in their
+    order, and its edge rows ``edges`` (ascending indices, both endpoints
+    kept), with the given ``features`` and ``edge_attrs`` rows.
+
+    Its ``edge_pos`` is carried over, not looked up: a kept node's new
+    position is the count of kept nodes before it.
+    """
+    sub = HeteroGraph(
         types=g.types,
-        node_ids=ids,
-        node_types=g.node_types[keep_nodes],
-        features=g.features[keep_nodes],
-        edge_src=g.edge_src[keep_edges],
-        edge_dst=g.edge_dst[keep_edges],
-        edge_attrs=g.edge_attrs[keep_edges],
+        node_ids=tuple(compress(g.node_ids, keep)),
+        node_types=g.node_types[keep],
+        features=features,
+        edge_src=g.edge_src[edges],
+        edge_dst=g.edge_dst[edges],
+        edge_attrs=edge_attrs,
         label=g.label,
-        coords=None if g.coords is None else g.coords[keep_nodes],
+        coords=None if g.coords is None else g.coords[keep],
     )
+    new_pos = np.cumsum(keep, dtype=np.intp) - 1
+    carried = tuple(new_pos[end[edges]] for end in g.edge_pos)
+    for pos in carried:
+        pos.setflags(write=False)
+    sub.__dict__["edge_pos"] = carried  # the cached_property's slot
+    return sub
 
 
 # ---------------------------------------------------------------------------

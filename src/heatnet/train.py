@@ -7,11 +7,17 @@ one mean loss and one backward, per-epoch augmentation of training
 graphs, early stopping on validation loss, and the best-validation
 parameters returned as the checkpoint. Evaluation batches its graphs the
 same way, in chunks of bounded size.
+
+When training starts, the model's parameter arrays are packed into one
+contiguous float64 buffer, each leaf's ``data`` a reshaped view of it, so
+an Adam step is a handful of elementwise passes over that buffer and its
+two flat moment vectors, bit-equal to updating the arrays one by one.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -68,44 +74,75 @@ class TrainConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
+def _pack(params: dict[str, ad.Tensor], theta: np.ndarray | None = None) -> np.ndarray:
+    """Copy the leaves' values, in ``params`` order, into one float64
+    buffer (``theta`` if given) and rebind each leaf's ``data`` to its
+    reshaped slice of it."""
+    if theta is None:
+        theta = np.empty(sum(p.data.size for p in params.values()))
+    start = 0
+    for p in params.values():
+        shape, stop = p.data.shape, start + p.data.size
+        theta[start:stop] = p.data.reshape(-1)
+        p.data = theta[start:stop].reshape(shape)
+        start = stop
+    return theta
+
+
 @dataclass
 class AdamState:
+    """Adam's step count and moments over ``theta``, the parameters packed
+    into one contiguous buffer whose slices are the leaves' ``data``."""
+
     t: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    theta: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
     def init(cls, params: dict[str, ad.Tensor]) -> "AdamState":
-        return cls(
-            t=0,
-            m={k: np.zeros_like(p.data) for k, p in params.items()},
-            v={k: np.zeros_like(p.data) for k, p in params.items()},
-        )
+        """Pack ``params`` (see ``_pack``) with zero moments."""
+        theta = _pack(params)
+        return cls(t=0, theta=theta, m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
 def adam_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray],
               state: AdamState, cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update in place.
+    """One bias-corrected Adam update of the packed parameters in place.
 
-    Decoupled weight decay shrinks parameters before the moment update.
+    The gradients are gathered in ``params`` order, zeros for a leaf
+    without one, and each stage below is one elementwise pass over the
+    whole buffer: every value sees the float operations of a per-array
+    update, in the same order. Decoupled weight decay shrinks parameters
+    before the moment update. A leaf whose ``data`` was rebound since the
+    packing is packed again first.
     """
-    bad = [k for k, g in grads.items() if not np.all(np.isfinite(g))]
-    if bad:
+    theta = state.theta
+    if any(p.data.base is not theta for p in params.values()):
+        _pack(params, theta)
+    g = np.concatenate([grads[k].reshape(-1) if k in grads else np.zeros(p.data.size)
+                        for k, p in params.items()])
+    if not np.isfinite(g).all():
+        bad = [k for k, x in grads.items() if not np.isfinite(x).all()]
         raise TrainingError(f"non-finite gradients for parameters: {sorted(bad)}")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     lr, wd = cfg.learning_rate, cfg.weight_decay
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
-        if wd:
-            p.data = p.data * (1.0 - lr * wd)
-        m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** state.t)
-        v_hat = v / (1.0 - b2 ** state.t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v = state.m, state.v
+    if wd:
+        theta *= 1.0 - lr * wd
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    g2 = (1.0 - b2) * g
+    g2 *= g
+    v += g2
+    den = np.sqrt(v / (1.0 - b2 ** state.t))
+    den += ADAM_EPS
+    step = m / (1.0 - b1 ** state.t)
+    step *= lr
+    step /= den
+    theta -= step
 
 
 def kfold_split(ids: Sequence, folds: int = 5, seed: int = 0) -> list[tuple[list, list, list]]:
@@ -321,6 +358,11 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         if bad is not None:
             raise ConfigError(f"checkpoint parameter {name!r} data must be a list of numbers, "
                               f"found {bad}")
+        # json reads NaN, Infinity and -Infinity (1e400 too); an int may exceed float64
+        bad = next((v for v in data if not -sys.float_info.max <= v <= sys.float_info.max), None)
+        if bad is not None:
+            raise ConfigError(f"checkpoint parameter {name!r} data must be finite, "
+                              f"found {json.dumps(bad)}")
         try:
             state[name] = np.asarray(data, dtype=np.float64).reshape(entry["shape"])
         except (TypeError, ValueError) as exc:

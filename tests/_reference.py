@@ -5,9 +5,10 @@ plain Python loops over raw numpy parameter arrays, independently of the
 autodiff path they are checked against. The slow paths that the package
 replaced (per-edge id lookups, list-of-segments segment ops, the per-edge
 validation loops, the dense k-NN and the per-edge Pearson loop of graph
-construction, the unfused attention composition ``ref_attend``, and the
-earlier exact-sum kernel ``ref_segment_fsum``) are kept here as oracles
-for the fast ones. The tape ops only those oracles
+construction, the unfused attention composition ``ref_attend``, the
+earlier exact-sum kernel ``ref_segment_fsum``, and the per-name Adam update
+``ref_adam_step`` with its per-name moments ``RefAdamState``) are kept here
+as oracles for the fast ones. The tape ops only those oracles
 and the tests use (``add``, ``reshape``, ``reduce_sum`` along an axis,
 ``segment_softmax`` and ``segment_sum``) are built here on
 ``autodiff._make``, and
@@ -18,14 +19,16 @@ per-edge tuples.
 """
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from heatnet import autodiff as ad
 from heatnet.builder import _pearson
-from heatnet.errors import ConfigError, ShapeError
+from heatnet.errors import ConfigError, ShapeError, TrainingError
 from heatnet.hetgraph import HeteroGraph
+from heatnet.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def from_lists(types, nodes, edges, label=None):
@@ -480,3 +483,45 @@ def ref_edge_attrs(feats, pairs):
             attr_cache[key] = float(ref_pearson_edge_attr(feats[s], feats[t])[0])
         attrs[i, 0] = attr_cache[key]
     return attrs
+
+
+@dataclass
+class RefAdamState:
+    """Adam's step count and one pair of moment arrays per parameter name."""
+
+    t: int
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
+
+    @classmethod
+    def init(cls, params: dict[str, ad.Tensor]) -> "RefAdamState":
+        return cls(
+            t=0,
+            m={k: np.zeros_like(p.data) for k, p in params.items()},
+            v={k: np.zeros_like(p.data) for k, p in params.items()},
+        )
+
+
+def ref_adam_step(params, grads, state, cfg) -> None:
+    """One bias-corrected Adam update in place, parameter by parameter:
+    the update that ``train.adam_step`` packs into one buffer.
+
+    Decoupled weight decay shrinks parameters before the moment update.
+    """
+    bad = [k for k, g in grads.items() if not np.all(np.isfinite(g))]
+    if bad:
+        raise TrainingError(f"non-finite gradients for parameters: {sorted(bad)}")
+    state.t += 1
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    lr, wd = cfg.learning_rate, cfg.weight_decay
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p.data)
+        if wd:
+            p.data = p.data * (1.0 - lr * wd)
+        m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
+        v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** state.t)
+        v_hat = v / (1.0 - b2 ** state.t)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

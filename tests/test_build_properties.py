@@ -1,18 +1,21 @@
 """Property tests: row-tiled k-NN, with its block-candidate selection, and the
 batched Pearson kernel agree with the dense k-NN and the per-edge Pearson loop
-they replaced."""
+they replaced; subgraphs carry the edge positions a lookup would give."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import _reference
 from _reference import _similarity_matrix, ref_edge_attrs, ref_knn_edges
 from heatnet import builder
-from heatnet.builder import BuildConfig, PatchRecord, build_graph, knn_edges
+from heatnet.builder import AugmentConfig, BuildConfig, PatchRecord, augment, build_graph, knn_edges
+from heatnet.hetgraph import HeteroGraph, remove_node
+from heatnet.testing import random_labeled_graph
 
 PROPERTY = settings(max_examples=80, deadline=None)
 EPS = np.finfo(np.float64).eps
@@ -185,3 +188,49 @@ def test_build_attrs_match_per_edge_loop(inputs, self_loops):
                | (a == 0.0).all(axis=1) | (b == 0.0).all(axis=1))
     assert got[special].tobytes() == expected[special].tobytes()
     np.testing.assert_allclose(got, expected, rtol=0, atol=4 * d * EPS)
+
+
+@st.composite
+def spaced_graphs(draw):
+    """Random graphs whose node ids are distinct, unsorted and far apart."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_labeled_graph(rng, n_nodes=draw(st.integers(1, 20)), feature_dim=3,
+                             extra_edge_prob=draw(st.sampled_from([0.0, 0.2, 0.6])))
+    ids = rng.choice(10**6, g.n_nodes, replace=False)
+    return HeteroGraph(**{**{f.name: getattr(g, f.name) for f in fields(g)},
+                          "node_ids": tuple(ids.tolist()),
+                          "edge_src": ids[g.edge_src], "edge_dst": ids[g.edge_dst]}), rng
+
+
+def _assert_carries_lookup(sub):
+    """``sub.edge_pos`` was seeded, and equals the lookup on a copy with
+    identical fields and an empty cache: values, dtype and read-only flags."""
+    assert "edge_pos" in vars(sub)
+    fresh = HeteroGraph(**{f.name: getattr(sub, f.name) for f in fields(sub)})
+    assert "edge_pos" not in vars(fresh)
+    for carried, looked in zip(sub.edge_pos, fresh.edge_pos):
+        assert carried.dtype == looked.dtype == np.intp
+        assert not carried.flags.writeable and not looked.flags.writeable
+        assert carried.tobytes() == looked.tobytes()
+
+
+@PROPERTY
+@given(spaced_graphs(),
+       st.sampled_from([0.0, 0.3, 0.9, 1.0]),     # at 1.0 only the largest draw survives
+       st.sampled_from([0.0, 0.5, 1.0]),
+       st.sampled_from([0.0, 0.1]), st.sampled_from([0.0, 0.1]))
+def test_augment_carries_edge_positions(case, node_drop, edge_drop, feature_noise, edge_noise):
+    g, rng = case
+    cfg = AugmentConfig(edge_drop_prob=edge_drop, node_drop_prob=node_drop,
+                        feature_noise_sigma=feature_noise, edge_noise_sigma=edge_noise)
+    assume(not cfg.is_identity)
+    out = augment(g, cfg, rng)
+    assert out.n_nodes >= 1
+    _assert_carries_lookup(out)
+
+
+@PROPERTY
+@given(spaced_graphs(), st.data())
+def test_remove_node_carries_edge_positions(case, data):
+    g, _ = case
+    _assert_carries_lookup(remove_node(g, data.draw(st.sampled_from(g.node_ids))))

@@ -435,6 +435,17 @@ class TestMalformedInputFiles:
         assert ("checkpoint parameter 'classifier.bias' data must be a list of numbers, "
                 f"found {json.dumps(value)}") in line
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400],
+                             ids=["nan", "infinity", "minus-infinity", "beyond-float64"])
+    def test_parameter_data_not_finite_exits_2(self, tmp_path, capsys, value):
+        # json writes and reads NaN, Infinity and -Infinity
+        def corrupt(doc):
+            doc["params"]["classifier.bias"]["data"][1] = value
+
+        line = _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_ckpt=corrupt)
+        assert line == ("heatnet: error: input: checkpoint parameter 'classifier.bias' data "
+                        f"must be finite, found {json.dumps(value)}")
+
     def test_version_1_checkpoint_exits_2(self, tmp_path, capsys):
         line = _explain_exits_2_with_one_line(tmp_path, capsys,
                                               corrupt_ckpt=_version_1_checkpoint)

@@ -1,18 +1,25 @@
 """Optimizer, k-fold splits, training behavior, checkpoints, synthetic data."""
 
+import importlib
+import json
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _reference import RefAdamState, ref_adam_step
 from heatnet.autodiff import Tensor
 from heatnet.builder import AugmentConfig, BuildConfig
+from heatnet.cli import EXIT_OK, main
 from heatnet.errors import ConfigError, GenerationError, TrainingError
 from heatnet.hetgraph import DEFAULT_TYPES
 from heatnet.model import Model, ModelConfig
 from heatnet.seeding import rng_for
 from heatnet.synth import SyntheticSpec, planted_label, synth_generate
 from heatnet.train import (
+    CHECKPOINT_VERSION,
     AdamState,
     TrainConfig,
     adam_step,
@@ -24,6 +31,7 @@ from heatnet.train import (
 )
 
 NO_AUG = AugmentConfig()
+train_module = importlib.import_module("heatnet.train")  # the package exports a function ``train``
 
 
 def quiet_cfg(**kw):
@@ -76,6 +84,66 @@ class TestAdam:
                 traj.append(p["w"].data.copy())
             return np.array(traj)
         assert (run() == run()).all()
+
+
+def _bytes(params):
+    return {k: p.data.tobytes() for k, p in params.items()}
+
+
+class TestPackedAdam:
+    """``adam_step`` over the packed buffer against the per-name oracle."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(20, 30),
+           learning_rate=st.sampled_from([5e-5, 3e-3, 0.1]),
+           weight_decay=st.sampled_from([0.0, 1e-5, 0.25]),
+           missing=st.sampled_from([0.0, 0.3]))
+    def test_matches_per_name_update_bit_for_bit(self, seed, steps, learning_rate,
+                                                 weight_decay, missing):
+        # the model's own 1-D, 2-D and 3-D parameter shapes
+        shapes = {k: p.shape for k, p in tiny_model().parameters().items()}
+        assert {len(s) for s in shapes.values()} == {1, 2, 3}
+        rng = np.random.default_rng(seed)
+        init = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        packed = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        oracle = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        state, ref_state = AdamState.init(packed), RefAdamState.init(oracle)
+        cfg = quiet_cfg(learning_rate=learning_rate, weight_decay=weight_decay)
+        for _ in range(steps):
+            scale = 10.0 ** rng.integers(-8, 4)
+            # a leaf left out of a step gets a zero gradient
+            grads = {k: scale * rng.standard_normal(s) for k, s in shapes.items()
+                     if rng.random() >= missing}
+            adam_step(packed, grads, state, cfg)
+            ref_adam_step(oracle, grads, ref_state, cfg)
+            assert _bytes(packed) == _bytes(oracle)
+        assert state.t == ref_state.t == steps
+        for flat, per_name in ((state.m, ref_state.m), (state.v, ref_state.v)):
+            assert flat.tobytes() == np.concatenate(
+                [per_name[k].reshape(-1) for k in shapes]).tobytes()
+
+    def test_leaves_are_views_of_one_buffer(self):
+        p = tiny_model().parameters()
+        state = AdamState.init(p)
+        assert state.theta.size == sum(t.size for t in p.values())
+        assert all(t.data.base is state.theta for t in p.values())
+
+    def test_leaf_rebound_between_steps_is_packed_again(self):
+        def leaves():
+            return {"w": Tensor([1.0, -2.0], requires_grad=True),
+                    "b": Tensor([0.5], requires_grad=True)}
+        packed, oracle = leaves(), leaves()
+        state, ref_state = AdamState.init(packed), RefAdamState.init(oracle)
+        cfg = quiet_cfg(learning_rate=0.1, weight_decay=0.01)
+        grads = {"w": np.array([0.3, -0.7]), "b": np.array([1.5])}
+        for step in range(4):
+            if step == 2:
+                packed["w"].data = np.array([4.0, 5.0])
+                oracle["w"].data = np.array([4.0, 5.0])
+            adam_step(packed, grads, state, cfg)
+            ref_adam_step(oracle, grads, ref_state, cfg)
+            assert _bytes(packed) == _bytes(oracle)
+        assert packed["w"].data.base is state.theta
 
 
 class TestKfold:
@@ -215,6 +283,80 @@ class TestTrain:
                                           n_layers=2, dropout=0.0))
         out = evaluate(graphs, Model.init(cfg, rng_for(9, "init")))
         assert 0.35 <= out["auc"] <= 0.65
+
+
+def _with_oracle_adam(monkeypatch, run):
+    """``run()`` with ``train`` on the per-name Adam update of the oracle."""
+    with monkeypatch.context() as m:
+        m.setattr(train_module, "AdamState", RefAdamState)
+        m.setattr(train_module, "adam_step", ref_adam_step)
+        return run()
+
+
+def _state_bytes(model):
+    return {k: (a.shape, a.tobytes()) for k, a in model.state_arrays().items()}
+
+
+def _log(result):
+    return [(r.epoch, r.train_loss.hex(), r.val_loss.hex(), repr(r.val_auc)) for r in result.log]
+
+
+class TestPackedTraining:
+    """``train`` on the packed buffer leaves the bytes of the per-name update."""
+
+    CFG = quiet_cfg(learning_rate=5e-3, weight_decay=1e-3, max_epochs=3,
+                    augmentation=AugmentConfig(0.2, 0.1, 0.05, 0.05))
+
+    def test_leaf_rebound_before_the_call_is_trained(self, monkeypatch):
+        graphs = tiny_dataset(n=10, seed=6)
+
+        def run(rebind=True):
+            model = tiny_model(seed=6)
+            if rebind:
+                model.pool.classifier_w.data = np.full_like(model.pool.classifier_w.data, 0.25)
+            result = train(graphs[:7], graphs[7:], model, self.CFG)
+            return _state_bytes(model), _log(result)
+
+        packed = run()
+        assert packed == _with_oracle_adam(monkeypatch, run)
+        assert packed[1] != run(rebind=False)[1]
+
+    def test_two_calls_on_one_model(self, monkeypatch):
+        graphs = tiny_dataset(n=10, seed=7)
+
+        def run():
+            model = tiny_model(seed=7)
+            first = train(graphs[:7], graphs[7:], model, self.CFG)
+            after_first = _state_bytes(model)
+            second = train(graphs[3:], graphs[:3], model, quiet_cfg(learning_rate=1e-2, seed=1))
+            return after_first, _state_bytes(model), _log(first), _log(second)
+
+        packed = run()
+        assert packed[0] != packed[1]
+        assert packed == _with_oracle_adam(monkeypatch, run)
+
+    def test_c09_recipe_artifacts_unchanged(self, tmp_path, monkeypatch):
+        synth_args = ["--set", "synth.n_nodes=[6,9]", "--set", "synth.feature_dim=4",
+                      "--set", "synth.rule=type_count", "--set", "synth.label_feature_shift=2.0",
+                      "--set", 'synth.type_probs={"no-label":0.1,"neoplastic":0.3,'
+                               '"inflammatory":0.3,"connective":0.2,"dead":0.1,'
+                               '"non-neoplastic-epithelial":0.0}']
+        fast = ["--set", "train.learning_rate=0.003", "--set", "train.max_epochs=4",
+                "--set", "train.patience=4", "--set", "model.hidden_dim=4",
+                "--set", "train.augmentation.feature_noise_sigma=0.05"]
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--n", "10", "--seed", "11",
+                     "--deterministic", *synth_args]) == EXIT_OK
+
+        def run(name):
+            out = tmp_path / name
+            assert main(["train", "--data", str(data), "--out", str(out), "--seed", "11",
+                         "--deterministic", *synth_args, *fast]) == EXIT_OK
+            return [(out / f).read_bytes() for f in ("checkpoint.json", "train_log.csv")]
+
+        packed = run("packed")
+        assert packed == _with_oracle_adam(monkeypatch, lambda: run("oracle"))
+        assert json.loads(packed[0])["version"] == CHECKPOINT_VERSION == 3
 
 
 class TestRunCV:
