@@ -349,26 +349,22 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     return _make(x.data * mask, (x,), vjp, "leaky_relu")
 
 
-def dropout(x: Tensor, drop_prob: float, rng: np.random.Generator | None,
+def dropout(x: Tensor, drop_prob: float, rngs: Sequence[np.random.Generator] | None,
             training: bool, blocks: Sequence[int] | None = None) -> Tensor:
     """Inverted dropout: scales kept entries by 1/keep; identity in eval.
 
-    ``rng`` draws the mask of all rows; with ``blocks`` it is a sequence of
-    generators instead, and ``rng[i]`` draws the mask of the ``blocks[i]``
-    rows that follow block i - 1 (one stream per graph of a batch).
+    In training, ``rngs[i]`` draws the mask of the ``blocks[i]`` rows that
+    follow block i - 1 (one stream per graph of a batch).
     """
     if not training or drop_prob == 0.0:
         return x
     if not 0.0 <= drop_prob < 1.0:
         raise ConfigError(f"drop_prob must be in [0, 1), got {drop_prob}")
-    if rng is None:
-        raise ConfigError("dropout in training mode requires an rng")
-    if blocks is None:
-        draws = rng.random(x.data.shape)
-    else:
-        if len(rng) != len(blocks):
-            raise ConfigError(f"dropout: {len(rng)} generators for {len(blocks)} row blocks")
-        draws = np.concatenate([r.random((n, *x.data.shape[1:])) for r, n in zip(rng, blocks)])
+    if rngs is None or blocks is None:
+        raise ConfigError("dropout in training mode requires generators and row blocks")
+    if len(rngs) != len(blocks):
+        raise ConfigError(f"dropout: {len(rngs)} generators for {len(blocks)} row blocks")
+    draws = np.concatenate([r.random((n, *x.data.shape[1:])) for r, n in zip(rngs, blocks)])
     keep = 1.0 - drop_prob
     mask = (draws < keep).astype(np.float64) / keep
     return mul(x, Tensor(mask))

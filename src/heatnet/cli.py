@@ -34,16 +34,16 @@ from .errors import (
 )
 from .explain import explain_graph, export_heatmap
 from .hetgraph import DEFAULT_TYPES, TypeSet, _write_json, load_graph, save_graph
-from .model import Model, ModelConfig
+from .model import Model
 from .seeding import rng_for
 from .synth import synth_generate
 from .train import (
     evaluate,
-    kfold_split,
+    fold_split,
     load_checkpoint,
     run_cv,
     save_checkpoint,
-    train,
+    train_fold,
     write_train_log,
 )
 
@@ -94,13 +94,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train one fold and save checkpoint + log")
     _add_common(p)
     p.add_argument("--data", required=True, metavar="DIR", help="dataset directory from synth")
-    p.add_argument("--fold", type=int, default=0, help="fold index used for test/val carve-out")
+    p.add_argument("--fold", type=int, default=0, help="CV fold whose model to train")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a fold, or run full CV")
     _add_common(p)
     p.add_argument("--data", required=True, metavar="DIR")
     p.add_argument("--checkpoint", metavar="PATH", help="evaluate this checkpoint")
-    p.add_argument("--fold", type=int, default=0)
+    p.add_argument("--fold", type=int, default=0, help="CV fold whose test set to evaluate")
     p.add_argument("--cv", action="store_true", help="train+evaluate all folds")
 
     p = sub.add_parser("explain", help="attribute a prediction to nodes, export heatmap")
@@ -137,12 +137,6 @@ def _load_dataset(data_dir: str):
         raise ConfigError(f"dataset manifest {manifest_path} needs a 'files' list of strings")
     graphs = [load_graph(os.path.join(data_dir, name)) for name in files]
     return graphs, manifest
-
-
-def _resolve_model_config(cfg: RunConfig, feature_dim: int) -> ModelConfig:
-    if cfg.model.feature_dim is None:
-        return dataclasses.replace(cfg.model, feature_dim=feature_dim)
-    return cfg.model
 
 
 def cmd_build_graph(args, cfg: RunConfig) -> int:
@@ -189,14 +183,7 @@ def cmd_synth(args, cfg: RunConfig) -> int:
 def cmd_train(args, cfg: RunConfig) -> int:
     out = _require_out(args, "train")
     graphs, _ = _load_dataset(args.data)
-    splits = kfold_split(list(range(len(graphs))), cfg.train.folds, cfg.train.seed)
-    if not 0 <= args.fold < cfg.train.folds:
-        raise ConfigError(f"--fold must be in [0, {cfg.train.folds})")
-    train_idx, val_idx, _test_idx = splits[args.fold]
-    model_cfg = _resolve_model_config(cfg, graphs[0].feature_dim)
-    model = Model.init(model_cfg, rng_for(cfg.seed, "init", args.fold))
-    result = train([graphs[i] for i in train_idx], [graphs[i] for i in val_idx],
-                   model, cfg.train, deterministic=args.deterministic)
+    result, _ = train_fold(graphs, args.fold, cfg.model, cfg.train, args.deterministic)
     os.makedirs(out, exist_ok=True)
     prov = provenance_block(cfg, "train", args.deterministic)
     prov["fold"] = args.fold
@@ -218,17 +205,13 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     graphs, _ = _load_dataset(args.data)
     prov = provenance_block(cfg, "eval", args.deterministic)
     if args.cv:
-        model_cfg = _resolve_model_config(cfg, graphs[0].feature_dim)
-        report = run_cv(graphs, model_cfg, cfg.train,
+        report = run_cv(graphs, cfg.model, cfg.train,
                         deterministic=args.deterministic, jobs=args.jobs)
     else:
         if not args.checkpoint:
             raise ConfigError("eval needs --checkpoint or --cv")
         model, _doc = load_checkpoint(args.checkpoint)
-        splits = kfold_split(list(range(len(graphs))), cfg.train.folds, cfg.train.seed)
-        if not 0 <= args.fold < cfg.train.folds:
-            raise ConfigError(f"--fold must be in [0, {cfg.train.folds})")
-        _, _, test_idx = splits[args.fold]
+        _, _, test_idx = fold_split(len(graphs), args.fold, cfg.train)
         metrics = evaluate([graphs[i] for i in test_idx], model)
         report = {
             "auc": metrics["auc"],

@@ -16,7 +16,7 @@ from . import __version__
 from .builder import BuildConfig
 from .errors import ConfigError
 from .model import ModelConfig
-from .schema import build_dataclass
+from .schema import build_dataclass, to_jsonable
 from .synth import SyntheticSpec
 from .train import TrainConfig
 
@@ -32,20 +32,6 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-
-
-def _to_jsonable(obj: Any) -> Any:
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    return obj
-
-
-def config_dict(cfg: RunConfig) -> dict:
-    return _to_jsonable(cfg)
 
 
 def _deep_merge(base: dict, update: dict) -> dict:
@@ -120,5 +106,5 @@ def provenance_block(cfg: RunConfig, command: str, deterministic: bool) -> dict:
         "command": command,
         "seed": cfg.seed,
         "deterministic": deterministic,
-        "config": config_dict(cfg),
+        "config": to_jsonable(cfg),
     }

@@ -1,4 +1,5 @@
-"""Config dataclasses built from JSON values, checked against their annotations."""
+"""Config dataclasses built from JSON values, checked against their
+annotations, and turned back into JSON values."""
 
 from __future__ import annotations
 
@@ -57,3 +58,15 @@ def build_dataclass(cls, data: dict, path: str):
         raise ConfigError(f"unknown key(s) {sorted(unknown)} under {path!r}")
     return cls(**{name: _convert(value, hints[name], f"{path}.{name}")
                   for name, value in data.items()})
+
+
+def to_jsonable(obj):
+    """``obj`` as JSON values: a dataclass an object of its fields in
+    order, a tuple a list, recursively; the inverse of ``build_dataclass``."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
+    return obj

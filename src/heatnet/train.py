@@ -20,8 +20,8 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import ConfigError, NonFiniteError, TrainingError
 from .hetgraph import HeteroGraph, _non_number, _write_json
 from .metrics import accuracy, metric_auc_macro, metric_macro_f1
 from .model import Model, ModelConfig
-from .schema import build_dataclass
+from .schema import build_dataclass, to_jsonable
 from .seeding import rng_for
 
 CHECKPOINT_VERSION = 3
@@ -310,10 +310,9 @@ def train(train_graphs: Sequence[HeteroGraph], val_graphs: Sequence[HeteroGraph]
 
 def checkpoint_dict(model: Model, provenance: dict | None, epoch: int,
                     val_loss: float) -> dict:
-    cfg = model.config
     return {
         "version": CHECKPOINT_VERSION,
-        "model_config": {**asdict(cfg), "types": list(cfg.types)},
+        "model_config": to_jsonable(model.config),
         "params": {
             name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
             for name, arr in sorted(model.state_arrays().items())
@@ -391,14 +390,34 @@ def write_train_log(path, log: Sequence[EpochLog], provenance: dict | None = Non
 # cross-validation protocol
 # ---------------------------------------------------------------------------
 
-def _run_fold(args) -> dict:
-    fold, dataset, model_cfg, cfg, deterministic = args
-    splits = kfold_split(list(range(len(dataset))), cfg.folds, cfg.seed)
-    train_idx, val_idx, test_idx = splits[fold]
+def fold_split(n: int, fold: int, cfg: TrainConfig) -> tuple[list, list, list]:
+    """The (train, val, test) indices of CV fold ``fold`` over ``n`` items,
+    as ``kfold_split`` makes them under ``cfg.folds`` and ``cfg.seed``."""
+    if not 0 <= fold < cfg.folds:
+        raise ConfigError(f"fold {fold} is out of range [0, {cfg.folds})")
+    return kfold_split(range(n), cfg.folds, cfg.seed)[fold]
+
+
+def train_fold(dataset: Sequence[HeteroGraph], fold: int, model_cfg: ModelConfig,
+               cfg: TrainConfig, deterministic: bool = True
+               ) -> tuple[TrainResult, list[HeteroGraph]]:
+    """Train CV fold ``fold``'s model: a model initialized from
+    ``cfg.seed`` and the fold (``feature_dim`` taken from the data when
+    unset), fit on the fold's training graphs with early stopping on its
+    validation graphs. Returns the result and the fold's test graphs."""
+    train_idx, val_idx, test_idx = fold_split(len(dataset), fold, cfg)
+    if model_cfg.feature_dim is None:
+        model_cfg = replace(model_cfg, feature_dim=dataset[0].feature_dim)
     model = Model.init(model_cfg, rng_for(cfg.seed, "init", fold))
     result = train([dataset[i] for i in train_idx], [dataset[i] for i in val_idx],
                    model, cfg, deterministic=deterministic)
-    test_metrics = evaluate([dataset[i] for i in test_idx], result.model)
+    return result, [dataset[i] for i in test_idx]
+
+
+def _run_fold(args) -> dict:
+    fold, dataset, model_cfg, cfg, deterministic = args
+    result, test = train_fold(dataset, fold, model_cfg, cfg, deterministic)
+    test_metrics = evaluate(test, result.model)
     return {
         "fold": fold,
         "auc": test_metrics["auc"],
@@ -413,15 +432,12 @@ def _run_fold(args) -> dict:
 
 
 def run_cv(dataset: Sequence[HeteroGraph], model_cfg: ModelConfig, cfg: TrainConfig,
-           deterministic: bool = True, jobs: int = 1,
-           fold_hook: Callable[[dict], None] | None = None) -> dict:
+           deterministic: bool = True, jobs: int = 1) -> dict:
     """K-fold cross-validation; returns mean metrics plus per-fold detail.
 
     ``auc`` averages the folds with a defined AUC (a single-class test set
     has none); ``auc_folds`` counts them.
     """
-    if model_cfg.feature_dim is None:
-        model_cfg = replace(model_cfg, feature_dim=dataset[0].feature_dim)
     args = [(fold, list(dataset), model_cfg, cfg, deterministic) for fold in range(cfg.folds)]
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -430,9 +446,6 @@ def run_cv(dataset: Sequence[HeteroGraph], model_cfg: ModelConfig, cfg: TrainCon
             fold_results = list(pool.map(_run_fold, args))
     else:
         fold_results = [_run_fold(a) for a in args]
-    if fold_hook:
-        for fr in fold_results:
-            fold_hook(fr)
     aucs = [f["auc"] for f in fold_results if not np.isnan(f["auc"])]
     return {
         "auc": float(np.mean(aucs)) if aucs else float("nan"),

@@ -247,7 +247,7 @@ class TestOps:
     def test_dropout_train_scales_kept_entries(self):
         rng = np.random.default_rng(3)
         x = Tensor(np.ones((100, 10)))
-        out = ad.dropout(x, 0.2, rng, training=True)
+        out = ad.dropout(x, 0.2, [rng], training=True, blocks=[100])
         vals = np.unique(out.data)
         assert set(np.round(vals, 12)) <= {0.0, round(1.0 / 0.8, 12)}
 

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from heatnet.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from heatnet.config import RunConfig, load_run_config, provenance_block
 from heatnet.hetgraph import TypeSet, load_graph, save_graph, validate
 from heatnet.model import Model, ModelConfig
+from heatnet.schema import build_dataclass
 from heatnet.testing import random_labeled_graph
 from heatnet.train import checkpoint_dict
 
@@ -274,6 +276,45 @@ class TestTrainEvalExplain:
         assert rc == EXIT_INPUT
         assert "--jobs must be at least 1" in _one_input_error_line(capsys)
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("fold", ["0", "3"])
+    def test_train_fold_reproduces_the_cv_fold(self, tmp_path, fold):
+        """``train --fold k`` then ``eval --checkpoint --fold k`` gives
+        ``eval --cv``'s fold k, also when train.seed differs from --seed."""
+        data = make_dataset(tmp_path, n=15, seed=6)
+        common = ["--data", str(data), "--seed", "0", "--set", "train.seed=3",
+                  "--deterministic", *SMALL_SYNTH, *FAST_TRAIN]
+        run = tmp_path / "run"
+        assert main(["train", "--fold", fold, "--out", str(run), *common]) == EXIT_OK
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.json"), "--fold", fold,
+                     "--out", str(tmp_path / "one.json"), *common]) == EXIT_OK
+        assert main(["eval", "--cv", "--out", str(tmp_path / "cv.json"), *common]) == EXIT_OK
+        (one,) = json.loads((tmp_path / "one.json").read_text())["per_fold"]
+        cv = json.loads((tmp_path / "cv.json").read_text())["per_fold"][int(fold)]
+        keys = ("fold", "loss", "auc", "accuracy", "macro_f1")
+        np.testing.assert_equal({k: one[k] for k in keys}, {k: cv[k] for k in keys})
+
+    @pytest.mark.parametrize("command, fold", [("train", "5"), ("eval", "-1")])
+    def test_fold_out_of_range_exits_2_with_one_line(self, tmp_path, capsys, command, fold):
+        data = make_dataset(tmp_path, n=8, seed=2)
+        model = Model.init(ModelConfig(feature_dim=4, hidden_dim=4), 0)
+        (tmp_path / "ckpt.json").write_text(json.dumps(checkpoint_dict(model, None, 0, 0.0)))
+        extra = ["--checkpoint", str(tmp_path / "ckpt.json")] if command == "eval" else []
+        capsys.readouterr()
+        rc = main([command, "--data", str(data), "--fold", fold, *extra,
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_INPUT
+        assert f"fold {fold} is out of range [0, 5)" in _one_input_error_line(capsys)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [["eval", "--cv"], ["train"]], ids=["eval-cv", "train"])
+    def test_empty_dataset_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.json").write_text(json.dumps({"files": []}))
+        rc = main([*argv, "--data", str(data), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_INPUT
+        assert "cannot split 0 items into 5 folds" in _one_input_error_line(capsys)
 
     def test_eval_without_checkpoint_or_cv_exits_2(self, tmp_path):
         data = make_dataset(tmp_path, n=8, seed=2)
@@ -595,6 +636,12 @@ class TestConfigValueTypes:
         rc = main(["gradcheck", "--nodes", "2", "--dim", "2", "--set", override])
         assert rc == EXIT_INPUT
         assert "unknown key" in _one_input_error_line(capsys)
+
+    def test_provenance_config_rebuilds_the_run_config(self):
+        cfg = load_run_config(None, ["build.k=3", 'model.types=["a","b"]', "train.folds=4",
+                                     "train.augmentation.edge_drop_prob=0.3"], seed=4)
+        config = provenance_block(cfg, "train", True)["config"]
+        assert build_dataclass(RunConfig, json.loads(json.dumps(config)), "config") == cfg
 
     def test_build_graph_override(self, tmp_path, capsys):
         patches = tmp_path / "patches.jsonl"

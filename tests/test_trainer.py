@@ -24,10 +24,13 @@ from heatnet.train import (
     TrainConfig,
     adam_step,
     evaluate,
+    fold_split,
     kfold_split,
     load_checkpoint,
+    run_cv,
     save_checkpoint,
     train,
+    train_fold,
 )
 
 NO_AUG = AugmentConfig()
@@ -173,6 +176,10 @@ class TestKfold:
     def test_too_few_items(self):
         with pytest.raises(ConfigError):
             kfold_split([1, 2], folds=3)
+
+    def test_fold_split_is_the_folds_entry(self):
+        cfg = quiet_cfg(folds=4, seed=3)
+        assert [fold_split(13, k, cfg) for k in range(4)] == kfold_split(list(range(13)), 4, 3)
 
 
 def tiny_dataset(n=12, seed=0, shift=3.0):
@@ -360,8 +367,25 @@ class TestPackedTraining:
 
 
 class TestRunCV:
+    def test_train_fold_is_the_cv_folds_model(self):
+        graphs = tiny_dataset(n=10, seed=13)
+        # feature_dim left unset: train_fold and run_cv take it from the data
+        model_cfg = ModelConfig(hidden_dim=4, heads=2, n_layers=2, dropout=0.0)
+        cfg = quiet_cfg(max_epochs=2, seed=3)
+        result, test = train_fold(graphs, 2, model_cfg, cfg)
+        assert result.model.config.feature_dim == 6
+        assert test == [graphs[i] for i in fold_split(len(graphs), 2, cfg)[2]]
+        fold = run_cv(graphs, model_cfg, cfg)["per_fold"][2]
+        metrics = evaluate(test, result.model)
+        keys = ("auc", "accuracy", "macro_f1", "loss")
+        np.testing.assert_equal({k: metrics[k] for k in keys}, {k: fold[k] for k in keys})
+        assert result.best_epoch == fold["best_epoch"]
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ConfigError, match="cannot split 0 items into 5 folds"):
+            run_cv([], ModelConfig(hidden_dim=4), quiet_cfg(max_epochs=1))
+
     def test_parallel_folds_match_sequential(self):
-        from heatnet.train import run_cv
         graphs = tiny_dataset(n=20, seed=10)
         model_cfg = ModelConfig(feature_dim=6, hidden_dim=4, heads=2, n_layers=2, dropout=0.0)
         cfg = quiet_cfg(learning_rate=3e-3, max_epochs=2, folds=5)
@@ -370,13 +394,11 @@ class TestRunCV:
         np.testing.assert_equal(par, seq)  # NaN-tolerant deep equality
 
     def test_jobs_below_one_rejected(self):
-        from heatnet.train import run_cv
         model_cfg = ModelConfig(feature_dim=6, hidden_dim=4, heads=2, n_layers=2, dropout=0.0)
         with pytest.raises(ConfigError, match="jobs"):
             run_cv(tiny_dataset(n=10, seed=10), model_cfg, quiet_cfg(max_epochs=1), jobs=0)
 
     def test_report_shape(self):
-        from heatnet.train import run_cv
         graphs = tiny_dataset(n=10, seed=11)
         model_cfg = ModelConfig(feature_dim=6, hidden_dim=4, heads=2, n_layers=2, dropout=0.0)
         report = run_cv(graphs, model_cfg, quiet_cfg(max_epochs=1, folds=5))
@@ -386,7 +408,6 @@ class TestRunCV:
     def test_single_class_fold_is_left_out_of_auc(self):
         from dataclasses import replace
 
-        from heatnet.train import run_cv
         graphs = tiny_dataset(n=12, seed=12)
         cfg = quiet_cfg(max_epochs=1, folds=3)
         # fold 0 tests on label-0 graphs only; the other test folds hold both classes
