@@ -18,7 +18,7 @@ rounded segment mean or sum in the same order, so its outputs and weights
 are bit-equal to that composition's. Its tape entry keeps only the
 (E, heads) weights and the index arrays; the VJP gathers the rows again
 from the table (a recompute, as in FlashAttention's backward) and scatters
-their gradients with one ``np.add.at``.
+their gradients with ``np.add.at``.
 
 The segment ops take runs of consecutive rows, the CSR layout in which
 ``hetgraph.batch_graphs`` sorts edges by target: segment s is the
@@ -48,6 +48,26 @@ of 1 or 2 about a quarter of row subsets change bits; attention layers with
 d_k <= 2 have such edge maps. Row invariance is what lets a cached forward
 stand in for the rows a graph edit leaves unchanged (``explain``). Backward
 products still go through BLAS.
+
+``edge_attention``, ``linear`` and ``typed_matmul`` run over blocks of rows
+and write each block into the whole output arrays, so no forward temporary
+grows with the graph (after FlashAttention's tiling, Dao et al. 2022). An
+attention block is whole segments whose (rows, width) temporaries fit
+``_ATTEND_BYTES``, or one longer segment; a product block is the rows whose
+(rows, d_out, d_in) broadcast product fits ``_PRODUCT_BYTES``, and
+``typed_matmul`` gathers its per-row weights one block at a time. Blocking
+changes no bit: every product row and elementwise value comes from its own
+row's inputs, and a segment's maximum, softmax and exact sum read only its
+own rows, which one block holds (the sum is correctly rounded, so the grid
+a block's longest segment sets cannot change it). The attention VJP
+scatters each block's key gradients as it goes and keeps the query
+gradients, one (E, width) array, for a scatter after the last block, so
+each table row receives its additions in the order of one ``np.add.at``
+over all keys, then all queries. Arrays within budget are one block: the
+unblocked computation. Two more savings keep the bits: attention scores add
+a head's d_k products plane by plane in numpy's own summation order
+(``_sum_last``), and a softmax's exact sums take their first grid from the
+known largest term, exp(0) = 1, instead of a segment maximum.
 """
 
 from __future__ import annotations
@@ -64,6 +84,17 @@ from .errors import ConfigError, ContractError, NonFiniteError, ShapeError
 Array = np.ndarray
 
 _GRAD_ENABLED = True
+
+# Row-block budgets in bytes (see the module docstring): the rows of an
+# ``edge_attention`` block fill at most _ATTEND_BYTES of each (rows, width)
+# temporary, and those of a product block at most _PRODUCT_BYTES of its
+# (rows, d_out, d_in) temporary; a block has at least one row.
+_ATTEND_BYTES = 1 << 17
+_PRODUCT_BYTES = 1 << 20
+
+
+def _block_rows(budget: int, row_bytes: int) -> int:
+    return max(1, budget // max(row_bytes, 1))
 
 
 @contextmanager
@@ -194,15 +225,23 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make(a.data * s, (a,), vjp, "scale")
 
 
-def _rowwise_product(x: Array, w: Array) -> Array:
-    """``out[r, o] = sum_i x[r, i] * w[..., o, i]``, each row from its own input row only.
+def _rowwise_product(x: Array, w: Array, type_idx: Array | None = None) -> Array:
+    """``out[r, o] = sum_i x[r, i] * w[o, i]``, each row from its own input row only.
 
-    ``w`` is (d_out, d_in), or (n, d_out, d_in) for one weight per row. A
-    broadcast product summed along its contiguous last axis rounds every
-    output row the same whatever other rows share the call, which BLAS does
-    not promise (see the module docstring).
+    ``w`` is (d_out, d_in), or (T, d_out, d_in) with row r taking
+    ``w[type_idx[r]]``. A broadcast product summed along its contiguous
+    last axis rounds every output row the same whatever other rows share
+    the call, which BLAS does not promise (see the module docstring). The
+    rows run in blocks (``_PRODUCT_BYTES``), each gathering its own weights.
     """
-    return np.multiply(x[:, None, :], w, order="C").sum(axis=-1)
+    d_out, d_in = w.shape[-2:]
+    step = _block_rows(_PRODUCT_BYTES, 8 * d_out * d_in)
+    out = np.empty((x.shape[0], d_out))
+    for r0 in range(0, x.shape[0], step):
+        r1 = r0 + step
+        wb = w if type_idx is None else w.take(type_idx[r0:r1], axis=0)
+        np.add.reduce(np.multiply(x[r0:r1, None, :], wb, order="C"), axis=-1, out=out[r0:r1])
+    return out
 
 
 @_op
@@ -259,7 +298,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     n = a.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ShapeError(f"gather_rows index out of range for {n} rows")
-    out = a.data[idx]
+    out = a.data.take(idx, axis=0)
 
     def vjp(g):
         da = np.zeros_like(a.data)
@@ -288,7 +327,7 @@ def typed_matmul(x: Tensor, w: Tensor, type_idx) -> Tensor:
         raise ShapeError(f"typed_matmul: type index has shape {idx.shape}, x has {n} rows")
     if n and (idx.min() < 0 or idx.max() >= n_types):
         raise ShapeError(f"typed_matmul: type index out of range for {n_types} types")
-    out = _rowwise_product(x.data, w.data[idx])
+    out = _rowwise_product(x.data, w.data, idx)
 
     def vjp(g):
         # Row r's gradient sits in column block type_idx[r] of ``spread``, so
@@ -392,7 +431,7 @@ def cross_entropy(logits: Tensor, labels: int | Sequence[int] | Array) -> Tensor
         raise ConfigError(f"label {int(y[bad][0])} out of range for {n} classes")
     m = rows.max(axis=1)
     sums = _segment_fsum(np.exp(rows - m[:, None]).T, np.zeros(1, dtype=np.intp),
-                         np.array([n]))[0]
+                         np.array([n]), top=1.0)[0]
     lse = m + np.array([math.log(s) for s in sums.tolist()])
     at = np.arange(b)
     out = (lse - rows[at, y]).reshape(d.shape[:-1])
@@ -426,8 +465,8 @@ def _grid_scale(counts: Array) -> int:
     return int(counts.max(initial=0) + 1).bit_length()
 
 
-def _extractions(xs: Array, starts: Array, counts: Array,
-                 scale: int) -> Iterator[tuple[Array, Array]]:
+def _extractions(xs: Array, starts: Array, counts: Array, scale: int,
+                 top: float | None = None) -> Iterator[tuple[Array, Array]]:
     """Error-free extraction passes over the row segments of ``xs``.
 
     Pass k yields the exact column sums of each segment's parts on its k-th
@@ -435,8 +474,10 @@ def _extractions(xs: Array, starts: Array, counts: Array,
     next pass. A grid is a power of two sigma per segment and column, and
     a part is a value rounded to a multiple of 2**-53 * sigma. The first
     sigma is 2**scale times the power of two above the column's largest
-    magnitude. Every later sigma is the one before times 2**(scale - 53).
-    Call under ``np.errstate``: a column near overflow gives NaN.
+    magnitude, or above ``top`` when the caller knows that every column's
+    largest magnitude is ``top``. Every later sigma is the one before times
+    2**(scale - 53). Call under ``np.errstate``: a column near overflow
+    gives NaN.
 
     Why both grids are valid (Rump, Ogita & Oishi 2008, Lemma 3.3), for
     values p with max|p| <= 2**-M * sigma, 2**M = 2**scale >= n + 2 and
@@ -454,11 +495,15 @@ def _extractions(xs: Array, starts: Array, counts: Array,
     only if 2**-53 * sigma >= 2**-1074, so the next sigma is at least
     2**(scale - 1074) whenever there is anything left to extract.
     """
-    q = np.abs(xs)
-    # Nonnegative floats order as their int64 bit patterns, and an integer
-    # maximum is faster than a float one.
-    mu = np.maximum.reduceat(q.view(np.int64), starts, axis=0).view(np.float64)
-    sigma = np.repeat(np.ldexp(2.0 ** scale, np.frexp(mu)[1]), counts, axis=0)
+    if top is None:
+        q = np.abs(xs)
+        # Nonnegative floats order as their int64 bit patterns, and an integer
+        # maximum is faster than a float one.
+        mu = np.maximum.reduceat(q.view(np.int64), starts, axis=0).view(np.float64)
+        sigma = np.repeat(np.ldexp(2.0 ** scale, np.frexp(mu)[1]), counts, axis=0)
+    else:
+        q = np.empty_like(xs)
+        sigma = np.ldexp(2.0 ** scale, np.frexp(top)[1])
     rest = xs.copy()
     while True:
         np.add(sigma, rest, out=q)
@@ -489,7 +534,7 @@ def _segment_expansion(xs: Array, starts: Array, counts: Array) -> tuple[Array, 
                 return np.stack(terms), finite
 
 
-def _segment_fsum(xs: Array, starts: Array, counts: Array) -> Array:
+def _segment_fsum(xs: Array, starts: Array, counts: Array, top: float | None = None) -> Array:
     """Exactly rounded column sums of the row segments of ``xs``, as math.fsum.
 
     Segment s is rows ``starts[s]:starts[s] + counts[s]``. Two error-free
@@ -503,11 +548,11 @@ def _segment_fsum(xs: Array, starts: Array, counts: Array) -> Array:
     the remainders' total stays below half the gap below |hi|, which is
     checked only when some remainder is left. Any cell without that
     certificate (extreme dynamic range, overflow) is summed by math.fsum, so
-    the result is fsum's byte for byte.
+    the result is fsum's byte for byte. ``top`` is as in ``_extractions``.
     """
     scale = _grid_scale(counts)
     with np.errstate(over="ignore", invalid="ignore"):
-        passes = _extractions(xs, starts, counts, scale)
+        passes = _extractions(xs, starts, counts, scale, top)
         t0, _ = next(passes)
         t1, rest = next(passes)
         hi = t0 + t1
@@ -529,9 +574,59 @@ def _segment_fsum(xs: Array, starts: Array, counts: Array) -> Array:
     return hi
 
 
+def _sum_last(p: Array) -> Array:
+    """``p.sum(axis=-1)`` bit for bit, from whole-array adds of the last
+    axis's planes: one numpy call per term instead of a reduction call per
+    output, which is faster for a short axis such as a head's d_k.
+
+    numpy sums a last axis of n terms as 0 + S(n). Below 8 terms S adds them
+    one after another; up to 128 it keeps eight interleaved running sums,
+    adds those as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    terms left over; above 128 it adds the S of two halves split at a
+    multiple of 8.
+    """
+    n = p.shape[-1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum_last(p[..., :half]) + _sum_last(p[..., half:])
+    if n < 8:
+        out, done = p[..., 0] + 0.0, 1
+    else:
+        r = p[..., :8].copy()
+        done = n - n % 8
+        for i in range(8, done, 8):
+            r += p[..., i:i + 8]
+        out = ((r[..., 0] + r[..., 1]) + (r[..., 2] + r[..., 3])) \
+            + ((r[..., 4] + r[..., 5]) + (r[..., 6] + r[..., 7]))
+        out += 0.0
+    for j in range(done, n):
+        out += p[..., j]
+    return out
+
+
+def _segment_blocks(starts: Array, counts: Array, n_rows: int,
+                    max_rows: int) -> list[tuple[slice, slice, Array, Array]]:
+    """Blocks of whole segments: (segment slice, row slice, the block's
+    segment starts relative to its first row, their counts). A block holds
+    at most ``max_rows`` rows, or one segment longer than that."""
+    if n_rows <= max_rows:
+        return [(slice(None), slice(None), starts, counts)]
+    ends = starts + counts
+    blocks = []
+    s0 = 0
+    while s0 < len(counts):
+        r0 = int(starts[s0])
+        s1 = max(int(np.searchsorted(ends, r0 + max_rows, side="right")), s0 + 1)
+        blocks.append((slice(s0, s1), slice(r0, int(ends[s1 - 1])),
+                       starts[s0:s1] - r0, counts[s0:s1]))
+        s0 = s1
+    return blocks
+
+
 def _softmax_runs(x: Array, starts: Array, counts: Array) -> Array:
+    # Each segment column's largest term is exp(0) = 1.
     ex = np.exp(x - np.repeat(np.maximum.reduceat(x, starts, axis=0), counts, axis=0))
-    return ex / np.repeat(_segment_fsum(ex, starts, counts), counts, axis=0)
+    return ex / np.repeat(_segment_fsum(ex, starts, counts, top=1.0), counts, axis=0)
 
 
 def _softmax_runs_vjp(g: Array, w: Array, starts: Array, counts: Array) -> Array:
@@ -567,10 +662,10 @@ def edge_attention(table: Tensor, modulation: Tensor, src, dst, counts, heads: i
     the (len(counts), heads * d_k) output and the (E, heads) weights.
 
     The forward is the same float operations, in the same order, as that
-    composition of gathers, products and segment ops. The tape keeps only
-    the weights and the index arrays: the VJP gathers keys and queries
-    again from the table and scatters their gradients back with one
-    ``np.add.at``.
+    composition of gathers, products and segment ops, one block of whole
+    segments at a time. The tape keeps only the weights and the index
+    arrays: the VJP gathers keys and queries again, block by block, and
+    scatters their gradients back with ``np.add.at``.
     """
     table, modulation = _lift(table), _lift(modulation)
     src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
@@ -588,32 +683,46 @@ def edge_attention(table: Tensor, modulation: Tensor, src, dst, counts, heads: i
     starts, counts = _runs(counts, n_edges, "edge_attention")
     s = 1.0 / math.sqrt(d_k)
     mod = modulation.data.reshape(-1, 1, d_k)
+    blocks = _segment_blocks(starts, counts, n_edges, _block_rows(_ATTEND_BYTES, 8 * width))
 
-    def gathered():
-        return (table.data[src].reshape(-1, heads, d_k),
-                table.data[dst].reshape(-1, heads, d_k))
+    def gathered(rows):
+        return (table.data.take(src[rows], axis=0).reshape(-1, heads, d_k),
+                table.data.take(dst[rows], axis=0).reshape(-1, heads, d_k))
 
-    keys, queries = gathered()
-    w = _softmax_runs(((keys * mod) * queries).sum(axis=2) * s, starts, counts)
-    out = _segment_fsum((keys * w[:, :, None]).reshape(-1, width), starts, counts)
+    w = np.empty((n_edges, heads))
+    out = np.empty((len(counts), width))
+    for segs, rows, b_starts, b_counts in blocks:
+        keys, queries = gathered(rows)
+        w[rows] = _softmax_runs(_sum_last((keys * mod[rows]) * queries) * s,
+                                b_starts, b_counts)
+        out[segs] = _segment_fsum((keys * w[rows, :, None]).reshape(-1, width),
+                                  b_starts, b_counts)
     if mode == "mean":
         out /= counts[:, None]
 
     def vjp(g):
-        keys, queries = gathered()
-        g_vals = np.repeat(g / counts[:, None] if mode == "mean" else g, counts,
-                           axis=0).reshape(-1, heads, d_k)
-        g_scores = _softmax_runs_vjp((g_vals * keys).sum(axis=2), w, starts, counts) * s
-        g_vals *= w[:, :, None]
-        g_keymod = g_scores[:, :, None] * queries
-        g_queries = g_scores[:, :, None] * (keys * mod)
-        g_mod = (g_keymod * keys).sum(axis=1) if modulation.on_tape() else None
-        g_keys = g_keymod * mod + g_vals
-        d_table = None
-        if table.on_tape():
-            d_table = np.zeros_like(table.data)
-            np.add.at(d_table, np.concatenate([src, dst]),
-                      np.concatenate([g_keys, g_queries]).reshape(-1, width))
+        if mode == "mean":
+            g = g / counts[:, None]
+        g_mod = np.empty((n_edges, d_k)) if modulation.on_tape() else None
+        d_table = np.zeros_like(table.data) if table.on_tape() else None
+        # np.add.at adds in index order: every key gradient, in edge order,
+        # then every query gradient, as one call over both would.
+        g_queries = np.empty((n_edges, heads, d_k)) if d_table is not None else None
+        for segs, rows, b_starts, b_counts in blocks:
+            keys, queries = gathered(rows)
+            w_b, mod_b = w[rows], mod[rows]
+            g_vals = np.repeat(g[segs], b_counts, axis=0).reshape(-1, heads, d_k)
+            g_scores = _softmax_runs_vjp((g_vals * keys).sum(axis=2), w_b,
+                                         b_starts, b_counts) * s
+            g_vals *= w_b[:, :, None]
+            g_keymod = g_scores[:, :, None] * queries
+            if g_mod is not None:
+                g_mod[rows] = (g_keymod * keys).sum(axis=1)
+            if d_table is not None:
+                np.multiply(g_scores[:, :, None], keys * mod_b, out=g_queries[rows])
+                np.add.at(d_table, src[rows], (g_keymod * mod_b + g_vals).reshape(-1, width))
+        if d_table is not None:
+            np.add.at(d_table, dst, g_queries.reshape(-1, width))
         return (d_table, g_mod)
 
     return _make(out, (table, modulation), vjp, "edge_attention"), w

@@ -38,6 +38,7 @@ from .model import Model
 from .seeding import rng_for
 from .synth import synth_generate
 from .train import (
+    TrainConfig,
     evaluate,
     fold_split,
     load_checkpoint,
@@ -200,6 +201,22 @@ def cmd_train(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _check_checkpoint_split(prov, fold: int, cfg: TrainConfig) -> None:
+    """Refuse to score a checkpoint on another fold or split than the one it
+    was trained on: the test graphs would include its training graphs. A
+    field the checkpoint's provenance does not record is not compared."""
+    for name, path, current in (("fold", ("fold",), fold),
+                                ("train.seed", ("config", "train", "seed"), cfg.seed),
+                                ("train.folds", ("config", "train", "folds"), cfg.folds)):
+        recorded = prov
+        for key in path:
+            recorded = recorded.get(key) if isinstance(recorded, dict) else None
+        if recorded is not None and recorded != current:
+            raise ConfigError(f"checkpoint was trained with {name}={json.dumps(recorded)}, "
+                              f"eval runs with {name}={current}: its test graphs would "
+                              "include training graphs")
+
+
 def cmd_eval(args, cfg: RunConfig) -> int:
     out = _require_out(args, "eval")
     graphs, _ = _load_dataset(args.data)
@@ -210,8 +227,9 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     else:
         if not args.checkpoint:
             raise ConfigError("eval needs --checkpoint or --cv")
-        model, _doc = load_checkpoint(args.checkpoint)
+        model, doc = load_checkpoint(args.checkpoint)
         _, _, test_idx = fold_split(len(graphs), args.fold, cfg.train)
+        _check_checkpoint_split(doc.get("provenance"), args.fold, cfg.train)
         metrics = evaluate([graphs[i] for i in test_idx], model)
         report = {
             "auc": metrics["auc"],

@@ -15,14 +15,17 @@ and the tests use (``add``, ``reshape``, ``reduce_sum`` along an axis,
 ``pearson_pair`` applies the package's Pearson kernel to one pair of
 vectors. ``from_lists``
 builds the small hand-written graphs of the tests from per-node and
-per-edge tuples.
+per-edge tuples. ``forced_blocks`` shrinks every row block of the blocked
+autodiff ops to a given number of rows.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import pytest
 
 from heatnet import autodiff as ad
 from heatnet.builder import _pearson
@@ -58,6 +61,17 @@ def from_lists(types, nodes, edges, label=None):
         type_idx = np.zeros(0, dtype=np.intp)
     return HeteroGraph(types, tuple(ids), np.asarray(type_idx, dtype=np.intp), feats,
                        src, dst, attrs, label=label, coords=coords)
+
+
+@contextmanager
+def forced_blocks(rows):
+    """Inside the block, every product block of ``autodiff`` holds ``rows``
+    rows and every attention block whole segments of at most ``rows`` rows
+    (or one longer segment); ``rows=None`` keeps the module's budgets."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(ad, "_block_rows", lambda budget, row_bytes: rows)
+        yield
 
 
 def head_blocks(w, names, heads):

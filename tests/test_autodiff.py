@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import add, ref_segment_fsum, reshape, segment_softmax, segment_sum
+from _reference import (add, forced_blocks, ref_segment_fsum, reshape, segment_softmax,
+                        segment_sum)
 from heatnet import autodiff as ad
 from heatnet.autodiff import Tensor
 from heatnet.builder import BuildConfig, PatchRecord, build_graph
@@ -295,6 +296,20 @@ class TestTypedMatmul:
         np.testing.assert_allclose(grads[self.x], dx, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(grads[self.w], dw, rtol=1e-13, atol=1e-13)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_row_blocks_change_no_bits(self, rows):
+        """Blocks of ``rows`` rows, each gathering its own rows' weights, give
+        the one-block output and gradients byte for byte."""
+        g = np.random.default_rng(4).standard_normal((6, 4))
+        runs = []
+        for blocks in (None, rows):
+            x, w = (Tensor(t.data, requires_grad=True) for t in (self.x, self.w))
+            with forced_blocks(blocks):
+                y = ad.typed_matmul(x, w, self.idx)
+                grads = ad.backward(ad.reduce_sum(ad.mul(y, Tensor(g))))
+            runs.append([y.data.tobytes(), grads[x].tobytes(), grads[w].tobytes()])
+        assert runs[0] == runs[1]
+
     def test_one_type_is_plain_matmul(self):
         w = Tensor(self.w.data[:1], requires_grad=True)
         typed = ad.typed_matmul(self.x, w, np.zeros(6, dtype=np.intp))
@@ -362,6 +377,29 @@ class TestRowInvariance:
         assert alone[r].tobytes() == block[r].tobytes()
         one_row = ad.typed_matmul(Tensor(x[r:r + 1]), Tensor(w), np.zeros(1, dtype=np.intp)).data
         assert one_row[0].tobytes() == block[r].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), d_in=st.integers(1, 32), d_out=st.integers(1, 16),
+           n_types=st.integers(1, 3), rows=st.sampled_from([1, 3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_row_blocks_change_no_bits(self, n, d_in, d_out, n_types, rows, seed):
+        """``linear`` and ``typed_matmul`` in blocks of ``rows`` rows equal
+        their one-block outputs and gradients byte for byte."""
+        rng = np.random.default_rng(seed)
+        x, w, b = (rng.standard_normal(shape) for shape in ((n, d_in), (d_out, d_in), (d_out,)))
+        w3 = rng.standard_normal((n_types, d_out, d_in))
+        idx = rng.integers(0, n_types, n)
+        g = rng.standard_normal((n, d_out))
+        runs = []
+        for blocks in (None, rows):
+            leaves = [Tensor(t, requires_grad=True) for t in (x, w, b, w3)]
+            lx, lw, lb, lw3 = leaves
+            with forced_blocks(blocks):
+                ys = [ad.linear(lx, lw, lb), ad.typed_matmul(lx, lw3, idx)]
+                grads = ad.backward(ad.reduce_sum(ad.mul(ad.concat(ys, axis=1),
+                                                         Tensor(np.hstack([g, g])))))
+            runs.append([y.data.tobytes() for y in ys] + [grads[t].tobytes() for t in leaves])
+        assert runs[0] == runs[1]
 
 
 class TestSegmentOps:
@@ -461,6 +499,16 @@ def _exact_sum_values(kind, rng, counts, cols):
     return np.vstack(rows)
 
 
+@pytest.mark.parametrize("n", [*range(1, 18), 63, 64, 65, 127, 128, 129, 136, 300, 1025])
+def test_sum_last_equals_numpy_sum(n):
+    """The planewise last-axis sum gives numpy's bytes, signed zeros too."""
+    rng = np.random.default_rng(n)
+    p = rng.standard_normal((40, 3, n)) * np.exp(rng.normal(0.0, 8.0, (40, 3, n)))
+    p[rng.random(p.shape) < 0.3] = -0.0
+    p[0] = -0.0
+    assert ad._sum_last(p).tobytes() == p.sum(axis=-1).tobytes()
+
+
 class TestExactSums:
     """The certified segment sums equal math.fsum and rarely need it."""
 
@@ -530,11 +578,11 @@ class TestExactSums:
         kernel, fsum = ad._segment_fsum, math.fsum
         seen = {"calls": 0, "fallback_cells": 0, "inside": False}
 
-        def counting_kernel(*args):
+        def counting_kernel(*args, **kwargs):
             seen["calls"] += 1
             seen["inside"] = True
             try:
-                return kernel(*args)
+                return kernel(*args, **kwargs)
             finally:
                 seen["inside"] = False
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import from_lists
+from _reference import forced_blocks, from_lists
 from heatnet import autodiff as ad
 from heatnet.builder import AugmentConfig
 from heatnet.errors import ConfigError, ContractError, ShapeError
@@ -85,6 +85,25 @@ class TestBatchEqualsOneGraphBatches:
         for pname, grad in batched.items():
             ref = sum(p[pname] for p in per_graph) / len(graphs)
             assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max(), pname
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("name", BATCH_CONFIGS)
+    @settings(max_examples=10, deadline=None)
+    @given(graphs=st.lists(batch_member(), min_size=1, max_size=5), seed=st.integers(0, 1000))
+    def test_row_blocks_change_no_bits(self, name, rows, graphs, seed):
+        """A batch's logits, training losses and gradients with every row
+        block forced to ``rows`` rows equal its one-block ones byte for byte."""
+        model = batch_model(name, seed)
+        runs = []
+        for blocks in (None, rows):
+            with forced_blocks(blocks):
+                logits = model.forward(graphs).data
+                losses = model.loss(graphs, training=True,
+                                    rngs=dropout_rngs(seed, range(len(graphs))))
+                grads = ad.backward(ad.reduce_sum(losses))
+            runs.append([logits.tobytes(), losses.data.tobytes()]
+                        + [grads[p].tobytes() for p in model.parameters().values() if p in grads])
+        assert runs[0] == runs[1]
 
 
 def shuffled_edges(g, rng):

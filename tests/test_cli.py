@@ -294,6 +294,27 @@ class TestTrainEvalExplain:
         keys = ("fold", "loss", "auc", "accuracy", "macro_f1")
         np.testing.assert_equal({k: one[k] for k in keys}, {k: cv[k] for k in keys})
 
+    @pytest.mark.parametrize("change, field", [
+        (["--seed", "1"], "train.seed=0, eval runs with train.seed=1"),
+        (["--set", "train.seed=2"], "train.seed=0, eval runs with train.seed=2"),
+        (["--fold", "1"], "fold=0, eval runs with fold=1"),
+        (["--set", "train.folds=4"], "train.folds=5, eval runs with train.folds=4"),
+    ], ids=["seed", "train-seed", "fold", "folds"])
+    def test_eval_checkpoint_on_another_split_exits_2_with_one_line(self, tmp_path, capsys,
+                                                                     change, field):
+        """A checkpoint is scored only on the split and fold it was trained
+        for; any other split's test graphs include its training graphs."""
+        data = make_dataset(tmp_path, n=10, seed=2)
+        common = ["--data", str(data), "--deterministic", *SMALL_SYNTH, *FAST_TRAIN]
+        run = tmp_path / "run"
+        assert main(["train", "--seed", "0", "--out", str(run), *common]) == EXIT_OK
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(run / "checkpoint.json"), "--seed", "0",
+                   "--out", str(tmp_path / "m.json"), *common, *change])
+        assert rc == EXIT_INPUT
+        assert f"checkpoint was trained with {field}" in _one_input_error_line(capsys)
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("command, fold", [("train", "5"), ("eval", "-1")])
     def test_fold_out_of_range_exits_2_with_one_line(self, tmp_path, capsys, command, fold):
         data = make_dataset(tmp_path, n=8, seed=2)

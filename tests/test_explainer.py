@@ -269,9 +269,9 @@ def test_explain_work_grows_linearly_with_the_graph(monkeypatch):
     rows = []
     fsum = ad._segment_fsum
 
-    def counting(xs, starts, counts):
+    def counting(xs, starts, counts, **kwargs):
         rows[-1] += len(xs)
-        return fsum(xs, starts, counts)
+        return fsum(xs, starts, counts, **kwargs)
 
     monkeypatch.setattr(ad, "_segment_fsum", counting)
     model = Model.init(ModelConfig(feature_dim=8), 1000)

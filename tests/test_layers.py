@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from _reference import (
     edge_list,
+    forced_blocks,
     from_lists,
     head_blocks,
     incoming_segments,
@@ -283,6 +284,23 @@ class TestFusedAttend:
         assert att.tobytes() == ref_att.tobytes()
         for got, want in zip(grads, ref_grads):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("name", ATTEND_CONFIGS)
+    @settings(max_examples=30, deadline=None)
+    @given(d_k=st.sampled_from([1, 2, 4]), seed=st.integers(0, 10_000))
+    def test_row_blocks_change_no_bits(self, name, rows, d_k, seed):
+        """Blocks of at most ``rows`` edge rows, or one longer segment, give
+        the one-block outputs, weights and gradients byte for byte."""
+        runs = []
+        for blocks in (None, rows):
+            params, table, mod, src, dst, counts = attend_inputs(name, d_k, seed)
+            leaves = [t for t in (table, mod) if t.requires_grad]
+            with forced_blocks(blocks):
+                out, att = attend(params, table, mod, src, dst, counts)
+                grads = ad.backward(weighted_sum(out, seed))
+            runs.append([out.data.tobytes(), att.tobytes()] + [grads[t].tobytes() for t in leaves])
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("d_k", [1, 2, 4])
     @pytest.mark.parametrize("name", ATTEND_CONFIGS)
