@@ -35,6 +35,6 @@ from .hetgraph import (  # noqa: F401
 from .layers import HeatLayerParams, layer_forward  # noqa: F401
 from .metrics import metric_auc, metric_macro_f1, welch_ttest  # noqa: F401
 from .model import Model, ModelConfig, baseline_config  # noqa: F401
-from .pooling import PoolParams, graph_logits, pl_pool  # noqa: F401
+from .pooling import PoolParams, pl_pool  # noqa: F401
 from .synth import SyntheticSpec, planted_label, synth_generate  # noqa: F401
 from .train import TrainConfig, adam_step, evaluate, kfold_split, run_cv, train  # noqa: F401

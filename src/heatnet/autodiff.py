@@ -4,13 +4,15 @@ Only the operations the graph model calls are implemented: the affine
 map ``linear`` and its per-row-type form ``typed_matmul``, elementwise
 product and scaling, concatenation, row gathering, the total sum, row
 softmax, segment aggregation, the fused attention layer core
-``edge_attention``, leaky ReLU, dropout-mask application, and
-cross-entropy. Everything is float64 and any op that produces NaN/Inf
+``edge_attention``, the fused pooling head ``pooled_logits`` (per-type
+maps, graph mean and classifier), leaky ReLU, dropout-mask application,
+and cross-entropy. Everything is float64 and any op that produces NaN/Inf
 raises NonFiniteError, without a numpy warning before it.
 
 ``typed_matmul``'s VJP spreads row r's gradient into column block
 ``type_idx[r]`` of an (n, T * d_out) array, so both gradients are one BLAS
-product each, with no sort or loop over types. ``edge_attention`` gathers
+product each, with no sort or loop over types; ``pooled_logits`` takes its
+maps' gradients the same way (``_typed_grads``). ``edge_attention`` gathers
 key (also the value) and query rows per edge, scores, normalizes and
 aggregates them in one op whose forward performs the float operations of
 the composition of gathers, products, a per-segment softmax and an exactly
@@ -328,18 +330,20 @@ def typed_matmul(x: Tensor, w: Tensor, type_idx) -> Tensor:
     if n and (idx.min() < 0 or idx.max() >= n_types):
         raise ShapeError(f"typed_matmul: type index out of range for {n_types} types")
     out = _rowwise_product(x.data, w.data, idx)
+    return _make(out, (x, w), lambda g: _typed_grads(g, x, w, idx), "typed_matmul")
 
-    def vjp(g):
-        # Row r's gradient sits in column block type_idx[r] of ``spread``, so
-        # the per-type products are two BLAS calls over all rows at once.
-        spread = np.zeros((n, n_types, g.shape[1]))
-        spread[np.arange(n), idx] = g
-        spread = spread.reshape(n, -1)
-        dx = spread @ w.data.reshape(spread.shape[1], -1) if x.on_tape() else None
-        dw = (spread.T @ x.data).reshape(w.data.shape) if w.on_tape() else None
-        return (dx, dw)
 
-    return _make(out, (x, w), vjp, "typed_matmul")
+def _typed_grads(g: Array, x: Tensor, w: Tensor, idx: Array) -> tuple[Array | None, Array | None]:
+    """The gradients of ``x`` and ``w`` (None off the tape) from ``g``, that
+    of ``_rowwise_product(x, w, idx)``. Row r's gradient sits in column block
+    idx[r] of ``spread``, so each is one BLAS product over all rows."""
+    n = x.data.shape[0]
+    spread = np.zeros((n, w.data.shape[0], g.shape[1]))
+    spread[np.arange(n), idx] = g
+    spread = spread.reshape(n, -1)
+    dx = spread @ w.data.reshape(spread.shape[1], -1) if x.on_tape() else None
+    dw = (spread.T @ x.data).reshape(w.data.shape) if w.on_tape() else None
+    return dx, dw
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +650,51 @@ def segment_reduce(x: Tensor, counts) -> Tensor:
         return (np.repeat(g / counts[:, None], counts, axis=0),)
 
     return _make(out, (x,), vjp, "segment_reduce")
+
+
+@_op
+def pooled_logits(means: Tensor, cells, n_types: int, readout: Tensor | None,
+                  weight: Tensor, bias: Tensor) -> Tensor:
+    """Logits (B, C) of B graphs from the (P, d) means of their present
+    (graph, type) cells, as one tape op.
+
+    Row k is cell ``cells[k]`` = graph * ``n_types`` + type; cells ascend and
+    every graph has one at least. Each row is mapped by its type's slice of
+    the (T, d, d) ``readout`` (by none when None), each graph's rows are
+    summed, exactly rounded, and divided by ``n_types``, and the (C, d)
+    ``weight`` and (C,) ``bias`` classify the result. The bits are those of
+    ``typed_matmul``, a zero row per absent cell, a mean over each graph's T
+    rows and ``linear``: an exactly rounded sum ignores zero terms.
+    """
+    means, weight, bias = _lift(means), _lift(weight), _lift(bias)
+    cells = np.asarray(cells, dtype=np.intp)
+    d = weight.data.shape[-1]
+    if (means.data.shape != (len(cells), d) or weight.data.ndim != 2
+            or bias.data.shape != weight.data.shape[:1]
+            or (readout is not None and readout.data.shape != (n_types, d, d))):
+        raise ShapeError(f"pooled_logits: {len(cells)} cells, means {means.data.shape}, weight "
+                         f"{weight.data.shape}, bias {bias.data.shape}, maps for {n_types} types")
+    if len(cells) and (cells[0] < 0 or (np.diff(cells) <= 0).any()):
+        raise ContractError("pooled_logits: cells must be nonnegative and ascending")
+    graph, types = np.divmod(cells, n_types)
+    counts = np.bincount(graph)
+    if not counts.all():
+        raise ContractError(f"pooled_logits: graph {int(np.argmin(counts))} has no cell")
+    mapped = means.data if readout is None else _rowwise_product(means.data, readout.data, types)
+    x = _segment_fsum(mapped, np.cumsum(counts) - counts, counts) / n_types
+    out = _rowwise_product(x, weight.data) + bias.data
+
+    def vjp(g):
+        # + 0.0 as the composition's scatter into zeros: -0.0 becomes +0.0.
+        d_mapped = ((g @ weight.data) / n_types).take(graph, axis=0) + 0.0
+        d_weight = (x.T @ g).T if weight.on_tape() else None
+        if readout is None:
+            return (d_mapped, d_weight, g.sum(axis=0))
+        d_means, d_readout = _typed_grads(d_mapped, means, readout, types)
+        return (d_means, d_weight, g.sum(axis=0), d_readout)
+
+    parents = (means, weight, bias) + (() if readout is None else (readout,))
+    return _make(out, parents, vjp, "pooled_logits")
 
 
 @_op

@@ -21,7 +21,8 @@ touches the unchanged rows: the full graph's column sums per pooling type
 are kept once as exact float expansions, and ``removal_logits`` sums, for
 each (removed node, type) cell, those terms, the negated old rows of v and
 of its changed nodes, and their new rows, in one exactly rounded segment
-sum for the chunk; ``Model.head`` then classifies the means. A chunk
+sum for the chunk; ``Model.head`` then maps, averages and classifies the
+cell means with the forward's own pooling op. A chunk
 holds removals whose downstream regions are bounded by ``_CHUNK_ROWS``
 final rows in all.
 
@@ -152,10 +153,11 @@ def recompute_removals(model: Model, batch: GraphBatch, layer_outputs: list[Laye
 class TypeSums:
     """The full graph's final rows and each pooling type's exact column sums.
 
-    The pooling types are the node types under per-type pooling and one
-    type under mean pooling. ``terms[term_starts[a]:term_starts[a + 1]]``
-    sum, exactly, to type a's column sums; a type without nodes has no
-    terms, nor has a type whose expansion overflows (``fallback``).
+    The pooling types are ``Model.pool_types``: the node types under
+    per-type pooling, one type under mean pooling.
+    ``terms[term_starts[a]:term_starts[a + 1]]`` sum, exactly, to type a's
+    column sums; a type without nodes has no terms, nor has a type whose
+    expansion overflows (``fallback``).
     ``by_type[type_starts[a]:type_starts[a + 1]]`` are type a's node
     positions, ascending.
     """
@@ -171,9 +173,8 @@ class TypeSums:
 
 
 def _type_sums(model: Model, rows: np.ndarray, node_types: np.ndarray) -> TypeSums:
-    per_type = model.config.pooling == "pl"
-    types = node_types if per_type else np.zeros(len(rows), dtype=np.intp)
-    count = np.bincount(types, minlength=len(model.pool.types) if per_type else 1)
+    types, n_types = model.pool_types(node_types)
+    count = np.bincount(types, minlength=n_types)
     by_type = np.argsort(types, kind="stable")
     type_starts = np.concatenate([[0], np.cumsum(count)])
     present = np.flatnonzero(count)
@@ -236,7 +237,7 @@ def removal_logits(model: Model, full: TypeSums, removed: np.ndarray, changed: n
     vals[flip] = -vals[flip]
     counts = np.bincount(cell, minlength=left.size)[cells]
     sums = ad._segment_fsum(vals, np.cumsum(counts) - counts, counts)
-    return model.head(Tensor(sums / left.ravel()[cells][:, None]), cells, len(removed))
+    return model.head(Tensor(sums / left.ravel()[cells][:, None]), cells, n_types)
 
 
 def _removal_losses(model: Model, g: HeteroGraph, batch: GraphBatch,

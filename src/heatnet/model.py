@@ -5,6 +5,8 @@ dropout between them, followed by per-type pooling (or plain mean pooling)
 and a linear head. The type-blind baseline variant shares one projection
 across all node types, forces the edge modulation to all-ones, and uses
 plain mean pooling — isolating exactly what node/edge heterogeneity adds.
+Training, evaluation (``readout``) and attribution (``head``) classify
+through one pooling op, which ``pool_types`` alone adapts to the mode.
 
 ``Model.forward`` takes a sequence of graphs and runs them as one disjoint
 union (``hetgraph.GraphBatch``): stacked rows, offset edge positions, and a
@@ -27,8 +29,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 from .hetgraph import DEFAULT_TYPE_NAMES, GraphBatch, HeteroGraph, TypeSet, batch_graphs
 from .layers import HeatLayerParams, LayerOutput, layer_forward, layer_parameters
-from .pooling import (PoolParams, classify, graph_logits, mean_pool_logits, pl_pool,
-                      pool_parameters, type_rows)
+from .pooling import PoolParams, pl_pool, pool_parameters
 from .seeding import rng_for
 
 
@@ -121,7 +122,9 @@ class Model:
             if g.edge_dim != self.config.edge_attr_dim:
                 raise ShapeError(
                     f"graph edge attr dim {g.edge_dim} does not match model {self.config.edge_attr_dim}")
-            if not self.config.type_blind and g.types.names != self.types.names:
+            # Type-blind layers with one pool type read no type name.
+            blind = self.config.type_blind and self.pool_types(g.node_types)[1] == 1
+            if not blind and g.types.names != self.types.names:
                 raise ConfigError("graph type set does not match the model's")
         return batch_graphs(graphs)
 
@@ -158,22 +161,24 @@ class Model:
         h = ad.leaky_relu(h)
         return ad.dropout(h, self.config.dropout, rngs, training, blocks)
 
+    def pool_types(self, node_types: np.ndarray) -> tuple[np.ndarray, int]:
+        """Each row's pool type and the pool-type count: the node types and
+        T under per-type pooling, zeros and 1 under mean pooling."""
+        if self.config.pooling == "pl":
+            return node_types, len(self.types)
+        return np.zeros_like(node_types), 1
+
     def readout(self, h: Tensor, node_types: np.ndarray, graph: np.ndarray) -> Tensor:
         """Final node features of B stacked graphs -> logits (B, C);
-        ``graph`` names each row's graph and must be nondecreasing (each
-        graph's rows one block, as ``batch_graphs`` stacks them)."""
-        if self.config.pooling == "pl":
-            return graph_logits(pl_pool(h, node_types, self.pool, graph), self.pool)
-        return mean_pool_logits(h, self.pool, graph)
+        ``graph`` names each row's graph."""
+        return pl_pool(h, *self.pool_types(node_types), self.pool, graph)
 
-    def head(self, means: Tensor, cells: np.ndarray, n_graphs: int) -> Tensor:
-        """The classification head of ``readout`` on pooled node means:
-        logits (B, C). Row k of ``means`` is the mean of cell ``cells[k]``,
-        cells ascending: graph * T + type under per-type pooling (absent
-        cells give zero rows), the graph itself under mean pooling."""
-        if self.config.pooling == "pl":
-            return graph_logits(type_rows(means, cells, n_graphs, self.pool), self.pool)
-        return classify(means, self.pool)
+    def head(self, means: Tensor, cells: np.ndarray, n_types: int) -> Tensor:
+        """The classification head of ``readout`` on pooled means made
+        elsewhere: logits (B, C). Row k of ``means`` is the mean of cell
+        ``cells[k]`` = graph * ``n_types`` + pool type, cells ascending."""
+        p = self.pool
+        return ad.pooled_logits(means, cells, n_types, p.readout, p.classifier_w, p.classifier_b)
 
     def loss(self, graphs: Sequence[HeteroGraph], training: bool = False,
              rngs: Sequence[np.random.Generator] | None = None) -> Tensor:

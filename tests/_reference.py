@@ -6,9 +6,10 @@ autodiff path they are checked against. The slow paths that the package
 replaced (per-edge id lookups, list-of-segments segment ops, the per-edge
 validation loops, the dense k-NN and the per-edge Pearson loop of graph
 construction, the unfused attention composition ``ref_attend``, the
-earlier exact-sum kernel ``ref_segment_fsum``, and the per-name Adam update
-``ref_adam_step`` with its per-name moments ``RefAdamState``) are kept here
-as oracles for the fast ones. The tape ops only those oracles
+earlier exact-sum kernel ``ref_segment_fsum``, the per-name Adam update
+``ref_adam_step`` with its per-name moments ``RefAdamState``, and the
+zero-padded pooling head ``ref_pooled_logits``) are kept here as oracles
+for the fast ones. The tape ops only those oracles
 and the tests use (``add``, ``reshape``, ``reduce_sum`` along an axis,
 ``segment_softmax`` and ``segment_sum``) are built here on
 ``autodiff._make``, and
@@ -153,6 +154,22 @@ def ref_pl_pool(feats, type_idx, n_types, readout=None):
         mean = np.mean([feats[i] for i in rows], axis=0)
         out[a] = mean if readout is None else readout[a] @ mean
     return out
+
+
+def ref_pooled_logits(means, cells, n_types, readout, weight, bias):
+    """``ad.pooled_logits`` as the composition of tape ops it replaced:
+    per-type maps (``typed_matmul``), a zero row gathered for every absent
+    (graph, type) cell, the mean over each graph's ``n_types`` rows, and
+    ``linear``."""
+    cells = np.asarray(cells, dtype=np.intp)
+    n_graphs = int(cells[-1]) // n_types + 1
+    if readout is not None:
+        means = ad.typed_matmul(means, readout, cells % n_types)
+    # Absent cells read the zero row appended after the present ones.
+    rows = np.full(n_graphs * n_types, len(cells), dtype=np.intp)
+    rows[cells] = np.arange(len(cells))
+    padded = ad.gather_rows(ad.concat([means, ad.Tensor(np.zeros((1, means.shape[1])))]), rows)
+    return ad.linear(ad.segment_reduce(padded, np.full(n_graphs, n_types)), weight, bias)
 
 
 def ref_graph_logits(pooled, classifier_w, classifier_b):

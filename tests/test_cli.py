@@ -9,8 +9,8 @@ import pytest
 
 from heatnet.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from heatnet.config import RunConfig, load_run_config, provenance_block
-from heatnet.hetgraph import TypeSet, load_graph, save_graph, validate
-from heatnet.model import Model, ModelConfig
+from heatnet.hetgraph import DEFAULT_TYPES, TypeSet, load_graph, save_graph, validate
+from heatnet.model import Model, ModelConfig, baseline_config
 from heatnet.schema import build_dataclass
 from heatnet.testing import random_labeled_graph
 from heatnet.train import checkpoint_dict
@@ -604,6 +604,33 @@ class TestLabelOutsideClasses:
                    "--set", "model.hidden_dim=4"])
         assert rc == EXIT_INPUT
         assert "out of range for 2 classes" in _one_input_error_line(capsys)
+
+
+class TestTypeSetMismatch:
+    """A checkpoint whose model reads node types refuses graphs of another
+    type set; only one with type-blind layers and one pool type reads none."""
+
+    @staticmethod
+    def run(tmp_path, command, config):
+        data = _labeled_dataset(tmp_path, label=0)
+        model = Model.init(config, 0)
+        (tmp_path / "ckpt.json").write_text(json.dumps(checkpoint_dict(model, None, 0, 0.0)))
+        graphs = ["--graph", str(data / "g0.json")] if command == "explain" else ["--data", str(data)]
+        return main([command, *graphs, "--checkpoint", str(tmp_path / "ckpt.json"),
+                     "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("types", [DEFAULT_TYPES.names[:3], tuple("pqrstu")],
+                             ids=["three-types", "six-other-names"])
+    @pytest.mark.parametrize("command", ["explain", "eval"])
+    def test_type_blind_pl_exits_2_with_one_line(self, tmp_path, capsys, command, types):
+        config = ModelConfig(feature_dim=3, hidden_dim=4, types=types, type_blind=True)
+        assert self.run(tmp_path, command, config) == EXIT_INPUT
+        assert _one_input_error_line(capsys).endswith("graph type set does not match the model's")
+        assert not (tmp_path / "o").exists()
+
+    def test_type_blind_mean_reads_no_type(self, tmp_path):
+        config = baseline_config(ModelConfig(feature_dim=3, hidden_dim=4, types=tuple("pqr")))
+        assert self.run(tmp_path, "explain", config) == EXIT_OK
 
 
 class TestExplainFailures:

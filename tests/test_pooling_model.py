@@ -5,14 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _reference import from_lists, ref_model_forward, ref_pl_pool
+from _reference import (from_lists, ref_graph_logits, ref_model_forward, ref_pl_pool,
+                        ref_pooled_logits)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from heatnet import autodiff as ad
 from heatnet.autodiff import Tensor
 from heatnet.builder import BuildConfig, PatchRecord, build_graph
-from heatnet.errors import ShapeError
+from heatnet.errors import ContractError, ShapeError
 from heatnet.hetgraph import DEFAULT_TYPE_NAMES, DEFAULT_TYPES, HeteroGraph, TypeSet
 from heatnet.model import Model, ModelConfig, baseline_config
-from heatnet.pooling import PoolParams, graph_logits, pl_pool
+from heatnet.pooling import PoolParams, pl_pool
 from heatnet.seeding import rng_for
 from heatnet.testing import random_labeled_graph
 
@@ -23,35 +26,37 @@ def make_pool(types=TYPES3, dim=4, n_classes=2, seed=0):
     return PoolParams.init(types, dim, n_classes, rng_for(seed, "pool"))
 
 
-def pool_one(feats, type_idx, params):
-    """pl_pool of one graph: its (T, d) matrix."""
-    s = pl_pool(feats, type_idx, params, np.zeros(len(type_idx), dtype=np.intp))
-    assert s.shape[0] == len(params.types)
-    return s
+def logits_one(feats, type_idx, params):
+    """pl_pool of one graph under per-type pooling: its (C,) logits."""
+    logits = pl_pool(feats, type_idx, params.readout.shape[0], params,
+                     np.zeros(len(type_idx), dtype=np.intp))
+    assert logits.shape == (1, params.classifier_b.shape[0])
+    return logits.data[0]
 
 
-def logits_one(pooled, params):
-    """graph_logits of one (T, d) matrix: its (C,) logits."""
-    return graph_logits(pooled, params).data[0]
+def hand_classifier(params):
+    params.classifier_w.data = np.array([[1.0, 0.0], [0.0, 2.0]])
+    params.classifier_b.data = np.array([0.1, -0.1])
 
 
 class TestPlPool:
     def test_single_type_identity_readout(self):
         feats = Tensor(np.array([[1.0, 3.0], [3.0, 5.0]]))
         params = make_pool(dim=2)  # readout starts at identity
-        s = pool_one(feats, np.array([1, 1]), params)
-        assert s.shape == (3, 2)
-        np.testing.assert_allclose(s.data[1], [2.0, 4.0], atol=1e-15)
-        np.testing.assert_array_equal(s.data[0], [0.0, 0.0])
-        np.testing.assert_array_equal(s.data[2], [0.0, 0.0])
+        hand_classifier(params)
+        z = np.array([2.0, 4.0]) / 3  # the type-1 mean over T = 3 types
+        np.testing.assert_allclose(logits_one(feats, np.array([1, 1]), params),
+                                   [z[0] + 0.1, 2 * z[1] - 0.1], atol=1e-15)
 
     def test_empty_types_contribute_zero_rows(self):
-        types = DEFAULT_TYPES
-        params = make_pool(types=types, dim=3)
-        feats = Tensor(np.ones((4, 3)))
-        s = pool_one(feats, np.zeros(4, dtype=np.intp), params)
-        assert s.shape == (6, 3)
-        assert (s.data[1:] == 0.0).all()
+        # An absent type adds nothing to the graph sum; the divisor is still T.
+        params = make_pool(types=DEFAULT_TYPES, dim=3)
+        params.readout.data = np.random.default_rng(0).standard_normal((6, 3, 3))
+        feats = np.random.default_rng(1).standard_normal((4, 3))
+        z = params.readout.data[2] @ feats.mean(axis=0) / 6
+        np.testing.assert_allclose(logits_one(Tensor(feats), np.full(4, 2), params),
+                                   params.classifier_w.data @ z + params.classifier_b.data,
+                                   atol=1e-12)
 
     def test_matches_mean_then_matmul_oracle(self):
         rng = np.random.default_rng(0)
@@ -59,72 +64,158 @@ class TestPlPool:
         type_idx = np.array([0, 1, 0, 1])
         params = make_pool(dim=3, seed=1)
         params.readout.data = rng.standard_normal((3, 3, 3))
-        s = pool_one(Tensor(feats), type_idx, params)
-        readout = list(params.readout.data)
-        ref = ref_pl_pool(feats, type_idx, 3, readout)
-        np.testing.assert_allclose(s.data, ref, atol=1e-12)
+        ref = ref_graph_logits(ref_pl_pool(feats, type_idx, 3, list(params.readout.data)),
+                               params.classifier_w.data, params.classifier_b.data)
+        np.testing.assert_allclose(logits_one(Tensor(feats), type_idx, params), ref, atol=1e-12)
 
     def test_permutation_within_type_invariant(self):
         rng = np.random.default_rng(1)
         feats = rng.standard_normal((6, 4))
         type_idx = np.array([0, 1, 1, 2, 1, 0])
         params = make_pool(dim=4, seed=2)
-        s1 = pool_one(Tensor(feats), type_idx, params).data
+        params.readout.data = rng.standard_normal((3, 4, 4))
+        z1 = logits_one(Tensor(feats), type_idx, params)
         perm = np.array([5, 2, 4, 3, 1, 0])  # permutes within types only
-        s2 = pool_one(Tensor(feats[perm]), type_idx[perm], params).data
-        assert (s1 == s2).all()
+        z2 = logits_one(Tensor(feats[perm]), type_idx[perm], params)
+        assert z1.tobytes() == z2.tobytes()
 
     def test_row_depends_only_on_own_type(self):
+        # With every other type's map zeroed, only type 1's rows reach the logits.
         rng = np.random.default_rng(2)
         feats = rng.standard_normal((5, 3))
         type_idx = np.array([0, 1, 1, 2, 2])
         params = make_pool(dim=3, seed=3)
-        s1 = pool_one(Tensor(feats), type_idx, params).data
+        params.readout.data[[0, 2]] = 0.0
         zeroed = feats.copy()
         zeroed[type_idx != 1] = 0.0
-        s2 = pool_one(Tensor(zeroed), type_idx, params).data
-        np.testing.assert_array_equal(s1[1], s2[1])
+        assert (logits_one(Tensor(feats), type_idx, params).tobytes()
+                == logits_one(Tensor(zeroed), type_idx, params).tobytes())
 
     def test_duplicating_a_type_leaves_s_unchanged(self):
         rng = np.random.default_rng(3)
         feats = rng.standard_normal((3, 4))
-        type_idx = np.array([0, 1, 2])
         params = make_pool(dim=4, seed=4)
-        s1 = pool_one(Tensor(feats), type_idx, params).data
+        z1 = logits_one(Tensor(feats), np.array([0, 1, 2]), params)
         dup = np.vstack([feats, feats[1:2]])
-        s2 = pool_one(Tensor(dup), np.array([0, 1, 2, 1]), params).data
-        np.testing.assert_allclose(s2, s1, atol=1e-12)
+        z2 = logits_one(Tensor(dup), np.array([0, 1, 2, 1]), params)
+        np.testing.assert_allclose(z2, z1, atol=1e-12)
+
+    def test_index_arrays_must_cover_the_feature_rows(self):
+        params = make_pool(dim=2)
+        feats = Tensor(np.ones((5, 2)))
+        idx = np.zeros(3, dtype=np.intp)
+        for type_idx, graph in ((idx, idx), (np.zeros(5, dtype=np.intp), idx),
+                                (idx, np.zeros(5, dtype=np.intp))):
+            with pytest.raises(ShapeError):
+                pl_pool(feats, type_idx, 3, params, graph)
+
+    @pytest.mark.parametrize("type_idx, graph", [([0, 3], [0, 0]), ([0, -1], [0, 0]),
+                                                 ([0, 1], [0, -1])],
+                             ids=["type-beyond-T", "negative-type", "negative-graph"])
+    def test_out_of_range_index_is_a_shape_error(self, type_idx, graph):
+        with pytest.raises(ShapeError):
+            pl_pool(Tensor(np.ones((2, 2))), np.array(type_idx), 3, make_pool(dim=2),
+                    np.array(graph))
 
 
 class TestGraphLogits:
+    """``ad.pooled_logits``, the head on (graph, type) cell means."""
+
+    @staticmethod
+    def head(means, cells, params, n_types=3):
+        return ad.pooled_logits(Tensor(means), cells, n_types, params.readout,
+                                params.classifier_w, params.classifier_b)
+
     def test_rows_must_be_types_per_graph(self):
         params = make_pool(dim=3)
-        for shape in ((4, 3), (3, 2), (3,)):
+        for means, cells, n_types in (
+                (np.zeros((2, 3)), [0, 1, 2], 3),   # a cell without a row
+                (np.zeros((3, 2)), [0, 1, 2], 3),   # rows of another dim
+                (np.zeros(3), [0, 1, 2], 3),        # 1-D means
+                (np.zeros((3, 3)), [0, 1, 2], 4)):  # readout maps for 3 types, not 4
             with pytest.raises(ShapeError):
-                graph_logits(Tensor(np.zeros(shape)), params)
-        assert graph_logits(Tensor(np.zeros((6, 3))), params).shape == (2, 2)
+                self.head(means, cells, params, n_types)
+        for cells in ([1, 0, 2], [0, 0, 2], [-1, 0, 1], [0, 1, 6]):  # unsorted, or graph 1 empty
+            with pytest.raises(ContractError):
+                self.head(np.zeros((3, 3)), cells, params)
+        assert self.head(np.zeros((3, 3)), [0, 2, 4], params).shape == (2, 2)
 
     def test_zero_s_gives_bias(self):
         params = make_pool(dim=3)
         params.classifier_b.data = np.array([0.5, -1.5])
-        logits = logits_one(Tensor(np.zeros((3, 3))), params)
-        np.testing.assert_allclose(logits, [0.5, -1.5])
+        logits = logits_one(Tensor(np.zeros((4, 3))), np.array([0, 1, 1, 2]), params)
+        assert logits.tolist() == [0.5, -1.5]
 
     def test_zero_classifier_gives_bias(self):
         params = make_pool(dim=3)
         params.classifier_w.data = np.zeros_like(params.classifier_w.data)
         params.classifier_b.data = np.array([1.0, 2.0])
-        s = Tensor(np.random.default_rng(4).standard_normal((3, 3)))
-        np.testing.assert_allclose(logits_one(s, params), [1.0, 2.0])
+        feats = Tensor(np.random.default_rng(4).standard_normal((4, 3)))
+        assert logits_one(feats, np.array([0, 2, 2, 0]), params).tolist() == [1.0, 2.0]
 
     def test_hand_computed_logits(self):
         params = make_pool(dim=2)
-        params.classifier_w.data = np.array([[1.0, 0.0], [0.0, 2.0]])
-        params.classifier_b.data = np.array([0.1, -0.1])
-        s = Tensor(np.array([[2.0, 4.0], [0.0, 2.0], [4.0, 0.0]]))
-        z = np.array([2.0, 2.0])  # mean over rows
-        np.testing.assert_allclose(logits_one(s, params),
-                                   [z[0] + 0.1, 2 * z[1] - 0.1], atol=1e-12)
+        hand_classifier(params)
+        # graph 0 has all three types, graph 1 only type 1
+        means = np.array([[2.0, 4.0], [0.0, 2.0], [4.0, 0.0], [3.0, 6.0]])
+        z = np.array([[2.0, 2.0], [1.0, 2.0]])  # sums over T = 3 rows, absent ones zero
+        np.testing.assert_allclose(self.head(means, [0, 1, 2, 4], params).data,
+                                   z * [1.0, 2.0] + [0.1, -0.1], atol=1e-12)
+
+
+@st.composite
+def cell_means(draw):
+    """Means of random (graph, type) cells, every graph with at least one,
+    with the maps (or None) and classifier of a pooling head."""
+    n_graphs, n_types = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    dim, n_classes = draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    present = rng.random((n_graphs, n_types)) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    present[np.arange(n_graphs), rng.integers(n_types, size=n_graphs)] = True
+    cells = np.flatnonzero(present)
+    means = rng.standard_normal((len(cells), dim))
+    means[rng.random(means.shape) < 0.1] = 0.0
+    readout = rng.standard_normal((n_types, dim, dim)) if draw(st.booleans()) else None
+    weight = rng.standard_normal((n_classes, dim)) * draw(st.sampled_from([1.0, 0.0]))
+    return (means, cells, n_types, readout, weight, rng.standard_normal(n_classes),
+            rng.standard_normal((n_graphs, n_classes)))
+
+
+class TestPooledLogits:
+    """The fused head equals its zero-padded composition bit for bit."""
+
+    # In the example the means' gradient underflows to -0.0, which the
+    # oracle's scatter into zeros turns into +0.0.
+    @example(case=(np.ones((1, 1)), np.array([0]), 4, None, np.array([[5e-324], [0.0]]),
+                   np.zeros(2), np.array([[-1.0, 0.0]])))
+    @settings(max_examples=100, deadline=None)
+    @given(case=cell_means())
+    def test_logits_and_gradients_equal_the_oracle(self, case):
+        means, cells, n_types, readout, weight, bias, upstream = case
+        runs = []
+        for head in (ad.pooled_logits, ref_pooled_logits):
+            leaves = [Tensor(a, requires_grad=True) for a in (means, weight, bias)]
+            maps = None if readout is None else Tensor(readout, requires_grad=True)
+            out = head(leaves[0], cells, n_types, maps, leaves[1], leaves[2])
+            grads = ad.backward(ad.reduce_sum(ad.mul(out, Tensor(upstream))))
+            runs.append([out.data.tobytes()] + [grads[t].tobytes() for t in leaves]
+                        + ([] if maps is None else [grads[maps].tobytes()]))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("maps", [True, False])
+    def test_grad_check(self, maps):
+        rng = np.random.default_rng(5)
+        means = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        readout = Tensor(rng.standard_normal((3, 3, 3)), requires_grad=True) if maps else None
+        weight = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        bias = Tensor(rng.standard_normal(2), requires_grad=True)
+        params = [means, weight, bias] + ([readout] if maps else [])
+
+        def f():
+            out = ad.pooled_logits(means, [0, 2, 4, 5], 3, readout, weight, bias)
+            return ad.reduce_sum(ad.cross_entropy(out, [1, 0]))
+
+        assert ad.grad_check(f, params, eps=1e-4) < 1e-5
 
 
 def make_model(types=TYPES3, feature_dim=4, seed=0, **kw):
@@ -174,11 +265,11 @@ class TestModelForward:
 
         assert ad.grad_check(f, list(model.parameters().values()), eps=1e-4) < 1e-5
 
-    def test_training_forward_records_at_most_15_ops(self, monkeypatch):
+    def test_training_forward_records_at_most_11_ops(self, monkeypatch):
         # per layer one typed projection, one edge map and one attention op;
-        # leaky ReLU and dropout between layers; five pooling ops and two for
-        # the head, so the tape does not grow with the number of types, heads
-        # or edges
+        # leaky ReLU and dropout between layers; a gather into (graph, type)
+        # order, the cell means and one pooling head op, so the tape does not
+        # grow with the number of types, heads or edges
         ops = []
         make = ad._make
 
@@ -192,10 +283,10 @@ class TestModelForward:
         model = Model.init(ModelConfig(feature_dim=8), rng_for(0, "init"))
         monkeypatch.setattr(ad, "_make", counting_make)
         model.forward([g], training=True, rngs=[rng_for(0, "dropout")])
-        assert len(ops) <= 15, sorted(ops)
+        assert len(ops) <= 11, sorted(ops)
         ops.clear()
         model.forward([g])
-        assert len(ops) <= 14, sorted(ops)
+        assert len(ops) <= 10, sorted(ops)
 
     def test_dropout_only_active_in_training(self):
         rng = np.random.default_rng(9)
