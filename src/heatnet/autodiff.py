@@ -35,8 +35,8 @@ The segment ops work on whole arrays: ``np.maximum.reduceat`` for maxima,
 ``np.repeat`` to broadcast back (the VJPs too), and one kernel,
 ``_segment_fsum``, for per-segment column sums. It splits the values by two
 error-free extraction passes into parts that numpy sums exactly; the first
-grid comes from each segment column's largest magnitude and the second is
-derived from the first. When a remainder is left it certifies that the
+grid is one for the whole call, from its largest magnitude, and the second
+is derived from the first. When a remainder is left it certifies that the
 result is correctly rounded, and it sums any cell it cannot certify with
 math.fsum, so every sum equals math.fsum's bit for bit.
 
@@ -61,15 +61,16 @@ attention block is whole segments whose (rows, width) temporaries fit
 changes no bit: every product row and elementwise value comes from its own
 row's inputs, and a segment's maximum, softmax and exact sum read only its
 own rows, which one block holds (the sum is correctly rounded, so the grid
-a block's longest segment sets cannot change it). The attention VJP
-scatters each block's key gradients as it goes and keeps the query
-gradients, one (E, width) array, for a scatter after the last block, so
-each table row receives its additions in the order of one ``np.add.at``
-over all keys, then all queries. Arrays within budget are one block: the
-unblocked computation. Two more savings keep the bits: attention scores add
-a head's d_k products plane by plane in numpy's own summation order
-(``_sum_last``), and a softmax's exact sums take their first grid from the
-known largest term, exp(0) = 1, instead of a segment maximum.
+that a block's largest value and longest segment set cannot change it).
+The attention VJP scatters each block's key gradients as it goes and keeps
+the query gradients, one (E, width) array, for a scatter after the last
+block, so each table row receives its additions in the order of one
+``np.add.at`` over all keys, then all queries. Arrays within budget are
+one block: the unblocked computation. Two more savings keep the bits:
+attention scores add a head's d_k products plane by plane in numpy's own
+summation order (``_sum_last``), and a softmax's exact sums take their
+first grid from the known largest term, exp(0) = 1, instead of a maximum
+over the call.
 """
 
 from __future__ import annotations
@@ -469,19 +470,21 @@ def _grid_scale(counts: Array) -> int:
     return int(counts.max(initial=0) + 1).bit_length()
 
 
-def _extractions(xs: Array, starts: Array, counts: Array, scale: int,
+def _extractions(xs: Array, starts: Array, counts: Array, scale: int, q: Array,
                  top: float | None = None) -> Iterator[tuple[Array, Array]]:
     """Error-free extraction passes over the row segments of ``xs``.
 
     Pass k yields the exact column sums of each segment's parts on its k-th
     grid, and the remainder buffer, which the caller may edit before the
-    next pass. A grid is a power of two sigma per segment and column, and
-    a part is a value rounded to a multiple of 2**-53 * sigma. The first
-    sigma is 2**scale times the power of two above the column's largest
-    magnitude, or above ``top`` when the caller knows that every column's
-    largest magnitude is ``top``. Every later sigma is the one before times
-    2**(scale - 53). Call under ``np.errstate``: a column near overflow
-    gives NaN.
+    next pass; ``q`` is a scratch array shaped as ``xs``. A grid is a power
+    of two sigma, and a part is a value rounded to a multiple of
+    2**-53 * sigma. The first sigma is 2**scale times the power of two above
+    ``top``, an upper bound on every magnitude: one sigma for the whole
+    call. When ``top`` is None (``_segment_expansion``) there is one per
+    segment and column, above the column's largest magnitude, so that a
+    segment whose grid overflows leaves the others finite. Every later
+    sigma is the one before times 2**(scale - 53). Call under
+    ``np.errstate``: a grid near overflow gives NaN.
 
     Why both grids are valid (Rump, Ogita & Oishi 2008, Lemma 3.3), for
     values p with max|p| <= 2**-M * sigma, 2**M = 2**scale >= n + 2 and
@@ -492,21 +495,22 @@ def _extractions(xs: Array, starts: Array, counts: Array, scale: int,
     |p - q| <= 2**-53 * sigma. sigma +- 2**-M * sigma are floats, so
     rounding keeps |q| <= 2**-M * sigma, and any partial sum of n parts is
     a multiple of g below sigma in magnitude: a float, so every order of
-    summation is exact. Equality max|p| = 2**-M * sigma is allowed, which is
-    why the remainders, at most 2**-53 * sigma each and exactly that at a
-    rounding tie, make sigma * 2**(scale - 53) a valid next grid. The
-    product is exact while it is 2**-1074 or more. A remainder is nonzero
-    only if 2**-53 * sigma >= 2**-1074, so the next sigma is at least
+    summation is exact. The lemma needs only a bound on the magnitudes, so
+    a grid above the largest of the whole call serves every segment.
+    Equality max|p| = 2**-M * sigma is allowed, which is why the
+    remainders, at most 2**-53 * sigma each and exactly that at a rounding
+    tie, make sigma * 2**(scale - 53) a valid next grid. The product is
+    exact while it is 2**-1074 or more. A remainder is nonzero only if
+    2**-53 * sigma >= 2**-1074, so the next sigma is at least
     2**(scale - 1074) whenever there is anything left to extract.
     """
     if top is None:
-        q = np.abs(xs)
+        np.abs(xs, out=q)
         # Nonnegative floats order as their int64 bit patterns, and an integer
         # maximum is faster than a float one.
         mu = np.maximum.reduceat(q.view(np.int64), starts, axis=0).view(np.float64)
         sigma = np.repeat(np.ldexp(2.0 ** scale, np.frexp(mu)[1]), counts, axis=0)
     else:
-        q = np.empty_like(xs)
         sigma = np.ldexp(2.0 ** scale, np.frexp(top)[1])
     rest = xs.copy()
     while True:
@@ -530,7 +534,8 @@ def _segment_expansion(xs: Array, starts: Array, counts: Array) -> tuple[Array, 
     terms = []
     finite = np.ones(len(starts), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for tau, rest in _extractions(xs, starts, counts, _grid_scale(counts)):
+        for tau, rest in _extractions(xs, starts, counts, _grid_scale(counts),
+                                      np.empty_like(xs)):
             terms.append(tau)
             finite &= np.isfinite(tau).all(axis=1)
             rest[np.repeat(~finite, counts)] = 0.0
@@ -543,20 +548,35 @@ def _segment_fsum(xs: Array, starts: Array, counts: Array, top: float | None = N
 
     Segment s is rows ``starts[s]:starts[s] + counts[s]``. Two error-free
     extraction passes (``_extractions``; Rump, Ogita & Oishi, SIAM J. Sci.
-    Comput. 2008) split every value into a part on a grid fixed per segment
-    and column, whose sum is exact in any order, and a remainder; the second
-    grid is derived from the first. TwoSum turns the two exact sums into
-    hi + lo. hi is the correctly rounded total when the remainders are all
-    zero, as they are when the nonzero magnitudes of every segment column
-    span at most a factor 2**(53 - 2 * scale), or when |lo| plus a bound on
-    the remainders' total stays below half the gap below |hi|, which is
-    checked only when some remainder is left. Any cell without that
-    certificate (extreme dynamic range, overflow) is summed by math.fsum, so
-    the result is fsum's byte for byte. ``top`` is as in ``_extractions``.
+    Comput. 2008) split every value into a part on a grid, whose sum is
+    exact in any order, and a remainder; the second grid is derived from
+    the first. The first grid is one for the whole call, set by ``top``, an
+    upper bound on every magnitude, by default max|xs|; when that is inf or
+    NaN, the grids are per segment and column instead. TwoSum turns the two
+    exact sums into hi + lo. hi is the correctly rounded total when the
+    remainders are all zero, as they are when every nonzero value lies
+    within a factor 2**(53 - 2 * scale) of ``top``, or when |lo| plus a
+    bound on the remainders' total stays below half the gap below |hi|,
+    which is checked only when some remainder is left. Any cell without
+    that certificate is summed by math.fsum, so the result is fsum's byte
+    for byte.
+
+    One grid saves a per-segment maximum and its broadcast to every row.
+    Its price: a cell whose values all lie below about 2**(2 * scale - 53)
+    times ``top`` leaves remainders too large for the certificate, so it is
+    summed by math.fsum unless its values fit the second grid (zeros, or
+    few significant bits). So is a cell whose sum cancels, and every cell
+    of a call whose grid overflows (``top`` near 2**(1023 - scale)).
     """
     scale = _grid_scale(counts)
+    q = np.empty_like(xs)
+    if top is None:
+        top = np.abs(xs, out=q).max(initial=0.0)
+    if not math.isfinite(top):
+        # Per-segment grids, so that only the non-finite cells fall back.
+        top = None
     with np.errstate(over="ignore", invalid="ignore"):
-        passes = _extractions(xs, starts, counts, scale, top)
+        passes = _extractions(xs, starts, counts, scale, q, top)
         t0, _ = next(passes)
         t1, rest = next(passes)
         hi = t0 + t1

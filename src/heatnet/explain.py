@@ -31,9 +31,9 @@ row-invariant, every other op is elementwise, and every segment sum is
 exactly rounded, so an output row depends only on the exact real sum of
 the values it reduces, never on which other rows share the call. The cost
 is O(n * region) layer and pooling work, with region the mean downstream
-region (about 20 nodes on kNN patch graphs with k = 4, whatever n), plus a
-copy of each layer's cached projections per chunk; n full forwards cost
-O(n * (n + E)).
+region (about 20 nodes on kNN patch graphs with k = 4, whatever n): a
+chunk's projection table holds only the cached rows its edges read and
+its new rows. n full forwards cost O(n * (n + E)).
 """
 
 from __future__ import annotations
@@ -103,13 +103,26 @@ def _members(starts: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, np.nda
     return j, starts[groups][j] + np.arange(j.size) - (np.cumsum(counts) - counts)[j]
 
 
-def _table_rows(changed: np.ndarray, keys: np.ndarray, cached: np.ndarray, n: int) -> np.ndarray:
-    """Projection-table row of each (removal, node) key: n plus its index
-    among the sorted ``changed`` keys, else the node's cached row."""
+def _table_rows(changed: np.ndarray, keys: np.ndarray, cached: np.ndarray,
+                first_new: int) -> np.ndarray:
+    """Projection-table row of each (removal, node) key: ``first_new`` plus
+    its index among the sorted ``changed`` keys, else its ``cached`` row."""
     at = np.searchsorted(changed, keys)
     hit = at < len(changed)
     hit[hit] = changed[at[hit]] == keys[hit]
-    return np.where(hit, n + at, cached)
+    return np.where(hit, first_new + at, cached)
+
+
+def _distinct(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``rows`` (all below n), and a length-n map that
+    sends the k-th of them to k. The work grows with len(rows), not n: no
+    sort, and the map is left unset where ``rows`` has no value."""
+    at = np.arange(len(rows))
+    slot = np.empty(n, dtype=np.intp)
+    slot[rows] = at
+    distinct = rows[slot[rows] == at]
+    slot[distinct] = np.arange(len(distinct))
+    return distinct, slot
 
 
 def recompute_removals(model: Model, batch: GraphBatch, layer_outputs: list[LayerOutput],
@@ -137,11 +150,15 @@ def recompute_removals(model: Model, batch: GraphBatch, layer_outputs: list[Laye
         seg, e = _members(in_starts, tt)
         keep = src[e] != tv[seg]
         seg, e = seg[keep], e[keep]
-        node_proj = ad.concat([cached.node_proj,
-                               project_nodes(layer, h_changed, batch.node_types[changed % n])])
-        h, _ = attend(layer, node_proj, ad.gather_rows(cached.edge_attrs, e),
-                      _table_rows(changed, tv[seg] * n + src[e], src[e], n),
-                      _table_rows(changed, targets, tt, n)[seg],
+        source = src[e]
+        # The chunk's table: the cached rows its edges could read (every
+        # source and target), then the new rows.
+        old, slot = _distinct(np.concatenate([source, tt]), n)
+        table = ad.concat([ad.gather_rows(cached.node_proj, old),
+                           project_nodes(layer, h_changed, batch.node_types[changed % n])])
+        h, _ = attend(layer, table, ad.gather_rows(cached.edge_attrs, e),
+                      _table_rows(changed, tv[seg] * n + source, slot[source], len(old)),
+                      _table_rows(changed, targets, slot[tt], len(old))[seg],
                       np.bincount(seg, minlength=len(targets)))
         if i < len(model.layers) - 1:
             h = model.activate(h)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
@@ -442,6 +441,8 @@ def run_cv(dataset: Sequence[HeteroGraph], model_cfg: ModelConfig, cfg: TrainCon
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1:
+        # Loaded here so that importing heatnet does not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             fold_results = list(pool.map(_run_fold, args))
     else:

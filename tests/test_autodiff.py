@@ -547,6 +547,53 @@ class TestExactSums:
                           for s, c in zip(starts.tolist(), counts.tolist())])
         assert out.tobytes() == cells.tobytes()
         assert out.tobytes() == ref_segment_fsum(xs, starts, counts).tobytes()
+        # Any upper bound on the magnitudes gives a valid grid; one that
+        # overflows to inf gives per-segment grids.
+        top = float(np.abs(xs).max())
+        for k in range(21):
+            assert ad._segment_fsum(xs, starts, counts, top=top * 2.0 ** k).tobytes() \
+                == out.tobytes(), k
+
+    @settings(max_examples=200, deadline=None)
+    @given(exponents=st.lists(st.integers(-600, 600), min_size=1, max_size=6),
+           special=st.sets(st.sampled_from(["zero", "subnormal", "near-overflow"])),
+           cols=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_one_grid_serves_segments_of_any_scale(self, exponents, special, cols, seed):
+        # One call, one grid: segments scaled by up to 2**+-600, with an
+        # all-zero, a subnormal-only and a near-overflow segment among them.
+        rng = np.random.default_rng(seed)
+        segs = [rng.standard_normal((int(rng.integers(1, 10)), cols)) * 2.0 ** e
+                for e in exponents]
+        if "zero" in special:
+            segs.append(np.zeros((int(rng.integers(1, 10)), cols)))
+        if "subnormal" in special:
+            segs.append(rng.integers(-2**52, 2**52, (int(rng.integers(1, 10)), cols))
+                        * 2.0 ** -1074)
+        if "near-overflow" in special:
+            # at most three terms below 2**1021, so every sum is finite
+            c = int(rng.integers(1, 4))
+            segs.append(rng.choice([-1.0, 1.0], (c, cols)) * (1.0 + rng.random((c, cols)))
+                        * 2.0 ** 1020)
+        segs = [segs[i] for i in rng.permutation(len(segs))]
+        xs = np.vstack(segs)
+        counts = np.array([len(x) for x in segs], dtype=np.intp)
+        starts = np.cumsum(counts) - counts
+        out = ad._segment_fsum(xs, starts, counts)
+        cells = np.array([[math.fsum(x[:, j].tolist()) for j in range(cols)] for x in segs])
+        assert out.tobytes() == cells.tobytes()
+        assert out.tobytes() == ref_segment_fsum(xs, starts, counts).tobytes()
+
+    def test_a_non_finite_value_keeps_the_other_cells_exact(self):
+        # inf bounds nothing: were it the call's grid, the finite cells
+        # below would be summed on a grid smaller than their values.
+        rng = np.random.default_rng(7)
+        for value in (np.inf, -np.inf, np.nan):
+            wide = rng.standard_normal((8, 2)) * 2.0 ** rng.integers(-40, 41, (8, 2))
+            xs = np.vstack([[[value, 1.0]], wide])
+            with np.errstate(invalid="ignore"):
+                out = ad._segment_fsum(xs, np.array([0, 1]), np.array([1, 8]))
+            assert out[1].tolist() == [math.fsum(wide[:, j].tolist()) for j in range(2)]
+            np.testing.assert_array_equal(out[0], [value, 1.0])
 
     @staticmethod
     def explain_256_nodes():
@@ -571,7 +618,22 @@ class TestExactSums:
         train(graphs[:4], graphs[4:], model,
               TrainConfig(max_epochs=1, batch_size=2, patience=1, dropout=0.2))
 
-    @pytest.mark.parametrize("run", ["explain_256_nodes", "train_small_epoch"])
+    @staticmethod
+    def slide_width_300_nodes():
+        # the slide model's width (32-d features, k = 8, hidden 64, four
+        # heads) on a 300-node patch graph: one attribution, and one
+        # forward and backward
+        rng = np.random.default_rng([0, 300])
+        patches = [PatchRecord(str(i), i % 18, i // 18, rng.standard_normal(32),
+                               type_label=DEFAULT_TYPE_NAMES[int(rng.integers(6))])
+                   for i in range(300)]
+        g = dataclasses.replace(build_graph(patches, BuildConfig(k=8)), label=1)
+        model = Model.init(ModelConfig(feature_dim=32, hidden_dim=64, heads=4), 1000)
+        explain_graph(model, g)
+        assert ad.backward(ad.cross_entropy(model.forward([g]), [1]))
+
+    @pytest.mark.parametrize("run", ["explain_256_nodes", "train_small_epoch",
+                                     "slide_width_300_nodes"])
     def test_benchmark_scale_runs_never_fall_back_to_fsum(self, monkeypatch, run):
         # The math.fsum calls made inside the kernel are its fallback cells;
         # reduce_sum calls math.fsum outside it.

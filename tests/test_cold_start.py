@@ -1,4 +1,5 @@
-"""Importing heatnet, and running commands that need no p-value, loads numpy but not scipy."""
+"""Importing heatnet, and running commands that need no p-value or worker
+processes, loads numpy but not scipy or multiprocessing."""
 
 import os
 import subprocess
@@ -11,15 +12,21 @@ import sys
 import heatnet
 import heatnet.cli
 from heatnet.metrics import metric_auc_macro
-assert "scipy" not in sys.modules, "import"
+
+HEAVY = ("scipy", "multiprocessing", "concurrent.futures.process")
+
+def loaded():
+    return [name for name in HEAVY if name in sys.modules]
+
+assert not loaded(), ("import", loaded())
 metric_auc_macro([[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]], [1, 0, 1])
-assert "scipy" not in sys.modules, "metric_auc_macro"
+assert not loaded(), ("metric_auc_macro", loaded())
 assert heatnet.cli.main(["gradcheck", "--nodes", "4"]) == 0
-assert "scipy" not in sys.modules, "gradcheck"
+assert not loaded(), ("gradcheck", loaded())
 """
 
 
-def test_scipy_stays_unloaded():
+def test_scipy_and_multiprocessing_stay_unloaded():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
