@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, PatchTableError, ShapeError
-from .hetgraph import (DEFAULT_TYPES, HeteroGraph, TypeSet, _integral, _non_number, _subgraph,
-                       validate)
+from .hetgraph import (DEFAULT_TYPES, HeteroGraph, TypeSet, _integral, _non_number,
+                       _parse_json, _subgraph, validate)
 
 
 @dataclass(frozen=True)
@@ -514,7 +514,7 @@ def load_patch_table(path) -> list[PatchRecord]:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = _parse_json(line)
             except json.JSONDecodeError as exc:
                 raise PatchTableError(lineno, f"invalid JSON: {exc.msg}") from exc
             if not isinstance(obj, dict):

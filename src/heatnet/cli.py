@@ -33,7 +33,7 @@ from .errors import (
     TrainingError,
 )
 from .explain import explain_graph, export_heatmap
-from .hetgraph import DEFAULT_TYPES, TypeSet, _write_json, load_graph, save_graph
+from .hetgraph import DEFAULT_TYPES, TypeSet, _parse_json, _write_json, load_graph, save_graph
 from .model import Model
 from .seeding import rng_for
 from .synth import synth_generate
@@ -130,7 +130,7 @@ def _load_dataset(data_dir: str):
     manifest_path = os.path.join(data_dir, "manifest.json")
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+            manifest = _parse_json(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read dataset manifest: {exc}") from exc
     files = manifest.get("files") if isinstance(manifest, dict) else None

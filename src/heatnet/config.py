@@ -15,6 +15,7 @@ from typing import Any
 from . import __version__
 from .builder import BuildConfig
 from .errors import ConfigError
+from .hetgraph import _parse_json
 from .model import ModelConfig
 from .schema import build_dataclass, to_jsonable
 from .synth import SyntheticSpec
@@ -55,6 +56,8 @@ def _parse_override(item: str) -> tuple[list[str], Any]:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw  # bare strings are allowed unquoted
+    except RecursionError:
+        raise ConfigError(f"override {key.strip()!r}: JSON nested too deeply") from None
     return parts, value
 
 
@@ -66,7 +69,7 @@ def load_run_config(config_path: str | None = None,
     if config_path is not None:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
+                loaded = _parse_json(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:

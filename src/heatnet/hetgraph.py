@@ -7,25 +7,28 @@ Edges name their endpoints by node id; ``HeteroGraph.edge_pos`` maps them
 to node positions once per graph. ``batch_graphs`` stacks graphs into one
 disjoint union (``GraphBatch``), which the model runs on, with its edge
 rows sorted by target once: the runs the layers' segment ops reduce. The
-JSON file format is
-versioned, stores one list per node or edge field and round-trips floats
-exactly; ``validate`` is the one checker of graph-wide invariants, the
+JSON file format is versioned and stores one column per node or edge
+field: ids, types and coordinates as JSON lists, and the float64 feature
+and attribute tables each as one base64 string of their row-major,
+little-endian bytes, so floats round-trip exactly and are never printed
+as text. ``validate`` is the one checker of graph-wide invariants, the
 parser included.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, GraphLookupError, GraphValidationError
 
-GRAPH_FORMAT_VERSION = 2
+GRAPH_FORMAT_VERSION = 3
 _NUMBER_TYPES = {int, float}
 
 
@@ -343,8 +346,13 @@ def _subgraph(g: HeteroGraph, keep: np.ndarray, edges: np.ndarray,
 # serialization (versioned JSON, lossless float round trip)
 # ---------------------------------------------------------------------------
 
+def _float64_base64(a: np.ndarray) -> str:
+    """Padded base64 of ``a``'s row-major, little-endian float64 bytes."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
+
+
 def to_json_dict(g: HeteroGraph) -> dict:
-    """The graph as one JSON column per node and edge field (format version 2)."""
+    """The graph as one JSON column per node and edge field (format version 3)."""
     x, y = (None, None) if g.coords is None else g.coords.T.tolist()
     return {
         "version": GRAPH_FORMAT_VERSION,
@@ -357,10 +365,10 @@ def to_json_dict(g: HeteroGraph) -> dict:
             "type": [g.types.names[t] for t in g.node_types.tolist()],
             "x": x,
             "y": y,
-            "feat": g.features.tolist(),
+            "feat": _float64_base64(g.features),
         },
         "edges": {"src": g.edge_src.tolist(), "dst": g.edge_dst.tolist(),
-                  "attr": g.edge_attrs.tolist()},
+                  "attr": _float64_base64(g.edge_attrs)},
     }
 
 
@@ -407,37 +415,32 @@ def _non_number(values: list) -> str | None:
     return json.dumps(next(v for v in values if type(v) not in _NUMBER_TYPES))
 
 
-def _float_rows(col: list, width: int, name: str, kind: str, noun: str, at) -> np.ndarray:
-    """The column as a (len(col), width) float64 array. ``at(i)`` gives the
-    Violation fields naming row i's node or edge: a row of another length
-    is a ``kind`` violation, an entry that is not a number a format one."""
-    if not col:
-        return np.zeros((0, width))
+def _float_column(table: dict, name: str, key: str, rows: int, width: int) -> np.ndarray:
+    """``table[key]``, the base64 of a row-major, little-endian float64 array,
+    as a (rows, width) array; anything else is a format violation."""
+    col = table.get(key)
+    if not isinstance(col, str):
+        raise _format(f"{name}.{key} must be a base64 string")
     try:
-        arr = np.asarray(col, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        arr = None
-    if arr is not None and arr.shape == (len(col), width):
-        # numpy reads true/false as 1/0 and numeric strings as numbers
-        if set(map(type, chain.from_iterable(col))) <= _NUMBER_TYPES:
-            return arr
-        i, bad = next((i, b) for i, b in enumerate(map(_non_number, col)) if b is not None)
-        raise GraphValidationError(Violation("format", f"{name} entry {bad} is not a number",
-                                             **at(i)))
-    for i, row in enumerate(col):
-        if isinstance(row, list) and len(row) != width:
-            raise GraphValidationError(Violation(
-                kind, f"{noun} has dimension {len(row)}, expected {width}", **at(i)))
-    raise _format(f"{name} must be a list of rows of {width} numbers")
+        raw = base64.b64decode(col, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise _format(f"{name}.{key} is not base64: {exc}") from exc
+    if len(raw) != 8 * rows * width:
+        raise _format(f"{name}.{key} has {len(raw)} bytes, expected {8 * rows * width} "
+                      f"for {rows} rows of {width} float64")
+    try:
+        return np.frombuffer(raw, dtype="<f8").reshape(rows, width)
+    except ValueError as exc:  # zero rows of a width beyond numpy's array size
+        raise _format(f"{name}.{key}: {exc}") from exc
 
 
 def from_json_dict(d: dict) -> HeteroGraph:
     """Parse the graph format; unknown top-level keys are ignored.
 
-    Column-level problems (malformed or misaligned columns, unknown types,
-    mixed feature or attribute dimensions, partial coordinates) are
-    reported here; the graph-wide ones (duplicate ids, edges to missing
-    nodes, duplicate edges) by ``validate``. Either raises
+    Column-level problems (malformed or misaligned columns, float payloads
+    of the wrong size, unknown types, partial coordinates) are reported
+    here; the graph-wide ones (duplicate ids, edges to missing nodes,
+    duplicate edges, non-finite floats) by ``validate``. Either raises
     GraphValidationError carrying the violation.
     """
     if not isinstance(d, dict):
@@ -445,8 +448,11 @@ def from_json_dict(d: dict) -> HeteroGraph:
     if d.get("version") != GRAPH_FORMAT_VERSION:
         raise _format(f"unsupported graph format version {d.get('version')!r}, "
                       f"expected {GRAPH_FORMAT_VERSION}")
+    types = d.get("types")
+    if not (isinstance(types, list) and all(isinstance(t, str) for t in types)):
+        raise _format("types must be a JSON list of strings")
     try:
-        types = TypeSet(tuple(str(t) for t in d["types"]))
+        types = TypeSet(tuple(types))
         label = d.get("label")
         label = None if label is None else _integral(label)
         feature_dim, edge_dim = _integral(d["feature_dim"]), _integral(d["edge_dim"])
@@ -465,9 +471,7 @@ def from_json_dict(d: dict) -> HeteroGraph:
         bad = next(i for i, t in enumerate(names) if not isinstance(t, str) or t not in types)
         raise GraphValidationError(Violation(
             "unknown-type", f"node type {names[bad]!r} not in type set", node_id=int(ids[bad]))) from None
-    feats = _float_rows(_column(nodes, "nodes", "feat", n), feature_dim, "nodes.feat",
-                        "mixed-feature-dim", "node feature",
-                        lambda i: {"node_id": int(ids[i])})
+    feats = _float_column(nodes, "nodes", "feat", n, feature_dim)
     coords = None
     if nodes.get("x") is not None or nodes.get("y") is not None:
         x, y = _column(nodes, "nodes", "x", n), _column(nodes, "nodes", "y", n)
@@ -479,9 +483,7 @@ def from_json_dict(d: dict) -> HeteroGraph:
 
     src = _int_column(_column(edges, "edges", "src", None), "edges.src")
     dst = _int_column(_column(edges, "edges", "dst", len(src)), "edges.dst")
-    attrs = _float_rows(_column(edges, "edges", "attr", len(src)), edge_dim, "edges.attr",
-                        "mixed-attr-dim", "edge attribute",
-                        lambda i: {"edge": (int(src[i]), int(dst[i]))})
+    attrs = _float_column(edges, "edges", "attr", len(src), edge_dim)
 
     g = HeteroGraph(
         types=types,
@@ -521,6 +523,16 @@ def _write_json(path, doc) -> None:
         fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _parse_json(text: str):
+    """``json.loads``, where input nested too deeply for the parser's
+    recursion raises JSONDecodeError like any other malformed JSON; every
+    JSON file and patch-table line is read with this."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("JSON nested too deeply", text, 0) from None
+
+
 def load_graph(path) -> HeteroGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))
+        return from_json_dict(_parse_json(fh.read()))

@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .builder import AugmentConfig, augment
 from .errors import ConfigError, NonFiniteError, TrainingError
-from .hetgraph import HeteroGraph, _non_number, _write_json
+from .hetgraph import HeteroGraph, _non_number, _parse_json, _write_json
 from .metrics import accuracy, metric_auc_macro, metric_macro_f1
 from .model import Model, ModelConfig
 from .schema import build_dataclass, to_jsonable
@@ -331,7 +331,7 @@ def save_checkpoint(path, model: Model, provenance: dict | None = None,
 def load_checkpoint(path) -> tuple[Model, dict]:
     """Rebuild a model from a checkpoint; eval logits are bit-identical."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = _parse_json(fh.read())
     if not isinstance(doc, dict):
         raise ConfigError("checkpoint must be a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:

@@ -16,10 +16,13 @@ and the tests use (``add``, ``reshape``, ``reduce_sum`` along an axis,
 ``pearson_pair`` applies the package's Pearson kernel to one pair of
 vectors. ``from_lists``
 builds the small hand-written graphs of the tests from per-node and
-per-edge tuples. ``forced_blocks`` shrinks every row block of the blocked
-autodiff ops to a given number of rows.
+per-edge tuples; ``float_column`` and ``set_float_column`` decode and
+re-encode a graph document's base64 float column. ``forced_blocks``
+shrinks every row block of the blocked autodiff ops to a given number of
+rows.
 """
 
+import base64
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -62,6 +65,23 @@ def from_lists(types, nodes, edges, label=None):
         type_idx = np.zeros(0, dtype=np.intp)
     return HeteroGraph(types, tuple(ids), np.asarray(type_idx, dtype=np.intp), feats,
                        src, dst, attrs, label=label, coords=coords)
+
+
+_FLOAT_COLUMNS = {"feat": ("nodes", "feature_dim"), "attr": ("edges", "edge_dim")}
+
+
+def float_column(doc, key):
+    """A graph document's ``feat`` or ``attr`` column as a writable (rows, width) array."""
+    table, dim = _FLOAT_COLUMNS[key]
+    raw = base64.b64decode(doc[table][key])
+    return np.frombuffer(raw, dtype="<f8").reshape(-1, doc[dim]).copy()
+
+
+def set_float_column(doc, key, a):
+    """Store ``a`` as a graph document's ``feat`` or ``attr`` column: the
+    base64 of its row-major, little-endian float64 bytes."""
+    table, _ = _FLOAT_COLUMNS[key]
+    doc[table][key] = base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
 
 
 @contextmanager

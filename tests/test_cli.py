@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from _reference import float_column, set_float_column
 from heatnet.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from heatnet.config import RunConfig, load_run_config, provenance_block
 from heatnet.hetgraph import DEFAULT_TYPES, TypeSet, load_graph, save_graph, validate
@@ -369,6 +370,16 @@ def _set_node_field(key, value):
     return corrupt
 
 
+def _edit_floats(key, edit):
+    """A graph-document edit: decode the ``feat`` or ``attr`` column, apply
+    ``edit`` to the (rows, width) array, and encode it again."""
+    def corrupt(doc):
+        a = float_column(doc, key)
+        edit(a)
+        set_float_column(doc, key, a)
+    return corrupt
+
+
 def _one_input_error_line(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("heatnet: error: input:"), err
@@ -419,8 +430,16 @@ def _version_1_checkpoint(doc):
     doc["version"] = 1
 
 
+def _version_2_graph(doc):
+    """The layout of graph format version 2: float columns as JSON lists of rows."""
+    doc["nodes"]["feat"] = float_column(doc, "feat").tolist()
+    doc["edges"]["attr"] = float_column(doc, "attr").tolist()
+    doc["version"] = 2
+
+
 def _version_1_graph(doc):
     """The per-record layout of graph format version 1."""
+    _version_2_graph(doc)
     nodes, edges = doc.pop("nodes"), doc.pop("edges")
     del doc["feature_dim"], doc["edge_dim"]
     doc["nodes"] = [dict(zip(nodes, rec)) for rec in zip(*nodes.values())]
@@ -453,20 +472,29 @@ class TestMalformedInputFiles:
         (lambda doc: doc["edges"]["src"].__setitem__(0, True), "format: edges.src: true is not"),
         (lambda doc: doc["edges"]["dst"].__setitem__(0, False), "format: edges.dst: false is not"),
         (lambda doc: doc.update(label=True), "format: malformed graph document"),
-        (_set_node_field("feat", [0.5, True, 0.5]),
-         "format: nodes.feat entry true is not a number (node 1)"),
-        (_set_node_field("feat", [0.5, 0.5, "0.5"]),
-         'format: nodes.feat entry "0.5" is not a number (node 1)'),
-        (lambda doc: doc["edges"]["attr"].__setitem__(-1, [False]),
-         "format: edges.attr entry false is not a number (edge "),
+        (lambda doc: doc["nodes"].update(feat=True),
+         "format: nodes.feat must be a base64 string"),
+        (lambda doc: doc["nodes"].update(feat="*" + doc["nodes"]["feat"][1:]),
+         "format: nodes.feat is not base64: Only base64 data is allowed"),
+        (lambda doc: doc["edges"].update(attr=doc["edges"]["attr"][:4] + "=" +
+                                         doc["edges"]["attr"][4:]),
+         "format: edges.attr is not base64: Discontinuous padding not allowed"),
+        (lambda doc: doc.update(types="abc"), "format: types must be a JSON list of strings"),
     ], ids=["x-not-number", "label-string", "label-list", "nodes-not-list", "edges-null",
             "id-fraction", "y-fraction", "dst-fraction", "label-fraction", "id-beyond-int64",
             "nodes-not-object", "edges-not-object", "id-boolean", "x-boolean", "y-boolean",
-            "src-boolean", "dst-boolean", "label-boolean", "feat-boolean", "feat-string",
-            "attr-boolean"])
+            "src-boolean", "dst-boolean", "label-boolean", "feat-boolean", "feat-non-alphabet",
+            "attr-bad-padding", "types-string"])
     def test_bad_graph_exits_2(self, tmp_path, capsys, corrupt, fault):
         line = _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_graph=corrupt)
         assert fault in line
+
+    def test_version_2_graph_exits_2(self, tmp_path, capsys):
+        line = _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_graph=_version_2_graph)
+        assert line == ("heatnet: error: input: format: "
+                        "unsupported graph format version 2, expected 3")
+        doc = json.loads((tmp_path / "g.json").read_text())
+        assert len(doc["nodes"]["feat"]) == 4 and len(doc["nodes"]["feat"][0]) == 3
 
     def test_version_1_graph_exits_2(self, tmp_path, capsys):
         line = _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_graph=_version_1_graph)
@@ -635,9 +663,9 @@ class TestTypeSetMismatch:
 
 class TestExplainFailures:
     @pytest.mark.parametrize("corrupt", [
-        lambda doc: doc["nodes"]["feat"][1].__setitem__(0, -1e308),
-        lambda doc: [a.__setitem__(0, (-1) ** i * 1e308)
-                     for i, a in enumerate(doc["edges"]["attr"])],
+        _edit_floats("feat", lambda a: a.__setitem__((1, 0), -1e308)),
+        _edit_floats("attr", lambda a: a.__setitem__(
+            (slice(None), 0), (-1.0) ** np.arange(len(a)) * 1e308)),
     ], ids=["feat", "attrs"])
     def test_overflow_exits_3_with_one_line_and_no_warning(self, tmp_path, capsys, corrupt):
         with warnings.catch_warnings():
@@ -652,6 +680,42 @@ class TestExplainFailures:
         line = _explain_exits_2_with_one_line(tmp_path, capsys,
                                               corrupt_graph=lambda doc: doc.update(label=None))
         assert line == "heatnet: error: input: graph has no label and none was given"
+
+
+DEEP = "[" * 5000 + "]" * 5000
+
+
+class TestDeepNesting:
+    """JSON nested deeper than the parser recurses exits 2 with one line at every JSON input."""
+
+    @pytest.mark.parametrize("argv, fault", [
+        ("explain --graph {deep} --checkpoint {ckpt}", "input: JSON nested too deeply"),
+        ("explain --graph {graph} --checkpoint {deep}", "input: JSON nested too deeply"),
+        ("eval --cv --data {data}", "input: JSON nested too deeply"),
+        ("build-graph --patches {patches} --config {deep}",
+         "input: config file is not valid JSON: JSON nested too deeply"),
+        ("build-graph --patches {patches} --set build.k=" + DEEP,
+         "input: override 'build.k': JSON nested too deeply"),
+        ("build-graph --patches {deep_patches}", "input: line 2: invalid JSON: JSON nested too deeply"),
+    ], ids=["graph", "checkpoint", "manifest", "config", "set", "patch-table-line"])
+    def test_deep_json_exits_2_with_one_line(self, tmp_path, capsys, argv, fault):
+        types = TypeSet(("a", "b"))
+        g = random_labeled_graph(np.random.default_rng(0), types, n_nodes=4, feature_dim=3)
+        save_graph(g, tmp_path / "g.json")
+        model = Model.init(ModelConfig(feature_dim=3, types=types.names, hidden_dim=4), 0)
+        (tmp_path / "ckpt.json").write_text(json.dumps(checkpoint_dict(model, None, 0, 0.0)))
+        (tmp_path / "patches.jsonl").write_text(PATCHES)
+        (tmp_path / "deep_patches.jsonl").write_text(
+            PATCHES.splitlines()[0] + '\n{"id": ' + DEEP + "}\n")
+        (tmp_path / "deep.json").write_text(DEEP)
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "manifest.json").write_text(DEEP)
+        paths = {"deep": tmp_path / "deep.json", "graph": tmp_path / "g.json",
+                 "ckpt": tmp_path / "ckpt.json", "patches": tmp_path / "patches.jsonl",
+                 "deep_patches": tmp_path / "deep_patches.jsonl", "data": tmp_path / "data"}
+        rc = main([tok.format(**paths) for tok in argv.split()] + ["--out", str(tmp_path / "o")])
+        assert rc == EXIT_INPUT
+        assert fault in _one_input_error_line(capsys)
 
 
 class TestConfigValueTypes:

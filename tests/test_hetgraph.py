@@ -1,11 +1,12 @@
 """Graph structure: validation, node removal, serialization."""
 
+import base64
 import json
 
 import numpy as np
 import pytest
 
-from _reference import from_lists
+from _reference import float_column, from_lists, set_float_column
 from heatnet.errors import ConfigError, GraphLookupError, GraphValidationError
 from heatnet.hetgraph import (
     DEFAULT_TYPES,
@@ -73,21 +74,15 @@ class TestValidate:
         v = validate(bad)
         assert v is not None and v.kind == "duplicate-edge"
 
-    def test_mixed_feature_dimensions_reported_on_parse(self):
-        doc = {
-            "version": 2,
-            "types": list(DEFAULT_TYPES.names),
-            "label": None,
-            "feature_dim": 4,
-            "edge_dim": 1,
-            "nodes": {"id": [0, 1], "type": ["dead", "dead"], "x": None, "y": None,
-                      "feat": [[1.0] * 4, [1.0] * 5]},
-            "edges": {"src": [], "dst": [], "attr": []},
-        }
+    def test_feature_payload_one_row_short_is_format_violation(self):
+        doc = to_json_dict(from_lists(DEFAULT_TYPES, nodes=[(0, "dead", [1.0] * 4),
+                                                            (1, "dead", [1.0] * 4)], edges=[]))
+        set_float_column(doc, "feat", float_column(doc, "feat")[:1])
         with pytest.raises(GraphValidationError) as exc:
             from_json_dict(doc)
-        assert exc.value.violation.kind == "mixed-feature-dim"
-        assert exc.value.violation.node_id == 1
+        v = exc.value.violation
+        assert v.kind == "format" and "nodes.feat" in v.message
+        assert "has 32 bytes, expected 64" in v.message
 
 
 class TestRemoveNode:
@@ -187,7 +182,10 @@ class TestSerialization:
         ("edges", "dst"), ("edges", "attr")])
     def test_column_length_mismatch_is_format_violation(self, table, key):
         doc = to_json_dict(tiny_graph())
-        doc[table][key].pop()
+        if key in ("feat", "attr"):  # the payload loses its last row's bytes
+            set_float_column(doc, key, float_column(doc, key)[:-1])
+        else:
+            doc[table][key].pop()
         with pytest.raises(GraphValidationError) as exc:
             from_json_dict(doc)
         v = exc.value.violation
@@ -196,7 +194,6 @@ class TestSerialization:
     @pytest.mark.parametrize("table, key, row, value, kind, node_id, edge", [
         ("nodes", "type", 2, "stromal", "unknown-type", 2, None),
         ("nodes", "type", 0, ["dead"], "unknown-type", 0, None),
-        ("edges", "attr", 3, [0.5, 0.5], "mixed-attr-dim", None, (0, 1)),
     ])
     def test_column_entry_faults_name_the_node_or_edge(self, table, key, row, value, kind,
                                                        node_id, edge):
@@ -206,6 +203,68 @@ class TestSerialization:
             from_json_dict(doc)
         v = exc.value.violation
         assert (v.kind, v.node_id, v.edge) == (kind, node_id, edge)
+
+    @pytest.mark.parametrize("table, key", [("nodes", "feat"), ("edges", "attr")])
+    def test_float_column_as_json_rows_is_format_violation(self, table, key):
+        doc = to_json_dict(tiny_graph())
+        doc[table][key] = float_column(doc, key).tolist()
+        with pytest.raises(GraphValidationError) as exc:
+            from_json_dict(doc)
+        v = exc.value.violation
+        assert (v.kind, v.message) == ("format", f"{table}.{key} must be a base64 string")
+
+    @pytest.mark.parametrize("table, key", [("nodes", "feat"), ("edges", "attr")])
+    def test_payload_one_byte_short_is_format_violation(self, table, key):
+        doc = to_json_dict(tiny_graph())
+        raw = base64.b64decode(doc[table][key])
+        doc[table][key] = base64.b64encode(raw[:-1]).decode("ascii")
+        with pytest.raises(GraphValidationError) as exc:
+            from_json_dict(doc)
+        v = exc.value.violation
+        assert v.kind == "format"
+        assert f"{table}.{key} has {len(raw) - 1} bytes, expected {len(raw)}" in v.message
+
+    @pytest.mark.parametrize("key, row, value, node_id, edge", [
+        ("feat", 1, float("nan"), 1, None),
+        ("feat", 2, float("-inf"), 2, None),
+        ("attr", 3, float("inf"), None, (0, 1)),
+        ("attr", 5, float("nan"), None, (2, 1)),
+    ])
+    def test_decoded_non_finite_is_validate_violation(self, key, row, value, node_id, edge):
+        doc = to_json_dict(tiny_graph())
+        a = float_column(doc, key)
+        a[row, -1] = value
+        set_float_column(doc, key, a)
+        with pytest.raises(GraphValidationError) as exc:
+            from_json_dict(doc)
+        v = exc.value.violation
+        assert (v.kind, v.node_id, v.edge) == ("non-finite", node_id, edge)
+
+    def test_payload_is_little_endian_float64_bytes(self):
+        g = tiny_graph()
+        doc = to_json_dict(g)
+        assert base64.b64decode(doc["nodes"]["feat"]) == np.asarray(g.features, "<f8").tobytes()
+        assert base64.b64decode(doc["edges"]["attr"]) == np.asarray(g.edge_attrs, "<f8").tobytes()
+        # 1.0 is 0x3FF0000000000000: its low bytes come first
+        assert base64.b64decode(doc["nodes"]["feat"])[:8] == bytes(6) + b"\xf0\x3f"
+
+    @pytest.mark.parametrize("types", ["abc", {"dead": 0}, ["dead", 3], None],
+                             ids=["string", "object", "non-string-entry", "null"])
+    def test_types_must_be_a_list_of_strings(self, types):
+        doc = to_json_dict(tiny_graph())
+        doc["types"] = types
+        with pytest.raises(GraphValidationError) as exc:
+            from_json_dict(doc)
+        v = exc.value.violation
+        assert (v.kind, v.message) == ("format", "types must be a JSON list of strings")
+
+    @pytest.mark.parametrize("dim", ["feature_dim", "edge_dim"])
+    def test_zero_rows_of_unallocatable_width_is_format_violation(self, dim):
+        doc = to_json_dict(from_lists(DEFAULT_TYPES, nodes=[], edges=[]))
+        doc[dim] = 2**62
+        with pytest.raises(GraphValidationError) as exc:
+            from_json_dict(doc)
+        assert exc.value.violation.kind == "format"
 
     def test_zero_row_tables_keep_their_width(self, tmp_path):
         g = from_lists(DEFAULT_TYPES, nodes=[(0, "dead", [1.0, 2.0], (0, 0))], edges=[])
@@ -219,10 +278,10 @@ class TestSerialization:
 
 # save_graph(tiny_graph(label=1)): a layout change must update this on purpose.
 TINY_GRAPH_FILE = (
-    b'{"edge_dim":1,"edges":{"attr":[[1.0],[1.0],[1.0],[0.5],[0.5],[-0.25]],'
+    b'{"edge_dim":1,"edges":{"attr":"AAAAAAAA8D8AAAAAAADwPwAAAAAAAPA/AAAAAAAA4D8AAAAAAADgPwAAAAAAANC/",'
     b'"dst":[0,1,2,1,0,1],"src":[0,1,2,0,1,2]},"feature_dim":2,"label":1,'
-    b'"nodes":{"feat":[[1.0,2.0],[3.0,4.0],[5.0,6.0]],"id":[0,1,2],'
-    b'"type":["neoplastic","inflammatory","connective"],"x":[0,1,0],"y":[0,0,1]},'
+    b'"nodes":{"feat":"AAAAAAAA8D8AAAAAAAAAQAAAAAAAAAhAAAAAAAAAEEAAAAAAAAAUQAAAAAAAABhA",'
+    b'"id":[0,1,2],"type":["neoplastic","inflammatory","connective"],"x":[0,1,0],"y":[0,0,1]},'
     b'"types":["no-label","neoplastic","inflammatory","connective","dead",'
-    b'"non-neoplastic-epithelial"],"version":2}\n'
+    b'"non-neoplastic-epithelial"],"version":3}\n'
 )
