@@ -52,14 +52,13 @@ class AugmentConfig:
 class BuildConfig:
     """Graph construction knobs.
 
-    k-NN uses cosine similarity by default (scale-robust for pretrained
-    embeddings); "euclidean" switches to negative Euclidean distance.
+    Edges always come from the symmetric cosine k-NN (``knn_edges``) plus
+    one self-loop per node. ``metric`` stays a key, so configs that name it
+    still load, but "cosine" is its one accepted value.
     """
 
     k: int = 4
     metric: str = "cosine"
-    add_self_loops: bool = True
-    symmetric_edges: bool = True
     typing: str = "counts"          # "counts" | "kmeans"
     kmeans_k: int = 4
     seed: int = 0
@@ -67,12 +66,14 @@ class BuildConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.metric not in ("cosine", "euclidean"):
+        if self.metric != "cosine":
             raise ConfigError(f"unknown similarity metric {self.metric!r}")
         if self.typing not in ("counts", "kmeans"):
             raise ConfigError(f"unknown typing mode {self.typing!r}")
         if self.kmeans_k < 1:
             raise ConfigError(f"kmeans_k must be >= 1, got {self.kmeans_k}")
+        if self.seed < 0:
+            raise ConfigError(f"build seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -154,43 +155,21 @@ def _pow2_scaled(feats: np.ndarray) -> np.ndarray:
     return np.ldexp(feats, -exp)
 
 
-def _similarity_tiles(feats: np.ndarray, metric: str):
-    """Yield (a, b, sims) with sims the rows a..b-1 of the n x n similarity matrix.
+def _similarity_tiles(feats: np.ndarray):
+    """Yield (a, b, sims) with sims the rows a..b-1 of the n x n cosine similarity matrix.
 
     Cosine similarity of unit vectors, with zero vectors at similarity 0 to
-    everything; "euclidean" is the negative Euclidean distance. Each tile
-    is the dense expression restricted to its rows. Euclidean distances that
-    could overflow are taken of the matrix scaled down by one power of two,
-    which scales them all exactly, keeping their order and ties.
+    everything. Each tile is the dense expression restricted to its rows.
     """
-    if metric == "cosine":
-        feats = _pow2_scaled(feats)
-        norms = np.linalg.norm(feats, axis=1)
-        zero = norms == 0.0
-        unit = feats / np.where(zero, 1.0, norms)[:, None]
-        for a, b in _row_tiles(len(feats)):
-            sims = unit[a:b] @ unit.T
-            sims[zero[a:b], :] = 0.0
-            sims[:, zero] = 0.0
-            yield a, b, sims
-        return
-    with np.errstate(over="ignore"):
-        sq = np.sum(feats ** 2, axis=1)
-        if not np.isfinite(8.0 * sq.max(initial=0.0)):
-            # The least shift that brings every |x| below 2**t, and so every
-            # squared norm below 2**1020.
-            t = (1020 - feats.shape[1].bit_length()) // 2
-            feats = np.ldexp(feats, t - np.frexp(np.max(np.abs(feats)))[1])
-            sq = np.sum(feats ** 2, axis=1)
+    feats = _pow2_scaled(feats)
+    norms = np.linalg.norm(feats, axis=1)
+    zero = norms == 0.0
+    unit = feats / np.where(zero, 1.0, norms)[:, None]
     for a, b in _row_tiles(len(feats)):
-        prod = feats[a:b] @ feats.T
-        prod *= 2.0
-        d2 = sq[a:b, None] + sq[None, :]
-        d2 -= prod
-        del prod
-        np.maximum(d2, 0.0, out=d2)
-        np.sqrt(d2, out=d2)
-        yield a, b, np.negative(d2, out=d2)
+        sims = unit[a:b] @ unit.T
+        sims[zero[a:b], :] = 0.0
+        sims[:, zero] = 0.0
+        yield a, b, sims
 
 
 def _top_k(vals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,12 +191,36 @@ def _top_k(vals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(take)
 
 
-def _knn_keys(feats: np.ndarray, k: int, metric: str, symmetric: bool) -> np.ndarray:
-    """The edges of ``knn_edges`` as sorted keys src * n + dst."""
+def knn_edges(features: Sequence[np.ndarray] | np.ndarray, k: int) -> np.ndarray:
+    """Symmetric cosine k-NN edges over node positions 0..n-1, by exact brute force.
+
+    For each node v the k most similar other nodes u are selected (ties
+    broken by lower node index, also at the k-th place), and both u -> v
+    and v -> u are inserted, duplicates collapsed. Returns one (E, 2) intp
+    array of (src, dst) rows sorted by (src, dst), without self-loops.
+    Zero vectors have similarity 0 to everything. ``k`` must lie in
+    1..n-1 (ConfigError).
+
+    Similarities are computed one row tile at a time (``_TILE_BYTES`` per
+    tile), so memory is O(tile * n) rather than the dense n x n matrix. Up
+    to 1024 nodes the matrix is one tile, the dense product itself; with
+    several tiles BLAS may round some entries differently in the last bits,
+    so an exact tie there can be broken differently than the dense product
+    would. Selection first narrows each row to candidates: the columns
+    are split into about sqrt(n * k) strided blocks, and when exactly k
+    blocks reach the row's k-th largest block maximum, the row selects
+    from those k blocks plus the few columns left over, which hold every
+    value it can select. Rows with more blocks at that maximum (zero rows,
+    duplicate patches), and every row of a table where the candidates
+    would be more than a quarter of a row, select from the whole row. The
+    same exact tie rule decides either way, and no tile is copied whole:
+    at 8,000 x 4 features the peak is about 18 MiB, two tiles. On one
+    core, 4,000 x 32 features (k = 8) take about 75 ms, and 16,384 x 32
+    about 0.9 s, of which the similarity tiles take 0.5 s.
+    """
+    feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
         raise ShapeError(f"features must be (n, d), got {feats.shape}")
-    if metric not in ("cosine", "euclidean"):
-        raise ConfigError(f"unknown similarity metric {metric!r}")
     n = feats.shape[0]
     if not 1 <= k < n:
         raise ConfigError(f"k={k} must be at least 1 and smaller than the node count {n}")
@@ -228,7 +231,7 @@ def _knn_keys(feats: np.ndarray, k: int, metric: str, symmetric: bool) -> np.nda
     tail = n - m * nb
     blocks = 4 * (k * m + tail) <= n
     keys = []
-    for a, b, sims in _similarity_tiles(feats, metric):
+    for a, b, sims in _similarity_tiles(feats):
         diag = np.arange(b - a)
         sims[diag, a + diag] = -np.inf
         rows, vals = diag, sims   # the rows that select from the whole row
@@ -252,44 +255,10 @@ def _knn_keys(feats: np.ndarray, k: int, metric: str, symmetric: bool) -> np.nda
         if len(rows):
             r, c = _top_k(vals, k)
             keys.append(c * n + (a + rows[r]))
+    # keys src * n + dst of the chosen edges u -> v, then both directions
     keys = np.concatenate(keys)
-    if symmetric:
-        keys = np.concatenate([keys, (keys % n) * n + keys // n])
-    return np.unique(keys)
-
-
-def knn_edges(features: Sequence[np.ndarray] | np.ndarray, k: int,
-              metric: str = "cosine", symmetric: bool = True) -> list[tuple[int, int]]:
-    """Directed k-NN edges over node positions 0..n-1, by exact brute force.
-
-    For each node v the k most similar other nodes u are selected (ties
-    broken by lower node index, also at the k-th place) and an edge u -> v
-    is added, so v aggregates from the neighbors it chose. With
-    ``symmetric`` both directions are inserted and duplicates collapsed.
-    The edge list is sorted by (src, dst). ``k`` must lie in 1..n-1 and
-    ``metric`` be "cosine" or "euclidean" (ConfigError).
-
-    Similarities are computed one row tile at a time (``_TILE_BYTES`` per
-    tile), so memory is O(tile * n) rather than the dense n x n matrix. Up
-    to 1024 nodes the matrix is one tile, the dense product itself; with
-    several tiles BLAS may round some entries differently in the last bits,
-    so an exact tie there can be broken differently than the dense product
-    would. Selection first narrows each row to candidates: the columns
-    are split into about sqrt(n * k) strided blocks, and when exactly k
-    blocks reach the row's k-th largest block maximum, the row selects
-    from those k blocks plus the few columns left over, which hold every
-    value it can select. Rows with more blocks at that maximum (zero rows,
-    duplicate patches), and every row of a table where the candidates
-    would be more than a quarter of a row, select from the whole row. The
-    same exact tie rule decides either way, and no tile is copied whole:
-    at 8,000 x 4 features the peak is about 18 MiB, two tiles. On one
-    core, 4,000 x 32 features (k = 8) take about 75 ms, and 16,384 x 32
-    about 0.9 s, of which the similarity tiles take 0.5 s.
-    """
-    feats = np.asarray(features, dtype=np.float64)
-    keys = _knn_keys(feats, k, metric, symmetric)
-    n = len(feats)
-    return list(zip((keys // n).tolist(), (keys % n).tolist()))
+    keys = np.unique(np.concatenate([keys, (keys % n) * n + keys // n]))
+    return np.stack(np.divmod(keys, n), axis=1).astype(np.intp, copy=False)
 
 
 def _pearson(feats: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -323,7 +292,8 @@ def build_graph(patches: Sequence[PatchRecord], cfg: BuildConfig,
                 types: TypeSet = DEFAULT_TYPES) -> HeteroGraph:
     """Assemble a validated graph from patch records.
 
-    Node ids are 0..n-1 in patch order. Self-loops (when enabled) carry the
+    Node ids are 0..n-1 in patch order. Edges are ``knn_edges`` plus one
+    self-loop per node, sorted by (src, dst); self-loops carry the
     attribute [1.0], the correlation of a non-constant vector with itself.
     Features must be finite and of one shape (ConfigError, ShapeError).
     """
@@ -356,10 +326,8 @@ def build_graph(patches: Sequence[PatchRecord], cfg: BuildConfig,
         type_idx = np.asarray([types.index(nm) for nm in names], dtype=np.intp)
 
     n = len(patches)
-    keys = (_knn_keys(feats, cfg.k, cfg.metric, cfg.symmetric_edges) if n > 1
-            else np.zeros(0, dtype=np.int64))
-    if cfg.add_self_loops:
-        keys = np.union1d(keys, np.arange(n) * (n + 1))
+    edges = knn_edges(feats, cfg.k) if n > 1 else np.zeros((0, 2), dtype=np.intp)
+    keys = np.union1d(edges[:, 0] * n + edges[:, 1], np.arange(n) * (n + 1))
     src, dst = keys // n, keys % n
 
     attrs = np.ones((len(keys), 1), dtype=np.float64)

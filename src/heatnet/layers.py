@@ -29,8 +29,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, ShapeError
-from .hetgraph import GraphBatch, TypeSet
+from .errors import ConfigError, ContractError, GraphValidationError, ShapeError
+from .hetgraph import GraphBatch, TypeSet, Violation
 
 
 @dataclass
@@ -100,10 +100,15 @@ class LayerOutput:
 
 
 def check_incoming(node_ids, in_degree: np.ndarray) -> None:
-    """Every node needs an incoming edge: attention normalizes over them."""
+    """Every node needs an incoming edge: attention normalizes over them.
+
+    Built graphs have self-loops, so only a graph made elsewhere (a graph
+    file), or a removal from one, can fail: an input error, not a numeric one.
+    """
     if not in_degree.all():
-        raise ContractError(f"node {node_ids[int(np.argmin(in_degree))]} has no incoming "
-                            "edges; self-loops are required")
+        nid = node_ids[int(np.argmin(in_degree))]
+        raise GraphValidationError(Violation(
+            "no-incoming-edge", f"node {nid} has no incoming edges; self-loops are required"))
 
 
 def project_nodes(params: HeatLayerParams, feats: Tensor, node_types: np.ndarray) -> Tensor:

@@ -441,31 +441,24 @@ def ref_edge_violation(g):
     return None
 
 
-def _similarity_matrix(feats: np.ndarray, metric: str) -> np.ndarray:
-    if metric == "cosine":
-        norms = np.linalg.norm(feats, axis=1)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        unit = feats / safe[:, None]
-        sims = unit @ unit.T
-        # zero vectors are defined to have similarity 0 with everything
-        zero = norms == 0.0
-        sims[zero, :] = 0.0
-        sims[:, zero] = 0.0
-        return sims
-    # negative Euclidean distance
-    sq = np.sum(feats ** 2, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (feats @ feats.T), 0.0)
-    return -np.sqrt(d2)
+def _similarity_matrix(feats: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(feats, axis=1)
+    safe = np.where(norms == 0.0, 1.0, norms)
+    unit = feats / safe[:, None]
+    sims = unit @ unit.T
+    # zero vectors are defined to have similarity 0 with everything
+    zero = norms == 0.0
+    sims[zero, :] = 0.0
+    sims[:, zero] = 0.0
+    return sims
 
 
-def ref_knn_edges(features: Sequence[np.ndarray] | np.ndarray, k: int,
-                  metric: str = "cosine", symmetric: bool = True) -> list[tuple[int, int]]:
-    """Directed k-NN edges over node positions 0..n-1.
+def ref_knn_edges(features: Sequence[np.ndarray] | np.ndarray, k: int) -> np.ndarray:
+    """Symmetric cosine k-NN edges over node positions 0..n-1.
 
     For each node v the k most similar other nodes u are selected (ties
-    broken by lower node index) and an edge u -> v is added, so v
-    aggregates from the neighbors it chose. With ``symmetric`` both
-    directions are inserted and duplicates collapsed. The edge list is
+    broken by lower node index) and both u -> v and v -> u are inserted,
+    duplicates collapsed. Returns the (E, 2) array of (src, dst) rows
     sorted by (src, dst).
     """
     feats = np.asarray(features, dtype=np.float64)
@@ -474,7 +467,7 @@ def ref_knn_edges(features: Sequence[np.ndarray] | np.ndarray, k: int,
     n = feats.shape[0]
     if k >= n:
         raise ConfigError(f"k={k} must be smaller than the node count {n}")
-    sims = _similarity_matrix(feats, metric)
+    sims = _similarity_matrix(feats)
     idx = np.arange(n)
     pairs: set[tuple[int, int]] = set()
     for v in range(n):
@@ -484,9 +477,8 @@ def ref_knn_edges(features: Sequence[np.ndarray] | np.ndarray, k: int,
         order = np.lexsort((idx, -row))
         for u in order[:k]:
             pairs.add((int(u), v))
-            if symmetric:
-                pairs.add((v, int(u)))
-    return sorted(pairs)
+            pairs.add((v, int(u)))
+    return np.asarray(sorted(pairs), dtype=np.intp).reshape(-1, 2)
 
 
 def ref_pearson_edge_attr(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from _reference import forced_blocks, from_lists
 from heatnet import autodiff as ad
 from heatnet.builder import AugmentConfig
-from heatnet.errors import ConfigError, ContractError, ShapeError
+from heatnet.errors import ConfigError, GraphValidationError, ShapeError
 from heatnet.hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet, batch_graphs
 from heatnet.model import Model, ModelConfig
 from heatnet.seeding import rng_for
@@ -161,9 +161,9 @@ class TestBatchBoundaries:
                                              (7, "neoplastic", [0.2, -1.0])],
                               edges=[(0, 0, [1.0]), (7, 0, [0.3])], label=1)
         model = small_model()
-        with pytest.raises(ContractError) as alone:
+        with pytest.raises(GraphValidationError) as alone:
             model.forward([stranded])
-        with pytest.raises(ContractError) as batched:
+        with pytest.raises(GraphValidationError) as batched:
             model.forward([two_node_graph(), two_node_graph((5, 7)), stranded])
         assert "node 7 has no incoming edges" in str(alone.value)
         assert str(batched.value) == str(alone.value)

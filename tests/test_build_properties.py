@@ -61,8 +61,13 @@ def large_knn_inputs(draw):
     return feats, k
 
 
-def _stacked_tiles(feats, metric):
-    return np.vstack([sims for _, _, sims in builder._similarity_tiles(feats, metric)])
+def _stacked_tiles(feats):
+    return np.vstack([sims for _, _, sims in builder._similarity_tiles(feats)])
+
+
+def _assert_same_edges(got, want):
+    """The same (E, 2) intp edge array: shape, dtype and every entry."""
+    np.testing.assert_array_equal(got, want, strict=True)
 
 
 @pytest.mark.parametrize("n, rows, expected", [
@@ -80,13 +85,13 @@ def test_row_tiles_fold_short_remainders(n, rows, expected, monkeypatch):
 
 
 @PROPERTY
-@given(knn_inputs(), st.sampled_from(["cosine", "euclidean"]), st.booleans())
-def test_one_tile_is_the_dense_matrix(inputs, metric, symmetric):
+@given(knn_inputs())
+def test_one_tile_is_the_dense_matrix(inputs):
     """Below the budget the whole matrix is one tile: the dense product, bit for bit."""
     feats, k = inputs
     assert len(builder._row_tiles(len(feats))) == 1
-    assert _stacked_tiles(feats, metric).tobytes() == _similarity_matrix(feats, metric).tobytes()
-    assert knn_edges(feats, k, metric, symmetric) == ref_knn_edges(feats, k, metric, symmetric)
+    assert _stacked_tiles(feats).tobytes() == _similarity_matrix(feats).tobytes()
+    _assert_same_edges(knn_edges(feats, k), ref_knn_edges(feats, k))
 
 
 def test_candidates_select_like_dense(monkeypatch):
@@ -106,22 +111,22 @@ def test_candidates_select_like_dense(monkeypatch):
     monkeypatch.setattr(builder, "_top_k", recording_top_k)
 
     @settings(max_examples=60, deadline=None)
-    @given(large_knn_inputs(), st.sampled_from(["cosine", "euclidean"]), st.booleans())
-    def check(inputs, metric, symmetric):
+    @given(large_knn_inputs())
+    def check(inputs):
         feats, k = inputs
         assert len(builder._row_tiles(len(feats))) == 1
         recording_top_k.n = len(feats)
-        assert knn_edges(feats, k, metric, symmetric) == ref_knn_edges(feats, k, metric, symmetric)
+        _assert_same_edges(knn_edges(feats, k), ref_knn_edges(feats, k))
 
     check()
     assert taken == {"candidates", "whole rows"}
 
 
 @PROPERTY
-@given(knn_inputs(), st.integers(3, 5), st.sampled_from(["cosine", "euclidean"]), st.booleans())
-@example((np.ones((10, 2)), 4), 3, "cosine", True)
-@example((np.arange(22.0).reshape(11, 2) % 3, 2), 3, "euclidean", False)
-def test_tiles_select_like_dense(inputs, rows, metric, symmetric):
+@given(knn_inputs(), st.integers(3, 5))
+@example((np.ones((10, 2)), 4), 3)
+@example((np.arange(22.0).reshape(11, 2) % 3, 2), 3)
+def test_tiles_select_like_dense(inputs, rows):
     """Several tiles select what the dense per-row sort selects on the same values.
 
     The dense oracle is handed the stacked tiles as its similarity matrix,
@@ -133,7 +138,7 @@ def test_tiles_select_like_dense(inputs, rows, metric, symmetric):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(builder, "_TILE_BYTES", 8 * n * rows)
         mp.setattr(_reference, "_similarity_matrix", _stacked_tiles)
-        assert knn_edges(feats, k, metric, symmetric) == ref_knn_edges(feats, k, metric, symmetric)
+        _assert_same_edges(knn_edges(feats, k), ref_knn_edges(feats, k))
 
 
 @PROPERTY
@@ -144,13 +149,8 @@ def test_tiles_match_dense_within_rounding(inputs, rows):
     n, d = feats.shape
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(builder, "_TILE_BYTES", 8 * n * rows)
-        cos = _stacked_tiles(feats, "cosine")
-        euc = _stacked_tiles(feats, "euclidean")
-    np.testing.assert_allclose(cos, _similarity_matrix(feats, "cosine"), rtol=0, atol=4 * d * EPS)
-    sq = np.sum(feats ** 2, axis=1)
-    scale = sq[:, None] + sq[None, :]
-    np.testing.assert_array_less(np.abs(euc ** 2 - _similarity_matrix(feats, "euclidean") ** 2),
-                                 8 * (d + 2) * EPS * scale + 1e-300)
+        cos = _stacked_tiles(feats)
+    np.testing.assert_allclose(cos, _similarity_matrix(feats), rtol=0, atol=4 * d * EPS)
 
 
 def test_knn_memory_is_tiled():
@@ -167,8 +167,8 @@ def test_knn_memory_is_tiled():
 
 
 @PROPERTY
-@given(knn_inputs(), st.booleans())
-def test_build_attrs_match_per_edge_loop(inputs, self_loops):
+@given(knn_inputs())
+def test_build_attrs_match_per_edge_loop(inputs):
     """Batched Pearson attributes equal the per-edge loop's: exactly for 0 and
     +-1 (constant, equal and negated rows, self-loops), otherwise to rounding."""
     feats, k = inputs
@@ -178,7 +178,7 @@ def test_build_attrs_match_per_edge_loop(inputs, self_loops):
         d = feats.shape[1]
     feats[::3] = -feats[::3]
     patches = [PatchRecord(f"p{i}", i, 0, f, type_label="dead") for i, f in enumerate(feats)]
-    g = build_graph(patches, BuildConfig(k=k, add_self_loops=self_loops))
+    g = build_graph(patches, BuildConfig(k=k))
     src, dst = g.edge_src, g.edge_dst
     expected = ref_edge_attrs(feats, list(zip(src.tolist(), dst.tolist())))[:, 0]
     got = g.edge_attrs[:, 0]

@@ -126,6 +126,16 @@ class TestBuildGraph:
         assert _one_input_error_line(capsys).endswith(
             f"line 2: bad patch record: feat must be a list of numbers, found {found}")
 
+    def test_negative_build_seed_exits_2_with_one_line(self, tmp_path, capsys):
+        patches = tmp_path / "patches.jsonl"
+        patches.write_text(PATCHES)
+        rc = main(["build-graph", "--patches", str(patches), "--out", str(tmp_path / "g.json"),
+                   "--set", "build.typing=kmeans", "--set", "build.kmeans_k=2",
+                   "--set", "build.k=1", "--set", "build.seed=-1"])
+        assert rc == EXIT_INPUT
+        assert _one_input_error_line(capsys).endswith("build seed must be nonnegative, got -1")
+        assert not (tmp_path / "g.json").exists()
+
     def test_rerun_same_seed_identical_bytes(self, tmp_path):
         patches = tmp_path / "patches.jsonl"
         patches.write_text(PATCHES)
@@ -682,6 +692,35 @@ class TestExplainFailures:
         assert line == "heatnet: error: input: graph has no label and none was given"
 
 
+def _strand_first_node(doc):
+    """A graph-document edit: drop every edge into the first node."""
+    keep = [t != doc["nodes"]["id"][0] for t in doc["edges"]["dst"]]
+    set_float_column(doc, "attr", float_column(doc, "attr")[keep])
+    for col in ("src", "dst"):
+        doc["edges"][col] = [v for v, k in zip(doc["edges"][col], keep) if k]
+
+
+class TestNodeWithoutIncomingEdge:
+    """A graph file with a node that no edge enters is an input error (exit 2),
+    wherever the forward meets it."""
+
+    def test_explain(self, tmp_path, capsys):
+        line = _explain_exits_2_with_one_line(tmp_path, capsys, corrupt_graph=_strand_first_node)
+        assert line.endswith("node 0 has no incoming edges; self-loops are required")
+
+    def test_train(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, n=12)
+        for name in json.loads((data / "manifest.json").read_text())["files"]:
+            doc = json.loads((data / name).read_text())
+            _strand_first_node(doc)
+            (data / name).write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                   *SMALL_SYNTH, *FAST_TRAIN])
+        assert rc == EXIT_INPUT
+        assert "has no incoming edges" in _one_input_error_line(capsys)
+
+
 DEEP = "[" * 5000 + "]" * 5000
 
 
@@ -743,11 +782,20 @@ class TestConfigValueTypes:
     @pytest.mark.parametrize("override", [
         'build.augmentation={"edge_drop_prob":0.1}', "train.beta1=0.9", "train.beta2=0.999",
         "train.eps=1e-8", "train.decoupled_weight_decay=true", "model.decouple_key_value=true",
-        "model.trainable_readout=false", 'model.final_readout="sum"', "model.leaky_slope=0.1"])
+        "model.trainable_readout=false", 'model.final_readout="sum"', "model.leaky_slope=0.1",
+        "build.symmetric_edges=true", "build.add_self_loops=false",
+        "synth.build.add_self_loops=true"])
     def test_removed_keys_are_unknown(self, capsys, override):
         rc = main(["gradcheck", "--nodes", "2", "--dim", "2", "--set", override])
         assert rc == EXIT_INPUT
         assert "unknown key" in _one_input_error_line(capsys)
+
+    @pytest.mark.parametrize("override", ['build.metric="euclidean"',
+                                          'synth.build.metric="euclidean"'])
+    def test_cosine_is_the_only_metric(self, capsys, override):
+        rc = main(["gradcheck", "--nodes", "2", "--dim", "2", "--set", override])
+        assert rc == EXIT_INPUT
+        assert _one_input_error_line(capsys).endswith("unknown similarity metric 'euclidean'")
 
     def test_provenance_config_rebuilds_the_run_config(self):
         cfg = load_run_config(None, ["build.k=3", 'model.types=["a","b"]', "train.folds=4",

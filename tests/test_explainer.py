@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from _reference import from_lists
 from heatnet import autodiff as ad, explain, hetgraph, model as model_module
 from heatnet.builder import BuildConfig, PatchRecord, build_graph
-from heatnet.errors import AttributionError, ContractError, ExportError
+from heatnet.errors import AttributionError, ExportError, GraphValidationError
 from heatnet.hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet
 from heatnet.explain import (
     causal_contribution,
@@ -231,11 +231,11 @@ class TestBitEqualToLeaveOneOut:
         for nid in g.node_ids:
             try:
                 causal_contribution(model, g, g.label, nid)
-            except ContractError as exc:
+            except GraphValidationError as exc:
                 first_error = str(exc)
                 break
         assert first_error is not None
-        with pytest.raises(ContractError) as exc:
+        with pytest.raises(GraphValidationError) as exc:
             explain_graph(model, g)
         assert str(exc.value) == first_error
 

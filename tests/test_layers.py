@@ -16,7 +16,7 @@ from _reference import (
     ref_plain_attention,
 )
 from heatnet import autodiff as ad
-from heatnet.errors import ConfigError, ContractError, ShapeError
+from heatnet.errors import ConfigError, ContractError, GraphValidationError, ShapeError
 from heatnet.hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet, batch_graphs
 from heatnet.layers import HeatLayerParams, attend, layer_forward
 from heatnet.seeding import rng_for
@@ -98,7 +98,7 @@ class TestLayerForward:
         g = from_lists(TYPES3,
                        nodes=[(0, "no-label", [1.0]), (1, "no-label", [2.0])],
                        edges=[(0, 1, [0.2])])
-        with pytest.raises(ContractError, match="node 0 has no incoming edges"):
+        with pytest.raises(GraphValidationError, match="node 0 has no incoming edges"):
             layer_forward(batch_graphs([g]), make_params(d_in=1, d_out=2))
 
     def test_lone_incoming_edge_gets_weight_one(self):
