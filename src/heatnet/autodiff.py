@@ -24,7 +24,13 @@ their gradients with ``np.add.at``.
 
 The segment ops take runs of consecutive rows, the CSR layout in which
 ``hetgraph.batch_graphs`` sorts edges by target: segment s is the
-``counts[s]`` rows that follow segment s - 1. A count that is not positive,
+``counts[s]`` rows that follow segment s - 1. The ops read the layout from
+plan objects that are checked once when they are built, not on every
+call: ``Runs`` (counts, starts, the grid scale of the longest run and the
+attention blocks per block size), ``Index`` (row indices below a bound,
+perhaps distinct) and ``Cells`` (the pooling head's present cells).
+``batch_graphs`` builds them once per batch; any other caller builds the
+same objects from its counts and indices. A count that is not positive,
 or counts that do not sum to the row count, is a ContractError.
 
 Reductions whose operand order depends on node/edge ordering (segment
@@ -32,11 +38,11 @@ aggregation and pooling, per-segment softmax denominators and their
 gradients) are exactly rounded, so their results are independent of row
 permutation; this is what makes node-relabeling equivariance bit-exact.
 The segment ops work on whole arrays: ``np.maximum.reduceat`` for maxima,
-``np.repeat`` to broadcast back (the VJPs too), and one kernel,
+``repeat`` to broadcast back (the VJPs too), and one kernel,
 ``_segment_fsum``, for per-segment column sums. It splits the values by two
 error-free extraction passes into parts that numpy sums exactly; the first
-grid is one for the whole call, from its largest magnitude, and the second
-is derived from the first. When a remainder is left it certifies that the
+grid is one for the whole call, from its largest magnitude and the runs'
+scale, and the second is derived from the first. When a remainder is left it certifies that the
 result is correctly rounded, and it sums any cell it cannot certify with
 math.fsum, so every sum equals math.fsum's bit for bit.
 
@@ -66,11 +72,13 @@ The attention VJP scatters each block's key gradients as it goes and keeps
 the query gradients, one (E, width) array, for a scatter after the last
 block, so each table row receives its additions in the order of one
 ``np.add.at`` over all keys, then all queries. Arrays within budget are
-one block: the unblocked computation. Two more savings keep the bits:
-attention scores add a head's d_k products plane by plane in numpy's own
-summation order (``_sum_last``), and a softmax's exact sums take their
-first grid from the known largest term, exp(0) = 1, instead of a maximum
-over the call.
+one block: the unblocked computation. More savings keep the bits:
+attention scores and their gradient add a head's d_k products, and the
+gradient its heads, plane by plane in numpy's own summation order
+(``_sum_last``, ``_sum_heads``); a softmax's exact sums take their first
+grid from the known largest term, exp(0) = 1, instead of a maximum over
+the call; and a gather by a distinct index, such as pooling's
+permutation, assigns its gradient instead of scattering it.
 """
 
 from __future__ import annotations
@@ -163,19 +171,31 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+# Ops that cannot make a non-finite value from finite inputs: a copy, a
+# shrinking map, exactly rounded sums (math.fsum raises OverflowError rather
+# than return inf) and the attention output, an exactly rounded mean or sum
+# of values weighted by weights in [0, 1].
+_FINITE_OPS = frozenset({"gather_rows", "leaky_relu", "sum", "segment_reduce", "edge_attention"})
+
+
 def _make(data: Array, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
-    _check_finite(data, op)
+    """The op's output tensor, on the tape if a parent is. The finiteness
+    check is skipped for the ``_FINITE_OPS``."""
+    if op not in _FINITE_OPS:
+        _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out.name = None
     out.requires_grad = False
-    if _GRAD_ENABLED and any(p.on_tape() for p in parents):
-        out._parents = parents
-        out._vjp = vjp
-    else:
-        out._parents = ()
-        out._vjp = None
+    out._parents = ()
+    out._vjp = None
+    if _GRAD_ENABLED:
+        for p in parents:
+            if p.requires_grad or p._vjp is not None:
+                out._parents = parents
+                out._vjp = vjp
+                break
     return out
 
 
@@ -290,45 +310,47 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(out, tuple(parts), vjp, "concat")
 
 
-def gather_rows(a: Tensor, indices) -> Tensor:
+def gather_rows(a: Tensor, index: "Index") -> Tensor:
     """Select rows (entries of the first axis) of a tensor of two or more
-    dimensions; duplicate indices are allowed."""
+    dimensions. The VJP adds every row's gradient into zeros with
+    ``np.add.at``; a ``distinct`` index, such as a permutation, assigns it
+    instead, plus 0.0 (the sum 0.0 + g turns -0.0 into +0.0)."""
     if a.data.ndim < 2:
         raise ShapeError(f"gather_rows expects a tensor of at least 2-D, got {a.data.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("gather_rows expects a 1-D index array")
-    n = a.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ShapeError(f"gather_rows index out of range for {n} rows")
+    if index.bound > a.data.shape[0]:
+        raise ShapeError(f"gather_rows index out of range for {a.data.shape[0]} rows")
+    idx = index.rows
     out = a.data.take(idx, axis=0)
 
     def vjp(g):
         da = np.zeros_like(a.data)
-        np.add.at(da, idx, g)
+        if index.distinct:
+            da[idx] = g + 0.0
+        else:
+            np.add.at(da, idx, g)
         return (da,)
 
     return _make(out, (a,), vjp, "gather_rows")
 
 
 @_op
-def typed_matmul(x: Tensor, w: Tensor, type_idx) -> Tensor:
-    """Row r of the result is ``w[type_idx[r]] @ x[r]``: one weight per row type.
+def typed_matmul(x: Tensor, w: Tensor, types: "Index") -> Tensor:
+    """Row r of the result is ``w[types.rows[r]] @ x[r]``: one weight per row type.
 
-    ``x`` is (n, d_in), ``w`` is (T, d_out, d_in) and ``type_idx`` is (n,)
-    with values in [0, T). Row r equals ``linear`` of x[r] and
-    ``w[type_idx[r]]`` bit for bit; the weight of a type no row has gets a
-    zero gradient.
+    ``x`` is (n, d_in), ``w`` is (T, d_out, d_in) and ``types`` an index of
+    n rows into the T weights. Row r equals ``linear`` of x[r] and
+    ``w[types.rows[r]]`` bit for bit; the weight of a type no row has gets
+    a zero gradient.
     """
     x, w = _lift(x), _lift(w)
-    idx = np.asarray(type_idx, dtype=np.intp)
     if x.data.ndim != 2 or w.data.ndim != 3 or w.data.shape[2] != x.data.shape[1]:
         raise ShapeError(f"typed_matmul expects x (n, d_in) and w (T, d_out, d_in), "
                          f"got {x.data.shape} and {w.data.shape}")
     n, n_types = x.data.shape[0], w.data.shape[0]
+    idx = types.rows
     if idx.shape != (n,):
         raise ShapeError(f"typed_matmul: type index has shape {idx.shape}, x has {n} rows")
-    if n and (idx.min() < 0 or idx.max() >= n_types):
+    if types.bound > n_types:
         raise ShapeError(f"typed_matmul: type index out of range for {n_types} types")
     out = _rowwise_product(x.data, w.data, idx)
     return _make(out, (x, w), lambda g: _typed_grads(g, x, w, idx), "typed_matmul")
@@ -420,8 +442,8 @@ def cross_entropy(logits: Tensor, labels: int | Sequence[int] | Array) -> Tensor
 
     1-D logits (C,) with one label give a scalar; (B, C) logits with one
     label per row give the B row losses, each row byte-equal to its own
-    1-D loss. Row sums are exactly rounded (as math.fsum) and the log is
-    ``math.log``, which numpy's vectorized log does not match bit for bit.
+    1-D loss. Each row's sum is math.fsum's and the log is ``math.log``,
+    which numpy's vectorized log does not match bit for bit.
     """
     d = logits.data
     if d.ndim not in (1, 2):
@@ -431,13 +453,12 @@ def cross_entropy(logits: Tensor, labels: int | Sequence[int] | Array) -> Tensor
     y = np.asarray(labels, dtype=np.intp).reshape(-1)
     if y.shape != (b,):
         raise ShapeError(f"cross_entropy: {y.size} labels for {b} rows of logits")
-    bad = (y < 0) | (y >= n)
-    if bad.any():
-        raise ConfigError(f"label {int(y[bad][0])} out of range for {n} classes")
+    bad = [label for label in y.tolist() if not 0 <= label < n]
+    if bad:
+        raise ConfigError(f"label {bad[0]} out of range for {n} classes")
     m = rows.max(axis=1)
-    sums = _segment_fsum(np.exp(rows - m[:, None]).T, np.zeros(1, dtype=np.intp),
-                         np.array([n]), top=1.0)[0]
-    lse = m + np.array([math.log(s) for s in sums.tolist()])
+    ex = np.exp(rows - m[:, None]).tolist()
+    lse = m + np.array([math.log(math.fsum(row)) for row in ex])
     at = np.arange(b)
     out = (lse - rows[at, y]).reshape(d.shape[:-1])
 
@@ -453,16 +474,131 @@ def cross_entropy(logits: Tensor, labels: int | Sequence[int] | Array) -> Tensor
 # segment ops (attention over incoming edges, per-target aggregation)
 # ---------------------------------------------------------------------------
 
-def _runs(counts, n_rows: int, op: str) -> tuple[Array, Array]:
-    """(starts, counts) of segments given as runs of consecutive rows."""
-    counts = np.asarray(counts, dtype=np.intp)
-    if counts.ndim != 1 or int(counts.sum()) != n_rows:
-        raise ContractError(f"{op}: segment counts {counts.shape} sum to {int(counts.sum())}, "
-                            f"tensor has {n_rows} rows")
-    if not (counts > 0).all():
-        raise ContractError(f"{op}: segment {int(np.argmin(counts))} is empty "
-                            "(node without incoming edges)")
-    return np.cumsum(counts) - counts, counts
+class Index:
+    """Row indices into a table of ``bound`` rows, checked once.
+
+    ``rows`` is a read-only 1-D intp array with every entry in
+    [0, ``bound``); ``distinct`` says no entry repeats, which is checked
+    too. An op that reads an index compares ``bound`` with its table's row
+    count instead of scanning the entries on every call.
+    """
+
+    __slots__ = ("rows", "bound", "distinct")
+
+    def __init__(self, rows, bound: int, distinct: bool = False):
+        rows = np.array(rows, dtype=np.intp)
+        if rows.ndim != 1:
+            raise ShapeError(f"an index must be 1-D, got shape {rows.shape}")
+        # Seen as unsigned, a negative entry is above every bound.
+        if rows.size and rows.view(np.uintp).max() >= bound:
+            raise ShapeError(f"index out of range for {bound} rows")
+        if distinct and np.count_nonzero(np.bincount(rows, minlength=bound)) != rows.size:
+            raise ShapeError("a distinct index repeats a row")
+        self._set(rows, bound, distinct)
+
+    def _set(self, rows: Array, bound: int, distinct: bool) -> None:
+        rows.setflags(write=False)
+        self.rows, self.bound, self.distinct = rows, int(bound), distinct
+
+    @classmethod
+    def sorting(cls, keys: Array) -> "Index":
+        """The stable sorting permutation of ``keys``: distinct and in range
+        by construction, so there is nothing to check."""
+        index = cls.__new__(cls)
+        index._set(np.argsort(keys, kind="stable"), len(keys), True)
+        return index
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+class Runs:
+    """Segments as runs of consecutive rows, checked once: segment s is the
+    ``counts[s]`` rows that follow segment s - 1, and every count is positive.
+
+    Holds what every segment op of a step reads: ``starts``, ``n_rows``
+    (the sum of the counts), ``scale`` (the exact-sum grid scale of the
+    longest run, ``_grid_scale``) and, per block size, the blocks of whole
+    segments (``blocks``). ``hetgraph.batch_graphs`` builds the runs of a
+    batch's targets and pooling cells; a caller with other counts builds
+    them the same way.
+    """
+
+    __slots__ = ("counts", "starts", "n_rows", "scale", "_blocks")
+
+    def __init__(self, counts):
+        counts = np.array(counts, dtype=np.intp)
+        if counts.ndim != 1:
+            raise ContractError(f"segment counts must be 1-D runs that sum to the row count, "
+                                f"got shape {counts.shape}")
+        # One maximum checks every count and gives the grid scale: seen as
+        # unsigned, count - 1 of an empty or negative run is above 2**63.
+        longest = int((counts - 1).view(np.uintp).max(initial=0)) + 1 if counts.size else 0
+        if longest > 2**63:
+            raise ContractError(f"segment {int(np.argmin(counts))} is empty "
+                                "(node without incoming edges)")
+        counts.setflags(write=False)
+        ends = counts.cumsum()
+        self.counts, self.starts = counts, ends - counts
+        self.n_rows = int(ends[-1]) if len(ends) else 0
+        self.scale = (longest + 1).bit_length()   # _grid_scale(counts)
+        self._blocks: dict[int, list[tuple[slice, slice, Runs]]] = {}
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def check(self, n_rows: int, op: str) -> None:
+        """ContractError unless the runs cover exactly ``n_rows`` rows."""
+        if n_rows != self.n_rows:
+            raise ContractError(f"{op}: segment counts sum to {self.n_rows}, "
+                                f"tensor has {n_rows} rows")
+
+    def blocks(self, max_rows: int) -> list[tuple[slice, slice, "Runs"]]:
+        """Blocks of whole segments: (segment slice, row slice, the block's
+        own runs). A block holds at most ``max_rows`` rows, or one segment
+        longer than that; built once per block size."""
+        blocks = self._blocks.get(max_rows)
+        if blocks is None:
+            blocks = self._blocks[max_rows] = self._split(max_rows)
+        return blocks
+
+    def _split(self, max_rows: int) -> list[tuple[slice, slice, "Runs"]]:
+        if self.n_rows <= max_rows:
+            return [(slice(None), slice(None), self)]
+        ends = self.starts + self.counts
+        blocks = []
+        s0 = 0
+        while s0 < len(self.counts):
+            r0 = int(self.starts[s0])
+            s1 = max(int(np.searchsorted(ends, r0 + max_rows, side="right")), s0 + 1)
+            blocks.append((slice(s0, s1), slice(r0, int(ends[s1 - 1])),
+                           Runs(self.counts[s0:s1])))
+            s0 = s1
+        return blocks
+
+
+class Cells:
+    """The present (graph, type) cells of B graphs, checked once:
+    ``cells[k]`` = graph * ``n_types`` + type, ascending, every graph with
+    one at least. ``types`` indexes each cell's type and ``graphs`` holds
+    each graph's cells as one run."""
+
+    __slots__ = ("cells", "n_types", "graph", "types", "graphs")
+
+    def __init__(self, cells, n_types: int):
+        cells = np.array(cells, dtype=np.intp)
+        if cells.ndim != 1 or (len(cells) and (cells[0] < 0 or (np.diff(cells) <= 0).any())):
+            raise ContractError("pooled_logits: cells must be nonnegative and ascending")
+        graph, types = np.divmod(cells, n_types)
+        counts = np.bincount(graph)
+        if not counts.all():
+            raise ContractError(f"pooled_logits: graph {int(np.argmin(counts))} has no cell")
+        cells.setflags(write=False)
+        self.cells, self.n_types, self.graph = cells, int(n_types), graph
+        self.types, self.graphs = Index(types, n_types), Runs(counts)
+
+    def __len__(self) -> int:
+        return len(self.cells)
 
 
 def _grid_scale(counts: Array) -> int:
@@ -470,21 +606,27 @@ def _grid_scale(counts: Array) -> int:
     return int(counts.max(initial=0) + 1).bit_length()
 
 
-def _extractions(xs: Array, starts: Array, counts: Array, scale: int, q: Array,
-                 top: float | None = None) -> Iterator[tuple[Array, Array]]:
-    """Error-free extraction passes over the row segments of ``xs``.
+def _segment_grids(xs: Array, runs: Runs, q: Array) -> Array:
+    """One first grid per segment and column, 2**scale times the power of
+    two above the column's largest magnitude, broadcast to the rows (call
+    under ``np.errstate``); ``q`` is scratch shaped as ``xs``."""
+    np.abs(xs, out=q)
+    # Nonnegative floats order as their int64 bit patterns, and an integer
+    # maximum is faster than a float one.
+    mu = np.maximum.reduceat(q.view(np.int64), runs.starts, axis=0).view(np.float64)
+    return np.ldexp(2.0 ** runs.scale, np.frexp(mu)[1]).repeat(runs.counts, axis=0)
 
-    Pass k yields the exact column sums of each segment's parts on its k-th
-    grid, and the remainder buffer, which the caller may edit before the
-    next pass; ``q`` is a scratch array shaped as ``xs``. A grid is a power
-    of two sigma, and a part is a value rounded to a multiple of
-    2**-53 * sigma. The first sigma is 2**scale times the power of two above
-    ``top``, an upper bound on every magnitude: one sigma for the whole
-    call. When ``top`` is None (``_segment_expansion``) there is one per
-    segment and column, above the column's largest magnitude, so that a
-    segment whose grid overflows leaves the others finite. Every later
-    sigma is the one before times 2**(scale - 53). Call under
-    ``np.errstate``: a grid near overflow gives NaN.
+
+def _extract(sigma, rest: Array, q: Array, starts: Array) -> Array:
+    """One error-free extraction pass on the grid ``sigma``: ``rest`` keeps
+    the remainders, in place, and the exact column sums of each segment's
+    parts are returned (``q`` is scratch shaped as ``rest``).
+
+    A grid is a power of two sigma, and a part is a value rounded to a
+    multiple of 2**-53 * sigma. The first sigma is 2**scale times the power
+    of two above an upper bound on every magnitude: one for a whole call,
+    or one per segment and column (``_segment_grids``). Every later sigma
+    is the one before times 2**(scale - 53).
 
     Why both grids are valid (Rump, Ogita & Oishi 2008, Lemma 3.3), for
     values p with max|p| <= 2**-M * sigma, 2**M = 2**scale >= n + 2 and
@@ -504,95 +646,102 @@ def _extractions(xs: Array, starts: Array, counts: Array, scale: int, q: Array,
     2**-53 * sigma >= 2**-1074, so the next sigma is at least
     2**(scale - 1074) whenever there is anything left to extract.
     """
-    if top is None:
-        np.abs(xs, out=q)
-        # Nonnegative floats order as their int64 bit patterns, and an integer
-        # maximum is faster than a float one.
-        mu = np.maximum.reduceat(q.view(np.int64), starts, axis=0).view(np.float64)
-        sigma = np.repeat(np.ldexp(2.0 ** scale, np.frexp(mu)[1]), counts, axis=0)
-    else:
-        sigma = np.ldexp(2.0 ** scale, np.frexp(top)[1])
-    rest = xs.copy()
-    while True:
-        np.add(sigma, rest, out=q)
-        q -= sigma
-        rest -= q
-        yield np.add.reduceat(q, starts, axis=0), rest
-        sigma *= 2.0 ** (scale - 53)
+    np.add(sigma, rest, out=q)
+    q -= sigma
+    rest -= q
+    return np.add.reduceat(q, starts, axis=0)
 
 
-def _segment_expansion(xs: Array, starts: Array, counts: Array) -> tuple[Array, Array]:
+def _segment_expansion(xs: Array, runs: Runs) -> tuple[Array, Array]:
     """Exact column sums of the row segments of ``xs`` as expansions.
 
     Returns (K, S, d) terms whose sum over the first axis is, exactly in
     real arithmetic, segment s's column sums, and an (S,) flag: the
-    segment's terms are all finite. Extraction passes repeat until every
-    remainder is zero; each pass lowers the grid by 53 - scale bits, so the
-    loop ends once the grid reaches the smallest subnormal, if not before.
-    A segment whose pass overflows is flagged and its remainders dropped.
+    segment's terms are all finite. Extraction passes on per-segment grids
+    repeat until every remainder is zero; each pass lowers the grid by
+    53 - scale bits, so the loop ends once the grid reaches the smallest
+    subnormal, if not before. A segment whose pass overflows is flagged and
+    its remainders dropped.
     """
     terms = []
-    finite = np.ones(len(starts), dtype=bool)
+    finite = np.ones(len(runs), dtype=bool)
+    q = np.empty_like(xs)
+    rest = xs.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        for tau, rest in _extractions(xs, starts, counts, _grid_scale(counts),
-                                      np.empty_like(xs)):
+        sigma = _segment_grids(xs, runs, q)
+        while True:
+            tau = _extract(sigma, rest, q, runs.starts)
             terms.append(tau)
             finite &= np.isfinite(tau).all(axis=1)
-            rest[np.repeat(~finite, counts)] = 0.0
+            rest[(~finite).repeat(runs.counts)] = 0.0
             if not rest.any():
                 return np.stack(terms), finite
+            sigma *= 2.0 ** (runs.scale - 53)
 
 
-def _segment_fsum(xs: Array, starts: Array, counts: Array, top: float | None = None) -> Array:
+def _two_pass_sums(xs: Array, runs: Runs, sigma, q: Array) -> tuple[Array, Array | None]:
+    """hi (S, d) from two extraction passes, the first on ``sigma``, and
+    the mask of its certified cells, None when every cell is."""
+    starts, scale = runs.starts, runs.scale
+    rest = xs.copy()
+    t0 = _extract(sigma, rest, q, starts)
+    t1 = _extract(sigma * 2.0 ** (scale - 53), rest, q, starts)
+    hi = t0 + t1
+    if not rest.any():
+        return hi, None
+    z = hi - t0
+    lo = (t0 - (hi - z)) + (t1 - z)
+    # r_abs * (1 + 2**(scale - 51)), rounded, is at least the exact sum of |rest|.
+    r_abs = np.add.reduceat(np.abs(rest, out=rest), starts, axis=0)
+    bound = np.abs(lo) + r_abs * (1.0 + 2.0 ** (scale - 51))
+    # The gap toward zero is the smaller one; shrinking its half by a
+    # factor 1 - 2**-50 absorbs the rounding in ``bound``.
+    mag = np.abs(hi)
+    gap = mag - np.nextafter(mag, 0.0)
+    return hi, (r_abs == 0.0) | (bound < gap * (0.5 - 2.0 ** -51))
+
+
+def _segment_fsum(xs: Array, runs: Runs, top: float | None = None) -> Array:
     """Exactly rounded column sums of the row segments of ``xs``, as math.fsum.
 
-    Segment s is rows ``starts[s]:starts[s] + counts[s]``. Two error-free
-    extraction passes (``_extractions``; Rump, Ogita & Oishi, SIAM J. Sci.
-    Comput. 2008) split every value into a part on a grid, whose sum is
-    exact in any order, and a remainder; the second grid is derived from
-    the first. The first grid is one for the whole call, set by ``top``, an
-    upper bound on every magnitude, by default max|xs|; when that is inf or
-    NaN, the grids are per segment and column instead. TwoSum turns the two
-    exact sums into hi + lo. hi is the correctly rounded total when the
-    remainders are all zero, as they are when every nonzero value lies
+    Two error-free extraction passes (``_extract``; Rump, Ogita & Oishi,
+    SIAM J. Sci. Comput. 2008) split every value into a part on a grid,
+    whose sum is exact in any order, and a remainder; the second grid is
+    derived from the first. The first grid is one for the whole call, set
+    by ``top``, an upper bound on every magnitude, by default max|xs|, and
+    by the runs' ``scale``. When that is inf or NaN, or the grid would
+    overflow, the grids are per segment and column instead. TwoSum turns
+    the two exact sums into hi + lo. hi is the correctly rounded total when
+    the remainders are all zero, as they are when every nonzero value lies
     within a factor 2**(53 - 2 * scale) of ``top``, or when |lo| plus a
     bound on the remainders' total stays below half the gap below |hi|,
     which is checked only when some remainder is left. Any cell without
     that certificate is summed by math.fsum, so the result is fsum's byte
     for byte.
 
-    One grid saves a per-segment maximum and its broadcast to every row.
-    Its price: a cell whose values all lie below about 2**(2 * scale - 53)
-    times ``top`` leaves remainders too large for the certificate, so it is
+    A finite grid of one call cannot overflow: every part and partial sum
+    stays below sigma in magnitude, so hi is finite and no numpy warning
+    can arise; only per-segment grids run under ``np.errstate``. One grid
+    saves a per-segment maximum and its broadcast to every row. Its price:
+    a cell whose values all lie below about 2**(2 * scale - 53) times
+    ``top`` leaves remainders too large for the certificate, so it is
     summed by math.fsum unless its values fit the second grid (zeros, or
-    few significant bits). So is a cell whose sum cancels, and every cell
-    of a call whose grid overflows (``top`` near 2**(1023 - scale)).
+    few significant bits). So does a cell whose sum cancels.
     """
-    scale = _grid_scale(counts)
     q = np.empty_like(xs)
     if top is None:
-        top = np.abs(xs, out=q).max(initial=0.0)
-    if not math.isfinite(top):
-        # Per-segment grids, so that only the non-finite cells fall back.
-        top = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        passes = _extractions(xs, starts, counts, scale, q, top)
-        t0, _ = next(passes)
-        t1, rest = next(passes)
-        hi = t0 + t1
-        ok = np.isfinite(hi)
-        if rest.any():
-            z = hi - t0
-            lo = (t0 - (hi - z)) + (t1 - z)
-            # r_abs * (1 + 2**(scale - 51)), rounded, is at least the exact sum of |rest|.
-            r_abs = np.add.reduceat(np.abs(rest, out=rest), starts, axis=0)
-            bound = np.abs(lo) + r_abs * (1.0 + 2.0 ** (scale - 51))
-            # The gap toward zero is the smaller one; shrinking its half by a
-            # factor 1 - 2**-50 absorbs the rounding in ``bound``.
-            mag = np.abs(hi)
-            gap = mag - np.nextafter(mag, 0.0)
-            ok &= (r_abs == 0.0) | (bound < gap * (0.5 - 2.0 ** -51))
-    if not ok.all():
+        top = float(np.abs(xs, out=q).max(initial=0.0))
+    e = math.frexp(top)[1] + runs.scale if math.isfinite(top) else 1024
+    if e < 1024:
+        hi, ok = _two_pass_sums(xs, runs, math.ldexp(1.0, e), q)
+    else:
+        # Per-segment grids, so that only the cells that overflow or hold a
+        # non-finite value fall back.
+        with np.errstate(over="ignore", invalid="ignore"):
+            hi, ok = _two_pass_sums(xs, runs, _segment_grids(xs, runs, q), q)
+            ok = np.isfinite(hi) if ok is None else ok & np.isfinite(hi)
+    if ok is not None and not ok.all():
+        starts, counts = runs.starts, runs.counts
         for s, c in zip(*np.nonzero(~ok)):
             hi[s, c] = math.fsum(xs[starts[s]:starts[s] + counts[s], c].tolist())
     return hi
@@ -628,85 +777,75 @@ def _sum_last(p: Array) -> Array:
     return out
 
 
-def _segment_blocks(starts: Array, counts: Array, n_rows: int,
-                    max_rows: int) -> list[tuple[slice, slice, Array, Array]]:
-    """Blocks of whole segments: (segment slice, row slice, the block's
-    segment starts relative to its first row, their counts). A block holds
-    at most ``max_rows`` rows, or one segment longer than that."""
-    if n_rows <= max_rows:
-        return [(slice(None), slice(None), starts, counts)]
-    ends = starts + counts
-    blocks = []
-    s0 = 0
-    while s0 < len(counts):
-        r0 = int(starts[s0])
-        s1 = max(int(np.searchsorted(ends, r0 + max_rows, side="right")), s0 + 1)
-        blocks.append((slice(s0, s1), slice(r0, int(ends[s1 - 1])),
-                       starts[s0:s1] - r0, counts[s0:s1]))
-        s0 = s1
-    return blocks
+def _sum_heads(p: Array) -> Array:
+    """``p.sum(axis=1)`` of an (E, heads, d_k) array bit for bit. numpy adds
+    fewer than 8 planes of a middle axis one after another onto 0, which
+    whole-array adds repeat; from 8 on it orders them otherwise, so those
+    are summed by numpy."""
+    heads = p.shape[1]
+    if heads >= 8:
+        return p.sum(axis=1)
+    out = p[:, 0] + 0.0
+    for i in range(1, heads):
+        out += p[:, i]
+    return out
 
 
-def _softmax_runs(x: Array, starts: Array, counts: Array) -> Array:
+def _softmax_runs(x: Array, runs: Runs) -> Array:
     # Each segment column's largest term is exp(0) = 1.
-    ex = np.exp(x - np.repeat(np.maximum.reduceat(x, starts, axis=0), counts, axis=0))
-    return ex / np.repeat(_segment_fsum(ex, starts, counts, top=1.0), counts, axis=0)
+    ex = np.exp(x - np.maximum.reduceat(x, runs.starts, axis=0).repeat(runs.counts, axis=0))
+    return ex / _segment_fsum(ex, runs, top=1.0).repeat(runs.counts, axis=0)
 
 
-def _softmax_runs_vjp(g: Array, w: Array, starts: Array, counts: Array) -> Array:
-    return w * (g - np.repeat(_segment_fsum(g * w, starts, counts), counts, axis=0))
+def _softmax_runs_vjp(g: Array, w: Array, runs: Runs) -> Array:
+    return w * (g - _segment_fsum(g * w, runs).repeat(runs.counts, axis=0))
 
 
 @_op
-def segment_reduce(x: Tensor, counts) -> Tensor:
+def segment_reduce(x: Tensor, runs: Runs) -> Tensor:
     """Aggregate each segment to one output row: the mean of its rows,
     exactly rounded."""
     if x.data.ndim != 2:
         raise ShapeError(f"segment_reduce expects a 2-D tensor, got {x.data.shape}")
-    starts, counts = _runs(counts, x.data.shape[0], "segment_reduce")
-    out = _segment_fsum(x.data, starts, counts) / counts[:, None]
+    runs.check(x.data.shape[0], "segment_reduce")
+    counts = runs.counts[:, None]
+    out = _segment_fsum(x.data, runs) / counts
 
     def vjp(g):
-        return (np.repeat(g / counts[:, None], counts, axis=0),)
+        return ((g / counts).repeat(runs.counts, axis=0),)
 
     return _make(out, (x,), vjp, "segment_reduce")
 
 
 @_op
-def pooled_logits(means: Tensor, cells, n_types: int, readout: Tensor | None,
+def pooled_logits(means: Tensor, cells: Cells, readout: Tensor | None,
                   weight: Tensor, bias: Tensor) -> Tensor:
     """Logits (B, C) of B graphs from the (P, d) means of their present
-    (graph, type) cells, as one tape op.
+    (graph, type) ``cells``, as one tape op.
 
-    Row k is cell ``cells[k]`` = graph * ``n_types`` + type; cells ascend and
-    every graph has one at least. Each row is mapped by its type's slice of
-    the (T, d, d) ``readout`` (by none when None), each graph's rows are
-    summed, exactly rounded, and divided by ``n_types``, and the (C, d)
-    ``weight`` and (C,) ``bias`` classify the result. The bits are those of
-    ``typed_matmul``, a zero row per absent cell, a mean over each graph's T
-    rows and ``linear``: an exactly rounded sum ignores zero terms.
+    Row k is cell k. Each row is mapped by its type's slice of the
+    (T, d, d) ``readout`` (by none when None), each graph's rows are
+    summed, exactly rounded, and divided by T = ``cells.n_types``, and the
+    (C, d) ``weight`` and (C,) ``bias`` classify the result. The bits are
+    those of ``typed_matmul``, a zero row per absent cell, a mean over each
+    graph's T rows and ``linear``: an exactly rounded sum ignores zero terms.
     """
     means, weight, bias = _lift(means), _lift(weight), _lift(bias)
-    cells = np.asarray(cells, dtype=np.intp)
+    n_types = cells.n_types
     d = weight.data.shape[-1]
     if (means.data.shape != (len(cells), d) or weight.data.ndim != 2
             or bias.data.shape != weight.data.shape[:1]
             or (readout is not None and readout.data.shape != (n_types, d, d))):
         raise ShapeError(f"pooled_logits: {len(cells)} cells, means {means.data.shape}, weight "
                          f"{weight.data.shape}, bias {bias.data.shape}, maps for {n_types} types")
-    if len(cells) and (cells[0] < 0 or (np.diff(cells) <= 0).any()):
-        raise ContractError("pooled_logits: cells must be nonnegative and ascending")
-    graph, types = np.divmod(cells, n_types)
-    counts = np.bincount(graph)
-    if not counts.all():
-        raise ContractError(f"pooled_logits: graph {int(np.argmin(counts))} has no cell")
+    types = cells.types.rows
     mapped = means.data if readout is None else _rowwise_product(means.data, readout.data, types)
-    x = _segment_fsum(mapped, np.cumsum(counts) - counts, counts) / n_types
+    x = _segment_fsum(mapped, cells.graphs) / n_types
     out = _rowwise_product(x, weight.data) + bias.data
 
     def vjp(g):
         # + 0.0 as the composition's scatter into zeros: -0.0 becomes +0.0.
-        d_mapped = ((g @ weight.data) / n_types).take(graph, axis=0) + 0.0
+        d_mapped = ((g @ weight.data) / n_types).take(cells.graph, axis=0) + 0.0
         d_weight = (x.T @ g).T if weight.on_tape() else None
         if readout is None:
             return (d_mapped, d_weight, g.sum(axis=0))
@@ -718,75 +857,74 @@ def pooled_logits(means: Tensor, cells, n_types: int, readout: Tensor | None,
 
 
 @_op
-def edge_attention(table: Tensor, modulation: Tensor, src, dst, counts, heads: int,
-                   mode: str = "mean") -> tuple[Tensor, Array]:
+def edge_attention(table: Tensor, modulation: Tensor, src: Index, dst: Index, runs: Runs,
+                   heads: int, mode: str = "mean") -> tuple[Tensor, Array]:
     """Edge-modulated attention over runs of edge rows, as one tape op.
 
     ``table`` is (m, heads * d_k). Edge row r takes its key and value from
-    table row ``src[r]``, its query from row ``dst[r]`` and its modulation
-    from row r of the (E, d_k) ``modulation``. Per head, the score is
-    sum_j key_j * mod_j * query_j / sqrt(d_k), softmax-normalized per column
-    over each segment; a segment's output row is the ``mode`` aggregate
-    (mean or sum, exactly rounded) of its rows' weighted values. Returns
-    the (len(counts), heads * d_k) output and the (E, heads) weights.
+    table row ``src.rows[r]``, its query from row ``dst.rows[r]`` and its
+    modulation from row r of the (E, d_k) ``modulation``. Per head, the
+    score is sum_j key_j * mod_j * query_j / sqrt(d_k), softmax-normalized
+    per column over each of the ``runs``; a segment's output row is the
+    ``mode`` aggregate (mean or sum, exactly rounded) of its rows' weighted
+    values. Returns the (len(runs), heads * d_k) output and the (E, heads)
+    weights.
 
     The forward is the same float operations, in the same order, as that
     composition of gathers, products and segment ops, one block of whole
-    segments at a time. The tape keeps only the weights and the index
-    arrays: the VJP gathers keys and queries again, block by block, and
-    scatters their gradients back with ``np.add.at``.
+    segments at a time (the runs' cached ``blocks``). The tape keeps only
+    the weights and the indices: the VJP gathers keys and queries again,
+    block by block, and scatters their gradients back with ``np.add.at``.
     """
     table, modulation = _lift(table), _lift(modulation)
-    src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
     m, width = table.data.shape
     d_k = width // heads
-    n_edges = src.shape[0]
-    if width != heads * d_k or modulation.data.shape != (n_edges, d_k) or dst.shape != src.shape:
+    n_edges = len(src)
+    if width != heads * d_k or modulation.data.shape != (n_edges, d_k) or len(dst) != n_edges:
         raise ShapeError(f"edge_attention: table {table.data.shape} with {heads} heads, "
                          f"modulation {modulation.data.shape}, {n_edges} sources, "
-                         f"{dst.shape[0]} targets")
-    if n_edges and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= m):
+                         f"{len(dst)} targets")
+    if max(src.bound, dst.bound) > m:
         raise ShapeError(f"edge_attention index out of range for {m} rows")
     if mode not in ("mean", "sum"):
         raise ConfigError(f"unknown aggregation mode {mode!r}")
-    starts, counts = _runs(counts, n_edges, "edge_attention")
+    runs.check(n_edges, "edge_attention")
+    src, dst = src.rows, dst.rows
     s = 1.0 / math.sqrt(d_k)
     mod = modulation.data.reshape(-1, 1, d_k)
-    blocks = _segment_blocks(starts, counts, n_edges, _block_rows(_ATTEND_BYTES, 8 * width))
+    blocks = runs.blocks(_block_rows(_ATTEND_BYTES, 8 * width))
+    counts = runs.counts[:, None]
 
     def gathered(rows):
         return (table.data.take(src[rows], axis=0).reshape(-1, heads, d_k),
                 table.data.take(dst[rows], axis=0).reshape(-1, heads, d_k))
 
     w = np.empty((n_edges, heads))
-    out = np.empty((len(counts), width))
-    for segs, rows, b_starts, b_counts in blocks:
+    out = np.empty((len(runs), width))
+    for segs, rows, b_runs in blocks:
         keys, queries = gathered(rows)
-        w[rows] = _softmax_runs(_sum_last((keys * mod[rows]) * queries) * s,
-                                b_starts, b_counts)
-        out[segs] = _segment_fsum((keys * w[rows, :, None]).reshape(-1, width),
-                                  b_starts, b_counts)
+        w[rows] = _softmax_runs(_sum_last((keys * mod[rows]) * queries) * s, b_runs)
+        out[segs] = _segment_fsum((keys * w[rows, :, None]).reshape(-1, width), b_runs)
     if mode == "mean":
-        out /= counts[:, None]
+        out /= counts
 
     def vjp(g):
         if mode == "mean":
-            g = g / counts[:, None]
+            g = g / counts
         g_mod = np.empty((n_edges, d_k)) if modulation.on_tape() else None
         d_table = np.zeros_like(table.data) if table.on_tape() else None
         # np.add.at adds in index order: every key gradient, in edge order,
         # then every query gradient, as one call over both would.
         g_queries = np.empty((n_edges, heads, d_k)) if d_table is not None else None
-        for segs, rows, b_starts, b_counts in blocks:
+        for segs, rows, b_runs in blocks:
             keys, queries = gathered(rows)
             w_b, mod_b = w[rows], mod[rows]
-            g_vals = np.repeat(g[segs], b_counts, axis=0).reshape(-1, heads, d_k)
-            g_scores = _softmax_runs_vjp((g_vals * keys).sum(axis=2), w_b,
-                                         b_starts, b_counts) * s
+            g_vals = g[segs].repeat(b_runs.counts, axis=0).reshape(-1, heads, d_k)
+            g_scores = _softmax_runs_vjp(_sum_last(g_vals * keys), w_b, b_runs) * s
             g_vals *= w_b[:, :, None]
             g_keymod = g_scores[:, :, None] * queries
             if g_mod is not None:
-                g_mod[rows] = (g_keymod * keys).sum(axis=1)
+                g_mod[rows] = _sum_heads(g_keymod * keys)
             if d_table is not None:
                 np.multiply(g_scores[:, :, None], keys * mod_b, out=g_queries[rows])
                 np.add.at(d_table, src[rows], (g_keymod * mod_b + g_vals).reshape(-1, width))
@@ -802,20 +940,22 @@ def edge_attention(table: Tensor, modulation: Tensor, src, dst, counts, heads: i
 # ---------------------------------------------------------------------------
 
 def _topo(root: Tensor) -> list[Tensor]:
+    """The tensors ``root`` reaches, parents before children. A Tensor
+    hashes by identity, so it is its own key."""
     order: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
     return order
 
@@ -830,10 +970,10 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
     if loss.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {loss.data.shape}")
     order = _topo(loss)
-    grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
     leaf_grads: dict[Tensor, Array] = {}
     for node in reversed(order):
-        g = grads.pop(id(node), None)
+        g = grads.pop(node, None)
         if g is None:
             continue
         if node._vjp is None:
@@ -842,10 +982,10 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
                 leaf_grads[node] = g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None or not parent.on_tape():
+            if pg is None or not (parent.requires_grad or parent._vjp is not None):
                 continue
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
+            acc = grads.get(parent)
+            grads[parent] = pg if acc is None else acc + pg
     for node in order:
         node._parents = ()
         node._vjp = None

@@ -46,8 +46,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import AttributionError, ConfigError, ExportError
-from .hetgraph import GraphBatch, HeteroGraph, _write_json, remove_node
-from .layers import LayerOutput, attend, check_incoming, project_nodes
+from .hetgraph import GraphBatch, HeteroGraph, _write_json, check_incoming, remove_node
+from .layers import LayerOutput, attend, project_nodes
 from .model import Model
 
 # Bound on the final rows the removals of one chunk change (see ``reach``
@@ -154,12 +154,15 @@ def recompute_removals(model: Model, batch: GraphBatch, layer_outputs: list[Laye
         # The chunk's table: the cached rows its edges could read (every
         # source and target), then the new rows.
         old, slot = _distinct(np.concatenate([source, tt]), n)
-        table = ad.concat([ad.gather_rows(cached.node_proj, old),
-                           project_nodes(layer, h_changed, batch.node_types[changed % n])])
-        h, _ = attend(layer, table, ad.gather_rows(cached.edge_attrs, e),
-                      _table_rows(changed, tv[seg] * n + source, slot[source], len(old)),
-                      _table_rows(changed, targets, slot[tt], len(old))[seg],
-                      np.bincount(seg, minlength=len(targets)))
+        types = ad.Index(batch.node_types[changed % n], len(batch.types))
+        table = ad.concat([ad.gather_rows(cached.node_proj, ad.Index(old, n)),
+                           project_nodes(layer, h_changed, types)])
+        rows = len(old) + len(changed)
+        h, _ = attend(layer, table, ad.gather_rows(cached.edge_attrs, ad.Index(e, batch.n_edges)),
+                      ad.Index(_table_rows(changed, tv[seg] * n + source, slot[source], len(old)),
+                               rows),
+                      ad.Index(_table_rows(changed, targets, slot[tt], len(old))[seg], rows),
+                      ad.Runs(np.bincount(seg, minlength=len(targets))))
         if i < len(model.layers) - 1:
             h = model.activate(h)
         changed, h_changed = targets, h
@@ -195,7 +198,7 @@ def _type_sums(model: Model, rows: np.ndarray, node_types: np.ndarray) -> TypeSu
     by_type = np.argsort(types, kind="stable")
     type_starts = np.concatenate([[0], np.cumsum(count)])
     present = np.flatnonzero(count)
-    terms, finite = ad._segment_expansion(rows[by_type], type_starts[present], count[present])
+    terms, finite = ad._segment_expansion(rows[by_type], ad.Runs(count[present]))
     # A type keeps its nonzero terms, and its first so that no segment is empty.
     keep = terms.any(axis=2).T
     keep[:, 0] = True
@@ -252,9 +255,8 @@ def removal_logits(model: Model, full: TypeSums, removed: np.ndarray, changed: n
     vals[old] = full.rows[row[old]]
     vals[~old] = np.concatenate([h_changed, full.terms])[row[~old] - n]
     vals[flip] = -vals[flip]
-    counts = np.bincount(cell, minlength=left.size)[cells]
-    sums = ad._segment_fsum(vals, np.cumsum(counts) - counts, counts)
-    return model.head(Tensor(sums / left.ravel()[cells][:, None]), cells, n_types)
+    sums = ad._segment_fsum(vals, ad.Runs(np.bincount(cell, minlength=left.size)[cells]))
+    return model.head(Tensor(sums / left.ravel()[cells][:, None]), ad.Cells(cells, n_types))
 
 
 def _removal_losses(model: Model, g: HeteroGraph, batch: GraphBatch,

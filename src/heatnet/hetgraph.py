@@ -6,7 +6,12 @@ with float64 attribute vectors. Graphs are immutable after construction;
 Edges name their endpoints by node id; ``HeteroGraph.edge_pos`` maps them
 to node positions once per graph. ``batch_graphs`` stacks graphs into one
 disjoint union (``GraphBatch``), which the model runs on, with its edge
-rows sorted by target once: the runs the layers' segment ops reduce. The
+rows sorted by target once: the runs the layers' segment ops reduce. It
+also builds the batch's plan (``BatchPlan``) once: the edge endpoint
+indices, the target runs (which fail on a node without incoming edges)
+and the node-type index, each checked once, and the pooling cells of
+either mode on first use; every op of a step reads the plan instead of
+re-deriving or re-checking the layout. The
 JSON file format is versioned and stores one column per node or edge
 field: ids, types and coordinates as JSON lists, and the float64 feature
 and attribute tables each as one base64 string of their row-major,
@@ -26,7 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, GraphLookupError, GraphValidationError
+from . import autodiff as ad
+from .errors import ConfigError, ContractError, GraphLookupError, GraphValidationError, ShapeError
 
 GRAPH_FORMAT_VERSION = 3
 _NUMBER_TYPES = {int, float}
@@ -202,6 +208,77 @@ class HeteroGraph:
     __hash__ = None  # type: ignore[assignment]
 
 
+def check_incoming(node_ids, in_degree: np.ndarray) -> None:
+    """Every node needs an incoming edge: attention normalizes over them.
+
+    Built graphs have self-loops, so only a graph made elsewhere (a graph
+    file), or a removal from one, can fail: an input error, not a numeric one.
+    """
+    if not in_degree.all():
+        nid = node_ids[int(np.argmin(in_degree))]
+        raise GraphValidationError(Violation(
+            "no-incoming-edge", f"node {nid} has no incoming edges; self-loops are required"))
+
+
+@dataclass(frozen=True, eq=False)
+class PoolCells:
+    """One pooling mode's cells of stacked rows: row r, of pool type p in
+    graph b, is in cell b * n_types + p."""
+
+    order: ad.Index     # the rows in (graph, pool type) order, a permutation
+    runs: ad.Runs       # each present cell's rows, one run each in that order
+    cells: ad.Cells     # the present cells, ascending
+
+
+def pool_cells(pool_type: np.ndarray, n_types: int, graph: np.ndarray) -> PoolCells:
+    """The cells of n rows with pool types in [0, ``n_types``) and graph
+    indices; each of the graphs 0..B-1 must have rows."""
+    n = len(graph)
+    pool_type, graph = np.asarray(pool_type, dtype=np.intp), np.asarray(graph, dtype=np.intp)
+    if (pool_type.shape != (n,) or graph.shape != (n,) or not n or pool_type.min() < 0
+            or pool_type.max() >= n_types or graph.min() < 0):
+        raise ShapeError(f"pooling needs a pool type in [0, {n_types}) and a nonnegative "
+                         f"graph index for each of the {n} feature rows")
+    return _pool_cells(pool_type, n_types, graph)
+
+
+def _pool_cells(pool_type: np.ndarray, n_types: int, graph: np.ndarray) -> PoolCells:
+    # Rows gathered in (graph, type) order make each present cell one run.
+    cell = graph * n_types + pool_type
+    count = np.bincount(cell)
+    present = np.flatnonzero(count)
+    return PoolCells(ad.Index.sorting(cell), ad.Runs(count[present]), ad.Cells(present, n_types))
+
+
+@dataclass(frozen=True, eq=False)
+class BatchPlan:
+    """A batch's index layout, built and checked once by ``batch_graphs``;
+    every op of a step reads it instead of re-deriving it.
+
+    ``src``/``dst`` index each edge row's endpoints among the N node rows,
+    ``targets`` holds node t's incoming edges as run t (every node has
+    one), and ``node_types`` indexes each node's type among the T. The
+    pooling cells of either mode (``pool``) are built on first use.
+    """
+
+    src: ad.Index
+    dst: ad.Index
+    targets: ad.Runs
+    node_types: ad.Index
+    graph: np.ndarray
+
+    def pool(self, per_type: bool) -> PoolCells:
+        """The cells of per-type pooling (``per_type``) or of mean pooling,
+        whose one pool type holds a graph's every row; the plan's types and
+        graph indices need no second check."""
+        cached = self.__dict__.setdefault("_pool", {})
+        if per_type not in cached:
+            types, n_types = ((self.node_types.rows, self.node_types.bound) if per_type
+                              else (np.zeros_like(self.graph), 1))
+            cached[per_type] = _pool_cells(types, n_types, self.graph)
+        return cached[per_type]
+
+
 @dataclass(frozen=True, eq=False)
 class GraphBatch:
     """Graphs stacked as one disjoint union, the graph the model runs on.
@@ -211,7 +288,8 @@ class GraphBatch:
     ``edge_attrs``) are stably sorted by target: node t's incoming edges are
     the ``in_degree[t]`` rows after node t - 1's, in their graph's order.
     Components exchange no messages. ``node_ids`` keeps every graph's own
-    ids, so an error names a node as its graph does.
+    ids, so an error names a node as its graph does. ``plan`` holds the
+    same layout as the checked indices and runs the ops read.
     """
 
     types: TypeSet
@@ -222,6 +300,7 @@ class GraphBatch:
     edge_pos: tuple[np.ndarray, np.ndarray]     # (E,) each, union positions, targets nondecreasing
     graph: np.ndarray                           # (N,) graph index of each node
     in_degree: np.ndarray                       # (N,) incoming edges of each node
+    plan: BatchPlan
 
     @property
     def n_nodes(self) -> int:
@@ -234,25 +313,40 @@ class GraphBatch:
 
 def batch_graphs(graphs: Sequence[HeteroGraph]) -> GraphBatch:
     """The disjoint union of a nonempty sequence of graphs, edges sorted by
-    target (types from the first; the caller checks that the graphs agree
-    on dimensions)."""
+    target, with its plan (types from the first; the caller checks that
+    the graphs agree on dimensions). A node without incoming edges raises
+    GraphValidationError naming it by its graph's id."""
     if not graphs:
         raise ConfigError("cannot batch an empty sequence of graphs")
     sizes = [g.n_nodes for g in graphs]
+    n = sum(sizes)
     offsets = np.cumsum(sizes) - sizes
     src, dst = (np.concatenate([g.edge_pos[end] + off for g, off in zip(graphs, offsets)])
                 for end in (0, 1))
     # Graphs hold increasing positions: the sort keeps each one's rows together.
     order = np.argsort(dst, kind="stable")
+    src, dst = src[order], dst[order]
+    node_ids = tuple(nid for g in graphs for nid in g.node_ids)
+    node_types = np.concatenate([g.node_types for g in graphs])
+    graph = np.repeat(np.arange(len(graphs)), sizes)
+    in_degree = np.bincount(dst, minlength=n)
+    try:
+        targets = ad.Runs(in_degree)
+    except ContractError:
+        check_incoming(node_ids, in_degree)   # names the node without incoming edges
+        raise
+    plan = BatchPlan(src=ad.Index(src, n), dst=ad.Index(dst, n), targets=targets,
+                     node_types=ad.Index(node_types, len(graphs[0].types)), graph=graph)
     return GraphBatch(
         types=graphs[0].types,
-        node_ids=tuple(nid for g in graphs for nid in g.node_ids),
-        node_types=np.concatenate([g.node_types for g in graphs]),
+        node_ids=node_ids,
+        node_types=node_types,
         features=np.concatenate([g.features for g in graphs]),
         edge_attrs=np.concatenate([g.edge_attrs for g in graphs])[order],
-        edge_pos=(src[order], dst[order]),
-        graph=np.repeat(np.arange(len(graphs)), sizes),
-        in_degree=np.bincount(dst, minlength=sum(sizes)),
+        edge_pos=(plan.src.rows, plan.dst.rows),
+        graph=graph,
+        in_degree=in_degree,
+        plan=plan,
     )
 
 

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, GraphValidationError, ShapeError
-from .hetgraph import GraphBatch, TypeSet, Violation
+from .errors import ConfigError, ContractError, ShapeError
+from .hetgraph import GraphBatch, TypeSet
 
 
 @dataclass
@@ -99,38 +99,27 @@ class LayerOutput:
     attention: np.ndarray | None   # (E, heads) normalized weights, if requested
 
 
-def check_incoming(node_ids, in_degree: np.ndarray) -> None:
-    """Every node needs an incoming edge: attention normalizes over them.
-
-    Built graphs have self-loops, so only a graph made elsewhere (a graph
-    file), or a removal from one, can fail: an input error, not a numeric one.
-    """
-    if not in_degree.all():
-        nid = node_ids[int(np.argmin(in_degree))]
-        raise GraphValidationError(Violation(
-            "no-incoming-edge", f"node {nid} has no incoming edges; self-loops are required"))
-
-
-def project_nodes(params: HeatLayerParams, feats: Tensor, node_types: np.ndarray) -> Tensor:
+def project_nodes(params: HeatLayerParams, feats: Tensor, node_types: ad.Index) -> Tensor:
     """Row v is W[type(v)] @ feats[v], (m, heads * d_k) with head i in
-    columns i * d_k up to (i + 1) * d_k."""
-    type_idx = np.zeros(feats.shape[0], dtype=np.intp) if params.shared_projection else node_types
-    return ad.typed_matmul(feats, params.w_node, type_idx)
+    columns i * d_k up to (i + 1) * d_k; a shared projection reads no type."""
+    if params.shared_projection:
+        node_types = ad.Index(np.zeros(feats.shape[0], dtype=np.intp), 1)
+    return ad.typed_matmul(feats, params.w_node, node_types)
 
 
-def attend(params: HeatLayerParams, node_proj: Tensor, eproj: Tensor, src: np.ndarray,
-           dst: np.ndarray, counts: np.ndarray) -> tuple[Tensor, np.ndarray]:
+def attend(params: HeatLayerParams, node_proj: Tensor, eproj: Tensor, src: ad.Index,
+           dst: ad.Index, runs: ad.Runs) -> tuple[Tensor, np.ndarray]:
     """Score, normalize and aggregate edge rows into one output row per segment.
 
-    Edge row r takes its key and value from projection row ``src[r]``, its
-    query from row ``dst[r]`` and its modulation from ``eproj`` row r;
-    segment s is the ``counts[s]`` rows after segment s - 1's. Returns the
-    (len(counts), d_out) outputs and the (rows, heads) attention weights,
+    Edge row r takes its key and value from projection row ``src.rows[r]``,
+    its query from row ``dst.rows[r]`` and its modulation from ``eproj`` row
+    r; segment s is run s of ``runs``. Returns the
+    (len(runs), d_out) outputs and the (rows, heads) attention weights,
     from one ``autodiff.edge_attention`` op. Every row is computed from its
     own inputs and every segment sum is exactly rounded, so an output row
     depends only on the set of its segment's edge rows.
     """
-    return ad.edge_attention(node_proj, eproj, src, dst, counts, params.heads,
+    return ad.edge_attention(node_proj, eproj, src, dst, runs, params.heads,
                              params.aggregation)
 
 
@@ -141,9 +130,9 @@ def layer_forward(batch: GraphBatch, params: HeatLayerParams,
     """Run the attention layer over a batch of graphs, differentiably.
 
     A graph g runs as ``batch_graphs([g])``; edge rows are in the batch's
-    order. ``features``/``edge_attrs`` default to the batch's own arrays
-    (as constants); pass tensors to chain layers. Every node must have at
-    least one incoming edge.
+    order; the batch's plan gives every index and run the ops read.
+    ``features``/``edge_attrs`` default to the batch's own arrays (as
+    constants); pass tensors to chain layers.
     """
     if not isinstance(batch, GraphBatch):
         raise ContractError(f"layer_forward takes a GraphBatch, got {type(batch).__name__}")
@@ -159,13 +148,13 @@ def layer_forward(batch: GraphBatch, params: HeatLayerParams,
     if not params.shared_projection and batch.types.names != params.types.names:
         raise ConfigError("graph type set does not match layer parameters")
 
-    check_incoming(batch.node_ids, batch.in_degree)
-    node_proj = project_nodes(params, feats, batch.node_types)
+    plan = batch.plan
+    node_proj = project_nodes(params, feats, plan.node_types)
     if params.w_edge is None:
         eproj = Tensor(np.ones((batch.n_edges, params.d_k)))
     else:
         eproj = ad.linear(attrs, params.w_edge)
-    h_out, att = attend(params, node_proj, eproj, *batch.edge_pos, batch.in_degree)
+    h_out, att = attend(params, node_proj, eproj, plan.src, plan.dst, plan.targets)
     return LayerOutput(
         node_features=h_out,
         edge_attrs=eproj,

@@ -27,7 +27,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-from .hetgraph import DEFAULT_TYPE_NAMES, GraphBatch, HeteroGraph, TypeSet, batch_graphs
+from .hetgraph import (DEFAULT_TYPE_NAMES, GraphBatch, HeteroGraph, PoolCells, TypeSet,
+                       batch_graphs)
 from .layers import HeatLayerParams, LayerOutput, layer_forward, layer_parameters
 from .pooling import PoolParams, pl_pool, pool_parameters
 from .seeding import rng_for
@@ -151,7 +152,7 @@ class Model:
             h, attrs = out.node_features, out.edge_attrs
             if i < len(self.layers) - 1:
                 h = self.activate(h, training, rngs, blocks)
-        return self.readout(h, batch.node_types, batch.graph)
+        return self.readout(h, batch.plan.pool(self.config.pooling == "pl"))
 
     def activate(self, h: Tensor, training: bool = False,
                  rngs: Sequence[np.random.Generator] | None = None,
@@ -168,17 +169,17 @@ class Model:
             return node_types, len(self.types)
         return np.zeros_like(node_types), 1
 
-    def readout(self, h: Tensor, node_types: np.ndarray, graph: np.ndarray) -> Tensor:
-        """Final node features of B stacked graphs -> logits (B, C);
-        ``graph`` names each row's graph."""
-        return pl_pool(h, *self.pool_types(node_types), self.pool, graph)
+    def readout(self, h: Tensor, cells: PoolCells) -> Tensor:
+        """Final node features of B stacked graphs -> logits (B, C), pooled
+        by this mode's ``cells`` of their batch plan."""
+        return pl_pool(h, cells, self.pool)
 
-    def head(self, means: Tensor, cells: np.ndarray, n_types: int) -> Tensor:
+    def head(self, means: Tensor, cells: ad.Cells) -> Tensor:
         """The classification head of ``readout`` on pooled means made
-        elsewhere: logits (B, C). Row k of ``means`` is the mean of cell
-        ``cells[k]`` = graph * ``n_types`` + pool type, cells ascending."""
+        elsewhere: logits (B, C). Row k of ``means`` is the mean of cell k
+        of ``cells`` (graph * T + pool type, ascending)."""
         p = self.pool
-        return ad.pooled_logits(means, cells, n_types, p.readout, p.classifier_w, p.classifier_b)
+        return ad.pooled_logits(means, cells, p.readout, p.classifier_w, p.classifier_b)
 
     def loss(self, graphs: Sequence[HeteroGraph], training: bool = False,
              rngs: Sequence[np.random.Generator] | None = None) -> Tensor:

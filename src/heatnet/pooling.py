@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-from .hetgraph import TypeSet
+from .hetgraph import PoolCells, TypeSet
 
 
 @dataclass
@@ -54,26 +54,19 @@ class PoolParams:
         )
 
 
-def pl_pool(features: Tensor, pool_type: np.ndarray, n_types: int, params: PoolParams,
-            graph: np.ndarray) -> Tensor:
+def pl_pool(features: Tensor, cells: PoolCells, params: PoolParams) -> Tensor:
     """Logits (B, C) of B stacked graphs from their (n, d) node rows.
 
-    Row r has pool type ``pool_type[r]`` in [0, ``n_types``) and belongs to
-    graph ``graph[r]``; each of the graphs 0..B-1 has rows. One gather into
-    (graph, type) order and one segment mean give the present cells' means,
-    and ``autodiff.pooled_logits`` maps, averages and classifies them.
+    ``cells`` (``hetgraph.pool_cells``, or a batch's ``plan.pool``) groups
+    the rows by (graph, pool type). One gather into that order and one
+    segment mean give the present cells' means, and
+    ``autodiff.pooled_logits`` maps, averages and classifies them.
     """
-    n = features.shape[0]
-    pool_type, graph = np.asarray(pool_type, dtype=np.intp), np.asarray(graph, dtype=np.intp)
-    if (pool_type.shape != (n,) or graph.shape != (n,) or not n or pool_type.min() < 0
-            or pool_type.max() >= n_types or graph.min() < 0):
-        raise ShapeError(f"pooling needs a pool type in [0, {n_types}) and a nonnegative "
-                         f"graph index for each of the {n} feature rows")
-    # Rows gathered in (graph, type) order make each present cell one run.
-    cell = graph * n_types + pool_type
-    present, counts = np.unique(cell, return_counts=True)
-    means = ad.segment_reduce(ad.gather_rows(features, np.argsort(cell, kind="stable")), counts)
-    return ad.pooled_logits(means, present, n_types, params.readout, params.classifier_w,
+    if cells.order.bound != features.shape[0]:
+        raise ShapeError(f"pooling cells of {cells.order.bound} rows for "
+                         f"{features.shape[0]} feature rows")
+    means = ad.segment_reduce(ad.gather_rows(features, cells.order), cells.runs)
+    return ad.pooled_logits(means, cells.cells, params.readout, params.classifier_w,
                             params.classifier_b)
 
 

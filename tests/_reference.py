@@ -176,20 +176,21 @@ def ref_pl_pool(feats, type_idx, n_types, readout=None):
     return out
 
 
-def ref_pooled_logits(means, cells, n_types, readout, weight, bias):
+def ref_pooled_logits(means, cells, readout, weight, bias):
     """``ad.pooled_logits`` as the composition of tape ops it replaced:
     per-type maps (``typed_matmul``), a zero row gathered for every absent
     (graph, type) cell, the mean over each graph's ``n_types`` rows, and
     ``linear``."""
-    cells = np.asarray(cells, dtype=np.intp)
+    cells, n_types = cells.cells, cells.n_types
     n_graphs = int(cells[-1]) // n_types + 1
     if readout is not None:
-        means = ad.typed_matmul(means, readout, cells % n_types)
+        means = ad.typed_matmul(means, readout, ad.Index(cells % n_types, n_types))
     # Absent cells read the zero row appended after the present ones.
     rows = np.full(n_graphs * n_types, len(cells), dtype=np.intp)
     rows[cells] = np.arange(len(cells))
-    padded = ad.gather_rows(ad.concat([means, ad.Tensor(np.zeros((1, means.shape[1])))]), rows)
-    return ad.linear(ad.segment_reduce(padded, np.full(n_graphs, n_types)), weight, bias)
+    padded = ad.gather_rows(ad.concat([means, ad.Tensor(np.zeros((1, means.shape[1])))]),
+                            ad.Index(rows, len(cells) + 1))
+    return ad.linear(ad.segment_reduce(padded, ad.Runs(np.full(n_graphs, n_types))), weight, bias)
 
 
 def ref_graph_logits(pooled, classifier_w, classifier_b):
@@ -266,11 +267,12 @@ def segment_softmax(x, counts):
     as a tape op, from the kernels ``ad.edge_attention`` normalizes with."""
     if x.data.ndim != 2:
         raise ShapeError(f"segment_softmax expects a 2-D tensor, got {x.data.shape}")
-    starts, counts = ad._runs(counts, x.data.shape[0], "segment_softmax")
-    w = ad._softmax_runs(x.data, starts, counts)
+    runs = ad.Runs(counts)
+    runs.check(x.data.shape[0], "segment_softmax")
+    w = ad._softmax_runs(x.data, runs)
 
     def vjp(g):
-        return (ad._softmax_runs_vjp(g, w, starts, counts),)
+        return (ad._softmax_runs_vjp(g, w, runs),)
 
     return ad._make(w, (x,), vjp, "segment_softmax")
 
@@ -280,12 +282,13 @@ def segment_sum(x, counts):
     2-D tensor, as a tape op, from the kernel ``ad.segment_reduce`` means with."""
     if x.data.ndim != 2:
         raise ShapeError(f"segment_sum expects a 2-D tensor, got {x.data.shape}")
-    starts, counts = ad._runs(counts, x.data.shape[0], "segment_sum")
+    runs = ad.Runs(counts)
+    runs.check(x.data.shape[0], "segment_sum")
 
     def vjp(g):
-        return (np.repeat(g, counts, axis=0),)
+        return (np.repeat(g, runs.counts, axis=0),)
 
-    return ad._make(ad._segment_fsum(x.data, starts, counts), (x,), vjp, "segment_sum")
+    return ad._make(ad._segment_fsum(x.data, runs), (x,), vjp, "segment_sum")
 
 
 def ref_attend(params, node_proj, eproj, src, dst, counts):
@@ -303,14 +306,15 @@ def ref_attend(params, node_proj, eproj, src, dst, counts):
         return reshape(t, (-1, heads, d_k))
 
     node_proj = blocks(node_proj)
-    keys = ad.gather_rows(node_proj, src)
-    queries = ad.gather_rows(node_proj, dst)
+    keys = ad.gather_rows(node_proj, ad.Index(src, node_proj.shape[0]))
+    queries = ad.gather_rows(node_proj, ad.Index(dst, node_proj.shape[0]))
     modulated = ad.mul(ad.mul(keys, reshape(eproj, (-1, 1, d_k))), queries)
     scores = ad.scale(reduce_sum(modulated, axis=2), 1.0 / math.sqrt(d_k))
     att = segment_softmax(scores, counts)
     weighted = reshape(ad.mul(keys, reshape(att, (-1, heads, 1))), (-1, params.d_out))
-    reduce = ad.segment_reduce if params.aggregation == "mean" else segment_sum
-    return reduce(weighted, counts), att
+    if params.aggregation == "mean":
+        return ad.segment_reduce(weighted, ad.Runs(counts)), att
+    return segment_sum(weighted, counts), att
 
 
 def ref_plain_attention(feats, w, edges, aggregation="sum"):

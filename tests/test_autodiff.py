@@ -104,7 +104,30 @@ class TestSoftmaxRows:
             ad.softmax_rows(Tensor(np.zeros((2, 0))))
 
 
+@st.composite
+def logit_rows(draw):
+    """(B, C) logits with ties, huge magnitudes and their labels."""
+    b, c = draw(st.integers(1, 6)), draw(st.integers(2, 5))
+    value = st.one_of(st.floats(-50.0, 50.0), st.sampled_from([0.0, -0.0, 1.0, 1e300, -1e300]))
+    rows = np.array(draw(st.lists(st.lists(value, min_size=c, max_size=c),
+                                  min_size=b, max_size=b)))
+    return rows, np.array(draw(st.lists(st.integers(0, c - 1), min_size=b, max_size=b)))
+
+
 class TestCrossEntropy:
+    @settings(max_examples=200, deadline=None)
+    @given(case=logit_rows())
+    def test_rows_are_the_fsum_formula_byte_for_byte(self, case):
+        # Each row's loss is its own definition, m + log(fsum(exp(row - m))) - row[y],
+        # and 1-D logits give exactly the matching 2-D row.
+        rows, labels = case
+        out = ad.cross_entropy(Tensor(rows), labels).data
+        for r, (row, y) in enumerate(zip(rows, labels.tolist())):
+            m = row.max()
+            want = (m + math.log(math.fsum(np.exp(row - m).tolist()))) - row[y]
+            assert out[r].tobytes() == np.float64(want).tobytes(), r
+            assert ad.cross_entropy(Tensor(row), y).data.tobytes() == out[r].tobytes(), r
+
     def test_uniform(self):
         loss = ad.cross_entropy(Tensor([0.0, 0.0]), 0)
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
@@ -217,21 +240,21 @@ class TestOps:
 
     def test_gather_rows_duplicate_indices(self):
         a = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        out = ad.gather_rows(a, [0, 0, 2])
+        out = ad.gather_rows(a, ad.Index([0, 0, 2], 3))
         grads = ad.backward(ad.reduce_sum(out))
         np.testing.assert_array_equal(grads[a], [[2, 2], [0, 0], [1, 1]])
 
     def test_one_segment_mean_matches_numpy(self):
         x = np.random.default_rng(1).standard_normal((5, 3))
-        out = ad.segment_reduce(Tensor(x), [5]).data
+        out = ad.segment_reduce(Tensor(x), ad.Runs([5])).data
         np.testing.assert_allclose(out, x.mean(axis=0, keepdims=True), atol=1e-15)
 
     def test_one_segment_mean_order_independent_bitwise(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((7, 4))
         perm = rng.permutation(7)
-        a = ad.segment_reduce(Tensor(x), [7]).data
-        b = ad.segment_reduce(Tensor(x[perm]), [7]).data
+        a = ad.segment_reduce(Tensor(x), ad.Runs([7])).data
+        b = ad.segment_reduce(Tensor(x[perm]), ad.Runs([7])).data
         assert (a == b).all()
 
     def test_leaky_relu(self):
@@ -265,11 +288,11 @@ class TestTypedMatmul:
         rng = np.random.default_rng(3)
         self.x = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
         self.w = Tensor(rng.standard_normal((3, 4, 3)), requires_grad=True)
-        self.idx = np.array([2, 0, 2, 0, 0, 2])  # type 1 has no rows
+        self.idx = ad.Index([2, 0, 2, 0, 0, 2], 3)  # type 1 has no rows
 
     def test_rows_use_their_types_weight(self):
         out = ad.typed_matmul(self.x, self.w, self.idx).data
-        for r, t in enumerate(self.idx):
+        for r, t in enumerate(self.idx.rows):
             np.testing.assert_allclose(out[r], self.w.data[t] @ self.x.data[r], atol=1e-15)
 
     def test_gradients_pass_grad_check(self):
@@ -289,9 +312,9 @@ class TestTypedMatmul:
         g = np.random.default_rng(4).standard_normal((6, 4))
         grads = ad.backward(ad.reduce_sum(ad.mul(ad.typed_matmul(self.x, self.w, self.idx),
                                                  Tensor(g))))
-        dx = np.stack([self.w.data[t].T @ g[r] for r, t in enumerate(self.idx)])
+        dx = np.stack([self.w.data[t].T @ g[r] for r, t in enumerate(self.idx.rows)])
         dw = np.zeros_like(self.w.data)
-        for r, t in enumerate(self.idx):
+        for r, t in enumerate(self.idx.rows):
             dw[t] += np.outer(g[r], self.x.data[r])
         np.testing.assert_allclose(grads[self.x], dx, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(grads[self.w], dw, rtol=1e-13, atol=1e-13)
@@ -312,7 +335,7 @@ class TestTypedMatmul:
 
     def test_one_type_is_plain_matmul(self):
         w = Tensor(self.w.data[:1], requires_grad=True)
-        typed = ad.typed_matmul(self.x, w, np.zeros(6, dtype=np.intp))
+        typed = ad.typed_matmul(self.x, w, ad.Index(np.zeros(6, dtype=np.intp), 1))
         plain = ad.linear(self.x, Tensor(w.data[0]))
         np.testing.assert_array_equal(typed.data, plain.data)
 
@@ -326,7 +349,8 @@ class TestTypedMatmul:
     ])
     def test_bad_shape_or_index_rejected(self, x_shape, w_shape, idx):
         with pytest.raises(ShapeError):
-            ad.typed_matmul(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), idx)
+            ad.typed_matmul(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)),
+                            ad.Index(idx, w_shape[0]))
 
 
 class TestRowInvariance:
@@ -369,13 +393,14 @@ class TestRowInvariance:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, d_in))
         w = rng.standard_normal((2, d_out, d_in))
-        block = ad.typed_matmul(Tensor(x), Tensor(w), np.zeros(n, dtype=np.intp)).data
+        block = ad.typed_matmul(Tensor(x), Tensor(w), ad.Index(np.zeros(n, dtype=np.intp), 2)).data
         r = int(rng.integers(n))
         lone = np.ones(n, dtype=np.intp)
         lone[r] = 0     # row r is the only row of type 0
-        alone = ad.typed_matmul(Tensor(x), Tensor(w), lone).data
+        alone = ad.typed_matmul(Tensor(x), Tensor(w), ad.Index(lone, 2)).data
         assert alone[r].tobytes() == block[r].tobytes()
-        one_row = ad.typed_matmul(Tensor(x[r:r + 1]), Tensor(w), np.zeros(1, dtype=np.intp)).data
+        one_row = ad.typed_matmul(Tensor(x[r:r + 1]), Tensor(w),
+                                  ad.Index(np.zeros(1, dtype=np.intp), 2)).data
         assert one_row[0].tobytes() == block[r].tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -395,11 +420,26 @@ class TestRowInvariance:
             leaves = [Tensor(t, requires_grad=True) for t in (x, w, b, w3)]
             lx, lw, lb, lw3 = leaves
             with forced_blocks(blocks):
-                ys = [ad.linear(lx, lw, lb), ad.typed_matmul(lx, lw3, idx)]
+                ys = [ad.linear(lx, lw, lb), ad.typed_matmul(lx, lw3, ad.Index(idx, n_types))]
                 grads = ad.backward(ad.reduce_sum(ad.mul(ad.concat(ys, axis=1),
                                                          Tensor(np.hstack([g, g])))))
             runs.append([y.data.tobytes() for y in ys] + [grads[t].tobytes() for t in leaves])
         assert runs[0] == runs[1]
+
+
+class TestHeadSums:
+    """The whole-array head and d_k sums the attention VJP uses equal
+    numpy's reductions byte for byte, -0.0 terms included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(heads=st.integers(1, 10), d_k=st.integers(1, 9), n=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_plane_sums_equal_numpy(self, heads, d_k, n, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.standard_normal((n, heads, d_k)) * 2.0 ** rng.integers(-60, 61, (n, heads, d_k))
+        p[rng.random(p.shape) < 0.3] = -0.0
+        assert ad._sum_heads(p).tobytes() == p.sum(axis=1).tobytes()
+        assert ad._sum_last(p).tobytes() == p.sum(axis=2).tobytes()
 
 
 class TestSegmentOps:
@@ -416,7 +456,7 @@ class TestSegmentOps:
 
     def test_segment_reduce_mean_and_sum(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [10.0, 20.0]]))
-        np.testing.assert_allclose(ad.segment_reduce(x, [2, 1]).data,
+        np.testing.assert_allclose(ad.segment_reduce(x, ad.Runs([2, 1])).data,
                                    [[2.0, 3.0], [10.0, 20.0]])
         np.testing.assert_allclose(segment_sum(x, [2, 1]).data,
                                    [[4.0, 6.0], [10.0, 20.0]])
@@ -426,7 +466,7 @@ class TestSegmentOps:
         x = Tensor(np.zeros((3, 1)))
         for counts in ([1, 1], [2, 2], [3, 1], [[3]]):
             with pytest.raises(ContractError, match="sum to"):
-                ad.segment_reduce(x, counts)
+                ad.segment_reduce(x, ad.Runs(counts))
             with pytest.raises(ContractError, match="sum to"):
                 segment_softmax(x, counts)
 
@@ -435,7 +475,7 @@ class TestSegmentOps:
         x = Tensor(np.zeros((3, 1)))
         for counts in ([0, 3], [3, 0], [1, 0, 2], [4, -1]):
             with pytest.raises(ContractError, match="is empty"):
-                ad.segment_reduce(x, counts)
+                ad.segment_reduce(x, ad.Runs(counts))
             with pytest.raises(ContractError, match="is empty"):
                 segment_softmax(x, counts)
 
@@ -522,9 +562,9 @@ class TestExactSums:
         fsum = math.fsum
         monkeypatch.setattr(math, "fsum", lambda values: calls.append(1) or fsum(values))
         w = segment_softmax(x, counts)
-        mean = ad.segment_reduce(ad.mul(w, x), counts)
+        mean = ad.segment_reduce(ad.mul(w, x), ad.Runs(counts))
         total = segment_sum(x, counts)
-        pooled = ad.segment_reduce(add(mean, total), [g.n_nodes])
+        pooled = ad.segment_reduce(add(mean, total), ad.Runs([g.n_nodes]))
         ad.backward(ad.linear(pooled, head))
         assert x.grad is not None
         assert calls == []
@@ -541,7 +581,7 @@ class TestExactSums:
         starts = np.cumsum(counts) - counts
         xs = _exact_sum_values(kind, np.random.default_rng(seed), counts, cols)
         before = xs.copy()
-        out = ad._segment_fsum(xs, starts, counts)
+        out = ad._segment_fsum(xs, ad.Runs(counts))
         assert xs.tobytes() == before.tobytes()
         cells = np.array([[math.fsum(xs[s:s + c, j].tolist()) for j in range(cols)]
                           for s, c in zip(starts.tolist(), counts.tolist())])
@@ -551,7 +591,7 @@ class TestExactSums:
         # overflows to inf gives per-segment grids.
         top = float(np.abs(xs).max())
         for k in range(21):
-            assert ad._segment_fsum(xs, starts, counts, top=top * 2.0 ** k).tobytes() \
+            assert ad._segment_fsum(xs, ad.Runs(counts), top=top * 2.0 ** k).tobytes() \
                 == out.tobytes(), k
 
     @settings(max_examples=200, deadline=None)
@@ -578,7 +618,7 @@ class TestExactSums:
         xs = np.vstack(segs)
         counts = np.array([len(x) for x in segs], dtype=np.intp)
         starts = np.cumsum(counts) - counts
-        out = ad._segment_fsum(xs, starts, counts)
+        out = ad._segment_fsum(xs, ad.Runs(counts))
         cells = np.array([[math.fsum(x[:, j].tolist()) for j in range(cols)] for x in segs])
         assert out.tobytes() == cells.tobytes()
         assert out.tobytes() == ref_segment_fsum(xs, starts, counts).tobytes()
@@ -591,7 +631,7 @@ class TestExactSums:
             wide = rng.standard_normal((8, 2)) * 2.0 ** rng.integers(-40, 41, (8, 2))
             xs = np.vstack([[[value, 1.0]], wide])
             with np.errstate(invalid="ignore"):
-                out = ad._segment_fsum(xs, np.array([0, 1]), np.array([1, 8]))
+                out = ad._segment_fsum(xs, ad.Runs([1, 8]))
             assert out[1].tolist() == [math.fsum(wide[:, j].tolist()) for j in range(2)]
             np.testing.assert_array_equal(out[0], [value, 1.0])
 
@@ -691,7 +731,7 @@ class TestExactSums:
         previous = signal.signal(signal.SIGALRM, timeout)
         signal.alarm(10)
         try:
-            terms, finite = ad._segment_expansion(xs, np.array([0, 3]), np.array([3, 4]))
+            terms, finite = ad._segment_expansion(xs, ad.Runs([3, 4]))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -739,8 +779,8 @@ class TestGradCheck:
         def f():
             h = ad.leaky_relu(ad.linear(a, b, c), 0.01)
             w = segment_softmax(h, counts)
-            pooled = ad.segment_reduce(ad.mul(h, w), counts)
-            z = ad.segment_reduce(pooled, [len(counts)])
+            pooled = ad.segment_reduce(ad.mul(h, w), ad.Runs(counts))
+            z = ad.segment_reduce(pooled, ad.Runs([len(counts)]))
             return ad.cross_entropy(reshape(z, (int(n),)), 0)
 
         assert ad.grad_check(f, [a, b, c]) < 1e-5

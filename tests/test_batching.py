@@ -20,6 +20,7 @@ from heatnet.train import TrainConfig, train
 BATCH_CONFIGS = {
     "default": {},
     "type-blind": {"type_blind": True, "pooling": "mean"},   # baseline_config
+    "mean-pooling": {"pooling": "mean"},
     "heads4-dk2": {"heads": 4},
     "sum-aggregation": {"aggregation": "sum"},
 }
@@ -92,18 +93,61 @@ class TestBatchEqualsOneGraphBatches:
     @given(graphs=st.lists(batch_member(), min_size=1, max_size=5), seed=st.integers(0, 1000))
     def test_row_blocks_change_no_bits(self, name, rows, graphs, seed):
         """A batch's logits, training losses and gradients with every row
-        block forced to ``rows`` rows equal its one-block ones byte for byte."""
+        block forced to ``rows`` rows equal its one-block ones byte for byte,
+        the forced blocks read from the plan's cache on the second pass."""
         model = batch_model(name, seed)
+        labels = [g.label for g in graphs]
         runs = []
-        for blocks in (None, rows):
+        for blocks in (None, rows, rows):
             with forced_blocks(blocks):
-                logits = model.forward(graphs).data
-                losses = model.loss(graphs, training=True,
-                                    rngs=dropout_rngs(seed, range(len(graphs))))
+                batch = model.batch(graphs) if blocks is None or len(runs) == 1 else batch
+                logits = model.forward(batch).data
+                losses = ad.cross_entropy(model.forward(batch, training=True,
+                                                        rngs=dropout_rngs(seed, range(len(graphs)))),
+                                          labels)
                 grads = ad.backward(ad.reduce_sum(losses))
             runs.append([logits.tobytes(), losses.data.tobytes()]
                         + [grads[p].tobytes() for p in model.parameters().values() if p in grads])
-        assert runs[0] == runs[1]
+        assert rows in batch.plan.targets._blocks
+        assert runs[0] == runs[1] == runs[2]
+
+
+def test_a_step_reads_the_plan_and_rebuilds_no_layout(monkeypatch):
+    """A c06-size training step, from ``batch_graphs`` through backward,
+    checks its runs and indices once, when the plan is built: the ops
+    derive no segment layout and pooling sorts nothing."""
+    from heatnet import pooling
+    graphs = [random_labeled_graph(np.random.default_rng(i), DEFAULT_TYPES, n_nodes=13,
+                                   feature_dim=8) for i in range(2)]
+    model = Model.init(ModelConfig(feature_dim=8, dropout=0.2), rng_for(0, "init"))
+    calls = {"Runs": 0, "Index": 0, "unique": 0, "argsort": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for cls in (ad.Runs, ad.Index):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    numpy_in_pooling = type("numpy_in_pooling", (), {
+        "__getattr__": lambda self, attr: getattr(np, attr),
+        "unique": staticmethod(counting("unique", np.unique)),
+        "argsort": staticmethod(counting("argsort", np.argsort))})()
+    monkeypatch.setattr(pooling, "np", numpy_in_pooling)
+
+    def step(batch):
+        losses = ad.cross_entropy(model.forward(batch, training=True,
+                                                rngs=dropout_rngs(0, range(2))),
+                                  [g.label for g in graphs])
+        ad.backward(ad.reduce_sum(losses))
+
+    batch = model.batch(graphs)
+    # targets, the per-type cells, their graphs; edges, node types, cell types
+    step(batch)
+    assert calls == {"Runs": 3, "Index": 4, "unique": 0, "argsort": 0}
+    step(batch)
+    assert calls == {"Runs": 3, "Index": 4, "unique": 0, "argsort": 0}
 
 
 def shuffled_edges(g, rng):

@@ -212,8 +212,8 @@ class TestBitEqualToLeaveOneOut:
         # cell sums the reduced graph's own rows.
         expansion = ad._segment_expansion
 
-        def overflowing(xs, starts, counts):
-            terms, finite = expansion(xs, starts, counts)
+        def overflowing(xs, runs):
+            terms, finite = expansion(xs, runs)
             return terms, np.zeros_like(finite)
 
         model = self.model(name, seed)
@@ -269,9 +269,9 @@ def test_explain_work_grows_linearly_with_the_graph(monkeypatch):
     rows = []
     fsum = ad._segment_fsum
 
-    def counting(xs, starts, counts, **kwargs):
+    def counting(xs, runs, **kwargs):
         rows[-1] += len(xs)
-        return fsum(xs, starts, counts, **kwargs)
+        return fsum(xs, runs, **kwargs)
 
     monkeypatch.setattr(ad, "_segment_fsum", counting)
     model = Model.init(ModelConfig(feature_dim=8), 1000)

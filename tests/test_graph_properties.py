@@ -145,7 +145,7 @@ def test_segment_ops_match_list_form_bitwise(g, cols, mode, kind, extra, seed):
 
     upstream = rng.standard_normal((g.n_nodes, cols))
     xt = Tensor(x.copy(), requires_grad=True)
-    out = (ad.segment_reduce if mode == "mean" else segment_sum)(xt, counts)
+    out = ad.segment_reduce(xt, ad.Runs(counts)) if mode == "mean" else segment_sum(xt, counts)
     ad.backward(ad.reduce_sum(ad.mul(out, Tensor(upstream))))
     ref_out, ref_dx = ref_segment_reduce(x, segs, mode, grad=upstream)
     assert out.data.tobytes() == ref_out.tobytes()

@@ -259,6 +259,12 @@ def attend_inputs(name, d_k, seed, m=5, heads=2, n_edges=None):
     return params, table, mod, src, dst, counts
 
 
+def attend_raw(params, table, mod, src, dst, counts):
+    """``attend`` on index arrays and counts, each checked as the op's plan."""
+    m = table.shape[0]
+    return attend(params, table, mod, ad.Index(src, m), ad.Index(dst, m), ad.Runs(counts))
+
+
 def weighted_sum(out, seed):
     r = np.random.default_rng(seed + 1).normal(size=out.shape)
     return ad.reduce_sum(ad.mul(out, ad.Tensor(r)))
@@ -274,7 +280,7 @@ class TestFusedAttend:
         params, table, mod, src, dst, counts = attend_inputs(name, d_k, seed)
         leaves = [t for t in (table, mod) if t.requires_grad]
         results = []
-        for op in (attend, ref_attend):
+        for op in (attend_raw, ref_attend):
             out, att = op(params, table, mod, src, dst, counts)
             grads = ad.backward(weighted_sum(out, seed))
             results.append((out.data, np.asarray(getattr(att, "data", att)),
@@ -297,7 +303,7 @@ class TestFusedAttend:
             params, table, mod, src, dst, counts = attend_inputs(name, d_k, seed)
             leaves = [t for t in (table, mod) if t.requires_grad]
             with forced_blocks(blocks):
-                out, att = attend(params, table, mod, src, dst, counts)
+                out, att = attend_raw(params, table, mod, src, dst, counts)
                 grads = ad.backward(weighted_sum(out, seed))
             runs.append([out.data.tobytes(), att.tobytes()] + [grads[t].tobytes() for t in leaves])
         assert runs[0] == runs[1]
@@ -309,9 +315,34 @@ class TestFusedAttend:
         leaves = [t for t in (table, mod) if t.requires_grad]
 
         def f():
-            return weighted_sum(attend(params, table, mod, src, dst, counts)[0], d_k)
+            return weighted_sum(attend_raw(params, table, mod, src, dst, counts)[0], d_k)
 
         assert ad.grad_check(f, leaves, eps=1e-4) < 1e-5
+
+    @settings(max_examples=60, deadline=None)
+    @given(heads=st.integers(1, 4), d_k=st.integers(1, 9), name=st.sampled_from(list(ATTEND_CONFIGS)),
+           zeros=st.booleans(), seed=st.integers(0, 10_000))
+    def test_outputs_and_modulation_gradient_bytes_equal_the_composition(self, heads, d_k, name,
+                                                                         zeros, seed):
+        # The VJP's head sums (``_sum_heads``) and d_k sums (``_sum_last``)
+        # round as the composition's reductions, also for -0.0 upstream entries.
+        params, table, mod, src, dst, counts = attend_inputs(name, d_k, seed, heads=heads)
+        upstream = np.random.default_rng(seed + 7).normal(size=(len(counts), heads * d_k))
+        if zeros:
+            upstream[np.random.default_rng(seed + 8).random(upstream.shape) < 0.5] = -0.0
+        results, g_mods = [], []
+        for op in (attend_raw, ref_attend):
+            out, att = op(params, table, mod, src, dst, counts)
+            grads = ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(upstream))))
+            results.append([out.data.tobytes(), np.asarray(getattr(att, "data", att)).tobytes()])
+            g_mods.append(grads.get(mod))
+        assert results[0] == results[1]
+        if mod.requires_grad:
+            # With one head the composition's broadcast gradient is not summed,
+            # so a -0.0 there stays -0.0 where a sum gives +0.0.
+            assert np.array_equal(g_mods[0], g_mods[1])
+            if heads > 1:
+                assert g_mods[0].tobytes() == g_mods[1].tobytes()
 
     def test_records_one_tape_op(self, monkeypatch):
         params, table, mod, src, dst, counts = attend_inputs("mean", 2, 0)
@@ -323,7 +354,7 @@ class TestFusedAttend:
             return make(data, parents, vjp, op)
 
         monkeypatch.setattr(ad, "_make", counting_make)
-        attend(params, table, mod, src, dst, counts)
+        attend_raw(params, table, mod, src, dst, counts)
         assert ops == ["edge_attention"]
 
     @pytest.mark.parametrize("change", ["src", "dst", "counts", "mod"])
@@ -340,4 +371,4 @@ class TestFusedAttend:
         else:
             mod = ad.Tensor(np.ones((len(src), 3)))
         with pytest.raises(ContractError if change == "counts" else ShapeError):
-            attend(params, table, mod, src, dst, counts)
+            attend_raw(params, table, mod, src, dst, counts)

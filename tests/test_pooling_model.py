@@ -13,7 +13,7 @@ from heatnet import autodiff as ad
 from heatnet.autodiff import Tensor
 from heatnet.builder import BuildConfig, PatchRecord, build_graph
 from heatnet.errors import ContractError, ShapeError
-from heatnet.hetgraph import DEFAULT_TYPE_NAMES, DEFAULT_TYPES, HeteroGraph, TypeSet
+from heatnet.hetgraph import DEFAULT_TYPE_NAMES, DEFAULT_TYPES, HeteroGraph, TypeSet, pool_cells
 from heatnet.model import Model, ModelConfig, baseline_config
 from heatnet.pooling import PoolParams, pl_pool
 from heatnet.seeding import rng_for
@@ -28,8 +28,8 @@ def make_pool(types=TYPES3, dim=4, n_classes=2, seed=0):
 
 def logits_one(feats, type_idx, params):
     """pl_pool of one graph under per-type pooling: its (C,) logits."""
-    logits = pl_pool(feats, type_idx, params.readout.shape[0], params,
-                     np.zeros(len(type_idx), dtype=np.intp))
+    cells = pool_cells(type_idx, params.readout.shape[0], np.zeros(len(type_idx), dtype=np.intp))
+    logits = pl_pool(feats, cells, params)
     assert logits.shape == (1, params.classifier_b.shape[0])
     return logits.data[0]
 
@@ -107,15 +107,46 @@ class TestPlPool:
         for type_idx, graph in ((idx, idx), (np.zeros(5, dtype=np.intp), idx),
                                 (idx, np.zeros(5, dtype=np.intp))):
             with pytest.raises(ShapeError):
-                pl_pool(feats, type_idx, 3, params, graph)
+                pl_pool(feats, pool_cells(type_idx, 3, graph), params)
 
     @pytest.mark.parametrize("type_idx, graph", [([0, 3], [0, 0]), ([0, -1], [0, 0]),
                                                  ([0, 1], [0, -1])],
                              ids=["type-beyond-T", "negative-type", "negative-graph"])
     def test_out_of_range_index_is_a_shape_error(self, type_idx, graph):
         with pytest.raises(ShapeError):
-            pl_pool(Tensor(np.ones((2, 2))), np.array(type_idx), 3, make_pool(dim=2),
-                    np.array(graph))
+            pl_pool(Tensor(np.ones((2, 2))), pool_cells(np.array(type_idx), 3, np.array(graph)),
+                    make_pool(dim=2))
+
+
+class TestPermutationGather:
+    """``pl_pool`` gathers rows by a permutation, whose VJP assigns each
+    row's gradient; it equals the scatter-add composition byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), n_types=st.integers(1, 4), n_graphs=st.integers(1, 3),
+           zeros=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_forward_and_gradient_bytes_equal_the_add_at_composition(self, n, n_types, n_graphs,
+                                                                     zeros, seed):
+        rng = np.random.default_rng(seed)
+        n = max(n, n_graphs)
+        graph = np.sort(np.concatenate([np.arange(n_graphs), rng.integers(0, n_graphs, n - n_graphs)]))
+        cells = pool_cells(rng.integers(0, n_types, n), n_types, graph)
+        params = PoolParams.init(TypeSet(DEFAULT_TYPE_NAMES[:n_types]), 3, 2, rng_for(seed, "pool"))
+        feats = rng.standard_normal((n, 3))
+        upstream = rng.standard_normal((n_graphs, 2))
+        if zeros:
+            upstream[rng.random(upstream.shape) < 0.5] = -0.0
+        runs = []
+        for order in (cells.order, ad.Index(cells.order.rows, n)):   # distinct, then add.at
+            x = Tensor(feats, requires_grad=True)
+            means = ad.segment_reduce(ad.gather_rows(x, order), cells.runs)
+            out = ad.pooled_logits(means, cells.cells, params.readout, params.classifier_w,
+                                   params.classifier_b)
+            ad.backward(ad.reduce_sum(ad.mul(out, Tensor(upstream))))
+            runs.append([out.data.tobytes(), x.grad.tobytes()])
+        assert cells.order.distinct and runs[0] == runs[1]
+        logits = pl_pool(Tensor(feats), cells, params).data
+        assert logits.tobytes() == runs[0][0]
 
 
 class TestGraphLogits:
@@ -123,7 +154,7 @@ class TestGraphLogits:
 
     @staticmethod
     def head(means, cells, params, n_types=3):
-        return ad.pooled_logits(Tensor(means), cells, n_types, params.readout,
+        return ad.pooled_logits(Tensor(means), ad.Cells(cells, n_types), params.readout,
                                 params.classifier_w, params.classifier_b)
 
     def test_rows_must_be_types_per_graph(self):
@@ -196,7 +227,7 @@ class TestPooledLogits:
         for head in (ad.pooled_logits, ref_pooled_logits):
             leaves = [Tensor(a, requires_grad=True) for a in (means, weight, bias)]
             maps = None if readout is None else Tensor(readout, requires_grad=True)
-            out = head(leaves[0], cells, n_types, maps, leaves[1], leaves[2])
+            out = head(leaves[0], ad.Cells(cells, n_types), maps, leaves[1], leaves[2])
             grads = ad.backward(ad.reduce_sum(ad.mul(out, Tensor(upstream))))
             runs.append([out.data.tobytes()] + [grads[t].tobytes() for t in leaves]
                         + ([] if maps is None else [grads[maps].tobytes()]))
@@ -212,7 +243,7 @@ class TestPooledLogits:
         params = [means, weight, bias] + ([readout] if maps else [])
 
         def f():
-            out = ad.pooled_logits(means, [0, 2, 4, 5], 3, readout, weight, bias)
+            out = ad.pooled_logits(means, ad.Cells([0, 2, 4, 5], 3), readout, weight, bias)
             return ad.reduce_sum(ad.cross_entropy(out, [1, 0]))
 
         assert ad.grad_check(f, params, eps=1e-4) < 1e-5
