@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from typing import Sequence
@@ -266,17 +266,17 @@ class BatchPlan:
     targets: ad.Runs
     node_types: ad.Index
     graph: np.ndarray
+    _pool: dict[bool, PoolCells] = field(default_factory=dict, init=False, repr=False)
 
     def pool(self, per_type: bool) -> PoolCells:
         """The cells of per-type pooling (``per_type``) or of mean pooling,
         whose one pool type holds a graph's every row; the plan's types and
         graph indices need no second check."""
-        cached = self.__dict__.setdefault("_pool", {})
-        if per_type not in cached:
+        if per_type not in self._pool:
             types, n_types = ((self.node_types.rows, self.node_types.bound) if per_type
                               else (np.zeros_like(self.graph), 1))
-            cached[per_type] = _pool_cells(types, n_types, self.graph)
-        return cached[per_type]
+            self._pool[per_type] = _pool_cells(types, n_types, self.graph)
+        return self._pool[per_type]
 
 
 @dataclass(frozen=True, eq=False)
