@@ -25,13 +25,14 @@ their gradients with ``np.add.at``.
 The segment ops take runs of consecutive rows, the CSR layout in which
 ``hetgraph.batch_graphs`` sorts edges by target: segment s is the
 ``counts[s]`` rows that follow segment s - 1. The ops read the layout from
-plan objects that are checked once when they are built, not on every
+index objects that are checked once when they are built, not on every
 call: ``Runs`` (counts, starts, the grid scale of the longest run and the
 attention blocks per block size), ``Index`` (row indices below a bound,
 perhaps distinct) and ``Cells`` (the pooling head's present cells).
-``batch_graphs`` builds them once per batch; any other caller builds the
-same objects from its counts and indices. A count that is not positive,
-or counts that do not sum to the row count, is a ContractError.
+``batch_graphs`` builds them once per batch and the ``GraphBatch`` holds
+them; any other caller builds the same objects from its counts and
+indices. A count that is not positive, or counts that do not sum to the
+row count, is a ContractError.
 
 Reductions whose operand order depends on node/edge ordering (segment
 aggregation and pooling, per-segment softmax denominators and their
@@ -517,11 +518,11 @@ class Runs:
     ``counts[s]`` rows that follow segment s - 1, and every count is positive.
 
     Holds what every segment op of a step reads: ``starts``, ``n_rows``
-    (the sum of the counts), ``scale`` (the exact-sum grid scale of the
-    longest run, ``_grid_scale``) and, per block size, the blocks of whole
-    segments (``blocks``). ``hetgraph.batch_graphs`` builds the runs of a
-    batch's targets and pooling cells; a caller with other counts builds
-    them the same way.
+    (the sum of the counts), ``scale`` (the exact-sum grid scale: the least
+    s with 2**s >= every count + 2) and, per block size, the blocks of whole
+    segments (``blocks``). A ``hetgraph.GraphBatch`` holds the runs of its
+    targets and pooling cells; a caller with other counts builds them the
+    same way.
     """
 
     __slots__ = ("counts", "starts", "n_rows", "scale", "_blocks")
@@ -541,7 +542,7 @@ class Runs:
         ends = counts.cumsum()
         self.counts, self.starts = counts, ends - counts
         self.n_rows = int(ends[-1]) if len(ends) else 0
-        self.scale = (longest + 1).bit_length()   # _grid_scale(counts)
+        self.scale = (longest + 1).bit_length()
         self._blocks: dict[int, list[tuple[slice, slice, Runs]]] = {}
 
     def __len__(self) -> int:
@@ -599,11 +600,6 @@ class Cells:
 
     def __len__(self) -> int:
         return len(self.cells)
-
-
-def _grid_scale(counts: Array) -> int:
-    """The least ``scale`` with 2**scale >= every count + 2."""
-    return int(counts.max(initial=0) + 1).bit_length()
 
 
 def _segment_grids(xs: Array, runs: Runs, q: Array) -> Array:

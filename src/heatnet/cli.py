@@ -15,6 +15,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .builder import build_graph, load_patch_table
 from .config import RunConfig, load_run_config, provenance_block
@@ -146,14 +148,10 @@ def cmd_build_graph(args, cfg: RunConfig) -> int:
     g = build_graph(patches, cfg.build, DEFAULT_TYPES)
     prov = provenance_block(cfg, "build-graph", args.deterministic)
     save_graph(g, out, extra={"provenance": prov})
-    hist: dict[str, int] = {}
-    for t in g.node_types:
-        name = g.types.names[t]
-        hist[name] = hist.get(name, 0) + 1
     print(f"nodes={g.n_nodes} edges={g.n_edges}")
-    for name in g.types.names:
-        if hist.get(name):
-            print(f"type {name}: {hist[name]}")
+    for name, count in zip(g.types.names, np.bincount(g.node_types, minlength=len(g.types))):
+        if count:
+            print(f"type {name}: {count}")
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -135,7 +135,7 @@ def recompute_removals(model: Model, batch: GraphBatch, layer_outputs: list[Laye
     are rows ``by_source[out_starts[t]:out_starts[t + 1]]``, its incoming
     ones rows ``in_starts[t]:in_starts[t + 1]``."""
     n = batch.n_nodes
-    src, dst = batch.edge_pos
+    src, dst = batch.src.rows, batch.dst.rows
     changed = np.empty(0, dtype=np.intp)
     h_changed = Tensor(np.empty((0, model.layers[0].d_in)))
     for i, (layer, cached) in enumerate(zip(model.layers, layer_outputs)):
@@ -154,7 +154,7 @@ def recompute_removals(model: Model, batch: GraphBatch, layer_outputs: list[Laye
         # The chunk's table: the cached rows its edges could read (every
         # source and target), then the new rows.
         old, slot = _distinct(np.concatenate([source, tt]), n)
-        types = ad.Index(batch.node_types[changed % n], len(batch.types))
+        types = ad.Index(batch.node_types.rows[changed % n], batch.node_types.bound)
         table = ad.concat([ad.gather_rows(cached.node_proj, ad.Index(old, n)),
                            project_nodes(layer, h_changed, types)])
         rows = len(old) + len(changed)
@@ -173,8 +173,8 @@ def recompute_removals(model: Model, batch: GraphBatch, layer_outputs: list[Laye
 class TypeSums:
     """The full graph's final rows and each pooling type's exact column sums.
 
-    The pooling types are ``Model.pool_types``: the node types under
-    per-type pooling, one type under mean pooling.
+    The pooling types are the cells of ``Model.pool_cells`` on the one-graph
+    batch: the node types under per-type pooling, one type under mean pooling.
     ``terms[term_starts[a]:term_starts[a + 1]]`` sum, exactly, to type a's
     column sums; a type without nodes has no terms, nor has a type whose
     expansion overflows (``fallback``).
@@ -192,13 +192,14 @@ class TypeSums:
     fallback: np.ndarray
 
 
-def _type_sums(model: Model, rows: np.ndarray, node_types: np.ndarray) -> TypeSums:
-    types, n_types = model.pool_types(node_types)
-    count = np.bincount(types, minlength=n_types)
-    by_type = np.argsort(types, kind="stable")
+def _type_sums(model: Model, rows: np.ndarray, batch: GraphBatch) -> TypeSums:
+    # The forward built these cells; in a one-graph batch a cell is a pool type.
+    pool = model.pool_cells(batch)
+    present = pool.cells.cells
+    count = np.zeros(pool.cells.n_types, dtype=np.intp)
+    count[present] = pool.runs.counts
     type_starts = np.concatenate([[0], np.cumsum(count)])
-    present = np.flatnonzero(count)
-    terms, finite = ad._segment_expansion(rows[by_type], ad.Runs(count[present]))
+    terms, finite = ad._segment_expansion(rows[pool.order.rows], pool.runs)
     # A type keeps its nonzero terms, and its first so that no segment is empty.
     keep = terms.any(axis=2).T
     keep[:, 0] = True
@@ -207,8 +208,9 @@ def _type_sums(model: Model, rows: np.ndarray, node_types: np.ndarray) -> TypeSu
     term_count[present] = keep.sum(axis=1)
     fallback = np.zeros(len(count), dtype=bool)
     fallback[present] = ~finite
-    return TypeSums(rows, types, count, terms.transpose(1, 0, 2)[keep],
-                    np.concatenate([[0], np.cumsum(term_count)]), by_type, type_starts, fallback)
+    return TypeSums(rows, pool.cell, count, terms.transpose(1, 0, 2)[keep],
+                    np.concatenate([[0], np.cumsum(term_count)]), pool.order.rows, type_starts,
+                    fallback)
 
 
 def removal_logits(model: Model, full: TypeSums, removed: np.ndarray, changed: np.ndarray,
@@ -264,8 +266,8 @@ def _removal_losses(model: Model, g: HeteroGraph, batch: GraphBatch,
     """loss(G without v) for every node position v, from the full forward's
     layer outputs on the one-graph ``batch``, for chunks of removals at a time."""
     n = g.n_nodes
-    src, dst = batch.edge_pos
-    in_degree = batch.in_degree
+    src, dst = batch.src.rows, batch.dst.rows
+    in_degree = batch.targets.counts
     pairs, count = np.unique(src * n + dst, return_counts=True)
     s, t = np.divmod(pairs, n)
     lone = (count == in_degree[t]) & (s != t)
@@ -276,8 +278,8 @@ def _removal_losses(model: Model, g: HeteroGraph, batch: GraphBatch,
         left = in_degree - np.bincount(dst[src == v], minlength=n)
         check_incoming(g.node_ids[:v] + g.node_ids[v + 1:], np.delete(left, v))
     by_source = np.argsort(src, kind="stable")
-    out_starts, in_starts = (np.concatenate([[0], np.cumsum(c)])
-                             for c in (np.bincount(src, minlength=n), in_degree))
+    out_starts = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    in_starts = np.append(batch.targets.starts, batch.targets.n_rows)
     # reach[v] bounds the final rows removing v changes: the nodes at the
     # end of walks of up to n_layers edges from v.
     reach = np.zeros(n)
@@ -285,7 +287,7 @@ def _removal_losses(model: Model, g: HeteroGraph, batch: GraphBatch,
         reach = np.minimum(np.bincount(src, weights=1.0 + reach[dst], minlength=n), n - 1)
     cost = 1.0 + reach
     chunk = (np.cumsum(cost) - cost) // _CHUNK_ROWS
-    full = _type_sums(model, layer_outputs[-1].node_features.data, g.node_types)
+    full = _type_sums(model, layer_outputs[-1].node_features.data, batch)
     losses: list[float] = []
     for removed in np.split(np.arange(n), np.flatnonzero(np.diff(chunk)) + 1):
         changed, h_changed = recompute_removals(model, batch, layer_outputs, removed,

@@ -16,9 +16,11 @@ rows (``project_nodes``), and ``attend`` scores, normalizes and
 aggregates edge rows given as index arrays into that table as one tape op
 (``autodiff.edge_attention``), so no op loops over types, heads or edges.
 A layer records at most three tape ops: the projection, the edge map
-``autodiff.linear`` and the attention op. A target's incoming edges are
-one run of the batch's rows. The leave-one-out attribution calls
-``attend`` directly on the edges around each removed node.
+``autodiff.linear`` and the attention op. The batch holds the checked
+indices and runs the ops read (``src``, ``dst``, ``node_types``, and
+``targets``: a target's incoming edges are one run of its rows). The
+leave-one-out attribution calls ``attend`` directly on the edges around
+each removed node.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ def layer_forward(batch: GraphBatch, params: HeatLayerParams,
     """Run the attention layer over a batch of graphs, differentiably.
 
     A graph g runs as ``batch_graphs([g])``; edge rows are in the batch's
-    order; the batch's plan gives every index and run the ops read.
+    order, and the batch gives every index and run the ops read.
     ``features``/``edge_attrs`` default to the batch's own arrays (as
     constants); pass tensors to chain layers.
     """
@@ -148,13 +150,12 @@ def layer_forward(batch: GraphBatch, params: HeatLayerParams,
     if not params.shared_projection and batch.types.names != params.types.names:
         raise ConfigError("graph type set does not match layer parameters")
 
-    plan = batch.plan
-    node_proj = project_nodes(params, feats, plan.node_types)
+    node_proj = project_nodes(params, feats, batch.node_types)
     if params.w_edge is None:
         eproj = Tensor(np.ones((batch.n_edges, params.d_k)))
     else:
         eproj = ad.linear(attrs, params.w_edge)
-    h_out, att = attend(params, node_proj, eproj, plan.src, plan.dst, plan.targets)
+    h_out, att = attend(params, node_proj, eproj, batch.src, batch.dst, batch.targets)
     return LayerOutput(
         node_features=h_out,
         edge_attrs=eproj,

@@ -5,16 +5,18 @@ dropout between them, followed by per-type pooling (or plain mean pooling)
 and a linear head. The type-blind baseline variant shares one projection
 across all node types, forces the edge modulation to all-ones, and uses
 plain mean pooling — isolating exactly what node/edge heterogeneity adds.
-Training, evaluation (``readout``) and attribution (``head``) classify
-through one pooling op, which ``pool_types`` alone adapts to the mode.
+Training, evaluation and attribution (``head``) classify through one
+pooling op; ``pool_cells`` is the one place that reads the pooling mode.
 
 ``Model.forward`` takes a sequence of graphs and runs them as one disjoint
-union (``hetgraph.GraphBatch``): stacked rows, offset edge positions, and a
-per-node graph index that the readout pools by, giving (B, C) logits. A
-single graph is a batch of one; there is no other path. Every product is
-row-invariant and every sum exactly rounded, so each graph's logits are
-bit-equal to those of its own one-graph batch, and in training each
-graph's dropout mask comes from its own generator.
+union (``hetgraph.GraphBatch``), giving (B, C) logits. That one batch
+object holds the stacked rows and the checked index layout every op reads:
+edge endpoints, target runs, node types, and the pooling cells that
+``pool_cells`` picks for the model's mode. A single graph is a batch of
+one; there is no other path. Every product is row-invariant and every sum
+exactly rounded, so each graph's logits are bit-equal to those of its own
+one-graph batch, and in training each graph's dropout mask comes from its
+own generator.
 """
 
 from __future__ import annotations
@@ -114,6 +116,8 @@ class Model:
     def batch(self, graphs: Sequence[HeteroGraph]) -> GraphBatch:
         """The graphs as one disjoint union, after checking that each fits
         the model (nonempty, feature and edge dimensions, type set)."""
+        # Only type-blind layers under mean pooling read no node type.
+        blind = self.config.type_blind and self.config.pooling == "mean"
         for g in graphs:
             if g.n_nodes == 0:
                 raise ShapeError("cannot run the model on an empty graph")
@@ -123,8 +127,6 @@ class Model:
             if g.edge_dim != self.config.edge_attr_dim:
                 raise ShapeError(
                     f"graph edge attr dim {g.edge_dim} does not match model {self.config.edge_attr_dim}")
-            # Type-blind layers with one pool type read no type name.
-            blind = self.config.type_blind and self.pool_types(g.node_types)[1] == 1
             if not blind and g.types.names != self.types.names:
                 raise ConfigError("graph type set does not match the model's")
         return batch_graphs(graphs)
@@ -152,7 +154,7 @@ class Model:
             h, attrs = out.node_features, out.edge_attrs
             if i < len(self.layers) - 1:
                 h = self.activate(h, training, rngs, blocks)
-        return self.readout(h, batch.plan.pool(self.config.pooling == "pl"))
+        return pl_pool(h, self.pool_cells(batch), self.pool)
 
     def activate(self, h: Tensor, training: bool = False,
                  rngs: Sequence[np.random.Generator] | None = None,
@@ -162,20 +164,13 @@ class Model:
         h = ad.leaky_relu(h)
         return ad.dropout(h, self.config.dropout, rngs, training, blocks)
 
-    def pool_types(self, node_types: np.ndarray) -> tuple[np.ndarray, int]:
-        """Each row's pool type and the pool-type count: the node types and
-        T under per-type pooling, zeros and 1 under mean pooling."""
-        if self.config.pooling == "pl":
-            return node_types, len(self.types)
-        return np.zeros_like(node_types), 1
-
-    def readout(self, h: Tensor, cells: PoolCells) -> Tensor:
-        """Final node features of B stacked graphs -> logits (B, C), pooled
-        by this mode's ``cells`` of their batch plan."""
-        return pl_pool(h, cells, self.pool)
+    def pool_cells(self, batch: GraphBatch) -> PoolCells:
+        """The batch's pooling cells under this model's mode: per node type
+        under per-type pooling, one pool type per graph under mean pooling."""
+        return batch.pool(self.config.pooling == "pl")
 
     def head(self, means: Tensor, cells: ad.Cells) -> Tensor:
-        """The classification head of ``readout`` on pooled means made
+        """The classification head of ``forward`` on pooled means made
         elsewhere: logits (B, C). Row k of ``means`` is the mean of cell k
         of ``cells`` (graph * T + pool type, ascending)."""
         p = self.pool

@@ -4,10 +4,11 @@ Node features are pooled within each pool type (mean over the type's rows,
 then a trainable per-type linear map), the graph vector is the mean of the
 T type vectors, and a linear classifier gives the logits. An absent type
 adds nothing to the sum and still counts in T, as a zero row would. Mean
-pooling, the ablation baseline, is one pool type and no maps
-(``Model.pool_types``). Every reduction is an exactly rounded segment sum
-and every product is row-invariant, so each graph of a stack gets the
-logits it gets alone, bit for bit.
+pooling, the ablation baseline, is one pool type and no maps; the batch
+builds either mode's cells (``GraphBatch.pool``) and ``Model.pool_cells``
+picks the model's. Every reduction is an exactly rounded segment sum and
+every product is row-invariant, so each graph of a stack gets the logits
+it gets alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -57,10 +58,10 @@ class PoolParams:
 def pl_pool(features: Tensor, cells: PoolCells, params: PoolParams) -> Tensor:
     """Logits (B, C) of B stacked graphs from their (n, d) node rows.
 
-    ``cells`` (``hetgraph.pool_cells``, or a batch's ``plan.pool``) groups
-    the rows by (graph, pool type). One gather into that order and one
-    segment mean give the present cells' means, and
-    ``autodiff.pooled_logits`` maps, averages and classifies them.
+    ``cells`` (``Model.pool_cells`` of their batch) groups the rows by
+    (graph, pool type). One gather into that order and one segment mean
+    give the present cells' means, and ``autodiff.pooled_logits`` maps,
+    averages and classifies them.
     """
     if cells.order.bound != features.shape[0]:
         raise ShapeError(f"pooling cells of {cells.order.bound} rows for "

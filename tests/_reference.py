@@ -6,7 +6,8 @@ autodiff path they are checked against. The slow paths that the package
 replaced (per-edge id lookups, list-of-segments segment ops, the per-edge
 validation loops, the dense k-NN and the per-edge Pearson loop of graph
 construction, the unfused attention composition ``ref_attend``, the
-earlier exact-sum kernel ``ref_segment_fsum``, the per-name Adam update
+earlier exact-sum kernel ``ref_segment_fsum`` with its grid scale
+``ref_grid_scale``, the per-name Adam update
 ``ref_adam_step`` with its per-name moments ``RefAdamState``, and the
 zero-padded pooling head ``ref_pooled_logits``) are kept here as oracles
 for the fast ones. The tape ops only those oracles
@@ -349,14 +350,14 @@ def incoming_segments(batch):
     nonempty-neighborhood contract).
     """
     segs = [[] for _ in range(batch.n_nodes)]
-    for e, t in enumerate(batch.edge_pos[1].tolist()):
+    for e, t in enumerate(batch.dst.rows.tolist()):
         segs[t].append(e)
     return [np.asarray(s, dtype=np.intp) for s in segs]
 
 
 def edge_list(batch):
     """The batch's edges as (src_pos, dst_pos) pairs, in its row order."""
-    return list(zip(batch.edge_pos[0].tolist(), batch.edge_pos[1].tolist()))
+    return list(zip(batch.src.rows.tolist(), batch.dst.rows.tolist()))
 
 
 def ref_segment_softmax(x, segments, grad=None):
@@ -394,6 +395,12 @@ def ref_segment_reduce(x, segments, mode="mean", grad=None):
     return out, dx
 
 
+def ref_grid_scale(counts):
+    """The least ``scale`` with 2**scale >= every count + 2: the exact-sum
+    grid scale that ``autodiff.Runs`` computes from its longest run."""
+    return int(np.max(counts, initial=0) + 1).bit_length()
+
+
 def ref_segment_fsum(xs, starts, counts):
     """Exactly rounded column sums of row segments, as math.fsum: the
     two-pass extraction kernel that ``ad._segment_fsum`` replaced.
@@ -401,7 +408,7 @@ def ref_segment_fsum(xs, starts, counts):
     Each pass computes its own grid from the largest magnitude of the
     values it extracts, and the certificate is always evaluated.
     """
-    scale = ad._grid_scale(counts)
+    scale = ref_grid_scale(counts)
 
     def extract(rest):
         mu = np.maximum.reduceat(np.abs(rest), starts, axis=0)

@@ -11,11 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _reference import (add, forced_blocks, ref_segment_fsum, reshape, segment_softmax,
-                        segment_sum)
+from _reference import (add, forced_blocks, ref_grid_scale, ref_segment_fsum, reshape,
+                        segment_softmax, segment_sum)
 from heatnet import autodiff as ad
 from heatnet.autodiff import Tensor
 from heatnet.builder import BuildConfig, PatchRecord, build_graph
@@ -483,6 +483,17 @@ class TestSegmentOps:
 # Segment lengths at the grid-scale boundaries: 2**k - 2 is the largest
 # count of scale k and 2**k - 1 the smallest of scale k + 1.
 BOUNDARY_COUNTS = [n for k in range(2, 8) for n in (2**k - 2, 2**k - 1)]
+# Each side of every power-of-two boundary of the grid scale up to 2**39.
+SCALE_EDGE_COUNTS = [2**k + d for k in range(2, 40) for d in (-2, -1, 0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.one_of(st.integers(1, 9), st.sampled_from(SCALE_EDGE_COUNTS)),
+                       max_size=6))
+@example(counts=[])
+@example(counts=SCALE_EDGE_COUNTS)
+def test_runs_scale_is_the_reference_grid_scale(counts):
+    assert ad.Runs(counts).scale == ref_grid_scale(np.asarray(counts, dtype=np.intp))
 
 
 def _exact_sum_values(kind, rng, counts, cols):
@@ -520,7 +531,7 @@ def _exact_sum_values(kind, rng, counts, cols):
         x[pair] = rng.standard_normal((len(pair), cols)) * 2.0 ** rng.integers(-1000, -940)
         x[pair + 1] = -x[pair]
         return x
-    scale = ad._grid_scale(counts)
+    scale = ref_grid_scale(counts)
     if kind == "remainders":
         below = rng.integers(0, 2**20, shape) * rng.integers(0, 2, shape)
         x = sign[:1] * (2.0 ** (scale - 52) * (1.0 - below * 2.0 ** -53))
@@ -555,7 +566,7 @@ class TestExactSums:
     def test_ordinary_data_never_falls_back_to_fsum(self, monkeypatch):
         rng = np.random.default_rng(0)
         g = random_labeled_graph(rng, n_nodes=1000, feature_dim=1, extra_edge_prob=0.005)
-        counts = batch_graphs([g]).in_degree
+        counts = batch_graphs([g]).targets.counts
         x = Tensor(rng.standard_normal((g.n_edges, 4)), requires_grad=True)
         head = Tensor(rng.standard_normal((1, 4)))
         calls = []

@@ -94,7 +94,7 @@ class TestBatchEqualsOneGraphBatches:
     def test_row_blocks_change_no_bits(self, name, rows, graphs, seed):
         """A batch's logits, training losses and gradients with every row
         block forced to ``rows`` rows equal its one-block ones byte for byte,
-        the forced blocks read from the plan's cache on the second pass."""
+        the forced blocks read from the batch's cache on the second pass."""
         model = batch_model(name, seed)
         labels = [g.label for g in graphs]
         runs = []
@@ -108,14 +108,14 @@ class TestBatchEqualsOneGraphBatches:
                 grads = ad.backward(ad.reduce_sum(losses))
             runs.append([logits.tobytes(), losses.data.tobytes()]
                         + [grads[p].tobytes() for p in model.parameters().values() if p in grads])
-        assert rows in batch.plan.targets._blocks
+        assert rows in batch.targets._blocks
         assert runs[0] == runs[1] == runs[2]
 
 
 def test_a_step_reads_the_plan_and_rebuilds_no_layout(monkeypatch):
     """A c06-size training step, from ``batch_graphs`` through backward,
-    checks its runs and indices once, when the plan is built: the ops
-    derive no segment layout and pooling sorts nothing."""
+    checks its runs and indices once, when the batch and its pooling cells
+    are built: the ops derive no segment layout and pooling sorts nothing."""
     from heatnet import pooling
     graphs = [random_labeled_graph(np.random.default_rng(i), DEFAULT_TYPES, n_nodes=13,
                                    feature_dim=8) for i in range(2)]
@@ -164,7 +164,7 @@ def shuffled_edges(g, rng):
 def test_batch_edges_are_target_sorted_per_graph(graphs, seed, shuffle):
     """Edge rows are each graph's own edges, offset, grouped by target
     position in order and in the graph's own order within a target, with
-    their attributes; ``in_degree`` counts each node's rows."""
+    their attributes; ``targets`` counts each node's rows."""
     rng = np.random.default_rng(seed)
     if shuffle:
         graphs = [shuffled_edges(g, rng) for g in graphs]
@@ -176,12 +176,12 @@ def test_batch_edges_are_target_sorted_per_graph(graphs, seed, shuffle):
             expected += [(int(src[e]) + offset, t + offset, g.edge_attrs[e].tobytes())
                          for e in range(g.n_edges) if dst[e] == t]
         offset += g.n_nodes
-    got = list(zip(batch.edge_pos[0].tolist(), batch.edge_pos[1].tolist(),
+    got = list(zip(batch.src.rows.tolist(), batch.dst.rows.tolist(),
                    [row.tobytes() for row in batch.edge_attrs]))
     assert got == expected
     in_degree = np.concatenate([np.bincount(g.edge_pos[1], minlength=g.n_nodes) for g in graphs])
-    assert batch.in_degree.tolist() == in_degree.tolist()
-    assert batch.in_degree.tolist() == np.bincount(batch.edge_pos[1]).tolist()
+    assert batch.targets.counts.tolist() == in_degree.tolist()
+    assert batch.targets.counts.tolist() == np.bincount(batch.dst.rows).tolist()
 
 
 TYPES2 = TypeSet(DEFAULT_TYPES.names[:2])

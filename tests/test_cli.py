@@ -66,6 +66,20 @@ class TestBuildGraph:
         captured = capsys.readouterr().out
         assert "nodes=3" in captured
 
+    def test_prints_present_types_in_type_set_order(self, tmp_path, capsys):
+        names = ["dead", "connective", "neoplastic", "dead", "connective", "dead"]
+        patches = tmp_path / "patches.jsonl"
+        patches.write_text("".join(
+            json.dumps({"id": f"p{i}", "x": i, "y": 0, "feat": [1.0, i / 10], "type": name}) + "\n"
+            for i, name in enumerate(names)))
+        out = tmp_path / "graph.json"
+        assert main(["build-graph", "--patches", str(patches), "--out", str(out),
+                     "--set", "build.k=2"]) == EXIT_OK
+        g = load_graph(out)
+        assert capsys.readouterr().out.splitlines() == [
+            f"nodes=6 edges={g.n_edges}", "type neoplastic: 1", "type connective: 2",
+            "type dead: 3", f"wrote {out}"]
+
     def test_malformed_line_cites_line_and_exits_2(self, tmp_path, capsys):
         patches = tmp_path / "patches.jsonl"
         patches.write_text('{"id": "a", "x": 0, "y": 0, "feat": [1.0]}\n{"id": "b"\n')
@@ -646,7 +660,8 @@ class TestLabelOutsideClasses:
 
 class TestTypeSetMismatch:
     """A checkpoint whose model reads node types refuses graphs of another
-    type set; only one with type-blind layers and one pool type reads none."""
+    type set; only a type-blind one under mean pooling reads none. A
+    one-type model under per-type pooling still pools by node type."""
 
     @staticmethod
     def run(tmp_path, command, config):
@@ -657,8 +672,8 @@ class TestTypeSetMismatch:
         return main([command, *graphs, "--checkpoint", str(tmp_path / "ckpt.json"),
                      "--out", str(tmp_path / "o")])
 
-    @pytest.mark.parametrize("types", [DEFAULT_TYPES.names[:3], tuple("pqrstu")],
-                             ids=["three-types", "six-other-names"])
+    @pytest.mark.parametrize("types", [DEFAULT_TYPES.names[:3], tuple("pqrstu"), ("only",)],
+                             ids=["three-types", "six-other-names", "one-type"])
     @pytest.mark.parametrize("command", ["explain", "eval"])
     def test_type_blind_pl_exits_2_with_one_line(self, tmp_path, capsys, command, types):
         config = ModelConfig(feature_dim=3, hidden_dim=4, types=types, type_blind=True)

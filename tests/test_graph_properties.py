@@ -126,7 +126,7 @@ def test_segment_ops_match_list_form_bitwise(g, cols, mode, kind, extra, seed):
     """
     rng = np.random.default_rng(seed)
     batch = batch_graphs([g])
-    counts, segs = batch.in_degree.copy(), incoming_segments(batch)
+    counts, segs = batch.targets.counts.copy(), incoming_segments(batch)
     if extra:
         big = int(rng.integers(g.n_nodes))
         end = int(segs[big][-1]) + 1

@@ -48,8 +48,8 @@ class TestAttScore:
         b = batch_graphs([g])
         zero_attrs = ad.Tensor(np.zeros_like(b.edge_attrs))
         out = layer_forward(b, params, edge_attrs=zero_attrs, return_attention=True)
-        in_degree = np.bincount(b.edge_pos[1], minlength=g.n_nodes)
-        expected = np.repeat((1.0 / in_degree[b.edge_pos[1]])[:, None], params.heads, axis=1)
+        in_degree = np.bincount(b.dst.rows, minlength=g.n_nodes)
+        expected = np.repeat((1.0 / in_degree[b.dst.rows])[:, None], params.heads, axis=1)
         np.testing.assert_allclose(out.attention, expected, rtol=1e-15)
 
 
@@ -62,8 +62,8 @@ class TestAttentionSoftmax:
         params.w_edge.data[...] = 0.0
         b = batch_graphs([g])
         out = layer_forward(b, params, return_attention=True)
-        in_degree = np.bincount(b.edge_pos[1], minlength=g.n_nodes)
-        expected = np.repeat((1.0 / in_degree[b.edge_pos[1]])[:, None], params.heads, axis=1)
+        in_degree = np.bincount(b.dst.rows, minlength=g.n_nodes)
+        expected = np.repeat((1.0 / in_degree[b.dst.rows])[:, None], params.heads, axis=1)
         np.testing.assert_allclose(out.attention, expected, rtol=1e-15)
 
 
