@@ -27,8 +27,9 @@ The segment ops take runs of consecutive rows, the CSR layout in which
 ``counts[s]`` rows that follow segment s - 1. The ops read the layout from
 index objects that are checked once when they are built, not on every
 call: ``Runs`` (counts, starts, the grid scale of the longest run and the
-attention blocks per block size), ``Index`` (row indices below a bound,
-perhaps distinct) and ``Cells`` (the pooling head's present cells).
+attention blocks per block size), ``Index`` (row indices below a bound;
+a sorting permutation is distinct) and ``Cells`` (the pooling head's
+present cells).
 ``batch_graphs`` builds them once per batch and the ``GraphBatch`` holds
 them; any other caller builds the same objects from its counts and
 indices. A count that is not positive, or counts that do not sum to the
@@ -43,8 +44,9 @@ The segment ops work on whole arrays: ``np.maximum.reduceat`` for maxima,
 ``_segment_fsum``, for per-segment column sums. It splits the values by two
 error-free extraction passes into parts that numpy sums exactly; the first
 grid is one for the whole call, from its largest magnitude and the runs'
-scale, and the second is derived from the first. When a remainder is left it certifies that the
-result is correctly rounded, and it sums any cell it cannot certify with
+scale, and the second is derived from the first. When a remainder is left
+it certifies that the result is correctly rounded. A cell it cannot
+certify, and every cell of a call that no finite grid bounds, is summed by
 math.fsum, so every sum equals math.fsum's bit for bit.
 
 Products are row-invariant by construction: ``linear`` and ``typed_matmul``
@@ -75,10 +77,10 @@ block, so each table row receives its additions in the order of one
 ``np.add.at`` over all keys, then all queries. Arrays within budget are
 one block: the unblocked computation. More savings keep the bits:
 attention scores and their gradient add a head's d_k products, and the
-gradient its heads, plane by plane in numpy's own summation order
-(``_sum_last``, ``_sum_heads``); a softmax's exact sums take their first
-grid from the known largest term, exp(0) = 1, instead of a maximum over
-the call; and a gather by a distinct index, such as pooling's
+gradient its heads, with ``_plane_sum`` (fewer than 8 terms plane by
+plane in numpy's own order, more by numpy); a softmax's exact sums take
+their first grid from the known largest term, exp(0) = 1, instead of a
+maximum over the call; and a gather by a distinct index, such as pooling's
 permutation, assigns its gradient instead of scattering it.
 """
 
@@ -479,23 +481,22 @@ class Index:
     """Row indices into a table of ``bound`` rows, checked once.
 
     ``rows`` is a read-only 1-D intp array with every entry in
-    [0, ``bound``); ``distinct`` says no entry repeats, which is checked
-    too. An op that reads an index compares ``bound`` with its table's row
-    count instead of scanning the entries on every call.
+    [0, ``bound``). ``distinct`` says no entry repeats; only ``sorting``,
+    whose permutation has none by construction, builds such an index. An
+    op that reads an index compares ``bound`` with its table's row count
+    instead of scanning the entries on every call.
     """
 
     __slots__ = ("rows", "bound", "distinct")
 
-    def __init__(self, rows, bound: int, distinct: bool = False):
+    def __init__(self, rows, bound: int):
         rows = np.array(rows, dtype=np.intp)
         if rows.ndim != 1:
             raise ShapeError(f"an index must be 1-D, got shape {rows.shape}")
         # Seen as unsigned, a negative entry is above every bound.
         if rows.size and rows.view(np.uintp).max() >= bound:
             raise ShapeError(f"index out of range for {bound} rows")
-        if distinct and np.count_nonzero(np.bincount(rows, minlength=bound)) != rows.size:
-            raise ShapeError("a distinct index repeats a row")
-        self._set(rows, bound, distinct)
+        self._set(rows, bound, False)
 
     def _set(self, rows: Array, bound: int, distinct: bool) -> None:
         rows.setflags(write=False)
@@ -602,29 +603,18 @@ class Cells:
         return len(self.cells)
 
 
-def _segment_grids(xs: Array, runs: Runs, q: Array) -> Array:
-    """One first grid per segment and column, 2**scale times the power of
-    two above the column's largest magnitude, broadcast to the rows (call
-    under ``np.errstate``); ``q`` is scratch shaped as ``xs``."""
-    np.abs(xs, out=q)
-    # Nonnegative floats order as their int64 bit patterns, and an integer
-    # maximum is faster than a float one.
-    mu = np.maximum.reduceat(q.view(np.int64), runs.starts, axis=0).view(np.float64)
-    return np.ldexp(2.0 ** runs.scale, np.frexp(mu)[1]).repeat(runs.counts, axis=0)
-
-
 def _extract(sigma, rest: Array, q: Array, starts: Array) -> Array:
     """One error-free extraction pass on the grid ``sigma``: ``rest`` keeps
     the remainders, in place, and the exact column sums of each segment's
     parts are returned (``q`` is scratch shaped as ``rest``).
 
     A grid is a power of two sigma, and a part is a value rounded to a
-    multiple of 2**-53 * sigma. The first sigma is 2**scale times the power
-    of two above an upper bound on every magnitude: one for a whole call,
-    or one per segment and column (``_segment_grids``). Every later sigma
-    is the one before times 2**(scale - 53).
+    multiple of 2**-53 * sigma. The first sigma, one for the whole call, is
+    2**scale times the power of two above an upper bound on every magnitude
+    (``_grid_exponent``). Every later sigma is the one before times
+    2**(scale - 53).
 
-    Why both grids are valid (Rump, Ogita & Oishi 2008, Lemma 3.3), for
+    Why these grids are valid (Rump, Ogita & Oishi 2008, Lemma 3.3), for
     values p with max|p| <= 2**-M * sigma, 2**M = 2**scale >= n + 2 and
     2 <= M <= 52. Then sigma + p lies in [3 sigma / 4, 5 sigma / 4], so
     q = fl(sigma + p) - sigma is exact (Sterbenz). q is a multiple of the
@@ -648,53 +638,35 @@ def _extract(sigma, rest: Array, q: Array, starts: Array) -> Array:
     return np.add.reduceat(q, starts, axis=0)
 
 
-def _segment_expansion(xs: Array, runs: Runs) -> tuple[Array, Array]:
-    """Exact column sums of the row segments of ``xs`` as expansions.
+def _grid_exponent(top: float, runs: Runs) -> int | None:
+    """The exponent e of a call's first grid 2**e, from ``top``, an upper
+    bound on every magnitude, and the runs' ``scale``; None when no finite
+    grid bounds the call: ``top`` is inf or NaN, or e >= 1024."""
+    if not math.isfinite(top):
+        return None
+    e = math.frexp(top)[1] + runs.scale
+    return e if e < 1024 else None
 
-    Returns (K, S, d) terms whose sum over the first axis is, exactly in
-    real arithmetic, segment s's column sums, and an (S,) flag: the
-    segment's terms are all finite. Extraction passes on per-segment grids
-    repeat until every remainder is zero; each pass lowers the grid by
-    53 - scale bits, so the loop ends once the grid reaches the smallest
-    subnormal, if not before. A segment whose pass overflows is flagged and
-    its remainders dropped.
+
+def _segment_expansion(xs: Array, runs: Runs) -> Array | None:
+    """Exact column sums of the row segments of ``xs`` as expansions: (K, S, d)
+    terms whose sum over the first axis is, exactly in real arithmetic,
+    segment s's column sums, or None when no finite grid bounds the call.
+
+    Extraction passes on the call's one grid repeat until every remainder
+    is zero; each pass lowers the grid by 53 - scale bits, so the loop ends
+    once the grid reaches the smallest subnormal, if not before.
     """
-    terms = []
-    finite = np.ones(len(runs), dtype=bool)
     q = np.empty_like(xs)
-    rest = xs.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        sigma = _segment_grids(xs, runs, q)
-        while True:
-            tau = _extract(sigma, rest, q, runs.starts)
-            terms.append(tau)
-            finite &= np.isfinite(tau).all(axis=1)
-            rest[(~finite).repeat(runs.counts)] = 0.0
-            if not rest.any():
-                return np.stack(terms), finite
-            sigma *= 2.0 ** (runs.scale - 53)
-
-
-def _two_pass_sums(xs: Array, runs: Runs, sigma, q: Array) -> tuple[Array, Array | None]:
-    """hi (S, d) from two extraction passes, the first on ``sigma``, and
-    the mask of its certified cells, None when every cell is."""
-    starts, scale = runs.starts, runs.scale
-    rest = xs.copy()
-    t0 = _extract(sigma, rest, q, starts)
-    t1 = _extract(sigma * 2.0 ** (scale - 53), rest, q, starts)
-    hi = t0 + t1
-    if not rest.any():
-        return hi, None
-    z = hi - t0
-    lo = (t0 - (hi - z)) + (t1 - z)
-    # r_abs * (1 + 2**(scale - 51)), rounded, is at least the exact sum of |rest|.
-    r_abs = np.add.reduceat(np.abs(rest, out=rest), starts, axis=0)
-    bound = np.abs(lo) + r_abs * (1.0 + 2.0 ** (scale - 51))
-    # The gap toward zero is the smaller one; shrinking its half by a
-    # factor 1 - 2**-50 absorbs the rounding in ``bound``.
-    mag = np.abs(hi)
-    gap = mag - np.nextafter(mag, 0.0)
-    return hi, (r_abs == 0.0) | (bound < gap * (0.5 - 2.0 ** -51))
+    e = _grid_exponent(float(np.abs(xs, out=q).max(initial=0.0)), runs)
+    if e is None:
+        return None
+    sigma, rest, terms = math.ldexp(1.0, e), xs.copy(), []
+    while True:
+        terms.append(_extract(sigma, rest, q, runs.starts))
+        if not rest.any():
+            return np.stack(terms)
+        sigma *= 2.0 ** (runs.scale - 53)
 
 
 def _segment_fsum(xs: Array, runs: Runs, top: float | None = None) -> Array:
@@ -703,87 +675,71 @@ def _segment_fsum(xs: Array, runs: Runs, top: float | None = None) -> Array:
     Two error-free extraction passes (``_extract``; Rump, Ogita & Oishi,
     SIAM J. Sci. Comput. 2008) split every value into a part on a grid,
     whose sum is exact in any order, and a remainder; the second grid is
-    derived from the first. The first grid is one for the whole call, set
-    by ``top``, an upper bound on every magnitude, by default max|xs|, and
-    by the runs' ``scale``. When that is inf or NaN, or the grid would
-    overflow, the grids are per segment and column instead. TwoSum turns
+    derived from the first. The first grid is one for the whole call
+    (``_grid_exponent``), set by ``top``, an upper bound on every
+    magnitude, by default max|xs|, and by the runs' ``scale``. TwoSum turns
     the two exact sums into hi + lo. hi is the correctly rounded total when
     the remainders are all zero, as they are when every nonzero value lies
     within a factor 2**(53 - 2 * scale) of ``top``, or when |lo| plus a
     bound on the remainders' total stays below half the gap below |hi|,
     which is checked only when some remainder is left. Any cell without
-    that certificate is summed by math.fsum, so the result is fsum's byte
-    for byte.
+    that certificate is summed by math.fsum, and so is every cell of a call
+    without a grid (an inf or NaN value, or one within a factor 2**scale of
+    overflow), so the result is fsum's byte for byte, and an fsum error is
+    raised as fsum raises it.
 
-    A finite grid of one call cannot overflow: every part and partial sum
-    stays below sigma in magnitude, so hi is finite and no numpy warning
-    can arise; only per-segment grids run under ``np.errstate``. One grid
+    A grid cannot overflow: every part and partial sum stays below sigma in
+    magnitude, so hi is finite and no numpy warning can arise. One grid
     saves a per-segment maximum and its broadcast to every row. Its price:
     a cell whose values all lie below about 2**(2 * scale - 53) times
     ``top`` leaves remainders too large for the certificate, so it is
     summed by math.fsum unless its values fit the second grid (zeros, or
     few significant bits). So does a cell whose sum cancels.
     """
+    starts, scale = runs.starts, runs.scale
     q = np.empty_like(xs)
     if top is None:
         top = float(np.abs(xs, out=q).max(initial=0.0))
-    e = math.frexp(top)[1] + runs.scale if math.isfinite(top) else 1024
-    if e < 1024:
-        hi, ok = _two_pass_sums(xs, runs, math.ldexp(1.0, e), q)
+    e = _grid_exponent(top, runs)
+    if e is None:
+        hi = np.empty((len(runs), *xs.shape[1:]))
+        ok = np.zeros(hi.shape, dtype=bool)
     else:
-        # Per-segment grids, so that only the cells that overflow or hold a
-        # non-finite value fall back.
-        with np.errstate(over="ignore", invalid="ignore"):
-            hi, ok = _two_pass_sums(xs, runs, _segment_grids(xs, runs, q), q)
-            ok = np.isfinite(hi) if ok is None else ok & np.isfinite(hi)
-    if ok is not None and not ok.all():
-        starts, counts = runs.starts, runs.counts
-        for s, c in zip(*np.nonzero(~ok)):
-            hi[s, c] = math.fsum(xs[starts[s]:starts[s] + counts[s], c].tolist())
+        sigma = math.ldexp(1.0, e)
+        rest = xs.copy()
+        t0 = _extract(sigma, rest, q, starts)
+        t1 = _extract(sigma * 2.0 ** (scale - 53), rest, q, starts)
+        hi = t0 + t1
+        if not rest.any():
+            return hi
+        z = hi - t0
+        lo = (t0 - (hi - z)) + (t1 - z)
+        # r_abs * (1 + 2**(scale - 51)), rounded, is at least the exact sum of |rest|.
+        r_abs = np.add.reduceat(np.abs(rest, out=rest), starts, axis=0)
+        bound = np.abs(lo) + r_abs * (1.0 + 2.0 ** (scale - 51))
+        # The gap toward zero is the smaller one; shrinking its half by a
+        # factor 1 - 2**-50 absorbs the rounding in ``bound``.
+        mag = np.abs(hi)
+        gap = mag - np.nextafter(mag, 0.0)
+        ok = (r_abs == 0.0) | (bound < gap * (0.5 - 2.0 ** -51))
+    for s, c in zip(*np.nonzero(~ok)):
+        hi[s, c] = math.fsum(xs[starts[s]:starts[s] + runs.counts[s], c].tolist())
     return hi
 
 
-def _sum_last(p: Array) -> Array:
-    """``p.sum(axis=-1)`` bit for bit, from whole-array adds of the last
-    axis's planes: one numpy call per term instead of a reduction call per
-    output, which is faster for a short axis such as a head's d_k.
-
-    numpy sums a last axis of n terms as 0 + S(n). Below 8 terms S adds them
-    one after another; up to 128 it keeps eight interleaved running sums,
-    adds those as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
-    terms left over; above 128 it adds the S of two halves split at a
-    multiple of 8.
-    """
-    n = p.shape[-1]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum_last(p[..., :half]) + _sum_last(p[..., half:])
-    if n < 8:
-        out, done = p[..., 0] + 0.0, 1
-    else:
-        r = p[..., :8].copy()
-        done = n - n % 8
-        for i in range(8, done, 8):
-            r += p[..., i:i + 8]
-        out = ((r[..., 0] + r[..., 1]) + (r[..., 2] + r[..., 3])) \
-            + ((r[..., 4] + r[..., 5]) + (r[..., 6] + r[..., 7]))
-        out += 0.0
-    for j in range(done, n):
-        out += p[..., j]
-    return out
-
-
-def _sum_heads(p: Array) -> Array:
-    """``p.sum(axis=1)`` of an (E, heads, d_k) array bit for bit. numpy adds
-    fewer than 8 planes of a middle axis one after another onto 0, which
-    whole-array adds repeat; from 8 on it orders them otherwise, so those
-    are summed by numpy."""
-    heads = p.shape[1]
-    if heads >= 8:
-        return p.sum(axis=1)
-    out = p[:, 0] + 0.0
-    for i in range(1, heads):
-        out += p[:, i]
+def _plane_sum(p: Array, axis: int) -> Array:
+    """``p.sum(axis=axis)`` bit for bit. numpy adds fewer than 8 terms one
+    after another onto 0, which whole-array adds of the axis's planes
+    repeat: one numpy call per term instead of a reduction call per output,
+    faster for a head's few terms. From 8 terms on numpy orders them
+    otherwise, so numpy sums them."""
+    n = p.shape[axis]
+    if n >= 8:
+        return p.sum(axis=axis)
+    lead = (slice(None),) * (axis % p.ndim)
+    out = p[(*lead, 0)] + 0.0
+    for i in range(1, n):
+        out += p[(*lead, i)]
     return out
 
 
@@ -899,7 +855,7 @@ def edge_attention(table: Tensor, modulation: Tensor, src: Index, dst: Index, ru
     out = np.empty((len(runs), width))
     for segs, rows, b_runs in blocks:
         keys, queries = gathered(rows)
-        w[rows] = _softmax_runs(_sum_last((keys * mod[rows]) * queries) * s, b_runs)
+        w[rows] = _softmax_runs(_plane_sum((keys * mod[rows]) * queries, -1) * s, b_runs)
         out[segs] = _segment_fsum((keys * w[rows, :, None]).reshape(-1, width), b_runs)
     if mode == "mean":
         out /= counts
@@ -916,11 +872,11 @@ def edge_attention(table: Tensor, modulation: Tensor, src: Index, dst: Index, ru
             keys, queries = gathered(rows)
             w_b, mod_b = w[rows], mod[rows]
             g_vals = g[segs].repeat(b_runs.counts, axis=0).reshape(-1, heads, d_k)
-            g_scores = _softmax_runs_vjp(_sum_last(g_vals * keys), w_b, b_runs) * s
+            g_scores = _softmax_runs_vjp(_plane_sum(g_vals * keys, -1), w_b, b_runs) * s
             g_vals *= w_b[:, :, None]
             g_keymod = g_scores[:, :, None] * queries
             if g_mod is not None:
-                g_mod[rows] = _sum_heads(g_keymod * keys)
+                g_mod[rows] = _plane_sum(g_keymod * keys, 1)
             if d_table is not None:
                 np.multiply(g_scores[:, :, None], keys * mod_b, out=g_queries[rows])
                 np.add.at(d_table, src[rows], (g_keymod * mod_b + g_vals).reshape(-1, width))

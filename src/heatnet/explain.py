@@ -24,7 +24,11 @@ of its changed nodes, and their new rows, in one exactly rounded segment
 sum for the chunk; ``Model.head`` then maps, averages and classifies the
 cell means with the forward's own pooling op. A chunk
 holds removals whose downstream regions are bounded by ``_CHUNK_ROWS``
-final rows in all.
+final rows in all. Two inputs that no built graph produces take the
+definition instead, one forward per removal: a graph in which some
+removal leaves a node without incoming edges (no self-loops), whose first
+such removal raises the error its forward raises, and final rows that no
+finite exact-sum grid bounds.
 
 This equals a forward on G without v bit for bit: products are
 row-invariant, every other op is elementwise, and every segment sum is
@@ -46,7 +50,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import AttributionError, ConfigError, ExportError
-from .hetgraph import GraphBatch, HeteroGraph, _write_json, check_incoming, remove_node
+from .hetgraph import GraphBatch, HeteroGraph, _write_json, remove_node
 from .layers import LayerOutput, attend, project_nodes
 from .model import Model
 
@@ -176,10 +180,7 @@ class TypeSums:
     The pooling types are the cells of ``Model.pool_cells`` on the one-graph
     batch: the node types under per-type pooling, one type under mean pooling.
     ``terms[term_starts[a]:term_starts[a + 1]]`` sum, exactly, to type a's
-    column sums; a type without nodes has no terms, nor has a type whose
-    expansion overflows (``fallback``).
-    ``by_type[type_starts[a]:type_starts[a + 1]]`` are type a's node
-    positions, ascending.
+    column sums; a type without nodes has no terms.
     """
 
     rows: np.ndarray
@@ -187,30 +188,26 @@ class TypeSums:
     count: np.ndarray
     terms: np.ndarray
     term_starts: np.ndarray
-    by_type: np.ndarray
-    type_starts: np.ndarray
-    fallback: np.ndarray
 
 
-def _type_sums(model: Model, rows: np.ndarray, batch: GraphBatch) -> TypeSums:
+def _type_sums(model: Model, rows: np.ndarray, batch: GraphBatch) -> TypeSums | None:
+    """The ``TypeSums`` of the final ``rows``, None when no finite grid
+    bounds their expansion."""
     # The forward built these cells; in a one-graph batch a cell is a pool type.
     pool = model.pool_cells(batch)
+    terms = ad._segment_expansion(rows[pool.order.rows], pool.runs)
+    if terms is None:
+        return None
     present = pool.cells.cells
     count = np.zeros(pool.cells.n_types, dtype=np.intp)
     count[present] = pool.runs.counts
-    type_starts = np.concatenate([[0], np.cumsum(count)])
-    terms, finite = ad._segment_expansion(rows[pool.order.rows], pool.runs)
     # A type keeps its nonzero terms, and its first so that no segment is empty.
     keep = terms.any(axis=2).T
     keep[:, 0] = True
-    keep &= finite[:, None]
     term_count = np.zeros_like(count)
     term_count[present] = keep.sum(axis=1)
-    fallback = np.zeros(len(count), dtype=bool)
-    fallback[present] = ~finite
     return TypeSums(rows, pool.cell, count, terms.transpose(1, 0, 2)[keep],
-                    np.concatenate([[0], np.cumsum(term_count)]), pool.order.rows, type_starts,
-                    fallback)
+                    np.concatenate([[0], np.cumsum(term_count)]))
 
 
 def removal_logits(model: Model, full: TypeSums, removed: np.ndarray, changed: np.ndarray,
@@ -223,31 +220,21 @@ def removal_logits(model: Model, full: TypeSums, removed: np.ndarray, changed: n
     a's expansion terms, the negated old rows of the removed node and of
     its changed nodes of type a, and those nodes' new rows: the reduced
     graph's exact sum, so its correctly rounded value is what
-    ``segment_reduce`` gives over the reduced graph's rows. A ``fallback``
-    type's segment is the reduced graph's own rows in position order.
+    ``segment_reduce`` gives over the reduced graph's rows.
     """
     n, n_types = len(full.rows), len(full.count)
     b, v_type = np.arange(len(removed)), full.types[removed]
     left = np.tile(full.count, (len(removed), 1))
     left[b, v_type] -= 1
     cells = np.flatnonzero(left)
-    cell_b, cell_a = np.divmod(cells, n_types)
     # Segment rows as (cell, row) pairs, added or negated; rows index the
     # full graph's rows, then the changed rows, then the terms.
-    j, r = _members(full.term_starts, cell_a)
-    added = [(cells[j], n + len(changed) + r)]
-    ok = (left[b, v_type] > 0) & ~full.fallback[v_type]
-    negated = [(b[ok] * n_types + v_type[ok], removed[ok])]
+    j, r = _members(full.term_starts, cells % n_types)
     cv, ct = np.divmod(changed, n)
     c_cell = np.searchsorted(removed, cv) * n_types + full.types[ct]
-    ok = ~full.fallback[full.types[ct]]
-    added.append((c_cell[ok], n + np.flatnonzero(ok)))
-    negated.append((c_cell[ok], ct[ok]))
-    back = full.fallback[cell_a]
-    j, r = _members(full.type_starts, cell_a[back])
-    pos, v = full.by_type[r], removed[cell_b[back][j]]
-    own = pos != v
-    added.append((cells[back][j][own], _table_rows(changed, (v * n + pos)[own], pos[own], n)))
+    ok = left[b, v_type] > 0
+    added = [(cells[j], n + len(changed) + r), (c_cell, n + np.arange(len(changed)))]
+    negated = [(b[ok] * n_types + v_type[ok], removed[ok]), (c_cell, ct)]
     cell, row = (np.concatenate(p) for p in zip(*added, *negated))
     flip = np.arange(len(row)) >= sum(len(c) for c, _ in added)
     order = np.argsort(cell, kind="stable")
@@ -264,19 +251,18 @@ def removal_logits(model: Model, full: TypeSums, removed: np.ndarray, changed: n
 def _removal_losses(model: Model, g: HeteroGraph, batch: GraphBatch,
                     layer_outputs: list[LayerOutput], label: int) -> list[float]:
     """loss(G without v) for every node position v, from the full forward's
-    layer outputs on the one-graph ``batch``, for chunks of removals at a time."""
+    layer outputs on the one-graph ``batch``, for chunks of removals at a
+    time; or, when some removal leaves a node without incoming edges or the
+    type sums have no grid, the definition's losses, whose first failing
+    removal raises the GraphValidationError its forward raises."""
     n = g.n_nodes
     src, dst = batch.src.rows, batch.dst.rows
-    in_degree = batch.targets.counts
     pairs, count = np.unique(src * n + dst, return_counts=True)
     s, t = np.divmod(pairs, n)
-    lone = (count == in_degree[t]) & (s != t)
-    if lone.any():
-        # The first removal that strips a node of all its incoming edges
-        # fails as the forward on its reduced graph does.
-        v = int(s[lone].min())
-        left = in_degree - np.bincount(dst[src == v], minlength=n)
-        check_incoming(g.node_ids[:v] + g.node_ids[v + 1:], np.delete(left, v))
+    stranding = (count == batch.targets.counts[t]) & (s != t)
+    full = _type_sums(model, layer_outputs[-1].node_features.data, batch)
+    if full is None or stranding.any():
+        return [_eval_loss(model, remove_node(g, v), label) for v in g.node_ids]
     by_source = np.argsort(src, kind="stable")
     out_starts = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
     in_starts = np.append(batch.targets.starts, batch.targets.n_rows)
@@ -287,7 +273,6 @@ def _removal_losses(model: Model, g: HeteroGraph, batch: GraphBatch,
         reach = np.minimum(np.bincount(src, weights=1.0 + reach[dst], minlength=n), n - 1)
     cost = 1.0 + reach
     chunk = (np.cumsum(cost) - cost) // _CHUNK_ROWS
-    full = _type_sums(model, layer_outputs[-1].node_features.data, batch)
     losses: list[float] = []
     for removed in np.split(np.arange(n), np.flatnonzero(np.diff(chunk)) + 1):
         changed, h_changed = recompute_removals(model, batch, layer_outputs, removed,

@@ -7,9 +7,10 @@ Edges name their endpoints by node id; ``HeteroGraph.edge_pos`` maps them
 to node positions once per graph. ``batch_graphs`` stacks graphs into one
 disjoint union (``GraphBatch``), which the model runs on, and lays out its
 index arrays once: the edge endpoint indices, the target runs (its edge
-rows sorted by target, the runs the layers' segment ops reduce; they fail
-on a node without incoming edges) and the node-type index, each checked
-once, and the pooling cells of either mode on first use. Every op of a
+rows sorted by target, the runs the layers' segment ops reduce; a node
+without incoming edges is a GraphValidationError that names it) and the
+node-type index, each checked once, and the pooling cells of either mode
+on first use. Every op of a
 step reads that one batch object instead of re-deriving or re-checking
 the layout. The JSON file format is versioned and stores one column per
 node or edge field: ids, types and coordinates as JSON lists, and the
@@ -31,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ContractError, GraphLookupError, GraphValidationError
+from .errors import ConfigError, GraphLookupError, GraphValidationError
 
 GRAPH_FORMAT_VERSION = 3
 _NUMBER_TYPES = {int, float}
@@ -207,18 +208,6 @@ class HeteroGraph:
     __hash__ = None  # type: ignore[assignment]
 
 
-def check_incoming(node_ids, in_degree: np.ndarray) -> None:
-    """Every node needs an incoming edge: attention normalizes over them.
-
-    Built graphs have self-loops, so only a graph made elsewhere (a graph
-    file), or a removal from one, can fail: an input error, not a numeric one.
-    """
-    if not in_degree.all():
-        nid = node_ids[int(np.argmin(in_degree))]
-        raise GraphValidationError(Violation(
-            "no-incoming-edge", f"node {nid} has no incoming edges; self-loops are required"))
-
-
 @dataclass(frozen=True, eq=False)
 class PoolCells:
     """One pooling mode's cells of stacked rows: row r, of pool type p in
@@ -303,11 +292,13 @@ def batch_graphs(graphs: Sequence[HeteroGraph]) -> GraphBatch:
     order = np.argsort(dst, kind="stable")
     node_ids = tuple(nid for g in graphs for nid in g.node_ids)
     in_degree = np.bincount(dst, minlength=n)
-    try:
-        targets = ad.Runs(in_degree)
-    except ContractError:
-        check_incoming(node_ids, in_degree)   # names the node without incoming edges
-        raise
+    # Attention normalizes over a node's incoming edges. Built graphs have
+    # self-loops, so only a graph made elsewhere (a graph file), or a
+    # removal from one, can fail: an input error, not a numeric one.
+    if not in_degree.all():
+        nid = node_ids[int(np.argmin(in_degree))]
+        raise GraphValidationError(Violation(
+            "no-incoming-edge", f"node {nid} has no incoming edges; self-loops are required"))
     return GraphBatch(
         types=graphs[0].types,
         node_ids=node_ids,
@@ -315,7 +306,7 @@ def batch_graphs(graphs: Sequence[HeteroGraph]) -> GraphBatch:
         edge_attrs=np.concatenate([g.edge_attrs for g in graphs])[order],
         src=ad.Index(src[order], n),
         dst=ad.Index(dst[order], n),
-        targets=targets,
+        targets=ad.Runs(in_degree),
         node_types=ad.Index(np.concatenate([g.node_types for g in graphs]), len(graphs[0].types)),
         graph=np.repeat(np.arange(len(graphs)), sizes),
     )

@@ -62,6 +62,9 @@ class ModelConfig:
             raise ConfigError("need at least one layer")
         if self.pooling not in ("pl", "mean"):
             raise ConfigError(f"unknown pooling {self.pooling!r}")
+        if self.aggregation not in ("mean", "sum"):
+            raise ConfigError(f"unknown aggregation {self.aggregation!r}")
+        TypeSet(self.types)
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 

@@ -370,17 +370,15 @@ def load_checkpoint(path) -> tuple[Model, dict]:
 
 
 def write_train_log(path, log: Sequence[EpochLog], provenance: dict | None = None) -> None:
-    """CSV with columns epoch,train_loss,val_loss,val_auc,lr,seconds.
-
-    A leading '#' comment line carries the provenance block.
+    """CSV with one column per ``EpochLog`` field, in field order, each value
+    its ``repr``. A leading '#' comment line carries the provenance block.
     """
+    names = [f.name for f in fields(EpochLog)]
     lines = []
     if provenance is not None:
         lines.append("# provenance: " + json.dumps(provenance, sort_keys=True, separators=(",", ":")))
-    lines.append("epoch,train_loss,val_loss,val_auc,lr,seconds")
-    for row in log:
-        lines.append(f"{row.epoch},{row.train_loss!r},{row.val_loss!r},"
-                     f"{row.val_auc!r},{row.lr!r},{row.seconds!r}")
+    lines.append(",".join(names))
+    lines.extend(",".join(repr(getattr(row, name)) for name in names) for row in log)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -438,8 +438,8 @@ class TestHeadSums:
         rng = np.random.default_rng(seed)
         p = rng.standard_normal((n, heads, d_k)) * 2.0 ** rng.integers(-60, 61, (n, heads, d_k))
         p[rng.random(p.shape) < 0.3] = -0.0
-        assert ad._sum_heads(p).tobytes() == p.sum(axis=1).tobytes()
-        assert ad._sum_last(p).tobytes() == p.sum(axis=2).tobytes()
+        assert ad._plane_sum(p, 1).tobytes() == p.sum(axis=1).tobytes()
+        assert ad._plane_sum(p, -1).tobytes() == p.sum(axis=2).tobytes()
 
 
 class TestSegmentOps:
@@ -552,12 +552,12 @@ def _exact_sum_values(kind, rng, counts, cols):
 
 @pytest.mark.parametrize("n", [*range(1, 18), 63, 64, 65, 127, 128, 129, 136, 300, 1025])
 def test_sum_last_equals_numpy_sum(n):
-    """The planewise last-axis sum gives numpy's bytes, signed zeros too."""
+    """The last-axis plane sum gives numpy's bytes, signed zeros too."""
     rng = np.random.default_rng(n)
     p = rng.standard_normal((40, 3, n)) * np.exp(rng.normal(0.0, 8.0, (40, 3, n)))
     p[rng.random(p.shape) < 0.3] = -0.0
     p[0] = -0.0
-    assert ad._sum_last(p).tobytes() == p.sum(axis=-1).tobytes()
+    assert ad._plane_sum(p, -1).tobytes() == p.sum(axis=-1).tobytes()
 
 
 class TestExactSums:
@@ -599,7 +599,7 @@ class TestExactSums:
         assert out.tobytes() == cells.tobytes()
         assert out.tobytes() == ref_segment_fsum(xs, starts, counts).tobytes()
         # Any upper bound on the magnitudes gives a valid grid; one that
-        # overflows to inf gives per-segment grids.
+        # overflows to inf gives none, and every cell is summed by fsum.
         top = float(np.abs(xs).max())
         for k in range(21):
             assert ad._segment_fsum(xs, ad.Runs(counts), top=top * 2.0 ** k).tobytes() \
@@ -730,26 +730,73 @@ class TestExactSums:
             out = segment_sum(Tensor(np.full((12, 1), 1e307)), [12])
         assert out.data[0, 0] == 1.2e308
 
-    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs signal.alarm")
-    def test_expansion_flags_an_overflowing_segment_and_ends(self):
-        # The first segment's grid overflows; the second needs more than one
-        # pass. The alarm turns a loop that never ends into a failure.
-        xs = np.array([[1.7e308], [1.7e308], [1.0], [0.1], [2.0**-60], [-3.0], [2.0**-200]])
-
+    @staticmethod
+    def expansion_under_alarm(xs, counts):
+        # The alarm turns a loop that never ends into a failure.
         def timeout(signum, frame):
             raise TimeoutError("_segment_expansion did not end")
 
         previous = signal.signal(signal.SIGALRM, timeout)
         signal.alarm(10)
         try:
-            terms, finite = ad._segment_expansion(xs, ad.Runs([3, 4]))
+            return ad._segment_expansion(xs, ad.Runs(counts))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        assert finite.tolist() == [False, True]
-        rows = xs[3:, 0].tolist()
-        assert sum(map(Fraction, terms[:, 1, 0].tolist())) == sum(map(Fraction, rows))
-        assert math.fsum(terms[:, 1, 0].tolist()) == math.fsum(rows)
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs signal.alarm")
+    def test_expansion_flags_an_overflowing_segment_and_ends(self):
+        # A call whose grid would overflow has no expansion; a call spanning
+        # 2**-200 to 2**0 needs more than one pass on its one grid.
+        assert self.expansion_under_alarm(np.array([[1.7e308], [1.7e308], [1.0]]), [2, 1]) is None
+        xs = np.array([[1.0], [0.1], [2.0**-60], [-3.0], [2.0**-200]])
+        terms = self.expansion_under_alarm(xs, [2, 3])
+        assert len(terms) > 1
+        for s, rows in ((0, xs[:2, 0]), (1, xs[2:, 0])):
+            assert sum(map(Fraction, terms[:, s, 0].tolist())) == sum(map(Fraction, rows.tolist()))
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs signal.alarm")
+    @settings(max_examples=200, deadline=None)
+    @given(exponents=st.lists(st.integers(-600, 600), min_size=1, max_size=6),
+           special=st.sets(st.sampled_from(["zero", "subnormal"])),
+           cols=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_one_grid_expansion_is_exact_for_segments_of_any_scale(self, exponents, special,
+                                                                    cols, seed):
+        # One call, one grid: segments scaled by up to 2**+-600, with an
+        # all-zero and a subnormal-only segment among them. Each segment's
+        # terms sum exactly to its values' sum.
+        rng = np.random.default_rng(seed)
+        segs = [rng.standard_normal((int(rng.integers(1, 10)), cols)) * 2.0 ** e
+                for e in exponents]
+        if "zero" in special:
+            segs.append(np.zeros((int(rng.integers(1, 10)), cols)))
+        if "subnormal" in special:
+            segs.append(rng.integers(-2**52, 2**52, (int(rng.integers(1, 10)), cols))
+                        * 2.0 ** -1074)
+        segs = [segs[i] for i in rng.permutation(len(segs))]
+        xs = np.vstack(segs)
+        counts = [len(x) for x in segs]
+        terms = self.expansion_under_alarm(xs, counts)
+        assert terms.shape[1:] == (len(segs), cols)
+        for s, x in enumerate(segs):
+            for j in range(cols):
+                assert sum(map(Fraction, terms[:, s, j].tolist())) \
+                    == sum(map(Fraction, x[:, j].tolist())), (s, j)
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+           cols=st.integers(1, 3), value=st.sampled_from(["grid-overflow", "inf", "-inf", "nan"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_expansion_without_a_grid_is_none(self, counts, cols, value, seed):
+        # A value at or above 2**(1024 - scale), or a non-finite one,
+        # anywhere in the call leaves no finite grid.
+        rng = np.random.default_rng(seed)
+        runs = ad.Runs(counts)
+        xs = rng.standard_normal((runs.n_rows, cols))
+        big = {"grid-overflow": 2.0 ** (1024 - runs.scale) * (1.0 + rng.random()),
+               "inf": np.inf, "-inf": -np.inf, "nan": np.nan}[value]
+        xs[rng.integers(runs.n_rows), rng.integers(cols)] = big * rng.choice([-1.0, 1.0])
+        assert ad._segment_expansion(xs, runs) is None
 
 
 class TestDeterminism:

@@ -212,13 +212,20 @@ class TestSynth:
          "type probabilities must be nonnegative"),
         (["synth.max_tries_factor=0"], "max_tries_factor must be >= 1, got 0"),
         (["synth.max_tries_factor=-5"], "max_tries_factor must be >= 1, got -5"),
+        # model settings that Model.init would refuse
+        (["model.aggregation=max"], "unknown aggregation 'max'"),
+        (["model.types=[]"], "type set must not be empty"),
+        (['model.types=["a","a"]'], "duplicate node type names"),
+        (["model.pooling=max"], "unknown pooling 'max'"),
     ], ids=["negative-base-scale", "negative-noise-sigma", "unknown-count-type",
-            "negative-probability", "zero-max-tries-factor", "negative-max-tries-factor"])
+            "negative-probability", "zero-max-tries-factor", "negative-max-tries-factor",
+            "aggregation-max", "no-types", "duplicate-types", "pooling-max"])
     def test_bad_setting_exits_2_with_one_line(self, tmp_path, capsys, overrides, message):
         sets = [arg for o in overrides for arg in ("--set", o)]
         rc = main(["synth", "--out", str(tmp_path / "d"), "--n", "4", *sets])
         assert rc == EXIT_INPUT
         assert message in _one_input_error_line(capsys)
+        assert not (tmp_path / "d").exists()
 
 
 class TestTrainEvalExplain:

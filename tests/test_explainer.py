@@ -208,16 +208,10 @@ class TestBitEqualToLeaveOneOut:
     @settings(max_examples=10, deadline=None)
     @given(g=explain_graphs(), seed=st.integers(0, 1000))
     def test_every_delta_through_the_fallback(self, name, g, seed):
-        # With every type's expansion reported as overflowing, each pooled
-        # cell sums the reduced graph's own rows.
-        expansion = ad._segment_expansion
-
-        def overflowing(xs, runs):
-            terms, finite = expansion(xs, runs)
-            return terms, np.zeros_like(finite)
-
+        # With the type sums' expansion reported as having no grid, every
+        # removal runs the definition's forward.
         model = self.model(name, seed)
-        with mock.patch.object(ad, "_segment_expansion", overflowing):
+        with mock.patch.object(ad, "_segment_expansion", lambda xs, runs: None):
             attr = explain_graph(model, g)
         deltas = {e.node_id: e.delta for e in attr.entries}
         for nid in g.node_ids:

@@ -324,7 +324,7 @@ class TestFusedAttend:
            zeros=st.booleans(), seed=st.integers(0, 10_000))
     def test_outputs_and_modulation_gradient_bytes_equal_the_composition(self, heads, d_k, name,
                                                                          zeros, seed):
-        # The VJP's head sums (``_sum_heads``) and d_k sums (``_sum_last``)
+        # The VJP's head and d_k sums (``_plane_sum``)
         # round as the composition's reductions, also for -0.0 upstream entries.
         params, table, mod, src, dst, counts = attend_inputs(name, d_k, seed, heads=heads)
         upstream = np.random.default_rng(seed + 7).normal(size=(len(counts), heads * d_k))

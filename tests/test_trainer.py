@@ -1,5 +1,6 @@
 """Optimizer, k-fold splits, training behavior, checkpoints, synthetic data."""
 
+import dataclasses
 import importlib
 import json
 import sys
@@ -21,6 +22,7 @@ from heatnet.synth import SyntheticSpec, planted_label, synth_generate
 from heatnet.train import (
     CHECKPOINT_VERSION,
     AdamState,
+    EpochLog,
     TrainConfig,
     adam_step,
     evaluate,
@@ -31,6 +33,7 @@ from heatnet.train import (
     save_checkpoint,
     train,
     train_fold,
+    write_train_log,
 )
 
 NO_AUG = AugmentConfig()
@@ -438,6 +441,22 @@ class TestCheckpoint:
         a = result.model.forward([held_out]).data
         b = loaded.forward([held_out]).data
         assert (a == b).all()
+
+
+class TestTrainLog:
+    def test_header_is_the_epoch_log_fields_and_rows_parse_back(self, tmp_path):
+        log = [EpochLog(1, 0.1 + 0.2, 1e-300, 0.5, 5e-324, -0.0),
+               EpochLog(12, 2.0 / 3.0, 1.7976931348623157e308, 1.0, 3e-3, 12.5)]
+        path = tmp_path / "train_log.csv"
+        write_train_log(path, log, provenance={"seed": 1})
+        lines = path.read_text().splitlines()
+        assert lines[0] == '# provenance: {"seed":1}'
+        fields = dataclasses.fields(EpochLog)
+        assert lines[1].split(",") == [f.name for f in fields]
+        parse = {"int": int, "float": float}
+        rows = [EpochLog(*(parse[f.type](v) for f, v in zip(fields, line.split(","))))
+                for line in lines[2:]]
+        assert [repr(r) for r in rows] == [repr(r) for r in log]
 
 
 class TestEvaluate:
