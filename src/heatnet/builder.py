@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, PatchTableError, ShapeError
 from .hetgraph import (DEFAULT_TYPES, HeteroGraph, TypeSet, _integral, _non_number,
-                       _parse_json, _subgraph, validate)
+                       _parse_json, _subgraph, _unique_sorted, validate)
 
 
 @dataclass(frozen=True)
@@ -214,9 +214,10 @@ def knn_edges(features: Sequence[np.ndarray] | np.ndarray, k: int) -> np.ndarray
     duplicate patches), and every row of a table where the candidates
     would be more than a quarter of a row, select from the whole row. The
     same exact tie rule decides either way, and no tile is copied whole:
-    at 8,000 x 4 features the peak is about 18 MiB, two tiles. On one
-    core, 4,000 x 32 features (k = 8) take about 75 ms, and 16,384 x 32
-    about 0.9 s, of which the similarity tiles take 0.5 s.
+    at 8,000 x 4 features the peak is about 18 MiB, two tiles. The two
+    directions' edge keys are deduplicated by sorting (``_unique_sorted``).
+    On one core, 4,000 x 32 features (k = 8) take about 50 ms, and
+    16,384 x 32 about 0.67 s, of which the similarity tiles take 0.45 s.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
@@ -257,7 +258,7 @@ def knn_edges(features: Sequence[np.ndarray] | np.ndarray, k: int) -> np.ndarray
             keys.append(c * n + (a + rows[r]))
     # keys src * n + dst of the chosen edges u -> v, then both directions
     keys = np.concatenate(keys)
-    keys = np.unique(np.concatenate([keys, (keys % n) * n + keys // n]))
+    keys = _unique_sorted(np.concatenate([keys, (keys % n) * n + keys // n]))
     return np.stack(np.divmod(keys, n), axis=1).astype(np.intp, copy=False)
 
 
@@ -281,8 +282,12 @@ def _pearson(feats: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         a, b = centred[s], centred[t]
         with np.errstate(divide="ignore", invalid="ignore"):
             c = np.clip(np.sum(a * b, axis=1) / (norms[s] * norms[t]), -1.0, 1.0)
-        c[(a == b).all(axis=1)] = 1.0
-        c[(a == -b).all(axis=1)] = -1.0
+        # Equal or negated rows give |c| within a few ulps of 1, so only rows
+        # that close to 1 need the exact comparison.
+        near = np.flatnonzero(np.abs(c) >= 1.0 - 2.0**-40)
+        a, b = a[near], b[near]
+        c[near[(a == b).all(axis=1)]] = 1.0
+        c[near[(a == -b).all(axis=1)]] = -1.0
         c[(norms[s] == 0.0) | (norms[t] == 0.0)] = 0.0
         r[i:i + step] = c
     return r
@@ -316,18 +321,13 @@ def build_graph(patches: Sequence[PatchRecord], cfg: BuildConfig,
         types = TypeSet(tuple(f"cluster-{i}" for i in range(cfg.kmeans_k)))
         type_idx = np.asarray(labels, dtype=np.intp)
     else:
-        names = []
-        for p in patches:
-            if p.type_label is not None:
-                types.index(p.type_label)
-                names.append(p.type_label)
-            else:
-                names.append(majority_vote_type(p.type_counts, types))
-        type_idx = np.asarray([types.index(nm) for nm in names], dtype=np.intp)
+        type_idx = np.asarray([types.index(majority_vote_type(p.type_counts, types)
+                                           if p.type_label is None else p.type_label)
+                               for p in patches], dtype=np.intp)
 
     n = len(patches)
     edges = knn_edges(feats, cfg.k) if n > 1 else np.zeros((0, 2), dtype=np.intp)
-    keys = np.union1d(edges[:, 0] * n + edges[:, 1], np.arange(n) * (n + 1))
+    keys = _unique_sorted(np.concatenate([edges[:, 0] * n + edges[:, 1], np.arange(n) * (n + 1)]))
     src, dst = keys // n, keys % n
 
     attrs = np.ones((len(keys), 1), dtype=np.float64)
@@ -448,7 +448,7 @@ def _record_from_json(obj: dict, line: int) -> PatchRecord:
         bad = _non_number(feat) if isinstance(feat, list) else json.dumps(feat)
         if bad is not None:
             raise ValueError(f"feat must be a list of numbers, found {bad}")
-        feat = [float(v) for v in feat]
+        feat = np.array(feat, dtype=np.float64)  # float()'s bits and OverflowError
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PatchTableError(line, f"bad patch record: {exc}") from exc
     counts = obj.get("type_counts")
@@ -461,7 +461,7 @@ def _record_from_json(obj: dict, line: int) -> PatchRecord:
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise PatchTableError(line, f"bad type_counts: {exc}") from exc
     try:
-        return PatchRecord(rid, x, y, np.asarray(feat), type_counts=counts,
+        return PatchRecord(rid, x, y, feat, type_counts=counts,
                            type_label=None if label is None else str(label))
     except ConfigError as exc:
         raise PatchTableError(line, str(exc)) from exc

@@ -25,10 +25,10 @@ sum for the chunk; ``Model.head`` then maps, averages and classifies the
 cell means with the forward's own pooling op. A chunk
 holds removals whose downstream regions are bounded by ``_CHUNK_ROWS``
 final rows in all. Two inputs that no built graph produces take the
-definition instead, one forward per removal: a graph in which some
-removal leaves a node without incoming edges (no self-loops), whose first
-such removal raises the error its forward raises, and final rows that no
-finite exact-sum grid bounds.
+definition instead: final rows that no finite exact-sum grid bounds, one
+forward per removal, and a graph in which some removal leaves a node
+without incoming edges (no self-loops), where only the first such removal
+runs, and its forward raises the error the definition raises.
 
 This equals a forward on G without v bit for bit: products are
 row-invariant, every other op is elementwise, and every segment sum is
@@ -50,7 +50,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import AttributionError, ConfigError, ExportError
-from .hetgraph import GraphBatch, HeteroGraph, _write_json, remove_node
+from .hetgraph import (GraphBatch, HeteroGraph, _ranks, _unique_sorted, _write_json,
+                       remove_node)
 from .layers import LayerOutput, attend, project_nodes
 from .model import Model
 
@@ -111,9 +112,7 @@ def _table_rows(changed: np.ndarray, keys: np.ndarray, cached: np.ndarray,
                 first_new: int) -> np.ndarray:
     """Projection-table row of each (removal, node) key: ``first_new`` plus
     its index among the sorted ``changed`` keys, else its ``cached`` row."""
-    at = np.searchsorted(changed, keys)
-    hit = at < len(changed)
-    hit[hit] = changed[at[hit]] == keys[hit]
+    at, hit = _ranks(changed, keys)
     return np.where(hit, first_new + at, cached)
 
 
@@ -148,7 +147,7 @@ def recompute_removals(model: Model, batch: GraphBatch, layer_outputs: list[Laye
         j, r = _members(out_starts, s)
         e = by_source[r]
         keep = dst[e] != v[j]
-        targets = np.unique(v[j][keep] * n + dst[e][keep])
+        targets = _unique_sorted(v[j][keep] * n + dst[e][keep])
         # Each target's segment: its incoming edge rows minus v's.
         tv, tt = np.divmod(targets, n)
         seg, e = _members(in_starts, tt)
@@ -252,14 +251,19 @@ def _removal_losses(model: Model, g: HeteroGraph, batch: GraphBatch,
                     layer_outputs: list[LayerOutput], label: int) -> list[float]:
     """loss(G without v) for every node position v, from the full forward's
     layer outputs on the one-graph ``batch``, for chunks of removals at a
-    time; or, when some removal leaves a node without incoming edges or the
-    type sums have no grid, the definition's losses, whose first failing
-    removal raises the GraphValidationError its forward raises."""
+    time; or, when the type sums have no grid, the definition's losses.
+    When some removal leaves a node without incoming edges, the definition
+    fails first at the lowest-position such removal: only its forward runs,
+    and raises the GraphValidationError the definition raises."""
     n = g.n_nodes
     src, dst = batch.src.rows, batch.dst.rows
     pairs, count = np.unique(src * n + dst, return_counts=True)
     s, t = np.divmod(pairs, n)
     stranding = (count == batch.targets.counts[t]) & (s != t)
+    if stranding.any():
+        # Every earlier removal leaves each node an incoming edge, so the
+        # definition fails first here; this forward raises its error.
+        _eval_loss(model, remove_node(g, g.node_ids[int(s[stranding].min())]), label)
     full = _type_sums(model, layer_outputs[-1].node_features.data, batch)
     if full is None or stranding.any():
         return [_eval_loss(model, remove_node(g, v), label) for v in g.node_ids]

@@ -4,8 +4,10 @@ These recompute the layer, pooling, and full-model forward passes with
 plain Python loops over raw numpy parameter arrays, independently of the
 autodiff path they are checked against. The slow paths that the package
 replaced (per-edge id lookups, list-of-segments segment ops, the per-edge
-validation loops, the dense k-NN and the per-edge Pearson loop of graph
-construction, the unfused attention composition ``ref_attend``, the
+validation loops, the ``isin`` and ``lexsort`` graph check
+``ref_validate``, the dense k-NN, the per-edge Pearson loop of graph
+construction and the Pearson kernel that compares every row pair for
+equality ``ref_pearson``, the unfused attention composition ``ref_attend``, the
 earlier exact-sum kernel ``ref_segment_fsum`` with its grid scale
 ``ref_grid_scale``, the per-name Adam update
 ``ref_adam_step`` with its per-name moments ``RefAdamState``, and the
@@ -33,9 +35,10 @@ import numpy as np
 import pytest
 
 from heatnet import autodiff as ad
-from heatnet.builder import _pearson
+from heatnet import builder
+from heatnet.builder import _pearson, _pow2_scaled
 from heatnet.errors import ConfigError, ShapeError, TrainingError
-from heatnet.hetgraph import HeteroGraph
+from heatnet.hetgraph import HeteroGraph, Violation
 from heatnet.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
@@ -450,6 +453,77 @@ def ref_edge_violation(g):
             return ("duplicate-edge", f"edge ({s}, {t}) appears twice", (s, t))
         pairs.add((s, t))
     return None
+
+
+def ref_validate(g: HeteroGraph) -> Violation | None:
+    """``hetgraph.validate`` with endpoints found by ``np.isin`` and
+    duplicate edges by a ``lexsort`` of the (src, dst) ids."""
+    if len(set(g.node_ids)) != len(g.node_ids):
+        seen = set()
+        for nid in g.node_ids:
+            if nid in seen:
+                return Violation("duplicate-node-id", f"node id {nid} appears twice", node_id=nid)
+            seen.add(nid)
+    if g.node_types.shape != (g.n_nodes,):
+        return Violation("shape", "node_types length does not match node count")
+    if g.n_nodes and (g.node_types.min() < 0 or g.node_types.max() >= len(g.types)):
+        bad = int(np.argmax((g.node_types < 0) | (g.node_types >= len(g.types))))
+        return Violation("unknown-type", "node type index out of range", node_id=g.node_ids[bad])
+    if g.features.ndim != 2 or g.features.shape[0] != g.n_nodes:
+        return Violation("shape", f"features must be (n, d), got {g.features.shape}")
+    if not np.all(np.isfinite(g.features)):
+        bad = int(np.nonzero(~np.isfinite(g.features).all(axis=1))[0][0])
+        return Violation("non-finite", "node feature contains NaN/Inf", node_id=g.node_ids[bad])
+    if g.coords is not None and g.coords.shape != (g.n_nodes, 2):
+        return Violation("shape", f"coords must be (n, 2), got {g.coords.shape}")
+    if not (g.edge_src.shape == g.edge_dst.shape == (g.n_edges,)):
+        return Violation("shape", "edge endpoint arrays malformed")
+    if g.edge_attrs.ndim != 2 or g.edge_attrs.shape[0] != g.n_edges:
+        return Violation("shape", f"edge attrs must be (E, d_e), got {g.edge_attrs.shape}")
+    ids = np.asarray(g.node_ids, dtype=np.intp)
+    src_ok, dst_ok = np.isin(g.edge_src, ids), np.isin(g.edge_dst, ids)
+    if not (src_ok.all() and dst_ok.all()):
+        bad = int(np.argmin(src_ok & dst_ok))
+        s, t = int(g.edge_src[bad]), int(g.edge_dst[bad])
+        if not src_ok[bad]:
+            return Violation("missing-endpoint", f"edge source {s} is not a node", edge=(s, t))
+        return Violation("missing-endpoint", f"edge target {t} is not a node", edge=(s, t))
+    if not np.all(np.isfinite(g.edge_attrs)):
+        bad = int(np.nonzero(~np.isfinite(g.edge_attrs).all(axis=1))[0][0])
+        s, t = int(g.edge_src[bad]), int(g.edge_dst[bad])
+        return Violation("non-finite", "edge attribute contains NaN/Inf", edge=(s, t))
+    # lexsort is stable: each pair's first occurrence sorts first, so the
+    # lowest-indexed flagged row is the first edge that repeats an earlier one.
+    order = np.lexsort((g.edge_dst, g.edge_src))
+    s_sorted, t_sorted = g.edge_src[order], g.edge_dst[order]
+    repeat = (s_sorted[1:] == s_sorted[:-1]) & (t_sorted[1:] == t_sorted[:-1])
+    if repeat.any():
+        bad = int(order[1:][repeat].min())
+        s, t = int(g.edge_src[bad]), int(g.edge_dst[bad])
+        return Violation("duplicate-edge", f"edge ({s}, {t}) appears twice", edge=(s, t))
+    if g.label is not None and g.label < 0:
+        return Violation("label", f"label must be a nonnegative class index, got {g.label}")
+    return None
+
+
+def ref_pearson(feats: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """``builder._pearson`` comparing every gathered row pair for equality
+    and negation, not only the pairs whose correlation is near +-1."""
+    feats = _pow2_scaled(feats)
+    centred = _pow2_scaled(feats - feats.mean(axis=1, keepdims=True))
+    norms = np.sqrt(np.sum(centred * centred, axis=1))
+    r = np.empty(len(src))
+    step = max(1, builder._TILE_BYTES // (8 * feats.shape[1]))
+    for i in range(0, len(src), step):
+        s, t = src[i:i + step], dst[i:i + step]
+        a, b = centred[s], centred[t]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.clip(np.sum(a * b, axis=1) / (norms[s] * norms[t]), -1.0, 1.0)
+        c[(a == b).all(axis=1)] = 1.0
+        c[(a == -b).all(axis=1)] = -1.0
+        c[(norms[s] == 0.0) | (norms[t] == 0.0)] = 0.0
+        r[i:i + step] = c
+    return r
 
 
 def _similarity_matrix(feats: np.ndarray) -> np.ndarray:

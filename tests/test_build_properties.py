@@ -11,9 +11,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import _reference
-from _reference import _similarity_matrix, ref_edge_attrs, ref_knn_edges
+from _reference import _similarity_matrix, ref_edge_attrs, ref_knn_edges, ref_pearson
 from heatnet import builder
-from heatnet.builder import AugmentConfig, BuildConfig, PatchRecord, augment, build_graph, knn_edges
+from heatnet.builder import (AugmentConfig, BuildConfig, PatchRecord, _pearson, augment,
+                             build_graph, knn_edges)
 from heatnet.hetgraph import HeteroGraph, remove_node
 from heatnet.testing import random_labeled_graph
 
@@ -188,6 +189,46 @@ def test_build_attrs_match_per_edge_loop(inputs):
                | (a == 0.0).all(axis=1) | (b == 0.0).all(axis=1))
     assert got[special].tobytes() == expected[special].tobytes()
     np.testing.assert_allclose(got, expected, rtol=0, atol=4 * d * EPS)
+
+
+@st.composite
+def pearson_inputs(draw):
+    """Feature rows and edge pairs over them, half of the pairs (t, u) with
+    row u = +-2**e times row t: random rows, constant rows, zero rows and
+    those scaled or negated copies."""
+    d = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((draw(st.integers(1, 8)), d))
+    base[rng.random(len(base)) < 0.25] = rng.choice([0.0, 1.5, -3.0])   # constant rows
+    n_pairs = draw(st.integers(1, 30))
+    src = rng.integers(0, len(base), n_pairs)
+    copies = rng.choice([-1.0, 1.0], (n_pairs, 1)) * np.ldexp(1.0, rng.integers(-40, 41, (n_pairs, 1)))
+    feats = np.vstack([base, base[src] * copies])
+    dst = np.where(rng.random(n_pairs) < 0.5, len(base) + np.arange(n_pairs),
+                   rng.integers(0, len(feats), n_pairs))
+    return feats, src, dst, draw(st.integers(1, 4))
+
+
+@PROPERTY
+@given(st.integers(2, 64), st.integers(0, 2**32 - 1))
+def test_pearson_of_scaled_or_negated_rows_is_exactly_one(d, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((16, d))
+    sign = rng.choice([-1.0, 1.0], 16)
+    copies = sign[:, None] * np.ldexp(rows, rng.integers(-600, 601, (16, 1)))
+    r = _pearson(np.vstack([rows, copies]), np.arange(16), np.arange(16, 32))
+    assert r.tobytes() == sign.tobytes()
+
+
+@PROPERTY
+@given(pearson_inputs())
+def test_pearson_checks_equality_only_near_one_without_changing_bits(inputs):
+    """The kernel compares rows only where |r| is near 1; the reference
+    compares every pair. Several chunks of edges run when ``rows`` is small."""
+    feats, src, dst, rows = inputs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(builder, "_TILE_BYTES", 8 * feats.shape[1] * rows)
+        assert _pearson(feats, src, dst).tobytes() == ref_pearson(feats, src, dst).tobytes()
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Graph construction: typing, k-NN edges, Pearson attributes, augmentation."""
 
 import itertools
+import json
 import math
 import warnings
 
@@ -171,6 +172,16 @@ class TestBuildGraph:
         assert g.node_types[2] == g.node_types[3]
         assert g.node_types[0] != g.node_types[2]
 
+    @pytest.mark.parametrize("first", ["label", "counts"])
+    def test_first_unknown_type_in_patch_order_is_reported(self, first):
+        bad = {"label": {"type_label": "mystery"}, "counts": {"type_counts": {"enigma": 1}}}
+        later = "counts" if first == "label" else "label"
+        patches = [PatchRecord("a", 0, 0, np.array([1.0, 2.0]), type_label="dead"),
+                   PatchRecord("b", 1, 0, np.array([2.0, 1.0]), **bad[first]),
+                   PatchRecord("c", 2, 0, np.array([2.0, 3.0]), **bad[later])]
+        with pytest.raises(ConfigError, match="mystery" if first == "label" else "enigma"):
+            build_graph(patches, BuildConfig(k=1))
+
     def test_mixed_feature_shapes_name_the_patch(self):
         patches = [PatchRecord("a", 0, 0, np.array([1.0, 2.0])),
                    PatchRecord("b", 1, 0, np.array([1.0, 2.0, 3.0]))]
@@ -315,6 +326,23 @@ class TestPatchTable:
         with pytest.raises(PatchTableError) as exc:
             load_patch_table(path)
         assert exc.value.line == 2
+
+    def test_integer_features_convert_like_float(self, tmp_path):
+        feat = [2**63 + 1, 2**64 - 1, -(2**70) - 1, 2**53 + 1, 2**1023, -7, 0.1, 1e308]
+        path = tmp_path / "patches.jsonl"
+        path.write_text(json.dumps({"id": "a", "x": 0, "y": 0, "feat": feat}) + "\n")
+        (record,) = load_patch_table(path)
+        assert record.feature.dtype == np.float64
+        assert [v.hex() for v in record.feature.tolist()] == [float(v).hex() for v in feat]
+
+    def test_integer_feature_beyond_float64_cites_line(self, tmp_path):
+        path = tmp_path / "patches.jsonl"
+        path.write_text('{"id": "a", "x": 0, "y": 0, "feat": [1.0, 2.0]}\n'
+                        f'{{"id": "b", "x": 1, "y": 0, "feat": [1.0, {10**400}]}}\n')
+        with pytest.raises(PatchTableError) as exc:
+            load_patch_table(path)
+        assert exc.value.line == 2
+        assert str(exc.value).endswith("bad patch record: int too large to convert to float")
 
     def test_csv_variant(self, tmp_path):
         path = tmp_path / "patches.csv"

@@ -257,6 +257,40 @@ def test_one_forward_and_no_graph_copies(monkeypatch):
     assert attr.n_forward_evals == 65
 
 
+def test_stranding_graph_fails_after_two_forwards(monkeypatch):
+    # Node 10 keeps one incoming edge, from the last node: removing that node
+    # strands it, and every other node keeps its self-loop.
+    rng = np.random.default_rng(11)
+    g = random_labeled_graph(rng, TYPES3, n_nodes=64, feature_dim=4, extra_edge_prob=0.05)
+    keep = g.edge_dst != 10
+    g = HeteroGraph(types=g.types, node_ids=g.node_ids, node_types=g.node_types,
+                    features=g.features, edge_src=np.append(g.edge_src[keep], 63),
+                    edge_dst=np.append(g.edge_dst[keep], 10),
+                    edge_attrs=np.append(g.edge_attrs[keep], [[0.5]], axis=0), label=g.label)
+    model = make_model(seed=12)
+    first_error = None
+    for nid in g.node_ids:
+        try:
+            causal_contribution(model, g, g.label, nid)
+        except GraphValidationError as exc:
+            first_error = str(exc)
+            break
+    assert nid == 63 and first_error is not None
+    calls = 0
+    forward = Model.forward
+
+    def counting_forward(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward", counting_forward)
+    with pytest.raises(GraphValidationError) as exc:
+        explain_graph(model, g)
+    assert str(exc.value) == first_error
+    assert calls <= 2
+
+
 def test_explain_work_grows_linearly_with_the_graph(monkeypatch):
     # Rows summed by the segment kernel over one explain_graph on kNN patch
     # graphs (k = 4, 8-d features, six types): O(n * region), not O(n^2).

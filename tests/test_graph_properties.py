@@ -1,6 +1,8 @@
 """Property tests: the position map, run-form segment ops on the batch layout
-and numpy validation agree with their per-edge reference implementations on
-random graphs, and the graph file format round-trips every graph bit for bit."""
+and numpy validation agree with their per-edge and ``isin``/``lexsort``
+reference implementations on random graphs, the sorted distinct values
+equal ``np.unique``'s, and the graph file format round-trips every graph
+bit for bit."""
 
 import json
 
@@ -14,6 +16,7 @@ from _reference import (
     ref_edge_violation,
     ref_segment_reduce,
     ref_segment_softmax,
+    ref_validate,
     segment_softmax,
     segment_sum,
 )
@@ -21,7 +24,9 @@ from heatnet import autodiff as ad
 from heatnet.autodiff import Tensor
 from heatnet.errors import GraphLookupError, GraphValidationError
 from heatnet.hetgraph import (
+    DEFAULT_TYPES,
     HeteroGraph,
+    _unique_sorted,
     batch_graphs,
     from_json_dict,
     remove_node,
@@ -197,6 +202,43 @@ def test_validate_reports_first_duplicate_like_edge_loop(g, data):
 def test_valid_graphs_pass_validate(g):
     assert validate(g) is None
     assert ref_edge_violation(g) is None
+
+
+# Integers from all of int64, with heavy duplication near 0 and near +-2**62.
+WIDE_INTS = st.one_of(st.integers(-4, 4), st.integers(2**62 - 4, 2**62),
+                      st.integers(-2**62, -2**62 + 4), st.integers(-2**62, 2**62))
+
+
+@PROPERTY
+@given(st.lists(st.one_of(WIDE_INTS, st.integers(-2**63, 2**63 - 1)), max_size=60))
+def test_unique_sorted_equals_numpy_unique(values):
+    keys = np.asarray(values, dtype=np.int64)
+    got = _unique_sorted(keys)
+    assert got.dtype == np.int64
+    assert got.tolist() == np.unique(keys).tolist()
+    assert keys.tolist() == values
+
+
+@PROPERTY
+@given(st.data())
+def test_validate_equals_isin_lexsort_reference(data):
+    """Arbitrary node ids (negative, sparse, up to +-2**62, sometimes
+    repeated), edges that repeat and edges to ids that are not nodes."""
+    ids = data.draw(st.lists(WIDE_INTS, max_size=8,
+                             unique=data.draw(st.sampled_from([True, True, True, False]))))
+    end = st.sampled_from(ids) if ids else WIDE_INTS
+    if data.draw(st.booleans()):
+        end |= WIDE_INTS
+    pairs = data.draw(st.lists(st.tuples(end, end), max_size=12))
+    if pairs:
+        repeats = data.draw(st.lists(st.sampled_from(pairs), min_size=data.draw(st.integers(0, 1)),
+                                     max_size=4))
+        pairs = data.draw(st.permutations(pairs + repeats))
+    src, dst = (np.asarray([p[i] for p in pairs], dtype=np.int64) for i in (0, 1))
+    g = HeteroGraph(types=DEFAULT_TYPES, node_ids=tuple(ids), node_types=np.zeros(len(ids)),
+                    features=np.zeros((len(ids), 1)), edge_src=src, edge_dst=dst,
+                    edge_attrs=np.zeros((len(pairs), 1)))
+    assert validate(g) == ref_validate(g)
 
 
 # Signed zeros, the smallest and largest subnormals, and extremes of the normal range.
