@@ -1,13 +1,18 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Only the operations the graph model calls are implemented: the affine
-map ``linear`` and its per-row-type form ``typed_matmul``, elementwise
-product and scaling, concatenation, row gathering, the total sum, row
-softmax, segment aggregation, the fused attention layer core
-``edge_attention``, the fused pooling head ``pooled_logits`` (per-type
-maps, graph mean and classifier), leaky ReLU, dropout-mask application,
-and cross-entropy. Everything is float64 and any op that produces NaN/Inf
-raises NonFiniteError, without a numpy warning before it.
+map ``linear`` and its per-row-type form ``typed_matmul``, scaling,
+concatenation, row gathering, the total sum, row softmax, segment
+aggregation, the fused attention layer core ``edge_attention``, the fused
+pooling head ``pooled_logits`` (per-type maps, graph mean and classifier),
+leaky ReLU, dropout (draw, mask and product as one op) and cross-entropy.
+Everything is float64 and any op that produces NaN/Inf raises
+NonFiniteError, without a numpy warning before it. The float work runs
+with numpy's overflow and invalid-value warnings off (``quiet``), entered
+once per pass, not once per op: ``Model.forward`` and ``backward`` each
+enter one ``np.errstate``, and an op (``_op``) enters its own only when
+called outside any pass. ``backward`` leaves an overflowing gradient
+non-finite for its caller to check.
 
 ``typed_matmul``'s VJP spreads row r's gradient into column block
 ``type_idx[r]`` of an (n, T * d_out) array, so both gradients are one BLAS
@@ -28,12 +33,14 @@ The segment ops take runs of consecutive rows, the CSR layout in which
 index objects that are checked once when they are built, not on every
 call: ``Runs`` (counts, starts, the grid scale of the longest run and the
 attention blocks per block size), ``Index`` (row indices below a bound;
-a sorting permutation is distinct) and ``Cells`` (the pooling head's
-present cells).
-``batch_graphs`` builds them once per batch and the ``GraphBatch`` holds
-them; any other caller builds the same objects from its counts and
-indices. A count that is not positive, or counts that do not sum to the
-row count, is a ContractError.
+one known to be a permutation is distinct) and ``Cells`` (the pooling
+head's present cells). ``batch_graphs`` builds them once per batch and
+the ``GraphBatch`` holds them; what it knows by construction (positions
+offset below the union's size, in-degrees it has checked positive, a
+stable sort's permutation) it builds with ``known``, unchecked. Any other
+caller builds the same objects from its counts and indices, checked. A
+count that is not positive, or counts that do not sum to the row count,
+is a ContractError.
 
 Reductions whose operand order depends on node/edge ordering (segment
 aggregation and pooling, per-segment softmax denominators and their
@@ -89,6 +96,7 @@ from __future__ import annotations
 import functools
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -124,7 +132,8 @@ def no_grad():
 
 
 def _check_finite(arr: Array, op: str) -> None:
-    if not np.isfinite(arr).all():
+    # count_nonzero is one C call; .all() goes through a Python wrapper.
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
@@ -177,7 +186,7 @@ def _lift(x) -> Tensor:
 # Ops that cannot make a non-finite value from finite inputs: a copy, a
 # shrinking map, exactly rounded sums (math.fsum raises OverflowError rather
 # than return inf) and the attention output, an exactly rounded mean or sum
-# of values weighted by weights in [0, 1].
+# of values weighted by weights in [0, 1] (the op checks its weights).
 _FINITE_OPS = frozenset({"gather_rows", "leaky_relu", "sum", "segment_reduce", "edge_attention"})
 
 
@@ -202,12 +211,40 @@ def _make(data: Array, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     return out
 
 
+# True inside ``quiet``: numpy's warnings are off already, so an op enters
+# no ``np.errstate`` of its own. A context variable, as numpy's error state
+# is: a thread that has not entered ``quiet`` still gets its own.
+_QUIET: ContextVar[bool] = ContextVar("heatnet_quiet", default=False)
+
+
+@contextmanager
+def quiet():
+    """numpy's overflow and invalid-value warnings off inside the block.
+
+    ``_make`` raises NonFiniteError on a non-finite result instead. Only the
+    outermost block enters ``np.errstate``: ``Model.forward`` and
+    ``backward`` each enter it once per pass, and an op called inside one
+    enters none of its own.
+    """
+    if _QUIET.get():
+        yield
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        token = _QUIET.set(True)
+        try:
+            yield
+        finally:
+            _QUIET.reset(token)
+
+
 def _op(f):
-    """An op whose float work runs with numpy's overflow and invalid-value
-    warnings off: ``_make`` raises NonFiniteError on a non-finite result."""
+    """An op whose float work runs ``quiet``: inside a pass as it is, called
+    on its own in a ``quiet`` block of its own."""
     @functools.wraps(f)
     def run(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore"):
+        if _QUIET.get():
+            return f(*args, **kwargs)
+        with quiet():
             return f(*args, **kwargs)
     return run
 
@@ -227,19 +264,6 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 # ---------------------------------------------------------------------------
 # elementwise and linear-algebra ops
 # ---------------------------------------------------------------------------
-
-@_op
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    out = a.data * b.data
-
-    def vjp(g):
-        ga = _unbroadcast(g * b.data, a.data.shape) if a.on_tape() else None
-        gb = _unbroadcast(g * a.data, b.data.shape) if b.on_tape() else None
-        return (ga, gb)
-
-    return _make(out, (a, b), vjp, "mul")
-
 
 @_op
 def scale(a: Tensor, s: float) -> Tensor:
@@ -418,12 +442,14 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     return _make(x.data * mask, (x,), vjp, "leaky_relu")
 
 
+@_op
 def dropout(x: Tensor, drop_prob: float, rngs: Sequence[np.random.Generator] | None,
             training: bool, blocks: Sequence[int] | None = None) -> Tensor:
     """Inverted dropout: scales kept entries by 1/keep; identity in eval.
 
     In training, ``rngs[i]`` draws the mask of the ``blocks[i]`` rows that
-    follow block i - 1 (one stream per graph of a batch).
+    follow block i - 1 (one stream per graph of a batch). The draw, the
+    mask and its product are one tape op.
     """
     if not training or drop_prob == 0.0:
         return x
@@ -435,8 +461,12 @@ def dropout(x: Tensor, drop_prob: float, rngs: Sequence[np.random.Generator] | N
         raise ConfigError(f"dropout: {len(rngs)} generators for {len(blocks)} row blocks")
     draws = np.concatenate([r.random((n, *x.data.shape[1:])) for r, n in zip(rngs, blocks)])
     keep = 1.0 - drop_prob
-    mask = (draws < keep).astype(np.float64) / keep
-    return mul(x, Tensor(mask))
+    mask = (draws < keep) / keep    # 1.0 / keep where kept, else 0.0
+
+    def vjp(g):
+        return (g * mask,)
+
+    return _make(x.data * mask, (x,), vjp, "dropout")
 
 
 @_op
@@ -481,8 +511,8 @@ class Index:
     """Row indices into a table of ``bound`` rows, checked once.
 
     ``rows`` is a read-only 1-D intp array with every entry in
-    [0, ``bound``). ``distinct`` says no entry repeats; only ``sorting``,
-    whose permutation has none by construction, builds such an index. An
+    [0, ``bound``). ``distinct`` says no entry repeats; only ``known``
+    builds such an index, from rows known to be a permutation. An
     op that reads an index compares ``bound`` with its table's row count
     instead of scanning the entries on every call.
     """
@@ -503,11 +533,11 @@ class Index:
         self.rows, self.bound, self.distinct = rows, int(bound), distinct
 
     @classmethod
-    def sorting(cls, keys: Array) -> "Index":
-        """The stable sorting permutation of ``keys``: distinct and in range
-        by construction, so there is nothing to check."""
+    def known(cls, rows: Array, bound: int, distinct: bool = False) -> "Index":
+        """An index of intp ``rows`` already known to lie in [0, ``bound``),
+        and to repeat no entry if ``distinct``: nothing to check."""
         index = cls.__new__(cls)
-        index._set(np.argsort(keys, kind="stable"), len(keys), True)
+        index._set(rows, bound, distinct)
         return index
 
     def __len__(self) -> int:
@@ -539,12 +569,23 @@ class Runs:
         if longest > 2**63:
             raise ContractError(f"segment {int(np.argmin(counts))} is empty "
                                 "(node without incoming edges)")
+        self._set(counts, longest)
+
+    def _set(self, counts: Array, longest: int) -> None:
         counts.setflags(write=False)
         ends = counts.cumsum()
         self.counts, self.starts = counts, ends - counts
         self.n_rows = int(ends[-1]) if len(ends) else 0
         self.scale = (longest + 1).bit_length()
         self._blocks: dict[int, list[tuple[slice, slice, Runs]]] = {}
+
+    @classmethod
+    def known(cls, counts: Array) -> "Runs":
+        """Runs of intp ``counts`` already known to be positive: nothing to
+        check."""
+        runs = cls.__new__(cls)
+        runs._set(counts, int(counts.max(initial=0)))
+        return runs
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -591,13 +632,25 @@ class Cells:
         cells = np.array(cells, dtype=np.intp)
         if cells.ndim != 1 or (len(cells) and (cells[0] < 0 or (np.diff(cells) <= 0).any())):
             raise ContractError("pooled_logits: cells must be nonnegative and ascending")
-        graph, types = np.divmod(cells, n_types)
-        counts = np.bincount(graph)
-        if not counts.all():
-            raise ContractError(f"pooled_logits: graph {int(np.argmin(counts))} has no cell")
+        self._set(cells, n_types)
+        if not self.graphs.counts.all():
+            raise ContractError(f"pooled_logits: graph {int(np.argmin(self.graphs.counts))} "
+                                "has no cell")
+
+    def _set(self, cells: Array, n_types: int) -> None:
         cells.setflags(write=False)
+        graph = cells // n_types
         self.cells, self.n_types, self.graph = cells, int(n_types), graph
-        self.types, self.graphs = Index(types, n_types), Runs(counts)
+        self.types = Index.known(cells - graph * n_types, n_types)
+        self.graphs = Runs.known(np.bincount(graph))
+
+    @classmethod
+    def known(cls, cells: Array, n_types: int) -> "Cells":
+        """Cells already known to be ascending, with a cell for each of the
+        graphs 0..B-1: nothing to check."""
+        out = cls.__new__(cls)
+        out._set(cells, n_types)
+        return out
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -664,7 +717,7 @@ def _segment_expansion(xs: Array, runs: Runs) -> Array | None:
     sigma, rest, terms = math.ldexp(1.0, e), xs.copy(), []
     while True:
         terms.append(_extract(sigma, rest, q, runs.starts))
-        if not rest.any():
+        if not np.count_nonzero(rest):
             return np.stack(terms)
         sigma *= 2.0 ** (runs.scale - 53)
 
@@ -710,7 +763,7 @@ def _segment_fsum(xs: Array, runs: Runs, top: float | None = None) -> Array:
         t0 = _extract(sigma, rest, q, starts)
         t1 = _extract(sigma * 2.0 ** (scale - 53), rest, q, starts)
         hi = t0 + t1
-        if not rest.any():
+        if not np.count_nonzero(rest):
             return hi
         z = hi - t0
         lo = (t0 - (hi - z)) + (t1 - z)
@@ -857,6 +910,8 @@ def edge_attention(table: Tensor, modulation: Tensor, src: Index, dst: Index, ru
         keys, queries = gathered(rows)
         w[rows] = _softmax_runs(_plane_sum((keys * mod[rows]) * queries, -1) * s, b_runs)
         out[segs] = _segment_fsum((keys * w[rows, :, None]).reshape(-1, width), b_runs)
+    # An overflowing score makes its weights NaN; finite weights keep the output finite.
+    _check_finite(w, "edge_attention")
     if mode == "mean":
         out /= counts
 
@@ -892,8 +947,9 @@ def edge_attention(table: Tensor, modulation: Tensor, src: Index, dst: Index, ru
 # ---------------------------------------------------------------------------
 
 def _topo(root: Tensor) -> list[Tensor]:
-    """The tensors ``root`` reaches, parents before children. A Tensor
-    hashes by identity, so it is its own key."""
+    """The tape tensors ``root`` reaches, parents before children; a
+    constant, which takes no gradient, is left out. A Tensor hashes by
+    identity, so it is its own key."""
     order: list[Tensor] = []
     seen: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -907,7 +963,7 @@ def _topo(root: Tensor) -> list[Tensor]:
         seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if p not in seen:
+            if p not in seen and (p.requires_grad or p._vjp is not None):
                 stack.append((p, False))
     return order
 
@@ -916,28 +972,32 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
     """Propagate d(loss)/d(leaf) to every reachable grad-enabled leaf.
 
     Returns the leaf -> gradient map and also stores each gradient on the
-    leaf's ``.grad``. The tape is consumed: a second backward through the
-    same intermediate tensors is not possible.
+    leaf's ``.grad``. The VJPs and the gradient sums run ``quiet``: an
+    overflowing gradient is left non-finite, with no numpy warning, for the
+    caller to check (``train.adam_step`` raises TrainingError). The tape
+    is consumed: a second backward through the same intermediate tensors
+    is not possible.
     """
     if loss.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {loss.data.shape}")
     order = _topo(loss)
     grads: dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
     leaf_grads: dict[Tensor, Array] = {}
-    for node in reversed(order):
-        g = grads.pop(node, None)
-        if g is None:
-            continue
-        if node._vjp is None:
-            if node.requires_grad:
-                node.grad = g
-                leaf_grads[node] = g
-            continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None or not (parent.requires_grad or parent._vjp is not None):
+    with quiet():
+        for node in reversed(order):
+            g = grads.pop(node, None)
+            if g is None:
                 continue
-            acc = grads.get(parent)
-            grads[parent] = pg if acc is None else acc + pg
+            if node._vjp is None:
+                if node.requires_grad:
+                    node.grad = g
+                    leaf_grads[node] = g
+                continue
+            for parent, pg in zip(node._parents, node._vjp(g)):
+                if pg is None or not (parent.requires_grad or parent._vjp is not None):
+                    continue
+                acc = grads.get(parent)
+                grads[parent] = pg if acc is None else acc + pg
     for node in order:
         node._parents = ()
         node._vjp = None

@@ -375,13 +375,12 @@ def augment(g: HeteroGraph, cfg: AugmentConfig, rng: np.random.Generator) -> Het
     alive_idx = np.nonzero(keep[src_pos] & keep[dst_pos])[0]
     is_self = g.edge_src[alive_idx] == g.edge_dst[alive_idx]
     u_edges = rng.random(len(alive_idx))
-    drop = (~is_self) & (u_edges < cfg.edge_drop_prob)
-    final_edges = alive_idx[~drop]
+    final_edges = alive_idx[is_self | (u_edges >= cfg.edge_drop_prob)]
 
-    feats = g.features[keep].copy()
+    feats = g.features[keep]    # fancy indexing copies
     if cfg.feature_noise_sigma > 0.0:
         feats += cfg.feature_noise_sigma * rng.standard_normal(feats.shape)
-    attrs = g.edge_attrs[final_edges].copy()
+    attrs = g.edge_attrs[final_edges]
     if cfg.edge_noise_sigma > 0.0:
         attrs += cfg.edge_noise_sigma * rng.standard_normal(attrs.shape)
 

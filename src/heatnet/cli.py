@@ -2,8 +2,9 @@
 
 Commands: build-graph, synth, train, eval, explain, gradcheck. Every
 command takes --config (JSON), --set dotted.path=value overrides (flags
-win), --seed, --out, --jobs, and --deterministic. Exit codes: 0 success,
-2 input error, 3 numeric failure, 64 usage.
+win), --seed, --out, --jobs, and --deterministic. Only ``eval --cv`` runs
+workers (one process per fold); every other command refuses --jobs above
+1. Exit codes: 0 success, 2 input error, 3 numeric failure, 64 usage.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="override a config value (dotted path)")
     p.add_argument("--seed", type=int, default=None, help="experiment seed (wins over config)")
-    p.add_argument("--jobs", type=int, default=1, help="max parallel workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="max parallel workers (eval --cv only; other commands take 1)")
     p.add_argument("--deterministic", action="store_true",
                    help="byte-reproducible artifacts (timings written as 0)")
     p.add_argument("--out", metavar="PATH", help="output file or directory")
@@ -310,6 +312,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+        if args.jobs > 1 and not (args.command == "eval" and args.cv):
+            raise ConfigError(f"--jobs {args.jobs}: only eval --cv runs parallel workers")
         cfg = load_run_config(args.config, args.overrides, args.seed)
         return _COMMANDS[args.command](args, cfg)
     except _INPUT_ERRORS as exc:

@@ -87,7 +87,7 @@ class Attribution:
 
 
 def _eval_loss(model: Model, g: HeteroGraph, label: int) -> float:
-    with ad.no_grad():
+    with ad.no_grad(), ad.quiet():
         return ad.cross_entropy(model.forward([g]), [label]).item()
 
 
@@ -296,7 +296,8 @@ def explain_graph(model: Model, g: HeteroGraph, label: int | None = None,
     y = int(y)
     layer_outputs: list[LayerOutput] = []
     batch = model.batch([g])
-    with ad.no_grad():
+    # One quiet pass for the forward and every removal's ops.
+    with ad.no_grad(), ad.quiet():
         full = ad.cross_entropy(model.forward(batch, layer_outputs=layer_outputs), [y]).item()
         reduced = _removal_losses(model, g, batch, layer_outputs, y) if g.n_nodes > 1 else None
     scored: list[NodeAttribution] = []

@@ -9,8 +9,9 @@ disjoint union (``GraphBatch``), which the model runs on, and lays out its
 index arrays once: the edge endpoint indices, the target runs (its edge
 rows sorted by target, the runs the layers' segment ops reduce; a node
 without incoming edges is a GraphValidationError that names it) and the
-node-type index, each checked once, and the pooling cells of either mode
-on first use. Every op of a
+node-type index, and the pooling cells of either mode on first use. Only
+the node types and the in-degrees are checked; the endpoints, runs and
+cells are in range by construction and built unchecked. Every op of a
 step reads that one batch object instead of re-deriving or re-checking
 the layout. The JSON file format is versioned and stores one column per
 node or edge field: ids, types and coordinates as JSON lists, and the
@@ -26,13 +27,13 @@ import base64
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import accumulate, chain, compress
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, GraphLookupError, GraphValidationError
+from .errors import ConfigError, GraphLookupError, GraphValidationError, ShapeError
 
 GRAPH_FORMAT_VERSION = 3
 _NUMBER_TYPES = {int, float}
@@ -118,7 +119,7 @@ class HeteroGraph:
     coords: np.ndarray | None = None   # (n, 2) int64 grid positions
 
     def __post_init__(self):
-        object.__setattr__(self, "node_ids", tuple(int(i) for i in self.node_ids))
+        object.__setattr__(self, "node_ids", tuple(map(int, self.node_ids)))
         object.__setattr__(self, "node_types", np.ascontiguousarray(self.node_types, dtype=np.intp))
         object.__setattr__(self, "features", np.ascontiguousarray(self.features, dtype=np.float64))
         object.__setattr__(self, "edge_src", np.ascontiguousarray(self.edge_src, dtype=np.intp))
@@ -243,11 +244,12 @@ def _pool_cells(pool_type: np.ndarray, n_types: int, graph: np.ndarray) -> PoolC
     """The cells of rows with pool types in [0, ``n_types``) and graph
     indices, unchecked; each of the graphs 0..B-1 must have rows."""
     # Rows gathered in (graph, type) order make each present cell one run.
+    # A stable argsort is a permutation, and a present cell has rows.
     cell = graph * n_types + pool_type
     count = np.bincount(cell)
     present = np.flatnonzero(count)
-    return PoolCells(cell, ad.Index.sorting(cell), ad.Runs(count[present]),
-                     ad.Cells(present, n_types))
+    return PoolCells(cell, ad.Index.known(np.argsort(cell, kind="stable"), len(cell), True),
+                     ad.Runs.known(count[present]), ad.Cells.known(present, n_types))
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +258,7 @@ class GraphBatch:
     with its index layout built and checked once by ``batch_graphs``; every
     op of a step reads it instead of re-deriving it.
 
-    Node rows follow graph order and ``graph`` names each node's graph;
+    Node rows follow graph order, ``sizes`` counting each graph's nodes;
     ``node_types`` indexes each node's type among the T. Edge rows
     (``edge_attrs``, and the endpoints ``src``/``dst`` among the N node
     rows) are stably sorted by target: ``targets`` holds node t's incoming
@@ -274,7 +276,7 @@ class GraphBatch:
     dst: ad.Index               # (E,) target node rows, nondecreasing
     targets: ad.Runs
     node_types: ad.Index
-    graph: np.ndarray           # (N,) graph index of each node
+    sizes: tuple[int, ...]      # (B,) node rows of each graph
     _pool: dict[bool, PoolCells] = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -287,12 +289,13 @@ class GraphBatch:
 
     def pool(self, per_type: bool) -> PoolCells:
         """The cells of per-type pooling (``per_type``) or of mean pooling,
-        whose one pool type holds a graph's every row; the batch's types and
-        graph indices need no second check."""
+        whose one pool type holds a graph's every row; the batch's types
+        need no second check, and every graph has rows."""
         if per_type not in self._pool:
+            graph = np.arange(len(self.sizes)).repeat(self.sizes)
             types, n_types = ((self.node_types.rows, self.node_types.bound) if per_type
-                              else (np.zeros_like(self.graph), 1))
-            self._pool[per_type] = _pool_cells(types, n_types, self.graph)
+                              else (np.zeros_like(graph), 1))
+            self._pool[per_type] = _pool_cells(types, n_types, graph)
         return self._pool[per_type]
 
 
@@ -300,17 +303,23 @@ def batch_graphs(graphs: Sequence[HeteroGraph]) -> GraphBatch:
     """The disjoint union of a nonempty sequence of graphs, edges sorted by
     target (types from the first; the caller checks that the graphs agree
     on dimensions). A node without incoming edges raises
-    GraphValidationError naming it by its graph's id."""
+    GraphValidationError naming it by its graph's id.
+
+    Every position is below its graph's node count, so offset past the
+    graphs before it, below the union's: the endpoint indices and the
+    target runs need no check beyond the in-degree one."""
     if not graphs:
         raise ConfigError("cannot batch an empty sequence of graphs")
-    sizes = [g.n_nodes for g in graphs]
+    sizes = tuple(g.n_nodes for g in graphs)
+    if not all(sizes):
+        raise ShapeError("cannot batch an empty graph")
     n = sum(sizes)
-    offsets = np.cumsum(sizes) - sizes
+    offsets = list(accumulate(sizes[:-1], initial=0))
     src, dst = (np.concatenate([g.edge_pos[end] + off for g, off in zip(graphs, offsets)])
                 for end in (0, 1))
     # Graphs hold increasing positions: the sort keeps each one's rows together.
     order = np.argsort(dst, kind="stable")
-    node_ids = tuple(nid for g in graphs for nid in g.node_ids)
+    node_ids = tuple(chain.from_iterable(g.node_ids for g in graphs))
     in_degree = np.bincount(dst, minlength=n)
     # Attention normalizes over a node's incoming edges. Built graphs have
     # self-loops, so only a graph made elsewhere (a graph file), or a
@@ -324,11 +333,11 @@ def batch_graphs(graphs: Sequence[HeteroGraph]) -> GraphBatch:
         node_ids=node_ids,
         features=np.concatenate([g.features for g in graphs]),
         edge_attrs=np.concatenate([g.edge_attrs for g in graphs])[order],
-        src=ad.Index(src[order], n),
-        dst=ad.Index(dst[order], n),
-        targets=ad.Runs(in_degree),
+        src=ad.Index.known(src[order], n),
+        dst=ad.Index.known(dst[order], n),
+        targets=ad.Runs.known(in_degree),
         node_types=ad.Index(np.concatenate([g.node_types for g in graphs]), len(graphs[0].types)),
-        graph=np.repeat(np.arange(len(graphs)), sizes),
+        sizes=sizes,
     )
 
 

@@ -118,12 +118,11 @@ class Model:
 
     def batch(self, graphs: Sequence[HeteroGraph]) -> GraphBatch:
         """The graphs as one disjoint union, after checking that each fits
-        the model (nonempty, feature and edge dimensions, type set)."""
+        the model (feature and edge dimensions, type set); an empty graph
+        is ShapeError (``batch_graphs``)."""
         # Only type-blind layers under mean pooling read no node type.
         blind = self.config.type_blind and self.config.pooling == "mean"
         for g in graphs:
-            if g.n_nodes == 0:
-                raise ShapeError("cannot run the model on an empty graph")
             if g.feature_dim != self.config.feature_dim:
                 raise ShapeError(
                     f"graph feature dim {g.feature_dim} does not match model {self.config.feature_dim}")
@@ -142,22 +141,23 @@ class Model:
         ``graphs`` is a sequence of graphs or the ``batch`` made of them.
         Graph b's logits equal those of a batch of graph b alone, bit for
         bit. Dropout is active only in training mode, where ``rngs[b]``
-        draws graph b's mask. ``layer_outputs``, if given, receives each
-        layer's output over the union with its node and edge projections
-        (what ``explain`` reuses).
+        draws graph b's mask over its ``batch.sizes[b]`` rows. The layers
+        and pooling run in one ``autodiff.quiet`` pass. ``layer_outputs``,
+        if given, receives each layer's output over the union with its node
+        and edge projections (what ``explain`` reuses).
         """
         batch = graphs if isinstance(graphs, GraphBatch) else self.batch(graphs)
-        blocks = np.bincount(batch.graph).tolist()
         h: Tensor = Tensor(batch.features)
         attrs: Tensor = Tensor(batch.edge_attrs)
-        for i, layer in enumerate(self.layers):
-            out = layer_forward(batch, layer, features=h, edge_attrs=attrs)
-            if layer_outputs is not None:
-                layer_outputs.append(out)
-            h, attrs = out.node_features, out.edge_attrs
-            if i < len(self.layers) - 1:
-                h = self.activate(h, training, rngs, blocks)
-        return pl_pool(h, self.pool_cells(batch), self.pool)
+        with ad.quiet():
+            for i, layer in enumerate(self.layers):
+                out = layer_forward(batch, layer, features=h, edge_attrs=attrs)
+                if layer_outputs is not None:
+                    layer_outputs.append(out)
+                h, attrs = out.node_features, out.edge_attrs
+                if i < len(self.layers) - 1:
+                    h = self.activate(h, training, rngs, batch.sizes)
+            return pl_pool(h, self.pool_cells(batch), self.pool)
 
     def activate(self, h: Tensor, training: bool = False,
                  rngs: Sequence[np.random.Generator] | None = None,
@@ -184,12 +184,13 @@ class Model:
         """Per-graph cross-entropy on the graphs' own labels: (B,)."""
         if any(g.label is None for g in graphs):
             raise ConfigError("graph has no label")
-        return ad.cross_entropy(self.forward(graphs, training=training, rngs=rngs),
-                                [g.label for g in graphs])
+        with ad.quiet():
+            return ad.cross_entropy(self.forward(graphs, training=training, rngs=rngs),
+                                    [g.label for g in graphs])
 
     def predict_proba(self, graphs: Sequence[HeteroGraph]) -> np.ndarray:
         """Class probabilities (B, C) in eval mode (no tape, no dropout)."""
-        with ad.no_grad():
+        with ad.no_grad(), ad.quiet():
             return ad.softmax_rows(self.forward(graphs)).data
 
     def state_arrays(self) -> dict[str, np.ndarray]:

@@ -6,7 +6,10 @@ minibatches of graphs, each run as one disjoint union with one forward,
 one mean loss and one backward, per-epoch augmentation of training
 graphs, early stopping on validation loss, and the best-validation
 parameters returned as the checkpoint. Evaluation batches its graphs the
-same way, in chunks of bounded size.
+same way, in chunks of bounded size. A minibatch's loss and backward run
+in one ``autodiff.quiet`` block, one ``np.errstate`` per step; a gradient
+that overflows reaches ``adam_step`` as inf, whose TrainingError aborts
+the run like a non-finite loss.
 
 When training starts, the model's parameter arrays are packed into one
 contiguous float64 buffer, each leaf's ``data`` a reshaped view of it, so
@@ -268,9 +271,10 @@ def train(train_graphs: Sequence[HeteroGraph], val_graphs: Sequence[HeteroGraph]
                 # At dropout 0 no mask is drawn, so no generator is built.
                 rngs = ([rng_for(cfg.seed, "dropout", epoch, i) for i in batch]
                         if model.config.dropout > 0 else None)
-                losses = model.loss(graphs, training=True, rngs=rngs)
+                with ad.quiet():
+                    losses = model.loss(graphs, training=True, rngs=rngs)
+                    grads = ad.backward(ad.scale(ad.reduce_sum(losses), 1.0 / len(batch)))
                 epoch_losses.extend(losses.data.tolist())
-                grads = ad.backward(ad.scale(ad.reduce_sum(losses), 1.0 / len(batch)))
                 adam_step(params, {name: grads[p] for name, p in params.items() if p in grads},
                           state, cfg)
             val = evaluate(val_graphs, model)

@@ -13,7 +13,7 @@ earlier exact-sum kernel ``ref_segment_fsum`` with its grid scale
 ``ref_adam_step`` with its per-name moments ``RefAdamState``, and the
 zero-padded pooling head ``ref_pooled_logits``) are kept here as oracles
 for the fast ones. The tape ops only those oracles
-and the tests use (``add``, ``reshape``, ``reduce_sum`` along an axis,
+and the tests use (``mul``, ``add``, ``reshape``, ``reduce_sum`` along an axis,
 ``segment_softmax`` and ``segment_sum``) are built here on
 ``autodiff._make``, and
 ``pearson_pair`` applies the package's Pearson kernel to one pair of
@@ -237,6 +237,19 @@ def ref_model_forward(g, model):
     return ref_mean_pool_logits(feats, pool.classifier_w.data, pool.classifier_b.data)
 
 
+@ad._op
+def mul(a, b):
+    """Broadcasting elementwise product of two tensors, as a tape op."""
+    a, b = ad._lift(a), ad._lift(b)
+
+    def vjp(g):
+        ga = ad._unbroadcast(g * b.data, a.data.shape) if a.on_tape() else None
+        gb = ad._unbroadcast(g * a.data, b.data.shape) if b.on_tape() else None
+        return (ga, gb)
+
+    return ad._make(a.data * b.data, (a, b), vjp, "mul")
+
+
 def add(a, b):
     """Broadcasting sum of two tensors, as a tape op."""
     a, b = ad._lift(a), ad._lift(b)
@@ -312,10 +325,10 @@ def ref_attend(params, node_proj, eproj, src, dst, counts):
     node_proj = blocks(node_proj)
     keys = ad.gather_rows(node_proj, ad.Index(src, node_proj.shape[0]))
     queries = ad.gather_rows(node_proj, ad.Index(dst, node_proj.shape[0]))
-    modulated = ad.mul(ad.mul(keys, reshape(eproj, (-1, 1, d_k))), queries)
+    modulated = mul(mul(keys, reshape(eproj, (-1, 1, d_k))), queries)
     scores = ad.scale(reduce_sum(modulated, axis=2), 1.0 / math.sqrt(d_k))
     att = segment_softmax(scores, counts)
-    weighted = reshape(ad.mul(keys, reshape(att, (-1, heads, 1))), (-1, params.d_out))
+    weighted = reshape(mul(keys, reshape(att, (-1, heads, 1))), (-1, params.d_out))
     if params.aggregation == "mean":
         return ad.segment_reduce(weighted, ad.Runs(counts)), att
     return segment_sum(weighted, counts), att

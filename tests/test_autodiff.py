@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _reference import (add, forced_blocks, ref_grid_scale, ref_segment_fsum, reshape,
+from _reference import (add, forced_blocks, mul, ref_grid_scale, ref_segment_fsum, reshape,
                         segment_softmax, segment_sum)
 from heatnet import autodiff as ad
 from heatnet.autodiff import Tensor
@@ -68,14 +68,14 @@ class TestMatmul:
         out = ad.linear(x, w, b)
         np.testing.assert_array_equal(out.data, [[17.25, -2.0], [39.25, -3.0], [0.25, -2.0]])
         g = np.array([[1.0, 2.0], [3.0, 4.0], [-1.0, 0.5]])
-        grads = ad.backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+        grads = ad.backward(ad.reduce_sum(mul(out, Tensor(g))))
         np.testing.assert_array_equal(grads[b], [3.0, 6.5])
         np.testing.assert_array_equal(grads[x], g @ w.data)
         np.testing.assert_array_equal(grads[w], g.T @ x.data)
 
         def f():
             y = ad.linear(x, w, b)
-            return ad.reduce_sum(ad.mul(y, y))
+            return ad.reduce_sum(mul(y, y))
 
         assert ad.grad_check(f, [x, w, b]) < 1e-5
 
@@ -207,19 +207,19 @@ class TestBackward:
 
     def test_quadratic(self):
         w = Tensor([2.0], requires_grad=True)
-        grads = ad.backward(ad.reduce_sum(ad.mul(w, w)))
+        grads = ad.backward(ad.reduce_sum(mul(w, w)))
         np.testing.assert_array_equal(grads[w], [4.0])
 
     def test_shared_subexpression_accumulates(self):
         w = Tensor([3.0], requires_grad=True)
-        y = add(ad.mul(w, w), ad.scale(w, 2.0))  # w^2 + 2w -> 2w + 2 = 8
+        y = add(mul(w, w), ad.scale(w, 2.0))  # w^2 + 2w -> 2w + 2 = 8
         grads = ad.backward(ad.reduce_sum(y))
         assert grads[w][0] == pytest.approx(8.0)
 
     def test_non_scalar_root_rejected(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractError):
-            ad.backward(ad.mul(w, w))
+            ad.backward(mul(w, w))
 
     def test_grad_map_covers_only_reached_leaves(self):
         w = Tensor([1.0], requires_grad=True)
@@ -233,7 +233,7 @@ class TestOps:
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         b = Tensor(np.ones((2, 3)), requires_grad=True)
         cat = ad.concat([a, b], axis=1)
-        loss = ad.reduce_sum(ad.mul(cat, Tensor([0.0, 1.0, 1.0, 1.0, 0.0])))
+        loss = ad.reduce_sum(mul(cat, Tensor([0.0, 1.0, 1.0, 1.0, 0.0])))
         grads = ad.backward(loss)
         np.testing.assert_array_equal(grads[a], [[0, 1], [0, 1]])
         np.testing.assert_array_equal(grads[b], [[1, 1, 0], [1, 1, 0]])
@@ -275,12 +275,43 @@ class TestOps:
         vals = np.unique(out.data)
         assert set(np.round(vals, 12)) <= {0.0, round(1.0 / 0.8, 12)}
 
+    @pytest.mark.parametrize("op", [
+        lambda: ad.scale(Tensor([[1e308]]), 10.0),
+        lambda: ad.linear(Tensor([[1e308, 1e308]]), Tensor([[1.0, 1.0]])),
+        lambda: ad.typed_matmul(Tensor([[1e308, 1e308]]), Tensor([[[1.0, 1.0]]]),
+                                ad.Index([0], 1)),
+        lambda: ad.dropout(Tensor(np.full((1, 8), 1e308)), 0.5, [np.random.default_rng(1)], True,
+                           [1]),
+        lambda: ad.cross_entropy(Tensor([[-1e308, 1e308]]), [0]),
+        lambda: ad.pooled_logits(Tensor([[1e308, 1e308]]), ad.Cells([0], 1), None,
+                                 Tensor([[1.0, 1.0]]), Tensor([0.0])),
+        lambda: ad.edge_attention(Tensor([[1e200, 1e200], [1.0, 1.0]]), Tensor(np.ones((2, 2))),
+                                  ad.Index([0, 1], 2), ad.Index([0, 1], 2), ad.Runs([1, 1]), 1),
+    ], ids=["scale", "linear", "typed_matmul", "dropout", "cross_entropy", "pooled_logits",
+            "edge_attention"])
+    def test_overflow_raises_without_a_warning(self, op):
+        """Called on its own, outside any pass, an op on overflowing inputs
+        raises NonFiniteError, with no numpy warning before it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                op()
+
+    def test_backward_overflow_is_non_finite_without_a_warning(self):
+        """Gradient sums run quiet too: two 1e308 halves add up to inf."""
+        x = Tensor([[1e-300]], requires_grad=True)
+        loss = ad.reduce_sum(ad.concat([ad.scale(x, 1e308), ad.scale(x, 1e308)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grads = ad.backward(loss)
+        assert np.isposinf(grads[x]).all()
+
     def test_non_finite_raises(self):
         with pytest.raises(NonFiniteError):
             Tensor([np.inf])
         big = Tensor([[1e308]])
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-            ad.mul(big, big)
+            mul(big, big)
 
 
 class TestTypedMatmul:
@@ -298,7 +329,7 @@ class TestTypedMatmul:
     def test_gradients_pass_grad_check(self):
         def f():
             y = ad.typed_matmul(self.x, self.w, self.idx)
-            return ad.reduce_sum(ad.mul(y, y))
+            return ad.reduce_sum(mul(y, y))
 
         assert ad.grad_check(f, [self.x, self.w], eps=1e-4) < 1e-5
 
@@ -310,7 +341,7 @@ class TestTypedMatmul:
     def test_gradients_equal_per_row_products(self):
         # the one-hot spread VJP against row-by-row products
         g = np.random.default_rng(4).standard_normal((6, 4))
-        grads = ad.backward(ad.reduce_sum(ad.mul(ad.typed_matmul(self.x, self.w, self.idx),
+        grads = ad.backward(ad.reduce_sum(mul(ad.typed_matmul(self.x, self.w, self.idx),
                                                  Tensor(g))))
         dx = np.stack([self.w.data[t].T @ g[r] for r, t in enumerate(self.idx.rows)])
         dw = np.zeros_like(self.w.data)
@@ -329,7 +360,7 @@ class TestTypedMatmul:
             x, w = (Tensor(t.data, requires_grad=True) for t in (self.x, self.w))
             with forced_blocks(blocks):
                 y = ad.typed_matmul(x, w, self.idx)
-                grads = ad.backward(ad.reduce_sum(ad.mul(y, Tensor(g))))
+                grads = ad.backward(ad.reduce_sum(mul(y, Tensor(g))))
             runs.append([y.data.tobytes(), grads[x].tobytes(), grads[w].tobytes()])
         assert runs[0] == runs[1]
 
@@ -421,7 +452,7 @@ class TestRowInvariance:
             lx, lw, lb, lw3 = leaves
             with forced_blocks(blocks):
                 ys = [ad.linear(lx, lw, lb), ad.typed_matmul(lx, lw3, ad.Index(idx, n_types))]
-                grads = ad.backward(ad.reduce_sum(ad.mul(ad.concat(ys, axis=1),
+                grads = ad.backward(ad.reduce_sum(mul(ad.concat(ys, axis=1),
                                                          Tensor(np.hstack([g, g])))))
             runs.append([y.data.tobytes() for y in ys] + [grads[t].tobytes() for t in leaves])
         assert runs[0] == runs[1]
@@ -573,7 +604,7 @@ class TestExactSums:
         fsum = math.fsum
         monkeypatch.setattr(math, "fsum", lambda values: calls.append(1) or fsum(values))
         w = segment_softmax(x, counts)
-        mean = ad.segment_reduce(ad.mul(w, x), ad.Runs(counts))
+        mean = ad.segment_reduce(mul(w, x), ad.Runs(counts))
         total = segment_sum(x, counts)
         pooled = ad.segment_reduce(add(mean, total), ad.Runs([g.n_nodes]))
         ad.backward(ad.linear(pooled, head))
@@ -816,7 +847,7 @@ class TestGradCheck:
         w = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
 
         def f():
-            return ad.reduce_sum(ad.mul(w, w))
+            return ad.reduce_sum(mul(w, w))
 
         assert ad.grad_check(f, [w]) < 1e-7
 
@@ -837,7 +868,7 @@ class TestGradCheck:
         def f():
             h = ad.leaky_relu(ad.linear(a, b, c), 0.01)
             w = segment_softmax(h, counts)
-            pooled = ad.segment_reduce(ad.mul(h, w), ad.Runs(counts))
+            pooled = ad.segment_reduce(mul(h, w), ad.Runs(counts))
             z = ad.segment_reduce(pooled, ad.Runs([len(counts)]))
             return ad.cross_entropy(reshape(z, (int(n),)), 0)
 

@@ -114,13 +114,18 @@ class TestBatchEqualsOneGraphBatches:
 
 def test_a_step_reads_the_plan_and_rebuilds_no_layout(monkeypatch):
     """A c06-size training step, from ``batch_graphs`` through backward,
-    checks its runs and indices once, when the batch and its pooling cells
-    are built: the ops derive no segment layout and pooling sorts nothing."""
+    builds its runs and indices once, when the batch and its pooling cells
+    are built: the ops derive no segment layout and pooling sorts nothing.
+    Only the node types are checked; every other index and run is known
+    to be in range by construction. The step enters ``np.errstate`` once
+    for the forward, once for the loss op called after it and once for
+    the backward, not once per op."""
     from heatnet import pooling
     graphs = [random_labeled_graph(np.random.default_rng(i), DEFAULT_TYPES, n_nodes=13,
                                    feature_dim=8) for i in range(2)]
     model = Model.init(ModelConfig(feature_dim=8, dropout=0.2), rng_for(0, "init"))
-    calls = {"Runs": 0, "Index": 0, "unique": 0, "argsort": 0}
+    calls = {"Runs": 0, "Index": 0, "Runs.known": 0, "Index.known": 0, "unique": 0,
+             "argsort": 0, "errstate": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -130,6 +135,8 @@ def test_a_step_reads_the_plan_and_rebuilds_no_layout(monkeypatch):
 
     for cls in (ad.Runs, ad.Index):
         monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+        monkeypatch.setattr(cls, "known", classmethod(counting(f"{cls.__name__}.known",
+                                                               cls.known.__func__)))
     numpy_in_pooling = type("numpy_in_pooling", (), {
         "__getattr__": lambda self, attr: getattr(np, attr),
         "unique": staticmethod(counting("unique", np.unique)),
@@ -143,11 +150,15 @@ def test_a_step_reads_the_plan_and_rebuilds_no_layout(monkeypatch):
         ad.backward(ad.reduce_sum(losses))
 
     batch = model.batch(graphs)
-    # targets, the per-type cells, their graphs; edges, node types, cell types
+    monkeypatch.setattr(np, "errstate", counting("errstate", np.errstate))
+    # node types; targets, the per-type cells, their graphs; edges, cell
+    # order, cell types
     step(batch)
-    assert calls == {"Runs": 3, "Index": 4, "unique": 0, "argsort": 0}
+    assert calls == {"Runs": 0, "Index": 1, "Runs.known": 3, "Index.known": 4, "unique": 0,
+                     "argsort": 0, "errstate": 3}
     step(batch)
-    assert calls == {"Runs": 3, "Index": 4, "unique": 0, "argsort": 0}
+    assert calls == {"Runs": 0, "Index": 1, "Runs.known": 3, "Index.known": 4, "unique": 0,
+                     "argsort": 0, "errstate": 6}
 
 
 def shuffled_edges(g, rng):
@@ -235,10 +246,13 @@ class TestBatchBoundaries:
                           rngs=[rng_for(0, "dropout")])
 
     def test_one_forward_and_backward_per_minibatch(self, monkeypatch):
+        """Each minibatch is one forward and one backward, and training
+        enters ``np.errstate`` at most once per forward and once per
+        backward: the ops run inside one ``quiet`` pass, not one each."""
         graphs = [random_labeled_graph(np.random.default_rng(i), TYPES2, n_nodes=5,
                                        feature_dim=2) for i in range(8)]
-        calls = {"forward": 0, "backward": 0}
-        forward, backward = Model.forward, ad.backward
+        calls = {"forward": 0, "backward": 0, "errstate": 0}
+        forward, backward, errstate = Model.forward, ad.backward, np.errstate
 
         def counting_forward(self, *args, **kwargs):
             calls["forward"] += 1
@@ -248,10 +262,17 @@ class TestBatchBoundaries:
             calls["backward"] += 1
             return backward(*args, **kwargs)
 
+        def counting_errstate(*args, **kwargs):
+            calls["errstate"] += 1
+            return errstate(*args, **kwargs)
+
         monkeypatch.setattr(Model, "forward", counting_forward)
         monkeypatch.setattr(ad, "backward", counting_backward)
+        monkeypatch.setattr(np, "errstate", counting_errstate)
         cfg = TrainConfig(learning_rate=1e-3, max_epochs=1, batch_size=2, patience=1,
                           augmentation=AugmentConfig(0.1, 0.1, 0.01, 0.01))
         result = train(graphs[:6], graphs[6:], small_model(), cfg)
         assert len(result.log) == 1
+        errstate_entries = calls.pop("errstate")
         assert calls == {"forward": 4, "backward": 3}   # 3 minibatches + 1 evaluation
+        assert 0 < errstate_entries <= calls["forward"] + calls["backward"]

@@ -309,6 +309,24 @@ class TestTrainEvalExplain:
         assert "--jobs must be at least 1" in _one_input_error_line(capsys)
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["build-graph", "--patches", "patches.jsonl"],
+        ["synth"],
+        ["train", "--data", "data"],
+        ["eval", "--data", "data", "--checkpoint", "ckpt.json"],
+        ["explain", "--graph", "g.json", "--checkpoint", "ckpt.json"],
+        ["gradcheck"],
+    ], ids=lambda argv: argv[0] + ("-checkpoint" if argv[0] == "eval" else ""))
+    def test_jobs_above_one_outside_eval_cv_exits_2_with_one_line(self, tmp_path, capsys,
+                                                                    argv):
+        """Only ``eval --cv`` runs workers; elsewhere --jobs 2 is refused
+        before any input is read or output written."""
+        out = tmp_path / "out"
+        rc = main([*argv, "--jobs", "2", "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert "only eval --cv runs parallel workers" in _one_input_error_line(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("fold", ["0", "3"])
     def test_train_fold_reproduces_the_cv_fold(self, tmp_path, fold):
         """``train --fold k`` then ``eval --checkpoint --fold k`` gives

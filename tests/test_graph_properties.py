@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from _reference import (
     incoming_segments,
+    mul,
     ref_edge_violation,
     ref_segment_reduce,
     ref_segment_softmax,
@@ -143,7 +144,7 @@ def test_segment_ops_match_list_form_bitwise(g, cols, mode, kind, extra, seed):
 
     xt = Tensor(x.copy(), requires_grad=True)
     w = segment_softmax(xt, counts)
-    ad.backward(ad.reduce_sum(ad.mul(w, Tensor(upstream))))
+    ad.backward(ad.reduce_sum(mul(w, Tensor(upstream))))
     ref_w, ref_dx = ref_segment_softmax(x, segs, grad=upstream)
     assert w.data.tobytes() == ref_w.tobytes()
     assert xt.grad.tobytes() == ref_dx.tobytes()
@@ -151,7 +152,7 @@ def test_segment_ops_match_list_form_bitwise(g, cols, mode, kind, extra, seed):
     upstream = rng.standard_normal((g.n_nodes, cols))
     xt = Tensor(x.copy(), requires_grad=True)
     out = ad.segment_reduce(xt, ad.Runs(counts)) if mode == "mean" else segment_sum(xt, counts)
-    ad.backward(ad.reduce_sum(ad.mul(out, Tensor(upstream))))
+    ad.backward(ad.reduce_sum(mul(out, Tensor(upstream))))
     ref_out, ref_dx = ref_segment_reduce(x, segs, mode, grad=upstream)
     assert out.data.tobytes() == ref_out.tobytes()
     assert xt.grad.tobytes() == ref_dx.tobytes()

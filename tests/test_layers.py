@@ -11,6 +11,7 @@ from _reference import (
     from_lists,
     head_blocks,
     incoming_segments,
+    mul,
     ref_attend,
     ref_layer_forward,
     ref_plain_attention,
@@ -224,7 +225,7 @@ class TestLayerForward:
 
         def f():
             out = layer_forward(batch_graphs([g]), params)
-            return ad.reduce_sum(ad.mul(out.node_features, out.node_features))
+            return ad.reduce_sum(mul(out.node_features, out.node_features))
 
         assert ad.grad_check(f, tensors, eps=1e-4) < 1e-5
 
@@ -267,7 +268,7 @@ def attend_raw(params, table, mod, src, dst, counts):
 
 def weighted_sum(out, seed):
     r = np.random.default_rng(seed + 1).normal(size=out.shape)
-    return ad.reduce_sum(ad.mul(out, ad.Tensor(r)))
+    return ad.reduce_sum(mul(out, ad.Tensor(r)))
 
 
 class TestFusedAttend:
@@ -333,7 +334,7 @@ class TestFusedAttend:
         results, g_mods = [], []
         for op in (attend_raw, ref_attend):
             out, att = op(params, table, mod, src, dst, counts)
-            grads = ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(upstream))))
+            grads = ad.backward(ad.reduce_sum(mul(out, ad.Tensor(upstream))))
             results.append([out.data.tobytes(), np.asarray(getattr(att, "data", att)).tobytes()])
             g_mods.append(grads.get(mod))
         assert results[0] == results[1]

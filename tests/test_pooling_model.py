@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _reference import (from_lists, ref_graph_logits, ref_model_forward, ref_pl_pool,
+from _reference import (from_lists, mul, ref_graph_logits, ref_model_forward, ref_pl_pool,
                         ref_pooled_logits)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -130,7 +130,7 @@ class TestPermutationGather:
             means = ad.segment_reduce(ad.gather_rows(x, order), cells.runs)
             out = ad.pooled_logits(means, cells.cells, params.readout, params.classifier_w,
                                    params.classifier_b)
-            ad.backward(ad.reduce_sum(ad.mul(out, Tensor(upstream))))
+            ad.backward(ad.reduce_sum(mul(out, Tensor(upstream))))
             runs.append([out.data.tobytes(), x.grad.tobytes()])
         assert cells.order.distinct and runs[0] == runs[1]
         logits = pl_pool(Tensor(feats), cells, params).data
@@ -216,7 +216,7 @@ class TestPooledLogits:
             leaves = [Tensor(a, requires_grad=True) for a in (means, weight, bias)]
             maps = None if readout is None else Tensor(readout, requires_grad=True)
             out = head(leaves[0], ad.Cells(cells, n_types), maps, leaves[1], leaves[2])
-            grads = ad.backward(ad.reduce_sum(ad.mul(out, Tensor(upstream))))
+            grads = ad.backward(ad.reduce_sum(mul(out, Tensor(upstream))))
             runs.append([out.data.tobytes()] + [grads[t].tobytes() for t in leaves]
                         + ([] if maps is None else [grads[maps].tobytes()]))
         assert runs[0] == runs[1]

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import RefAdamState, ref_adam_step
+from heatnet import autodiff as ad
 from heatnet.autodiff import Tensor
 from heatnet.builder import AugmentConfig, BuildConfig
 from heatnet.cli import EXIT_OK, main
@@ -280,6 +282,27 @@ class TestTrain:
         restored = model.state_arrays()
         assert all(np.isfinite(restored[k]).all() for k in restored)
         del good, snapshot
+
+    def test_overflowing_gradient_aborts_without_a_warning(self, monkeypatch):
+        """A gradient that overflows in backward's sums reaches ``adam_step``
+        as inf, whose TrainingError aborts the run, with no numpy warning."""
+        graphs = tiny_dataset(n=10, seed=8)
+        model = tiny_model(seed=8)
+        before = model.state_arrays()
+        bias = model.pool.classifier_b      # zeros: the loss rows below are 0
+
+        def overflowing_loss(graphs, training=False, rngs=None):
+            # The mean loss gives each row 1/2; eight 0.5e308 bias gradients sum to inf.
+            hit = ad.scale(bias, 1e308)
+            return ad.concat([hit] * 8)
+
+        monkeypatch.setattr(model, "loss", overflowing_loss)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = train(graphs[:6], graphs[6:], model, quiet_cfg(max_epochs=2))
+        assert result.aborted and result.log == []
+        after = model.state_arrays()
+        assert all(after[k].tobytes() == before[k].tobytes() for k in before)
 
     def test_untrained_model_scores_near_chance(self):
         # Null-model sanity oracle: a freshly initialized type-blind model on
