@@ -1,11 +1,13 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Only the operations the graph model calls are implemented: the affine
-map ``linear`` and its per-row-type form ``typed_matmul``, scaling,
-concatenation, row gathering, the total sum, row softmax, segment
+Only the operations a training or attribution pass of the graph model
+calls are implemented: the linear map ``linear`` and its per-row-type form
+``typed_matmul``, scaling, row gathering, the total sum, segment
 aggregation, the fused attention layer core ``edge_attention``, the fused
 pooling head ``pooled_logits`` (per-type maps, graph mean and classifier),
 leaky ReLU, dropout (draw, mask and product as one op) and cross-entropy.
+No-grad glue that needs no op, such as ``Model.predict_proba``'s row
+softmax, is plain numpy where it is used.
 Everything is float64 and any op that produces NaN/Inf raises
 NonFiniteError, without a numpy warning before it. The float work runs
 with numpy's overflow and invalid-value warnings off (``quiet``), entered
@@ -97,7 +99,7 @@ import functools
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -145,24 +147,19 @@ class Tensor:
     closure on the tape while grad mode is on.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         _check_finite(self.data, "tensor")
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
-        self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[Array], Sequence[Array | None]] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
 
     @property
     def size(self) -> int:
@@ -175,8 +172,7 @@ class Tensor:
         return self.requires_grad or self._vjp is not None
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 def _lift(x) -> Tensor:
@@ -198,7 +194,6 @@ def _make(data: Array, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.name = None
     out.requires_grad = False
     out._parents = ()
     out._vjp = None
@@ -249,18 +244,6 @@ def _op(f):
     return run
 
 
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Sum out broadcast dimensions so grad matches the original shape."""
-    if grad.shape == shape:
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 # ---------------------------------------------------------------------------
 # elementwise and linear-algebra ops
 # ---------------------------------------------------------------------------
@@ -295,46 +278,23 @@ def _rowwise_product(x: Array, w: Array, type_idx: Array | None = None) -> Array
 
 
 @_op
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """The affine map ``x @ w.T (+ b)`` as one tape op.
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """The linear map ``x @ w.T`` as one tape op.
 
-    ``x`` is (n, d_in), ``w`` is (d_out, d_in) and ``b``, if given, is
-    (d_out,). Each output row is built from its own input row only.
+    ``x`` is (n, d_in) and ``w`` is (d_out, d_in). Each output row is built
+    from its own input row only.
     """
     x, w = _lift(x), _lift(w)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"linear expects x (n, d_in) and w (d_out, d_in), "
                          f"got {x.data.shape} and {w.data.shape}")
-    out = _rowwise_product(x.data, w.data)
-    parents = (x, w)
-    if b is not None:
-        b = _lift(b)
-        if b.data.shape != (w.data.shape[0],):
-            raise ShapeError(f"linear bias has shape {b.data.shape}, expected ({w.data.shape[0]},)")
-        out += b.data
-        parents = (x, w, b)
 
     def vjp(g):
         dx = g @ w.data if x.on_tape() else None
         dw = (x.data.T @ g).T if w.on_tape() else None
-        return (dx, dw) if b is None else (dx, dw, g.sum(axis=0))
+        return (dx, dw)
 
-    return _make(out, parents, vjp, "linear")
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = [_lift(p) for p in parts]
-    if not parts:
-        raise ShapeError("concat of zero tensors")
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(piece if p.on_tape() else None
-                     for p, piece in zip(parts, np.split(g, offsets, axis=axis)))
-
-    return _make(out, tuple(parts), vjp, "concat")
+    return _make(_rowwise_product(x.data, w.data), (x, w), vjp, "linear")
 
 
 def gather_rows(a: Tensor, index: "Index") -> Tensor:
@@ -413,24 +373,6 @@ def reduce_sum(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities and losses
 # ---------------------------------------------------------------------------
-
-@_op
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor, stabilized by max subtraction."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a 2-D tensor, got {x.data.shape}")
-    if x.data.shape[1] == 0:
-        raise ShapeError("softmax over an empty row dimension")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    w = ex / ex.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        dots = np.sum(g * w, axis=1, keepdims=True)
-        return (w * (g - dots),)
-
-    return _make(w, (x,), vjp, "softmax_rows")
-
 
 @_op
 def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
@@ -833,7 +775,8 @@ def pooled_logits(means: Tensor, cells: Cells, readout: Tensor | None,
     summed, exactly rounded, and divided by T = ``cells.n_types``, and the
     (C, d) ``weight`` and (C,) ``bias`` classify the result. The bits are
     those of ``typed_matmul``, a zero row per absent cell, a mean over each
-    graph's T rows and ``linear``: an exactly rounded sum ignores zero terms.
+    graph's T rows, ``linear`` and the bias added after it: an exactly
+    rounded sum ignores zero terms.
     """
     means, weight, bias = _lift(means), _lift(weight), _lift(bias)
     n_types = cells.n_types

@@ -80,7 +80,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="max parallel workers (eval --cv only; other commands take 1)")
     p.add_argument("--deterministic", action="store_true",
                    help="byte-reproducible artifacts (timings written as 0)")
-    p.add_argument("--out", metavar="PATH", help="output file or directory")
+    p.add_argument("--out", metavar="PATH", help="output file or directory (not gradcheck)")
 
 
 def build_parser() -> _Parser:
@@ -314,6 +314,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         if args.jobs > 1 and not (args.command == "eval" and args.cv):
             raise ConfigError(f"--jobs {args.jobs}: only eval --cv runs parallel workers")
+        if args.command == "gradcheck" and args.out is not None:
+            raise ConfigError("--out: gradcheck writes no file")
         cfg = load_run_config(args.config, args.overrides, args.seed)
         return _COMMANDS[args.command](args, cfg)
     except _INPUT_ERRORS as exc:

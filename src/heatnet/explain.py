@@ -13,10 +13,11 @@ changes layer l's output only at the nodes within l hops downstream of v
 one layer earlier. So ``explain_graph`` runs one full forward that keeps
 each layer's node and edge projections. Then, for a chunk of removals at a
 time, ``recompute_removals`` recomputes each layer with one
-``layers.attend`` call over the chunk's (removed node, target) pairs: a
-pair's segment is the target's incoming edges (a range of the forward's
-target-sorted edge rows) minus v's, the rows changed one layer earlier are
-projected anew, and every other row is read from the cache. Pooling never
+``autodiff.edge_attention`` call over the chunk's (removed node, target)
+pairs: a pair's segment is the target's incoming edges (a range of the
+forward's target-sorted edge rows) minus v's, the rows changed one layer
+earlier are projected anew, and every other row is read from the cache, a
+plain numpy gather (the recompute records no tape). Pooling never
 touches the unchanged rows: the full graph's column sums per pooling type
 are kept once as exact float expansions, and ``removal_logits`` sums, for
 each (removed node, type) cell, those terms, the negated old rows of v and
@@ -52,7 +53,7 @@ from .autodiff import Tensor
 from .errors import AttributionError, ConfigError, ExportError
 from .hetgraph import (GraphBatch, HeteroGraph, _ranks, _unique_sorted, _write_json,
                        remove_node)
-from .layers import LayerOutput, attend, project_nodes
+from .layers import LayerOutput, project_nodes
 from .model import Model
 
 # Bound on the final rows the removals of one chunk change (see ``reach``
@@ -158,14 +159,14 @@ def recompute_removals(model: Model, batch: GraphBatch, layer_outputs: list[Laye
         # source and target), then the new rows.
         old, slot = _distinct(np.concatenate([source, tt]), n)
         types = ad.Index(batch.node_types.rows[changed % n], batch.node_types.bound)
-        table = ad.concat([ad.gather_rows(cached.node_proj, ad.Index(old, n)),
-                           project_nodes(layer, h_changed, types)])
+        table = Tensor(np.concatenate([cached.node_proj.data.take(old, axis=0),
+                                       project_nodes(layer, h_changed, types).data]))
         rows = len(old) + len(changed)
-        h, _ = attend(layer, table, ad.gather_rows(cached.edge_attrs, ad.Index(e, batch.n_edges)),
-                      ad.Index(_table_rows(changed, tv[seg] * n + source, slot[source], len(old)),
-                               rows),
-                      ad.Index(_table_rows(changed, targets, slot[tt], len(old))[seg], rows),
-                      ad.Runs(np.bincount(seg, minlength=len(targets))))
+        h, _ = ad.edge_attention(
+            table, Tensor(cached.edge_attrs.data.take(e, axis=0)),
+            ad.Index(_table_rows(changed, tv[seg] * n + source, slot[source], len(old)), rows),
+            ad.Index(_table_rows(changed, targets, slot[tt], len(old))[seg], rows),
+            ad.Runs(np.bincount(seg, minlength=len(targets))), layer.heads, layer.aggregation)
         if i < len(model.layers) - 1:
             h = model.activate(h)
         changed, h_changed = targets, h
@@ -265,7 +266,7 @@ def _removal_losses(model: Model, g: HeteroGraph, batch: GraphBatch,
         # definition fails first here; this forward raises its error.
         _eval_loss(model, remove_node(g, g.node_ids[int(s[stranding].min())]), label)
     full = _type_sums(model, layer_outputs[-1].node_features.data, batch)
-    if full is None or stranding.any():
+    if full is None:
         return [_eval_loss(model, remove_node(g, v), label) for v in g.node_ids]
     by_source = np.argsort(src, kind="stable")
     out_starts = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])

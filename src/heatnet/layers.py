@@ -12,15 +12,15 @@ attribute e' becomes the edge's attribute for the next layer.
 ``layer_forward`` computes this for all edges of a ``GraphBatch`` (one
 graph, or several stacked as a disjoint union) at once: one
 ``typed_matmul`` projects all nodes with all heads into (n, heads * d_k)
-rows (``project_nodes``), and ``attend`` scores, normalizes and
-aggregates edge rows given as index arrays into that table as one tape op
-(``autodiff.edge_attention``), so no op loops over types, heads or edges.
-A layer records at most three tape ops: the projection, the edge map
+rows (``project_nodes``), and ``autodiff.edge_attention`` scores,
+normalizes and aggregates edge rows given as index arrays into that table
+as one tape op, so no op loops over types, heads or edges. A layer
+records at most three tape ops: the projection, the edge map
 ``autodiff.linear`` and the attention op. The batch holds the checked
 indices and runs the ops read (``src``, ``dst``, ``node_types``, and
 ``targets``: a target's incoming edges are one run of its rows). The
-leave-one-out attribution calls ``attend`` directly on the edges around
-each removed node.
+leave-one-out attribution calls ``autodiff.edge_attention`` directly on
+the edges around each removed node.
 """
 
 from __future__ import annotations
@@ -33,6 +33,14 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, ShapeError
 from .hetgraph import GraphBatch, TypeSet
+
+
+def _check_heads(d_out: int, heads: int) -> None:
+    """ConfigError unless ``heads`` heads of d_out / heads columns each fit."""
+    if heads < 1 or d_out < 1:
+        raise ConfigError(f"heads and d_out must be at least 1, got heads={heads}, d_out={d_out}")
+    if d_out % heads != 0:
+        raise ConfigError(f"d_out={d_out} not divisible by heads={heads}")
 
 
 @dataclass
@@ -60,8 +68,7 @@ class HeatLayerParams:
     shared_projection: bool = False
 
     def __post_init__(self):
-        if self.d_out % self.heads != 0:
-            raise ConfigError(f"d_out={self.d_out} not divisible by heads={self.heads}")
+        _check_heads(self.d_out, self.heads)
         if self.aggregation not in ("mean", "sum"):
             raise ConfigError(f"unknown aggregation {self.aggregation!r}")
         shape = (1 if self.shared_projection else len(self.types), self.d_out, self.d_in)
@@ -77,8 +84,7 @@ class HeatLayerParams:
              rng: np.random.Generator, *, aggregation: str = "mean",
              edge_identity: bool = False, shared_projection: bool = False) -> "HeatLayerParams":
         """Glorot-normal initialization in a fixed order: type, head, row."""
-        if d_out % heads != 0:
-            raise ConfigError(f"d_out={d_out} not divisible by heads={heads}")
+        _check_heads(d_out, heads)
         d_k = d_out // heads
         n_types = 1 if shared_projection else len(types)
 
@@ -107,22 +113,6 @@ def project_nodes(params: HeatLayerParams, feats: Tensor, node_types: ad.Index) 
     if params.shared_projection:
         node_types = ad.Index(np.zeros(feats.shape[0], dtype=np.intp), 1)
     return ad.typed_matmul(feats, params.w_node, node_types)
-
-
-def attend(params: HeatLayerParams, node_proj: Tensor, eproj: Tensor, src: ad.Index,
-           dst: ad.Index, runs: ad.Runs) -> tuple[Tensor, np.ndarray]:
-    """Score, normalize and aggregate edge rows into one output row per segment.
-
-    Edge row r takes its key and value from projection row ``src.rows[r]``,
-    its query from row ``dst.rows[r]`` and its modulation from ``eproj`` row
-    r; segment s is run s of ``runs``. Returns the
-    (len(runs), d_out) outputs and the (rows, heads) attention weights,
-    from one ``autodiff.edge_attention`` op. Every row is computed from its
-    own inputs and every segment sum is exactly rounded, so an output row
-    depends only on the set of its segment's edge rows.
-    """
-    return ad.edge_attention(node_proj, eproj, src, dst, runs, params.heads,
-                             params.aggregation)
 
 
 def layer_forward(batch: GraphBatch, params: HeatLayerParams,
@@ -155,7 +145,8 @@ def layer_forward(batch: GraphBatch, params: HeatLayerParams,
         eproj = Tensor(np.ones((batch.n_edges, params.d_k)))
     else:
         eproj = ad.linear(attrs, params.w_edge)
-    h_out, att = attend(params, node_proj, eproj, batch.src, batch.dst, batch.targets)
+    h_out, att = ad.edge_attention(node_proj, eproj, batch.src, batch.dst, batch.targets,
+                                   params.heads, params.aggregation)
     return LayerOutput(
         node_features=h_out,
         edge_attrs=eproj,

@@ -191,7 +191,9 @@ class Model:
     def predict_proba(self, graphs: Sequence[HeteroGraph]) -> np.ndarray:
         """Class probabilities (B, C) in eval mode (no tape, no dropout)."""
         with ad.no_grad(), ad.quiet():
-            return ad.softmax_rows(self.forward(graphs)).data
+            logits = self.forward(graphs).data
+            ex = np.exp(logits - logits.max(axis=1, keepdims=True))
+            return ex / ex.sum(axis=1, keepdims=True)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.parameters().items()}

@@ -118,27 +118,35 @@ def adam_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray],
     update, in the same order. Decoupled weight decay shrinks parameters
     before the moment update. A leaf whose ``data`` was rebound since the
     packing is packed again first.
+
+    The new second moment is computed first, ``quiet``: when it is not
+    finite (a non-finite gradient, or a finite one whose square overflows)
+    TrainingError names the parameters, and no state has changed.
     """
     theta = state.theta
     if any(p.data.base is not theta for p in params.values()):
         _pack(params, theta)
     g = np.concatenate([grads[k].reshape(-1) if k in grads else np.zeros(p.data.size)
                         for k, p in params.items()])
-    if not np.isfinite(g).all():
-        bad = [k for k, x in grads.items() if not np.isfinite(x).all()]
-        raise TrainingError(f"non-finite gradients for parameters: {sorted(bad)}")
-    state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    with ad.quiet():
+        v = (1.0 - b2) * g
+        v *= g
+        v += b2 * state.v
+    finite = np.isfinite(v)
+    if not finite.all():
+        names = list(params)
+        owner = np.repeat(np.arange(len(names)), [p.data.size for p in params.values()])
+        bad = sorted({names[i] for i in owner[~finite].tolist()})
+        raise TrainingError(f"non-finite gradient moments for parameters: {bad}")
+    state.t += 1
+    state.v = v
     lr, wd = cfg.learning_rate, cfg.weight_decay
-    m, v = state.m, state.v
+    m = state.m
     if wd:
         theta *= 1.0 - lr * wd
     m *= b1
     m += (1.0 - b1) * g
-    v *= b2
-    g2 = (1.0 - b2) * g
-    g2 *= g
-    v += g2
     den = np.sqrt(v / (1.0 - b2 ** state.t))
     den += ADAM_EPS
     step = m / (1.0 - b1 ** state.t)
@@ -274,9 +282,9 @@ def train(train_graphs: Sequence[HeteroGraph], val_graphs: Sequence[HeteroGraph]
                 with ad.quiet():
                     losses = model.loss(graphs, training=True, rngs=rngs)
                     grads = ad.backward(ad.scale(ad.reduce_sum(losses), 1.0 / len(batch)))
+                    adam_step(params, {name: grads[p] for name, p in params.items() if p in grads},
+                              state, cfg)
                 epoch_losses.extend(losses.data.tolist())
-                adam_step(params, {name: grads[p] for name, p in params.items() if p in grads},
-                          state, cfg)
             val = evaluate(val_graphs, model)
         except (NonFiniteError, TrainingError):
             aborted = True

@@ -13,8 +13,9 @@ earlier exact-sum kernel ``ref_segment_fsum`` with its grid scale
 ``ref_adam_step`` with its per-name moments ``RefAdamState``, and the
 zero-padded pooling head ``ref_pooled_logits``) are kept here as oracles
 for the fast ones. The tape ops only those oracles
-and the tests use (``mul``, ``add``, ``reshape``, ``reduce_sum`` along an axis,
-``segment_softmax`` and ``segment_sum``) are built here on
+and the tests use (``mul`` and ``add`` with their broadcast gradient sum
+``_unbroadcast``, ``concat``, ``softmax_rows``, ``reshape``, ``reduce_sum``
+along an axis, ``segment_softmax`` and ``segment_sum``) are built here on
 ``autodiff._make``, and
 ``pearson_pair`` applies the package's Pearson kernel to one pair of
 vectors. ``from_lists``
@@ -183,8 +184,8 @@ def ref_pl_pool(feats, type_idx, n_types, readout=None):
 def ref_pooled_logits(means, cells, readout, weight, bias):
     """``ad.pooled_logits`` as the composition of tape ops it replaced:
     per-type maps (``typed_matmul``), a zero row gathered for every absent
-    (graph, type) cell, the mean over each graph's ``n_types`` rows, and
-    ``linear``."""
+    (graph, type) cell, the mean over each graph's ``n_types`` rows,
+    ``linear`` and the bias."""
     cells, n_types = cells.cells, cells.n_types
     n_graphs = int(cells[-1]) // n_types + 1
     if readout is not None:
@@ -192,9 +193,10 @@ def ref_pooled_logits(means, cells, readout, weight, bias):
     # Absent cells read the zero row appended after the present ones.
     rows = np.full(n_graphs * n_types, len(cells), dtype=np.intp)
     rows[cells] = np.arange(len(cells))
-    padded = ad.gather_rows(ad.concat([means, ad.Tensor(np.zeros((1, means.shape[1])))]),
+    padded = ad.gather_rows(concat([means, ad.Tensor(np.zeros((1, means.shape[1])))]),
                             ad.Index(rows, len(cells) + 1))
-    return ad.linear(ad.segment_reduce(padded, ad.Runs(np.full(n_graphs, n_types))), weight, bias)
+    pooled = ad.segment_reduce(padded, ad.Runs(np.full(n_graphs, n_types)))
+    return add(ad.linear(pooled, weight), bias)
 
 
 def ref_graph_logits(pooled, classifier_w, classifier_b):
@@ -237,14 +239,26 @@ def ref_model_forward(g, model):
     return ref_mean_pool_logits(feats, pool.classifier_w.data, pool.classifier_b.data)
 
 
+def _unbroadcast(grad, shape):
+    """Sum out broadcast dimensions so grad matches the original shape."""
+    if grad.shape == shape:
+        return grad
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, dim in enumerate(shape):
+        if dim == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
+
+
 @ad._op
 def mul(a, b):
     """Broadcasting elementwise product of two tensors, as a tape op."""
     a, b = ad._lift(a), ad._lift(b)
 
     def vjp(g):
-        ga = ad._unbroadcast(g * b.data, a.data.shape) if a.on_tape() else None
-        gb = ad._unbroadcast(g * a.data, b.data.shape) if b.on_tape() else None
+        ga = _unbroadcast(g * b.data, a.data.shape) if a.on_tape() else None
+        gb = _unbroadcast(g * a.data, b.data.shape) if b.on_tape() else None
         return (ga, gb)
 
     return ad._make(a.data * b.data, (a, b), vjp, "mul")
@@ -255,9 +269,41 @@ def add(a, b):
     a, b = ad._lift(a), ad._lift(b)
 
     def vjp(g):
-        return (ad._unbroadcast(g, a.data.shape), ad._unbroadcast(g, b.data.shape))
+        return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
 
     return ad._make(a.data + b.data, (a, b), vjp, "add")
+
+
+def concat(parts, axis=0):
+    """Tensors joined along ``axis``, as a tape op."""
+    parts = [ad._lift(p) for p in parts]
+    if not parts:
+        raise ShapeError("concat of zero tensors")
+    offsets = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+
+    def vjp(g):
+        return tuple(piece if p.on_tape() else None
+                     for p, piece in zip(parts, np.split(g, offsets, axis=axis)))
+
+    return ad._make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), vjp,
+                    "concat")
+
+
+@ad._op
+def softmax_rows(x):
+    """Row-wise softmax of a 2-D tensor, stabilized by max subtraction, as
+    a tape op: the expressions ``Model.predict_proba`` computes in numpy."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"softmax_rows expects a 2-D tensor, got {x.data.shape}")
+    if x.data.shape[1] == 0:
+        raise ShapeError("softmax over an empty row dimension")
+    ex = np.exp(x.data - x.data.max(axis=1, keepdims=True))
+    w = ex / ex.sum(axis=1, keepdims=True)
+
+    def vjp(g):
+        return (w * (g - np.sum(g * w, axis=1, keepdims=True)),)
+
+    return ad._make(w, (x,), vjp, "softmax_rows")
 
 
 def reshape(a, shape):
@@ -309,7 +355,8 @@ def segment_sum(x, counts):
 
 
 def ref_attend(params, node_proj, eproj, src, dst, counts):
-    """``layers.attend`` as a composition of a dozen tape ops.
+    """``autodiff.edge_attention`` with a layer's heads and aggregation, as
+    a composition of a dozen tape ops.
 
     Gathers keys (also the values) and queries into (E, heads, d_k) blocks,
     multiplies in the modulation, sums, scales, runs ``segment_softmax`` and

@@ -327,6 +327,14 @@ class TestTrainEvalExplain:
         assert "only eval --cv runs parallel workers" in _one_input_error_line(capsys)
         assert not out.exists()
 
+    def test_gradcheck_out_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):
+        """gradcheck writes no file, so --out is refused before any work."""
+        monkeypatch.setattr("heatnet.autodiff.grad_check", None)    # never reached
+        out = tmp_path / "out"
+        assert main(["gradcheck", "--out", str(out)]) == EXIT_INPUT
+        assert "--out: gradcheck writes no file" in _one_input_error_line(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("fold", ["0", "3"])
     def test_train_fold_reproduces_the_cv_fold(self, tmp_path, fold):
         """``train --fold k`` then ``eval --checkpoint --fold k`` gives

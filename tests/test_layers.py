@@ -1,5 +1,7 @@
 """Attention layer: projections, scores, normalization, full forward."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from _reference import (
 from heatnet import autodiff as ad
 from heatnet.errors import ConfigError, ContractError, GraphValidationError, ShapeError
 from heatnet.hetgraph import DEFAULT_TYPES, HeteroGraph, TypeSet, batch_graphs
-from heatnet.layers import HeatLayerParams, attend, layer_forward
+from heatnet.layers import HeatLayerParams, layer_forward
 from heatnet.seeding import rng_for
 from heatnet.testing import random_labeled_graph
 
@@ -37,6 +39,20 @@ def identity_params(d, types=TYPES3):
     for blocks in head_blocks(params.w_node, types.names, 1).values():
         blocks[0][...] = np.eye(d)
     return params
+
+
+class TestParams:
+    @pytest.mark.parametrize("d_out, heads", [(4, 0), (4, -2), (0, 2), (-4, -2)])
+    def test_heads_and_width_below_one_rejected(self, d_out, heads):
+        """Both entry points raise ConfigError, with no numpy warning and no
+        division by a zero head count."""
+        w_node = ad.Tensor(np.zeros((len(TYPES3), max(d_out, 0), 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="at least 1"):
+                make_params(d_out=d_out, heads=heads)
+            with pytest.raises(ConfigError, match="at least 1"):
+                HeatLayerParams(TYPES3, heads, 4, d_out, 1, w_node, None)
 
 
 class TestAttScore:
@@ -238,8 +254,9 @@ ATTEND_CONFIGS = {
 
 
 def attend_inputs(name, d_k, seed, m=5, heads=2, n_edges=None):
-    """Leaf tables, a modulation and random (src, dst, counts) runs for ``attend``:
-    any table row may feed any edge row, as in the explain recompute."""
+    """Leaf tables, a modulation and random (src, dst, counts) runs for
+    ``ad.edge_attention``: any table row may feed any edge row, as in the
+    explain recompute."""
     rng = np.random.default_rng(seed)
     params = make_params(d_in=3, d_out=heads * d_k, heads=heads, d_edge=2, seed=seed,
                          **ATTEND_CONFIGS[name])
@@ -261,9 +278,11 @@ def attend_inputs(name, d_k, seed, m=5, heads=2, n_edges=None):
 
 
 def attend_raw(params, table, mod, src, dst, counts):
-    """``attend`` on index arrays and counts, each checked as the op's plan."""
+    """``ad.edge_attention`` with the layer's heads and aggregation, on index
+    arrays and counts, each checked as the op's plan."""
     m = table.shape[0]
-    return attend(params, table, mod, ad.Index(src, m), ad.Index(dst, m), ad.Runs(counts))
+    return ad.edge_attention(table, mod, ad.Index(src, m), ad.Index(dst, m), ad.Runs(counts),
+                             params.heads, params.aggregation)
 
 
 def weighted_sum(out, seed):
@@ -272,7 +291,7 @@ def weighted_sum(out, seed):
 
 
 class TestFusedAttend:
-    """``attend`` is one tape op that equals the unfused composition."""
+    """``ad.edge_attention`` is one tape op that equals the unfused composition."""
 
     @pytest.mark.parametrize("name", ATTEND_CONFIGS)
     @settings(max_examples=30, deadline=None)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _reference import (from_lists, mul, ref_graph_logits, ref_model_forward, ref_pl_pool,
-                        ref_pooled_logits)
+                        ref_pooled_logits, softmax_rows)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from heatnet import autodiff as ad
@@ -273,6 +273,30 @@ class TestModelForward:
         model = make_model(seed=11, pooling="mean")
         np.testing.assert_allclose(model.forward([g]).data[0],
                                    ref_model_forward(g, model), atol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_graphs=st.integers(1, 4),
+           n_classes=st.integers(2, 4), pooling=st.sampled_from(["pl", "mean"]),
+           reach=st.sampled_from([None, 1.0, 1e3, 1e6]))
+    def test_predict_proba_is_the_row_softmax_op_byte_for_byte(self, seed, n_graphs, n_classes,
+                                                               pooling, reach):
+        """``predict_proba``'s numpy softmax keeps the tape op's bytes, also
+        with classifier weights scaled so the logits reach +-``reach``."""
+        rng = np.random.default_rng(seed)
+        graphs = [random_labeled_graph(rng, TYPES3, n_nodes=int(rng.integers(1, 9)),
+                                       feature_dim=4, n_classes=n_classes)
+                  for _ in range(n_graphs)]
+        model = make_model(seed=seed % 1000, n_classes=n_classes, pooling=pooling)
+        if reach is not None:
+            pool = model.pool
+            pool.classifier_w.data = pool.classifier_w.data * rng.uniform(0.5, 2.0)
+            top = np.abs(model.forward(graphs).data - pool.classifier_b.data).max()
+            pool.classifier_w.data = pool.classifier_w.data * (reach / max(top, 1e-300))
+        probs = model.predict_proba(graphs)
+        with ad.no_grad():
+            want = softmax_rows(model.forward(graphs)).data
+        assert probs.tobytes() == want.tobytes()
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
     def test_end_to_end_grad_check(self):
         rng = np.random.default_rng(8)

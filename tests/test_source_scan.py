@@ -1,5 +1,6 @@
 """Source scans: the package deduplicates edge keys by sorting, never through
-the hash path numpy's ``np.unique`` takes on int64 without ``return_*``."""
+the hash path numpy's ``np.unique`` takes on int64 without ``return_*``, and
+defines no function or class that nothing in it names."""
 
 import ast
 import os
@@ -35,3 +36,39 @@ def test_no_hash_path_unique_in_the_package():
             if bad:
                 found[name] = bad
     assert found == {}, "use hetgraph._unique_sorted instead of " + repr(found)
+
+
+def _unnamed_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """``module:line: name`` of each function or class (dunder methods
+    aside) defined in ``sources`` (module name -> text) whose name no
+    name or attribute in them reads, and that is not in ``exported``."""
+    defined, named = [], set(exported)
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append((module, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return [f"{module}:{line}: {name}" for module, line, name in defined if name not in named]
+
+
+def test_scan_flags_only_unnamed_definitions():
+    sources = {"a": "def used():\n    pass\ndef dead():\n    pass\ndef api():\n    pass\n"
+                    "class Box:\n    def __len__(self):\n        return 0\n"
+                    "    def read(self):\n        return used()\n    def idle(self):\n        pass\n",
+               "b": "Box().read()\n"}
+    assert _unnamed_definitions(sources, {"api"}) == ["a:3: dead", "a:12: idle"]
+
+
+def test_every_definition_is_named_in_the_package():
+    sources = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                sources[name] = fh.read()
+    exported = {alias.name for node in ast.walk(ast.parse(sources["__init__.py"]))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert _unnamed_definitions(sources, exported) == []

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import RefAdamState, ref_adam_step
+from _reference import RefAdamState, concat, ref_adam_step
 from heatnet import autodiff as ad
 from heatnet.autodiff import Tensor
 from heatnet.builder import AugmentConfig, BuildConfig
@@ -79,6 +79,21 @@ class TestAdam:
         state = AdamState.init(p)
         with pytest.raises(TrainingError, match="w"):
             adam_step(p, {"w": np.array([np.nan])}, state, quiet_cfg())
+
+    def test_overflowing_second_moment_rejected_without_a_warning(self):
+        """A finite gradient whose square overflows raises TrainingError,
+        with no numpy warning, before any state changes."""
+        p = {"w": Tensor([0.5, -1.0, 2.0], requires_grad=True),
+             "u": Tensor([1.0], requires_grad=True)}
+        state = AdamState.init(p)
+        adam_step(p, {"w": np.array([0.1, 0.2, 0.3]), "u": np.array([1.0])}, state, quiet_cfg())
+        before = [state.t] + [a.tobytes() for a in (state.theta, state.m, state.v)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match=r"\['w'\]"):
+                adam_step(p, {"w": np.array([1e200, 1.0, 1.0]), "u": np.array([1.0])}, state,
+                          quiet_cfg())
+        assert [state.t] + [a.tobytes() for a in (state.theta, state.m, state.v)] == before
 
     def test_identical_runs_identical_trajectories(self):
         def run():
@@ -275,9 +290,7 @@ class TestTrain:
         good = train(graphs[:6], graphs[6:], model, quiet_cfg(max_epochs=1, learning_rate=1e-3))
         snapshot = model.state_arrays()
         # an absurd learning rate blows the parameters up to overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = train(graphs[:6], graphs[6:], model,
-                           quiet_cfg(learning_rate=1e150, max_epochs=10))
+        result = train(graphs[:6], graphs[6:], model, quiet_cfg(learning_rate=1e150, max_epochs=10))
         assert result.aborted
         restored = model.state_arrays()
         assert all(np.isfinite(restored[k]).all() for k in restored)
@@ -294,9 +307,29 @@ class TestTrain:
         def overflowing_loss(graphs, training=False, rngs=None):
             # The mean loss gives each row 1/2; eight 0.5e308 bias gradients sum to inf.
             hit = ad.scale(bias, 1e308)
-            return ad.concat([hit] * 8)
+            return concat([hit] * 8)
 
         monkeypatch.setattr(model, "loss", overflowing_loss)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = train(graphs[:6], graphs[6:], model, quiet_cfg(max_epochs=2))
+        assert result.aborted and result.log == []
+        after = model.state_arrays()
+        assert all(after[k].tobytes() == before[k].tobytes() for k in before)
+
+    def test_gradient_with_overflowing_square_aborts_without_a_warning(self, monkeypatch):
+        """A finite gradient above 1e155 overflows Adam's second moment: the
+        run aborts with the last-good parameters and no numpy warning."""
+        graphs = tiny_dataset(n=10, seed=8)
+        model = tiny_model(seed=8)
+        before = model.state_arrays()
+        bias = model.pool.classifier_b      # zeros: the loss rows below are 0
+
+        def steep_loss(graphs, training=False, rngs=None):
+            # The mean loss gives the bias the finite gradient 1e200 / 2.
+            return concat([ad.scale(bias, 1e200)] * len(graphs))
+
+        monkeypatch.setattr(model, "loss", steep_loss)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = train(graphs[:6], graphs[6:], model, quiet_cfg(max_epochs=2))
