@@ -2,10 +2,10 @@
 
 Only the operations a training or attribution pass of the graph model
 calls are implemented: the linear map ``linear`` and its per-row-type form
-``typed_matmul``, scaling, row gathering, the total sum, segment
-aggregation, the fused attention layer core ``edge_attention``, the fused
-pooling head ``pooled_logits`` (per-type maps, graph mean and classifier),
-leaky ReLU, dropout (draw, mask and product as one op) and cross-entropy.
+``typed_matmul``, scaling, the total sum, the fused attention layer core
+``edge_attention``, the fused pooling readout ``pooled_logits`` (cell means
+of the node rows, per-type maps, graph mean and classifier), leaky ReLU,
+dropout (draw, mask and product as one op) and cross-entropy.
 No-grad glue that needs no op, such as ``Model.predict_proba``'s row
 softmax, is plain numpy where it is used.
 Everything is float64 and any op that produces NaN/Inf raises
@@ -34,9 +34,9 @@ The segment ops take runs of consecutive rows, the CSR layout in which
 ``counts[s]`` rows that follow segment s - 1. The ops read the layout from
 index objects that are checked once when they are built, not on every
 call: ``Runs`` (counts, starts, the grid scale of the longest run and the
-attention blocks per block size), ``Index`` (row indices below a bound;
-one known to be a permutation is distinct) and ``Cells`` (the pooling
-head's present cells). ``batch_graphs`` builds them once per batch and
+attention blocks per block size), ``Index`` (row indices below a bound)
+and ``Cells`` (the pooling op's row permutation, cell runs, divisors and
+present cells). ``batch_graphs`` builds them once per batch and
 the ``GraphBatch`` holds them; what it knows by construction (positions
 offset below the union's size, in-degrees it has checked positive, a
 stable sort's permutation) it builds with ``known``, unchecked. Any other
@@ -89,8 +89,8 @@ attention scores and their gradient add a head's d_k products, and the
 gradient its heads, with ``_plane_sum`` (fewer than 8 terms plane by
 plane in numpy's own order, more by numpy); a softmax's exact sums take
 their first grid from the known largest term, exp(0) = 1, instead of a
-maximum over the call; and a gather by a distinct index, such as pooling's
-permutation, assigns its gradient instead of scattering it.
+maximum over the call; and the pooling op gathers its rows by a
+permutation, so it assigns their gradient instead of scattering it.
 """
 
 from __future__ import annotations
@@ -147,13 +147,12 @@ class Tensor:
     closure on the tape while grad mode is on.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         _check_finite(self.data, "tensor")
         self.requires_grad = bool(requires_grad)
-        self.grad: Array | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[Array], Sequence[Array | None]] | None = None
 
@@ -183,7 +182,7 @@ def _lift(x) -> Tensor:
 # shrinking map, exactly rounded sums (math.fsum raises OverflowError rather
 # than return inf) and the attention output, an exactly rounded mean or sum
 # of values weighted by weights in [0, 1] (the op checks its weights).
-_FINITE_OPS = frozenset({"gather_rows", "leaky_relu", "sum", "segment_reduce", "edge_attention"})
+_FINITE_OPS = frozenset({"leaky_relu", "sum", "edge_attention"})
 
 
 def _make(data: Array, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
@@ -193,7 +192,6 @@ def _make(data: Array, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
         _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
     out.requires_grad = False
     out._parents = ()
     out._vjp = None
@@ -297,29 +295,6 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     return _make(_rowwise_product(x.data, w.data), (x, w), vjp, "linear")
 
 
-def gather_rows(a: Tensor, index: "Index") -> Tensor:
-    """Select rows (entries of the first axis) of a tensor of two or more
-    dimensions. The VJP adds every row's gradient into zeros with
-    ``np.add.at``; a ``distinct`` index, such as a permutation, assigns it
-    instead, plus 0.0 (the sum 0.0 + g turns -0.0 into +0.0)."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"gather_rows expects a tensor of at least 2-D, got {a.data.shape}")
-    if index.bound > a.data.shape[0]:
-        raise ShapeError(f"gather_rows index out of range for {a.data.shape[0]} rows")
-    idx = index.rows
-    out = a.data.take(idx, axis=0)
-
-    def vjp(g):
-        da = np.zeros_like(a.data)
-        if index.distinct:
-            da[idx] = g + 0.0
-        else:
-            np.add.at(da, idx, g)
-        return (da,)
-
-    return _make(out, (a,), vjp, "gather_rows")
-
-
 @_op
 def typed_matmul(x: Tensor, w: Tensor, types: "Index") -> Tensor:
     """Row r of the result is ``w[types.rows[r]] @ x[r]``: one weight per row type.
@@ -340,19 +315,24 @@ def typed_matmul(x: Tensor, w: Tensor, types: "Index") -> Tensor:
     if types.bound > n_types:
         raise ShapeError(f"typed_matmul: type index out of range for {n_types} types")
     out = _rowwise_product(x.data, w.data, idx)
-    return _make(out, (x, w), lambda g: _typed_grads(g, x, w, idx), "typed_matmul")
+
+    def vjp(g):
+        return _typed_grads(g, x.data, w.data, idx, x.on_tape(), w.on_tape())
+
+    return _make(out, (x, w), vjp, "typed_matmul")
 
 
-def _typed_grads(g: Array, x: Tensor, w: Tensor, idx: Array) -> tuple[Array | None, Array | None]:
-    """The gradients of ``x`` and ``w`` (None off the tape) from ``g``, that
+def _typed_grads(g: Array, x: Array, w: Array, idx: Array, want_x: bool,
+                 want_w: bool) -> tuple[Array | None, Array | None]:
+    """The gradients of ``x`` and ``w`` (None unless wanted) from ``g``, that
     of ``_rowwise_product(x, w, idx)``. Row r's gradient sits in column block
     idx[r] of ``spread``, so each is one BLAS product over all rows."""
-    n = x.data.shape[0]
-    spread = np.zeros((n, w.data.shape[0], g.shape[1]))
+    n = x.shape[0]
+    spread = np.zeros((n, w.shape[0], g.shape[1]))
     spread[np.arange(n), idx] = g
     spread = spread.reshape(n, -1)
-    dx = spread @ w.data.reshape(spread.shape[1], -1) if x.on_tape() else None
-    dw = (spread.T @ x.data).reshape(w.data.shape) if w.on_tape() else None
+    dx = spread @ w.reshape(spread.shape[1], -1) if want_x else None
+    dw = (spread.T @ x).reshape(w.shape) if want_w else None
     return dx, dw
 
 
@@ -453,13 +433,11 @@ class Index:
     """Row indices into a table of ``bound`` rows, checked once.
 
     ``rows`` is a read-only 1-D intp array with every entry in
-    [0, ``bound``). ``distinct`` says no entry repeats; only ``known``
-    builds such an index, from rows known to be a permutation. An
-    op that reads an index compares ``bound`` with its table's row count
-    instead of scanning the entries on every call.
+    [0, ``bound``). An op that reads an index compares ``bound`` with its
+    table's row count instead of scanning the entries on every call.
     """
 
-    __slots__ = ("rows", "bound", "distinct")
+    __slots__ = ("rows", "bound")
 
     def __init__(self, rows, bound: int):
         rows = np.array(rows, dtype=np.intp)
@@ -468,18 +446,18 @@ class Index:
         # Seen as unsigned, a negative entry is above every bound.
         if rows.size and rows.view(np.uintp).max() >= bound:
             raise ShapeError(f"index out of range for {bound} rows")
-        self._set(rows, bound, False)
+        self._set(rows, bound)
 
-    def _set(self, rows: Array, bound: int, distinct: bool) -> None:
+    def _set(self, rows: Array, bound: int) -> None:
         rows.setflags(write=False)
-        self.rows, self.bound, self.distinct = rows, int(bound), distinct
+        self.rows, self.bound = rows, int(bound)
 
     @classmethod
-    def known(cls, rows: Array, bound: int, distinct: bool = False) -> "Index":
-        """An index of intp ``rows`` already known to lie in [0, ``bound``),
-        and to repeat no entry if ``distinct``: nothing to check."""
+    def known(cls, rows: Array, bound: int) -> "Index":
+        """An index of intp ``rows`` already known to lie in [0, ``bound``):
+        nothing to check."""
         index = cls.__new__(cls)
-        index._set(rows, bound, distinct)
+        index._set(rows, bound)
         return index
 
     def __len__(self) -> int:
@@ -563,39 +541,48 @@ class Runs:
 
 
 class Cells:
-    """The present (graph, type) cells of B graphs, checked once:
-    ``cells[k]`` = graph * ``n_types`` + type, ascending, every graph with
-    one at least. ``types`` indexes each cell's type and ``graphs`` holds
-    each graph's cells as one run."""
+    """N rows grouped into the present (graph, type) cells of B graphs: the
+    layout the pooling op reads, checked once. ``order`` permutes the rows
+    so that ``runs`` holds each cell's rows as one run, and ``sizes`` is
+    each cell's divisor. ``cells[k]`` = graph * ``n_types`` + type,
+    ascending, every graph with one at least; ``graph`` and ``types`` give
+    each cell's graph and type, and ``graphs`` holds each graph's cells as
+    one run."""
 
-    __slots__ = ("cells", "n_types", "graph", "types", "graphs")
+    __slots__ = ("order", "runs", "sizes", "cells", "n_types", "graph", "types", "graphs")
 
-    def __init__(self, cells, n_types: int):
-        cells = np.array(cells, dtype=np.intp)
+    def __init__(self, order, counts, sizes, cells, n_types: int):
+        order, sizes, cells = (np.array(a, dtype=np.intp) for a in (order, sizes, cells))
         if cells.ndim != 1 or (len(cells) and (cells[0] < 0 or (np.diff(cells) <= 0).any())):
             raise ContractError("pooled_logits: cells must be nonnegative and ascending")
-        self._set(cells, n_types)
+        if order.ndim != 1 or not np.array_equal(np.sort(order), np.arange(order.size)):
+            raise ContractError("pooled_logits: the cell order must be a permutation of the rows")
+        runs = Runs(counts)
+        runs.check(order.size, "pooled_logits")
+        if len(runs) != len(cells) or sizes.shape != cells.shape or (sizes < 1).any():
+            raise ContractError(f"pooled_logits: {len(cells)} cells need a run and a positive "
+                                "size each")
+        self._set(order, runs, sizes, cells, n_types)
         if not self.graphs.counts.all():
             raise ContractError(f"pooled_logits: graph {int(np.argmin(self.graphs.counts))} "
                                 "has no cell")
 
-    def _set(self, cells: Array, n_types: int) -> None:
-        cells.setflags(write=False)
+    def _set(self, order: Array, runs: Runs, sizes: Array, cells: Array, n_types: int) -> None:
+        for a in (order, sizes, cells):
+            a.setflags(write=False)
         graph = cells // n_types
+        self.order, self.runs, self.sizes = order, runs, sizes
         self.cells, self.n_types, self.graph = cells, int(n_types), graph
         self.types = Index.known(cells - graph * n_types, n_types)
         self.graphs = Runs.known(np.bincount(graph))
 
     @classmethod
-    def known(cls, cells: Array, n_types: int) -> "Cells":
-        """Cells already known to be ascending, with a cell for each of the
-        graphs 0..B-1: nothing to check."""
+    def known(cls, order: Array, counts: Array, cells: Array, n_types: int) -> "Cells":
+        """Cells known to be valid, each of size its count (``GraphBatch.pool``):
+        nothing to check."""
         out = cls.__new__(cls)
-        out._set(cells, n_types)
+        out._set(order, Runs.known(counts), counts, cells, n_types)
         return out
-
-    def __len__(self) -> int:
-        return len(self.cells)
 
 
 def _extract(sigma, rest: Array, q: Array, starts: Array) -> Array:
@@ -749,58 +736,49 @@ def _softmax_runs_vjp(g: Array, w: Array, runs: Runs) -> Array:
 
 
 @_op
-def segment_reduce(x: Tensor, runs: Runs) -> Tensor:
-    """Aggregate each segment to one output row: the mean of its rows,
-    exactly rounded."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"segment_reduce expects a 2-D tensor, got {x.data.shape}")
-    runs.check(x.data.shape[0], "segment_reduce")
-    counts = runs.counts[:, None]
-    out = _segment_fsum(x.data, runs) / counts
-
-    def vjp(g):
-        return ((g / counts).repeat(runs.counts, axis=0),)
-
-    return _make(out, (x,), vjp, "segment_reduce")
-
-
-@_op
-def pooled_logits(means: Tensor, cells: Cells, readout: Tensor | None,
+def pooled_logits(rows: Tensor, cells: Cells, readout: Tensor | None,
                   weight: Tensor, bias: Tensor) -> Tensor:
-    """Logits (B, C) of B graphs from the (P, d) means of their present
-    (graph, type) ``cells``, as one tape op.
+    """Logits (B, C) of B graphs from their (N, d) node ``rows``, as one tape op.
 
-    Row k is cell k. Each row is mapped by its type's slice of the
-    (T, d, d) ``readout`` (by none when None), each graph's rows are
-    summed, exactly rounded, and divided by T = ``cells.n_types``, and the
-    (C, d) ``weight`` and (C,) ``bias`` classify the result. The bits are
-    those of ``typed_matmul``, a zero row per absent cell, a mean over each
+    Cell k's mean is the exactly rounded sum of its rows (``cells.order``
+    gathers them, one run each) divided by ``cells.sizes[k]``. Each mean is
+    mapped by its type's slice of the (T, d, d) ``readout`` (by none when
+    None), each graph's means are summed, exactly rounded, and divided by
+    T = ``cells.n_types``, and the (C, d) ``weight`` and (C,) ``bias``
+    classify the result. The bits are those of a row gather, a segment
+    mean, ``typed_matmul``, a zero row per absent cell, a mean over each
     graph's T rows, ``linear`` and the bias added after it: an exactly
-    rounded sum ignores zero terms.
+    rounded sum ignores zero terms. The VJP assigns each row's gradient
+    through the permutation.
     """
-    means, weight, bias = _lift(means), _lift(weight), _lift(bias)
+    rows, weight, bias = _lift(rows), _lift(weight), _lift(bias)
     n_types = cells.n_types
     d = weight.data.shape[-1]
-    if (means.data.shape != (len(cells), d) or weight.data.ndim != 2
+    if (rows.data.shape != (len(cells.order), d) or weight.data.ndim != 2
             or bias.data.shape != weight.data.shape[:1]
             or (readout is not None and readout.data.shape != (n_types, d, d))):
-        raise ShapeError(f"pooled_logits: {len(cells)} cells, means {means.data.shape}, weight "
-                         f"{weight.data.shape}, bias {bias.data.shape}, maps for {n_types} types")
-    types = cells.types.rows
-    mapped = means.data if readout is None else _rowwise_product(means.data, readout.data, types)
+        raise ShapeError(f"pooled_logits: cells of {len(cells.order)} rows, rows "
+                         f"{rows.data.shape}, weight {weight.data.shape}, bias "
+                         f"{bias.data.shape}, maps for {n_types} types")
+    types, sizes = cells.types.rows, cells.sizes[:, None]
+    means = _segment_fsum(rows.data.take(cells.order, axis=0), cells.runs) / sizes
+    mapped = means if readout is None else _rowwise_product(means, readout.data, types)
     x = _segment_fsum(mapped, cells.graphs) / n_types
     out = _rowwise_product(x, weight.data) + bias.data
 
     def vjp(g):
-        # + 0.0 as the composition's scatter into zeros: -0.0 becomes +0.0.
-        d_mapped = ((g @ weight.data) / n_types).take(cells.graph, axis=0) + 0.0
+        # + 0.0 as the composition's scatters into zeros: -0.0 becomes +0.0.
+        d_means = ((g @ weight.data) / n_types).take(cells.graph, axis=0) + 0.0
+        d_readout = None
+        if readout is not None:
+            d_means, d_readout = _typed_grads(d_means, means, readout.data, types, True,
+                                              readout.on_tape())
+        d_rows = np.empty_like(rows.data)
+        d_rows[cells.order] = (d_means / sizes).repeat(cells.runs.counts, axis=0) + 0.0
         d_weight = (x.T @ g).T if weight.on_tape() else None
-        if readout is None:
-            return (d_mapped, d_weight, g.sum(axis=0))
-        d_means, d_readout = _typed_grads(d_mapped, means, readout, types)
-        return (d_means, d_weight, g.sum(axis=0), d_readout)
+        return (d_rows, d_weight, g.sum(axis=0), d_readout)
 
-    parents = (means, weight, bias) + (() if readout is None else (readout,))
+    parents = (rows, weight, bias) + (() if readout is None else (readout,))
     return _make(out, parents, vjp, "pooled_logits")
 
 
@@ -914,12 +892,11 @@ def _topo(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> dict[Tensor, Array]:
     """Propagate d(loss)/d(leaf) to every reachable grad-enabled leaf.
 
-    Returns the leaf -> gradient map and also stores each gradient on the
-    leaf's ``.grad``. The VJPs and the gradient sums run ``quiet``: an
-    overflowing gradient is left non-finite, with no numpy warning, for the
-    caller to check (``train.adam_step`` raises TrainingError). The tape
-    is consumed: a second backward through the same intermediate tensors
-    is not possible.
+    Returns the leaf -> gradient map. The VJPs and the gradient sums run
+    ``quiet``: an overflowing gradient is left non-finite, with no numpy
+    warning, for the caller to check (``train.adam_step`` raises
+    TrainingError). The tape is consumed: a second backward through the
+    same intermediate tensors is not possible.
     """
     if loss.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {loss.data.shape}")
@@ -933,7 +910,6 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
                 continue
             if node._vjp is None:
                 if node.requires_grad:
-                    node.grad = g
                     leaf_grads[node] = g
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):

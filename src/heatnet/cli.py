@@ -105,7 +105,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--data", required=True, metavar="DIR")
     p.add_argument("--checkpoint", metavar="PATH", help="evaluate this checkpoint")
-    p.add_argument("--fold", type=int, default=0, help="CV fold whose test set to evaluate")
+    p.add_argument("--fold", type=int, help="CV fold whose test set to evaluate (default 0)")
     p.add_argument("--cv", action="store_true", help="train+evaluate all folds")
 
     p = sub.add_parser("explain", help="attribute a prediction to nodes, export heatmap")
@@ -227,15 +227,16 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     else:
         if not args.checkpoint:
             raise ConfigError("eval needs --checkpoint or --cv")
+        fold = 0 if args.fold is None else args.fold
         model, doc = load_checkpoint(args.checkpoint)
-        _, _, test_idx = fold_split(len(graphs), args.fold, cfg.train)
-        _check_checkpoint_split(doc.get("provenance"), args.fold, cfg.train)
+        _, _, test_idx = fold_split(len(graphs), fold, cfg.train)
+        _check_checkpoint_split(doc.get("provenance"), fold, cfg.train)
         metrics = evaluate([graphs[i] for i in test_idx], model)
         report = {
             "auc": metrics["auc"],
             "accuracy": metrics["accuracy"],
             "macro_f1": metrics["macro_f1"],
-            "per_fold": [{"fold": args.fold, **metrics}],
+            "per_fold": [{"fold": fold, **metrics}],
         }
     report["provenance"] = prov
     _write_json(out, report)
@@ -316,6 +317,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--jobs {args.jobs}: only eval --cv runs parallel workers")
         if args.command == "gradcheck" and args.out is not None:
             raise ConfigError("--out: gradcheck writes no file")
+        if args.command == "eval" and args.cv:
+            for flag, value in (("--checkpoint", args.checkpoint), ("--fold", args.fold)):
+                if value is not None:
+                    raise ConfigError(f"{flag}: eval --cv trains and evaluates every fold")
         cfg = load_run_config(args.config, args.overrides, args.seed)
         return _COMMANDS[args.command](args, cfg)
     except _INPUT_ERRORS as exc:

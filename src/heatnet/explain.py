@@ -19,11 +19,11 @@ forward's target-sorted edge rows) minus v's, the rows changed one layer
 earlier are projected anew, and every other row is read from the cache, a
 plain numpy gather (the recompute records no tape). Pooling never
 touches the unchanged rows: the full graph's column sums per pooling type
-are kept once as exact float expansions, and ``removal_logits`` sums, for
-each (removed node, type) cell, those terms, the negated old rows of v and
-of its changed nodes, and their new rows, in one exactly rounded segment
-sum for the chunk; ``Model.head`` then maps, averages and classifies the
-cell means with the forward's own pooling op. A chunk
+are kept once as exact float expansions. ``removal_logits`` gives each
+(removed node, type) cell of a chunk those terms, the negated old rows of
+v and of its changed nodes, and their new rows, and pools them with the
+forward's own pooling op (``pooling.pl_pool``) under checked cells whose
+divisors are the node counts the removal leaves. A chunk
 holds removals whose downstream regions are bounded by ``_CHUNK_ROWS``
 final rows in all. Two inputs that no built graph produces take the
 definition instead: final rows that no finite exact-sum grid bounds, one
@@ -55,6 +55,7 @@ from .hetgraph import (GraphBatch, HeteroGraph, _ranks, _unique_sorted, _write_j
                        remove_node)
 from .layers import LayerOutput, project_nodes
 from .model import Model
+from .pooling import pl_pool
 
 # Bound on the final rows the removals of one chunk change (see ``reach``
 # in ``_removal_losses``); the layer recompute and the pooled segments of a
@@ -195,18 +196,20 @@ def _type_sums(model: Model, rows: np.ndarray, batch: GraphBatch) -> TypeSums | 
     bounds their expansion."""
     # The forward built these cells; in a one-graph batch a cell is a pool type.
     pool = model.pool_cells(batch)
-    terms = ad._segment_expansion(rows[pool.order.rows], pool.runs)
+    terms = ad._segment_expansion(rows[pool.order], pool.runs)
     if terms is None:
         return None
-    present = pool.cells.cells
-    count = np.zeros(pool.cells.n_types, dtype=np.intp)
+    present = pool.cells
+    count = np.zeros(pool.n_types, dtype=np.intp)
     count[present] = pool.runs.counts
+    types = np.empty(len(rows), dtype=np.intp)
+    types[pool.order] = present.repeat(pool.runs.counts)
     # A type keeps its nonzero terms, and its first so that no segment is empty.
     keep = terms.any(axis=2).T
     keep[:, 0] = True
     term_count = np.zeros_like(count)
     term_count[present] = keep.sum(axis=1)
-    return TypeSums(rows, pool.cell, count, terms.transpose(1, 0, 2)[keep],
+    return TypeSums(rows, types, count, terms.transpose(1, 0, 2)[keep],
                     np.concatenate([[0], np.cumsum(term_count)]))
 
 
@@ -216,36 +219,28 @@ def removal_logits(model: Model, full: TypeSums, removed: np.ndarray, changed: n
     (ascending), from the full graph's ``TypeSums`` and the changed final
     rows ``recompute_removals`` gives for them.
 
-    Cell (b, a) is type a of G without ``removed[b]``. Its segment holds
-    a's expansion terms, the negated old rows of the removed node and of
-    its changed nodes of type a, and those nodes' new rows: the reduced
-    graph's exact sum, so its correctly rounded value is what
-    ``segment_reduce`` gives over the reduced graph's rows.
+    Cell (b, a) is type a of G without ``removed[b]``. Its rows are a's
+    expansion terms, the negated old rows of the removed node and of its
+    changed nodes of type a, and those nodes' new rows, and its size is
+    the number of type-a nodes left: the exact sum of its rows is the
+    reduced graph's, so ``pl_pool`` gives the forward's logits.
     """
     n, n_types = len(full.rows), len(full.count)
     b, v_type = np.arange(len(removed)), full.types[removed]
     left = np.tile(full.count, (len(removed), 1))
     left[b, v_type] -= 1
     cells = np.flatnonzero(left)
-    # Segment rows as (cell, row) pairs, added or negated; rows index the
-    # full graph's rows, then the changed rows, then the terms.
     j, r = _members(full.term_starts, cells % n_types)
     cv, ct = np.divmod(changed, n)
     c_cell = np.searchsorted(removed, cv) * n_types + full.types[ct]
     ok = left[b, v_type] > 0
-    added = [(cells[j], n + len(changed) + r), (c_cell, n + np.arange(len(changed)))]
-    negated = [(b[ok] * n_types + v_type[ok], removed[ok]), (c_cell, ct)]
-    cell, row = (np.concatenate(p) for p in zip(*added, *negated))
-    flip = np.arange(len(row)) >= sum(len(c) for c, _ in added)
-    order = np.argsort(cell, kind="stable")
-    row, flip = row[order], flip[order]
-    vals = np.empty((len(row), full.rows.shape[1]))
-    old = row < n
-    vals[old] = full.rows[row[old]]
-    vals[~old] = np.concatenate([h_changed, full.terms])[row[~old] - n]
-    vals[flip] = -vals[flip]
-    sums = ad._segment_fsum(vals, ad.Runs(np.bincount(cell, minlength=left.size)[cells]))
-    return model.head(Tensor(sums / left.ravel()[cells][:, None]), ad.Cells(cells, n_types))
+    # (cell, rows) pairs: the added terms and new rows, then the negated old rows.
+    pairs = [(cells[j], full.terms[r]), (c_cell, h_changed),
+             (b[ok] * n_types + v_type[ok], -full.rows[removed[ok]]), (c_cell, -full.rows[ct])]
+    cell = np.concatenate([c for c, _ in pairs])
+    pool = ad.Cells(np.argsort(cell, kind="stable"), np.bincount(cell, minlength=left.size)[cells],
+                    left.ravel()[cells], cells, n_types)
+    return pl_pool(Tensor(np.concatenate([v for _, v in pairs])), pool, model.pool)
 
 
 def _removal_losses(model: Model, g: HeteroGraph, batch: GraphBatch,

@@ -9,16 +9,16 @@ disjoint union (``GraphBatch``), which the model runs on, and lays out its
 index arrays once: the edge endpoint indices, the target runs (its edge
 rows sorted by target, the runs the layers' segment ops reduce; a node
 without incoming edges is a GraphValidationError that names it) and the
-node-type index, and the pooling cells of either mode on first use. Only
-the node types and the in-degrees are checked; the endpoints, runs and
-cells are in range by construction and built unchecked. Every op of a
-step reads that one batch object instead of re-deriving or re-checking
-the layout. The JSON file format is versioned and stores one column per
-node or edge field: ids, types and coordinates as JSON lists, and the
-float64 feature and attribute tables each as one base64 string of their
-row-major, little-endian bytes, so floats round-trip exactly and are never
-printed as text. ``validate`` is the one checker of graph-wide invariants,
-the parser included.
+node-type index, and the pooling cells (``autodiff.Cells``) of either
+mode on first use. Only the node types and the in-degrees are checked;
+the endpoints, runs and cells are in range by construction and built
+unchecked. Every op of a step reads that one batch object instead of
+re-deriving or re-checking the layout. The JSON file format is versioned
+and stores one column per node or edge field: ids, types and coordinates
+as JSON lists, and the float64 feature and attribute tables each as one
+base64 string of their row-major, little-endian bytes, so floats
+round-trip exactly and are never printed as text. ``validate`` is the
+one checker of graph-wide invariants, the parser included.
 """
 
 from __future__ import annotations
@@ -229,27 +229,16 @@ def _unique_sorted(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-@dataclass(frozen=True, eq=False)
-class PoolCells:
-    """One pooling mode's cells of stacked rows: row r, of pool type p in
-    graph b, is in cell ``cell[r]`` = b * n_types + p."""
-
-    cell: np.ndarray    # (N,) each row's cell
-    order: ad.Index     # the rows in (graph, pool type) order, a permutation
-    runs: ad.Runs       # each present cell's rows, one run each in that order
-    cells: ad.Cells     # the present cells, ascending
-
-
-def _pool_cells(pool_type: np.ndarray, n_types: int, graph: np.ndarray) -> PoolCells:
+def _pool_cells(pool_type: np.ndarray, n_types: int, graph: np.ndarray) -> ad.Cells:
     """The cells of rows with pool types in [0, ``n_types``) and graph
-    indices, unchecked; each of the graphs 0..B-1 must have rows."""
+    indices, unchecked; each of the graphs 0..B-1 must have rows. Row r, of
+    pool type p in graph b, is in cell b * n_types + p."""
     # Rows gathered in (graph, type) order make each present cell one run.
     # A stable argsort is a permutation, and a present cell has rows.
     cell = graph * n_types + pool_type
     count = np.bincount(cell)
     present = np.flatnonzero(count)
-    return PoolCells(cell, ad.Index.known(np.argsort(cell, kind="stable"), len(cell), True),
-                     ad.Runs.known(count[present]), ad.Cells.known(present, n_types))
+    return ad.Cells.known(np.argsort(cell, kind="stable"), count[present], present, n_types)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +266,7 @@ class GraphBatch:
     targets: ad.Runs
     node_types: ad.Index
     sizes: tuple[int, ...]      # (B,) node rows of each graph
-    _pool: dict[bool, PoolCells] = field(default_factory=dict, init=False, repr=False)
+    _pool: dict[bool, ad.Cells] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -287,7 +276,7 @@ class GraphBatch:
     def n_edges(self) -> int:
         return int(self.edge_attrs.shape[0])
 
-    def pool(self, per_type: bool) -> PoolCells:
+    def pool(self, per_type: bool) -> ad.Cells:
         """The cells of per-type pooling (``per_type``) or of mean pooling,
         whose one pool type holds a graph's every row; the batch's types
         need no second check, and every graph has rows."""

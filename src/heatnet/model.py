@@ -5,8 +5,9 @@ dropout between them, followed by per-type pooling (or plain mean pooling)
 and a linear head. The type-blind baseline variant shares one projection
 across all node types, forces the edge modulation to all-ones, and uses
 plain mean pooling — isolating exactly what node/edge heterogeneity adds.
-Training, evaluation and attribution (``head``) classify through one
-pooling op; ``pool_cells`` is the one place that reads the pooling mode.
+Training, evaluation and attribution classify through one pooling op,
+``pooling.pl_pool``; ``pool_cells`` is the one place that reads the
+pooling mode.
 
 ``Model.forward`` takes a sequence of graphs and runs them as one disjoint
 union (``hetgraph.GraphBatch``), giving (B, C) logits. That one batch
@@ -29,8 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-from .hetgraph import (DEFAULT_TYPE_NAMES, GraphBatch, HeteroGraph, PoolCells, TypeSet,
-                       batch_graphs)
+from .hetgraph import DEFAULT_TYPE_NAMES, GraphBatch, HeteroGraph, TypeSet, batch_graphs
 from .layers import HeatLayerParams, LayerOutput, layer_forward, layer_parameters
 from .pooling import PoolParams, pl_pool, pool_parameters
 from .seeding import rng_for
@@ -167,17 +167,10 @@ class Model:
         h = ad.leaky_relu(h)
         return ad.dropout(h, self.config.dropout, rngs, training, blocks)
 
-    def pool_cells(self, batch: GraphBatch) -> PoolCells:
+    def pool_cells(self, batch: GraphBatch) -> ad.Cells:
         """The batch's pooling cells under this model's mode: per node type
         under per-type pooling, one pool type per graph under mean pooling."""
         return batch.pool(self.config.pooling == "pl")
-
-    def head(self, means: Tensor, cells: ad.Cells) -> Tensor:
-        """The classification head of ``forward`` on pooled means made
-        elsewhere: logits (B, C). Row k of ``means`` is the mean of cell k
-        of ``cells`` (graph * T + pool type, ascending)."""
-        p = self.pool
-        return ad.pooled_logits(means, cells, p.readout, p.classifier_w, p.classifier_b)
 
     def loss(self, graphs: Sequence[HeteroGraph], training: bool = False,
              rngs: Sequence[np.random.Generator] | None = None) -> Tensor:

@@ -6,9 +6,10 @@ T type vectors, and a linear classifier gives the logits. An absent type
 adds nothing to the sum and still counts in T, as a zero row would. Mean
 pooling, the ablation baseline, is one pool type and no maps; the batch
 builds either mode's cells (``GraphBatch.pool``) and ``Model.pool_cells``
-picks the model's. Every reduction is an exactly rounded segment sum and
-every product is row-invariant, so each graph of a stack gets the logits
-it gets alone, bit for bit.
+picks the model's. The forward and attribution both pool through
+``pl_pool``, the one call into ``autodiff.pooled_logits``. Every reduction
+is an exactly rounded segment sum and every product is row-invariant, so
+each graph of a stack gets the logits it gets alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError
-from .hetgraph import PoolCells, TypeSet
+from .errors import ConfigError
+from .hetgraph import TypeSet
 
 
 @dataclass
@@ -55,19 +56,11 @@ class PoolParams:
         )
 
 
-def pl_pool(features: Tensor, cells: PoolCells, params: PoolParams) -> Tensor:
-    """Logits (B, C) of B stacked graphs from their (n, d) node rows.
-
-    ``cells`` (``Model.pool_cells`` of their batch) groups the rows by
-    (graph, pool type). One gather into that order and one segment mean
-    give the present cells' means, and ``autodiff.pooled_logits`` maps,
-    averages and classifies them.
-    """
-    if cells.order.bound != features.shape[0]:
-        raise ShapeError(f"pooling cells of {cells.order.bound} rows for "
-                         f"{features.shape[0]} feature rows")
-    means = ad.segment_reduce(ad.gather_rows(features, cells.order), cells.runs)
-    return ad.pooled_logits(means, cells.cells, params.readout, params.classifier_w,
+def pl_pool(rows: Tensor, cells: ad.Cells, params: PoolParams) -> Tensor:
+    """Logits (B, C) of B graphs from the (N, d) ``rows`` that ``cells``
+    groups by (graph, pool type): one ``autodiff.pooled_logits`` op takes
+    each cell's mean, maps, averages and classifies them."""
+    return ad.pooled_logits(rows, cells, params.readout, params.classifier_w,
                             params.classifier_b)
 
 

@@ -248,12 +248,16 @@ def train(train_graphs: Sequence[HeteroGraph], val_graphs: Sequence[HeteroGraph]
     """Fit the model, returning the best-validation parameters and a log.
 
     Divergence (non-finite loss or gradients) aborts the run and the
-    last-good (best validation so far) parameters are restored.
+    last-good (best validation so far) parameters are restored. The model
+    trains at its own dropout, which ``cfg.dropout`` must equal.
     """
     if not train_graphs:
         raise ConfigError("training set is empty")
     if not val_graphs:
         raise ConfigError("validation set is empty")
+    if cfg.dropout != model.config.dropout:
+        raise ConfigError(f"model dropout {model.config.dropout} differs from train.dropout="
+                          f"{cfg.dropout}")
     params = model.parameters()
     state = AdamState.init(params)
     best_state = model.state_arrays()

@@ -10,13 +10,15 @@ construction and the Pearson kernel that compares every row pair for
 equality ``ref_pearson``, the unfused attention composition ``ref_attend``, the
 earlier exact-sum kernel ``ref_segment_fsum`` with its grid scale
 ``ref_grid_scale``, the per-name Adam update
-``ref_adam_step`` with its per-name moments ``RefAdamState``, and the
-zero-padded pooling head ``ref_pooled_logits``) are kept here as oracles
-for the fast ones. The tape ops only those oracles
-and the tests use (``mul`` and ``add`` with their broadcast gradient sum
-``_unbroadcast``, ``concat``, ``softmax_rows``, ``reshape``, ``reduce_sum``
-along an axis, ``segment_softmax`` and ``segment_sum``) are built here on
-``autodiff._make``, and
+``ref_adam_step`` with its per-name moments ``RefAdamState``, the
+zero-padded pooling head on cell means ``ref_pooled_logits``, and the
+gather, segment mean and head that ``autodiff.pooled_logits`` fuses,
+``ref_pool``) are kept here as oracles for the fast ones. The tape ops
+only those oracles and the tests use (``mul`` and ``add`` with their
+broadcast gradient sum ``_unbroadcast``, ``concat``, ``softmax_rows``,
+``reshape``, ``reduce_sum`` along an axis, ``gather_rows`` with its
+``np.add.at`` scatter, ``segment_reduce``, ``segment_softmax`` and
+``segment_sum``) are built here on ``autodiff._make``, and
 ``pearson_pair`` applies the package's Pearson kernel to one pair of
 vectors. ``from_lists``
 builds the small hand-written graphs of the tests from per-node and
@@ -182,10 +184,11 @@ def ref_pl_pool(feats, type_idx, n_types, readout=None):
 
 
 def ref_pooled_logits(means, cells, readout, weight, bias):
-    """``ad.pooled_logits`` as the composition of tape ops it replaced:
-    per-type maps (``typed_matmul``), a zero row gathered for every absent
-    (graph, type) cell, the mean over each graph's ``n_types`` rows,
-    ``linear`` and the bias."""
+    """The head of ``ad.pooled_logits`` on the (P, d) means of the present
+    ``cells``, as the composition of tape ops it replaced: per-type maps
+    (``typed_matmul``), a zero row gathered for every absent (graph, type)
+    cell, the mean over each graph's ``n_types`` rows, ``linear`` and the
+    bias."""
     cells, n_types = cells.cells, cells.n_types
     n_graphs = int(cells[-1]) // n_types + 1
     if readout is not None:
@@ -193,10 +196,20 @@ def ref_pooled_logits(means, cells, readout, weight, bias):
     # Absent cells read the zero row appended after the present ones.
     rows = np.full(n_graphs * n_types, len(cells), dtype=np.intp)
     rows[cells] = np.arange(len(cells))
-    padded = ad.gather_rows(concat([means, ad.Tensor(np.zeros((1, means.shape[1])))]),
+    padded = gather_rows(concat([means, ad.Tensor(np.zeros((1, means.shape[1])))]),
                             ad.Index(rows, len(cells) + 1))
-    pooled = ad.segment_reduce(padded, ad.Runs(np.full(n_graphs, n_types)))
+    pooled = segment_reduce(padded, ad.Runs(np.full(n_graphs, n_types)))
     return add(ad.linear(pooled, weight), bias)
+
+
+def ref_pool(rows, cells, readout, weight, bias):
+    """``ad.pooled_logits`` as a composition: the rows gathered in
+    ``cells.order`` with a scatter-add gradient, each cell's segment mean
+    and the head on those means (``ref_pooled_logits``). Cell sizes are
+    the run counts, as in ``GraphBatch.pool``."""
+    gathered = gather_rows(rows, ad.Index(cells.order, len(cells.order)))
+    means = segment_reduce(gathered, cells.runs)
+    return ref_pooled_logits(means, cells, readout, weight, bias)
 
 
 def ref_graph_logits(pooled, classifier_w, classifier_b):
@@ -325,6 +338,39 @@ def reduce_sum(a, axis):
     return ad._make(a.data.sum(axis=axis), (a,), vjp, "sum")
 
 
+def gather_rows(a, index):
+    """Rows (entries of the first axis) of a tensor of two or more
+    dimensions at an ``ad.Index``, as a tape op. The VJP adds every row's
+    gradient into zeros with ``np.add.at``."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"gather_rows expects a tensor of at least 2-D, got {a.data.shape}")
+    if index.bound > a.data.shape[0]:
+        raise ShapeError(f"gather_rows index out of range for {a.data.shape[0]} rows")
+    idx = index.rows
+
+    def vjp(g):
+        da = np.zeros_like(a.data)
+        np.add.at(da, idx, g)
+        return (da,)
+
+    return ad._make(a.data.take(idx, axis=0), (a,), vjp, "gather_rows")
+
+
+@ad._op
+def segment_reduce(x, runs):
+    """The exactly rounded mean of each of the ``ad.Runs`` of rows of a 2-D
+    tensor, as a tape op: the cell means ``ad.pooled_logits`` takes."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"segment_reduce expects a 2-D tensor, got {x.data.shape}")
+    runs.check(x.data.shape[0], "segment_reduce")
+    counts = runs.counts[:, None]
+
+    def vjp(g):
+        return ((g / counts).repeat(runs.counts, axis=0),)
+
+    return ad._make(ad._segment_fsum(x.data, runs) / counts, (x,), vjp, "segment_reduce")
+
+
 def segment_softmax(x, counts):
     """Per-column softmax over each run of ``counts[s]`` rows of a 2-D tensor,
     as a tape op, from the kernels ``ad.edge_attention`` normalizes with."""
@@ -342,7 +388,7 @@ def segment_softmax(x, counts):
 
 def segment_sum(x, counts):
     """Exactly rounded column sums of each run of ``counts[s]`` rows of a
-    2-D tensor, as a tape op, from the kernel ``ad.segment_reduce`` means with."""
+    2-D tensor, as a tape op, from the kernel ``segment_reduce`` means with."""
     if x.data.ndim != 2:
         raise ShapeError(f"segment_sum expects a 2-D tensor, got {x.data.shape}")
     runs = ad.Runs(counts)
@@ -370,14 +416,14 @@ def ref_attend(params, node_proj, eproj, src, dst, counts):
         return reshape(t, (-1, heads, d_k))
 
     node_proj = blocks(node_proj)
-    keys = ad.gather_rows(node_proj, ad.Index(src, node_proj.shape[0]))
-    queries = ad.gather_rows(node_proj, ad.Index(dst, node_proj.shape[0]))
+    keys = gather_rows(node_proj, ad.Index(src, node_proj.shape[0]))
+    queries = gather_rows(node_proj, ad.Index(dst, node_proj.shape[0]))
     modulated = mul(mul(keys, reshape(eproj, (-1, 1, d_k))), queries)
     scores = ad.scale(reduce_sum(modulated, axis=2), 1.0 / math.sqrt(d_k))
     att = segment_softmax(scores, counts)
     weighted = reshape(mul(keys, reshape(att, (-1, heads, 1))), (-1, params.d_out))
     if params.aggregation == "mean":
-        return ad.segment_reduce(weighted, ad.Runs(counts)), att
+        return segment_reduce(weighted, ad.Runs(counts)), att
     return segment_sum(weighted, counts), att
 
 

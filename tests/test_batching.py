@@ -152,12 +152,12 @@ def test_a_step_reads_the_plan_and_rebuilds_no_layout(monkeypatch):
     batch = model.batch(graphs)
     monkeypatch.setattr(np, "errstate", counting("errstate", np.errstate))
     # node types; targets, the per-type cells, their graphs; edges, cell
-    # order, cell types
+    # types (the cell order is a plain permutation held by the cells)
     step(batch)
-    assert calls == {"Runs": 0, "Index": 1, "Runs.known": 3, "Index.known": 4, "unique": 0,
+    assert calls == {"Runs": 0, "Index": 1, "Runs.known": 3, "Index.known": 3, "unique": 0,
                      "argsort": 0, "errstate": 3}
     step(batch)
-    assert calls == {"Runs": 0, "Index": 1, "Runs.known": 3, "Index.known": 4, "unique": 0,
+    assert calls == {"Runs": 0, "Index": 1, "Runs.known": 3, "Index.known": 3, "unique": 0,
                      "argsort": 0, "errstate": 6}
 
 
@@ -269,9 +269,11 @@ class TestBatchBoundaries:
         monkeypatch.setattr(Model, "forward", counting_forward)
         monkeypatch.setattr(ad, "backward", counting_backward)
         monkeypatch.setattr(np, "errstate", counting_errstate)
+        model = small_model()
         cfg = TrainConfig(learning_rate=1e-3, max_epochs=1, batch_size=2, patience=1,
-                          augmentation=AugmentConfig(0.1, 0.1, 0.01, 0.01))
-        result = train(graphs[:6], graphs[6:], small_model(), cfg)
+                          augmentation=AugmentConfig(0.1, 0.1, 0.01, 0.01),
+                          dropout=model.config.dropout)
+        result = train(graphs[:6], graphs[6:], model, cfg)
         assert len(result.log) == 1
         errstate_entries = calls.pop("errstate")
         assert calls == {"forward": 4, "backward": 3}   # 3 minibatches + 1 evaluation

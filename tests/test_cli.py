@@ -335,6 +335,20 @@ class TestTrainEvalExplain:
         assert "--out: gradcheck writes no file" in _one_input_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--checkpoint", "/nonexistent.json"),
+                                             ("--fold", "2"), ("--fold", "0")],
+                             ids=["checkpoint", "fold", "fold-0"])
+    def test_eval_cv_refuses_checkpoint_and_fold_with_one_line(self, tmp_path, capsys,
+                                                              monkeypatch, flag, value):
+        """eval --cv trains and scores every fold, so a checkpoint or a fold
+        it would ignore is refused before any work."""
+        monkeypatch.setattr("heatnet.cli._load_dataset", None)    # never reached
+        out = tmp_path / "cv.json"
+        assert main(["eval", "--cv", "--data", str(tmp_path), flag, value,
+                     "--out", str(out)]) == EXIT_INPUT
+        assert f"{flag}: eval --cv trains and evaluates every fold" in _one_input_error_line(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("fold", ["0", "3"])
     def test_train_fold_reproduces_the_cv_fold(self, tmp_path, fold):
         """``train --fold k`` then ``eval --checkpoint --fold k`` gives

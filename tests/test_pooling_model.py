@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _reference import (from_lists, mul, ref_graph_logits, ref_model_forward, ref_pl_pool,
-                        ref_pooled_logits, softmax_rows)
+                        ref_pool, softmax_rows)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from heatnet import autodiff as ad
@@ -111,39 +111,51 @@ class TestPermutationGather:
     row's gradient; it equals the scatter-add composition byte for byte."""
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 12), n_types=st.integers(1, 4), n_graphs=st.integers(1, 3),
+    @given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+           variant=st.sampled_from(["pl", "mean", "type_blind"]),
            zeros=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_forward_and_gradient_bytes_equal_the_add_at_composition(self, n, n_types, n_graphs,
+    def test_forward_and_gradient_bytes_equal_the_add_at_composition(self, sizes, variant,
                                                                      zeros, seed):
         rng = np.random.default_rng(seed)
-        n = max(n, n_graphs)
-        graph = np.sort(np.concatenate([np.arange(n_graphs), rng.integers(0, n_graphs, n - n_graphs)]))
-        cells = _pool_cells(rng.integers(0, n_types, n), n_types, graph)
-        params = PoolParams.init(TypeSet(DEFAULT_TYPE_NAMES[:n_types]), 3, 2, rng_for(seed, "pool"))
-        feats = rng.standard_normal((n, 3))
-        upstream = rng.standard_normal((n_graphs, 2))
+        graphs = [random_labeled_graph(rng, TYPES3, n_nodes=n, feature_dim=2) for n in sizes]
+        cfg = ModelConfig(feature_dim=2, types=TYPES3.names, hidden_dim=4,
+                          pooling="mean" if variant == "mean" else "pl")
+        model = Model.init(baseline_config(cfg) if variant == "type_blind" else cfg,
+                           rng_for(seed, "init"))
+        if model.pool.readout is not None:
+            model.pool.readout.data = rng.standard_normal(model.pool.readout.shape)
+        cells = model.pool_cells(model.batch(graphs))
+        rows = rng.standard_normal((sum(sizes), 4))
+        rows[rng.random(rows.shape) < 0.1] = 0.0
+        upstream = rng.standard_normal((len(graphs), 2))
         if zeros:
             upstream[rng.random(upstream.shape) < 0.5] = -0.0
+        p = model.pool
         runs = []
-        for order in (cells.order, ad.Index(cells.order.rows, n)):   # distinct, then add.at
-            x = Tensor(feats, requires_grad=True)
-            means = ad.segment_reduce(ad.gather_rows(x, order), cells.runs)
-            out = ad.pooled_logits(means, cells.cells, params.readout, params.classifier_w,
-                                   params.classifier_b)
-            ad.backward(ad.reduce_sum(mul(out, Tensor(upstream))))
-            runs.append([out.data.tobytes(), x.grad.tobytes()])
-        assert cells.order.distinct and runs[0] == runs[1]
-        logits = pl_pool(Tensor(feats), cells, params).data
-        assert logits.tobytes() == runs[0][0]
+        for pool in (ad.pooled_logits, ref_pool):
+            leaves = [Tensor(a, requires_grad=True)
+                      for a in (rows, p.classifier_w.data, p.classifier_b.data)]
+            maps = None if p.readout is None else Tensor(p.readout.data, requires_grad=True)
+            out = pool(leaves[0], cells, maps, leaves[1], leaves[2])
+            grads = ad.backward(ad.reduce_sum(mul(out, Tensor(upstream))))
+            runs.append([out.data.tobytes()] + [grads[t].tobytes() for t in leaves]
+                        + ([] if maps is None else [grads[maps].tobytes()]))
+        assert runs[0] == runs[1]
+        with ad.no_grad():
+            assert pl_pool(Tensor(rows), cells, p).data.tobytes() == runs[0][0]
 
 
 class TestGraphLogits:
-    """``ad.pooled_logits``, the head on (graph, type) cell means."""
+    """``ad.pooled_logits`` on one row per (graph, type) cell: the head on
+    the cell means."""
 
     @staticmethod
     def head(means, cells, params, n_types=3):
-        return ad.pooled_logits(Tensor(means), ad.Cells(cells, n_types), params.readout,
-                                params.classifier_w, params.classifier_b)
+        # Checked cells of one row each, in cell order: row k is cell k's mean.
+        ones = np.ones(len(cells), dtype=np.intp)
+        return ad.pooled_logits(Tensor(means), ad.Cells(np.arange(len(cells)), ones, ones,
+                                                        cells, n_types),
+                                params.readout, params.classifier_w, params.classifier_b)
 
     def test_rows_must_be_types_per_graph(self):
         params = make_pool(dim=3)
@@ -158,6 +170,38 @@ class TestGraphLogits:
             with pytest.raises(ContractError):
                 self.head(np.zeros((3, 3)), cells, params)
         assert self.head(np.zeros((3, 3)), [0, 2, 4], params).shape == (2, 2)
+
+    @pytest.mark.parametrize("order, counts, sizes, cells", [
+        ([0, 0, 2], [1, 2], [1, 2], [0, 1]),         # a repeated row
+        ([0, 1, 3], [1, 2], [1, 2], [0, 1]),         # a row out of range
+        ([0, -1, 2], [1, 2], [1, 2], [0, 1]),        # a negative row
+        ([[0, 1, 2]], [1, 2], [1, 2], [0, 1]),       # not 1-D
+        ([2, 0, 1], [1, 1], [1, 1], [0, 1]),         # runs of 2 rows for 3
+        ([2, 0, 1], [1, 3], [1, 3], [0, 1]),         # runs of 4 rows for 3
+        ([2, 0, 1], [1, 0, 2], [1, 1, 2], [0, 1, 2]),  # an empty run
+        ([2, 0, 1], [1, 2], [1, 2, 3], [0, 1]),      # a size per cell
+        ([2, 0, 1], [1, 2], [1], [0, 1]),
+        ([2, 0, 1], [1, 2], [1, 2], [0]),            # a run per cell
+        ([2, 0, 1], [1, 2], [0, 2], [0, 1]),         # a size below 1
+        ([2, 0, 1], [1, 2], [1, -2], [0, 1]),
+        ([2, 0, 1], [1, 2], [1, 2], [0, 7]),         # graphs 1 and 2 have no cell
+    ], ids=["repeat", "above", "negative", "2-D", "short-runs", "long-runs", "empty-run",
+            "sizes-long", "sizes-short", "runs-per-cell", "size-0", "size-negative",
+            "graph-without-cell"])
+    def test_checked_cells_reject_a_broken_layout(self, order, counts, sizes, cells):
+        with pytest.raises(ContractError):
+            ad.Cells(order, counts, sizes, cells, 3)
+        ad.Cells([2, 0, 1], [1, 2], [1, 5], [0, 1], 3)   # sizes need not be the counts
+
+    def test_checked_cells_equal_the_batch_cells(self):
+        g = random_labeled_graph(np.random.default_rng(3), TYPES3, n_nodes=9, feature_dim=2)
+        known = _pool_cells(g.node_types, 3, np.zeros(9, dtype=np.intp))
+        checked = ad.Cells(known.order, known.runs.counts, known.sizes, known.cells, 3)
+        for name in ("order", "sizes", "cells", "graph"):
+            assert getattr(checked, name).tobytes() == getattr(known, name).tobytes()
+        assert checked.runs.counts.tobytes() == known.runs.counts.tobytes()
+        assert checked.graphs.counts.tobytes() == known.graphs.counts.tobytes()
+        assert checked.types.rows.tobytes() == known.types.rows.tobytes()
 
     def test_zero_s_gives_bias(self):
         params = make_pool(dim=3)
@@ -183,39 +227,43 @@ class TestGraphLogits:
 
 
 @st.composite
-def cell_means(draw):
-    """Means of random (graph, type) cells, every graph with at least one,
-    with the maps (or None) and classifier of a pooling head."""
+def cell_rows(draw):
+    """Rows of random (graph, type) cells, every graph with at least one, in
+    a random order, with the cells' layout and the maps (or None) and
+    classifier of a pooling head."""
     n_graphs, n_types = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     dim, n_classes = draw(st.integers(1, 4)), draw(st.integers(2, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     present = rng.random((n_graphs, n_types)) < draw(st.sampled_from([0.3, 0.7, 1.0]))
     present[np.arange(n_graphs), rng.integers(n_types, size=n_graphs)] = True
     cells = np.flatnonzero(present)
-    means = rng.standard_normal((len(cells), dim))
-    means[rng.random(means.shape) < 0.1] = 0.0
+    counts = rng.integers(1, 4, size=len(cells))
+    order = rng.permutation(int(counts.sum()))
+    rows = rng.standard_normal((len(order), dim))
+    rows[rng.random(rows.shape) < 0.1] = 0.0
     readout = rng.standard_normal((n_types, dim, dim)) if draw(st.booleans()) else None
     weight = rng.standard_normal((n_classes, dim)) * draw(st.sampled_from([1.0, 0.0]))
-    return (means, cells, n_types, readout, weight, rng.standard_normal(n_classes),
-            rng.standard_normal((n_graphs, n_classes)))
+    return (rows, ad.Cells(order, counts, counts, cells, n_types), readout, weight,
+            rng.standard_normal(n_classes), rng.standard_normal((n_graphs, n_classes)))
 
 
 class TestPooledLogits:
-    """The fused head equals its zero-padded composition bit for bit."""
+    """The fused op equals its gather, segment mean and zero-padded head
+    composition bit for bit."""
 
-    # In the example the means' gradient underflows to -0.0, which the
+    # In the example the rows' gradient underflows to -0.0, which the
     # oracle's scatter into zeros turns into +0.0.
-    @example(case=(np.ones((1, 1)), np.array([0]), 4, None, np.array([[5e-324], [0.0]]),
-                   np.zeros(2), np.array([[-1.0, 0.0]])))
+    @example(case=(np.ones((1, 1)), ad.Cells([0], [1], [1], [0], 4), None,
+                   np.array([[5e-324], [0.0]]), np.zeros(2), np.array([[-1.0, 0.0]])))
     @settings(max_examples=100, deadline=None)
-    @given(case=cell_means())
+    @given(case=cell_rows())
     def test_logits_and_gradients_equal_the_oracle(self, case):
-        means, cells, n_types, readout, weight, bias, upstream = case
+        rows, cells, readout, weight, bias, upstream = case
         runs = []
-        for head in (ad.pooled_logits, ref_pooled_logits):
-            leaves = [Tensor(a, requires_grad=True) for a in (means, weight, bias)]
+        for pool in (ad.pooled_logits, ref_pool):
+            leaves = [Tensor(a, requires_grad=True) for a in (rows, weight, bias)]
             maps = None if readout is None else Tensor(readout, requires_grad=True)
-            out = head(leaves[0], ad.Cells(cells, n_types), maps, leaves[1], leaves[2])
+            out = pool(leaves[0], cells, maps, leaves[1], leaves[2])
             grads = ad.backward(ad.reduce_sum(mul(out, Tensor(upstream))))
             runs.append([out.data.tobytes()] + [grads[t].tobytes() for t in leaves]
                         + ([] if maps is None else [grads[maps].tobytes()]))
@@ -224,14 +272,16 @@ class TestPooledLogits:
     @pytest.mark.parametrize("maps", [True, False])
     def test_grad_check(self, maps):
         rng = np.random.default_rng(5)
-        means = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        rows = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
         readout = Tensor(rng.standard_normal((3, 3, 3)), requires_grad=True) if maps else None
         weight = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         bias = Tensor(rng.standard_normal(2), requires_grad=True)
-        params = [means, weight, bias] + ([readout] if maps else [])
+        params = [rows, weight, bias] + ([readout] if maps else [])
+        counts = [2, 1, 3, 1]
+        cells = ad.Cells(rng.permutation(7), counts, counts, [0, 2, 4, 5], 3)
 
         def f():
-            out = ad.pooled_logits(means, ad.Cells([0, 2, 4, 5], 3), readout, weight, bias)
+            out = ad.pooled_logits(rows, cells, readout, weight, bias)
             return ad.reduce_sum(ad.cross_entropy(out, [1, 0]))
 
         assert ad.grad_check(f, params, eps=1e-4) < 1e-5
@@ -310,9 +360,9 @@ class TestModelForward:
 
     def test_training_forward_records_at_most_11_ops(self, monkeypatch):
         # per layer one typed projection, one edge map and one attention op;
-        # leaky ReLU and dropout between layers; a gather into (graph, type)
-        # order, the cell means and one pooling head op, so the tape does not
-        # grow with the number of types, heads or edges
+        # leaky ReLU and dropout between layers; one pooling op (cell means,
+        # maps and head), so the tape does not grow with the number of
+        # types, heads or edges
         ops = []
         make = ad._make
 
@@ -326,10 +376,11 @@ class TestModelForward:
         model = Model.init(ModelConfig(feature_dim=8), rng_for(0, "init"))
         monkeypatch.setattr(ad, "_make", counting_make)
         model.forward([g], training=True, rngs=[rng_for(0, "dropout")])
-        assert len(ops) <= 11, sorted(ops)
+        layer = ["typed_matmul", "linear", "edge_attention"]
+        assert ops == layer + ["leaky_relu", "dropout"] + layer + ["pooled_logits"]
         ops.clear()
         model.forward([g])
-        assert len(ops) <= 10, sorted(ops)
+        assert ops == layer + ["leaky_relu"] + layer + ["pooled_logits"]
 
     def test_dropout_only_active_in_training(self):
         rng = np.random.default_rng(9)

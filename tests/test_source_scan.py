@@ -1,6 +1,7 @@
 """Source scans: the package deduplicates edge keys by sorting, never through
-the hash path numpy's ``np.unique`` takes on int64 without ``return_*``, and
-defines no function or class that nothing in it names."""
+the hash path numpy's ``np.unique`` takes on int64 without ``return_*``,
+defines no function or class that nothing in it names, and keeps no
+``__slots__`` attribute that nothing in it reads."""
 
 import ast
 import os
@@ -63,12 +64,49 @@ def test_scan_flags_only_unnamed_definitions():
     assert _unnamed_definitions(sources, {"api"}) == ["a:3: dead", "a:12: idle"]
 
 
-def test_every_definition_is_named_in_the_package():
+def _package_sources() -> dict[str, str]:
     sources = {}
     for name in sorted(os.listdir(SRC)):
         if name.endswith(".py"):
             with open(os.path.join(SRC, name), encoding="utf-8") as fh:
                 sources[name] = fh.read()
+    return sources
+
+
+def test_every_definition_is_named_in_the_package():
+    sources = _package_sources()
     exported = {alias.name for node in ast.walk(ast.parse(sources["__init__.py"]))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert _unnamed_definitions(sources, exported) == []
+
+
+def _unread_slots(sources: dict[str, str]) -> list[str]:
+    """``module:line: Class.name`` of each ``__slots__`` name of a class in
+    ``sources`` (module name -> text) that no attribute load in them reads:
+    state that is written but never used."""
+    slots, read = [], set()
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if (isinstance(stmt, ast.Assign)
+                            and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets)):
+                        slots += [(module, stmt.lineno, node.name, name)
+                                  for name in ast.literal_eval(stmt.value)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{module}:{line}: {cls}.{name}" for module, line, cls, name in slots
+            if name not in read]
+
+
+def test_slot_scan_flags_only_unread_slots():
+    sources = {"a": "class Box:\n    __slots__ = ('kept', 'written', 'elsewhere')\n"
+                    "    def __init__(self):\n        self.kept = self.written = 1\n"
+                    "        self.elsewhere = 2\n    def get(self):\n        return self.kept\n"
+                    "class Plain:\n    written = 0\n",
+               "b": "print(Box().elsewhere)\n"}
+    assert _unread_slots(sources) == ["a:2: Box.written"]
+
+
+def test_every_slot_is_read_in_the_package():
+    assert _unread_slots(_package_sources()) == []

@@ -280,9 +280,22 @@ class TestTrain:
 
         monkeypatch.setattr(sys.modules["heatnet.train"], "rng_for", recording)
         graphs = tiny_dataset(n=10, seed=5)
-        train(graphs[:6], graphs[6:], tiny_model(seed=5, dropout=dropout), quiet_cfg(max_epochs=2))
+        train(graphs[:6], graphs[6:], tiny_model(seed=5, dropout=dropout),
+              quiet_cfg(max_epochs=2, dropout=dropout))
         assert "shuffle" in streams
         assert ("dropout" in streams) == (dropout > 0)
+
+    @pytest.mark.parametrize("model_dropout, train_dropout", [(0.0, 0.9), (0.3, 0.0)])
+    def test_dropout_differing_from_the_model_is_rejected(self, model_dropout, train_dropout):
+        """The model trains at its own dropout; a training config that asks
+        for another is refused before any step."""
+        graphs = tiny_dataset(n=10, seed=5)
+        model = tiny_model(seed=5, dropout=model_dropout)
+        before = model.state_arrays()
+        with pytest.raises(ConfigError, match="dropout"):
+            train(graphs[:6], graphs[6:], model, quiet_cfg(max_epochs=2, dropout=train_dropout))
+        after = model.state_arrays()
+        assert all(before[k].tobytes() == after[k].tobytes() for k in before)
 
     def test_divergence_aborts_with_last_good_checkpoint(self):
         graphs = tiny_dataset(n=10, seed=8)
